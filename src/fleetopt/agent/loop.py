@@ -19,8 +19,8 @@ from ..dsl.parser import ObjectiveAst
 from ..fleet import Decision, FleetInstance, PriceGrid
 from ..fleet_mip import build_feature_mip, decision_from_solution
 from ..forest import Forest
-from ..mip.problem import INFEASIBLE, OPTIMAL, TIME_LIMIT
-from ..mip.solver import fix_variables, lexicographic_solve
+from ..mip.problem import INFEASIBLE
+from ..mip.solver import STOPPED_WITH_POINT, fix_variables, lexicographic_solve
 from .guides import DeterministicGuide, GuideContext, LlmGuide
 from .indicator import IndicatorResult, indicator_generate
 from .prompts import PromptTemplates
@@ -206,7 +206,7 @@ def run_agent(
                 notes.append("falling back to the deterministic guide")
                 proposal = fallback.propose(retry_context)
                 values, solution = solve_with(proposal)
-        if solution.status not in (OPTIMAL, TIME_LIMIT) or not solution.values:
+        if solution.status not in STOPPED_WITH_POINT or not solution.values:
             trace.iterations.append(
                 IterationRecord(
                     iteration=t,

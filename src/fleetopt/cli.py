@@ -38,7 +38,12 @@ from .dsl import lower_to_mip
 from .agent.indicator import indicator_generate
 from .forest import Forest, TrainConfig, evaluate_r2, train, train_test_split
 from .fleet_mip import build_feature_mip, decision_from_solution
-from .mip.solver import SolveConfig, branch_and_bound, lexicographic_solve
+from .mip.solver import (
+    STOPPED_WITH_POINT,
+    SolveConfig,
+    branch_and_bound,
+    lexicographic_solve,
+)
 
 
 def _load_json(path: str) -> dict:
@@ -146,7 +151,7 @@ def cmd_solve(args) -> int:
     if solution.values:
         decision = decision_from_solution(instance, mip, solution)
         print(json.dumps({"decision": decision.to_dict()}, indent=2, sort_keys=True))
-    return 0 if solution.status in ("Optimal", "TimeLimit") else 1
+    return 0 if solution.status in STOPPED_WITH_POINT else 1
 
 
 def cmd_agent(args) -> int:

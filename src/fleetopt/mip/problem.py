@@ -208,6 +208,7 @@ FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 TIME_LIMIT = "TimeLimit"
+NODE_LIMIT = "NodeLimit"
 
 
 @dataclass
@@ -222,6 +223,7 @@ class Solution:
     cut_counts: dict[str, int] = field(default_factory=dict)
     wall_time: float = 0.0
     basis: list[str] | None = None  # LP solves through the built-in simplex
+    stage2_fallback: bool = False  # lexicographic stage 2 gave no point
 
     @property
     def is_optimal(self) -> bool:
@@ -241,6 +243,7 @@ class Solution:
             "lp_iterations": self.lp_iterations,
             "cut_counts": self.cut_counts,
             "wall_time": self.wall_time,
+            "stage2_fallback": self.stage2_fallback,
         }
 
     def to_json(self) -> str:
@@ -259,6 +262,7 @@ class Solution:
             lp_iterations=int(doc.get("lp_iterations", 0)),
             cut_counts=dict(doc.get("cut_counts", {})),
             wall_time=float(doc.get("wall_time", 0.0)),
+            stage2_fallback=bool(doc.get("stage2_fallback", False)),
         )
 
 

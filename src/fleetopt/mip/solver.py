@@ -4,7 +4,13 @@ Best-first search on the LP bound with most-fractional branching and a
 depth tie-break that plunges after branching. Before the search starts,
 a reduction pass substitutes pinned columns out of every row, turns
 singleton rows into bounds and propagates activity bounds to a fixed
-point, so a heavily fixed model really shrinks. LP relaxations go
+point, so a heavily fixed model really shrinks. Every node propagates
+again before its LP. Propagation runs over rows compiled once per row
+set into CSR arrays with a level schedule (:mod:`.rows`): rows on one
+level share no column, so a numpy sweep per level tightens exactly the
+bounds, bit for bit, that a row-by-row Gauss-Seidel sweep in row order
+does. The HiGHS backend takes its matrices from the same compiled
+rows. LP relaxations go
 through the built-in dense simplex on small problems (which also feeds
 the Gomory separator its tableau) and through scipy's HiGHS interface
 above a size threshold; both paths are deterministic, so a given
@@ -19,7 +25,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import linprog
 
 from . import cuts as cutmod
@@ -33,6 +38,7 @@ from .problem import (
     LE,
     MAX,
     MIN,
+    NODE_LIMIT,
     OPTIMAL,
     TIME_LIMIT,
     UNBOUNDED,
@@ -41,10 +47,13 @@ from .problem import (
     Objective,
     Solution,
 )
+from .rows import CompiledRows
 from .simplex import LpResult, solve_lp_dense
 
 BOUND_EPS = 1e-9
 FIX_EPS = 1e-9
+# statuses whose solution may carry a point: proven, or stopped at a limit
+STOPPED_WITH_POINT = (OPTIMAL, TIME_LIMIT, NODE_LIMIT)
 
 
 @dataclass
@@ -66,57 +75,80 @@ class SolveConfig:
     node_limit: int | None = None
 
 
-def _propagate(rows, lb, ub, int_mask, max_passes=4):
-    """Activity-based bound tightening; returns False on infeasibility."""
-    for _ in range(max_passes):
-        changed = False
-        for coeffs, rel, rhs in rows:
-            idx = list(coeffs.keys())
-            if not idx:
-                if (rel == LE and rhs < -1e-9) or (rel == GE and rhs > 1e-9) or (
-                    rel == EQ and abs(rhs) > 1e-9
-                ):
-                    return False
-                continue
-            a = np.array([coeffs[j] for j in idx])
-            lo = np.where(a > 0, lb[idx], ub[idx])
-            hi = np.where(a > 0, ub[idx], lb[idx])
-            minact = float(np.sum(a * lo))
-            maxact = float(np.sum(a * hi))
-            if rel in (LE, EQ):
-                if minact > rhs + 1e-7:
-                    return False
-                if np.isfinite(minact):
-                    for pos, j in enumerate(idx):
-                        slack = rhs - minact + a[pos] * lo[pos]
-                        newb = slack / a[pos]
-                        if a[pos] > 0 and newb < ub[j] - 1e-9:
-                            ub[j] = newb
-                            changed = True
-                        elif a[pos] < 0 and newb > lb[j] + 1e-9:
-                            lb[j] = newb
-                            changed = True
-            if rel in (GE, EQ):
-                if maxact < rhs - 1e-7:
-                    return False
-                if np.isfinite(maxact):
-                    for pos, j in enumerate(idx):
-                        slack = rhs - maxact + a[pos] * hi[pos]
-                        newb = slack / a[pos]
-                        if a[pos] > 0 and newb > lb[j] + 1e-9:
-                            lb[j] = newb
-                            changed = True
-                        elif a[pos] < 0 and newb < ub[j] - 1e-9:
-                            ub[j] = newb
-                            changed = True
-        if np.any(int_mask):
-            lb[int_mask] = np.ceil(lb[int_mask] - INT_TOL)
-            ub[int_mask] = np.floor(ub[int_mask] + INT_TOL)
-        if np.any(lb > ub + 1e-7):
-            return False
-        if not changed:
-            break
-    return True
+def _propagate(rows: CompiledRows, lb, ub, int_mask, max_passes=4):
+    """Activity-based bound tightening in place; returns False on infeasibility.
+
+    Each pass is a Gauss-Seidel sweep over the rows in order: a row's
+    least (greatest) activity under the current bounds first proves the
+    row infeasible or tightens each column's bound on the "<=" (">=")
+    side, and later rows see the tightened bounds. Integer bounds are
+    rounded after every pass; passes stop when one tightens nothing.
+
+    The sweep runs one level of the schedule at a time (see
+    :mod:`.rows`), all rows of a level in a few numpy operations. Rows
+    on a level share no column, and each row reads only bounds written
+    by lower levels, so the bounds, the stop after an unchanged pass
+    and the verdict are bit for bit those of the row-by-row sweep. That
+    includes the bounds left behind on infeasibility: the row-by-row
+    sweep stops at the first infeasible row, so a pass that finds one
+    is re-run from its start with only the rows before it. (When only
+    the ">=" side of an equality row fails, its "<=" side has run first
+    but tightens nothing: its least slack exceeds the 1e-7 margin.)
+    """
+    n = rows.n
+    w = np.concatenate([ub, -lb, [0.0, -np.inf]])
+    rounded = np.concatenate([int_mask, int_mask, [False, False]])
+    any_int = bool(np.any(int_mask))
+    feasible = True
+    # a half with unbounded least activity computes inf - inf in entries
+    # that then tighten nothing
+    with np.errstate(invalid="ignore"):
+        for _ in range(max_passes):
+            start = w.copy()
+            limit = rows.first_empty_failure
+            while (failed := _sweep(rows.levels, w, limit)) is not None:
+                w[:] = start
+                limit = failed
+            if limit is not None:
+                feasible = False
+                break
+            changed = not np.array_equal(w, start)
+            if any_int:
+                w[rounded] = np.floor(w[rounded] + INT_TOL)
+            if np.any(-w[n : 2 * n] > w[:n] + 1e-7):
+                feasible = False
+                break
+            if not changed:
+                break
+    ub[:] = w[:n]
+    lb[:] = -w[n : 2 * n]
+    return feasible
+
+
+def _sweep(levels, w, limit):
+    """One pass over the levels, tightening ``w`` in place.
+
+    With ``limit`` None every row takes part, and the pass returns the
+    index of an infeasible row as soon as a level shows one. With
+    ``limit`` set, only rows before it take part, and the pass returns
+    the index of an infeasible row among them, if any. None means the
+    pass ran to the end.
+    """
+    for row_of, seg, half_of, k_p, k_t, coef, abs_coef, rhs, threshold in levels:
+        terms = coef * w[k_p]
+        least = np.add.reduceat(terms, seg)
+        bad = least > threshold
+        if limit is not None:
+            before = row_of < limit
+            bad &= before
+        if bad.any():
+            return int(row_of[bad][0])
+        bound = ((rhs - least)[half_of] + terms) / abs_coef
+        tighter = bound < w[k_t] - 1e-9
+        if limit is not None:
+            tighter &= before[half_of]
+        w[k_t[tighter]] = bound[tighter]
+    return None
 
 
 @dataclass
@@ -152,7 +184,9 @@ def _reduce(problem: MipProblem, objective: Objective, propagate: bool) -> _Redu
         )
         return red
 
-    if propagate and not _propagate(rows, lb, ub, int_mask_full, max_passes=6):
+    if propagate and not _propagate(
+        CompiledRows(rows, n), lb, ub, int_mask_full, max_passes=6
+    ):
         return fail()
 
     # substitute pinned columns and absorb singleton rows into bounds
@@ -198,7 +232,9 @@ def _reduce(problem: MipProblem, objective: Objective, propagate: bool) -> _Redu
         if np.any(lb > ub + 1e-7):
             return fail()
         if propagate and changed:
-            if not _propagate(rows, lb, ub, int_mask_full, max_passes=2):
+            if not _propagate(
+                CompiledRows(rows, n), lb, ub, int_mask_full, max_passes=2
+            ):
                 return fail()
         if not changed:
             break
@@ -242,12 +278,12 @@ class _Relaxation:
         self.cfg = cfg
         self.n = len(red.keep)
         self.rows = list(red.rows)
+        self.compiled = CompiledRows(self.rows, self.n)
         self.iterations = 0
-        self._matrix_cache = None
 
     def add_rows(self, rows) -> None:
         self.rows.extend(rows)
-        self._matrix_cache = None
+        self.compiled = CompiledRows(self.rows, self.n)
 
     def backend(self) -> str:
         if self.cfg.lp_backend in ("simplex", "highs"):
@@ -270,37 +306,8 @@ class _Relaxation:
             return res
         return self._solve_highs(sense, lb, ub)
 
-    def _matrices(self):
-        if self._matrix_cache is None:
-            data_ub, ri_ub, ci_ub, b_ub = [], [], [], []
-            data_eq, ri_eq, ci_eq, b_eq = [], [], [], []
-            for coeffs, rel, rhs in self.rows:
-                if rel == EQ:
-                    r = len(b_eq)
-                    for j, a in coeffs.items():
-                        ri_eq.append(r), ci_eq.append(j), data_eq.append(a)
-                    b_eq.append(rhs)
-                else:
-                    sgn = 1.0 if rel == LE else -1.0
-                    r = len(b_ub)
-                    for j, a in coeffs.items():
-                        ri_ub.append(r), ci_ub.append(j), data_ub.append(sgn * a)
-                    b_ub.append(sgn * rhs)
-            A_ub = (
-                sparse.csr_matrix((data_ub, (ri_ub, ci_ub)), shape=(len(b_ub), self.n))
-                if b_ub
-                else None
-            )
-            A_eq = (
-                sparse.csr_matrix((data_eq, (ri_eq, ci_eq)), shape=(len(b_eq), self.n))
-                if b_eq
-                else None
-            )
-            self._matrix_cache = (A_ub, np.array(b_ub), A_eq, np.array(b_eq))
-        return self._matrix_cache
-
     def _solve_highs(self, sense: str, lb, ub) -> LpResult:
-        A_ub, b_ub, A_eq, b_eq = self._matrices()
+        A_ub, b_ub, A_eq, b_eq = self.compiled.highs_form
         c = np.zeros(self.n)
         for j, a in self.red.obj_coeffs.items():
             c[j] = a
@@ -491,7 +498,7 @@ def branch_and_bound(
             status = TIME_LIMIT
             break
         if cfg.node_limit is not None and node_count >= cfg.node_limit:
-            status = TIME_LIMIT
+            status = NODE_LIMIT
             break
         prio, negdepth, _, bound, lb_n, ub_n = heapq.heappop(heap)
         if incumbent is not None:
@@ -502,7 +509,7 @@ def branch_and_bound(
                 continue
         node_lb, node_ub = lb_n.copy(), ub_n.copy()
         if cfg.propagate and not _propagate(
-            rel.rows, node_lb, node_ub, red.int_mask, max_passes=1
+            rel.compiled, node_lb, node_ub, red.int_mask, max_passes=1
         ):
             node_count += 1
             continue
@@ -544,12 +551,12 @@ def branch_and_bound(
         best_bound = (max if maximize else min)(remaining, default=None)
 
     if incumbent is None:
-        if status == TIME_LIMIT:
-            return make_solution(TIME_LIMIT, bound=best_bound, nodes=node_count,
+        if status != OPTIMAL:
+            return make_solution(status, bound=best_bound, nodes=node_count,
                                  iters=rel.iterations)
         return make_solution(INFEASIBLE, nodes=node_count, iters=rel.iterations)
     return make_solution(
-        status if status == TIME_LIMIT else OPTIMAL,
+        status,
         incumbent,
         incumbent_value,
         bound=float(best_bound),
@@ -670,7 +677,7 @@ def lexicographic_solve(
     if problem.objective is None or problem.secondary is None:
         raise MipError("lexicographic solve needs a primary and a secondary objective")
     stage1 = branch_and_bound(problem, cfg)
-    if stage1.status not in (OPTIMAL, TIME_LIMIT) or stage1.objective_value is None:
+    if stage1.status not in STOPPED_WITH_POINT or stage1.objective_value is None:
         return stage1
     g_star = stage1.objective_value
     eps = cfg.lex_slack_rel * abs(g_star) + 1e-9
@@ -687,11 +694,12 @@ def lexicographic_solve(
     stage2 = branch_and_bound(
         stage2_problem, cfg, objective=problem.secondary, warm_values=stage1.values
     )
-    if stage2.status not in (OPTIMAL, TIME_LIMIT) or not stage2.values:
-        # retention row plus solver tolerance squeezed stage 2 dry;
-        # fall back to the stage-1 solution
+    if stage2.status not in STOPPED_WITH_POINT or not stage2.values:
+        # retention row plus solver tolerance squeezed stage 2 dry, or
+        # stage 2 stopped before finding a point: return stage 1, marked
         x1 = stage1.value_array(problem)
         stage1.secondary_value = problem.secondary.value(x1)
+        stage1.stage2_fallback = True
         return stage1
     x2 = stage2.value_array(problem)
     return Solution(

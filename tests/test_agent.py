@@ -316,6 +316,24 @@ class TestRunAgent:
             full.objective_value, abs=1e-6
         )
 
+    def test_node_limit_stop_is_scored_like_a_time_limit(self, inst, monkeypatch):
+        from fleetopt.agent import loop
+        from fleetopt.mip import NODE_LIMIT
+
+        real = loop.lexicographic_solve
+
+        def stopped_at_node_limit(problem, cfg=None):
+            sol = real(problem, cfg)
+            sol.status = NODE_LIMIT
+            return sol
+
+        monkeypatch.setattr(loop, "lexicographic_solve", stopped_at_node_limit)
+        trace = run_agent("Number of pre-allocated taxis", inst, EXOG,
+                          make_forest(inst), varied_history(inst), AgentConfig(t_max=1))
+        (it,) = trace.iterations
+        assert it.status == NODE_LIMIT
+        assert it.score is not None and it.g_value is not None
+
     def test_trace_is_reproducible(self, inst):
         history = varied_history(inst)
         forest = make_forest(inst)

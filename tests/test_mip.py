@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fleetopt.mip import (
+    NODE_LIMIT,
     MipError,
     MipProblem,
     Solution,
@@ -48,6 +49,22 @@ def enumerate_best(problem, maximize=True):
             best = val
             best_point = values
     return best, best_point
+
+
+def knapsack_problem(seed=5, n=16):
+    """Multi-row binary knapsack whose search takes about a hundred nodes."""
+    rng = np.random.default_rng(seed)
+    p = MipProblem()
+    for j in range(n):
+        p.add_variable(f"b{j}", "binary")
+    for _ in range(12):
+        p.add_constraint(
+            {f"b{j}": int(rng.integers(2, 9)) for j in range(n)},
+            "<=",
+            int(rng.integers(12, 25)),
+        )
+    p.set_objective("max", {f"b{j}": int(rng.integers(3, 9)) for j in range(n)})
+    return p
 
 
 def random_integer_problem(rng, n_max=6, allow_eq=True):
@@ -242,6 +259,19 @@ class TestBranchAndBound:
         p.set_objective("max", {f"b{j}": int(rng.integers(3, 9)) for j in range(n)})
         sol = branch_and_bound(p, SolveConfig(time_limit=0.0))
         assert sol.status in ("TimeLimit", "Optimal")
+
+    def test_node_limit_status(self):
+        p = knapsack_problem()
+        full = branch_and_bound(p)
+        assert full.status == "Optimal" and full.node_count > 8
+        sol = branch_and_bound(p, SolveConfig(node_limit=8))
+        assert sol.status == NODE_LIMIT == "NodeLimit"
+        assert sol.node_count == 8
+        assert sol.objective_value <= full.objective_value
+        assert sol.best_bound >= full.objective_value
+        # stopped before any incumbent: no point, but still a node-limit stop
+        early = branch_and_bound(p, SolveConfig(node_limit=1))
+        assert early.status == NODE_LIMIT and not early.values
 
     def test_unbounded(self):
         p = MipProblem()
@@ -469,6 +499,41 @@ class TestLexicographic:
                 if best_f is None or fv > best_f:
                     best_f = fv
             assert sol.secondary_value == pytest.approx(best_f)
+
+    def test_node_limit_stop_still_runs_stage_two(self):
+        p = knapsack_problem()
+        p.set_secondary_objective("min", {f"b{j}": 1 for j in range(p.n_vars)})
+        sol = lexicographic_solve(p, SolveConfig(node_limit=8))
+        assert sol.status == NODE_LIMIT
+        assert not sol.stage2_fallback
+        assert sol.secondary_value is not None
+        assert sol.objective_value >= 13.0 - 1e-6  # stage 1's incumbent, retained
+
+    def test_stage_two_without_a_point_falls_back_explicitly(self, monkeypatch):
+        from fleetopt.mip import solver
+
+        p = MipProblem()
+        p.add_variable("x", "integer", 0, 5)
+        p.add_constraint({"x": 1}, "<=", 4)
+        p.set_objective("max", {"x": 1})
+        p.set_secondary_objective("min", {"x": 1})
+        real = solver.branch_and_bound
+
+        def stage_two_infeasible(problem, cfg=None, objective=None, warm_values=None):
+            if objective is not None:
+                return Solution(status="Infeasible")
+            return real(problem, cfg)
+
+        monkeypatch.setattr(solver, "branch_and_bound", stage_two_infeasible)
+        sol = lexicographic_solve(p)
+        assert sol.stage2_fallback
+        assert sol.status == "Optimal"
+        assert sol.values == {"x": 4.0}
+        assert sol.secondary_value == pytest.approx(4.0)
+        again = Solution.from_json(sol.to_json())
+        assert again.stage2_fallback
+        monkeypatch.undo()
+        assert not lexicographic_solve(p).stage2_fallback
 
     def test_stage_one_infeasibility_propagates(self):
         p = MipProblem()
