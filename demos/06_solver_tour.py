@@ -4,6 +4,9 @@ Everything here is deterministic: the same problem and configuration
 always reproduce the same values and node counts.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from fleetopt.mip import (
@@ -66,11 +69,12 @@ print(f"\nlexicographic: primary {lex.objective_value}, "
 print("values:", {n: v for n, v in lex.values.items()})
 
 # --- LP text interchange ---------------------------------------------------
-path = "/tmp/fleetopt_demo.lp"
-write_lp(b, path)
-again = read_lp(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "bi.lp")
+    write_lp(b, path)
+    again = read_lp(path)
 assert branch_and_bound(again).objective_value == branch_and_bound(b).objective_value
-print(f"\nwrote and re-read {path}; optima agree")
+print("\nwrote and re-read the LP file; optima agree")
 
 # --- variable fixing --------------------------------------------------------
 from fleetopt.mip import fix_variables

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -405,14 +405,7 @@ def run_cuts_experiment(
         f_sense = indicator.ast.sense
         baseline_row = None
         for name, base_cfg in CUT_FAMILIES:
-            solve_cfg = SolveConfig(
-                gap_tol=cfg.solve.gap_tol,
-                time_limit=cfg.solve.time_limit,
-                gomory=base_cfg.gomory,
-                cover=base_cfg.cover,
-                lp_backend=cfg.solve.lp_backend,
-                simplex_size_limit=cfg.solve.simplex_size_limit,
-            )
+            solve_cfg = replace(cfg.solve, gomory=base_cfg.gomory, cover=base_cfg.cover)
             t0 = time.perf_counter()
             sol = lexicographic_solve(mip, solve_cfg)
             elapsed = time.perf_counter() - t0

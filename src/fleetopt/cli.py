@@ -12,6 +12,7 @@ natural-language request to a finished plan in one call. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -57,8 +58,27 @@ def _config_section(args, name: str) -> dict:
     return {}
 
 
+def _from_section(cls, section: dict, name: str):
+    """Build config dataclass ``cls`` from a JSON section.
+
+    A field whose default is a config dataclass (``AgentConfig.solve``,
+    ``BenchConfig.agent``) is built from its nested section the same
+    way. A key that names no field raises, naming the key.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in section.items():
+        if key not in fields:
+            raise ValueError(f"unknown key {key!r} in config section {name!r}")
+        nested = fields[key].default_factory
+        if dataclasses.is_dataclass(nested) and isinstance(value, dict):
+            value = _from_section(nested, value, f"{name}.{key}")
+        kwargs[key] = value
+    return cls(**kwargs)
+
+
 def _solve_config(args) -> SolveConfig:
-    cfg = SolveConfig(**_config_section(args, "solve"))
+    cfg = _from_section(SolveConfig, _config_section(args, "solve"), "solve")
     if getattr(args, "time_limit", None):
         cfg.time_limit = args.time_limit
     return cfg
@@ -79,15 +99,14 @@ def _history(args) -> HistoryStore:
 def _client(args):
     if getattr(args, "guide", "deterministic") != "llm":
         return None
-    section = _config_section(args, "llm")
-    return ChatClient(LlmConfig(**section))
+    return ChatClient(_from_section(LlmConfig, _config_section(args, "llm"), "llm"))
 
 
 def cmd_gen_data(args) -> int:
     section = _config_section(args, "synth")
     if args.seed is not None:
         section["seed"] = args.seed
-    cfg = SynthConfig(**section)
+    cfg = _from_section(SynthConfig, section, "synth")
     world = generate_world(cfg)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "world.json")
@@ -102,7 +121,7 @@ def cmd_train_forest(args) -> int:
     section = _config_section(args, "train")
     if args.seed is not None:
         section["seed"] = args.seed
-    cfg = TrainConfig(**section)
+    cfg = _from_section(TrainConfig, section, "train")
     rows = world.training_rows()
     train_rows, test_rows = train_test_split(rows, cfg.test_fraction, cfg.seed)
     forest = train(train_rows, cfg, world.schema())
@@ -160,7 +179,7 @@ def cmd_agent(args) -> int:
     history = _history(args)
     instance = world.instance(args.day)
     exogenous = world.days[args.day].exogenous()
-    cfg = AgentConfig(**_config_section(args, "agent"))
+    cfg = _from_section(AgentConfig, _config_section(args, "agent"), "agent")
     cfg.guide = args.guide
     if args.time_limit:
         cfg.solve.time_limit = args.time_limit
@@ -178,12 +197,7 @@ def cmd_agent(args) -> int:
 def cmd_bench(args) -> int:
     world = _world(args)
     forest = _forest(args)
-    section = _config_section(args, "bench")
-    if "solve" in section:
-        section["solve"] = SolveConfig(**section["solve"])
-    if "agent" in section:
-        section["agent"] = AgentConfig(**section["agent"])
-    cfg = BenchConfig(**section)
+    cfg = _from_section(BenchConfig, _config_section(args, "bench"), "bench")
     if args.seed is not None:
         cfg.seed = args.seed
     if args.time_limit:

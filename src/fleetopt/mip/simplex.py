@@ -21,6 +21,8 @@ from .problem import EQ, GE, LE, INFEASIBLE, OPTIMAL, UNBOUNDED, MipError
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-9
 COST_TOL = 1e-9
+BLAND_AFTER = 2000  # pivots after which pricing switches to Bland's rule
+MAX_ITER = 200_000
 
 
 @dataclass
@@ -78,13 +80,9 @@ class DenseSimplex:
         lb: np.ndarray,
         ub: np.ndarray,
         integer_mask: np.ndarray,
-        bland_after: int = 2000,
-        max_iter: int = 200000,
     ):
         self.n_vars = n_vars
         self.sense = sense
-        self.bland_after = bland_after
-        self.max_iter = max_iter
         self.iterations = 0
         self._build(rows, objective, lb, ub, integer_mask)
 
@@ -254,9 +252,9 @@ class DenseSimplex:
         T = self.T
         n = T.shape[1] - 1
         while True:
-            if self.iterations > self.max_iter:
+            if self.iterations > MAX_ITER:
                 raise MipError("simplex iteration limit exceeded")
-            use_bland = self.iterations > self.bland_after
+            use_bland = self.iterations > BLAND_AFTER
             red = np.where(allowed, cost[:n], np.inf)
             if use_bland:
                 neg = np.where(red < -COST_TOL)[0]

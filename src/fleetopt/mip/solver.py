@@ -13,9 +13,9 @@ does. The HiGHS backend takes its matrices from the same compiled
 rows. LP relaxations go
 through the built-in dense simplex on small problems (which also feeds
 the Gomory separator its tableau) and through scipy's HiGHS interface
-above a size threshold; both paths are deterministic, so a given
-problem and configuration always reproduce the same solution and node
-count.
+when rows times columns exceed ``SIMPLEX_SIZE_LIMIT``; both paths are
+deterministic, so a given problem and configuration always reproduce
+the same solution and node count.
 """
 
 from __future__ import annotations
@@ -54,6 +54,10 @@ BOUND_EPS = 1e-9
 FIX_EPS = 1e-9
 # statuses whose solution may carry a point: proven, or stopped at a limit
 STOPPED_WITH_POINT = (OPTIMAL, TIME_LIMIT, NODE_LIMIT)
+# rows * columns above which LP relaxations go to HiGHS
+SIMPLEX_SIZE_LIMIT = 20_000
+MAX_CUT_ROUNDS = 10  # per family, root node only
+CUTS_PER_ROUND = 8
 
 
 @dataclass
@@ -62,16 +66,9 @@ class SolveConfig:
 
     gap_tol: float = 1e-6  # relative optimality gap
     time_limit: float | None = None
-    branching: str = "most-fractional"  # or "lowest-index"
     gomory: bool = False
     cover: bool = False
-    max_cut_rounds: int = 10  # per family, root node only
-    cuts_per_round: int = 8
     lex_slack_rel: float = 1e-6  # stage-2 slack as a fraction of |g*|
-    seed: int | None = None  # optional tie randomization, off by default
-    lp_backend: str = "auto"  # "auto" | "simplex" | "highs"
-    simplex_size_limit: int = 20_000  # rows*cols above which auto picks highs
-    propagate: bool = True
     node_limit: int | None = None
 
 
@@ -167,14 +164,28 @@ class _Reduced:
     feasible: bool = True
 
 
-def _reduce(problem: MipProblem, objective: Objective, propagate: bool) -> _Reduced:
-    n = problem.n_vars
+def _unreduced(problem: MipProblem, objective: Objective) -> _Reduced:
+    """The problem as stated, in the reduced form: no column dropped."""
     lb, ub = problem.bounds_arrays()
-    kinds_full = [v.kind for v in problem.variables]
-    int_mask_full = np.array(
-        [k in (INTEGER, BINARY) for k in kinds_full], dtype=bool
+    kinds = [v.kind for v in problem.variables]
+    return _Reduced(
+        keep=np.arange(problem.n_vars),
+        lb=lb,
+        ub=ub,
+        kinds=kinds,
+        int_mask=np.array([k in (INTEGER, BINARY) for k in kinds], dtype=bool),
+        rows=[(dict(c.coeffs), c.relation, c.rhs) for c in problem.constraints],
+        obj_coeffs=dict(objective.coeffs),
+        obj_constant=objective.constant,
+        full_values=np.zeros(problem.n_vars),
     )
-    rows = [(dict(c.coeffs), c.relation, c.rhs) for c in problem.constraints]
+
+
+def _reduce(problem: MipProblem, objective: Objective) -> _Reduced:
+    n = problem.n_vars
+    stated = _unreduced(problem, objective)
+    lb, ub, rows = stated.lb, stated.ub, stated.rows
+    kinds_full, int_mask_full = stated.kinds, stated.int_mask
 
     def fail():
         red = _Reduced(
@@ -184,9 +195,7 @@ def _reduce(problem: MipProblem, objective: Objective, propagate: bool) -> _Redu
         )
         return red
 
-    if propagate and not _propagate(
-        CompiledRows(rows, n), lb, ub, int_mask_full, max_passes=6
-    ):
+    if not _propagate(CompiledRows(rows, n), lb, ub, int_mask_full, max_passes=6):
         return fail()
 
     # substitute pinned columns and absorb singleton rows into bounds
@@ -231,21 +240,17 @@ def _reduce(problem: MipProblem, objective: Objective, propagate: bool) -> _Redu
             ub[int_mask_full] = np.floor(ub[int_mask_full] + INT_TOL)
         if np.any(lb > ub + 1e-7):
             return fail()
-        if propagate and changed:
-            if not _propagate(
-                CompiledRows(rows, n), lb, ub, int_mask_full, max_passes=2
-            ):
-                return fail()
         if not changed:
             break
+        if not _propagate(CompiledRows(rows, n), lb, ub, int_mask_full, max_passes=2):
+            return fail()
 
     fixed = (ub - lb) <= FIX_EPS
     keep = np.where(~fixed)[0]
     pos_of = {int(j): p for p, j in enumerate(keep)}
     full_values = np.where(fixed, lb, 0.0)
-    for j in range(n):
-        if fixed[j] and int_mask_full[j]:
-            full_values[j] = round(full_values[j])
+    pinned_int = fixed & int_mask_full
+    full_values[pinned_int] = np.round(full_values[pinned_int])
 
     red_rows = []
     for coeffs, rel, rhs in rows:
@@ -273,9 +278,8 @@ def _reduce(problem: MipProblem, objective: Objective, propagate: bool) -> _Redu
 class _Relaxation:
     """LP relaxation engine over reduced rows plus added cuts."""
 
-    def __init__(self, red: _Reduced, cfg: SolveConfig):
+    def __init__(self, red: _Reduced):
         self.red = red
-        self.cfg = cfg
         self.n = len(red.keep)
         self.rows = list(red.rows)
         self.compiled = CompiledRows(self.rows, self.n)
@@ -286,10 +290,8 @@ class _Relaxation:
         self.compiled = CompiledRows(self.rows, self.n)
 
     def backend(self) -> str:
-        if self.cfg.lp_backend in ("simplex", "highs"):
-            return self.cfg.lp_backend
         size = max(1, len(self.rows)) * max(1, self.n)
-        return "simplex" if size <= self.cfg.simplex_size_limit else "highs"
+        return "simplex" if size <= SIMPLEX_SIZE_LIMIT else "highs"
 
     def solve(self, sense: str, lb, ub, want_tableau=False) -> LpResult:
         use = self.backend()
@@ -331,25 +333,21 @@ class _Relaxation:
         return LpResult(status=OPTIMAL, x=np.asarray(res.x), objective=sign * res.fun)
 
 
-def _fractional_index(x, int_indices, rule: str, rng=None) -> int | None:
+def _fractional_index(x, int_idx) -> int | None:
+    """Most fractional integer column, or None if all are integral.
+
+    A column replaces the best so far only when its distance to the
+    nearest integer is larger by more than 1e-12, so among near-equal
+    distances (LP noise around 0.5) the first column wins.
+    """
+    f = x[int_idx] - np.floor(x[int_idx])
+    dist = np.minimum(f, 1.0 - f)
     best = None
     best_score = -1.0
-    ties: list[int] = []
-    for j in int_indices:
-        f = x[j] - np.floor(x[j])
-        dist = min(f, 1.0 - f)
-        if dist <= INT_TOL:
-            continue
-        if rule == "lowest-index":
-            return j
-        if dist > best_score + 1e-12:
-            best_score = dist
-            best = j
-            ties = [j]
-        elif rng is not None and dist > best_score - 1e-12:
-            ties.append(j)
-    if rng is not None and len(ties) > 1:
-        return int(ties[rng.integers(0, len(ties))])
+    for p in np.flatnonzero(dist > INT_TOL):
+        if dist[p] > best_score + 1e-12:
+            best_score = dist[p]
+            best = int(int_idx[p])
     return best
 
 
@@ -374,8 +372,7 @@ def branch_and_bound(
     t0 = time.perf_counter()
     maximize = obj.sense == MAX
     cut_counts = {"gomory": 0, "cover": 0}
-    tie_rng = np.random.default_rng(cfg.seed) if cfg.seed is not None else None
-    red = _reduce(problem, obj, cfg.propagate)
+    red = _reduce(problem, obj)
 
     def out_of_time():
         return cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit
@@ -405,8 +402,8 @@ def branch_and_bound(
         return make_solution(OPTIMAL, np.zeros(0), red.obj_constant,
                              bound=red.obj_constant)
 
-    rel = _Relaxation(red, cfg)
-    int_indices = [p for p in range(len(red.keep)) if red.int_mask[p]]
+    rel = _Relaxation(red)
+    int_idx = np.flatnonzero(red.int_mask)
     lb, ub = red.lb.copy(), red.ub.copy()
 
     def lp(sense_lb, sense_ub, want_tableau=False):
@@ -422,17 +419,17 @@ def branch_and_bound(
         return make_solution(UNBOUNDED, iters=rel.iterations)
 
     if cfg.gomory or cfg.cover:
-        for _ in range(cfg.max_cut_rounds):
+        for _ in range(MAX_CUT_ROUNDS):
             added = 0
             if cfg.gomory:
-                g = cutmod.gomory_cuts(root.state, max_cuts=cfg.cuts_per_round)
+                g = cutmod.gomory_cuts(root.state, max_cuts=CUTS_PER_ROUND)
                 if g:
                     rel.add_rows(g)
                     cut_counts["gomory"] += len(g)
                     added += len(g)
             if cfg.cover:
                 cv = cutmod.cover_cuts_raw(
-                    rel.rows, red.kinds, root.x, max_cuts=cfg.cuts_per_round
+                    rel.rows, red.kinds, root.x, max_cuts=CUTS_PER_ROUND
                 )
                 if cv:
                     rel.add_rows(cv)
@@ -456,10 +453,8 @@ def branch_and_bound(
 
     if warm_values is not None:
         full = np.array([warm_values[v.name] for v in problem.variables])
-        warm_red = full[red.keep].copy()
-        for p in range(len(red.keep)):
-            if red.int_mask[p]:
-                warm_red[p] = round(warm_red[p])
+        warm_red = full[red.keep]
+        warm_red[int_idx] = np.round(warm_red[int_idx])
         if np.all(warm_red >= red.lb - 1e-6) and np.all(warm_red <= red.ub + 1e-6):
             incumbent = warm_red
             incumbent_value = red.obj_constant + sum(
@@ -467,12 +462,11 @@ def branch_and_bound(
             )
 
     def integral(x):
-        return all(abs(x[j] - round(x[j])) <= INT_TOL for j in int_indices)
+        return bool(np.all(np.abs(x[int_idx] - np.round(x[int_idx])) <= INT_TOL))
 
     def exact_value(x):
         x = x.copy()
-        for j in int_indices:
-            x[j] = round(x[j])
+        x[int_idx] = np.round(x[int_idx])
         val = red.obj_constant + sum(c * x[j] for j, c in red.obj_coeffs.items())
         return val, x
 
@@ -508,9 +502,7 @@ def branch_and_bound(
             ):
                 continue
         node_lb, node_ub = lb_n.copy(), ub_n.copy()
-        if cfg.propagate and not _propagate(
-            rel.compiled, node_lb, node_ub, red.int_mask, max_passes=1
-        ):
+        if not _propagate(rel.compiled, node_lb, node_ub, red.int_mask, max_passes=1):
             node_count += 1
             continue
         res = lp(node_lb, node_ub)
@@ -524,7 +516,7 @@ def branch_and_bound(
             if incumbent is None or better(val, incumbent_value):
                 incumbent, incumbent_value = xr, val
             continue
-        j = _fractional_index(res.x, int_indices, cfg.branching, rng=tie_rng)
+        j = _fractional_index(res.x, int_idx)
         if j is None:  # numerically integral after all
             val, xr = exact_value(res.x)
             if incumbent is None or better(val, incumbent_value):
@@ -565,69 +557,38 @@ def branch_and_bound(
     )
 
 
-def lp_solve(problem: MipProblem, cfg: SolveConfig | None = None) -> Solution:
+def lp_solve(problem: MipProblem) -> Solution:
     """Solve the LP relaxation (integrality dropped) of a problem.
 
-    The solution carries variable values and the relaxation objective.
-    The reduction pass is skipped so the relaxation is solved exactly
-    as stated.
+    The solution carries variable values and the relaxation objective,
+    and the final basis when the dense simplex solved it. The reduction
+    pass is skipped so the relaxation is solved exactly as stated.
     """
-    cfg = cfg or SolveConfig()
     obj = problem.objective or Objective(MAX, {})
-    lb, ub = problem.bounds_arrays()
-    rows = [(dict(c.coeffs), c.relation, c.rhs) for c in problem.constraints]
-    int_mask = np.zeros(problem.n_vars, dtype=bool)
     sol = Solution(status=INFEASIBLE)
     if problem.n_vars == 0:
         sol.status = OPTIMAL
         sol.objective_value = obj.constant
         return sol
-    use_simplex = cfg.lp_backend != "highs" and (
-        cfg.lp_backend == "simplex"
-        or max(1, len(rows)) * problem.n_vars <= cfg.simplex_size_limit
-    )
-    if use_simplex:
-        res = solve_lp_dense(
-            problem.n_vars, rows, obj.coeffs, obj.sense, lb, ub, integer_mask=int_mask
-        )
-        sol.lp_iterations = res.iterations
-        if res.status == OPTIMAL:
-            sol.status = OPTIMAL
-            sol.values = {
-                v.name: float(res.x[i]) for i, v in enumerate(problem.variables)
-            }
-            sol.objective_value = res.objective + obj.constant
-            sol.best_bound = sol.objective_value
-            if res.state is not None:
-                sol.basis = [
-                    problem.variables[res.state.columns[c].var].name
-                    if res.state.columns[c].kind == "struct"
-                    else f"{res.state.columns[c].kind}[{c}]"
-                    for c in res.basis
-                ]
-        else:
-            sol.status = res.status
-        return sol
-    red = _Reduced(
-        keep=np.arange(problem.n_vars),
-        lb=lb, ub=ub,
-        kinds=[v.kind for v in problem.variables],
-        int_mask=int_mask,
-        rows=rows,
-        obj_coeffs=dict(obj.coeffs),
-        obj_constant=obj.constant,
-        full_values=np.zeros(problem.n_vars),
-    )
-    rel = _Relaxation(red, cfg)
-    res = rel.solve(obj.sense, lb, ub)
+    red = _unreduced(problem, obj)
+    rel = _Relaxation(red)
+    res = rel.solve(obj.sense, red.lb, red.ub)
     sol.lp_iterations = rel.iterations
-    if res.status == OPTIMAL:
-        sol.status = OPTIMAL
-        sol.values = {v.name: float(res.x[i]) for i, v in enumerate(problem.variables)}
-        sol.objective_value = res.objective + obj.constant
-        sol.best_bound = sol.objective_value
-    else:
+    if res.status != OPTIMAL:
         sol.status = res.status
+        return sol
+    sol.status = OPTIMAL
+    sol.values = {v.name: float(res.x[i]) for i, v in enumerate(problem.variables)}
+    sol.objective_value = res.objective + obj.constant
+    sol.best_bound = sol.objective_value
+    if res.state is not None:
+        cols = res.state.columns
+        sol.basis = [
+            problem.variables[cols[c].var].name
+            if cols[c].kind == "struct"
+            else f"{cols[c].kind}[{c}]"
+            for c in res.basis
+        ]
     return sol
 
 

@@ -208,7 +208,7 @@ def test_criterion_2_solver_oracle_equivalence():
     cut_problems = 0
     for trial in range(100):
         p = random_small_mip(rng)
-        red = _reduce(p, p.objective, propagate=True)
+        red = _reduce(p, p.objective)
         if not red.feasible:
             for cfg in configs:
                 assert branch_and_bound(p, cfg).status == "Infeasible", trial
@@ -228,7 +228,7 @@ def test_criterion_2_solver_oracle_equivalence():
             assert sol.objective_value == pytest.approx(best, abs=1e-9), (trial, cfg)
         # separate root cuts exactly the way the solver does, then check
         # them against every enumerated integer-feasible point
-        rel = _Relaxation(red, SolveConfig(lp_backend="simplex"))
+        rel = _Relaxation(red)
         res = rel.solve("max", red.lb.copy(), red.ub.copy(), want_tableau=True)
         if res.status != "Optimal":
             continue

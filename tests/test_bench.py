@@ -24,8 +24,10 @@ from fleetopt.bench import (
     simulate_profit,
     weather_factor,
 )
+from fleetopt.bench import experiments
 from fleetopt.fleet import Decision, decision_to_vector
 from fleetopt.forest import TrainConfig, train, train_test_split
+from fleetopt.mip import SolveConfig
 
 
 def small_world(seed=5):
@@ -319,6 +321,25 @@ class TestExperiments:
         families = {r["cuts"] for r in report.rows}
         assert families == {"NoCuts", "GomoryCuts", "CoverCuts",
                             "GomoryAndCoverCuts"}
+
+    def test_cuts_experiment_keeps_solve_settings(self, monkeypatch):
+        seen = []
+        solve = experiments.lexicographic_solve
+
+        def spy(mip, cfg):
+            seen.append(cfg)
+            return solve(mip, cfg)
+
+        monkeypatch.setattr(experiments, "lexicographic_solve", spy)
+        cfg = BenchConfig(
+            seed=0, eval_days=1,
+            solve=SolveConfig(node_limit=5000, lex_slack_rel=1e-4),
+        )
+        run_cuts_experiment(self.world, self.forest, self.history, cfg)
+        assert [(c.gomory, c.cover) for c in seen] == [
+            (False, False), (True, False), (False, True), (True, True)
+        ]
+        assert all(c.node_limit == 5000 and c.lex_slack_rel == 1e-4 for c in seen)
 
     def test_accuracy_deterministic_guide_scores_one(self):
         # the catalog's high-power entry indexes charge level 2, so the

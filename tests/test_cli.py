@@ -3,7 +3,10 @@ import os
 
 import pytest
 
-from fleetopt.cli import main
+from fleetopt.agent import AgentConfig
+from fleetopt.bench import BenchConfig
+from fleetopt.cli import _from_section, main
+from fleetopt.mip import SolveConfig
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +99,51 @@ class TestCli:
         assert code == 0
         assert (bench_out / "accuracy_linear_report.md").exists()
         assert (bench_out / "accuracy_nonlinear_report.md").exists()
+
+    def test_config_sections_build_nested_dataclasses(self):
+        cfg = _from_section(BenchConfig, {
+            "eval_days": 2,
+            "solve": {"node_limit": 7},
+            "agent": {"t_max": 2, "solve": {"gap_tol": 1e-4}},
+        }, "bench")
+        assert cfg.eval_days == 2
+        assert isinstance(cfg.solve, SolveConfig) and cfg.solve.node_limit == 7
+        assert isinstance(cfg.agent, AgentConfig) and cfg.agent.t_max == 2
+        assert isinstance(cfg.agent.solve, SolveConfig)
+        assert cfg.agent.solve.gap_tol == 1e-4
+
+    def test_agent_with_nested_solve_section(self, pipeline, tmp_path, capsys):
+        _, out = pipeline
+        config = tmp_path / "nested.json"
+        config.write_text(json.dumps({"agent": {"solve": {"gap_tol": 1e-6}}}))
+        code = main(["--config", str(config), "agent",
+                     "--world", str(out / "world.json"),
+                     "--forest", str(out / "forest.json"),
+                     "--history", str(out / "history.json"),
+                     "--day", "1", "--query", "Number of pre-allocated taxis",
+                     "--time-limit", "60"])
+        assert code == 0, capsys.readouterr().err
+        assert "Request:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, section, where", [
+        ("solve", {"solve": {"lp_backend": "highs"}},
+         "'lp_backend' in config section 'solve'"),
+        ("agent", {"agent": {"solve": {"seed": 5}}},
+         "'seed' in config section 'agent.solve'"),
+    ])
+    def test_unknown_config_key_is_named(self, pipeline, tmp_path, capsys,
+                                         command, section, where):
+        _, out = pipeline
+        config = tmp_path / "removed.json"
+        config.write_text(json.dumps(section))
+        argv = ["--config", str(config), command,
+                "--world", str(out / "world.json"),
+                "--forest", str(out / "forest.json")]
+        if command == "agent":
+            argv += ["--history", str(out / "history.json"),
+                     "--query", "Number of pre-allocated taxis"]
+        assert main(argv) == 1
+        assert f"error: unknown key {where}" in capsys.readouterr().err
 
     def test_runtime_failure_exits_one(self, tmp_path, capsys):
         code = main(["solve", "--world", str(tmp_path / "missing.json"),

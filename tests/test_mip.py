@@ -18,9 +18,10 @@ from fleetopt.mip import (
     read_lp,
     write_lp,
 )
+from fleetopt.mip import solver
 from fleetopt.mip.problem import Objective
 from fleetopt.mip.simplex import solve_lp_dense
-from fleetopt.mip.solver import _Relaxation, _reduce
+from fleetopt.mip.solver import _fractional_index, _Relaxation, _unreduced
 
 
 def two_var_lp():
@@ -169,13 +170,14 @@ class TestLpSolve:
         rng = np.random.default_rng(17)
         for _ in range(30):
             p = random_integer_problem(rng)
-            a = lp_solve(p, SolveConfig(lp_backend="simplex"))
-            b = lp_solve(p, SolveConfig(lp_backend="highs"))
+            red = _unreduced(p, p.objective)
+            a = solve_lp_dense(
+                p.n_vars, red.rows, red.obj_coeffs, "max", red.lb, red.ub
+            )
+            b = _Relaxation(red)._solve_highs("max", red.lb, red.ub)
             assert a.status == b.status
             if a.status == "Optimal":
-                assert a.objective_value == pytest.approx(
-                    b.objective_value, abs=1e-7
-                )
+                assert a.objective == pytest.approx(b.objective, abs=1e-7)
 
 
 class TestBranchAndBound:
@@ -214,26 +216,38 @@ class TestBranchAndBound:
         sol = branch_and_bound(p)
         assert sol.objective_value == pytest.approx(best)
 
-    def test_random_problems_all_cut_configs(self):
+    def test_random_problems_all_cut_configs(self, monkeypatch):
         rng = np.random.default_rng(11)
+        limit = solver.SIMPLEX_SIZE_LIMIT
         configs = [
-            SolveConfig(),
-            SolveConfig(gomory=True),
-            SolveConfig(cover=True),
-            SolveConfig(gomory=True, cover=True),
-            SolveConfig(lp_backend="highs"),
-            SolveConfig(seed=5),  # randomized tie-breaking stays exact
+            (SolveConfig(), limit),
+            (SolveConfig(gomory=True), limit),
+            (SolveConfig(cover=True), limit),
+            (SolveConfig(gomory=True, cover=True), limit),
+            (SolveConfig(), 0),  # every LP through HiGHS
         ]
         for trial in range(30):
             p = random_integer_problem(rng)
             best, _ = enumerate_best(p)
-            for cfg in configs:
+            for cfg, size_limit in configs:
+                monkeypatch.setattr(solver, "SIMPLEX_SIZE_LIMIT", size_limit)
                 sol = branch_and_bound(p, cfg)
                 if best is None:
                     assert sol.status == "Infeasible", trial
                 else:
                     assert sol.status == "Optimal", (trial, sol.status)
-                    assert sol.objective_value == pytest.approx(best), (trial, cfg)
+                    assert sol.objective_value == pytest.approx(best), (
+                        trial, cfg, size_limit
+                    )
+
+    def test_branching_tie_rule(self):
+        # 0.5 - 1e-13 and 0.5 lie within the 1e-12 margin: the first column
+        # keeps the branch, where a plain argmax would pick the second
+        x = np.array([0.5 - 1e-13, 0.5, 3.0])
+        assert _fractional_index(x, np.array([0, 1, 2])) == 0
+        # a clearly larger distance wins; the result is a column index
+        assert _fractional_index(np.array([0.2, 7.0, 2.45]), np.array([2, 0])) == 2
+        assert _fractional_index(np.array([1.0, 2.0]), np.array([0, 1])) is None
 
     def test_determinism(self):
         rng = np.random.default_rng(23)
@@ -298,9 +312,8 @@ class TestCuts:
         p.add_variable("x", "integer", 0, 5)
         p.add_constraint({"x": 1}, "<=", 3)
         p.set_objective("max", {"x": 1})
-        red = _reduce(p, p.objective, propagate=False)
-        rel = _Relaxation(red, SolveConfig(lp_backend="simplex"))
-        res = rel.solve("max", red.lb, red.ub, want_tableau=True)
+        red = _unreduced(p, p.objective)
+        res = _Relaxation(red).solve("max", red.lb, red.ub, want_tableau=True)
         assert gomory_cuts(res.state) == []
 
     def test_cover_cut_on_knapsack(self):
@@ -334,10 +347,8 @@ class TestCuts:
             p.set_objective(
                 "max", {f"v{j}": int(rng.integers(1, 7)) for j in range(n)}
             )
-            red = _reduce(p, p.objective, propagate=False)
-            if not red.feasible or len(red.keep) == 0:
-                continue
-            rel = _Relaxation(red, SolveConfig(lp_backend="simplex"))
+            red = _unreduced(p, p.objective)
+            rel = _Relaxation(red)
             res = rel.solve("max", red.lb, red.ub, want_tableau=True)
             if res.status != "Optimal":
                 continue
@@ -389,7 +400,7 @@ class TestCuts:
         tightened = 0
         for _ in range(40):
             p = random_integer_problem(rng, allow_eq=False)
-            relax = lp_solve(p, SolveConfig(lp_backend="simplex"))
+            relax = lp_solve(p)
             if relax.status != "Optimal":
                 continue
             sol = branch_and_bound(p, SolveConfig(gomory=True, cover=True))
