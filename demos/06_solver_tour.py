@@ -1,4 +1,4 @@
-"""A tour of the native solver: simplex, cuts, search, two objectives.
+"""A tour of the native solver: LP relaxation, cuts, search, two objectives.
 
 Everything here is deterministic: the same problem and configuration
 always reproduce the same values and node counts.

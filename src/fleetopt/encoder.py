@@ -2,13 +2,14 @@
 
 Each tree contributes one binary per edge (the in-edge of every
 non-root node; the root's in-edge is the constant one). Big-M rows tie
-the branch binaries to the decision features: an active left edge
-forces ``feature <= threshold``, an active right edge forces the
-feature strictly past the threshold (next integer up for integer
-features, threshold plus a small epsilon for continuous ones). Flow
-rows make a node's in-edge split across its children and a one-leaf
-row keeps exactly one root-to-leaf path active per tree; the objective
-averages the selected leaf values.
+the branch binaries to the decision features, each M taken from the
+bounds of the split's feature: an active left edge forces ``feature <=
+threshold``, an active right edge forces the feature strictly past the
+threshold (next integer up for integer features, threshold plus a
+small epsilon for continuous ones). Flow rows make a node's in-edge
+split across its children and a one-leaf row keeps exactly one
+root-to-leaf path active per tree; the objective averages the selected
+leaf values.
 
 Known exogenous features are pruned out of the trees before encoding,
 which shrinks the model without changing its predictions.
@@ -23,10 +24,6 @@ import numpy as np
 from .forest import Forest, TreeNode
 from .mip.problem import BINARY, EQ, GE, LE, AffineExpr, MipProblem
 
-PER_NODE = "per-node-from-bounds"
-GLOBAL = "global"
-
-
 class EncoderError(ValueError):
     """Raised for unusable bounds or malformed encode inputs."""
 
@@ -34,14 +31,10 @@ class EncoderError(ValueError):
 @dataclass
 class EncoderConfig:
     epsilon_strict: float = 1e-6  # strict-side margin for continuous splits
-    big_m_mode: str = PER_NODE  # or "global"
-    global_m: float = 1e6
 
     def __post_init__(self):
         if self.epsilon_strict <= 0:
             raise EncoderError("epsilon_strict must be positive")
-        if self.big_m_mode not in (PER_NODE, GLOBAL):
-            raise EncoderError(f"unknown big_m_mode {self.big_m_mode!r}")
 
 
 def prune(tree: TreeNode, fixed_features: dict[int, float]) -> TreeNode:
@@ -94,13 +87,6 @@ def _assign_ids(tree: TreeNode) -> dict[int, int]:
 
 
 @dataclass
-class _TreeEncoding:
-    nodes: list[tuple[int, TreeNode]]  # (node id, node) in preorder
-    ids: dict[int, int]
-    root: TreeNode
-
-
-@dataclass
 class MipFragment:
     """Forest encoding detached from any concrete model.
 
@@ -120,7 +106,6 @@ class MipFragment:
     objective_terms: list[tuple[int, int, float]] = field(default_factory=list)
     objective_constant: float = 0.0
     feature_refs: set[int] = field(default_factory=set)
-    trees: list[_TreeEncoding] = field(default_factory=list)
 
     @property
     def n_q(self) -> int:
@@ -156,14 +141,13 @@ def encode(
         ids = _assign_ids(tree)
         if tree.is_leaf:
             fragment.objective_constant += scale * tree.value
-            fragment.trees.append(_TreeEncoding(nodes=[(0, tree)], ids=ids, root=tree))
             continue
         nodes = []
         leaves = []
 
         def visit(node: TreeNode):
             nid = ids[id(node)]
-            nodes.append((nid, node))
+            nodes.append(nid)
             if node.is_leaf:
                 leaves.append(nid)
                 fragment.objective_terms.append((t, nid, scale * node.value))
@@ -182,11 +166,8 @@ def encode(
             right_rhs = _strict_right_rhs(
                 node.threshold, f in integer_features, cfg.epsilon_strict
             )
-            if cfg.big_m_mode == GLOBAL:
-                m_left = m_right = cfg.global_m
-            else:
-                m_left = max(0.0, ub - node.threshold)
-                m_right = max(0.0, right_rhs - lb)
+            m_left = max(0.0, ub - node.threshold)
+            m_right = max(0.0, right_rhs - lb)
             fragment.branch_rows.append(
                 (t, nid, f, node.threshold, lid, rid, m_left, m_right, right_rhs)
             )
@@ -195,11 +176,8 @@ def encode(
             visit(node.right)
 
         visit(tree)
-        for nid, _node in nodes:
-            if nid != 0:
-                fragment.q_edges.append((t, nid))
+        fragment.q_edges.extend((t, nid) for nid in nodes if nid != 0)
         fragment.leaf_rows.append((t, tuple(leaves)))
-        fragment.trees.append(_TreeEncoding(nodes=nodes, ids=ids, root=tree))
     return fragment
 
 

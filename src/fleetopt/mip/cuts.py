@@ -2,7 +2,9 @@
 
 Both separators return rows that every integer-feasible point of the
 problem satisfies and that the current LP point violates by at least
-``min_violation``; an empty list means nothing was separated.
+``min_violation``; an empty list means nothing was separated. Gomory
+cuts are read off an optimal tableau of the dense simplex
+(:mod:`.simplex`); cover cuts need only the rows and an LP point.
 """
 
 from __future__ import annotations
@@ -10,25 +12,78 @@ from __future__ import annotations
 import numpy as np
 
 from .problem import BINARY, GE, LE, MipProblem
-from .simplex import TableauState, gomory_cuts_from_state
+from .simplex import TableauState
 
 MIN_VIOLATION = 1e-7
 
 
+def _frac(a: float) -> float:
+    f = a - np.floor(a)
+    if f < 1e-9 or f > 1 - 1e-9:
+        return 0.0
+    return float(f)
+
+
 def gomory_cuts(
-    state: TableauState | None,
+    state: TableauState,
     max_cuts: int = 8,
     min_violation: float = MIN_VIOLATION,
 ) -> list[tuple[dict[int, float], str, float]]:
-    """Fractional Gomory cuts from an optimal simplex tableau.
+    """Gomory fractional cuts read off an optimal dense-simplex tableau.
 
-    Returns rows over the original variables. Without tableau state
-    (for example when the LP was solved by an external backend) no cuts
-    are produced.
+    Each cut is returned in original variable space as (coeffs, ">=",
+    rhs). A source row is used only when its basic column is integer
+    valued and every nonbasic column appearing with a fractional
+    coefficient is integer valued as well, which keeps every cut valid
+    for all integer-feasible points.
     """
-    if state is None:
-        return []
-    return gomory_cuts_from_state(state, max_cuts=max_cuts, min_violation=min_violation)
+    T = state.tableau
+    basis = state.basis
+    cols = state.columns
+    n = T.shape[1] - 1
+    nonbasic = np.ones(n, dtype=bool)
+    nonbasic[basis] = False
+    out = []
+    order = np.argsort(-np.abs(T[:, -1] - np.round(T[:, -1])))  # most fractional first
+    for r in order:
+        if len(out) >= max_cuts:
+            break
+        b_col = basis[r]
+        if cols[b_col].kind == "art" or not cols[b_col].is_integer:
+            continue
+        f0 = _frac(T[r, -1])
+        if f0 < 1e-5 or f0 > 1 - 1e-5:
+            continue
+        usable = True
+        frac_coeffs = {}
+        for c in range(n):
+            if not nonbasic[c]:
+                continue
+            fj = _frac(T[r, c])
+            if fj == 0.0:
+                continue
+            if cols[c].kind == "art" or not cols[c].is_integer:
+                usable = False
+                break
+            frac_coeffs[c] = fj
+        if not usable or not frac_coeffs:
+            continue
+        # substitute each standard column by its affine form in x
+        lhs: dict[int, float] = {}
+        rhs = f0
+        for c, fj in frac_coeffs.items():
+            info = cols[c]
+            rhs -= fj * info.affine_const
+            for v, a in info.affine_terms.items():
+                lhs[v] = lhs.get(v, 0.0) + fj * a
+        lhs = {v: a for v, a in lhs.items() if abs(a) > 1e-12}
+        if not lhs:
+            continue
+        # at the LP point all nonbasic columns sit at zero, so the cut is
+        # violated by exactly f0, which the threshold above keeps >= 1e-5
+        if f0 >= min_violation:
+            out.append((lhs, GE, rhs))
+    return out
 
 
 def cover_cuts(

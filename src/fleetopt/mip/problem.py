@@ -222,7 +222,6 @@ class Solution:
     lp_iterations: int = 0
     cut_counts: dict[str, int] = field(default_factory=dict)
     wall_time: float = 0.0
-    basis: list[str] | None = None  # LP solves through the built-in simplex
     stage2_fallback: bool = False  # lexicographic stage 2 gave no point
 
     @property

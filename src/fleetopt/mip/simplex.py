@@ -30,11 +30,9 @@ class ColumnInfo:
     """One standard-form column and its meaning in original space."""
 
     kind: str  # "struct" | "slack" | "art"
-    var: int = -1  # original variable index for structural columns
     affine_const: float = 0.0
     affine_terms: dict[int, float] = field(default_factory=dict)
     is_integer: bool = False  # integer-valued at every integer-feasible point
-    dxds: float = 0.0  # d(original var)/d(column), structural columns only
 
 
 @dataclass
@@ -52,15 +50,7 @@ class LpResult:
     x: np.ndarray | None = None
     objective: float | None = None
     iterations: int = 0
-    basis: list[int] | None = None
     state: TableauState | None = None
-
-
-def _frac(a: float) -> float:
-    f = a - np.floor(a)
-    if f < 1e-9 or f > 1 - 1e-9:
-        return 0.0
-    return float(f)
 
 
 class DenseSimplex:
@@ -91,7 +81,7 @@ class DenseSimplex:
     def _build(self, rows, objective, lb, ub, integer_mask):
         cols: list[ColumnInfo] = []
         var_cols: list[list[tuple[int, float]]] = [[] for _ in range(self.n_vars)]
-        shift_const = np.zeros(self.n_vars)  # x = sum(dxds * s) + shift_const
+        shift_const = np.zeros(self.n_vars)  # x = sum(sign * s) + shift_const
 
         for v in range(self.n_vars):
             lo, hi = lb[v], ub[v]
@@ -100,11 +90,9 @@ class DenseSimplex:
                 cols.append(
                     ColumnInfo(
                         "struct",
-                        var=v,
                         affine_const=-float(lo),
                         affine_terms={v: 1.0},
                         is_integer=bool(integer_mask[v]) and float(lo).is_integer(),
-                        dxds=1.0,
                     )
                 )
                 var_cols[v].append((idx, 1.0))
@@ -114,24 +102,18 @@ class DenseSimplex:
                 cols.append(
                     ColumnInfo(
                         "struct",
-                        var=v,
                         affine_const=float(hi),
                         affine_terms={v: -1.0},
                         is_integer=bool(integer_mask[v]) and float(hi).is_integer(),
-                        dxds=-1.0,
                     )
                 )
                 var_cols[v].append((idx, -1.0))
                 shift_const[v] = float(hi)
             else:
                 ip = len(cols)
-                cols.append(
-                    ColumnInfo("struct", var=v, affine_terms={v: 1.0}, dxds=1.0)
-                )
+                cols.append(ColumnInfo("struct", affine_terms={v: 1.0}))
                 inn = len(cols)
-                cols.append(
-                    ColumnInfo("struct", var=v, affine_terms={v: -1.0}, dxds=-1.0)
-                )
+                cols.append(ColumnInfo("struct", affine_terms={v: -1.0}))
                 var_cols[v].append((ip, 1.0))
                 var_cols[v].append((inn, -1.0))
                 shift_const[v] = 0.0
@@ -334,7 +316,6 @@ class DenseSimplex:
             x=x,
             objective=objective,
             iterations=self.iterations,
-            basis=list(self.basis),
             state=TableauState(self.T, self.basis.copy(), self.cols),
         )
 
@@ -356,64 +337,3 @@ def solve_lp_dense(
     solver = DenseSimplex(n_vars, rows, objective, sense, lb, ub, integer_mask)
     return solver.solve()
 
-
-def gomory_cuts_from_state(
-    state: TableauState,
-    max_cuts: int = 8,
-    min_violation: float = 1e-7,
-) -> list[tuple[dict[int, float], str, float]]:
-    """Gomory fractional cuts read off an optimal tableau.
-
-    Each cut is returned in original variable space as (coeffs, ">=",
-    rhs). A source row is used only when its basic column is integer
-    valued and every nonbasic column appearing with a fractional
-    coefficient is integer valued as well, which keeps every cut valid
-    for all integer-feasible points.
-    """
-    T = state.tableau
-    basis = state.basis
-    cols = state.columns
-    n = T.shape[1] - 1
-    nonbasic = np.ones(n, dtype=bool)
-    nonbasic[basis] = False
-    out = []
-    order = np.argsort(-np.abs(T[:, -1] - np.round(T[:, -1])))  # most fractional first
-    for r in order:
-        if len(out) >= max_cuts:
-            break
-        b_col = basis[r]
-        if cols[b_col].kind == "art" or not cols[b_col].is_integer:
-            continue
-        f0 = _frac(T[r, -1])
-        if f0 < 1e-5 or f0 > 1 - 1e-5:
-            continue
-        usable = True
-        frac_coeffs = {}
-        for c in range(n):
-            if not nonbasic[c]:
-                continue
-            fj = _frac(T[r, c])
-            if fj == 0.0:
-                continue
-            if cols[c].kind == "art" or not cols[c].is_integer:
-                usable = False
-                break
-            frac_coeffs[c] = fj
-        if not usable or not frac_coeffs:
-            continue
-        # substitute each standard column by its affine form in x
-        lhs: dict[int, float] = {}
-        rhs = f0
-        for c, fj in frac_coeffs.items():
-            info = cols[c]
-            rhs -= fj * info.affine_const
-            for v, a in info.affine_terms.items():
-                lhs[v] = lhs.get(v, 0.0) + fj * a
-        lhs = {v: a for v, a in lhs.items() if abs(a) > 1e-12}
-        if not lhs:
-            continue
-        # at the LP point all nonbasic columns sit at zero, so the cut is
-        # violated by exactly f0, which the threshold above keeps >= 1e-5
-        if f0 >= min_violation:
-            out.append((lhs, GE, rhs))
-    return out

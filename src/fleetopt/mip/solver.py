@@ -9,13 +9,14 @@ again before its LP. Propagation runs over rows compiled once per row
 set into CSR arrays with a level schedule (:mod:`.rows`): rows on one
 level share no column, so a numpy sweep per level tightens exactly the
 bounds, bit for bit, that a row-by-row Gauss-Seidel sweep in row order
-does. The HiGHS backend takes its matrices from the same compiled
-rows. LP relaxations go
-through the built-in dense simplex on small problems (which also feeds
-the Gomory separator its tableau) and through scipy's HiGHS interface
-when rows times columns exceed ``SIMPLEX_SIZE_LIMIT``; both paths are
-deterministic, so a given problem and configuration always reproduce
-the same solution and node count.
+does. Every LP relaxation (root, cut rounds, nodes and ``lp_solve``)
+goes through scipy's HiGHS interface, which takes its matrices from
+the same compiled rows. With Gomory cuts on and a fractional root, the
+built-in dense simplex re-solves the root of each cut round only to
+hand the separator its tableau, and only below ``TABLEAU_SIZE_LIMIT``;
+its point never replaces the HiGHS root. Both are deterministic, so a
+given problem and configuration always reproduce the same solution and
+node count.
 """
 
 from __future__ import annotations
@@ -48,14 +49,17 @@ from .problem import (
     Solution,
 )
 from .rows import CompiledRows
-from .simplex import LpResult, solve_lp_dense
+from .simplex import LpResult, TableauState, solve_lp_dense
 
 BOUND_EPS = 1e-9
 FIX_EPS = 1e-9
 # statuses whose solution may carry a point: proven, or stopped at a limit
 STOPPED_WITH_POINT = (OPTIMAL, TIME_LIMIT, NODE_LIMIT)
-# rows * columns above which LP relaxations go to HiGHS
-SIMPLEX_SIZE_LIMIT = 20_000
+# rows * columns above which the root gets no dense-simplex tableau, so
+# Gomory separation is skipped. On the desk root (692 x 513 after
+# reduction) the dense simplex took 9.4 s (833 pivots on a 1205 x 1923
+# tableau) where HiGHS took 16 ms, and Gomory added no cut.
+TABLEAU_SIZE_LIMIT = 20_000
 MAX_CUT_ROUNDS = 10  # per family, root node only
 CUTS_PER_ROUND = 8
 
@@ -250,7 +254,8 @@ def _reduce(problem: MipProblem, objective: Objective) -> _Reduced:
     pos_of = {int(j): p for p, j in enumerate(keep)}
     full_values = np.where(fixed, lb, 0.0)
     pinned_int = fixed & int_mask_full
-    full_values[pinned_int] = np.round(full_values[pinned_int])
+    # + 0.0: a bound ceil'ed up from just below zero is -0.0
+    full_values[pinned_int] = np.round(full_values[pinned_int]) + 0.0
 
     red_rows = []
     for coeffs, rel, rhs in rows:
@@ -283,39 +288,43 @@ class _Relaxation:
         self.n = len(red.keep)
         self.rows = list(red.rows)
         self.compiled = CompiledRows(self.rows, self.n)
+        self.c = np.zeros(self.n)
+        for j, a in red.obj_coeffs.items():
+            self.c[j] = a
         self.iterations = 0
 
     def add_rows(self, rows) -> None:
         self.rows.extend(rows)
         self.compiled = CompiledRows(self.rows, self.n)
 
-    def backend(self) -> str:
-        size = max(1, len(self.rows)) * max(1, self.n)
-        return "simplex" if size <= SIMPLEX_SIZE_LIMIT else "highs"
+    def tableau(self, sense: str, lb, ub) -> TableauState | None:
+        """Optimal dense-simplex tableau at these bounds, for Gomory only.
+
+        None when the relaxation exceeds the size gate or the simplex
+        finds no optimum.
+        """
+        if max(1, len(self.rows)) * max(1, self.n) > TABLEAU_SIZE_LIMIT:
+            return None
+        return self.solve(sense, lb, ub, want_tableau=True).state
 
     def solve(self, sense: str, lb, ub, want_tableau=False) -> LpResult:
-        use = self.backend()
-        if want_tableau:
-            use = "simplex"
+        """HiGHS solve, or a dense-simplex solve when a tableau is asked for."""
         if self.n == 0:
             return LpResult(status=OPTIMAL, x=np.zeros(0), objective=0.0)
-        if use == "simplex":
-            res = solve_lp_dense(
-                self.n, self.rows, self.red.obj_coeffs, sense, lb, ub,
-                integer_mask=self.red.int_mask,
-            )
-            self.iterations += res.iterations
-            return res
-        return self._solve_highs(sense, lb, ub)
+        if not want_tableau:
+            return self._solve_highs(sense, lb, ub)
+        res = solve_lp_dense(
+            self.n, self.rows, self.red.obj_coeffs, sense, lb, ub,
+            integer_mask=self.red.int_mask,
+        )
+        self.iterations += res.iterations
+        return res
 
     def _solve_highs(self, sense: str, lb, ub) -> LpResult:
         A_ub, b_ub, A_eq, b_eq = self.compiled.highs_form
-        c = np.zeros(self.n)
-        for j, a in self.red.obj_coeffs.items():
-            c[j] = a
         sign = 1.0 if sense == MIN else -1.0
         res = linprog(
-            sign * c,
+            sign * self.c,
             A_ub=A_ub,
             b_ub=b_ub if A_ub is not None else None,
             A_eq=A_eq,
@@ -406,23 +415,29 @@ def branch_and_bound(
     int_idx = np.flatnonzero(red.int_mask)
     lb, ub = red.lb.copy(), red.ub.copy()
 
-    def lp(sense_lb, sense_ub, want_tableau=False):
-        res = rel.solve(obj.sense, sense_lb, sense_ub, want_tableau=want_tableau)
+    def integral(x):
+        return bool(np.all(np.abs(x[int_idx] - np.round(x[int_idx])) <= INT_TOL))
+
+    def lp(sense_lb, sense_ub):
+        res = rel.solve(obj.sense, sense_lb, sense_ub)
         if res.objective is not None:
             res.objective += red.obj_constant
         return res
 
-    root = lp(lb, ub, want_tableau=cfg.gomory and rel.backend() == "simplex")
+    root = lp(lb, ub)
     if root.status == INFEASIBLE:
         return make_solution(INFEASIBLE, iters=rel.iterations)
     if root.status == UNBOUNDED:
         return make_solution(UNBOUNDED, iters=rel.iterations)
 
-    if cfg.gomory or cfg.cover:
+    # an integral root is already optimal: nothing to separate
+    if (cfg.gomory or cfg.cover) and not integral(root.x):
         for _ in range(MAX_CUT_ROUNDS):
             added = 0
-            if cfg.gomory:
-                g = cutmod.gomory_cuts(root.state, max_cuts=CUTS_PER_ROUND)
+            # the tableau feeds the separator only; the HiGHS root stays
+            state = rel.tableau(obj.sense, lb, ub) if cfg.gomory else None
+            if state is not None:
+                g = cutmod.gomory_cuts(state, max_cuts=CUTS_PER_ROUND)
                 if g:
                     rel.add_rows(g)
                     cut_counts["gomory"] += len(g)
@@ -437,8 +452,8 @@ def branch_and_bound(
                     added += len(cv)
             if added == 0:
                 break
-            root = lp(lb, ub, want_tableau=cfg.gomory and rel.backend() == "simplex")
-            if root.status != OPTIMAL:
+            root = lp(lb, ub)
+            if root.status != OPTIMAL or integral(root.x):
                 break
         if root.status == INFEASIBLE:
             return make_solution(INFEASIBLE, iters=rel.iterations)
@@ -454,19 +469,16 @@ def branch_and_bound(
     if warm_values is not None:
         full = np.array([warm_values[v.name] for v in problem.variables])
         warm_red = full[red.keep]
-        warm_red[int_idx] = np.round(warm_red[int_idx])
+        warm_red[int_idx] = np.round(warm_red[int_idx]) + 0.0  # no -0.0
         if np.all(warm_red >= red.lb - 1e-6) and np.all(warm_red <= red.ub + 1e-6):
             incumbent = warm_red
             incumbent_value = red.obj_constant + sum(
                 c * warm_red[j] for j, c in red.obj_coeffs.items()
             )
 
-    def integral(x):
-        return bool(np.all(np.abs(x[int_idx] - np.round(x[int_idx])) <= INT_TOL))
-
     def exact_value(x):
         x = x.copy()
-        x[int_idx] = np.round(x[int_idx])
+        x[int_idx] = np.round(x[int_idx]) + 0.0  # HiGHS may return -0.0
         val = red.obj_constant + sum(c * x[j] for j, c in red.obj_coeffs.items())
         return val, x
 
@@ -560,9 +572,9 @@ def branch_and_bound(
 def lp_solve(problem: MipProblem) -> Solution:
     """Solve the LP relaxation (integrality dropped) of a problem.
 
-    The solution carries variable values and the relaxation objective,
-    and the final basis when the dense simplex solved it. The reduction
-    pass is skipped so the relaxation is solved exactly as stated.
+    The solution carries variable values and the relaxation objective.
+    The reduction pass is skipped so the relaxation is solved exactly
+    as stated.
     """
     obj = problem.objective or Objective(MAX, {})
     sol = Solution(status=INFEASIBLE)
@@ -581,14 +593,6 @@ def lp_solve(problem: MipProblem) -> Solution:
     sol.values = {v.name: float(res.x[i]) for i, v in enumerate(problem.variables)}
     sol.objective_value = res.objective + obj.constant
     sol.best_bound = sol.objective_value
-    if res.state is not None:
-        cols = res.state.columns
-        sol.basis = [
-            problem.variables[cols[c].var].name
-            if cols[c].kind == "struct"
-            else f"{cols[c].kind}[{c}]"
-            for c in res.basis
-        ]
     return sol
 
 

@@ -136,13 +136,6 @@ class TestEncode:
         right_rhs = frag.branch_rows[0][8]
         assert right_rhs == pytest.approx(3.5 + 1e-4)
 
-    def test_global_big_m_mode(self):
-        cfg = EncoderConfig(big_m_mode="global", global_m=123.0)
-        frag = encode(forest_of([stump()]), {}, {0: (0, 10)}, cfg,
-                      integer_features={0})
-        assert frag.branch_rows[0][6] == 123.0
-        assert frag.branch_rows[0][7] == 123.0
-
     def test_lp_debug_dump(self, tmp_path):
         from fleetopt.encoder import dump_fragment_lp
         from fleetopt.mip import read_lp

@@ -18,6 +18,7 @@ from fleetopt.mip import (
     read_lp,
     write_lp,
 )
+from fleetopt.mip import cuts as cutmod
 from fleetopt.mip import solver
 from fleetopt.mip.problem import Objective
 from fleetopt.mip.simplex import solve_lp_dense
@@ -146,9 +147,6 @@ class TestLpSolve:
         assert sol.objective_value == pytest.approx(21.0)
         assert sol.values["x"] == pytest.approx(3.0)
         assert sol.values["y"] == pytest.approx(1.5)
-        # both structural variables sit in the optimal basis
-        assert sol.basis is not None
-        assert {"x", "y"} <= set(sol.basis)
 
     def test_no_rows_hits_bounds(self):
         p = MipProblem()
@@ -218,19 +216,19 @@ class TestBranchAndBound:
 
     def test_random_problems_all_cut_configs(self, monkeypatch):
         rng = np.random.default_rng(11)
-        limit = solver.SIMPLEX_SIZE_LIMIT
+        limit = solver.TABLEAU_SIZE_LIMIT
         configs = [
             (SolveConfig(), limit),
             (SolveConfig(gomory=True), limit),
             (SolveConfig(cover=True), limit),
             (SolveConfig(gomory=True, cover=True), limit),
-            (SolveConfig(), 0),  # every LP through HiGHS
+            (SolveConfig(gomory=True), 0),  # no tableau: Gomory skipped
         ]
         for trial in range(30):
             p = random_integer_problem(rng)
             best, _ = enumerate_best(p)
             for cfg, size_limit in configs:
-                monkeypatch.setattr(solver, "SIMPLEX_SIZE_LIMIT", size_limit)
+                monkeypatch.setattr(solver, "TABLEAU_SIZE_LIMIT", size_limit)
                 sol = branch_and_bound(p, cfg)
                 if best is None:
                     assert sol.status == "Infeasible", trial
@@ -239,6 +237,90 @@ class TestBranchAndBound:
                     assert sol.objective_value == pytest.approx(best), (
                         trial, cfg, size_limit
                     )
+
+    def test_dense_simplex_only_hands_gomory_root_tableaus(self, monkeypatch):
+        calls = []  # ("highs" | "dense", lb, ub) in call order
+        linprog, dense = solver.linprog, solver.solve_lp_dense
+
+        def spy_highs(*args, **kwargs):
+            bounds = kwargs["bounds"]
+            calls.append(("highs", bounds[:, 0].copy(), bounds[:, 1].copy()))
+            return linprog(*args, **kwargs)
+
+        def spy_dense(n, rows, objective, sense, lb, ub, **kwargs):
+            calls.append(("dense", lb.copy(), ub.copy()))
+            return dense(n, rows, objective, sense, lb, ub, **kwargs)
+
+        monkeypatch.setattr(solver, "linprog", spy_highs)
+        monkeypatch.setattr(solver, "solve_lp_dense", spy_dense)
+        rng = np.random.default_rng(11)
+        problems = [knapsack_problem()] + [random_integer_problem(rng) for _ in range(20)]
+        tableaus = 0
+        for p in problems:
+            for cfg in (SolveConfig(), SolveConfig(cover=True)):
+                calls.clear()
+                branch_and_bound(p, cfg)
+                assert all(kind == "highs" for kind, _, _ in calls)
+            calls.clear()
+            branch_and_bound(p, SolveConfig(gomory=True))
+            dense_calls = [c for c in calls if c[0] == "dense"]
+            assert len(dense_calls) <= solver.MAX_CUT_ROUNDS
+            if dense_calls:
+                # every tableau is taken at the root bounds of the first
+                # HiGHS solve, before any node LP
+                _, root_lb, root_ub = calls[0]
+                last = max(i for i, c in enumerate(calls) if c[0] == "dense")
+                for kind, lb, ub in calls[: last + 1]:
+                    assert np.array_equal(lb, root_lb) and np.array_equal(ub, root_ub)
+                tableaus += 1
+        assert tableaus > 0
+        # a stage each: the lexicographic driver runs two searches
+        calls.clear()
+        b = knapsack_problem()
+        b.set_secondary_objective("min", {"b0": 1, "b1": 1})
+        lexicographic_solve(b, SolveConfig(gomory=True))
+        assert 0 < sum(c[0] == "dense" for c in calls) <= 2 * solver.MAX_CUT_ROUNDS
+        # above the size gate Gomory gets no tableau
+        monkeypatch.setattr(solver, "TABLEAU_SIZE_LIMIT", 0)
+        calls.clear()
+        sol = branch_and_bound(knapsack_problem(), SolveConfig(gomory=True))
+        assert sol.status == "Optimal" and sol.cut_counts["gomory"] == 0
+        assert all(kind == "highs" for kind, _, _ in calls)
+
+    def test_gomory_without_cuts_branches_like_no_cuts(self, monkeypatch):
+        monkeypatch.setattr(cutmod, "gomory_cuts", lambda state, max_cuts: [])
+        rng = np.random.default_rng(7)
+        problems = [knapsack_problem()] + [random_integer_problem(rng) for _ in range(20)]
+        branched = 0
+        for p in problems:
+            plain = branch_and_bound(p, SolveConfig())
+            gomory = branch_and_bound(p, SolveConfig(gomory=True))
+            assert gomory.cut_counts["gomory"] == 0
+            assert gomory.status == plain.status
+            assert gomory.node_count == plain.node_count
+            assert gomory.objective_value == plain.objective_value
+            assert gomory.values == plain.values
+            branched += plain.node_count > 0
+        assert branched > 0
+
+    def test_integer_values_have_no_negative_zero(self):
+        rng = np.random.default_rng(19)
+        problems = [knapsack_problem()] + [random_integer_problem(rng) for _ in range(30)]
+        k = two_var_lp()
+        for v in k.variables:
+            v.kind = "integer"
+            v.ub = 10
+        problems.append(k)
+        zeros = 0
+        for p in problems:
+            for cfg in (SolveConfig(), SolveConfig(gomory=True, cover=True)):
+                sol = branch_and_bound(p, cfg)
+                for v in p.variables:
+                    if v.kind in ("integer", "binary") and v.name in sol.values:
+                        value = sol.values[v.name]
+                        assert not (value == 0.0 and np.signbit(value)), (p, v.name)
+                        zeros += value == 0.0
+        assert zeros > 0
 
     def test_branching_tie_rule(self):
         # 0.5 - 1e-13 and 0.5 lie within the 1e-12 margin: the first column
