@@ -1,0 +1,114 @@
+"""One persistent HiGHS LP model, re-solved under changing column bounds.
+
+scipy bundles HiGHS, and its private binding
+``scipy.optimize._highspy._core._Highs`` exposes the solver object
+itself. This module is the only place that imports it. A
+:class:`HighsLp` passes the model once, from the row-wise CSR arrays of
+a :class:`~.rows.CompiledRows`, and then only changes column bounds
+(:meth:`HighsLp.solve`) or appends rows (:meth:`HighsLp.add_rows`).
+HiGHS keeps its basis between runs and presolves only while the model
+holds no valid basis, in practice on the first solve; every later solve
+is a dual simplex warm-started from the last basis, which is what a
+branch-and-bound node needs after a bound change.
+
+``METHODS`` names every ``_Highs`` method used here, so a test can check
+that the installed scipy still has each of them.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.optimize._highspy import _core
+
+from .problem import INFEASIBLE, MAX, OPTIMAL, UNBOUNDED, MipError
+from .rows import CompiledRows
+from .simplex import LpResult
+
+METHODS = (
+    "addRows",
+    "changeColsBounds",
+    "getInfo",
+    "getModelStatus",
+    "getSolution",
+    "modelStatusToString",
+    "passModel",
+    "run",
+    "setOptionValue",
+)
+
+_STATUS = {
+    _core.HighsModelStatus.kOptimal: OPTIMAL,
+    _core.HighsModelStatus.kInfeasible: INFEASIBLE,
+    _core.HighsModelStatus.kUnbounded: UNBOUNDED,
+}
+
+
+class HighsLp:
+    """``c @ x`` maximized or minimized over rows and per-solve bounds."""
+
+    def __init__(self, c: np.ndarray, rows: CompiledRows, sense: str):
+        self.n = len(c)
+        # HiGHS always minimizes here, with the costs negated for a
+        # maximum, as scipy's linprog hands it every LP. Under HiGHS's own
+        # maximize sense the dual simplex picks other optimal vertices:
+        # on the four desk cells the search then took 458 nodes, not 355.
+        self.sign = -1.0 if sense == MAX else 1.0
+        self.cols = np.arange(self.n, dtype=np.int32)
+        self._highs = _core._Highs()
+        self._highs.setOptionValue("output_flag", False)
+        lp = _core.HighsLp()
+        lp.num_col_ = self.n
+        lp.num_row_ = rows.m
+        lp.sense_ = _core.ObjSense.kMinimize
+        lp.col_cost_ = self.sign * c
+        lp.col_lower_ = np.zeros(self.n)  # every solve sets its own bounds
+        lp.col_upper_ = np.zeros(self.n)
+        lp.row_lower_, lp.row_upper_ = rows.row_bounds
+        matrix = lp.a_matrix_
+        matrix.format_ = _core.MatrixFormat.kRowwise
+        matrix.num_col_ = self.n
+        matrix.num_row_ = rows.m
+        matrix.start_ = rows.indptr
+        matrix.index_ = rows.indices
+        matrix.value_ = rows.data
+        lp.a_matrix_ = matrix
+        self._check(self._highs.passModel(lp), "passModel")
+
+    def add_rows(self, rows: CompiledRows) -> None:
+        """Append rows; the current basis stays valid for the next solve."""
+        lower, upper = rows.row_bounds
+        self._check(
+            self._highs.addRows(
+                rows.m, lower, upper, len(rows.data), rows.indptr[:-1],
+                rows.indices, rows.data,
+            ),
+            "addRows",
+        )
+
+    def solve(self, lb, ub) -> LpResult:
+        """The LP under these column bounds, with its simplex iterations.
+
+        ``x`` and ``objective`` are None unless the status is optimal.
+        A HiGHS outcome other than optimal, infeasible or unbounded
+        raises :class:`MipError` with the HiGHS status name.
+        """
+        h = self._highs
+        self._check(h.changeColsBounds(self.n, self.cols, lb, ub), "changeColsBounds")
+        run_status = h.run()
+        model_status = h.getModelStatus()
+        status = _STATUS.get(model_status)
+        if status is None or run_status == _core.HighsStatus.kError:
+            raise MipError(
+                f"LP backend failure: HiGHS status {h.modelStatusToString(model_status)}"
+            )
+        info = h.getInfo()
+        res = LpResult(status=status, iterations=info.simplex_iteration_count)
+        if status == OPTIMAL:
+            res.x = np.array(h.getSolution().col_value)
+            res.objective = self.sign * info.objective_function_value
+        return res
+
+    @staticmethod
+    def _check(status, call: str) -> None:
+        if status == _core.HighsStatus.kError:
+            raise MipError(f"LP backend failure: HiGHS {call} returned an error")

@@ -2,13 +2,15 @@
 
 The solver keeps its rows as ``(coeffs dict, relation, rhs)`` triples,
 which is what the dense simplex and the cut separators read. Bound
-propagation and the HiGHS backend instead work on a :class:`CompiledRows`
-built from those triples once per row set:
+propagation and the HiGHS model (:mod:`.highs`) instead work on a
+:class:`CompiledRows` built from those triples once per row set:
 
 - ``indptr``/``indices``/``data`` hold the rows in CSR form, each row's
-  entries in the order of its dict;
+  entries in the order of its dict; HiGHS takes these arrays as they
+  are, row-wise;
 - ``rhs`` and the ``le``/``ge`` masks give each row's sense (an equality
-  row is set in both);
+  row is set in both), and ``row_bounds`` turns them into the
+  ``lower <= a @ x <= upper`` form HiGHS reads;
 - ``levels`` is the level schedule that propagation sweeps.
 
 A row's level is 1 + the highest level of any earlier row that shares a
@@ -36,12 +38,10 @@ the same order, and to the same bits, as ``np.sum`` over the row.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .problem import GE, LE
 
@@ -154,24 +154,14 @@ class CompiledRows:
             )
         return levels
 
-    @cached_property
-    def highs_form(self):
-        """``(A_ub, b_ub, A_eq, b_eq)`` in row order, ">=" rows negated.
+    @property
+    def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lower, upper)`` per row, as in ``lower <= a @ x <= upper``.
 
-        A matrix is None when it would have no rows.
+        A "<=" row is ``(-inf, rhs)``, a ">=" row ``(rhs, inf)`` and an
+        equality row ``(rhs, rhs)``; no row is negated.
         """
-        sign = np.where(self.le, 1.0, -1.0)
-        rows_of_entries = np.repeat(np.arange(self.m), np.diff(self.indptr))
-        A = sparse.csr_matrix(
-            (self.data * sign[rows_of_entries], self.indices, self.indptr),
-            shape=(self.m, self.n),
-        )
-        A.sort_indices()
-        eq = self.le & self.ge
-        ub_rows, eq_rows = np.flatnonzero(~eq), np.flatnonzero(eq)
         return (
-            A[ub_rows] if len(ub_rows) else None,
-            (sign * self.rhs)[ub_rows],
-            A[eq_rows] if len(eq_rows) else None,
-            self.rhs[eq_rows],
+            np.where(self.ge, self.rhs, -np.inf),
+            np.where(self.le, self.rhs, np.inf),
         )

@@ -9,14 +9,20 @@ again before its LP. Propagation runs over rows compiled once per row
 set into CSR arrays with a level schedule (:mod:`.rows`): rows on one
 level share no column, so a numpy sweep per level tightens exactly the
 bounds, bit for bit, that a row-by-row Gauss-Seidel sweep in row order
-does. Every LP relaxation (root, cut rounds, nodes and ``lp_solve``)
-goes through scipy's HiGHS interface, which takes its matrices from
-the same compiled rows. With Gomory cuts on and a fractional root, the
-built-in dense simplex re-solves the root of each cut round only to
-hand the separator its tableau, and only below ``TABLEAU_SIZE_LIMIT``;
-its point never replaces the HiGHS root. Both are deterministic, so a
-given problem and configuration always reproduce the same solution and
-node count.
+does. Every LP relaxation (root, cut rounds, nodes, incumbent polish
+and ``lp_solve``) is solved by one persistent HiGHS model per search
+(:mod:`.highs`), passed once from the same compiled rows: a node only
+sets column bounds, a cut round appends rows, and HiGHS warm-starts
+each solve from the last basis. An integral LP point becomes an
+incumbent only after a polish: its integers are fixed at their rounded
+values and the LP is solved again, and the incumbent takes that
+solve's continuous values and objective. With Gomory cuts on and a
+fractional root, the built-in dense simplex re-solves the root of each
+cut round only to hand the separator its tableau, and only below
+``TABLEAU_SIZE_LIMIT``; its point never replaces the HiGHS root, and
+its pivots are counted in ``Solution.tableau_pivots``, apart from the
+HiGHS ``lp_iterations``. Both are deterministic, so a given problem and
+configuration always reproduce the same solution and node count.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import cuts as cutmod
 from .problem import (
@@ -38,7 +43,6 @@ from .problem import (
     INTEGER,
     LE,
     MAX,
-    MIN,
     NODE_LIMIT,
     OPTIMAL,
     TIME_LIMIT,
@@ -48,6 +52,7 @@ from .problem import (
     Objective,
     Solution,
 )
+from .highs import HighsLp
 from .rows import CompiledRows
 from .simplex import LpResult, TableauState, solve_lp_dense
 
@@ -281,23 +286,33 @@ def _reduce(problem: MipProblem, objective: Objective) -> _Reduced:
 
 
 class _Relaxation:
-    """LP relaxation engine over reduced rows plus added cuts."""
+    """LP relaxation of the reduced rows plus added cuts, for one objective.
 
-    def __init__(self, red: _Reduced):
+    The rows, the objective and its sense live in one persistent HiGHS
+    model (:class:`.highs.HighsLp`), built once; each solve only sets
+    the column bounds, and cut rows are appended to the same model, so
+    HiGHS warm-starts every solve from the last basis.
+    """
+
+    def __init__(self, red: _Reduced, sense: str):
         self.red = red
+        self.sense = sense
         self.n = len(red.keep)
         self.rows = list(red.rows)
         self.compiled = CompiledRows(self.rows, self.n)
-        self.c = np.zeros(self.n)
+        c = np.zeros(self.n)
         for j, a in red.obj_coeffs.items():
-            self.c[j] = a
-        self.iterations = 0
+            c[j] = a
+        self.highs = HighsLp(c, self.compiled, sense)
+        self.iterations = 0  # HiGHS simplex iterations
+        self.tableau_pivots = 0  # dense-simplex pivots of Gomory tableaus
 
     def add_rows(self, rows) -> None:
         self.rows.extend(rows)
         self.compiled = CompiledRows(self.rows, self.n)
+        self.highs.add_rows(CompiledRows(rows, self.n))
 
-    def tableau(self, sense: str, lb, ub) -> TableauState | None:
+    def tableau(self, lb, ub) -> TableauState | None:
         """Optimal dense-simplex tableau at these bounds, for Gomory only.
 
         None when the relaxation exceeds the size gate or the simplex
@@ -305,41 +320,22 @@ class _Relaxation:
         """
         if max(1, len(self.rows)) * max(1, self.n) > TABLEAU_SIZE_LIMIT:
             return None
-        return self.solve(sense, lb, ub, want_tableau=True).state
+        return self.solve(lb, ub, want_tableau=True).state
 
-    def solve(self, sense: str, lb, ub, want_tableau=False) -> LpResult:
+    def solve(self, lb, ub, want_tableau=False) -> LpResult:
         """HiGHS solve, or a dense-simplex solve when a tableau is asked for."""
         if self.n == 0:
             return LpResult(status=OPTIMAL, x=np.zeros(0), objective=0.0)
-        if not want_tableau:
-            return self._solve_highs(sense, lb, ub)
-        res = solve_lp_dense(
-            self.n, self.rows, self.red.obj_coeffs, sense, lb, ub,
-            integer_mask=self.red.int_mask,
-        )
+        if want_tableau:
+            res = solve_lp_dense(
+                self.n, self.rows, self.red.obj_coeffs, self.sense, lb, ub,
+                integer_mask=self.red.int_mask,
+            )
+            self.tableau_pivots += res.iterations
+            return res
+        res = self.highs.solve(lb, ub)
         self.iterations += res.iterations
         return res
-
-    def _solve_highs(self, sense: str, lb, ub) -> LpResult:
-        A_ub, b_ub, A_eq, b_eq = self.compiled.highs_form
-        sign = 1.0 if sense == MIN else -1.0
-        res = linprog(
-            sign * self.c,
-            A_ub=A_ub,
-            b_ub=b_ub if A_ub is not None else None,
-            A_eq=A_eq,
-            b_eq=b_eq if A_eq is not None else None,
-            bounds=np.column_stack([lb, ub]),
-            method="highs",
-        )
-        self.iterations += int(res.nit) if res.nit is not None else 0
-        if res.status == 2:
-            return LpResult(status=INFEASIBLE)
-        if res.status == 3:
-            return LpResult(status=UNBOUNDED)
-        if res.status != 0:
-            raise MipError(f"LP backend failure: {res.message}")
-        return LpResult(status=OPTIMAL, x=np.asarray(res.x), objective=sign * res.fun)
 
 
 def _fractional_index(x, int_idx) -> int | None:
@@ -386,12 +382,14 @@ def branch_and_bound(
     def out_of_time():
         return cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit
 
-    def make_solution(status, red_values=None, obj_value=None, bound=None,
-                      nodes=0, iters=0):
+    rel = None
+
+    def make_solution(status, red_values=None, obj_value=None, bound=None, nodes=0):
         sol = Solution(
             status=status,
             node_count=nodes,
-            lp_iterations=iters,
+            lp_iterations=rel.iterations if rel else 0,
+            tableau_pivots=rel.tableau_pivots if rel else 0,
             cut_counts=dict(cut_counts),
             wall_time=time.perf_counter() - t0,
         )
@@ -411,31 +409,31 @@ def branch_and_bound(
         return make_solution(OPTIMAL, np.zeros(0), red.obj_constant,
                              bound=red.obj_constant)
 
-    rel = _Relaxation(red)
+    rel = _Relaxation(red, obj.sense)
     int_idx = np.flatnonzero(red.int_mask)
     lb, ub = red.lb.copy(), red.ub.copy()
 
     def integral(x):
         return bool(np.all(np.abs(x[int_idx] - np.round(x[int_idx])) <= INT_TOL))
 
-    def lp(sense_lb, sense_ub):
-        res = rel.solve(obj.sense, sense_lb, sense_ub)
+    def lp(lo, hi):
+        res = rel.solve(lo, hi)
         if res.objective is not None:
             res.objective += red.obj_constant
         return res
 
     root = lp(lb, ub)
     if root.status == INFEASIBLE:
-        return make_solution(INFEASIBLE, iters=rel.iterations)
+        return make_solution(INFEASIBLE)
     if root.status == UNBOUNDED:
-        return make_solution(UNBOUNDED, iters=rel.iterations)
+        return make_solution(UNBOUNDED)
 
     # an integral root is already optimal: nothing to separate
     if (cfg.gomory or cfg.cover) and not integral(root.x):
         for _ in range(MAX_CUT_ROUNDS):
             added = 0
             # the tableau feeds the separator only; the HiGHS root stays
-            state = rel.tableau(obj.sense, lb, ub) if cfg.gomory else None
+            state = rel.tableau(lb, ub) if cfg.gomory else None
             if state is not None:
                 g = cutmod.gomory_cuts(state, max_cuts=CUTS_PER_ROUND)
                 if g:
@@ -456,9 +454,9 @@ def branch_and_bound(
             if root.status != OPTIMAL or integral(root.x):
                 break
         if root.status == INFEASIBLE:
-            return make_solution(INFEASIBLE, iters=rel.iterations)
+            return make_solution(INFEASIBLE)
         if root.status == UNBOUNDED:
-            return make_solution(UNBOUNDED, iters=rel.iterations)
+            return make_solution(UNBOUNDED)
 
     incumbent = None
     incumbent_value = -np.inf if maximize else np.inf
@@ -477,10 +475,31 @@ def branch_and_bound(
             )
 
     def exact_value(x):
-        x = x.copy()
-        x[int_idx] = np.round(x[int_idx]) + 0.0  # HiGHS may return -0.0
-        val = red.obj_constant + sum(c * x[j] for j, c in red.obj_coeffs.items())
-        return val, x
+        """``(objective, point)`` at x's rounded integers, or None.
+
+        The integers are fixed at their rounded values within the root
+        bounds and the LP is solved again, so the continuous values and
+        the objective come from a point whose integers are exact. Without
+        it, a binary within ``INT_TOL`` of 0 or 1 lets a big-M branch row
+        pass a split threshold, and the objective credits a leaf that the
+        point does not reach. None when that LP is not optimal: the point
+        is no incumbent.
+        """
+        ints = np.round(x[int_idx]) + 0.0  # HiGHS may return -0.0
+        fixed_lb, fixed_ub = red.lb.copy(), red.ub.copy()
+        fixed_lb[int_idx] = fixed_ub[int_idx] = ints
+        res = lp(fixed_lb, fixed_ub)
+        if res.status != OPTIMAL:
+            return None
+        res.x[int_idx] = ints
+        return res.objective, res.x
+
+    def offer(x):
+        """Make x's exact point the incumbent if it is better."""
+        nonlocal incumbent, incumbent_value
+        exact = exact_value(x)
+        if exact is not None and (incumbent is None or better(exact[0], incumbent_value)):
+            incumbent_value, incumbent = exact
 
     heap = []
     seq = 0
@@ -492,10 +511,9 @@ def branch_and_bound(
         heapq.heappush(heap, (prio, -depth, seq, bound, lb, ub))
         seq += 1
 
-    if integral(root.x):
-        val, xr = exact_value(root.x)
-        return make_solution(OPTIMAL, xr, val, bound=root.objective, nodes=0,
-                             iters=rel.iterations)
+    if integral(root.x) and (exact := exact_value(root.x)) is not None:
+        val, xr = exact
+        return make_solution(OPTIMAL, xr, val, bound=root.objective)
     push(root.objective, 0, lb, ub)
 
     status = OPTIMAL
@@ -523,16 +541,9 @@ def branch_and_bound(
             continue
         if incumbent is not None and not better(res.objective, incumbent_value):
             continue
-        if integral(res.x):
-            val, xr = exact_value(res.x)
-            if incumbent is None or better(val, incumbent_value):
-                incumbent, incumbent_value = xr, val
-            continue
-        j = _fractional_index(res.x, int_idx)
-        if j is None:  # numerically integral after all
-            val, xr = exact_value(res.x)
-            if incumbent is None or better(val, incumbent_value):
-                incumbent, incumbent_value = xr, val
+        j = None if integral(res.x) else _fractional_index(res.x, int_idx)
+        if j is None:  # integral, or numerically integral after all
+            offer(res.x)
             continue
         v = res.x[j]
         depth = -negdepth + 1
@@ -556,16 +567,14 @@ def branch_and_bound(
 
     if incumbent is None:
         if status != OPTIMAL:
-            return make_solution(status, bound=best_bound, nodes=node_count,
-                                 iters=rel.iterations)
-        return make_solution(INFEASIBLE, nodes=node_count, iters=rel.iterations)
+            return make_solution(status, bound=best_bound, nodes=node_count)
+        return make_solution(INFEASIBLE, nodes=node_count)
     return make_solution(
         status,
         incumbent,
         incumbent_value,
         bound=float(best_bound),
         nodes=node_count,
-        iters=rel.iterations,
     )
 
 
@@ -583,8 +592,8 @@ def lp_solve(problem: MipProblem) -> Solution:
         sol.objective_value = obj.constant
         return sol
     red = _unreduced(problem, obj)
-    rel = _Relaxation(red)
-    res = rel.solve(obj.sense, red.lb, red.ub)
+    rel = _Relaxation(red, obj.sense)
+    res = rel.solve(red.lb, red.ub)
     sol.lp_iterations = rel.iterations
     if res.status != OPTIMAL:
         sol.status = res.status
@@ -675,6 +684,7 @@ def lexicographic_solve(
         best_bound=stage1.best_bound,
         node_count=stage1.node_count + stage2.node_count,
         lp_iterations=stage1.lp_iterations + stage2.lp_iterations,
+        tableau_pivots=stage1.tableau_pivots + stage2.tableau_pivots,
         cut_counts={
             k: stage1.cut_counts.get(k, 0) + stage2.cut_counts.get(k, 0)
             for k in set(stage1.cut_counts) | set(stage2.cut_counts)

@@ -228,8 +228,8 @@ def test_criterion_2_solver_oracle_equivalence():
             assert sol.objective_value == pytest.approx(best, abs=1e-9), (trial, cfg)
         # separate root cuts exactly the way the solver does, then check
         # them against every enumerated integer-feasible point
-        rel = _Relaxation(red)
-        res = rel.solve("max", red.lb.copy(), red.ub.copy(), want_tableau=True)
+        rel = _Relaxation(red, "max")
+        res = rel.solve(red.lb.copy(), red.ub.copy(), want_tableau=True)
         if res.status != "Optimal":
             continue
         cuts = gomory_cuts(res.state) + cover_cuts_raw(rel.rows, red.kinds, res.x)

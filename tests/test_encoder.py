@@ -10,7 +10,8 @@ from fleetopt.encoder import (
     trace_leaf,
 )
 from fleetopt.forest import FeatureSchema, Forest, TrainConfig, TreeNode, train
-from fleetopt.mip import AffineExpr, MipProblem, SolveConfig, branch_and_bound
+from fleetopt.mip import AffineExpr, MipProblem, SolveConfig, branch_and_bound, lp_solve
+from fleetopt.mip.problem import INT_TOL
 from fleetopt.mip.solver import fix_variables
 
 
@@ -253,3 +254,32 @@ class TestFidelity:
             assert sol1.objective_value == pytest.approx(
                 sol2.objective_value, abs=1e-6
             ), trial
+
+    def test_reported_profit_matches_predict_on_split_threshold(self):
+        # one stump on a continuous fare: the left leaf pays 100, and the
+        # model also earns 200 per unit of fare. A row caps the fare 5e-7
+        # past the threshold, so the LP optimum runs the fare there with
+        # the left edge at 1 - 5e-7: integral within INT_TOL, but with
+        # the fare on the right side of the split.
+        forest = forest_of([stump(threshold=5.0, left=100.0, right=0.0)])
+        frag = encode(forest, {}, {0: (0.0, 6.0)})
+        mip = MipProblem()
+        fare = mip.add_variable("fare", "continuous", 0.0, 6.0)
+        info = attach_fragment(frag, mip, {0: AffineExpr.of_var(fare)},
+                               set_objective=False)
+        mip.add_constraint({fare: 1.0}, "<=", 5.0 + 5e-7)
+        coeffs = dict(info["coeffs"])
+        coeffs[fare] = 200.0
+        mip.set_objective("max", coeffs, info["constant"])
+        # the unpolished LP point lands just past the threshold
+        root = lp_solve(mip)
+        assert abs(root.values["q[0,1]"] - 1.0) <= INT_TOL
+        assert root.values["fare"] > 5.0
+        assert forest.predict([root.values["fare"]]) == 0.0
+        sol = branch_and_bound(mip)
+        assert sol.status == "Optimal"
+        fare_value = sol.values["fare"]
+        predicted = sol.objective_value - 200.0 * fare_value
+        assert predicted == pytest.approx(forest.predict([fare_value]), abs=1e-6)
+        assert predicted == pytest.approx(100.0, abs=1e-6)
+        assert sol.values["q[0,1]"] == 1.0

@@ -1,0 +1,80 @@
+import re
+
+import numpy as np
+import pytest
+
+from fleetopt.mip import MipError
+from fleetopt.mip import highs
+from fleetopt.mip.highs import HighsLp
+from fleetopt.mip.rows import CompiledRows
+
+INF = np.inf
+# max x  s.t.  x - y <= 1,  x + y >= 1,  x + 2y == z
+ROWS = [
+    ({0: 1.0, 1: -1.0}, "<=", 1.0),
+    ({0: 1.0, 1: 1.0}, ">=", 1.0),
+    ({0: 1.0, 1: 2.0, 2: -1.0}, "=", 0.0),
+]
+C = np.array([1.0, 0.0, 0.0])
+
+
+def test_scipy_still_has_every_highs_method():
+    missing = [m for m in highs.METHODS if not callable(getattr(highs._core._Highs, m, None))]
+    assert not missing, f"the installed scipy's HiGHS binding lacks {missing}"
+    # METHODS lists every method the module calls on its HiGHS object
+    source = open(highs.__file__).read()
+    called = set(re.findall(r"\b(?:h|self\._highs)\.(\w+)\(", source))
+    assert called and called <= set(highs.METHODS), called - set(highs.METHODS)
+
+
+def bounds(lb, ub):
+    return np.array(lb, dtype=float), np.array(ub, dtype=float)
+
+
+CASES = [
+    # x >= 3 and y <= 1 break x - y <= 1
+    ("Infeasible", bounds([3, 0, 0], [4, 1, 10]), None),
+    ("Optimal", bounds([0, 0, 0], [2, 2, 10]), 2.0),
+    ("Unbounded", bounds([0, 0, -INF], [INF, INF, INF]), None),
+]
+
+
+def test_one_model_answers_each_bound_set_like_a_fresh_one():
+    lp = HighsLp(C, CompiledRows(ROWS, 3), "max")
+    for status, (lb, ub), objective in CASES + CASES[::-1]:
+        res = lp.solve(lb, ub)
+        fresh = HighsLp(C, CompiledRows(ROWS, 3), "max").solve(lb, ub)
+        assert res.status == fresh.status == status
+        x = res.x
+        if objective is None:
+            assert x is None and res.objective is None
+        else:
+            assert res.objective == pytest.approx(objective)
+            assert fresh.objective == pytest.approx(objective)
+            assert np.all(x >= lb - 1e-9) and np.all(x <= ub + 1e-9)
+            assert x[0] - x[1] <= 1 + 1e-9 and x[0] + 2 * x[1] == pytest.approx(x[2])
+
+
+def test_added_rows_bind_later_solves():
+    lp = HighsLp(C, CompiledRows(ROWS, 3), "max")
+    lb, ub = bounds([0, 0, 0], [2, 2, 10])
+    assert lp.solve(lb, ub).objective == pytest.approx(2.0)
+    lp.add_rows(CompiledRows([({0: 1.0}, "<=", 1.5), ({}, "<=", 0.0)], 3))
+    res = lp.solve(lb, ub)
+    assert res.status == "Optimal" and res.objective == pytest.approx(1.5)
+    assert res.x[0] <= 1.5 + 1e-9
+    lp.add_rows(CompiledRows([({1: 1.0}, ">=", 3.0)], 3))
+    assert lp.solve(lb, ub).status == "Infeasible"
+
+
+def test_other_highs_statuses_raise_with_their_name(monkeypatch):
+    lp = HighsLp(C, CompiledRows(ROWS, 3), "max")
+    monkeypatch.setattr(
+        highs._core._Highs, "getModelStatus",
+        lambda self: highs._core.HighsModelStatus.kUnboundedOrInfeasible,
+    )
+    name = highs._core._Highs().modelStatusToString(
+        highs._core.HighsModelStatus.kUnboundedOrInfeasible
+    )
+    with pytest.raises(MipError, match=re.escape(name)):
+        lp.solve(*bounds([0, 0, 0], [2, 2, 10]))

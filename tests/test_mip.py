@@ -19,6 +19,7 @@ from fleetopt.mip import (
     write_lp,
 )
 from fleetopt.mip import cuts as cutmod
+from fleetopt.mip import highs
 from fleetopt.mip import solver
 from fleetopt.mip.problem import Objective
 from fleetopt.mip.simplex import solve_lp_dense
@@ -172,7 +173,7 @@ class TestLpSolve:
             a = solve_lp_dense(
                 p.n_vars, red.rows, red.obj_coeffs, "max", red.lb, red.ub
             )
-            b = _Relaxation(red)._solve_highs("max", red.lb, red.ub)
+            b = _Relaxation(red, "max").solve(red.lb, red.ub)
             assert a.status == b.status
             if a.status == "Optimal":
                 assert a.objective == pytest.approx(b.objective, abs=1e-7)
@@ -240,29 +241,44 @@ class TestBranchAndBound:
 
     def test_dense_simplex_only_hands_gomory_root_tableaus(self, monkeypatch):
         calls = []  # ("highs" | "dense", lb, ub) in call order
-        linprog, dense = solver.linprog, solver.solve_lp_dense
+        builds = []  # one entry per HiGHS model passed
+        solve, dense = highs.HighsLp.solve, solver.solve_lp_dense
+        pass_model = highs._core._Highs.passModel
 
-        def spy_highs(*args, **kwargs):
-            bounds = kwargs["bounds"]
-            calls.append(("highs", bounds[:, 0].copy(), bounds[:, 1].copy()))
-            return linprog(*args, **kwargs)
+        def spy_highs(self, lb, ub):
+            calls.append(("highs", lb.copy(), ub.copy()))
+            return solve(self, lb, ub)
 
         def spy_dense(n, rows, objective, sense, lb, ub, **kwargs):
             calls.append(("dense", lb.copy(), ub.copy()))
             return dense(n, rows, objective, sense, lb, ub, **kwargs)
 
-        monkeypatch.setattr(solver, "linprog", spy_highs)
+        def spy_build(self, lp):
+            builds.append(lp.num_col_)
+            return pass_model(self, lp)
+
+        monkeypatch.setattr(highs.HighsLp, "solve", spy_highs)
         monkeypatch.setattr(solver, "solve_lp_dense", spy_dense)
+        monkeypatch.setattr(highs._core._Highs, "passModel", spy_build)
+
+        def search(p, cfg):
+            calls.clear()
+            builds.clear()
+            sol = branch_and_bound(p, cfg)
+            # one model per search, however many nodes it solves
+            assert len(builds) == (1 if calls else 0), (len(builds), sol.node_count)
+            return sol
+
         rng = np.random.default_rng(11)
         problems = [knapsack_problem()] + [random_integer_problem(rng) for _ in range(20)]
-        tableaus = 0
+        tableaus = searched = 0
         for p in problems:
             for cfg in (SolveConfig(), SolveConfig(cover=True)):
-                calls.clear()
-                branch_and_bound(p, cfg)
+                sol = search(p, cfg)
                 assert all(kind == "highs" for kind, _, _ in calls)
-            calls.clear()
-            branch_and_bound(p, SolveConfig(gomory=True))
+                assert sol.tableau_pivots == 0
+                searched += sol.node_count > 0
+            sol = search(p, SolveConfig(gomory=True))
             dense_calls = [c for c in calls if c[0] == "dense"]
             assert len(dense_calls) <= solver.MAX_CUT_ROUNDS
             if dense_calls:
@@ -272,18 +288,20 @@ class TestBranchAndBound:
                 last = max(i for i, c in enumerate(calls) if c[0] == "dense")
                 for kind, lb, ub in calls[: last + 1]:
                     assert np.array_equal(lb, root_lb) and np.array_equal(ub, root_ub)
+                assert sol.tableau_pivots > 0
                 tableaus += 1
-        assert tableaus > 0
+        assert tableaus > 0 and searched > 0
         # a stage each: the lexicographic driver runs two searches
         calls.clear()
+        builds.clear()
         b = knapsack_problem()
         b.set_secondary_objective("min", {"b0": 1, "b1": 1})
         lexicographic_solve(b, SolveConfig(gomory=True))
         assert 0 < sum(c[0] == "dense" for c in calls) <= 2 * solver.MAX_CUT_ROUNDS
+        assert len(builds) == 2
         # above the size gate Gomory gets no tableau
         monkeypatch.setattr(solver, "TABLEAU_SIZE_LIMIT", 0)
-        calls.clear()
-        sol = branch_and_bound(knapsack_problem(), SolveConfig(gomory=True))
+        sol = search(knapsack_problem(), SolveConfig(gomory=True))
         assert sol.status == "Optimal" and sol.cut_counts["gomory"] == 0
         assert all(kind == "highs" for kind, _, _ in calls)
 
@@ -395,7 +413,7 @@ class TestCuts:
         p.add_constraint({"x": 1}, "<=", 3)
         p.set_objective("max", {"x": 1})
         red = _unreduced(p, p.objective)
-        res = _Relaxation(red).solve("max", red.lb, red.ub, want_tableau=True)
+        res = _Relaxation(red, "max").solve(red.lb, red.ub, want_tableau=True)
         assert gomory_cuts(res.state) == []
 
     def test_cover_cut_on_knapsack(self):
@@ -430,8 +448,8 @@ class TestCuts:
                 "max", {f"v{j}": int(rng.integers(1, 7)) for j in range(n)}
             )
             red = _unreduced(p, p.objective)
-            rel = _Relaxation(red)
-            res = rel.solve("max", red.lb, red.ub, want_tableau=True)
+            rel = _Relaxation(red, "max")
+            res = rel.solve(red.lb, red.ub, want_tableau=True)
             if res.status != "Optimal":
                 continue
             from fleetopt.mip.cuts import cover_cuts_raw
@@ -627,6 +645,31 @@ class TestLexicographic:
         assert again.stage2_fallback
         monkeypatch.undo()
         assert not lexicographic_solve(p).stage2_fallback
+
+    def test_tableau_pivots_count_apart_from_lp_iterations(self, monkeypatch):
+        p = knapsack_problem()
+        p.set_secondary_objective("min", {"b0": 1, "b1": 1})
+        stages, highs_iterations = [], []
+        real_bnb, real_solve = solver.branch_and_bound, highs.HighsLp.solve
+
+        def spy_bnb(*args, **kwargs):
+            stages.append(real_bnb(*args, **kwargs))
+            return stages[-1]
+
+        def spy_solve(self, lb, ub):
+            out = real_solve(self, lb, ub)
+            highs_iterations.append(out.iterations)
+            return out
+
+        monkeypatch.setattr(solver, "branch_and_bound", spy_bnb)
+        monkeypatch.setattr(highs.HighsLp, "solve", spy_solve)
+        sol = lexicographic_solve(p, SolveConfig(gomory=True))
+        assert len(stages) == 2
+        assert sol.tableau_pivots == sum(s.tableau_pivots for s in stages) > 0
+        # lp_iterations counts HiGHS iterations only
+        assert sol.lp_iterations == sum(highs_iterations)
+        assert Solution.from_json(sol.to_json()).tableau_pivots == sol.tableau_pivots
+        assert lexicographic_solve(p).tableau_pivots == 0
 
     def test_stage_one_infeasibility_propagates(self):
         p = MipProblem()

@@ -254,21 +254,23 @@ def test_propagation_never_removes_an_integer_feasible_point(model, max_passes):
         assert np.all(p >= lb_new) and np.all(p <= ub_new)
 
 
-# --- the HiGHS form ---
+# --- the row-bound form HiGHS reads ---
 
 
-def test_highs_form_has_rows_in_order_with_ge_rows_negated():
+def test_row_bounds_give_each_sense_without_negation():
     rows = [
         ({2: 1.0, 0: 2.0}, LE, 4.0),
         ({1: -1.0}, EQ, 1.0),
         ({0: 3.0, 1: 1.0}, GE, -2.0),
         ({}, LE, 0.0),
     ]
-    A_ub, b_ub, A_eq, b_eq = CompiledRows(rows, 3).highs_form
-    assert A_ub.has_sorted_indices
-    assert A_ub.toarray().tolist() == [[2.0, 0.0, 1.0], [-3.0, -1.0, 0.0], [0.0, 0.0, 0.0]]
-    assert b_ub.tolist() == [4.0, 2.0, 0.0]
-    assert A_eq.toarray().tolist() == [[0.0, -1.0, 0.0]]
-    assert b_eq.tolist() == [1.0]
-    A_ub, b_ub, A_eq, b_eq = CompiledRows(rows[:1], 3).highs_form
-    assert A_eq is None and len(b_eq) == 0
+    compiled = CompiledRows(rows, 3)
+    lower, upper = compiled.row_bounds
+    assert lower.tolist() == [-np.inf, 1.0, -2.0, -np.inf]
+    assert upper.tolist() == [4.0, 1.0, np.inf, 0.0]
+    # the CSR arrays HiGHS takes keep each row's entries as stated
+    assert compiled.indptr.tolist() == [0, 2, 3, 5, 5]
+    assert compiled.indices.tolist() == [2, 0, 1, 0, 1]
+    assert compiled.data.tolist() == [1.0, 2.0, -1.0, 3.0, 1.0]
+    lower, upper = CompiledRows([], 3).row_bounds
+    assert len(lower) == len(upper) == 0
