@@ -6,7 +6,8 @@ The package splits into layers that compose bottom-up:
 - ``dsl``: the objective language, its analysis and similarity metrics
 - ``forest``: regression random forest training and evaluation
 - ``encoder``: embedding a trained forest into MIP constraints
-- ``mip``: problem container, simplex, cutting planes, branch-and-bound
+- ``mip``: problem container, HiGHS LP model, cutting planes,
+  branch-and-bound
 - ``fleet_mip``: the exact cascade model and the forest-driven model
 - ``agent``: guided variable fixing around the lexicographic solver
 - ``bench``: synthetic worlds, ingestion, history, experiment harness
@@ -44,7 +45,6 @@ from .forest import (
     train_test_split,
 )
 from .encoder import (
-    EncoderConfig,
     EncoderError,
     MipFragment,
     attach_fragment,
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Decision",
-    "EncoderConfig",
     "EncoderError",
     "FeatureSchema",
     "FleetError",

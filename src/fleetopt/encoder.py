@@ -6,7 +6,7 @@ the branch binaries to the decision features, each M taken from the
 bounds of the split's feature: an active left edge forces ``feature <=
 threshold``, an active right edge forces the feature strictly past the
 threshold (next integer up for integer features, threshold plus a
-small epsilon for continuous ones). Flow rows make a node's in-edge
+``EPSILON_STRICT`` for continuous ones). Flow rows make a node's in-edge
 split across its children and a one-leaf row keeps exactly one
 root-to-leaf path active per tree; the objective averages the selected
 leaf values.
@@ -24,17 +24,11 @@ import numpy as np
 from .forest import Forest, TreeNode
 from .mip.problem import BINARY, EQ, GE, LE, AffineExpr, MipProblem
 
+EPSILON_STRICT = 1e-6  # strict-side margin for continuous splits
+
+
 class EncoderError(ValueError):
     """Raised for unusable bounds or malformed encode inputs."""
-
-
-@dataclass
-class EncoderConfig:
-    epsilon_strict: float = 1e-6  # strict-side margin for continuous splits
-
-    def __post_init__(self):
-        if self.epsilon_strict <= 0:
-            raise EncoderError("epsilon_strict must be positive")
 
 
 def prune(tree: TreeNode, fixed_features: dict[int, float]) -> TreeNode:
@@ -112,18 +106,17 @@ class MipFragment:
         return len(self.q_edges)
 
 
-def _strict_right_rhs(threshold: float, is_integer: bool, eps: float) -> float:
+def _strict_right_rhs(threshold: float, is_integer: bool) -> float:
     if is_integer:
         floor = np.floor(threshold)
         return float(floor + 1.0) if floor == threshold else float(np.ceil(threshold))
-    return threshold + eps
+    return threshold + EPSILON_STRICT
 
 
 def encode(
     forest: Forest,
     fixed_features: dict[int, float],
     var_bounds: dict[int, tuple[float, float]],
-    cfg: EncoderConfig | None = None,
     integer_features: set[int] | None = None,
 ) -> MipFragment:
     """Encode a forest over its unfixed features.
@@ -132,7 +125,6 @@ def encode(
     that survives pruning; ``integer_features`` marks the coordinates
     whose strict right branch snaps to the next integer.
     """
-    cfg = cfg or EncoderConfig()
     integer_features = integer_features or set()
     fragment = MipFragment(n_trees=forest.n_trees)
     scale = 1.0 / forest.n_trees
@@ -163,9 +155,7 @@ def encode(
             fragment.feature_refs.add(f)
             lid = ids[id(node.left)]
             rid = ids[id(node.right)]
-            right_rhs = _strict_right_rhs(
-                node.threshold, f in integer_features, cfg.epsilon_strict
-            )
+            right_rhs = _strict_right_rhs(node.threshold, f in integer_features)
             m_left = max(0.0, ub - node.threshold)
             m_right = max(0.0, right_rhs - lb)
             fragment.branch_rows.append(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoder import EncoderConfig, attach_fragment, encode
+from .encoder import attach_fragment, encode
 from .fleet import (
     Decision,
     FleetError,
@@ -171,7 +171,6 @@ def build_feature_mip(
     forest: Forest,
     exogenous: dict[str, float],
     grid: PriceGrid | None = None,
-    encoder_cfg: EncoderConfig | None = None,
 ) -> MipProblem:
     """Forest-predicted profit as the objective over fleet constraints.
 
@@ -223,9 +222,7 @@ def build_feature_mip(
             integer_features.add(f_idx)
         else:
             var_bounds[f_idx] = (lo, hi)
-    fragment = encode(
-        forest, fixed, var_bounds, encoder_cfg, integer_features=integer_features
-    )
+    fragment = encode(forest, fixed, var_bounds, integer_features=integer_features)
     attach_fragment(fragment, mip, feature_exprs, set_objective=True)
     return mip
 

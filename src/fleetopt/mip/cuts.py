@@ -1,89 +1,138 @@
-"""Cutting planes: Gomory fractional cuts and knapsack cover cuts.
+"""Cutting planes: mixed-integer Gomory cuts and knapsack cover cuts.
 
 Both separators return rows that every integer-feasible point of the
 problem satisfies and that the current LP point violates by at least
 ``min_violation``; an empty list means nothing was separated. Gomory
-cuts are read off an optimal tableau of the dense simplex
-(:mod:`.simplex`); cover cuts need only the rows and an LP point.
+cuts are read off the optimal basis of the persistent HiGHS model
+(:meth:`.highs.HighsLp.tableau`); cover cuts need only the rows and an
+LP point.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
+from .highs import AT_LOWER, AT_UPPER, BASIC, HighsLp
 from .problem import BINARY, GE, LE, MipProblem
-from .simplex import TableauState
+from .rows import CompiledRows
 
 MIN_VIOLATION = 1e-7
-
-
-def _frac(a: float) -> float:
-    f = a - np.floor(a)
-    if f < 1e-9 or f > 1 - 1e-9:
-        return 0.0
-    return float(f)
+MIN_FRACTION = 1e-2  # a source row's basic value this close to an integer is skipped
+MAX_RANGE = 1e6  # largest |coefficient| over smallest in a kept cut
+TINY = 1e-9  # a cut coefficient below TINY * the largest is dropped
 
 
 def gomory_cuts(
-    state: TableauState,
+    lp: HighsLp,
+    rows: CompiledRows,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    int_mask: np.ndarray,
+    x: np.ndarray,
     max_cuts: int = 8,
     min_violation: float = MIN_VIOLATION,
 ) -> list[tuple[dict[int, float], str, float]]:
-    """Gomory fractional cuts read off an optimal dense-simplex tableau.
+    """Mixed-integer Gomory cuts off the basis of ``lp``'s last solve.
 
-    Each cut is returned in original variable space as (coeffs, ">=",
-    rhs). A source row is used only when its basic column is integer
-    valued and every nonbasic column appearing with a fractional
-    coefficient is integer valued as well, which keeps every cut valid
-    for all integer-feasible points.
+    ``lp`` must just have been solved to optimality at x under the
+    column bounds ``lb``/``ub``, over exactly ``rows``. Each tableau row
+    whose basic column is integer with a fractional value, most
+    fractional first, reads ``x_B + sum_j a_j z_j = 0`` over the
+    nonbasic columns and row activities ``z_j``. A nonbasic at its upper
+    bound is complemented, so each term becomes a distance ``y_j >= 0``
+    from the bound the variable sits at, and ``x_B + sum_j a'_j y_j``
+    equals x's value of ``x_B``. The Gomory mixed-integer rule (Marchand
+    and Wolsey 2001; Cornuejols 2008) then gives ``sum_j g_j y_j >= 1``:
+    an integer column at an integral bound takes the fractional rule,
+    continuous columns and row activities the continuous one. Fixed
+    columns and equality rows stay at their bound and drop out.
+
+    A row is skipped when a nonbasic in it sits at an infinite bound,
+    when its basic value is within ``MIN_FRACTION`` of an integer, or
+    when the cut's coefficients span more than ``MAX_RANGE``. A
+    coefficient below ``TINY`` times the largest is dropped after the
+    rhs is relaxed by its column's bounds. Each cut is returned as
+    (coeffs, ">=", rhs) over the columns of ``rows``.
     """
-    T = state.tableau
-    basis = state.basis
-    cols = state.columns
-    n = T.shape[1] - 1
-    nonbasic = np.ones(n, dtype=bool)
-    nonbasic[basis] = False
+    tab = lp.tableau()
+    row_lower, row_upper = rows.row_bounds
+    # nonbasic and not fixed: a term of every source row it appears in
+    col_term = (tab.col_status != BASIC) & (ub - lb > 0)
+    row_term = (tab.row_status != BASIC) & (row_lower < row_upper)
+    col_up = tab.col_status == AT_UPPER
+    row_up = tab.row_status == AT_UPPER
+    col_at = np.where(col_up, ub, lb)
+    row_at = np.where(row_up, row_upper, row_lower)
+    # at a finite bound, which a term must be for its row to be used
+    col_ok = ((tab.col_status == AT_LOWER) | col_up) & np.isfinite(col_at)
+    row_ok = ((tab.row_status == AT_LOWER) | row_up) & np.isfinite(row_at)
+    # complementing keeps an integer column integer only at an integral bound
+    col_int = int_mask & (col_at == np.floor(col_at))
+
+    col = np.maximum(tab.basic, 0)  # basic column per tableau row, if any
+    f = x[col] - np.floor(x[col])
+    dist = np.minimum(f, 1 - f)
+    source = (tab.basic >= 0) & int_mask[col] & (dist >= MIN_FRACTION)
+    order = np.flatnonzero(source)[np.argsort(-dist[source], kind="stable")]
+    matrix = sparse.csr_array((rows.data, rows.indices, rows.indptr), shape=(rows.m, rows.n))
+
     out = []
-    order = np.argsort(-np.abs(T[:, -1] - np.round(T[:, -1])))  # most fractional first
-    for r in order:
+    for i in order:
         if len(out) >= max_cuts:
             break
-        b_col = basis[r]
-        if cols[b_col].kind == "art" or not cols[b_col].is_integer:
+        f0 = f[i]
+        reduced, binv = tab.row(i)
+        cols = np.flatnonzero(col_term & (reduced != 0))
+        rws = np.flatnonzero(row_term & (binv != 0))
+        if not (col_ok[cols].all() and row_ok[rws].all()):
             continue
-        f0 = _frac(T[r, -1])
-        if f0 < 1e-5 or f0 > 1 - 1e-5:
-            continue
-        usable = True
-        frac_coeffs = {}
-        for c in range(n):
-            if not nonbasic[c]:
-                continue
-            fj = _frac(T[r, c])
-            if fj == 0.0:
-                continue
-            if cols[c].kind == "art" or not cols[c].is_integer:
-                usable = False
-                break
-            frac_coeffs[c] = fj
-        if not usable or not frac_coeffs:
-            continue
-        # substitute each standard column by its affine form in x
-        lhs: dict[int, float] = {}
-        rhs = f0
-        for c, fj in frac_coeffs.items():
-            info = cols[c]
-            rhs -= fj * info.affine_const
-            for v, a in info.affine_terms.items():
-                lhs[v] = lhs.get(v, 0.0) + fj * a
-        lhs = {v: a for v, a in lhs.items() if abs(a) > 1e-12}
-        if not lhs:
-            continue
-        # at the LP point all nonbasic columns sit at zero, so the cut is
-        # violated by exactly f0, which the threshold above keeps >= 1e-5
-        if f0 >= min_violation:
-            out.append((lhs, GE, rhs))
+        # a'_j: the coefficient on y_j (-binv for a row activity), negated at upper
+        a_col = np.where(col_up[cols], -1.0, 1.0) * reduced[cols]
+        a_row = np.where(row_up[rws], 1.0, -1.0) * binv[rws]
+        frac = a_col - np.floor(a_col)
+        g_col = np.where(
+            col_int[cols],
+            np.where(frac <= f0, frac / f0, (1 - frac) / (1 - f0)),
+            np.where(a_col >= 0, a_col / f0, -a_col / (1 - f0)),
+        )
+        g_row = np.where(a_row >= 0, a_row / f0, -a_row / (1 - f0))
+        # back from y_j to z_j: y_j = z_j - lower, or upper - z_j
+        s_col = np.where(col_up[cols], -g_col, g_col)
+        s_row = np.where(row_up[rws], -g_row, g_row)
+        rhs = 1.0 + s_col @ col_at[cols] + s_row @ row_at[rws]
+        weight = np.zeros(rows.m)
+        weight[rws] = s_row
+        coef = weight @ matrix  # a row activity is a_k @ x
+        coef[cols] += s_col
+        cut = _tidy(coef, rhs, lb, ub)
+        if cut is not None and cut[0] @ x <= cut[1] - min_violation:
+            coef, rhs = cut
+            nz = np.flatnonzero(coef)
+            out.append(({int(j): float(coef[j]) for j in nz}, GE, float(rhs)))
     return out
+
+
+def _tidy(coef, rhs, lb, ub):
+    """``coef @ x >= rhs`` without its tiny coefficients, or None.
+
+    A tiny coefficient goes only where its column is bounded on the side
+    that relaxes the rhs; None when the cut is empty or its coefficients
+    span more than ``MAX_RANGE``.
+    """
+    size = np.abs(coef)
+    if not size.any():
+        return None
+    tiny = np.flatnonzero((size > 0) & (size < TINY * size.max()))
+    for j in tiny:
+        most = max(coef[j] * lb[j], coef[j] * ub[j])  # largest value of the term
+        if np.isfinite(most):
+            rhs -= most
+            coef[j] = 0.0
+    size = np.abs(coef[coef != 0])
+    if size.max() > MAX_RANGE * size.min():
+        return None
+    return coef, rhs
 
 
 def cover_cuts(

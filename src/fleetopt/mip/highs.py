@@ -9,7 +9,9 @@ a :class:`~.rows.CompiledRows`, and then only changes column bounds
 HiGHS keeps its basis between runs and presolves only while the model
 holds no valid basis, in practice on the first solve; every later solve
 is a dual simplex warm-started from the last basis, which is what a
-branch-and-bound node needs after a bound change.
+branch-and-bound node needs after a bound change. After an optimal
+solve, :meth:`HighsLp.tableau` reads that basis row by row, which is
+where Gomory cuts come from.
 
 ``METHODS`` names every ``_Highs`` method used here, so a test can check
 that the installed scipy still has each of them.
@@ -17,18 +19,23 @@ that the installed scipy still has each of them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.optimize._highspy import _core
 
 from .problem import INFEASIBLE, MAX, OPTIMAL, UNBOUNDED, MipError
 from .rows import CompiledRows
-from .simplex import LpResult
 
 METHODS = (
     "addRows",
     "changeColsBounds",
+    "getBasicVariables",
+    "getBasis",
+    "getBasisInverseRow",
     "getInfo",
     "getModelStatus",
+    "getReducedRow",
     "getSolution",
     "modelStatusToString",
     "passModel",
@@ -36,11 +43,60 @@ METHODS = (
     "setOptionValue",
 )
 
+# basis status of a column or a row activity, as ``Tableau`` holds them
+BASIC = int(_core.HighsBasisStatus.kBasic)
+AT_LOWER = int(_core.HighsBasisStatus.kLower)
+AT_UPPER = int(_core.HighsBasisStatus.kUpper)
+
 _STATUS = {
     _core.HighsModelStatus.kOptimal: OPTIMAL,
     _core.HighsModelStatus.kInfeasible: INFEASIBLE,
     _core.HighsModelStatus.kUnbounded: UNBOUNDED,
 }
+
+
+@dataclass
+class LpResult:
+    status: str
+    x: np.ndarray | None = None
+    objective: float | None = None
+    iterations: int = 0
+
+
+class Tableau:
+    """The basis of a solve, read one simplex tableau row at a time.
+
+    ``basic[i]`` names the variable basic in tableau row i: column j for
+    ``j >= 0``, the activity ``a_k @ x`` of row k for ``-1 - k``.
+    ``col_status`` and ``row_status`` give each column's and each row
+    activity's status: ``BASIC``, ``AT_LOWER``, ``AT_UPPER`` or another
+    HiGHS status (a free nonbasic). A row at ``AT_UPPER`` has its
+    activity at its upper bound.
+
+    Valid until the model is solved again or changed.
+    """
+
+    def __init__(self, highs):
+        h = self._highs = highs
+        status, self.basic = h.getBasicVariables()
+        HighsLp._check(status, "getBasicVariables")
+        basis = h.getBasis()
+        self.col_status = np.array([int(s) for s in basis.col_status], dtype=np.int8)
+        self.row_status = np.array([int(s) for s in basis.row_status], dtype=np.int8)
+
+    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Tableau row i as ``(reduced, binv)``, with A the row matrix.
+
+        Every x satisfies ``reduced @ x - binv @ (A @ x) == 0``.
+        ``reduced`` is 0 at every basic column and ``binv`` at every
+        basic row activity, except at row i's own basic variable: there
+        a basic column has ``reduced`` 1, a basic row activity ``binv`` 1.
+        """
+        status, reduced = self._highs.getReducedRow(i)
+        HighsLp._check(status, "getReducedRow")
+        status, binv = self._highs.getBasisInverseRow(i)
+        HighsLp._check(status, "getBasisInverseRow")
+        return reduced, binv
 
 
 class HighsLp:
@@ -107,6 +163,10 @@ class HighsLp:
             res.x = np.array(h.getSolution().col_value)
             res.objective = self.sign * info.objective_function_value
         return res
+
+    def tableau(self) -> Tableau:
+        """The basis of the last solve, which must have been optimal."""
+        return Tableau(self._highs)
 
     @staticmethod
     def _check(status, call: str) -> None:

@@ -220,7 +220,6 @@ class Solution:
     best_bound: float | None = None
     node_count: int = 0
     lp_iterations: int = 0  # HiGHS simplex iterations
-    tableau_pivots: int = 0  # dense-simplex pivots of Gomory's root tableaus
     cut_counts: dict[str, int] = field(default_factory=dict)
     wall_time: float = 0.0
     stage2_fallback: bool = False  # lexicographic stage 2 gave no point
@@ -241,7 +240,6 @@ class Solution:
             "best_bound": self.best_bound,
             "node_count": self.node_count,
             "lp_iterations": self.lp_iterations,
-            "tableau_pivots": self.tableau_pivots,
             "cut_counts": self.cut_counts,
             "wall_time": self.wall_time,
             "stage2_fallback": self.stage2_fallback,
@@ -261,7 +259,6 @@ class Solution:
             best_bound=doc.get("best_bound"),
             node_count=int(doc.get("node_count", 0)),
             lp_iterations=int(doc.get("lp_iterations", 0)),
-            tableau_pivots=int(doc.get("tableau_pivots", 0)),
             cut_counts=dict(doc.get("cut_counts", {})),
             wall_time=float(doc.get("wall_time", 0.0)),
             stage2_fallback=bool(doc.get("stage2_fallback", False)),

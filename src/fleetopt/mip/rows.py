@@ -1,8 +1,8 @@
 """Linear rows compiled once into CSR arrays and a level schedule.
 
 The solver keeps its rows as ``(coeffs dict, relation, rhs)`` triples,
-which is what the dense simplex and the cut separators read. Bound
-propagation and the HiGHS model (:mod:`.highs`) instead work on a
+which is what cover separation reads. Bound propagation, the HiGHS
+model (:mod:`.highs`) and Gomory separation instead work on a
 :class:`CompiledRows` built from those triples once per row set:
 
 - ``indptr``/``indices``/``data`` hold the rows in CSR form, each row's

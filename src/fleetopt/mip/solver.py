@@ -16,13 +16,12 @@ sets column bounds, a cut round appends rows, and HiGHS warm-starts
 each solve from the last basis. An integral LP point becomes an
 incumbent only after a polish: its integers are fixed at their rounded
 values and the LP is solved again, and the incumbent takes that
-solve's continuous values and objective. With Gomory cuts on and a
-fractional root, the built-in dense simplex re-solves the root of each
-cut round only to hand the separator its tableau, and only below
-``TABLEAU_SIZE_LIMIT``; its point never replaces the HiGHS root, and
-its pivots are counted in ``Solution.tableau_pivots``, apart from the
-HiGHS ``lp_iterations``. Both are deterministic, so a given problem and
-configuration always reproduce the same solution and node count.
+solve's continuous values and objective. Root cut rounds separate the
+point the search branches on: Gomory reads its source rows off the
+HiGHS basis of the root solve just made (:meth:`.highs.HighsLp.tableau`)
+and cover cuts read the root point. HiGHS and the search are
+deterministic, so a given problem and configuration always reproduce
+the same solution and node count.
 """
 
 from __future__ import annotations
@@ -52,19 +51,13 @@ from .problem import (
     Objective,
     Solution,
 )
-from .highs import HighsLp
+from .highs import HighsLp, LpResult
 from .rows import CompiledRows
-from .simplex import LpResult, TableauState, solve_lp_dense
 
 BOUND_EPS = 1e-9
 FIX_EPS = 1e-9
 # statuses whose solution may carry a point: proven, or stopped at a limit
 STOPPED_WITH_POINT = (OPTIMAL, TIME_LIMIT, NODE_LIMIT)
-# rows * columns above which the root gets no dense-simplex tableau, so
-# Gomory separation is skipped. On the desk root (692 x 513 after
-# reduction) the dense simplex took 9.4 s (833 pivots on a 1205 x 1923
-# tableau) where HiGHS took 16 ms, and Gomory added no cut.
-TABLEAU_SIZE_LIMIT = 20_000
 MAX_CUT_ROUNDS = 10  # per family, root node only
 CUTS_PER_ROUND = 8
 
@@ -295,8 +288,6 @@ class _Relaxation:
     """
 
     def __init__(self, red: _Reduced, sense: str):
-        self.red = red
-        self.sense = sense
         self.n = len(red.keep)
         self.rows = list(red.rows)
         self.compiled = CompiledRows(self.rows, self.n)
@@ -305,34 +296,15 @@ class _Relaxation:
             c[j] = a
         self.highs = HighsLp(c, self.compiled, sense)
         self.iterations = 0  # HiGHS simplex iterations
-        self.tableau_pivots = 0  # dense-simplex pivots of Gomory tableaus
 
     def add_rows(self, rows) -> None:
         self.rows.extend(rows)
         self.compiled = CompiledRows(self.rows, self.n)
         self.highs.add_rows(CompiledRows(rows, self.n))
 
-    def tableau(self, lb, ub) -> TableauState | None:
-        """Optimal dense-simplex tableau at these bounds, for Gomory only.
-
-        None when the relaxation exceeds the size gate or the simplex
-        finds no optimum.
-        """
-        if max(1, len(self.rows)) * max(1, self.n) > TABLEAU_SIZE_LIMIT:
-            return None
-        return self.solve(lb, ub, want_tableau=True).state
-
-    def solve(self, lb, ub, want_tableau=False) -> LpResult:
-        """HiGHS solve, or a dense-simplex solve when a tableau is asked for."""
+    def solve(self, lb, ub) -> LpResult:
         if self.n == 0:
             return LpResult(status=OPTIMAL, x=np.zeros(0), objective=0.0)
-        if want_tableau:
-            res = solve_lp_dense(
-                self.n, self.rows, self.red.obj_coeffs, self.sense, lb, ub,
-                integer_mask=self.red.int_mask,
-            )
-            self.tableau_pivots += res.iterations
-            return res
         res = self.highs.solve(lb, ub)
         self.iterations += res.iterations
         return res
@@ -389,7 +361,6 @@ def branch_and_bound(
             status=status,
             node_count=nodes,
             lp_iterations=rel.iterations if rel else 0,
-            tableau_pivots=rel.tableau_pivots if rel else 0,
             cut_counts=dict(cut_counts),
             wall_time=time.perf_counter() - t0,
         )
@@ -432,10 +403,12 @@ def branch_and_bound(
     if (cfg.gomory or cfg.cover) and not integral(root.x):
         for _ in range(MAX_CUT_ROUNDS):
             added = 0
-            # the tableau feeds the separator only; the HiGHS root stays
-            state = rel.tableau(lb, ub) if cfg.gomory else None
-            if state is not None:
-                g = cutmod.gomory_cuts(state, max_cuts=CUTS_PER_ROUND)
+            # the model's last solve is this root: its basis gives the rows
+            if cfg.gomory:
+                g = cutmod.gomory_cuts(
+                    rel.highs, rel.compiled, lb, ub, red.int_mask, root.x,
+                    max_cuts=CUTS_PER_ROUND,
+                )
                 if g:
                     rel.add_rows(g)
                     cut_counts["gomory"] += len(g)
@@ -684,7 +657,6 @@ def lexicographic_solve(
         best_bound=stage1.best_bound,
         node_count=stage1.node_count + stage2.node_count,
         lp_iterations=stage1.lp_iterations + stage2.lp_iterations,
-        tableau_pivots=stage1.tableau_pivots + stage2.tableau_pivots,
         cut_counts={
             k: stage1.cut_counts.get(k, 0) + stage2.cut_counts.get(k, 0)
             for k in set(stage1.cut_counts) | set(stage2.cut_counts)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fleetopt.encoder import (
-    EncoderConfig,
+    EPSILON_STRICT,
     EncoderError,
     attach_fragment,
     encode,
@@ -132,10 +132,9 @@ class TestEncode:
         assert right_rhs == 4.0
 
     def test_continuous_feature_uses_epsilon(self):
-        cfg = EncoderConfig(epsilon_strict=1e-4)
-        frag = encode(forest_of([stump(threshold=3.5)]), {}, {0: (0.0, 10.0)}, cfg)
+        frag = encode(forest_of([stump(threshold=3.5)]), {}, {0: (0.0, 10.0)})
         right_rhs = frag.branch_rows[0][8]
-        assert right_rhs == pytest.approx(3.5 + 1e-4)
+        assert right_rhs == 3.5 + EPSILON_STRICT
 
     def test_lp_debug_dump(self, tmp_path):
         from fleetopt.encoder import dump_fragment_lp

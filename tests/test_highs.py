@@ -78,3 +78,30 @@ def test_other_highs_statuses_raise_with_their_name(monkeypatch):
     )
     with pytest.raises(MipError, match=re.escape(name)):
         lp.solve(*bounds([0, 0, 0], [2, 2, 10]))
+
+
+def test_tableau_rows_read_as_documented():
+    # max 3x + 2y  s.t.  x + y <= 4 (row 0),  x - y >= -1 (row 1),
+    # 0 <= x <= 3,  0 <= y <= 10. By hand: x sits at its upper bound 3,
+    # row 0 at its upper bound 4, and y = 1 and row 1's activity 2 are basic
+    rows = [({0: 1.0, 1: 1.0}, "<=", 4.0), ({0: 1.0, 1: -1.0}, ">=", -1.0)]
+    A = np.array([[1.0, 1.0], [1.0, -1.0]])
+    lp = HighsLp(np.array([3.0, 2.0]), CompiledRows(rows, 2), "max")
+    res = lp.solve(*bounds([0, 0], [3, 10]))
+    assert res.objective == pytest.approx(11.0)
+    assert res.x == pytest.approx([3.0, 1.0])
+    tab = lp.tableau()
+    assert sorted(tab.basic) == [-2, 1]  # row 1's activity is -1 - 1
+    assert list(tab.col_status) == [highs.AT_UPPER, highs.BASIC]
+    assert list(tab.row_status) == [highs.AT_UPPER, highs.BASIC]
+    rng = np.random.default_rng(0)
+    for i, basic in enumerate(tab.basic):
+        reduced, binv = tab.row(i)
+        if basic == 1:  # y + x - (x + y) = 0, so y = 4 - 3 at the optimum
+            assert reduced == pytest.approx([1.0, 1.0])
+            assert binv == pytest.approx([1.0, 0.0])
+        else:  # 2x - (x + y) - (x - y) = 0, so row 1's activity = 6 - 4
+            assert reduced == pytest.approx([2.0, 0.0])
+            assert binv == pytest.approx([1.0, 1.0])
+        for x in [res.x] + list(rng.uniform(-5, 5, (3, 2))):
+            assert reduced @ x - binv @ (A @ x) == pytest.approx(0.0, abs=1e-12)

@@ -1,7 +1,9 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from fleetopt.mip import (
     NODE_LIMIT,
@@ -22,7 +24,6 @@ from fleetopt.mip import cuts as cutmod
 from fleetopt.mip import highs
 from fleetopt.mip import solver
 from fleetopt.mip.problem import Objective
-from fleetopt.mip.simplex import solve_lp_dense
 from fleetopt.mip.solver import _fractional_index, _Relaxation, _unreduced
 
 
@@ -118,6 +119,11 @@ class TestProblem:
         again = Solution.from_json(sol.to_json())
         assert again.values == sol.values
         assert again.cut_counts == sol.cut_counts
+        # a document written while the dense simplex counted its pivots
+        doc = sol.to_dict()
+        assert "tableau_pivots" not in doc
+        old = Solution.from_json(json.dumps(dict(doc, tableau_pivots=7)))
+        assert old.to_dict() == doc
 
     def test_lp_file_round_trip(self, tmp_path):
         p = MipProblem()
@@ -166,17 +172,34 @@ class TestLpSolve:
         assert lp_solve(p).status == "Infeasible"
 
     def test_backends_agree(self):
+        # scipy's interior-point HiGHS shares no code path with the simplex
         rng = np.random.default_rng(17)
+        statuses = {0: "Optimal", 2: "Infeasible", 3: "Unbounded"}
         for _ in range(30):
             p = random_integer_problem(rng)
             red = _unreduced(p, p.objective)
-            a = solve_lp_dense(
-                p.n_vars, red.rows, red.obj_coeffs, "max", red.lb, red.ub
+            A = np.zeros((len(red.rows), p.n_vars))
+            for i, (coeffs, _, _) in enumerate(red.rows):
+                for j, a in coeffs.items():
+                    A[i, j] = a
+            rhs = np.array([r for _, _, r in red.rows])
+            le = np.array([rel == "<=" for _, rel, _ in red.rows], dtype=bool)
+            eq = np.array([rel == "=" for _, rel, _ in red.rows], dtype=bool)
+            c = np.zeros(p.n_vars)
+            for j, a in red.obj_coeffs.items():
+                c[j] = a
+            ineq = ~eq
+            sign = np.where(le, 1.0, -1.0)[ineq]
+            ref = linprog(
+                -c,
+                A_ub=sign[:, None] * A[ineq], b_ub=sign * rhs[ineq],
+                A_eq=A[eq], b_eq=rhs[eq],
+                bounds=list(zip(red.lb, red.ub)), method="highs-ipm",
             )
-            b = _Relaxation(red, "max").solve(red.lb, red.ub)
-            assert a.status == b.status
-            if a.status == "Optimal":
-                assert a.objective == pytest.approx(b.objective, abs=1e-7)
+            res = _Relaxation(red, "max").solve(red.lb, red.ub)
+            assert res.status == statuses[ref.status]
+            if res.status == "Optimal":
+                assert res.objective == pytest.approx(-ref.fun, abs=1e-7)
 
 
 class TestBranchAndBound:
@@ -215,50 +238,48 @@ class TestBranchAndBound:
         sol = branch_and_bound(p)
         assert sol.objective_value == pytest.approx(best)
 
-    def test_random_problems_all_cut_configs(self, monkeypatch):
+    def test_random_problems_all_cut_configs(self):
         rng = np.random.default_rng(11)
-        limit = solver.TABLEAU_SIZE_LIMIT
         configs = [
-            (SolveConfig(), limit),
-            (SolveConfig(gomory=True), limit),
-            (SolveConfig(cover=True), limit),
-            (SolveConfig(gomory=True, cover=True), limit),
-            (SolveConfig(gomory=True), 0),  # no tableau: Gomory skipped
+            SolveConfig(),
+            SolveConfig(gomory=True),
+            SolveConfig(cover=True),
+            SolveConfig(gomory=True, cover=True),
         ]
         for trial in range(30):
             p = random_integer_problem(rng)
             best, _ = enumerate_best(p)
-            for cfg, size_limit in configs:
-                monkeypatch.setattr(solver, "TABLEAU_SIZE_LIMIT", size_limit)
+            for cfg in configs:
                 sol = branch_and_bound(p, cfg)
                 if best is None:
                     assert sol.status == "Infeasible", trial
                 else:
                     assert sol.status == "Optimal", (trial, sol.status)
-                    assert sol.objective_value == pytest.approx(best), (
-                        trial, cfg, size_limit
-                    )
+                    assert sol.objective_value == pytest.approx(best), (trial, cfg)
 
-    def test_dense_simplex_only_hands_gomory_root_tableaus(self, monkeypatch):
-        calls = []  # ("highs" | "dense", lb, ub) in call order
+    def test_gomory_separates_only_at_the_root_bounds(self, monkeypatch):
+        calls = []  # ("solve" | "tableau", lb, ub) in call order
         builds = []  # one entry per HiGHS model passed
-        solve, dense = highs.HighsLp.solve, solver.solve_lp_dense
+        iterations = []  # per HiGHS solve
+        solve, tableau = highs.HighsLp.solve, highs.HighsLp.tableau
         pass_model = highs._core._Highs.passModel
 
-        def spy_highs(self, lb, ub):
-            calls.append(("highs", lb.copy(), ub.copy()))
-            return solve(self, lb, ub)
+        def spy_solve(self, lb, ub):
+            calls.append(("solve", lb.copy(), ub.copy()))
+            res = solve(self, lb, ub)
+            iterations.append(res.iterations)
+            return res
 
-        def spy_dense(n, rows, objective, sense, lb, ub, **kwargs):
-            calls.append(("dense", lb.copy(), ub.copy()))
-            return dense(n, rows, objective, sense, lb, ub, **kwargs)
+        def spy_tableau(self):
+            calls.append(("tableau",) + calls[-1][1:])  # the basis of the last solve
+            return tableau(self)
 
         def spy_build(self, lp):
             builds.append(lp.num_col_)
             return pass_model(self, lp)
 
-        monkeypatch.setattr(highs.HighsLp, "solve", spy_highs)
-        monkeypatch.setattr(solver, "solve_lp_dense", spy_dense)
+        monkeypatch.setattr(highs.HighsLp, "solve", spy_solve)
+        monkeypatch.setattr(highs.HighsLp, "tableau", spy_tableau)
         monkeypatch.setattr(highs._core._Highs, "passModel", spy_build)
 
         def search(p, cfg):
@@ -271,42 +292,84 @@ class TestBranchAndBound:
 
         rng = np.random.default_rng(11)
         problems = [knapsack_problem()] + [random_integer_problem(rng) for _ in range(20)]
-        tableaus = searched = 0
+        separated = searched = 0
         for p in problems:
             for cfg in (SolveConfig(), SolveConfig(cover=True)):
                 sol = search(p, cfg)
-                assert all(kind == "highs" for kind, _, _ in calls)
-                assert sol.tableau_pivots == 0
+                assert all(kind == "solve" for kind, _, _ in calls)
                 searched += sol.node_count > 0
             sol = search(p, SolveConfig(gomory=True))
-            dense_calls = [c for c in calls if c[0] == "dense"]
-            assert len(dense_calls) <= solver.MAX_CUT_ROUNDS
-            if dense_calls:
-                # every tableau is taken at the root bounds of the first
-                # HiGHS solve, before any node LP
+            reads = [i for i, c in enumerate(calls) if c[0] == "tableau"]
+            assert len(reads) <= solver.MAX_CUT_ROUNDS
+            if reads:
+                # every basis is read at the root bounds of the first solve,
+                # right after a solve and before any node LP
                 _, root_lb, root_ub = calls[0]
-                last = max(i for i, c in enumerate(calls) if c[0] == "dense")
-                for kind, lb, ub in calls[: last + 1]:
+                for kind, lb, ub in calls[: reads[-1] + 1]:
                     assert np.array_equal(lb, root_lb) and np.array_equal(ub, root_ub)
-                assert sol.tableau_pivots > 0
-                tableaus += 1
-        assert tableaus > 0 and searched > 0
-        # a stage each: the lexicographic driver runs two searches
+                assert all(calls[i - 1][0] == "solve" for i in reads)
+                separated += sol.cut_counts["gomory"] > 0
+        assert separated > 0 and searched > 0
+        # a model and a root each: the lexicographic driver runs two searches
         calls.clear()
         builds.clear()
+        iterations.clear()
         b = knapsack_problem()
         b.set_secondary_objective("min", {"b0": 1, "b1": 1})
-        lexicographic_solve(b, SolveConfig(gomory=True))
-        assert 0 < sum(c[0] == "dense" for c in calls) <= 2 * solver.MAX_CUT_ROUNDS
+        sol = lexicographic_solve(b, SolveConfig(gomory=True))
+        assert 0 < sum(c[0] == "tableau" for c in calls) <= 2 * solver.MAX_CUT_ROUNDS
         assert len(builds) == 2
-        # above the size gate Gomory gets no tableau
-        monkeypatch.setattr(solver, "TABLEAU_SIZE_LIMIT", 0)
-        sol = search(knapsack_problem(), SolveConfig(gomory=True))
-        assert sol.status == "Optimal" and sol.cut_counts["gomory"] == 0
-        assert all(kind == "highs" for kind, _, _ in calls)
+        # reading the basis costs no iterations: lp_iterations are HiGHS's
+        assert sol.lp_iterations == sum(iterations) > 0
+
+    def test_gomory_cuts_above_the_old_tableau_size(self):
+        # 162 columns x 146 rows after reduction, past the 20,000 cells at
+        # which the root once got no tableau; each block row 2-variable
+        # knapsack leaves the root fractional until Gomory cuts it
+        rng = np.random.default_rng(0)
+        p = MipProblem()
+        for i in range(6):
+            p.add_variable(f"a{i}", "integer", 0, 9)
+            p.add_variable(f"b{i}", "integer", 0, 9)
+            weights = {f"a{i}": int(rng.integers(2, 6)), f"b{i}": int(rng.integers(2, 6))}
+            p.add_constraint(weights, "<=", int(rng.integers(7, 20)))
+        for j in range(150):
+            p.add_variable(f"y{j}", "integer", 0, 2)
+        names = [v.name for v in p.variables]
+        for _ in range(140):
+            picked = rng.choice(len(names), 5, replace=False)
+            p.add_constraint({names[k]: int(rng.integers(1, 4)) for k in picked}, "<=", 60)
+        objective = {f"y{j}": int(rng.integers(1, 5)) for j in range(150)}
+        for i in range(6):
+            objective[f"a{i}"] = int(rng.integers(2, 7))
+            objective[f"b{i}"] = int(rng.integers(2, 7))
+        p.set_objective("max", objective)
+        red = solver._reduce(p, p.objective)
+        assert len(red.keep) * len(red.rows) > 20_000
+
+        A = np.zeros((len(p.constraints), p.n_vars))
+        for i, c in enumerate(p.constraints):
+            for j, a in c.coeffs.items():
+                A[i, j] = a
+        c = np.zeros(p.n_vars)
+        for j, a in p.objective.coeffs.items():
+            c[j] = a
+        ref = milp(
+            -c, constraints=LinearConstraint(A, -np.inf, [r.rhs for r in p.constraints]),
+            integrality=np.ones(p.n_vars), bounds=Bounds(*p.bounds_arrays()),
+            options={"mip_rel_gap": 0.0},
+        )
+        assert ref.status == 0
+        plain = branch_and_bound(p, SolveConfig())
+        sol = branch_and_bound(p, SolveConfig(gomory=True))
+        assert sol.status == plain.status == "Optimal"
+        assert sol.cut_counts["gomory"] > 0
+        assert sol.objective_value == pytest.approx(-ref.fun, abs=1e-9)
+        assert plain.objective_value == pytest.approx(-ref.fun, abs=1e-9)
+        assert sol.node_count < plain.node_count
 
     def test_gomory_without_cuts_branches_like_no_cuts(self, monkeypatch):
-        monkeypatch.setattr(cutmod, "gomory_cuts", lambda state, max_cuts: [])
+        monkeypatch.setattr(cutmod, "gomory_cuts", lambda *args, max_cuts: [])
         rng = np.random.default_rng(7)
         problems = [knapsack_problem()] + [random_integer_problem(rng) for _ in range(20)]
         branched = 0
@@ -413,8 +476,10 @@ class TestCuts:
         p.add_constraint({"x": 1}, "<=", 3)
         p.set_objective("max", {"x": 1})
         red = _unreduced(p, p.objective)
-        res = _Relaxation(red, "max").solve(red.lb, red.ub, want_tableau=True)
-        assert gomory_cuts(res.state) == []
+        rel = _Relaxation(red, "max")
+        res = rel.solve(red.lb, red.ub)
+        assert res.x[0] == 3.0
+        assert gomory_cuts(rel.highs, rel.compiled, red.lb, red.ub, red.int_mask, res.x) == []
 
     def test_cover_cut_on_knapsack(self):
         p = MipProblem()
@@ -449,14 +514,12 @@ class TestCuts:
             )
             red = _unreduced(p, p.objective)
             rel = _Relaxation(red, "max")
-            res = rel.solve(red.lb, red.ub, want_tableau=True)
+            res = rel.solve(red.lb, red.ub)
             if res.status != "Optimal":
                 continue
-            from fleetopt.mip.cuts import cover_cuts_raw
-
-            cuts = gomory_cuts(res.state) + cover_cuts_raw(
-                rel.rows, red.kinds, res.x
-            )
+            cuts = gomory_cuts(
+                rel.highs, rel.compiled, red.lb, red.ub, red.int_mask, res.x
+            ) + cutmod.cover_cuts_raw(rel.rows, red.kinds, res.x)
             if not cuts:
                 continue
             lb, ub = red.lb, red.ub
@@ -484,6 +547,48 @@ class TestCuts:
                         assert act >= rhs - 1e-7, (coeffs, rhs, point)
             checked += 1
         assert checked >= 20  # enough problems actually produced cuts
+
+    def test_mixed_integer_cuts_valid_by_milp(self):
+        # continuous columns and "<=" rows whose activities enter Gomory's
+        # source rows; milp gives each cut's least activity over the MIP
+        rng = np.random.default_rng(37)
+        checked = mixed = 0
+        for _ in range(60):
+            p = MipProblem()
+            for j in range(3):
+                p.add_variable(f"n{j}", "integer", 0, int(rng.integers(1, 4)))
+            for j in range(2):
+                p.add_variable(f"c{j}", "continuous", 0, float(rng.integers(2, 6)))
+            for _r in range(int(rng.integers(2, 4))):
+                coeffs = {v.name: int(rng.integers(-2, 6)) for v in p.variables}
+                p.add_constraint(coeffs, "<=", int(rng.integers(3, 12)))
+            p.set_objective("max", {v.name: int(rng.integers(1, 7)) for v in p.variables})
+            red = _unreduced(p, p.objective)
+            rel = _Relaxation(red, "max")
+            res = rel.solve(red.lb, red.ub)
+            if res.status != "Optimal":
+                continue
+            cuts = gomory_cuts(rel.highs, rel.compiled, red.lb, red.ub, red.int_mask, res.x)
+            A = np.zeros((len(red.rows), p.n_vars))
+            for i, (coeffs, _, _) in enumerate(red.rows):
+                for j, a in coeffs.items():
+                    A[i, j] = a
+            rows = LinearConstraint(A, -np.inf, [rhs for _, _, rhs in red.rows])
+            for coeffs, relation, rhs in cuts:
+                assert relation == ">="
+                c = np.zeros(p.n_vars)
+                for j, a in coeffs.items():
+                    c[j] = a
+                least = milp(
+                    c, constraints=rows, integrality=red.int_mask.astype(float),
+                    bounds=Bounds(red.lb, red.ub), options={"mip_rel_gap": 0.0},
+                )
+                assert least.status == 0
+                assert least.fun >= rhs - 1e-7 * max(1.0, abs(rhs)), (coeffs, rhs)
+                assert c @ res.x < rhs  # and the LP point is cut off
+                mixed += bool(np.any(c[~red.int_mask]))
+            checked += bool(cuts)
+        assert checked >= 20 and mixed >= 20
 
     def test_cuts_never_change_the_optimum(self):
         rng = np.random.default_rng(41)
@@ -645,31 +750,6 @@ class TestLexicographic:
         assert again.stage2_fallback
         monkeypatch.undo()
         assert not lexicographic_solve(p).stage2_fallback
-
-    def test_tableau_pivots_count_apart_from_lp_iterations(self, monkeypatch):
-        p = knapsack_problem()
-        p.set_secondary_objective("min", {"b0": 1, "b1": 1})
-        stages, highs_iterations = [], []
-        real_bnb, real_solve = solver.branch_and_bound, highs.HighsLp.solve
-
-        def spy_bnb(*args, **kwargs):
-            stages.append(real_bnb(*args, **kwargs))
-            return stages[-1]
-
-        def spy_solve(self, lb, ub):
-            out = real_solve(self, lb, ub)
-            highs_iterations.append(out.iterations)
-            return out
-
-        monkeypatch.setattr(solver, "branch_and_bound", spy_bnb)
-        monkeypatch.setattr(highs.HighsLp, "solve", spy_solve)
-        sol = lexicographic_solve(p, SolveConfig(gomory=True))
-        assert len(stages) == 2
-        assert sol.tableau_pivots == sum(s.tableau_pivots for s in stages) > 0
-        # lp_iterations counts HiGHS iterations only
-        assert sol.lp_iterations == sum(highs_iterations)
-        assert Solution.from_json(sol.to_json()).tableau_pivots == sol.tableau_pivots
-        assert lexicographic_solve(p).tableau_pivots == 0
 
     def test_stage_one_infeasibility_propagates(self):
         p = MipProblem()
