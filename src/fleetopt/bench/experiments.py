@@ -359,9 +359,9 @@ def run_efficiency_experiment(
 
 
 CUT_FAMILIES = (
-    ("NoCuts", SolveConfig()),
+    ("NoCuts", SolveConfig(gomory=False)),
     ("GomoryCuts", SolveConfig(gomory=True)),
-    ("CoverCuts", SolveConfig(cover=True)),
+    ("CoverCuts", SolveConfig(gomory=False, cover=True)),
     ("GomoryAndCoverCuts", SolveConfig(gomory=True, cover=True)),
 )
 

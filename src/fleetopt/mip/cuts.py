@@ -11,7 +11,6 @@ LP point.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .highs import AT_LOWER, AT_UPPER, BASIC, HighsLp
 from .problem import BINARY, GE, LE, MipProblem
@@ -75,7 +74,6 @@ def gomory_cuts(
     dist = np.minimum(f, 1 - f)
     source = (tab.basic >= 0) & int_mask[col] & (dist >= MIN_FRACTION)
     order = np.flatnonzero(source)[np.argsort(-dist[source], kind="stable")]
-    matrix = sparse.csr_array((rows.data, rows.indices, rows.indptr), shape=(rows.m, rows.n))
 
     out = []
     for i in order:
@@ -103,7 +101,7 @@ def gomory_cuts(
         rhs = 1.0 + s_col @ col_at[cols] + s_row @ row_at[rws]
         weight = np.zeros(rows.m)
         weight[rws] = s_row
-        coef = weight @ matrix  # a row activity is a_k @ x
+        coef = rows.matrix_t @ weight  # a row activity is a_k @ x
         coef[cols] += s_col
         cut = _tidy(coef, rhs, lb, ub)
         if cut is not None and cut[0] @ x <= cut[1] - min_violation:

@@ -1,9 +1,11 @@
 """Linear rows compiled once into CSR arrays and a level schedule.
 
-The solver keeps its rows as ``(coeffs dict, relation, rhs)`` triples,
-which is what cover separation reads. Bound propagation, the HiGHS
-model (:mod:`.highs`) and Gomory separation instead work on a
-:class:`CompiledRows` built from those triples once per row set:
+A problem states its rows as ``(coeffs dict, relation, rhs)`` triples
+and compiles them once into a :class:`CompiledRows`
+(:meth:`.problem.MipProblem.compiled_rows`), which its copies share.
+The reduction, bound propagation, the HiGHS model (:mod:`.highs`) and
+Gomory separation all work on compiled rows; only cover separation
+reads triples, which :meth:`CompiledRows.triples` gives back:
 
 - ``indptr``/``indices``/``data`` hold the rows in CSR form, each row's
   entries in the order of its dict; HiGHS takes these arrays as they
@@ -11,7 +13,18 @@ model (:mod:`.highs`) and Gomory separation instead work on a
 - ``rhs`` and the ``le``/``ge`` masks give each row's sense (an equality
   row is set in both), and ``row_bounds`` turns them into the
   ``lower <= a @ x <= upper`` form HiGHS reads;
-- ``levels`` is the level schedule that propagation sweeps.
+- ``levels`` is the level schedule that propagation sweeps. It is built
+  on first access, since only propagation reads it: a search's cut
+  rounds append rows without building one.
+
+New row sets come from old ones without going back to dicts.
+:meth:`~CompiledRows.substitute` moves fixed columns into the rhs and
+:meth:`~CompiledRows.take` keeps some rows, as the reduction does;
+:meth:`~CompiledRows.relabel` renumbers the columns to the reduced ones
+and :meth:`~CompiledRows.append` adds rows, such as cuts or the rows a
+copy of a problem adds. The last two keep the levels already assigned:
+renumbering columns one to one, or adding rows after the last, changes
+no earlier row's level.
 
 A row's level is 1 + the highest level of any earlier row that shares a
 column with it. Rows on one level touch disjoint columns, and every
@@ -42,8 +55,9 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 
-from .problem import GE, LE
+from .problem import EQ, GE, LE
 
 EMPTY_ROW_TOL = 1e-9  # an empty row is 0 against its rhs
 INFEASIBLE_TOL = 1e-7  # least activity above rhs by more than this is infeasible
@@ -64,45 +78,206 @@ class RowLevel(NamedTuple):
 
 
 class CompiledRows:
-    """A row set over ``n`` columns in CSR form with its level schedule."""
+    """A row set over ``n`` columns in CSR form with its level schedule.
+
+    ``levels`` is built on first access. The other operations return new
+    row sets and leave this one as it is: :meth:`append` and
+    :meth:`relabel` carry over the row levels already assigned, while
+    :meth:`substitute` and :meth:`take` drop them, since a row that
+    loses an entry or a row in between can change the levels after it.
+    """
 
     def __init__(self, rows, n: int):
-        self.n = n
-        self.m = m = len(rows)
-        lengths = np.fromiter((len(c) for c, _, _ in rows), dtype=np.intp, count=m)
-        self.indptr = np.zeros(m + 1, dtype=np.intp)
-        np.cumsum(lengths, out=self.indptr[1:])
-        nnz = int(self.indptr[-1])
-        self.indices = np.fromiter(
-            chain.from_iterable(c.keys() for c, _, _ in rows), dtype=np.intp, count=nnz
+        m = len(rows)
+        coeffs, rels, rhs = zip(*rows) if rows else ((), (), ())
+        indptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, coeffs), dtype=np.intp, count=m), out=indptr[1:])
+        nnz = int(indptr[-1])
+        self._set(
+            n,
+            indptr=indptr,
+            indices=np.fromiter(chain.from_iterable(coeffs), dtype=np.intp, count=nnz),
+            data=np.fromiter(
+                chain.from_iterable(map(dict.values, coeffs)), dtype=float, count=nnz
+            ),
+            rhs=np.array(rhs, dtype=float),
+            le=np.array([rel != GE for rel in rels], dtype=bool),
+            ge=np.array([rel != LE for rel in rels], dtype=bool),
+            row_level=np.zeros(0, dtype=np.intp),
         )
-        self.data = np.fromiter(
-            chain.from_iterable(c.values() for c, _, _ in rows), dtype=float, count=nnz
-        )
-        self.rhs = np.array([rhs for _, _, rhs in rows], dtype=float)
-        self.le = np.array([rel != GE for _, rel, _ in rows], dtype=bool)
-        self.ge = np.array([rel != LE for _, rel, _ in rows], dtype=bool)
 
-        empty = lengths == 0
-        bad = empty & (
-            (self.le & (self.rhs < -EMPTY_ROW_TOL))
-            | (self.ge & (self.rhs > EMPTY_ROW_TOL))
-        )
+    def _set(self, n, indptr, indices, data, rhs, le, ge, row_level, levels=None):
+        self.n = n
+        self.m = len(rhs)
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.rhs, self.le, self.ge = rhs, le, ge
+        empty = np.diff(indptr) == 0
+        bad = empty & ((le & (rhs < -EMPTY_ROW_TOL)) | (ge & (rhs > EMPTY_ROW_TOL)))
         # a sweep stops at the first infeasible empty row
         self.first_empty_failure = int(np.argmax(bad)) if bad.any() else None
+        self._row_level = row_level  # the levels of the first len(row_level) rows
+        self._levels = levels
+        self._matrix_t = None
 
-        level = np.zeros(m, dtype=np.intp)
-        col_level = [0] * n
-        for i, (coeffs, _, _) in enumerate(rows):
-            if coeffs:
-                lv = 1 + max([col_level[j] for j in coeffs])
-                for j in coeffs:
+    def _with(self, n=None, **fields) -> CompiledRows:
+        """A new row set: these fields replaced, the rest shared."""
+        out = CompiledRows.__new__(CompiledRows)
+        kept = dict(
+            indptr=self.indptr, indices=self.indices, data=self.data,
+            rhs=self.rhs, le=self.le, ge=self.ge, row_level=self._row_level,
+        )
+        out._set(self.n if n is None else n, **{**kept, **fields})
+        return out
+
+    def append(self, other: CompiledRows) -> CompiledRows:
+        """These rows followed by ``other``'s, over the same columns.
+
+        The rows here keep their assigned levels; ``other``'s get theirs
+        when ``levels`` is next read.
+        """
+        return self._with(
+            indptr=np.concatenate([self.indptr, other.indptr[1:] + self.indptr[-1]]),
+            indices=np.concatenate([self.indices, other.indices]),
+            data=np.concatenate([self.data, other.data]),
+            rhs=np.concatenate([self.rhs, other.rhs]),
+            le=np.concatenate([self.le, other.le]),
+            ge=np.concatenate([self.ge, other.ge]),
+        )
+
+    def relabel(self, keep: np.ndarray) -> CompiledRows:
+        """The same rows over the columns ``keep``, renumbered 0, 1, ...
+
+        ``keep`` lists the old column of each new one, ascending, and
+        must hold every column the rows touch. Renumbering keeps which
+        rows share a column, so the row levels and a built schedule
+        carry over, the schedule's bound indices mapped into the new
+        ``w``.
+        """
+        n = len(keep)
+        pos = np.full(2 * self.n + 2, -1, dtype=np.intp)  # old w index -> new
+        pos[keep] = np.arange(n)
+        pos[keep + self.n] = np.arange(n, 2 * n)
+        pos[2 * self.n :] = [2 * n, 2 * n + 1]
+        indices = pos[self.indices]
+        if np.any(indices < 0):
+            raise ValueError("relabel drops a column that a row holds")
+        levels = self._levels
+        if levels is not None:
+            levels = [lv._replace(k_p=pos[lv.k_p], k_t=pos[lv.k_t]) for lv in levels]
+        return self._with(n, indices=indices, levels=levels)
+
+    def substitute(self, fixed: np.ndarray, values: np.ndarray) -> CompiledRows:
+        """These rows with each column in the mask ``fixed`` set to its value.
+
+        A fixed column's term leaves its row, and ``a * values[j]`` is
+        subtracted from the row's rhs. Each row subtracts its terms in
+        its entry order, so the rhs is bit for bit that of a loop over
+        the row's entries. Rows that end up empty stay. With no fixed
+        column in any row, the rows are returned as they are.
+        """
+        gone = fixed[self.indices]
+        if not gone.any():
+            return self
+        lengths = np.diff(self.indptr)
+        row_of = np.repeat(np.arange(self.m), lengths)
+        rhs = self.rhs.copy()
+        entries = np.flatnonzero(gone)
+        place = entries - self.indptr[row_of[entries]]  # place in its row
+        order = np.argsort(place, kind="stable")
+        entries, place = entries[order], place[order]
+        # one step per place: each row has at most one entry there
+        for step in np.split(entries, np.flatnonzero(np.diff(place)) + 1):
+            rhs[row_of[step]] -= self.data[step] * values[self.indices[step]]
+        kept = ~gone
+        indptr = np.zeros(self.m + 1, dtype=np.intp)
+        np.cumsum(np.bincount(row_of[kept], minlength=self.m), out=indptr[1:])
+        return self._with(
+            indptr=indptr,
+            indices=self.indices[kept],
+            data=self.data[kept],
+            rhs=rhs,
+            row_level=np.zeros(0, dtype=np.intp),
+        )
+
+    def take(self, mask: np.ndarray) -> CompiledRows:
+        """The rows in the row mask ``mask``, in their order."""
+        if mask.all():
+            return self
+        lengths = np.diff(self.indptr)
+        entries = np.repeat(mask, lengths)
+        indptr = np.zeros(int(mask.sum()) + 1, dtype=np.intp)
+        np.cumsum(lengths[mask], out=indptr[1:])
+        return self._with(
+            indptr=indptr,
+            indices=self.indices[entries],
+            data=self.data[entries],
+            rhs=self.rhs[mask],
+            le=self.le[mask],
+            ge=self.ge[mask],
+            row_level=np.zeros(0, dtype=np.intp),
+        )
+
+    def triples(self) -> list[tuple[dict[int, float], str, float]]:
+        """The rows as ``(coeffs dict, relation, rhs)`` triples."""
+        ptr = self.indptr.tolist()
+        cols, vals = self.indices.tolist(), self.data.tolist()
+        return [
+            (
+                dict(zip(cols[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]])),
+                EQ if le and ge else LE if le else GE,
+                rhs,
+            )
+            for i, (le, ge, rhs) in enumerate(
+                zip(self.le.tolist(), self.ge.tolist(), self.rhs.tolist())
+            )
+        ]
+
+    @property
+    def levels(self) -> list[RowLevel]:
+        """The level schedule, built on first access."""
+        if self._levels is None:
+            self._levels = self._schedule(self._assign_levels())
+        return self._levels
+
+    @property
+    def matrix_t(self) -> sparse.csc_array:
+        """``A.T`` over the same CSR arrays, which is what ``y @ A`` computes with."""
+        if self._matrix_t is None:
+            self._matrix_t = sparse.csc_array(
+                (self.data, self.indices, self.indptr), shape=(self.n, self.m)
+            )
+        return self._matrix_t
+
+    def _assign_levels(self) -> np.ndarray:
+        """Each row's level, assigning it to the rows that have none yet."""
+        done = len(self._row_level)
+        if done == self.m:
+            return self._row_level
+        ptr = self.indptr.tolist()
+        # a column's level is that of the last row before ``done`` holding it
+        col_level = np.zeros(self.n, dtype=np.intp)
+        np.maximum.at(
+            col_level,
+            self.indices[: ptr[done]],
+            np.repeat(self._row_level, np.diff(self.indptr[: done + 1])),
+        )
+        col_level = col_level.tolist()
+        cols_of = self.indices.tolist()
+        level = [0] * (self.m - done)
+        for i in range(done, self.m):
+            cols = cols_of[ptr[i] : ptr[i + 1]]
+            if cols:
+                lv = 1 + max([col_level[j] for j in cols])
+                for j in cols:
                     col_level[j] = lv
-                level[i] = lv
-        self.levels = self._schedule(level, lengths, empty)
+                level[i - done] = lv
+        self._row_level = np.concatenate([self._row_level, np.array(level, dtype=np.intp)])
+        return self._row_level
 
-    def _schedule(self, level, lengths, empty) -> list[RowLevel]:
+    def _schedule(self, level) -> list[RowLevel]:
         n = self.n
+        lengths = np.diff(self.indptr)
+        empty = lengths == 0
         le_rows = np.flatnonzero(self.le & ~empty)
         ge_rows = np.flatnonzero(self.ge & ~empty)
         row_of = np.concatenate([le_rows, ge_rows])
@@ -133,26 +308,28 @@ class CompiledRows:
         rhs = np.where(is_ge, -self.rhs[row_of], self.rhs[row_of])
         threshold = rhs + INFEASIBLE_TOL
 
-        levels = []
-        breaks = list(np.flatnonzero(np.diff(half_level)) + 1)
-        for h0, h1 in zip([0, *breaks], [*breaks, len(row_of)]):
-            if h0 == h1:  # no halves at all
-                continue
-            e0, e1 = seg[h0], seg[h1]
-            levels.append(
-                RowLevel(
-                    row_of=row_of[h0:h1],
-                    seg=seg[h0:h1] - e0,
-                    half_of=half_of[e0:e1] - h0,
-                    k_p=k_p[e0:e1],
-                    k_t=k_t[e0:e1],
-                    coef=coef[e0:e1],
-                    abs_coef=abs_coef[e0:e1],
-                    rhs=rhs[h0:h1],
-                    threshold=threshold[h0:h1],
-                )
+        if len(row_of) == 0:
+            return []
+        # halves and entries numbered from the start of their level
+        bounds = [0, *(np.flatnonzero(np.diff(half_level)) + 1).tolist(), len(row_of)]
+        first = np.repeat(bounds[:-1], np.diff(bounds))  # per half
+        local_seg = seg[:-1] - seg[first]
+        local_half = half_of - first[half_of]
+        entry_bounds = seg[bounds].tolist()
+        return [
+            RowLevel(
+                row_of=row_of[h0:h1],
+                seg=local_seg[h0:h1],
+                half_of=local_half[e0:e1],
+                k_p=k_p[e0:e1],
+                k_t=k_t[e0:e1],
+                coef=coef[e0:e1],
+                abs_coef=abs_coef[e0:e1],
+                rhs=rhs[h0:h1],
+                threshold=threshold[h0:h1],
             )
-        return levels
+            for h0, h1, e0, e1 in zip(bounds, bounds[1:], entry_bounds, entry_bounds[1:])
+        ]
 
     @property
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:

@@ -200,9 +200,9 @@ def test_criterion_2_solver_oracle_equivalence():
     started = time.perf_counter()
     rng = np.random.default_rng(2002)
     configs = [
-        SolveConfig(),
+        SolveConfig(gomory=False),
         SolveConfig(gomory=True),
-        SolveConfig(cover=True),
+        SolveConfig(gomory=False, cover=True),
         SolveConfig(gomory=True, cover=True),
     ]
     cut_problems = gomory_problems = 0

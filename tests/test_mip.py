@@ -24,6 +24,7 @@ from fleetopt.mip import cuts as cutmod
 from fleetopt.mip import highs
 from fleetopt.mip import solver
 from fleetopt.mip.problem import Objective
+from fleetopt.mip.rows import CompiledRows, RowLevel
 from fleetopt.mip.solver import _fractional_index, _Relaxation, _unreduced
 
 
@@ -68,6 +69,30 @@ def knapsack_problem(seed=5, n=16):
             int(rng.integers(12, 25)),
         )
     p.set_objective("max", {f"b{j}": int(rng.integers(3, 9)) for j in range(n)})
+    return p
+
+
+def blocks_problem():
+    """Six 2-variable knapsack rows that leave the root fractional until
+    Gomory cuts them, among 140 wide rows over 150 more columns."""
+    rng = np.random.default_rng(0)
+    p = MipProblem()
+    for i in range(6):
+        p.add_variable(f"a{i}", "integer", 0, 9)
+        p.add_variable(f"b{i}", "integer", 0, 9)
+        weights = {f"a{i}": int(rng.integers(2, 6)), f"b{i}": int(rng.integers(2, 6))}
+        p.add_constraint(weights, "<=", int(rng.integers(7, 20)))
+    for j in range(150):
+        p.add_variable(f"y{j}", "integer", 0, 2)
+    names = [v.name for v in p.variables]
+    for _ in range(140):
+        picked = rng.choice(len(names), 5, replace=False)
+        p.add_constraint({names[k]: int(rng.integers(1, 4)) for k in picked}, "<=", 60)
+    objective = {f"y{j}": int(rng.integers(1, 5)) for j in range(150)}
+    for i in range(6):
+        objective[f"a{i}"] = int(rng.integers(2, 7))
+        objective[f"b{i}"] = int(rng.integers(2, 7))
+    p.set_objective("max", objective)
     return p
 
 
@@ -145,6 +170,25 @@ class TestProblem:
         sol_p = branch_and_bound(p)
         sol_q = branch_and_bound(q)
         assert sol_p.objective_value == pytest.approx(sol_q.objective_value)
+
+
+class TestCompiledRows:
+    def test_rows_compile_once_and_copies_share_them(self):
+        p = two_var_lp()
+        rows = p.compiled_rows()
+        assert p.compiled_rows() is rows
+        q = p.copy()
+        assert q.compiled_rows() is rows
+        # a row added to the copy extends the rows, and only the copy's
+        q.add_constraint({"x": 1}, "<=", 3)
+        extended = q.compiled_rows()
+        assert extended.m == 3 and p.compiled_rows() is rows
+        assert np.array_equal(extended.indptr[:3], rows.indptr)
+        # replaced rows or a new column compile afresh
+        q.constraints = q.constraints[1:]
+        assert q.compiled_rows().rhs.tolist() == [6.0, 3.0]
+        q.add_variable("z", "continuous", 0, 1)
+        assert q.compiled_rows().n == 3
 
 
 class TestLpSolve:
@@ -241,9 +285,9 @@ class TestBranchAndBound:
     def test_random_problems_all_cut_configs(self):
         rng = np.random.default_rng(11)
         configs = [
-            SolveConfig(),
+            SolveConfig(gomory=False),
             SolveConfig(gomory=True),
-            SolveConfig(cover=True),
+            SolveConfig(gomory=False, cover=True),
             SolveConfig(gomory=True, cover=True),
         ]
         for trial in range(30):
@@ -294,7 +338,7 @@ class TestBranchAndBound:
         problems = [knapsack_problem()] + [random_integer_problem(rng) for _ in range(20)]
         separated = searched = 0
         for p in problems:
-            for cfg in (SolveConfig(), SolveConfig(cover=True)):
+            for cfg in (SolveConfig(gomory=False), SolveConfig(gomory=False, cover=True)):
                 sol = search(p, cfg)
                 assert all(kind == "solve" for kind, _, _ in calls)
                 searched += sol.node_count > 0
@@ -324,26 +368,8 @@ class TestBranchAndBound:
 
     def test_gomory_cuts_above_the_old_tableau_size(self):
         # 162 columns x 146 rows after reduction, past the 20,000 cells at
-        # which the root once got no tableau; each block row 2-variable
-        # knapsack leaves the root fractional until Gomory cuts it
-        rng = np.random.default_rng(0)
-        p = MipProblem()
-        for i in range(6):
-            p.add_variable(f"a{i}", "integer", 0, 9)
-            p.add_variable(f"b{i}", "integer", 0, 9)
-            weights = {f"a{i}": int(rng.integers(2, 6)), f"b{i}": int(rng.integers(2, 6))}
-            p.add_constraint(weights, "<=", int(rng.integers(7, 20)))
-        for j in range(150):
-            p.add_variable(f"y{j}", "integer", 0, 2)
-        names = [v.name for v in p.variables]
-        for _ in range(140):
-            picked = rng.choice(len(names), 5, replace=False)
-            p.add_constraint({names[k]: int(rng.integers(1, 4)) for k in picked}, "<=", 60)
-        objective = {f"y{j}": int(rng.integers(1, 5)) for j in range(150)}
-        for i in range(6):
-            objective[f"a{i}"] = int(rng.integers(2, 7))
-            objective[f"b{i}"] = int(rng.integers(2, 7))
-        p.set_objective("max", objective)
+        # which the root once got no tableau
+        p = blocks_problem()
         red = solver._reduce(p, p.objective)
         assert len(red.keep) * len(red.rows) > 20_000
 
@@ -360,7 +386,7 @@ class TestBranchAndBound:
             options={"mip_rel_gap": 0.0},
         )
         assert ref.status == 0
-        plain = branch_and_bound(p, SolveConfig())
+        plain = branch_and_bound(p, SolveConfig(gomory=False))
         sol = branch_and_bound(p, SolveConfig(gomory=True))
         assert sol.status == plain.status == "Optimal"
         assert sol.cut_counts["gomory"] > 0
@@ -368,13 +394,21 @@ class TestBranchAndBound:
         assert plain.objective_value == pytest.approx(-ref.fun, abs=1e-9)
         assert sol.node_count < plain.node_count
 
+    def test_default_search_separates_gomory_cuts(self):
+        p = blocks_problem()
+        default = branch_and_bound(p)
+        explicit = branch_and_bound(p, SolveConfig(gomory=True))
+        assert default.status == "Optimal"
+        assert default.cut_counts["gomory"] == explicit.cut_counts["gomory"] > 0
+        assert default.node_count == explicit.node_count
+
     def test_gomory_without_cuts_branches_like_no_cuts(self, monkeypatch):
         monkeypatch.setattr(cutmod, "gomory_cuts", lambda *args, max_cuts: [])
         rng = np.random.default_rng(7)
         problems = [knapsack_problem()] + [random_integer_problem(rng) for _ in range(20)]
         branched = 0
         for p in problems:
-            plain = branch_and_bound(p, SolveConfig())
+            plain = branch_and_bound(p, SolveConfig(gomory=False))
             gomory = branch_and_bound(p, SolveConfig(gomory=True))
             assert gomory.cut_counts["gomory"] == 0
             assert gomory.status == plain.status
@@ -394,7 +428,7 @@ class TestBranchAndBound:
         problems.append(k)
         zeros = 0
         for p in problems:
-            for cfg in (SolveConfig(), SolveConfig(gomory=True, cover=True)):
+            for cfg in (SolveConfig(gomory=False), SolveConfig(gomory=True, cover=True)):
                 sol = branch_and_bound(p, cfg)
                 for v in p.variables:
                     if v.kind in ("integer", "binary") and v.name in sol.values:
@@ -438,16 +472,17 @@ class TestBranchAndBound:
         assert sol.status in ("TimeLimit", "Optimal")
 
     def test_node_limit_status(self):
+        # without cuts, 8 nodes find an incumbent but do not prove it
         p = knapsack_problem()
-        full = branch_and_bound(p)
+        full = branch_and_bound(p, SolveConfig(gomory=False))
         assert full.status == "Optimal" and full.node_count > 8
-        sol = branch_and_bound(p, SolveConfig(node_limit=8))
+        sol = branch_and_bound(p, SolveConfig(gomory=False, node_limit=8))
         assert sol.status == NODE_LIMIT == "NodeLimit"
         assert sol.node_count == 8
         assert sol.objective_value <= full.objective_value
         assert sol.best_bound >= full.objective_value
         # stopped before any incumbent: no point, but still a node-limit stop
-        early = branch_and_bound(p, SolveConfig(node_limit=1))
+        early = branch_and_bound(p, SolveConfig(gomory=False, node_limit=1))
         assert early.status == NODE_LIMIT and not early.values
 
     def test_unbounded(self):
@@ -594,7 +629,7 @@ class TestCuts:
         rng = np.random.default_rng(41)
         for _ in range(25):
             p = random_integer_problem(rng)
-            base = branch_and_bound(p, SolveConfig())
+            base = branch_and_bound(p, SolveConfig(gomory=False))
             cut = branch_and_bound(p, SolveConfig(gomory=True, cover=True))
             assert base.status == cut.status
             if base.status == "Optimal":
@@ -617,6 +652,163 @@ class TestCuts:
                 tightened += 1
         assert tightened > 0
 
+
+class TestReduction:
+    def test_long_substitution_chain_reduces(self):
+        # x0 = 3 pins one more column per propagation and substitution
+        # pass, rows listed from the far end; 80 columns once ran out of
+        # passes and left pinned columns in the kept rows
+        p = MipProblem()
+        for i in range(80):
+            p.add_variable(f"x{i}", "integer", 0, 10)
+        for i in reversed(range(79)):
+            p.add_constraint({f"x{i + 1}": 1, f"x{i}": -1}, "=", 0)
+        p.add_constraint({"x0": 1}, "=", 3)
+        p.set_objective("max", {f"x{i}": 1 for i in range(80)})
+        sol = branch_and_bound(p)
+        assert sol.status == "Optimal"
+        assert sol.objective_value == 240.0
+        assert set(sol.values.values()) == {3.0}
+
+    def test_reused_rows_match_a_fresh_compile(self, monkeypatch):
+        """The rows handed from reduction to the relaxation, and the rows
+        after each cut round, are those compiled afresh from dict rows
+        reduced row by row; no level schedule is built in cut rounds."""
+        phase = ["reduce"]
+        schedules = []
+        cuts = []  # dict rows added so far in the current search
+        ref = {}
+        checks = {"reduced": 0, "rounds": 0}
+
+        def reference(problem, objective):
+            # pinned columns substituted out of dict rows, row by row
+            lb, ub = problem.bounds_arrays()
+            int_mask = np.array([v.kind != "continuous" for v in problem.variables])
+            rows = [(dict(c.coeffs), c.relation, c.rhs) for c in problem.constraints]
+            n = problem.n_vars
+            if not real_propagate(CompiledRows(rows, n), lb, ub, int_mask, max_passes=6):
+                return None
+            while True:
+                fixed = (ub - lb) <= solver.FIX_EPS
+                new_rows, changed = [], False
+                for coeffs, rel, rhs in rows:
+                    kept, r = {}, rhs
+                    for j, a in coeffs.items():
+                        if fixed[j]:
+                            r -= a * lb[j]
+                        else:
+                            kept[j] = a
+                    changed |= len(kept) < len(coeffs)
+                    if len(kept) == 1:
+                        (j, a), = kept.items()
+                        if rel in ("<=", "=") and a > 0 or rel in (">=", "=") and a < 0:
+                            ub[j] = min(ub[j], r / a)
+                        if rel in ("<=", "=") and a < 0 or rel in (">=", "=") and a > 0:
+                            lb[j] = max(lb[j], r / a)
+                        changed = True
+                    elif kept:
+                        new_rows.append((kept, rel, r))
+                rows = new_rows
+                lb[int_mask] = np.ceil(lb[int_mask] - 1e-6)
+                ub[int_mask] = np.floor(ub[int_mask] + 1e-6)
+                if np.any(lb > ub + 1e-7):
+                    return None
+                if not changed:
+                    break
+                if not real_propagate(CompiledRows(rows, n), lb, ub, int_mask, max_passes=2):
+                    return None
+            keep = np.flatnonzero((ub - lb) > solver.FIX_EPS)
+            pos = {int(j): p for p, j in enumerate(keep)}
+            return keep, [({pos[j]: a for j, a in c.items()}, rel, r) for c, rel, r in rows]
+
+        def assert_same(got, n):
+            was, phase[0] = phase[0], "check"
+            want = CompiledRows(ref["rows"] + cuts, n)
+            for name in ("indptr", "indices", "data", "rhs", "le", "ge"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            for a, b in zip(got.row_bounds, want.row_bounds):
+                assert np.array_equal(a, b)
+            assert got.first_empty_failure == want.first_empty_failure
+            assert len(got.levels) == len(want.levels)
+            for level_got, level_want in zip(got.levels, want.levels):
+                for name in RowLevel._fields:
+                    a, b = getattr(level_got, name), getattr(level_want, name)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+            phase[0] = was
+
+        real_reduce = solver._reduce
+        real_propagate = solver._propagate
+        real_init = _Relaxation.__init__
+        real_add = _Relaxation.add_rows
+        real_schedule = CompiledRows._schedule
+
+        def spy_reduce(problem, objective):
+            phase[0] = "reduce"
+            cuts.clear()
+            out = reference(problem, objective)
+            red = real_reduce(problem, objective)
+            assert red.feasible == (out is not None)
+            if out is not None:
+                assert np.array_equal(red.keep, out[0])
+                ref["rows"] = out[1]
+            return red
+
+        def spy_init(self, red, sense):
+            real_init(self, red, sense)
+            # the schedule the reduction built, relabelled
+            assert_same(self.compiled, self.n)
+            checks["reduced"] += 1
+            phase[0] = "cuts"
+
+        def spy_add(self, rows):
+            real_add(self, rows)
+            cuts.extend(rows)
+            # a view over the same arrays: building its schedule leaves
+            # the relaxation's rows as they were
+            assert_same(self.compiled.append(CompiledRows([], self.n)), self.n)
+            checks["rounds"] += 1
+
+        def spy_propagate(rows, *args, **kwargs):
+            if phase[0] == "cuts":  # the first node: the cut rounds are over
+                phase[0] = "nodes"
+            return real_propagate(rows, *args, **kwargs)
+
+        def spy_schedule(self, level):
+            schedules.append(phase[0])
+            return real_schedule(self, level)
+
+        monkeypatch.setattr(solver, "_reduce", spy_reduce)
+        monkeypatch.setattr(solver, "_propagate", spy_propagate)
+        monkeypatch.setattr(_Relaxation, "__init__", spy_init)
+        monkeypatch.setattr(_Relaxation, "add_rows", spy_add)
+        monkeypatch.setattr(CompiledRows, "_schedule", spy_schedule)
+
+        rng = np.random.default_rng(23)
+        problems = [knapsack_problem(), blocks_problem()]
+        for _ in range(30):
+            p = random_integer_problem(rng)
+            problems.append(p)
+            # pinned columns for the reduction to substitute out
+            pins = {v.name: float(rng.integers(0, int(v.ub) + 1)) for v in p.variables[:2]}
+            problems.append(fix_variables(p, pins))
+            # fractional terms, whose sum depends on the order they are taken in
+            q = MipProblem()
+            for v in p.variables:
+                q.add_variable(v.name, v.kind, v.lb, v.ub)
+            for j in range(3):
+                q.add_variable(f"c{j}", "continuous", 0, 1)
+            for c in p.constraints:
+                coeffs = {j: a * rng.uniform(0.3, 3) for j, a in c.coeffs.items()}
+                coeffs.update({p.n_vars + j: rng.uniform(-2, 2) for j in range(3)})
+                q.add_constraint(coeffs, c.relation, c.rhs + rng.uniform(0, 1))
+            q.set_objective("max", dict(p.objective.coeffs))
+            pins = {f"c{j}": rng.uniform(0, 1) for j in range(3)}
+            problems.append(fix_variables(q, pins))
+        for p in problems:
+            for cfg in (SolveConfig(gomory=False), SolveConfig(gomory=True, cover=True)):
+                branch_and_bound(p, cfg)
+        assert checks["reduced"] > 30 and checks["rounds"] > 10
+        assert "cuts" not in schedules and "nodes" in schedules
 
 class TestFixVariables:
     def test_fix_binary(self):
@@ -719,7 +911,7 @@ class TestLexicographic:
     def test_node_limit_stop_still_runs_stage_two(self):
         p = knapsack_problem()
         p.set_secondary_objective("min", {f"b{j}": 1 for j in range(p.n_vars)})
-        sol = lexicographic_solve(p, SolveConfig(node_limit=8))
+        sol = lexicographic_solve(p, SolveConfig(gomory=False, node_limit=8))
         assert sol.status == NODE_LIMIT
         assert not sol.stage2_fallback
         assert sol.secondary_value is not None

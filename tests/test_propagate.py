@@ -274,3 +274,90 @@ def test_row_bounds_give_each_sense_without_negation():
     assert compiled.data.tolist() == [1.0, 2.0, -1.0, 3.0, 1.0]
     lower, upper = CompiledRows([], 3).row_bounds
     assert len(lower) == len(upper) == 0
+
+
+# --- operations that make new row sets from compiled ones ---
+
+
+def random_rows(rng, m, n):
+    rows = []
+    for _ in range(m):
+        cols = rng.choice(n, size=int(rng.integers(0, min(n, 5) + 1)), replace=False)
+        rel = [LE, GE, EQ][int(rng.integers(0, 3))]
+        coeffs = {int(j): float(rng.uniform(-3, 3)) for j in cols}
+        rows.append((coeffs, rel, float(rng.uniform(-2, 5))))
+    return rows
+
+
+def row_by_row_levels(rows, n):
+    col_level = [0] * n
+    levels = []
+    for coeffs, _, _ in rows:
+        level = 1 + max(col_level[j] for j in coeffs) if coeffs else 0
+        for j in coeffs:
+            col_level[j] = level
+        levels.append(level)
+    return levels
+
+
+def assert_same_rows(got, want):
+    assert (got.m, got.n) == (want.m, want.n)
+    for name in ("indptr", "indices", "data", "rhs", "le", "ge"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.first_empty_failure == want.first_empty_failure
+    assert len(got.levels) == len(want.levels)
+    for a, b in zip(got.levels, want.levels):
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
+
+
+def test_levels_follow_the_row_by_row_definition_also_after_append():
+    rng = np.random.default_rng(8)
+    for _ in range(100):
+        n, m = int(rng.integers(1, 25)), int(rng.integers(0, 40))
+        rows = random_rows(rng, m, n)
+        k = int(rng.integers(0, m + 1))
+        head = CompiledRows(rows[:k], n)
+        head.levels  # assigns the first k rows their levels
+        joined = head.append(CompiledRows(rows[k:], n))
+        assert joined._assign_levels().tolist() == row_by_row_levels(rows, n)
+        assert_same_rows(joined, CompiledRows(rows, n))
+
+
+def test_relabel_substitute_and_take_match_a_fresh_compile():
+    rng = np.random.default_rng(9)
+    for _ in range(100):
+        n, m = int(rng.integers(2, 25)), int(rng.integers(0, 40))
+        rows = random_rows(rng, m, n)
+        values = rng.uniform(-2, 2, n)
+        fixed = rng.random(n) < 0.4
+        compiled = CompiledRows(rows, n)
+        compiled.levels  # a built schedule is relabelled, not rebuilt
+
+        # the fixed terms leave in each row's own order
+        substituted = []
+        for coeffs, rel, rhs in rows:
+            for j, a in coeffs.items():
+                if fixed[j]:
+                    rhs -= a * values[j]
+            substituted.append(({j: a for j, a in coeffs.items() if not fixed[j]}, rel, rhs))
+        assert_same_rows(compiled.substitute(fixed, values), CompiledRows(substituted, n))
+
+        mask = rng.random(m) < 0.6
+        taken = [row for row, keep in zip(rows, mask) if keep]
+        assert_same_rows(compiled.take(mask), CompiledRows(taken, n))
+        assert compiled.take(mask).triples() == [(c, rel, float(r)) for c, rel, r in taken]
+
+        keep = np.flatnonzero(~fixed)
+        if any(fixed[j] for coeffs, _, _ in rows for j in coeffs):
+            with pytest.raises(ValueError):
+                compiled.relabel(keep)
+        pos = {int(j): p for p, j in enumerate(keep)}
+        inside = [r for r in substituted if r[0]]
+        want = CompiledRows(
+            [({pos[j]: a for j, a in c.items()}, rel, r) for c, rel, r in inside], len(keep)
+        )
+        assert_same_rows(CompiledRows(inside, n).relabel(keep), want)
+        scheduled = CompiledRows(inside, n)
+        scheduled.levels
+        assert_same_rows(scheduled.relabel(keep), want)
