@@ -55,6 +55,14 @@ def gomory_cuts(
     (coeffs, ">=", rhs) over the columns of ``rows``.
     """
     tab = lp.tableau()
+    col = np.maximum(tab.basic, 0)  # basic column per tableau row, if any
+    f = x[col] - np.floor(x[col])
+    dist = np.minimum(f, 1 - f)
+    source = (tab.basic >= 0) & int_mask[col] & (dist >= MIN_FRACTION)
+    order = np.flatnonzero(source)[np.argsort(-dist[source], kind="stable")]
+    if len(order) == 0:  # no source row: the statuses are never read
+        return []
+
     row_lower, row_upper = rows.row_bounds
     # nonbasic and not fixed: a term of every source row it appears in
     col_term = (tab.col_status != BASIC) & (ub - lb > 0)
@@ -68,12 +76,6 @@ def gomory_cuts(
     row_ok = ((tab.row_status == AT_LOWER) | row_up) & np.isfinite(row_at)
     # complementing keeps an integer column integer only at an integral bound
     col_int = int_mask & (col_at == np.floor(col_at))
-
-    col = np.maximum(tab.basic, 0)  # basic column per tableau row, if any
-    f = x[col] - np.floor(x[col])
-    dist = np.minimum(f, 1 - f)
-    source = (tab.basic >= 0) & int_mask[col] & (dist >= MIN_FRACTION)
-    order = np.flatnonzero(source)[np.argsort(-dist[source], kind="stable")]
 
     out = []
     for i in order:

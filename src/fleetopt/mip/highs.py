@@ -20,6 +20,7 @@ that the installed scipy still has each of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize._highspy import _core
@@ -71,18 +72,23 @@ class Tableau:
     ``col_status`` and ``row_status`` give each column's and each row
     activity's status: ``BASIC``, ``AT_LOWER``, ``AT_UPPER`` or another
     HiGHS status (a free nonbasic). A row at ``AT_UPPER`` has its
-    activity at its upper bound.
+    activity at its upper bound. The statuses are read on first use.
 
     Valid until the model is solved again or changed.
     """
 
     def __init__(self, highs):
-        h = self._highs = highs
-        status, self.basic = h.getBasicVariables()
+        self._highs = highs
+        status, self.basic = highs.getBasicVariables()
         HighsLp._check(status, "getBasicVariables")
-        basis = h.getBasis()
-        self.col_status = np.array([int(s) for s in basis.col_status], dtype=np.int8)
-        self.row_status = np.array([int(s) for s in basis.row_status], dtype=np.int8)
+
+    @cached_property
+    def col_status(self) -> np.ndarray:
+        return np.array([int(s) for s in self._highs.getBasis().col_status], dtype=np.int8)
+
+    @cached_property
+    def row_status(self) -> np.ndarray:
+        return np.array([int(s) for s in self._highs.getBasis().row_status], dtype=np.int8)
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Tableau row i as ``(reduced, binv)``, with A the row matrix.

@@ -86,7 +86,6 @@ class MipProblem:
         self.secondary: Objective | None = None
         self.expr_map: dict[str, AffineExpr] = {}
         self._index: dict[str, int] = {}
-        self._compiled = None  # (rows compiled, their CompiledRows)
 
     # --- construction ---
 
@@ -162,33 +161,10 @@ class MipProblem:
         ub = np.array([v.ub for v in self.variables], dtype=float)
         return lb, ub
 
-    def compiled_rows(self):
-        """The rows as a :class:`~.rows.CompiledRows`, compiled once.
-
-        Rows are appended and never changed in place, so the compiled
-        rows are kept and extended by the rows added since; a copy
-        shares them, as it shares the rows. They are compiled afresh if
-        the rows compiled are no longer the first rows, or the columns
-        changed in number.
-        """
-        from .rows import CompiledRows
-
-        done, rows = self._compiled or ((), None)
-        n = self.n_vars
-        # the same row objects, compared by identity first
-        if rows is None or rows.n != n or tuple(self.constraints[: len(done)]) != done:
-            done, rows = (), CompiledRows([], n)
-        if len(done) < len(self.constraints):
-            new = self.constraints[len(done) :]
-            rows = rows.append(CompiledRows([(c.coeffs, c.relation, c.rhs) for c in new], n))
-            self._compiled = (tuple(self.constraints), rows)
-        return rows
-
     def copy(self) -> "MipProblem":
         other = MipProblem(self.name)
         other.variables = [Variable(v.name, v.kind, v.lb, v.ub) for v in self.variables]
         other.constraints = list(self.constraints)
-        other._compiled = self._compiled
         if self.objective:
             other.objective = Objective(
                 self.objective.sense, dict(self.objective.coeffs), self.objective.constant

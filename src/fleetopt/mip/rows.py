@@ -1,11 +1,11 @@
 """Linear rows compiled once into CSR arrays and a level schedule.
 
-A problem states its rows as ``(coeffs dict, relation, rhs)`` triples
-and compiles them once into a :class:`CompiledRows`
-(:meth:`.problem.MipProblem.compiled_rows`), which its copies share.
-The reduction, bound propagation, the HiGHS model (:mod:`.highs`) and
-Gomory separation all work on compiled rows; only cover separation
-reads triples, which :meth:`CompiledRows.triples` gives back:
+A problem states its rows as ``(coeffs dict, relation, rhs)`` triples;
+a search compiles them once into a :class:`CompiledRows`, at the start
+of its reduction. The reduction, bound propagation, the HiGHS model
+(:mod:`.highs`) and Gomory separation all work on compiled rows; only
+cover separation reads triples, which :meth:`CompiledRows.triples`
+gives back:
 
 - ``indptr``/``indices``/``data`` hold the rows in CSR form, each row's
   entries in the order of its dict; HiGHS takes these arrays as they
@@ -21,10 +21,9 @@ New row sets come from old ones without going back to dicts.
 :meth:`~CompiledRows.substitute` moves fixed columns into the rhs and
 :meth:`~CompiledRows.take` keeps some rows, as the reduction does;
 :meth:`~CompiledRows.relabel` renumbers the columns to the reduced ones
-and :meth:`~CompiledRows.append` adds rows, such as cuts or the rows a
-copy of a problem adds. The last two keep the levels already assigned:
-renumbering columns one to one, or adding rows after the last, changes
-no earlier row's level.
+and :meth:`~CompiledRows.append` adds rows, such as cuts. The last two
+keep the levels already assigned: renumbering columns one to one, or
+adding rows after the last, changes no earlier row's level.
 
 A row's level is 1 + the highest level of any earlier row that shares a
 column with it. Rows on one level touch disjoint columns, and every
@@ -88,8 +87,23 @@ class CompiledRows:
     """
 
     def __init__(self, rows, n: int):
-        m = len(rows)
         coeffs, rels, rhs = zip(*rows) if rows else ((), (), ())
+        self._compile(coeffs, rels, rhs, n)
+
+    @classmethod
+    def of_constraints(cls, constraints, n: int) -> CompiledRows:
+        """The rows of a list of :class:`~.problem.Constraint`, compiled."""
+        out = cls.__new__(cls)
+        out._compile(
+            [c.coeffs for c in constraints],
+            [c.relation for c in constraints],
+            [c.rhs for c in constraints],
+            n,
+        )
+        return out
+
+    def _compile(self, coeffs, rels, rhs, n):
+        m = len(rhs)
         indptr = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(np.fromiter(map(len, coeffs), dtype=np.intp, count=m), out=indptr[1:])
         nnz = int(indptr[-1])

@@ -8,20 +8,21 @@ point, so a heavily fixed model really shrinks. Every node propagates
 again before its LP. Propagation runs over rows compiled into CSR
 arrays with a level schedule (:mod:`.rows`): rows on one level share no
 column, so a numpy sweep per level tightens exactly the bounds, bit for
-bit, that a row-by-row Gauss-Seidel sweep in row order does. A problem
-compiles its rows once (:meth:`.problem.MipProblem.compiled_rows`),
-and its copies, such as a fixed model or the lexicographic stage 2,
-share them and compile only the rows they add. The reduction derives
-each later row set from the last one and hands its final rows to the
-relaxation renumbered to the kept columns, and cut rounds append only
-their own rows. Every LP relaxation (root, cut rounds, nodes, incumbent
-polish and ``lp_solve``) is solved by one persistent HiGHS model per search
-(:mod:`.highs`), passed once from the same compiled rows: a node only
-sets column bounds, a cut round appends rows, and HiGHS warm-starts
-each solve from the last basis. An integral LP point becomes an
-incumbent only after a polish: its integers are fixed at their rounded
-values and the LP is solved again, and the incumbent takes that
-solve's continuous values and objective. Root cut rounds separate the
+bit, that a row-by-row Gauss-Seidel sweep in row order does. A search
+compiles the stated rows once, at the start of its reduction; the
+reduction derives each later row set from the last one and hands its
+final rows to the relaxation renumbered to the kept columns, and cut
+rounds append only their own rows. Every LP relaxation (root, cut
+rounds, nodes, incumbent polish and ``lp_solve``) is solved by one
+persistent HiGHS model per search (:mod:`.highs`), passed once from
+the same compiled rows: a node only sets column bounds, a cut round
+appends rows, and HiGHS warm-starts each solve from the last basis.
+The stage 2 of a lexicographic solve and a fixed model share the
+stated rows, which are never changed in place, instead of copying
+them. An integral LP point becomes an incumbent only after a polish:
+its integers are fixed at their rounded values and the LP is solved
+again, and the incumbent takes that solve's continuous values and
+objective. Root cut rounds separate the
 point the search branches on: Gomory reads its source rows off the
 HiGHS basis of the root solve just made (:meth:`.highs.HighsLp.tableau`)
 and cover cuts read the root point. Gomory separation is on by default;
@@ -32,6 +33,7 @@ the same solution and node count.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import time
 from dataclasses import dataclass
@@ -171,10 +173,6 @@ class _Reduced:
     full_values: np.ndarray  # original-length template with fixed values
     feasible: bool = True
 
-    @property
-    def rows(self) -> list[tuple[dict[int, float], str, float]]:
-        return self.compiled.triples() if self.compiled is not None else []
-
 
 def _unreduced(problem: MipProblem, objective: Objective) -> _Reduced:
     """The problem as stated, in the reduced form: no column dropped."""
@@ -186,7 +184,7 @@ def _unreduced(problem: MipProblem, objective: Objective) -> _Reduced:
         ub=ub,
         kinds=kinds,
         int_mask=np.array([k in (INTEGER, BINARY) for k in kinds], dtype=bool),
-        compiled=problem.compiled_rows(),
+        compiled=CompiledRows.of_constraints(problem.constraints, problem.n_vars),
         obj_coeffs=dict(objective.coeffs),
         obj_constant=objective.constant,
         full_values=np.zeros(problem.n_vars),
@@ -650,7 +648,10 @@ def lexicographic_solve(
         return stage1
     g_star = stage1.objective_value
     eps = cfg.lex_slack_rel * abs(g_star) + 1e-9
-    stage2_problem = problem.copy()
+    # stage 2 only reads its model, so it shares the stated variables and
+    # rows instead of copying them, and adds its row to a list of its own
+    stage2_problem = copy.copy(problem)
+    stage2_problem.constraints = list(problem.constraints)
     g = problem.objective
     if g.sense == MAX:
         stage2_problem.add_constraint(

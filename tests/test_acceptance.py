@@ -216,7 +216,7 @@ def test_criterion_2_solver_oracle_equivalence():
         if len(red.keep) == 0:
             continue
         points = enumerate_lattice(red.lb, red.ub)
-        feas = points[feasible_mask(red.rows, points)]
+        feas = points[feasible_mask(red.compiled.triples(), points)]
         assert len(feas) > 0, trial
         vals = np.full(len(feas), red.obj_constant)
         for j, c in red.obj_coeffs.items():

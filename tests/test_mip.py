@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -150,6 +151,15 @@ class TestProblem:
         old = Solution.from_json(json.dumps(dict(doc, tableau_pivots=7)))
         assert old.to_dict() == doc
 
+    def test_copies_share_rows_and_add_their_own(self):
+        p = two_var_lp()
+        q = p.copy()
+        assert all(a is b for a, b in zip(q.constraints, p.constraints))
+        q.add_constraint({"x": 1}, "<=", 3)
+        assert len(p.constraints) == 2 and len(q.constraints) == 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.constraints[0].rhs = 1.0
+
     def test_lp_file_round_trip(self, tmp_path):
         p = MipProblem()
         p.add_variable("x", "integer", 0, 10)
@@ -170,25 +180,6 @@ class TestProblem:
         sol_p = branch_and_bound(p)
         sol_q = branch_and_bound(q)
         assert sol_p.objective_value == pytest.approx(sol_q.objective_value)
-
-
-class TestCompiledRows:
-    def test_rows_compile_once_and_copies_share_them(self):
-        p = two_var_lp()
-        rows = p.compiled_rows()
-        assert p.compiled_rows() is rows
-        q = p.copy()
-        assert q.compiled_rows() is rows
-        # a row added to the copy extends the rows, and only the copy's
-        q.add_constraint({"x": 1}, "<=", 3)
-        extended = q.compiled_rows()
-        assert extended.m == 3 and p.compiled_rows() is rows
-        assert np.array_equal(extended.indptr[:3], rows.indptr)
-        # replaced rows or a new column compile afresh
-        q.constraints = q.constraints[1:]
-        assert q.compiled_rows().rhs.tolist() == [6.0, 3.0]
-        q.add_variable("z", "continuous", 0, 1)
-        assert q.compiled_rows().n == 3
 
 
 class TestLpSolve:
@@ -222,13 +213,14 @@ class TestLpSolve:
         for _ in range(30):
             p = random_integer_problem(rng)
             red = _unreduced(p, p.objective)
-            A = np.zeros((len(red.rows), p.n_vars))
-            for i, (coeffs, _, _) in enumerate(red.rows):
+            stated = red.compiled.triples()
+            A = np.zeros((len(stated), p.n_vars))
+            for i, (coeffs, _, _) in enumerate(stated):
                 for j, a in coeffs.items():
                     A[i, j] = a
-            rhs = np.array([r for _, _, r in red.rows])
-            le = np.array([rel == "<=" for _, rel, _ in red.rows], dtype=bool)
-            eq = np.array([rel == "=" for _, rel, _ in red.rows], dtype=bool)
+            rhs = np.array([r for _, _, r in stated])
+            le = np.array([rel == "<=" for _, rel, _ in stated], dtype=bool)
+            eq = np.array([rel == "=" for _, rel, _ in stated], dtype=bool)
             c = np.zeros(p.n_vars)
             for j, a in red.obj_coeffs.items():
                 c[j] = a
@@ -371,7 +363,7 @@ class TestBranchAndBound:
         # which the root once got no tableau
         p = blocks_problem()
         red = solver._reduce(p, p.objective)
-        assert len(red.keep) * len(red.rows) > 20_000
+        assert len(red.keep) * red.compiled.m > 20_000
 
         A = np.zeros((len(p.constraints), p.n_vars))
         for i, c in enumerate(p.constraints):
@@ -558,11 +550,12 @@ class TestCuts:
             if not cuts:
                 continue
             lb, ub = red.lb, red.ub
+            stated = red.compiled.triples()
             ranges = [range(int(lb[i]), int(ub[i]) + 1) for i in range(len(red.keep))]
             for point in itertools.product(*ranges):
                 values = np.array(point, dtype=float)
                 feasible = True
-                for coeffs, relation, rhs in red.rows:
+                for coeffs, relation, rhs in stated:
                     act = sum(a * values[j] for j, a in coeffs.items())
                     if relation == "<=" and act > rhs + 1e-9:
                         feasible = False
@@ -604,11 +597,12 @@ class TestCuts:
             if res.status != "Optimal":
                 continue
             cuts = gomory_cuts(rel.highs, rel.compiled, red.lb, red.ub, red.int_mask, res.x)
-            A = np.zeros((len(red.rows), p.n_vars))
-            for i, (coeffs, _, _) in enumerate(red.rows):
+            stated = red.compiled.triples()
+            A = np.zeros((len(stated), p.n_vars))
+            for i, (coeffs, _, _) in enumerate(stated):
                 for j, a in coeffs.items():
                     A[i, j] = a
-            rows = LinearConstraint(A, -np.inf, [rhs for _, _, rhs in red.rows])
+            rows = LinearConstraint(A, -np.inf, [rhs for _, _, rhs in stated])
             for coeffs, relation, rhs in cuts:
                 assert relation == ">="
                 c = np.zeros(p.n_vars)
@@ -907,6 +901,18 @@ class TestLexicographic:
                 if best_f is None or fv > best_f:
                     best_f = fv
             assert sol.secondary_value == pytest.approx(best_f)
+
+    def test_stage_two_leaves_the_problem_as_stated(self):
+        p = knapsack_problem()
+        p.set_secondary_objective("min", {f"b{j}": 1 for j in range(p.n_vars)})
+        rows, variables = list(p.constraints), list(p.variables)
+        bounds = [(v.lb, v.ub) for v in p.variables]
+        sol = lexicographic_solve(p)
+        assert sol.status == "Optimal" and not sol.stage2_fallback
+        assert len(p.constraints) == len(rows)
+        assert all(a is b for a, b in zip(p.constraints, rows))
+        assert all(a is b for a, b in zip(p.variables, variables))
+        assert [(v.lb, v.ub) for v in p.variables] == bounds
 
     def test_node_limit_stop_still_runs_stage_two(self):
         p = knapsack_problem()
