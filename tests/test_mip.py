@@ -21,6 +21,7 @@ from fleetopt.mip import (
     read_lp,
     write_lp,
 )
+from fleetopt.bench.experiments import CUT_FAMILIES
 from fleetopt.mip import cuts as cutmod
 from fleetopt.mip import highs
 from fleetopt.mip import solver
@@ -94,6 +95,23 @@ def blocks_problem():
         objective[f"a{i}"] = int(rng.integers(2, 7))
         objective[f"b{i}"] = int(rng.integers(2, 7))
     p.set_objective("max", objective)
+    return p
+
+
+def small_knapsack(rng):
+    """A few binary and integer columns under 1-3 knapsack rows: fractional
+    LP vertices, so both separators fire on many of them."""
+    n = int(rng.integers(3, 6))
+    p = MipProblem()
+    for j in range(n):
+        kind = "binary" if rng.random() < 0.7 else "integer"
+        ub = 1 if kind == "binary" else int(rng.integers(2, 5))
+        p.add_variable(f"v{j}", kind, 0, ub)
+    for _r in range(int(rng.integers(1, 4))):
+        coeffs = {f"v{j}": int(rng.integers(1, 6)) for j in range(n)}
+        total = sum(coeffs.values())
+        p.add_constraint(coeffs, "<=", int(max(1, 0.4 * total + rng.integers(0, 4))))
+    p.set_objective("max", {f"v{j}": int(rng.integers(1, 7)) for j in range(n)})
     return p
 
 
@@ -524,21 +542,7 @@ class TestCuts:
         rng = np.random.default_rng(29)
         checked = 0
         for _ in range(100):
-            # knapsack-shaped problems: fractional LP vertices, so both
-            # separators actually fire
-            n = int(rng.integers(3, 6))
-            p = MipProblem()
-            for j in range(n):
-                kind = "binary" if rng.random() < 0.7 else "integer"
-                ub = 1 if kind == "binary" else int(rng.integers(2, 5))
-                p.add_variable(f"v{j}", kind, 0, ub)
-            for _r in range(int(rng.integers(1, 4))):
-                coeffs = {f"v{j}": int(rng.integers(1, 6)) for j in range(n)}
-                total = sum(coeffs.values())
-                p.add_constraint(coeffs, "<=", int(max(1, 0.4 * total + rng.integers(0, 4))))
-            p.set_objective(
-                "max", {f"v{j}": int(rng.integers(1, 7)) for j in range(n)}
-            )
+            p = small_knapsack(rng)
             red = _unreduced(p, p.objective)
             rel = _Relaxation(red, "max")
             res = rel.solve(red.lb, red.ub)
@@ -618,6 +622,93 @@ class TestCuts:
                 mixed += bool(np.any(c[~red.int_mask]))
             checked += bool(cuts)
         assert checked >= 20 and mixed >= 20
+
+    def test_search_pinned_under_each_cut_family(self):
+        """Nodes, LP iterations, cut counts and optima of searches in which
+        both separators fire, one tuple per ``CUT_FAMILIES`` setting.
+
+        The figures are bit for bit those of the searches before cut rows
+        were kept only in CSR form: a cut row that changes an entry, its
+        entry order or its place among the rows changes the basis HiGHS
+        warm-starts from, and with it these counts. Problem 54 gets a
+        cover cut only with Gomory on: cover separates over rows that hold
+        the same round's Gomory cuts.
+        """
+        pinned = {
+            "knapsack": [
+                (101, 253, 0, 0, 15.99999999999995),
+                (89, 379, 55, 0, 16.0),
+                (101, 283, 0, 3, 16.0),
+                (41, 364, 71, 29, 16.000000000001844),
+            ],
+            12: [
+                (5, 5, 0, 0, 6.0),
+                (3, 23, 12, 0, 5.9999999999999964),
+                (0, 5, 0, 2, 6.0),
+                (0, 6, 2, 2, 6.0),
+            ],
+            19: [
+                (3, 4, 0, 0, 4.0),
+                (0, 5, 3, 0, 4.0),
+                (3, 7, 0, 3, 4.0),
+                (0, 4, 2, 3, 3.9999999999999996),
+            ],
+            27: [
+                (7, 8, 0, 0, 4.0),
+                (0, 8, 5, 0, 4.000000000000003),
+                (0, 5, 0, 4, 4.0),
+                (0, 7, 3, 4, 4.0),
+            ],
+            34: [
+                (3, 4, 0, 0, 3.0),
+                (0, 5, 4, 0, 2.999999999999999),
+                (0, 4, 0, 2, 2.9999999999999996),
+                (0, 4, 2, 1, 2.9999999999999982),
+            ],
+            36: [
+                (4, 5, 0, 0, 8.0),
+                (0, 3, 2, 0, 8.0),
+                (3, 6, 0, 1, 8.0),
+                (0, 5, 3, 3, 8.0),
+            ],
+            39: [
+                (5, 5, 0, 0, 6.0),
+                (0, 6, 3, 0, 5.999999999999998),
+                (3, 8, 0, 4, 6.0),
+                (0, 5, 3, 4, 6.000000000000003),
+            ],
+            54: [
+                (5, 3, 0, 0, 7.0),
+                (0, 2, 1, 0, 7.0),
+                (5, 3, 0, 0, 7.0),
+                (0, 2, 1, 1, 7.0),
+            ],
+            59: [
+                (3, 6, 0, 0, 6.0),
+                (0, 7, 5, 0, 6.0),
+                (3, 11, 0, 3, 6.0),
+                (0, 10, 9, 3, 5.999999999999982),
+            ],
+            90: [
+                (7, 5, 0, 0, 6.0),
+                (0, 4, 2, 0, 6.0),
+                (0, 4, 0, 3, 6.0),
+                (0, 4, 2, 2, 6.0),
+            ],
+        }
+        rng = np.random.default_rng(29)  # the stream of test_all_cuts_valid_by_enumeration
+        stream = [small_knapsack(rng) for _ in range(100)]
+        for key, want in pinned.items():
+            p = knapsack_problem() if key == "knapsack" else stream[key]
+            got = []
+            for _, cfg in CUT_FAMILIES:
+                sol = branch_and_bound(p, cfg)
+                assert sol.status == "Optimal"
+                got.append((
+                    sol.node_count, sol.lp_iterations, sol.cut_counts["gomory"],
+                    sol.cut_counts["cover"], sol.objective_value,
+                ))
+            assert got == want, key
 
     def test_cuts_never_change_the_optimum(self):
         rng = np.random.default_rng(41)
