@@ -10,6 +10,7 @@ import tempfile
 import numpy as np
 
 from fleetopt.mip import (
+    CompiledRows,
     MipProblem,
     SolveConfig,
     branch_and_bound,
@@ -46,11 +47,18 @@ for j in range(3):
     k.add_variable(f"x{j + 1}", "binary")
 k.add_constraint({"x1": 3, "x2": 3, "x3": 3}, "<=", 5)
 k.set_objective("max", {"x1": 1, "x2": 1, "x3": 1})
-cuts = cover_cuts(k, np.array([5 / 9, 5 / 9, 5 / 9]))
+# separators read rows compiled to CSR arrays, and return their cuts so
+binary = np.array([v.kind == "binary" for v in k.variables])
+rows = CompiledRows.of_constraints(k.constraints, k.n_vars)
+cuts = cover_cuts(rows, binary, np.array([5 / 9, 5 / 9, 5 / 9]))
 print("\ncover cut from 3x1+3x2+3x3 <= 5 at the fractional point:")
-for coeffs, rel, rhs in cuts:
-    terms = " + ".join(f"{c:g}*{k.variables[j].name}" for j, c in sorted(coeffs.items()))
-    print(f"  {terms} {rel} {rhs:g}")
+for i in range(len(cuts)):
+    entries = slice(cuts.indptr[i], cuts.indptr[i + 1])
+    terms = " + ".join(
+        f"{c:g}*{k.variables[j].name}"
+        for j, c in zip(cuts.indices[entries], cuts.data[entries])
+    )
+    print(f"  {terms} <= {cuts.rhs[i]:g}")
 
 with_cuts = branch_and_bound(k, SolveConfig(gomory=True, cover=True))
 print(f"knapsack solved with cuts: objective {with_cuts.objective_value}, "

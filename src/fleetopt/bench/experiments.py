@@ -63,9 +63,6 @@ class BenchReport:
     timings: list[dict] = field(default_factory=list)  # wall-clock sidecar
     notes: list[str] = field(default_factory=list)
 
-    def cell_times(self) -> list[dict]:
-        return self.timings
-
     # --- serialization ---
 
     def _clean(self, value):

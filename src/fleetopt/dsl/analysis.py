@@ -13,6 +13,7 @@ of all spelling choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from ..fleet import FleetInstance
 from .parser import (
@@ -250,7 +251,15 @@ class _Poly:
         return sorted(linear), const
 
 
-class _Expander:
+class _IndexWalker:
+    """What the expander and the evaluator share: the instance's index
+    sets and averages, index arithmetic, sum bindings and filters, and
+    the resolution of an atom's indices to array positions.
+
+    :class:`FleetInstance` rejects an empty index set, so every set here
+    has a member and the supply matrix an entry.
+    """
+
     def __init__(self, instance: FleetInstance):
         self.instance = instance
         self.sets = {
@@ -258,13 +267,8 @@ class _Expander:
             "J": list(instance.demand_areas),
             "K": list(range(instance.soc_levels)),
         }
-        for name, members in self.sets.items():
-            if not members:
-                raise DslError(f"index set {name} is empty")
-        self.abs_forms: dict[str, tuple[tuple[tuple[str, float], ...], float]] = {}
-        inv = instance.supply.mean() if instance.supply.size else 0.0
         self.demand_avg = instance.demand.mean(axis=1)
-        self.inventory_avg = float(inv)
+        self.inventory_avg = float(instance.supply.mean())
 
     def _index_value(self, node, env) -> int:
         if isinstance(node, int):
@@ -293,14 +297,26 @@ class _Expander:
             ">=": left >= right,
         }[node.op]
 
+    def _bindings(self, node: Sum, env):
+        """The environments a sum's body is taken in, in order.
+
+        The last binding varies fastest, and environments the filter
+        rejects are left out. The one dict yielded is updated in place.
+        """
+        names = [b.name for b in node.bindings]
+        inner = dict(env)
+        for members in product(*(self.sets[b.set_name] for b in node.bindings)):
+            inner.update(zip(names, members))
+            if self._cond(node.filter, inner):
+                yield inner
+
     def _positions(self, atom: Atom, env) -> tuple[int, ...]:
         inst = self.instance
         expected = ATOMS[atom.name][1]
         out = []
         for pos, (idx, set_name) in enumerate(zip(atom.indices, expected)):
             value = self._index_value(idx, env)
-            members = self.sets[set_name]
-            if value not in members:
+            if value not in self.sets[set_name]:
                 raise DslError(
                     f"{atom.name} index {pos + 1} = {value} is not a member of {set_name}"
                 )
@@ -311,6 +327,12 @@ class _Expander:
             else:
                 out.append(value)
         return tuple(out)
+
+
+class _Expander(_IndexWalker):
+    def __init__(self, instance: FleetInstance):
+        super().__init__(instance)
+        self.abs_forms: dict[str, tuple[tuple[tuple[str, float], ...], float]] = {}
 
     def _atom_ids(self, atom: Atom, env) -> tuple[int, ...]:
         out = []
@@ -345,21 +367,8 @@ class _Expander:
             return _Poly.token(token)
         if isinstance(node, Sum):
             total = _Poly()
-            sets = [self.sets[b.set_name] for b in node.bindings]
-            names = [b.name for b in node.bindings]
-
-            def recurse(depth, env):
-                nonlocal total
-                if depth == len(sets):
-                    if self._cond(node.filter, env):
-                        total = total.add(self.expand(node.body, env))
-                    return
-                for member in sets[depth]:
-                    env[names[depth]] = member
-                    recurse(depth + 1, env)
-                del env[names[depth]]
-
-            recurse(0, dict(env))
+            for inner in self._bindings(node, env):
+                total = total.add(self.expand(node.body, inner))
             return total
         if isinstance(node, Atom):
             name = node.name
@@ -414,73 +423,15 @@ def canonicalize(ast: ObjectiveAst, instance: FleetInstance) -> CanonicalForm:
     )
 
 
-def evaluate(ast, instance: FleetInstance, decision, fulfillment=None) -> float:
-    """Numeric value of the objective at a decision.
-
-    ``fulfillment`` is accepted for signature symmetry with the profit
-    function; no current atom reads it.
-    """
-    inst = instance
-    ev = _Evaluator(inst, decision)
-    return float(ev.eval(ast.body, {}))
+def evaluate(ast, instance: FleetInstance, decision) -> float:
+    """Numeric value of the objective at a decision."""
+    return float(_Evaluator(instance, decision).eval(ast.body, {}))
 
 
-class _Evaluator:
+class _Evaluator(_IndexWalker):
     def __init__(self, instance: FleetInstance, decision):
-        self.instance = instance
+        super().__init__(instance)
         self.decision = decision
-        self.sets = {
-            "I": list(instance.supply_areas),
-            "J": list(instance.demand_areas),
-            "K": list(range(instance.soc_levels)),
-        }
-        self.demand_avg = instance.demand.mean(axis=1)
-        self.inventory_avg = float(instance.supply.mean())
-
-    def _index_value(self, node, env) -> int:
-        if isinstance(node, int):
-            return node
-        if isinstance(node, IndexVar):
-            return env[node.name]
-        if isinstance(node, BinOp):
-            left = self._index_value(node.left, env)
-            right = self._index_value(node.right, env)
-            return left + right if node.op == "+" else left - right
-        raise DslError("invalid index expression")
-
-    def _cond(self, node, env) -> bool:
-        if node is None:
-            return True
-        if isinstance(node, And):
-            return self._cond(node.left, env) and self._cond(node.right, env)
-        left = self._index_value(node.left, env)
-        right = self._index_value(node.right, env)
-        return {
-            "==": left == right,
-            "!=": left != right,
-            "<": left < right,
-            "<=": left <= right,
-            ">": left > right,
-            ">=": left >= right,
-        }[node.op]
-
-    def _resolve(self, atom: Atom, env) -> tuple[int, ...]:
-        inst = self.instance
-        expected = ATOMS[atom.name][1]
-        out = []
-        for pos, (idx, set_name) in enumerate(zip(atom.indices, expected)):
-            value = self._index_value(idx, env)
-            if value not in self.sets[set_name]:
-                raise DslError(
-                    f"{atom.name} index {pos + 1} = {value} is not a member of {set_name}"
-                )
-            if set_name == "I":
-                out.append(inst.supply_index(value))
-            elif set_name == "J":
-                out.append(inst.demand_index(value))
-            else:
-                out.append(value)
-        return tuple(out)
 
     def eval(self, node, env) -> float:
         inst = self.instance
@@ -501,26 +452,13 @@ class _Evaluator:
                 return left - right
             return left * right
         if isinstance(node, Sum):
-            sets = [self.sets[b.set_name] for b in node.bindings]
-            names = [b.name for b in node.bindings]
             total = 0.0
-
-            def recurse(depth, env):
-                nonlocal total
-                if depth == len(sets):
-                    if self._cond(node.filter, env):
-                        total += self.eval(node.body, env)
-                    return
-                for member in sets[depth]:
-                    env[names[depth]] = member
-                    recurse(depth + 1, env)
-                del env[names[depth]]
-
-            recurse(0, dict(env))
+            for inner in self._bindings(node, env):
+                total += self.eval(node.body, inner)
             return total
         if isinstance(node, Atom):
             name = node.name
-            pos = self._resolve(node, env)
+            pos = self._positions(node, env)
             if name == "x":
                 return float(self.decision.x[pos])
             if name == "u_hat":

@@ -1,11 +1,13 @@
 """Cutting planes: mixed-integer Gomory cuts and knapsack cover cuts.
 
-Both separators return rows that every integer-feasible point of the
-problem satisfies and that the current LP point violates by at least
-``min_violation``; an empty list means nothing was separated. Gomory
+Both separators read compiled rows (:class:`.rows.CompiledRows`) and
+return their cuts as one :class:`~.rows.CompiledRows` over the same
+columns: rows that every integer-feasible point of the problem
+satisfies and that the current LP point violates by at least
+``min_violation``. An empty row set means nothing was separated. Gomory
 cuts are read off the optimal basis of the persistent HiGHS model
-(:meth:`.highs.HighsLp.tableau`); cover cuts need only the rows and an
-LP point.
+(:meth:`.highs.HighsLp.tableau`) over the rows that model holds; cover
+cuts need only rows and an LP point.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .highs import AT_LOWER, AT_UPPER, BASIC, HighsLp
-from .problem import BINARY, GE, LE, MipProblem
 from .rows import CompiledRows
 
 MIN_VIOLATION = 1e-7
@@ -24,18 +25,18 @@ TINY = 1e-9  # a cut coefficient below TINY * the largest is dropped
 
 def gomory_cuts(
     lp: HighsLp,
-    rows: CompiledRows,
     lb: np.ndarray,
     ub: np.ndarray,
     int_mask: np.ndarray,
     x: np.ndarray,
     max_cuts: int = 8,
     min_violation: float = MIN_VIOLATION,
-) -> list[tuple[dict[int, float], str, float]]:
+) -> CompiledRows:
     """Mixed-integer Gomory cuts off the basis of ``lp``'s last solve.
 
     ``lp`` must just have been solved to optimality at x under the
-    column bounds ``lb``/``ub``, over exactly ``rows``. Each tableau row
+    column bounds ``lb``/``ub``; its tableau rows are read over the rows
+    it holds, ``lp.rows``. Each tableau row
     whose basic column is integer with a fractional value, most
     fractional first, reads ``x_B + sum_j a_j z_j = 0`` over the
     nonbasic columns and row activities ``z_j``. A nonbasic at its upper
@@ -51,17 +52,19 @@ def gomory_cuts(
     when its basic value is within ``MIN_FRACTION`` of an integer, or
     when the cut's coefficients span more than ``MAX_RANGE``. A
     coefficient below ``TINY`` times the largest is dropped after the
-    rhs is relaxed by its column's bounds. Each cut is returned as
-    (coeffs, ">=", rhs) over the columns of ``rows``.
+    rhs is relaxed by its column's bounds. Each cut is a ">=" row over
+    the columns of ``lp.rows``, its entries in ascending column order.
     """
+    rows = lp.rows
     tab = lp.tableau()
     col = np.maximum(tab.basic, 0)  # basic column per tableau row, if any
     f = x[col] - np.floor(x[col])
     dist = np.minimum(f, 1 - f)
     source = (tab.basic >= 0) & int_mask[col] & (dist >= MIN_FRACTION)
     order = np.flatnonzero(source)[np.argsort(-dist[source], kind="stable")]
+    out = []  # (columns, coefficients, rhs) per cut
     if len(order) == 0:  # no source row: the statuses are never read
-        return []
+        return _cut_rows(rows.n, out, ge=True)
 
     row_lower, row_upper = rows.row_bounds
     # nonbasic and not fixed: a term of every source row it appears in
@@ -77,7 +80,6 @@ def gomory_cuts(
     # complementing keeps an integer column integer only at an integral bound
     col_int = int_mask & (col_at == np.floor(col_at))
 
-    out = []
     for i in order:
         if len(out) >= max_cuts:
             break
@@ -109,8 +111,28 @@ def gomory_cuts(
         if cut is not None and cut[0] @ x <= cut[1] - min_violation:
             coef, rhs = cut
             nz = np.flatnonzero(coef)
-            out.append(({int(j): float(coef[j]) for j in nz}, GE, float(rhs)))
-    return out
+            out.append((nz, coef[nz], rhs))
+    return _cut_rows(rows.n, out, ge=True)
+
+
+def _cut_rows(n: int, cuts, ge: bool) -> CompiledRows:
+    """``cuts``, each ``(columns, coefficients, rhs)``, as rows of one sense.
+
+    Each row holds its coefficients in the order given; ``ge`` makes
+    every row a ">=" row, else a "<=" row.
+    """
+    cols, coefs, rhs = zip(*cuts) if cuts else ((), (), ())
+    indptr = np.zeros(len(rhs) + 1, dtype=np.intp)
+    np.cumsum([len(c) for c in cols], out=indptr[1:])
+    return CompiledRows.of_csr(
+        n,
+        indptr=indptr,
+        indices=np.concatenate(cols, dtype=np.intp) if cuts else np.zeros(0, np.intp),
+        data=np.concatenate(coefs, dtype=float) if cuts else np.zeros(0),
+        rhs=np.array(rhs, dtype=float),
+        le=np.full(len(rhs), not ge),
+        ge=np.full(len(rhs), ge),
+    )
 
 
 def _tidy(coef, rhs, lb, ub):
@@ -136,59 +158,46 @@ def _tidy(coef, rhs, lb, ub):
 
 
 def cover_cuts(
-    problem: MipProblem,
-    lp_values: np.ndarray,
-    extra_rows: list[tuple[dict[int, float], str, float]] | None = None,
+    rows: CompiledRows,
+    binary: np.ndarray,
+    x: np.ndarray,
     max_cuts: int = 8,
     min_violation: float = MIN_VIOLATION,
-) -> list[tuple[dict[int, float], str, float]]:
-    """Greedy minimal-cover cuts from <=-rows over binary variables.
+) -> CompiledRows:
+    """Greedy minimal-cover cuts from inequality rows over binary columns.
 
     For a knapsack row sum(a_j x_j) <= b with binary support, a cover C
     with sum(a_j) > b yields sum_{j in C} x_j <= |C| - 1; the cover is
-    extended with every item whose weight reaches the cover maximum.
-    Negative coefficients are complemented first, so the emitted cut is
-    valid for the original problem.
+    extended with every item whose weight reaches the cover maximum. A
+    ">=" row is negated into that form, and negative coefficients are
+    complemented first (x_j -> 1 - x_j), so the emitted cut is valid for
+    the original row. Equality rows, empty rows and rows that hold a
+    column outside the mask ``binary`` are skipped, and a cut found
+    twice is kept once. Each cut is a "<=" row that lists the cover's
+    columns, then the extension's.
     """
-    rows = [(c.coeffs, c.relation, c.rhs) for c in problem.constraints]
-    if extra_rows:
-        rows.extend(extra_rows)
-    kinds = [v.kind for v in problem.variables]
-    return cover_cuts_raw(
-        rows, kinds, lp_values, max_cuts=max_cuts, min_violation=min_violation
-    )
-
-
-def cover_cuts_raw(
-    rows: list[tuple[dict[int, float], str, float]],
-    kinds: list[str],
-    lp_values: np.ndarray,
-    max_cuts: int = 8,
-    min_violation: float = MIN_VIOLATION,
-) -> list[tuple[dict[int, float], str, float]]:
-    """Cover separation over raw rows; see :func:`cover_cuts`."""
-    cuts = []
+    lengths = np.diff(rows.indptr)
+    row_of = np.repeat(np.arange(rows.m), lengths)
+    others = np.bincount(row_of[~binary[rows.indices]], minlength=rows.m)
+    usable = (rows.le != rows.ge) & (lengths > 0) & (others == 0)
+    cuts = []  # (columns, coefficients, rhs) per cut
     seen = set()
-    for coeffs, relation, rhs in rows:
+    for i in np.flatnonzero(usable).tolist():
         if len(cuts) >= max_cuts:
             break
-        if relation == GE:
-            coeffs = {j: -a for j, a in coeffs.items()}
-            rhs = -rhs
-        elif relation != LE:
-            continue
-        if not coeffs:
-            continue
-        if any(kinds[j] != BINARY for j in coeffs):
-            continue
+        start, end = rows.indptr[i], rows.indptr[i + 1]
+        cols = rows.indices[start:end].tolist()
+        coeffs = rows.data[start:end].tolist()
+        b = float(rows.rhs[i])
+        if rows.ge[i]:
+            coeffs, b = [-a for a in coeffs], -b
         # complement negatives: x_j -> 1 - x_j
         items = []
-        b = float(rhs)
-        for j, a in coeffs.items():
+        for j, a in zip(cols, coeffs):
             if a > 0:
-                items.append((j, float(a), False))
+                items.append((j, a, False))
             elif a < 0:
-                items.append((j, float(-a), True))
+                items.append((j, -a, True))
                 b += -a
         if b < 0 or not items:
             continue
@@ -198,7 +207,7 @@ def cover_cuts_raw(
         # fractional value of each (possibly complemented) item
         def val(item):
             j, _, comp = item
-            v = float(lp_values[j])
+            v = float(x[j])
             return 1.0 - v if comp else v
 
         # greedy: prefer items that are nearly 1 in the LP, heavier first
@@ -229,20 +238,15 @@ def cover_cuts_raw(
         ]
         cap = len(cover) - 1
         # back-substitute complements
-        lhs: dict[int, float] = {}
-        rhs_cut = float(cap)
-        for j, _, comp in extended:
-            if comp:
-                lhs[j] = lhs.get(j, 0.0) - 1.0
-                rhs_cut -= 1.0
-            else:
-                lhs[j] = lhs.get(j, 0.0) + 1.0
-        activity = sum(a * lp_values[j] for j, a in lhs.items())
+        cut_cols = [j for j, _, _ in extended]
+        cut_coeffs = [-1.0 if comp else 1.0 for _, _, comp in extended]
+        rhs_cut = float(cap - sum(comp for _, _, comp in extended))
+        activity = sum(a * x[j] for j, a in zip(cut_cols, cut_coeffs))
         if activity <= rhs_cut + min_violation:
             continue
-        key = (tuple(sorted(lhs.items())), round(rhs_cut, 9))
+        key = (tuple(sorted(zip(cut_cols, cut_coeffs))), round(rhs_cut, 9))
         if key in seen:
             continue
         seen.add(key)
-        cuts.append((lhs, LE, rhs_cut))
-    return cuts
+        cuts.append((cut_cols, cut_coeffs, rhs_cut))
+    return _cut_rows(rows.n, cuts, ge=False)

@@ -3,9 +3,12 @@
 scipy bundles HiGHS, and its private binding
 ``scipy.optimize._highspy._core._Highs`` exposes the solver object
 itself. This module is the only place that imports it. A
-:class:`HighsLp` passes the model once, from the row-wise CSR arrays of
-a :class:`~.rows.CompiledRows`, and then only changes column bounds
-(:meth:`HighsLp.solve`) or appends rows (:meth:`HighsLp.add_rows`).
+:class:`HighsLp` is a search's LP relaxation: it passes the model once,
+from the row-wise CSR arrays of a :class:`~.rows.CompiledRows`, and
+then only changes column bounds (:meth:`HighsLp.solve`) or appends rows
+(:meth:`HighsLp.add_rows`). It keeps the rows HiGHS holds as
+``HighsLp.rows``, cuts included, which is what node propagation and cut
+separation read, and sums the simplex iterations of its solves.
 HiGHS keeps its basis between runs and presolves only while the model
 holds no valid basis, in practice on the first solve; every later solve
 is a dual simplex warm-started from the last basis, which is what a
@@ -106,10 +109,17 @@ class Tableau:
 
 
 class HighsLp:
-    """``c @ x`` maximized or minimized over rows and per-solve bounds."""
+    """``c @ x`` maximized or minimized over rows and per-solve bounds.
+
+    ``rows`` holds the rows of the model, the cuts added so far after
+    the rows it was built from; ``iterations`` sums the simplex
+    iterations of every solve.
+    """
 
     def __init__(self, c: np.ndarray, rows: CompiledRows, sense: str):
         self.n = len(c)
+        self.rows = rows
+        self.iterations = 0
         # HiGHS always minimizes here, with the costs negated for a
         # maximum, as scipy's linprog hands it every LP. Under HiGHS's own
         # maximize sense the dual simplex picks other optimal vertices:
@@ -137,7 +147,10 @@ class HighsLp:
         self._check(self._highs.passModel(lp), "passModel")
 
     def add_rows(self, rows: CompiledRows) -> None:
-        """Append rows; the current basis stays valid for the next solve."""
+        """Append rows to the model and to ``self.rows``.
+
+        The current basis stays valid for the next solve.
+        """
         lower, upper = rows.row_bounds
         self._check(
             self._highs.addRows(
@@ -146,6 +159,7 @@ class HighsLp:
             ),
             "addRows",
         )
+        self.rows = self.rows.append(rows)
 
     def solve(self, lb, ub) -> LpResult:
         """The LP under these column bounds, with its simplex iterations.
@@ -165,6 +179,7 @@ class HighsLp:
             )
         info = h.getInfo()
         res = LpResult(status=status, iterations=info.simplex_iteration_count)
+        self.iterations += res.iterations
         if status == OPTIMAL:
             res.x = np.array(h.getSolution().col_value)
             res.objective = self.sign * info.objective_function_value

@@ -2,14 +2,14 @@
 
 A problem states its rows as ``(coeffs dict, relation, rhs)`` triples;
 a search compiles them once into a :class:`CompiledRows`, at the start
-of its reduction. The reduction, bound propagation, the HiGHS model
-(:mod:`.highs`) and Gomory separation all work on compiled rows; only
-cover separation reads triples, which :meth:`CompiledRows.triples`
-gives back:
+of its reduction, and from then on holds its rows in no other form. The
+reduction, bound propagation, the HiGHS model (:mod:`.highs`) and both
+cut separators (:mod:`.cuts`) work on compiled rows, and the separators
+return their cuts compiled (:meth:`CompiledRows.of_csr`):
 
 - ``indptr``/``indices``/``data`` hold the rows in CSR form, each row's
-  entries in the order of its dict; HiGHS takes these arrays as they
-  are, row-wise;
+  entries in the order given (a stated row's in the order of its dict);
+  HiGHS takes these arrays as they are, row-wise;
 - ``rhs`` and the ``le``/``ge`` masks give each row's sense (an equality
   row is set in both), and ``row_bounds`` turns them into the
   ``lower <= a @ x <= upper`` form HiGHS reads;
@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .problem import EQ, GE, LE
+from .problem import GE, LE
 
 EMPTY_ROW_TOL = 1e-9  # an empty row is 0 against its rhs
 INFEASIBLE_TOL = 1e-7  # least activity above rhs by more than this is infeasible
@@ -102,6 +102,13 @@ class CompiledRows:
         )
         return out
 
+    @classmethod
+    def of_csr(cls, n: int, indptr, indices, data, rhs, le, ge) -> CompiledRows:
+        """Rows given as CSR arrays, each row's sense by its ``le``/``ge`` flags."""
+        out = cls.__new__(cls)
+        out._set(n, indptr=indptr, indices=indices, data=data, rhs=rhs, le=le, ge=ge)
+        return out
+
     def _compile(self, coeffs, rels, rhs, n):
         m = len(rhs)
         indptr = np.zeros(m + 1, dtype=np.intp)
@@ -117,10 +124,9 @@ class CompiledRows:
             rhs=np.array(rhs, dtype=float),
             le=np.array([rel != GE for rel in rels], dtype=bool),
             ge=np.array([rel != LE for rel in rels], dtype=bool),
-            row_level=np.zeros(0, dtype=np.intp),
         )
 
-    def _set(self, n, indptr, indices, data, rhs, le, ge, row_level, levels=None):
+    def _set(self, n, indptr, indices, data, rhs, le, ge, row_level=None, levels=None):
         self.n = n
         self.m = len(rhs)
         self.indptr, self.indices, self.data = indptr, indices, data
@@ -129,7 +135,8 @@ class CompiledRows:
         bad = empty & ((le & (rhs < -EMPTY_ROW_TOL)) | (ge & (rhs > EMPTY_ROW_TOL)))
         # a sweep stops at the first infeasible empty row
         self.first_empty_failure = int(np.argmax(bad)) if bad.any() else None
-        self._row_level = row_level  # the levels of the first len(row_level) rows
+        # the levels of the first len(row_level) rows
+        self._row_level = np.zeros(0, dtype=np.intp) if row_level is None else row_level
         self._levels = levels
         self._matrix_t = None
 
@@ -231,20 +238,8 @@ class CompiledRows:
             row_level=np.zeros(0, dtype=np.intp),
         )
 
-    def triples(self) -> list[tuple[dict[int, float], str, float]]:
-        """The rows as ``(coeffs dict, relation, rhs)`` triples."""
-        ptr = self.indptr.tolist()
-        cols, vals = self.indices.tolist(), self.data.tolist()
-        return [
-            (
-                dict(zip(cols[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]])),
-                EQ if le and ge else LE if le else GE,
-                rhs,
-            )
-            for i, (le, ge, rhs) in enumerate(
-                zip(self.le.tolist(), self.ge.tolist(), self.rhs.tolist())
-            )
-        ]
+    def __len__(self) -> int:
+        return self.m
 
     @property
     def levels(self) -> list[RowLevel]:

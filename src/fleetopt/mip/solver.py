@@ -9,25 +9,27 @@ again before its LP. Propagation runs over rows compiled into CSR
 arrays with a level schedule (:mod:`.rows`): rows on one level share no
 column, so a numpy sweep per level tightens exactly the bounds, bit for
 bit, that a row-by-row Gauss-Seidel sweep in row order does. A search
-compiles the stated rows once, at the start of its reduction; the
-reduction derives each later row set from the last one and hands its
-final rows to the relaxation renumbered to the kept columns, and cut
-rounds append only their own rows. Every LP relaxation (root, cut
-rounds, nodes, incumbent polish and ``lp_solve``) is solved by one
-persistent HiGHS model per search (:mod:`.highs`), passed once from
-the same compiled rows: a node only sets column bounds, a cut round
-appends rows, and HiGHS warm-starts each solve from the last basis.
-The stage 2 of a lexicographic solve and a fixed model share the
-stated rows, which are never changed in place, instead of copying
-them. An integral LP point becomes an incumbent only after a polish:
-its integers are fixed at their rounded values and the LP is solved
-again, and the incumbent takes that solve's continuous values and
-objective. Root cut rounds separate the
-point the search branches on: Gomory reads its source rows off the
-HiGHS basis of the root solve just made (:meth:`.highs.HighsLp.tableau`)
-and cover cuts read the root point. Gomory separation is on by default;
-on the desk models it closes most of the root gap. HiGHS and the search
-are deterministic, so a given problem and configuration always reproduce
+compiles the stated rows once, at the start of its reduction, and holds
+its rows in that one form to the end: the reduction derives each later
+row set from the last one and builds the search's LP relaxation, one
+persistent HiGHS model (:class:`.highs.HighsLp`), from its final rows
+renumbered to the kept columns. That model owns the search's rows from
+then on (``HighsLp.rows``). Every LP (root, cut rounds, nodes,
+incumbent polish and ``lp_solve``) is solved on it: a node only sets
+column bounds, a cut round appends its cut rows, and HiGHS warm-starts
+each solve from the last basis. The stage 2 of a lexicographic solve
+and a fixed model share the stated rows, which are never changed in
+place, instead of copying them. An integral LP point becomes an
+incumbent only after a polish: its integers are fixed at their rounded
+values and the LP is solved again, and the incumbent takes that solve's
+continuous values and objective. Root cut rounds separate the point
+the search branches on, and both separators (:mod:`.cuts`) take and
+return compiled rows: Gomory reads its source rows off the HiGHS basis
+of the root solve just made (:meth:`.highs.HighsLp.tableau`), and cover
+separation reads the model's rows, that round's Gomory cuts included,
+and the root point. Gomory separation is on by default; on the desk
+models it closes most of the root gap. HiGHS and the search are
+deterministic, so a given problem and configuration always reproduce
 the same solution and node count.
 """
 
@@ -59,7 +61,7 @@ from .problem import (
     Objective,
     Solution,
 )
-from .highs import HighsLp, LpResult
+from .highs import HighsLp
 from .rows import CompiledRows
 
 BOUND_EPS = 1e-9
@@ -165,13 +167,21 @@ class _Reduced:
     keep: np.ndarray  # original column index per reduced column
     lb: np.ndarray
     ub: np.ndarray
-    kinds: list[str]
+    binary: np.ndarray  # binary columns, which cover separation reads
     int_mask: np.ndarray
-    compiled: CompiledRows | None  # the rows; None when infeasible
+    rows: CompiledRows | None  # None when infeasible
     obj_coeffs: dict[int, float]
     obj_constant: float
     full_values: np.ndarray  # original-length template with fixed values
     feasible: bool = True
+
+    @property
+    def cost(self) -> np.ndarray:
+        """The objective's coefficients on the kept columns, as a vector."""
+        c = np.zeros(len(self.keep))
+        for j, a in self.obj_coeffs.items():
+            c[j] = a
+        return c
 
 
 def _unreduced(problem: MipProblem, objective: Objective) -> _Reduced:
@@ -182,9 +192,9 @@ def _unreduced(problem: MipProblem, objective: Objective) -> _Reduced:
         keep=np.arange(problem.n_vars),
         lb=lb,
         ub=ub,
-        kinds=kinds,
+        binary=np.array([k == BINARY for k in kinds], dtype=bool),
         int_mask=np.array([k in (INTEGER, BINARY) for k in kinds], dtype=bool),
-        compiled=CompiledRows.of_constraints(problem.constraints, problem.n_vars),
+        rows=CompiledRows.of_constraints(problem.constraints, problem.n_vars),
         obj_coeffs=dict(objective.coeffs),
         obj_constant=objective.constant,
         full_values=np.zeros(problem.n_vars),
@@ -205,16 +215,15 @@ def _reduce(problem: MipProblem, objective: Objective) -> _Reduced:
     """
     n = problem.n_vars
     stated = _unreduced(problem, objective)
-    lb, ub, compiled = stated.lb, stated.ub, stated.compiled
-    kinds_full, int_mask_full = stated.kinds, stated.int_mask
+    lb, ub, compiled = stated.lb, stated.ub, stated.rows
+    binary_full, int_mask_full = stated.binary, stated.int_mask
 
     def fail():
-        red = _Reduced(
-            keep=np.zeros(0, dtype=int), lb=lb, ub=ub, kinds=[],
-            int_mask=np.zeros(0, dtype=bool), compiled=None, obj_coeffs={},
+        return _Reduced(
+            keep=np.zeros(0, dtype=int), lb=lb, ub=ub, binary=np.zeros(0, dtype=bool),
+            int_mask=np.zeros(0, dtype=bool), rows=None, obj_coeffs={},
             obj_constant=0.0, full_values=np.zeros(n), feasible=False,
         )
-        return red
 
     if not _propagate(compiled, lb, ub, int_mask_full, max_passes=6):
         return fail()
@@ -274,60 +283,15 @@ def _reduce(problem: MipProblem, objective: Objective) -> _Reduced:
             obj_coeffs[pos_of[j]] = obj_coeffs.get(pos_of[j], 0.0) + c
     return _Reduced(
         keep=keep,
-        lb=lb[keep].copy(),
-        ub=ub[keep].copy(),
-        kinds=[kinds_full[j] for j in keep],
-        int_mask=int_mask_full[keep].copy(),
-        compiled=compiled.relabel(keep),
+        lb=lb[keep],
+        ub=ub[keep],
+        binary=binary_full[keep],
+        int_mask=int_mask_full[keep],
+        rows=compiled.relabel(keep),
         obj_coeffs=obj_coeffs,
         obj_constant=obj_constant,
         full_values=full_values,
     )
-
-
-class _Relaxation:
-    """LP relaxation of the reduced rows plus added cuts, for one objective.
-
-    The rows, the objective and its sense live in one persistent HiGHS
-    model (:class:`.highs.HighsLp`), built once; each solve only sets
-    the column bounds, and cut rows are appended to the same model, so
-    HiGHS warm-starts every solve from the last basis. ``compiled``
-    starts as the reduction's compiled rows, and a cut round compiles
-    only its own rows and appends them; the level schedule is built
-    when node propagation first reads it, after the last round.
-    ``rows``, the same rows as dicts for cover separation, is made on
-    first use.
-    """
-
-    def __init__(self, red: _Reduced, sense: str):
-        self.n = len(red.keep)
-        self.compiled = red.compiled
-        self._rows = None
-        c = np.zeros(self.n)
-        for j, a in red.obj_coeffs.items():
-            c[j] = a
-        self.highs = HighsLp(c, self.compiled, sense)
-        self.iterations = 0  # HiGHS simplex iterations
-
-    @property
-    def rows(self) -> list[tuple[dict[int, float], str, float]]:
-        if self._rows is None:
-            self._rows = self.compiled.triples()
-        return self._rows
-
-    def add_rows(self, rows) -> None:
-        if self._rows is not None:
-            self._rows.extend(rows)
-        added = CompiledRows(rows, self.n)
-        self.compiled = self.compiled.append(added)
-        self.highs.add_rows(added)
-
-    def solve(self, lb, ub) -> LpResult:
-        if self.n == 0:
-            return LpResult(status=OPTIMAL, x=np.zeros(0), objective=0.0)
-        res = self.highs.solve(lb, ub)
-        self.iterations += res.iterations
-        return res
 
 
 def _fractional_index(x, int_idx) -> int | None:
@@ -374,13 +338,13 @@ def branch_and_bound(
     def out_of_time():
         return cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit
 
-    rel = None
+    relaxation = None
 
     def make_solution(status, red_values=None, obj_value=None, bound=None, nodes=0):
         sol = Solution(
             status=status,
             node_count=nodes,
-            lp_iterations=rel.iterations if rel else 0,
+            lp_iterations=relaxation.iterations if relaxation else 0,
             cut_counts=dict(cut_counts),
             wall_time=time.perf_counter() - t0,
         )
@@ -400,7 +364,7 @@ def branch_and_bound(
         return make_solution(OPTIMAL, np.zeros(0), red.obj_constant,
                              bound=red.obj_constant)
 
-    rel = _Relaxation(red, obj.sense)
+    relaxation = HighsLp(red.cost, red.rows, obj.sense)
     int_idx = np.flatnonzero(red.int_mask)
     lb, ub = red.lb.copy(), red.ub.copy()
 
@@ -408,7 +372,7 @@ def branch_and_bound(
         return bool(np.all(np.abs(x[int_idx] - np.round(x[int_idx])) <= INT_TOL))
 
     def lp(lo, hi):
-        res = rel.solve(lo, hi)
+        res = relaxation.solve(lo, hi)
         if res.objective is not None:
             res.objective += red.obj_constant
         return res
@@ -426,19 +390,19 @@ def branch_and_bound(
             # the model's last solve is this root: its basis gives the rows
             if cfg.gomory:
                 g = cutmod.gomory_cuts(
-                    rel.highs, rel.compiled, lb, ub, red.int_mask, root.x,
-                    max_cuts=CUTS_PER_ROUND,
+                    relaxation, lb, ub, red.int_mask, root.x, max_cuts=CUTS_PER_ROUND
                 )
                 if g:
-                    rel.add_rows(g)
+                    relaxation.add_rows(g)
                     cut_counts["gomory"] += len(g)
                     added += len(g)
             if cfg.cover:
-                cv = cutmod.cover_cuts_raw(
-                    rel.rows, red.kinds, root.x, max_cuts=CUTS_PER_ROUND
+                # over the rows as they stand: this round's Gomory cuts included
+                cv = cutmod.cover_cuts(
+                    relaxation.rows, red.binary, root.x, max_cuts=CUTS_PER_ROUND
                 )
                 if cv:
-                    rel.add_rows(cv)
+                    relaxation.add_rows(cv)
                     cut_counts["cover"] += len(cv)
                     added += len(cv)
             if added == 0:
@@ -525,7 +489,7 @@ def branch_and_bound(
             ):
                 continue
         node_lb, node_ub = lb_n.copy(), ub_n.copy()
-        if not _propagate(rel.compiled, node_lb, node_ub, red.int_mask, max_passes=1):
+        if not _propagate(relaxation.rows, node_lb, node_ub, red.int_mask, max_passes=1):
             node_count += 1
             continue
         res = lp(node_lb, node_ub)
@@ -585,9 +549,8 @@ def lp_solve(problem: MipProblem) -> Solution:
         sol.objective_value = obj.constant
         return sol
     red = _unreduced(problem, obj)
-    rel = _Relaxation(red, obj.sense)
-    res = rel.solve(red.lb, red.ub)
-    sol.lp_iterations = rel.iterations
+    res = HighsLp(red.cost, red.rows, obj.sense).solve(red.lb, red.ub)
+    sol.lp_iterations = res.iterations
     if res.status != OPTIMAL:
         sol.status = res.status
         return sol

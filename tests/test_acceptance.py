@@ -49,9 +49,11 @@ from fleetopt.fleet_mip import (
 )
 from fleetopt.forest import FeatureSchema, TrainConfig, train, train_test_split
 from fleetopt.mip import MipProblem, SolveConfig, branch_and_bound, lexicographic_solve
-from fleetopt.mip.cuts import cover_cuts_raw, gomory_cuts
+from fleetopt.mip.cuts import cover_cuts, gomory_cuts
+from fleetopt.mip.highs import HighsLp
 from fleetopt.mip.problem import Objective
-from fleetopt.mip.solver import _Relaxation, _reduce, fix_variables
+from fleetopt.mip.rows import CompiledRows
+from fleetopt.mip.solver import _reduce, fix_variables
 
 
 def report(criterion: int, detail: str):
@@ -181,19 +183,12 @@ def enumerate_lattice(lb, ub):
     return np.stack([g.ravel() for g in grids], axis=1).astype(float)
 
 
-def feasible_mask(rows, points):
-    mask = np.ones(len(points), dtype=bool)
-    for coeffs, rel, rhs in rows:
-        act = np.zeros(len(points))
-        for j, a in coeffs.items():
-            act += a * points[:, j]
-        if rel == "<=":
-            mask &= act <= rhs + 1e-9
-        elif rel == ">=":
-            mask &= act >= rhs - 1e-9
-        else:
-            mask &= np.abs(act - rhs) <= 1e-9
-    return mask
+def feasible_mask(rows, points, tol=1e-9):
+    """Which points satisfy every row of a ``CompiledRows`` within tol."""
+    act = points @ rows.matrix_t
+    mask = np.where(rows.le, act <= rows.rhs + tol, True)
+    mask &= np.where(rows.ge, act >= rows.rhs - tol, True)
+    return mask.all(axis=1)
 
 
 def test_criterion_2_solver_oracle_equivalence():
@@ -216,7 +211,7 @@ def test_criterion_2_solver_oracle_equivalence():
         if len(red.keep) == 0:
             continue
         points = enumerate_lattice(red.lb, red.ub)
-        feas = points[feasible_mask(red.compiled.triples(), points)]
+        feas = points[feasible_mask(red.rows, points)]
         assert len(feas) > 0, trial
         vals = np.full(len(feas), red.obj_constant)
         for j, c in red.obj_coeffs.items():
@@ -228,23 +223,17 @@ def test_criterion_2_solver_oracle_equivalence():
             assert sol.objective_value == pytest.approx(best, abs=1e-9), (trial, cfg)
         # separate root cuts exactly the way the solver does, then check
         # them against every enumerated integer-feasible point
-        rel = _Relaxation(red, "max")
-        res = rel.solve(red.lb, red.ub)
+        lp = HighsLp(red.cost, red.rows, "max")
+        res = lp.solve(red.lb, red.ub)
         if res.status != "Optimal":
             continue
-        gomory = gomory_cuts(rel.highs, rel.compiled, red.lb, red.ub, red.int_mask, res.x)
-        cuts = gomory + cover_cuts_raw(rel.rows, red.kinds, res.x)
+        gomory = gomory_cuts(lp, red.lb, red.ub, red.int_mask, res.x)
+        cover = cover_cuts(red.rows, red.binary, res.x)
         gomory_problems += bool(gomory)
-        if cuts:
+        if gomory or cover:
             cut_problems += 1
-            for coeffs, rel_op, rhs in cuts:
-                act = np.zeros(len(feas))
-                for j, a in coeffs.items():
-                    act += a * feas[:, j]
-                if rel_op == "<=":
-                    assert np.all(act <= rhs + 1e-7), trial
-                else:
-                    assert np.all(act >= rhs - 1e-7), trial
+            for cuts in (gomory, cover):
+                assert feasible_mask(cuts, feas, 1e-7).all(), trial
     elapsed = time.perf_counter() - started
     assert elapsed <= 120.0, f"took {elapsed:.1f}s"
     assert cut_problems >= 20  # the cut check must have real coverage
@@ -354,7 +343,7 @@ def test_criterion_5_lexicographic_contract():
         sol = lexicographic_solve(p, SolveConfig())
         lb, ub = p.bounds_arrays()
         points = enumerate_lattice(lb, ub)
-        rows = [(c.coeffs, c.relation, c.rhs) for c in p.constraints]
+        rows = CompiledRows.of_constraints(p.constraints, p.n_vars)
         feas = points[feasible_mask(rows, points)]
         if len(feas) == 0:
             assert sol.status == "Infeasible", trial

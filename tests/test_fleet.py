@@ -38,6 +38,16 @@ class TestInstance:
         assert np.allclose(inst.reposition_cost, [[7.0, 6.0], [6.5, 5.5]])
         assert np.all(inst.reposition_cost >= inst.booking_fee[None, :])
 
+    def test_empty_index_sets_rejected(self):
+        # every index set I, J and K is nonempty, so the supply matrix,
+        # which objectives average, always holds an entry
+        with pytest.raises(FleetError, match="at least one supply"):
+            small_instance(supply_areas=(), supply=np.zeros((0, 3)), distance_km=np.zeros((0, 2)))
+        with pytest.raises(FleetError, match="at least one supply"):
+            small_instance(demand_areas=(), demand=np.zeros((0, 3)), distance_km=np.zeros((2, 0)))
+        with pytest.raises(FleetError, match="soc_levels"):
+            small_instance(soc_levels=0, supply=np.zeros((2, 0)), demand=np.zeros((2, 0)))
+
     def test_overlapping_areas_rejected(self):
         with pytest.raises(FleetError):
             small_instance(demand_areas=(1, 9))

@@ -25,9 +25,10 @@ from fleetopt.bench.experiments import CUT_FAMILIES
 from fleetopt.mip import cuts as cutmod
 from fleetopt.mip import highs
 from fleetopt.mip import solver
+from fleetopt.mip.highs import HighsLp
 from fleetopt.mip.problem import Objective
 from fleetopt.mip.rows import CompiledRows, RowLevel
-from fleetopt.mip.solver import _fractional_index, _Relaxation, _unreduced
+from fleetopt.mip.solver import _fractional_index, _unreduced
 
 
 def two_var_lp():
@@ -113,6 +114,14 @@ def small_knapsack(rng):
         p.add_constraint(coeffs, "<=", int(max(1, 0.4 * total + rng.integers(0, 4))))
     p.set_objective("max", {f"v{j}": int(rng.integers(1, 7)) for j in range(n)})
     return p
+
+
+def satisfied(rows, points, tol):
+    """Which points (one per row of ``points``) satisfy every row within tol."""
+    act = points @ rows.matrix_t
+    ok = np.where(rows.le, act <= rows.rhs + tol, True)
+    ok &= np.where(rows.ge, act >= rows.rhs - tol, True)
+    return ok.all(axis=1)
 
 
 def random_integer_problem(rng, n_max=6, allow_eq=True):
@@ -231,26 +240,18 @@ class TestLpSolve:
         for _ in range(30):
             p = random_integer_problem(rng)
             red = _unreduced(p, p.objective)
-            stated = red.compiled.triples()
-            A = np.zeros((len(stated), p.n_vars))
-            for i, (coeffs, _, _) in enumerate(stated):
-                for j, a in coeffs.items():
-                    A[i, j] = a
-            rhs = np.array([r for _, _, r in stated])
-            le = np.array([rel == "<=" for _, rel, _ in stated], dtype=bool)
-            eq = np.array([rel == "=" for _, rel, _ in stated], dtype=bool)
-            c = np.zeros(p.n_vars)
-            for j, a in red.obj_coeffs.items():
-                c[j] = a
+            rows = red.rows
+            A = rows.matrix_t.T.toarray()
+            eq = rows.le & rows.ge
             ineq = ~eq
-            sign = np.where(le, 1.0, -1.0)[ineq]
+            sign = np.where(rows.le, 1.0, -1.0)[ineq]
             ref = linprog(
-                -c,
-                A_ub=sign[:, None] * A[ineq], b_ub=sign * rhs[ineq],
-                A_eq=A[eq], b_eq=rhs[eq],
+                -red.cost,
+                A_ub=sign[:, None] * A[ineq], b_ub=sign * rows.rhs[ineq],
+                A_eq=A[eq], b_eq=rows.rhs[eq],
                 bounds=list(zip(red.lb, red.ub)), method="highs-ipm",
             )
-            res = _Relaxation(red, "max").solve(red.lb, red.ub)
+            res = HighsLp(red.cost, rows, "max").solve(red.lb, red.ub)
             assert res.status == statuses[ref.status]
             if res.status == "Optimal":
                 assert res.objective == pytest.approx(-ref.fun, abs=1e-7)
@@ -381,7 +382,7 @@ class TestBranchAndBound:
         # which the root once got no tableau
         p = blocks_problem()
         red = solver._reduce(p, p.objective)
-        assert len(red.keep) * red.compiled.m > 20_000
+        assert len(red.keep) * red.rows.m > 20_000
 
         A = np.zeros((len(p.constraints), p.n_vars))
         for i, c in enumerate(p.constraints):
@@ -514,6 +515,15 @@ class TestBranchAndBound:
             assert warm.objective_value == pytest.approx(cold.objective_value)
 
 
+def assert_cut_rows(cuts, indptr, indices, data, rhs):
+    """``cuts`` are "<=" rows with exactly these CSR arrays and rhs."""
+    assert cuts.indptr.tolist() == indptr
+    assert cuts.indices.tolist() == indices
+    assert cuts.data.tolist() == data
+    assert cuts.rhs.tolist() == rhs
+    assert cuts.le.all() and not cuts.ge.any()
+
+
 class TestCuts:
     def test_integral_point_yields_no_cuts(self):
         p = MipProblem()
@@ -521,22 +531,67 @@ class TestCuts:
         p.add_constraint({"x": 1}, "<=", 3)
         p.set_objective("max", {"x": 1})
         red = _unreduced(p, p.objective)
-        rel = _Relaxation(red, "max")
-        res = rel.solve(red.lb, red.ub)
+        lp = HighsLp(red.cost, red.rows, "max")
+        res = lp.solve(red.lb, red.ub)
         assert res.x[0] == 3.0
-        assert gomory_cuts(rel.highs, rel.compiled, red.lb, red.ub, red.int_mask, res.x) == []
+        cuts = gomory_cuts(lp, red.lb, red.ub, red.int_mask, res.x)
+        assert len(cuts) == 0 and cuts.n == 1
 
     def test_cover_cut_on_knapsack(self):
-        p = MipProblem()
-        for j in range(3):
-            p.add_variable(f"x{j + 1}", "binary")
-        p.add_constraint({"x1": 3, "x2": 3, "x3": 3}, "<=", 5)
-        p.set_objective("max", {"x1": 1, "x2": 1, "x3": 1})
-        cuts = cover_cuts(p, np.array([5 / 9, 5 / 9, 5 / 9]))
-        assert len(cuts) == 1
-        coeffs, rel, rhs = cuts[0]
-        assert rel == "<=" and rhs == 1.0
-        assert coeffs == {0: 1.0, 1: 1.0, 2: 1.0}
+        rows = CompiledRows([({0: 3.0, 1: 3.0, 2: 3.0}, "<=", 5.0)], 3)
+        cuts = cover_cuts(rows, np.ones(3, dtype=bool), np.array([5 / 9, 5 / 9, 5 / 9]))
+        assert_cut_rows(cuts, [0, 3], [0, 1, 2], [1.0, 1.0, 1.0], [1.0])
+        # the cover {x1, x2} is listed first, then x0, which weighs at least
+        # as much as any cover item: x1 + x2 + x0 <= 1, violated by 0.2
+        rows = CompiledRows([({0: 4.0, 1: 3.0, 2: 3.0}, "<=", 5.0)], 3)
+        cuts = cover_cuts(rows, np.ones(3, dtype=bool), np.array([0.0, 0.6, 0.6]))
+        assert_cut_rows(cuts, [0, 3], [1, 2, 0], [1.0, 1.0, 1.0], [1.0])
+
+    def test_cover_cut_of_a_ge_row_complements_and_back_substitutes(self):
+        # -2 x0 + 3 x1 - 4 x2 >= -4 is 2 x0 - 3 x1 + 4 x2 <= 4; with x1
+        # complemented, 2 x0 + 3 (1 - x1) + 4 x2 <= 7. At x, the items' LP
+        # values are 0.9, 1.0 and 1.0. Ordered by (1 - value) / weight, ties
+        # in row order, the greedy cover takes 1 - x1 (weight 3), x2
+        # (weight 7, not yet over 7), then x0 (weight 9). Dropping any item
+        # leaves at most 7, so the cover is minimal, and no item lies
+        # outside it. Its cut (1 - x1) + x2 + x0 <= 2 is -x1 + x2 + x0 <= 1,
+        # listed in cover order and violated at x by 0.9
+        rows = CompiledRows([({0: -2.0, 1: 3.0, 2: -4.0}, ">=", -4.0)], 3)
+        x = np.array([0.9, 0.0, 1.0])
+        cuts = cover_cuts(rows, np.ones(3, dtype=bool), x)
+        assert_cut_rows(cuts, [0, 3], [1, 2, 0], [-1.0, 1.0, 1.0], [1.0])
+        # the cut holds at every binary point that satisfies the row
+        points = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
+        feasible = points[satisfied(rows, points, 0.0)]
+        assert len(feasible) == 7 and satisfied(cuts, feasible, 0.0).all()
+
+    def test_cover_skips_rows_it_cannot_act_on(self):
+        x = np.array([5 / 9, 5 / 9, 5 / 9, 0.5])
+        binary = np.array([True, True, True, False])
+        knapsack = ({0: 3.0, 1: 3.0, 2: 3.0}, "<=", 5.0)
+        skipped = [
+            ({0: 3.0, 1: 3.0, 3: 3.0}, "<=", 5.0),  # column 3 is not binary
+            ({0: 3.0, 1: 3.0, 2: 3.0}, "=", 5.0),  # an equality row
+            ({}, "<=", 5.0),  # an empty row
+        ]
+        assert len(cover_cuts(CompiledRows(skipped, 4), binary, x)) == 0
+        # the rows in between do not disturb the knapsack's cut
+        cuts = cover_cuts(CompiledRows(skipped + [knapsack], 4), binary, x)
+        assert_cut_rows(cuts, [0, 3], [0, 1, 2], [1.0, 1.0, 1.0], [1.0])
+        assert cuts.n == 4
+
+    def test_cover_keeps_a_repeated_cut_once_and_stops_at_max_cuts(self):
+        x = np.array([5 / 9, 5 / 9, 5 / 9, 0.6, 0.6])
+        binary = np.ones(5, dtype=bool)
+        first = ({0: 3.0, 1: 3.0, 2: 3.0}, "<=", 5.0)
+        second = ({3: 2.0, 4: 2.0}, "<=", 3.0)  # x3 + x4 <= 1, violated by 0.2
+        rows = CompiledRows([first, first, second], 5)
+        cuts = cover_cuts(rows, binary, x)
+        assert_cut_rows(cuts, [0, 3, 5], [0, 1, 2, 3, 4], [1.0] * 5, [1.0, 1.0])
+        # the repeated row counts toward no cut, so one cut is the first
+        one = cover_cuts(rows, binary, x, max_cuts=1)
+        assert_cut_rows(one, [0, 3], [0, 1, 2], [1.0, 1.0, 1.0], [1.0])
+        assert len(cover_cuts(rows, binary, x, max_cuts=0)) == 0
 
     def test_all_cuts_valid_by_enumeration(self):
         rng = np.random.default_rng(29)
@@ -544,39 +599,21 @@ class TestCuts:
         for _ in range(100):
             p = small_knapsack(rng)
             red = _unreduced(p, p.objective)
-            rel = _Relaxation(red, "max")
-            res = rel.solve(red.lb, red.ub)
+            lp = HighsLp(red.cost, red.rows, "max")
+            res = lp.solve(red.lb, red.ub)
             if res.status != "Optimal":
                 continue
-            cuts = gomory_cuts(
-                rel.highs, rel.compiled, red.lb, red.ub, red.int_mask, res.x
-            ) + cutmod.cover_cuts_raw(rel.rows, red.kinds, res.x)
-            if not cuts:
+            gomory = gomory_cuts(lp, red.lb, red.ub, red.int_mask, res.x)
+            cover = cover_cuts(red.rows, red.binary, res.x)
+            if not (gomory or cover):
                 continue
             lb, ub = red.lb, red.ub
-            stated = red.compiled.triples()
             ranges = [range(int(lb[i]), int(ub[i]) + 1) for i in range(len(red.keep))]
-            for point in itertools.product(*ranges):
-                values = np.array(point, dtype=float)
-                feasible = True
-                for coeffs, relation, rhs in stated:
-                    act = sum(a * values[j] for j, a in coeffs.items())
-                    if relation == "<=" and act > rhs + 1e-9:
-                        feasible = False
-                    elif relation == ">=" and act < rhs - 1e-9:
-                        feasible = False
-                    elif relation == "=" and abs(act - rhs) > 1e-9:
-                        feasible = False
-                    if not feasible:
-                        break
-                if not feasible:
-                    continue
-                for coeffs, relation, rhs in cuts:
-                    act = sum(a * values[j] for j, a in coeffs.items())
-                    if relation == "<=":
-                        assert act <= rhs + 1e-7, (coeffs, rhs, point)
-                    else:
-                        assert act >= rhs - 1e-7, (coeffs, rhs, point)
+            points = np.array(list(itertools.product(*ranges)), dtype=float)
+            feasible = points[satisfied(red.rows, points, 1e-9)]
+            for cuts in (gomory, cover):
+                held = satisfied(cuts, feasible, 1e-7)
+                assert held.all(), feasible[~held]
             checked += 1
         assert checked >= 20  # enough problems actually produced cuts
 
@@ -596,28 +633,20 @@ class TestCuts:
                 p.add_constraint(coeffs, "<=", int(rng.integers(3, 12)))
             p.set_objective("max", {v.name: int(rng.integers(1, 7)) for v in p.variables})
             red = _unreduced(p, p.objective)
-            rel = _Relaxation(red, "max")
-            res = rel.solve(red.lb, red.ub)
+            lp = HighsLp(red.cost, red.rows, "max")
+            res = lp.solve(red.lb, red.ub)
             if res.status != "Optimal":
                 continue
-            cuts = gomory_cuts(rel.highs, rel.compiled, red.lb, red.ub, red.int_mask, res.x)
-            stated = red.compiled.triples()
-            A = np.zeros((len(stated), p.n_vars))
-            for i, (coeffs, _, _) in enumerate(stated):
-                for j, a in coeffs.items():
-                    A[i, j] = a
-            rows = LinearConstraint(A, -np.inf, [rhs for _, _, rhs in stated])
-            for coeffs, relation, rhs in cuts:
-                assert relation == ">="
-                c = np.zeros(p.n_vars)
-                for j, a in coeffs.items():
-                    c[j] = a
+            cuts = gomory_cuts(lp, red.lb, red.ub, red.int_mask, res.x)
+            rows = LinearConstraint(red.rows.matrix_t.T.toarray(), *red.rows.row_bounds)
+            assert cuts.ge.all() and not cuts.le.any()
+            for c, rhs in zip(cuts.matrix_t.T.toarray(), cuts.rhs):
                 least = milp(
                     c, constraints=rows, integrality=red.int_mask.astype(float),
                     bounds=Bounds(red.lb, red.ub), options={"mip_rel_gap": 0.0},
                 )
                 assert least.status == 0
-                assert least.fun >= rhs - 1e-7 * max(1.0, abs(rhs)), (coeffs, rhs)
+                assert least.fun >= rhs - 1e-7 * max(1.0, abs(rhs)), (c, rhs)
                 assert c @ res.x < rhs  # and the LP point is cut off
                 mixed += bool(np.any(c[~red.int_mask]))
             checked += bool(cuts)
@@ -823,8 +852,8 @@ class TestReduction:
 
         real_reduce = solver._reduce
         real_propagate = solver._propagate
-        real_init = _Relaxation.__init__
-        real_add = _Relaxation.add_rows
+        real_init = HighsLp.__init__
+        real_add = HighsLp.add_rows
         real_schedule = CompiledRows._schedule
 
         def spy_reduce(problem, objective):
@@ -838,19 +867,22 @@ class TestReduction:
                 ref["rows"] = out[1]
             return red
 
-        def spy_init(self, red, sense):
-            real_init(self, red, sense)
+        def spy_init(self, c, rows, sense):
+            real_init(self, c, rows, sense)
             # the schedule the reduction built, relabelled
-            assert_same(self.compiled, self.n)
+            assert_same(self.rows, self.n)
             checks["reduced"] += 1
             phase[0] = "cuts"
 
         def spy_add(self, rows):
             real_add(self, rows)
-            cuts.extend(rows)
+            ptr, cols, vals = rows.indptr, rows.indices.tolist(), rows.data.tolist()
+            for i, (le, ge, rhs) in enumerate(zip(rows.le, rows.ge, rows.rhs.tolist())):
+                coeffs = dict(zip(cols[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]]))
+                cuts.append((coeffs, "=" if le and ge else "<=" if le else ">=", rhs))
             # a view over the same arrays: building its schedule leaves
             # the relaxation's rows as they were
-            assert_same(self.compiled.append(CompiledRows([], self.n)), self.n)
+            assert_same(self.rows.append(CompiledRows([], self.n)), self.n)
             checks["rounds"] += 1
 
         def spy_propagate(rows, *args, **kwargs):
@@ -864,8 +896,8 @@ class TestReduction:
 
         monkeypatch.setattr(solver, "_reduce", spy_reduce)
         monkeypatch.setattr(solver, "_propagate", spy_propagate)
-        monkeypatch.setattr(_Relaxation, "__init__", spy_init)
-        monkeypatch.setattr(_Relaxation, "add_rows", spy_add)
+        monkeypatch.setattr(HighsLp, "__init__", spy_init)
+        monkeypatch.setattr(HighsLp, "add_rows", spy_add)
         monkeypatch.setattr(CompiledRows, "_schedule", spy_schedule)
 
         rng = np.random.default_rng(23)
