@@ -46,10 +46,7 @@ from .forest import (
 )
 from .encoder import (
     EncoderError,
-    MipFragment,
-    attach_fragment,
-    dump_fragment_lp,
-    encode,
+    embed_forest,
     prune,
     trace_leaf,
 )
@@ -65,12 +62,10 @@ __all__ = [
     "Forest",
     "ForestError",
     "FulfillmentState",
-    "MipFragment",
     "PriceGrid",
     "TrainConfig",
     "TreeNode",
     "Violation",
-    "attach_fragment",
     "build_deterministic_mip",
     "build_feature_mip",
     "cascade_fulfill",
@@ -78,8 +73,7 @@ __all__ = [
     "decision_from_solution",
     "decision_to_vector",
     "decision_variable_names",
-    "dump_fragment_lp",
-    "encode",
+    "embed_forest",
     "evaluate_decision",
     "evaluate_r2",
     "fulfillment_from_solution",

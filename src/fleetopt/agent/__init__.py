@@ -34,8 +34,6 @@ from .types import (
     HistoryRecord,
     HistoryStore,
     IterationRecord,
-    Query,
-    variable_catalog,
 )
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "LlmGuide",
     "MatchResult",
     "PromptTemplates",
-    "Query",
     "ReplayClient",
     "build_agent_model",
     "extract_objective_source",
@@ -73,5 +70,4 @@ __all__ = [
     "satisfaction_score",
     "save_transcript",
     "sensitivity_scores",
-    "variable_catalog",
 ]

@@ -76,7 +76,7 @@ def build_agent_model(
         else None
     )
     mip = build_feature_mip(instance, forest, exogenous, grid=grid)
-    lower_to_mip(f_ast, instance, mip, as_secondary=True)
+    lower_to_mip(canonical, mip)
     return mip, canonical, grid
 
 

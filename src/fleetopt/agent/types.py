@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fleet import Decision, FleetInstance, decision_to_vector, decision_variable_names
+from ..fleet import Decision, FleetInstance, decision_to_vector
 from ..mip.solver import SolveConfig
 
 HISTORY_SCHEMA_VERSION = 1
@@ -15,16 +15,6 @@ HISTORY_SCHEMA_VERSION = 1
 
 class AgentError(RuntimeError):
     """Raised when the loop cannot produce a usable result."""
-
-
-@dataclass(frozen=True)
-class Query:
-    text: str
-    domain: str | None = None
-
-    def __post_init__(self):
-        if not self.text or not self.text.strip():
-            raise ValueError("query text must be nonempty")
 
 
 @dataclass
@@ -190,7 +180,6 @@ class AgentTrace:
     best_score: float = 0.0
     best_iteration: int = 0  # 0 means the historical baseline was kept
     response: str = ""
-    full_g: float | None = None  # populated when the FULL model was solved
     supply_areas: tuple[int, ...] = ()
     demand_areas: tuple[int, ...] = ()
 
@@ -224,8 +213,3 @@ class AgentTrace:
                 for r in self.iterations
             ],
         }
-
-
-def variable_catalog(instance: FleetInstance) -> tuple[str, ...]:
-    """All decision variable names in the shared order."""
-    return tuple(decision_variable_names(instance))

@@ -59,6 +59,4 @@ def make_history(
         )
     if not records:
         raise RuntimeError(f"no history day solved to optimality; failures: {failures}")
-    store = HistoryStore(variable_names=names, records=records)
-    store.failures = failures
-    return store
+    return HistoryStore(variable_names=names, records=records)

@@ -21,6 +21,7 @@ from .agent import (
     AgentConfig,
     ChatClient,
     LlmConfig,
+    build_agent_model,
     problem_match,
     run_agent,
 )
@@ -35,7 +36,6 @@ from .bench import (
     run_cuts_experiment,
     run_efficiency_experiment,
 )
-from .dsl import lower_to_mip
 from .agent.indicator import indicator_generate
 from .forest import Forest, TrainConfig, evaluate_r2, train, train_test_split
 from .fleet_mip import build_feature_mip, decision_from_solution
@@ -159,12 +159,14 @@ def cmd_solve(args) -> int:
     forest = _forest(args)
     instance = world.instance(args.day)
     exogenous = world.days[args.day].exogenous()
-    mip = build_feature_mip(instance, forest, exogenous)
     if args.query:
         result = indicator_generate(args.query, instance, guide="deterministic")
-        lower_to_mip(result.ast, instance, mip, as_secondary=True)
+        mip, _, _ = build_agent_model(
+            instance, forest, exogenous, result.ast, AgentConfig()
+        )
         solution = lexicographic_solve(mip, _solve_config(args))
     else:
+        mip = build_feature_mip(instance, forest, exogenous)
         solution = branch_and_bound(mip, _solve_config(args))
     print(solution.to_json())
     if solution.values:

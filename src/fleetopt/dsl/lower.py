@@ -10,14 +10,10 @@ orientation the LP can honor (penalized, not rewarded).
 
 from __future__ import annotations
 
-import re
-
-from ..fleet import FleetInstance
-from ..mip.problem import CONTINUOUS, GE, LE, MAX, MIN, MipProblem, Objective
-from .analysis import CanonicalForm, canonicalize
-from .parser import DslError, ObjectiveAst
-
-_UHAT_RE = re.compile(r"u_hat\[(-?\d+),(-?\d+)\]")
+from ..fleet_mip import add_binary_product
+from ..mip.problem import BINARY, CONTINUOUS, GE, MAX, MIN, MipProblem, Objective
+from .analysis import CanonicalForm
+from .parser import DslError
 
 
 def _expr_bounds(mip: MipProblem, terms, const: float) -> tuple[float, float]:
@@ -63,17 +59,11 @@ def _lower_abs(mip: MipProblem, form: CanonicalForm, token: str, tag: int) -> in
     return aux
 
 
-def _lower_product(
-    mip: MipProblem, instance: FleetInstance, tok_u: str, tok_x: str
-) -> list[tuple[int, float]]:
-    """Product u_hat * x as grid-weighted auxiliaries; returns
-    (variable index, price weight) pairs."""
-    match = _UHAT_RE.fullmatch(tok_u)
-    if not match:
-        raise DslError(f"cannot lower product of {tok_u} and {tok_x}")
-    j_id, k = int(match.group(1)), int(match.group(2))
-    rhos = getattr(mip, "price_rhos", {}).get((j_id, k))
-    if not rhos:
+def _lower_product(mip: MipProblem, tok_u: str, tok_x: str) -> list[tuple[int, float]]:
+    """Product u_hat * x as one auxiliary per fare selection binary;
+    returns (variable index, price weight) pairs."""
+    fares = _token_expr(mip, tok_u)
+    if any(mip.variables[idx].kind != BINARY for idx in fares.terms):
         raise DslError(
             f"product {tok_u}*{tok_x} needs fare selection binaries; "
             "build the model with a price grid"
@@ -82,42 +72,18 @@ def _lower_product(
     if len(x_expr.terms) != 1 or x_expr.constant != 0.0:
         raise DslError(f"{tok_x} does not map to a single column")
     x_idx = next(iter(x_expr.terms))
-    x_ub = mip.variables[x_idx].ub
-    cache = getattr(mip, "product_cache", None)
-    if cache is None:
-        cache = {}
-        mip.product_cache = cache
+    x = mip.variables[x_idx]
     out = []
-    for p, (rho_idx, price) in enumerate(rhos):
-        key = (rho_idx, x_idx)
-        if key in cache:
-            out.append((cache[key], price))
-            continue
-        name = f"prod[{mip.variables[rho_idx].name}*{mip.variables[x_idx].name}]"
-        prod = mip.add_variable(name, CONTINUOUS, 0.0, x_ub)
-        mip.add_constraint({prod: 1.0, rho_idx: -x_ub}, LE, 0.0, name=f"{name}:cap")
-        mip.add_constraint({prod: 1.0, x_idx: -1.0}, LE, 0.0, name=f"{name}:le_x")
-        mip.add_constraint(
-            {prod: 1.0, x_idx: -1.0, rho_idx: -x_ub}, GE, -x_ub, name=f"{name}:ge"
-        )
-        cache[key] = prod
-        out.append((prod, price))
+    for rho, price in fares.terms.items():
+        name = f"prod[{mip.variables[rho].name}*{x.name}]"
+        out.append((add_binary_product(mip, name, rho, x_idx, x.ub), price))
     return out
 
 
-def lower_to_mip(
-    ast: ObjectiveAst,
-    instance: FleetInstance,
-    mip: MipProblem,
-    as_secondary: bool = True,
-) -> Objective:
-    """Install an objective into a model built over the same instance.
-
-    With ``as_secondary`` the objective lands in the model's secondary
-    slot (the usual arrangement: predicted profit stays primary);
-    otherwise it replaces the primary objective.
-    """
-    form = canonicalize(ast, instance)
+def lower_to_mip(form: CanonicalForm, mip: MipProblem) -> Objective:
+    """Install a canonical objective as the model's secondary objective
+    (predicted profit stays primary). The model must be built over the
+    instance the form was expanded on."""
     sense = MAX if form.sense == "max" else MIN
     coeffs: dict[int, float] = {}
     constant = 0.0
@@ -150,15 +116,12 @@ def lower_to_mip(
             continue
         tok_a, tok_b = tokens
         if tok_a.startswith("u_hat") and tok_b.startswith("x"):
-            for prod_idx, price in _lower_product(mip, instance, tok_a, tok_b):
+            for prod_idx, price in _lower_product(mip, tok_a, tok_b):
                 accumulate(prod_idx, coeff * price)
         else:
             raise DslError(
                 f"product {tok_a}*{tok_b} is not representable in the linear model"
             )
 
-    if as_secondary:
-        mip.set_secondary_objective(sense, coeffs, constant)
-        return mip.secondary
-    mip.set_objective(sense, coeffs, constant)
-    return mip.objective
+    mip.set_secondary_objective(sense, coeffs, constant)
+    return mip.secondary

@@ -17,7 +17,8 @@ which shrinks the model without changing its predictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Collection
 
 import numpy as np
 
@@ -28,7 +29,7 @@ EPSILON_STRICT = 1e-6  # strict-side margin for continuous splits
 
 
 class EncoderError(ValueError):
-    """Raised for unusable bounds or malformed encode inputs."""
+    """Raised for unusable bounds or malformed embedding inputs."""
 
 
 def prune(tree: TreeNode, fixed_features: dict[int, float]) -> TreeNode:
@@ -55,7 +56,7 @@ def prune(tree: TreeNode, fixed_features: dict[int, float]) -> TreeNode:
 def trace_leaf(tree: TreeNode, features: np.ndarray) -> tuple[int, dict[int, int]]:
     """Deterministic descent (<= goes left); returns the reached leaf's
     preorder id and the implied 0/1 assignment of in-edge binaries."""
-    ids = _assign_ids(tree)
+    ids = {id(node): nid for nid, node in enumerate(_preorder(tree))}
     q: dict[int, int] = {nid: 0 for nid in ids.values() if nid != 0}
     node = tree
     while not node.is_leaf:
@@ -66,44 +67,17 @@ def trace_leaf(tree: TreeNode, features: np.ndarray) -> tuple[int, dict[int, int
     return ids[id(node)], q
 
 
-def _assign_ids(tree: TreeNode) -> dict[int, int]:
-    """Preorder node ids keyed by object identity; the root gets 0."""
-    ids: dict[int, int] = {}
-
-    def visit(node: TreeNode):
-        ids[id(node)] = len(ids)
+def _preorder(tree: TreeNode) -> list[TreeNode]:
+    """The nodes in preorder; a node's position is its id (the root's is 0)."""
+    nodes = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
         if not node.is_leaf:
-            visit(node.left)
-            visit(node.right)
-
-    visit(tree)
-    return ids
-
-
-@dataclass
-class MipFragment:
-    """Forest encoding detached from any concrete model.
-
-    ``q_edges`` lists (tree, node id) per edge binary. Branch rows pin
-    features against thresholds, flow rows conserve path activation,
-    leaf rows force one active leaf per tree. Objective terms attach
-    the per-leaf scores scaled by 1/|H|; trees pruned to a bare leaf
-    contribute through ``objective_constant`` instead.
-    """
-
-    n_trees: int
-    q_edges: list[tuple[int, int]] = field(default_factory=list)
-    # (tree, node, feature, threshold, left id, right id, M_left, M_right, right_rhs)
-    branch_rows: list[tuple] = field(default_factory=list)
-    flow_rows: list[tuple[int, int, int, int]] = field(default_factory=list)
-    leaf_rows: list[tuple[int, tuple[int, ...]]] = field(default_factory=list)
-    objective_terms: list[tuple[int, int, float]] = field(default_factory=list)
-    objective_constant: float = 0.0
-    feature_refs: set[int] = field(default_factory=set)
-
-    @property
-    def n_q(self) -> int:
-        return len(self.q_edges)
+            stack.append(node.right)
+            stack.append(node.left)
+    return nodes
 
 
 def _strict_right_rhs(threshold: float, is_integer: bool) -> float:
@@ -113,155 +87,84 @@ def _strict_right_rhs(threshold: float, is_integer: bool) -> float:
     return threshold + EPSILON_STRICT
 
 
-def encode(
+def embed_forest(
+    mip: MipProblem,
     forest: Forest,
     fixed_features: dict[int, float],
+    feature_exprs: dict[int, AffineExpr],
     var_bounds: dict[int, tuple[float, float]],
-    integer_features: set[int] | None = None,
-) -> MipFragment:
-    """Encode a forest over its unfixed features.
+    integer_features: Collection[int] = (),
+) -> tuple[dict[int, float], float]:
+    """Add a forest's edge binaries and rows to ``mip``.
 
-    ``var_bounds`` must give finite bounds for every decision feature
-    that survives pruning; ``integer_features`` marks the coordinates
-    whose strict right branch snaps to the next integer.
+    ``fixed_features`` are pruned away first. Every feature still split
+    on needs finite ``var_bounds`` and an affine expression over the
+    model's columns in ``feature_exprs``; ``integer_features`` marks the
+    coordinates whose strict right branch snaps to the next integer.
+    All splits are checked before any column is added, so a rejected
+    forest leaves the model as it was. Returns the objective that
+    averages the trees' predictions: a coefficient per edge column and
+    a constant, for the caller to install or compose.
     """
-    integer_features = integer_features or set()
-    fragment = MipFragment(n_trees=forest.n_trees)
-    scale = 1.0 / forest.n_trees
-    for t, raw_tree in enumerate(forest.trees):
-        tree = prune(raw_tree, fixed_features) if fixed_features else raw_tree
-        ids = _assign_ids(tree)
-        if tree.is_leaf:
-            fragment.objective_constant += scale * tree.value
-            continue
-        nodes = []
-        leaves = []
-
-        def visit(node: TreeNode):
-            nid = ids[id(node)]
-            nodes.append(nid)
+    trees = [
+        _preorder(prune(tree, fixed_features) if fixed_features else tree)
+        for tree in forest.trees
+    ]
+    for nodes in trees:
+        for node in nodes:
             if node.is_leaf:
-                leaves.append(nid)
-                fragment.objective_terms.append((t, nid, scale * node.value))
-                return
+                continue
             f = node.feature
             if f in fixed_features:
                 raise EncoderError("fixed feature survived pruning")
             if f not in var_bounds:
                 raise EncoderError(f"no bounds for decision feature {f}")
-            lb, ub = var_bounds[f]
-            if not (np.isfinite(lb) and np.isfinite(ub)):
+            if not all(map(math.isfinite, var_bounds[f])):
                 raise EncoderError(f"decision feature {f} needs finite bounds")
-            fragment.feature_refs.add(f)
-            lid = ids[id(node.left)]
-            rid = ids[id(node.right)]
+            if f not in feature_exprs:
+                raise EncoderError(f"no model expression for feature {f}")
+
+    scale = 1.0 / forest.n_trees
+    coeffs: dict[int, float] = {}
+    constant = 0.0
+    branch_rows, flow_rows, leaf_rows = [], [], []
+    for t, nodes in enumerate(trees):
+        if len(nodes) == 1:  # pruned to a bare leaf
+            constant += scale * nodes[0].value
+            continue
+        # the root's in-edge is the constant one, so it gets no column
+        q = [None] + [
+            mip.add_variable(f"q[{t},{nid}]", BINARY) for nid in range(1, len(nodes))
+        ]
+        ids = {id(node): nid for nid, node in enumerate(nodes)}
+        leaves = {}
+        for nid, node in enumerate(nodes):
+            if node.is_leaf:
+                leaves[q[nid]] = 1.0
+                coeffs[q[nid]] = scale * node.value
+                continue
+            f = node.feature
+            expr = feature_exprs[f]
+            lb, ub = var_bounds[f]
+            left, right = q[ids[id(node.left)]], q[ids[id(node.right)]]
             right_rhs = _strict_right_rhs(node.threshold, f in integer_features)
             m_left = max(0.0, ub - node.threshold)
             m_right = max(0.0, right_rhs - lb)
-            fragment.branch_rows.append(
-                (t, nid, f, node.threshold, lid, rid, m_left, m_right, right_rhs)
-            )
-            fragment.flow_rows.append((t, nid, lid, rid))
-            visit(node.left)
-            visit(node.right)
-
-        visit(tree)
-        fragment.q_edges.extend((t, nid) for nid in nodes if nid != 0)
-        fragment.leaf_rows.append((t, tuple(leaves)))
-    return fragment
-
-
-def attach_fragment(
-    fragment: MipFragment,
-    mip: MipProblem,
-    feature_exprs: dict[int, AffineExpr],
-    set_objective: bool = True,
-    prefix: str = "q",
-) -> dict:
-    """Materialize a fragment inside a model.
-
-    ``feature_exprs`` maps each referenced feature index to an affine
-    expression over the model's columns. Returns the objective terms
-    (coefficient per added q column, plus the constant) so callers can
-    compose them with other objective parts.
-    """
-    missing = fragment.feature_refs - set(feature_exprs)
-    if missing:
-        raise EncoderError(f"no model expression for features {sorted(missing)}")
-    q_index: dict[tuple[int, int], int] = {}
-    for t, nid in fragment.q_edges:
-        q_index[(t, nid)] = mip.add_variable(f"{prefix}[{t},{nid}]", BINARY)
-
-    def q_coeff(t: int, nid: int) -> dict[int, float] | None:
-        # the root in-edge is the constant 1, so it has no column
-        if (t, nid) in q_index:
-            return {q_index[(t, nid)]: 1.0}
-        return None
-
-    for t, nid, f, threshold, lid, rid, m_left, m_right, right_rhs in fragment.branch_rows:
-        expr = feature_exprs[f]
-        left = q_index[(t, lid)]
-        row = dict(expr.terms)
-        row[left] = row.get(left, 0.0) + m_left
-        mip.add_constraint(
-            row, LE, threshold + m_left - expr.constant, name=f"{prefix}brL[{t},{nid}]"
-        )
-        right = q_index[(t, rid)]
-        row = dict(expr.terms)
-        row[right] = row.get(right, 0.0) - m_right
-        mip.add_constraint(
-            row, GE, right_rhs - m_right - expr.constant, name=f"{prefix}brR[{t},{nid}]"
-        )
-    for t, nid, lid, rid in fragment.flow_rows:
-        row = {q_index[(t, lid)]: 1.0, q_index[(t, rid)]: 1.0}
-        if nid == 0:
-            mip.add_constraint(row, EQ, 1.0, name=f"{prefix}flow[{t},{nid}]")
-        else:
-            row[q_index[(t, nid)]] = row.get(q_index[(t, nid)], 0.0) - 1.0
-            mip.add_constraint(row, EQ, 0.0, name=f"{prefix}flow[{t},{nid}]")
-    for t, leaves in fragment.leaf_rows:
-        row = {}
-        constant = 0.0
-        for nid in leaves:
-            coeffs = q_coeff(t, nid)
-            if coeffs is None:
-                constant += 1.0
+            branch_rows.append((
+                {**expr.terms, left: m_left}, LE,
+                node.threshold + m_left - expr.constant, f"qbrL[{t},{nid}]",
+            ))
+            branch_rows.append((
+                {**expr.terms, right: -m_right}, GE,
+                right_rhs - m_right - expr.constant, f"qbrR[{t},{nid}]",
+            ))
+            if nid == 0:
+                flow_rows.append(({left: 1.0, right: 1.0}, EQ, 1.0, f"qflow[{t},{nid}]"))
             else:
-                for idx, c in coeffs.items():
-                    row[idx] = row.get(idx, 0.0) + c
-        mip.add_constraint(row, EQ, 1.0 - constant, name=f"{prefix}leaf[{t}]")
-
-    obj_coeffs: dict[int, float] = {}
-    constant = fragment.objective_constant
-    for t, nid, value in fragment.objective_terms:
-        coeffs = q_coeff(t, nid)
-        if coeffs is None:
-            constant += value
-        else:
-            for idx, c in coeffs.items():
-                obj_coeffs[idx] = obj_coeffs.get(idx, 0.0) + c * value
-    if set_objective:
-        mip.set_objective("max", obj_coeffs, constant)
-    return {"coeffs": obj_coeffs, "constant": constant, "q_index": q_index}
-
-
-def dump_fragment_lp(
-    fragment: MipFragment,
-    var_bounds: dict[int, tuple[float, float]],
-    path: str,
-    integer_features: set[int] | None = None,
-) -> None:
-    """Debug dump: materialize a fragment over bare feature columns and
-    write it in LP text format."""
-    from .mip.problem import CONTINUOUS, INTEGER, write_lp
-
-    integer_features = integer_features or set()
-    mip = MipProblem("fragment-dump")
-    exprs = {}
-    for f_idx in sorted(fragment.feature_refs):
-        lb, ub = var_bounds[f_idx]
-        kind = INTEGER if f_idx in integer_features else CONTINUOUS
-        idx = mip.add_variable(f"feat[{f_idx}]", kind, lb, ub)
-        exprs[f_idx] = AffineExpr.of_var(idx)
-    attach_fragment(fragment, mip, exprs, set_objective=True)
-    write_lp(mip, path)
+                flow_rows.append((
+                    {left: 1.0, right: 1.0, q[nid]: -1.0}, EQ, 0.0, f"qflow[{t},{nid}]"
+                ))
+        leaf_rows.append((leaves, EQ, 1.0, f"qleaf[{t}]"))
+    for row in branch_rows + flow_rows + leaf_rows:
+        mip.add_constraint(*row)
+    return coeffs, constant

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .encoder import attach_fragment, encode
+from .encoder import embed_forest
 from .fleet import (
     Decision,
     FleetError,
@@ -62,22 +62,26 @@ def _add_supply_rows(mip: MipProblem, instance: FleetInstance) -> None:
 
 def _add_gridded_fares(mip: MipProblem, instance: FleetInstance, grid: PriceGrid):
     """Fare selection binaries; u_hat becomes a grid-weighted expression."""
-    price_rhos: dict[tuple[int, int], list[tuple[int, float]]] = {}
     for j_pos, j in enumerate(instance.demand_areas):
         for k in range(instance.soc_levels):
-            cell = grid.cell(j_pos, k)
-            rhos = []
-            row = {}
-            for p, price in enumerate(cell):
-                idx = mip.add_variable(f"rho[{j},{k},{p}]", BINARY)
-                rhos.append((idx, float(price)))
-                row[idx] = 1.0
-            mip.add_constraint(row, EQ, 1.0, name=f"one_price[{j},{k}]")
-            price_rhos[(j, k)] = rhos
-            expr = AffineExpr(terms={idx: price for idx, price in rhos})
-            mip.expr_map[f"u_hat[{j},{k}]"] = expr
-    mip.price_rhos = price_rhos
-    return price_rhos
+            terms = {
+                mip.add_variable(f"rho[{j},{k},{p}]", BINARY): float(price)
+                for p, price in enumerate(grid.cell(j_pos, k))
+            }
+            mip.add_constraint(
+                dict.fromkeys(terms, 1.0), EQ, 1.0, name=f"one_price[{j},{k}]"
+            )
+            mip.expr_map[f"u_hat[{j},{k}]"] = AffineExpr(terms=terms)
+
+
+def add_binary_product(mip: MipProblem, name: str, rho: int, x: int, ub: float) -> int:
+    """Column ``name`` equal to ``rho * x`` for a binary ``rho`` and a
+    column ``x`` in [0, ub], pinned by three McCormick rows."""
+    p = mip.add_variable(name, CONTINUOUS, 0.0, ub)
+    mip.add_constraint({p: 1.0, rho: -ub}, LE, 0.0, name=f"{name}:cap")
+    mip.add_constraint({p: 1.0, x: -1.0}, LE, 0.0, name=f"{name}:le_x")
+    mip.add_constraint({p: 1.0, x: -1.0, rho: -ub}, GE, -ub, name=f"{name}:ge")
+    return p
 
 
 def build_deterministic_mip(instance: FleetInstance, grid: PriceGrid) -> MipProblem:
@@ -105,7 +109,7 @@ def build_deterministic_mip(instance: FleetInstance, grid: PriceGrid) -> MipProb
             mip.add_variable(f"d[{j},{k}]", INTEGER, 0, zjk)
             mip.add_variable(f"v[{j},{k}]", INTEGER, 0, tail_supply[k])
             mip.add_variable(f"delta[{j},{k}]", BINARY)
-    price_rhos = _add_gridded_fares(mip, instance, grid)
+    _add_gridded_fares(mip, instance, grid)
 
     _add_supply_rows(mip, instance)
     for j_pos, j in enumerate(instance.demand_areas):
@@ -141,20 +145,9 @@ def build_deterministic_mip(instance: FleetInstance, grid: PriceGrid) -> MipProb
             zjk = float(z[j_pos, k])
             d_idx = mip.var_index(f"d[{j},{k}]")
             obj[d_idx] = obj.get(d_idx, 0.0) + fee
-            for p, (rho_idx, price) in enumerate(price_rhos[(j, k)]):
-                rev = mip.add_variable(f"rev[{j},{k},{p}]", CONTINUOUS, 0, zjk)
-                mip.add_constraint(
-                    {rev: 1.0, rho_idx: -zjk}, LE, 0.0, name=f"rev_cap[{j},{k},{p}]"
-                )
-                mip.add_constraint(
-                    {rev: 1.0, d_idx: -1.0}, LE, 0.0, name=f"rev_le_d[{j},{k},{p}]"
-                )
-                mip.add_constraint(
-                    {rev: 1.0, d_idx: -1.0, rho_idx: -zjk},
-                    GE,
-                    -zjk,
-                    name=f"rev_ge[{j},{k},{p}]",
-                )
+            fares = mip.expr_map[f"u_hat[{j},{k}]"].terms
+            for p, (rho_idx, price) in enumerate(fares.items()):
+                rev = add_binary_product(mip, f"rev[{j},{k},{p}]", rho_idx, d_idx, zjk)
                 obj[rev] = obj.get(rev, 0.0) + instance.theta * price
     cost = instance.reposition_cost
     for i_pos, i in enumerate(instance.supply_areas):
@@ -222,8 +215,10 @@ def build_feature_mip(
             integer_features.add(f_idx)
         else:
             var_bounds[f_idx] = (lo, hi)
-    fragment = encode(forest, fixed, var_bounds, integer_features=integer_features)
-    attach_fragment(fragment, mip, feature_exprs, set_objective=True)
+    coeffs, constant = embed_forest(
+        mip, forest, fixed, feature_exprs, var_bounds, integer_features
+    )
+    mip.set_objective("max", coeffs, constant)
     return mip
 
 

@@ -112,9 +112,6 @@ class MipProblem:
     def var_index(self, name: str) -> int:
         return self._index[name]
 
-    def var_names(self) -> list[str]:
-        return [v.name for v in self.variables]
-
     def _coerce_coeffs(self, coeffs) -> dict[int, float]:
         out: dict[int, float] = {}
         for key, val in coeffs.items():
@@ -150,11 +147,6 @@ class MipProblem:
     @property
     def n_vars(self) -> int:
         return len(self.variables)
-
-    def integer_indices(self) -> list[int]:
-        return [
-            i for i, v in enumerate(self.variables) if v.kind in (INTEGER, BINARY)
-        ]
 
     def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         lb = np.array([v.lb for v in self.variables], dtype=float)
@@ -203,7 +195,6 @@ class MipProblem:
 # --- solutions ---
 
 OPTIMAL = "Optimal"
-FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
 UNBOUNDED = "Unbounded"
 TIME_LIMIT = "TimeLimit"

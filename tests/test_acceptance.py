@@ -246,7 +246,7 @@ def test_criterion_2_solver_oracle_equivalence():
 # --- criterion 3 ---------------------------------------------------------
 
 def test_criterion_3_encoder_fidelity():
-    from fleetopt.encoder import attach_fragment, encode
+    from fleetopt.encoder import embed_forest
     from fleetopt.mip import AffineExpr
 
     rng = np.random.default_rng(3003)
@@ -259,13 +259,13 @@ def test_criterion_3_encoder_fidelity():
     cfg = TrainConfig(n_trees=25, max_depth=6, min_samples_leaf=2, seed=5)
     forest = train(rows, cfg, schema)
 
-    frag = encode(forest, {}, {0: (0, 19), 1: (0, 19)}, integer_features={0, 1})
     mip = MipProblem()
     exprs = {}
     for f_idx in (0, 1):
         idx = mip.add_variable(f"d{f_idx}", "integer", 0, 19)
         exprs[f_idx] = AffineExpr.of_var(idx)
-    attach_fragment(frag, mip, exprs)
+    bounds = {0: (0, 19), 1: (0, 19)}
+    mip.set_objective("max", *embed_forest(mip, forest, {}, exprs, bounds, {0, 1}))
 
     for _ in range(50):
         a, b = rng.integers(0, 20, 2)
@@ -416,7 +416,7 @@ def test_criterion_7_dsl_and_similarity():
         value = evaluate(ast, inst, dec)
         assert np.isfinite(value), entry.query
         mip = build_deterministic_mip(inst, grid)
-        lower_to_mip(ast, inst, mip, as_secondary=True)
+        lower_to_mip(canonicalize(ast, inst), mip)
         assert mip.secondary is not None, entry.query
 
     full = parse("maximize sum(j in J, k in K) u_hat[j,k]")

@@ -54,6 +54,19 @@ class TestCli:
         assert '"status": "Optimal"' in printed
         assert '"decision"' in printed
 
+    @pytest.mark.parametrize(
+        "query", ["Market share of taxis", "Dispatching efficiency of taxis"]
+    )
+    def test_solve_product_query(self, pipeline, capsys, query):
+        # fare-allocation products need the fare grid the agent model adds
+        _, out = pipeline
+        code = main(["solve", "--world", str(out / "world.json"),
+                     "--forest", str(out / "forest.json"), "--day", "0",
+                     "--query", query, "--time-limit", "1"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert '"decision"' in captured.out
+
     def test_agent_runs_offline(self, pipeline, capsys):
         config, out = pipeline
         code = main(["agent", "--world", str(out / "world.json"),

@@ -15,7 +15,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "name", ["05_forest_to_mip.py", "06_solver_tour.py", "07_guided_fixing.py"]
+    "name",
+    [
+        "01_cascade_and_profit.py",
+        "02_exact_model.py",
+        "03_objective_language.py",
+        "04_forest_profit_model.py",
+        "05_forest_to_mip.py",
+        "06_solver_tour.py",
+        "07_guided_fixing.py",
+    ],
 )
 def test_demo_runs(name):
     env = dict(os.environ)

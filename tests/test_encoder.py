@@ -4,8 +4,7 @@ import pytest
 from fleetopt.encoder import (
     EPSILON_STRICT,
     EncoderError,
-    attach_fragment,
-    encode,
+    embed_forest,
     prune,
     trace_leaf,
 )
@@ -97,72 +96,107 @@ class TestTraceLeaf:
                 assert find(tree, leaf_id).value == tree.predict(x)
 
 
+def feature_columns(mip, bounds, integer=True):
+    """One bare column per bounded feature; returns their expressions."""
+    kind = "integer" if integer else "continuous"
+    return {
+        f_idx: AffineExpr.of_var(mip.add_variable(f"f{f_idx}", kind, lo, hi))
+        for f_idx, (lo, hi) in bounds.items()
+    }
+
+
+def embed_on_columns(forest, bounds, integer=True):
+    """The forest embedded over bare feature columns, its prediction
+    installed as the objective."""
+    mip = MipProblem()
+    exprs = feature_columns(mip, bounds, integer)
+    integer_features = set(bounds) if integer else set()
+    mip.set_objective(
+        "max", *embed_forest(mip, forest, {}, exprs, bounds, integer_features)
+    )
+    return mip
+
+
+def row(mip, name):
+    return next(con for con in mip.constraints if con.name == name)
+
+
+def stump_split(mip):
+    """(M_left, M_right, strict right rhs) read off a stump's branch rows."""
+    left, right = row(mip, "qbrL[0,0]"), row(mip, "qbrR[0,0]")
+    m_left = left.coeffs[mip.var_index("q[0,1]")]
+    m_right = -right.coeffs[mip.var_index("q[0,2]")]
+    return m_left, m_right, right.rhs + m_right
+
+
 class TestEncode:
     def test_stump_fragment_counts(self):
-        frag = encode(forest_of([stump()]), {}, {0: (0, 10)}, integer_features={0})
-        assert frag.n_q == 2
-        assert len(frag.branch_rows) == 1
-        assert len(frag.flow_rows) == 1
-        assert len(frag.leaf_rows) == 1
+        mip = MipProblem()
+        exprs = feature_columns(mip, {0: (0, 10)})
+        coeffs, constant = embed_forest(
+            mip, forest_of([stump()]), {}, exprs, {0: (0, 10)}, {0}
+        )
+        assert [v.name for v in mip.variables] == ["f0", "q[0,1]", "q[0,2]"]
+        assert [con.name for con in mip.constraints] == [
+            "qbrL[0,0]", "qbrR[0,0]", "qflow[0,0]", "qleaf[0]"
+        ]
+        assert coeffs == {1: 10.0, 2: 20.0} and constant == 0.0
         # per-node big-M from bounds
-        _, _, _, threshold, _, _, m_left, m_right, right_rhs = frag.branch_rows[0]
+        m_left, m_right, right_rhs = stump_split(mip)
+        assert row(mip, "qbrL[0,0]").rhs == 10.0  # threshold + M_left
         assert m_left == pytest.approx(10 - 3.5)
         assert right_rhs == 4.0  # integer feature: next integer past 3.5
         assert m_right == pytest.approx(4.0)
 
     def test_constant_forest_encodes_to_constant(self):
-        frag = encode(forest_of([TreeNode(value=4.0), TreeNode(value=6.0)]), {},
-                      {0: (0, 10)})
-        assert frag.n_q == 0
-        assert frag.objective_constant == pytest.approx(5.0)
+        mip = MipProblem()
+        exprs = feature_columns(mip, {0: (0, 10)})
+        forest = forest_of([TreeNode(value=4.0), TreeNode(value=6.0)])
+        coeffs, constant = embed_forest(mip, forest, {}, exprs, {0: (0, 10)})
+        assert mip.n_vars == 1 and not mip.constraints
+        assert coeffs == {}
+        assert constant == pytest.approx(5.0)
+
+    def assert_rejected(self, bounds, expr_features=(0, 1)):
+        # the second tree is the bad one: the first must not be embedded
+        forest = forest_of([stump(feature=0), stump(feature=1)], n_features=2)
+        mip = MipProblem()
+        exprs = feature_columns(mip, {f_idx: (0, 10) for f_idx in expr_features})
+        before = (mip.n_vars, len(mip.constraints))
+        with pytest.raises(EncoderError):
+            embed_forest(mip, forest, {}, exprs, bounds, {0, 1})
+        assert (mip.n_vars, len(mip.constraints)) == before
 
     def test_unbounded_feature_rejected(self):
-        with pytest.raises(EncoderError):
-            encode(forest_of([stump()]), {}, {0: (0, float("inf"))})
+        self.assert_rejected({0: (0, 10), 1: (0, float("inf"))})
 
     def test_missing_bounds_rejected(self):
-        with pytest.raises(EncoderError):
-            encode(forest_of([stump()]), {}, {})
+        self.assert_rejected({0: (0, 10)})
+
+    def test_missing_expression_rejected(self):
+        self.assert_rejected({0: (0, 10), 1: (0, 10)}, expr_features=(0,))
 
     def test_integral_threshold_right_branch(self):
         # threshold exactly 3.0 on an integer feature: right means >= 4
-        frag = encode(forest_of([stump(threshold=3.0)]), {}, {0: (0, 10)},
-                      integer_features={0})
-        right_rhs = frag.branch_rows[0][8]
-        assert right_rhs == 4.0
+        mip = embed_on_columns(forest_of([stump(threshold=3.0)]), {0: (0, 10)})
+        assert stump_split(mip)[2] == 4.0
 
     def test_continuous_feature_uses_epsilon(self):
-        frag = encode(forest_of([stump(threshold=3.5)]), {}, {0: (0.0, 10.0)})
-        right_rhs = frag.branch_rows[0][8]
-        assert right_rhs == 3.5 + EPSILON_STRICT
+        mip = embed_on_columns(
+            forest_of([stump(threshold=3.5)]), {0: (0.0, 10.0)}, integer=False
+        )
+        assert stump_split(mip)[2] == 3.5 + EPSILON_STRICT
 
     def test_lp_debug_dump(self, tmp_path):
-        from fleetopt.encoder import dump_fragment_lp
-        from fleetopt.mip import read_lp
+        from fleetopt.mip import read_lp, write_lp
 
-        frag = encode(forest_of([stump()]), {}, {0: (0, 10)},
-                      integer_features={0})
-        path = tmp_path / "fragment.lp"
-        dump_fragment_lp(frag, {0: (0, 10)}, str(path), integer_features={0})
+        mip = embed_on_columns(forest_of([stump()]), {0: (0, 10)})
+        path = tmp_path / "forest.lp"
+        write_lp(mip, str(path))
         again = read_lp(str(path))
         sol = branch_and_bound(again)
         # the dumped model maximizes the stump: right leaf pays 20
         assert sol.objective_value == pytest.approx(20.0)
-
-
-def attach_on_grid(forest, bounds, integer=True):
-    frag = encode(
-        forest, {}, bounds,
-        integer_features=set(bounds) if integer else set(),
-    )
-    mip = MipProblem()
-    exprs = {}
-    for f_idx, (lo, hi) in bounds.items():
-        idx = mip.add_variable(f"f{f_idx}", "integer" if integer else "continuous",
-                               lo, hi)
-        exprs[f_idx] = AffineExpr.of_var(idx)
-    attach_fragment(frag, mip, exprs)
-    return mip
 
 
 class TestFidelity:
@@ -172,7 +206,7 @@ class TestFidelity:
                 for row in rng.integers(0, 10, (120, 2)).astype(float)]
         schema = FeatureSchema(names=("a", "b"), n_exogenous=0)
         f = train(rows, TrainConfig(n_trees=8, max_depth=4, seed=3), schema)
-        mip = attach_on_grid(f, {0: (0, 9), 1: (0, 9)})
+        mip = embed_on_columns(f, {0: (0, 9), 1: (0, 9)})
         for _ in range(25):
             a, b = rng.integers(0, 10, 2)
             fixed = fix_variables(mip, {"f0": float(a), "f1": float(b)})
@@ -188,7 +222,7 @@ class TestFidelity:
                 for row in rng.integers(0, 9, (100, 2)).astype(float)]
         schema = FeatureSchema(names=("a", "b"), n_exogenous=0)
         f = train(rows, TrainConfig(n_trees=6, max_depth=4, seed=5), schema)
-        mip = attach_on_grid(f, {0: (0, 8), 1: (0, 8)})
+        mip = embed_on_columns(f, {0: (0, 8), 1: (0, 8)})
         sol = branch_and_bound(mip)
         grid_max = max(
             f.predict([float(a), float(b)]) for a in range(9) for b in range(9)
@@ -201,23 +235,14 @@ class TestFidelity:
                 for row in rng.integers(0, 6, (60, 2)).astype(float)]
         schema = FeatureSchema(names=("a", "b"), n_exogenous=0)
         f = train(rows, TrainConfig(n_trees=5, max_depth=3, seed=7), schema)
-        frag = encode(f, {}, {0: (0, 5), 1: (0, 5)}, integer_features={0, 1})
-        mip = MipProblem()
-        exprs = {}
-        for f_idx in (0, 1):
-            idx = mip.add_variable(f"f{f_idx}", "integer", 0, 5)
-            exprs[f_idx] = AffineExpr.of_var(idx)
-        info = attach_fragment(frag, mip, exprs)
+        mip = embed_on_columns(f, {0: (0, 5), 1: (0, 5)})
         sol = branch_and_bound(mip)
         assert sol.status == "Optimal"
         # exactly one active leaf in-edge per encoded tree
-        leaf_edges = {}
-        for t, leaves in frag.leaf_rows:
-            total = sum(
-                sol.values.get(f"q[{t},{nid}]", 1.0) for nid in leaves
-            )
-            leaf_edges[t] = total
-        for t, total in leaf_edges.items():
+        leaf_rows = [con for con in mip.constraints if con.name.startswith("qleaf[")]
+        assert len(leaf_rows) == f.n_trees
+        for con in leaf_rows:
+            total = sum(sol.values[mip.variables[idx].name] for idx in con.coeffs)
             assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_pruning_soundness_against_bound_fixing(self):
@@ -228,19 +253,17 @@ class TestFidelity:
         f = train(rows, TrainConfig(n_trees=4, max_depth=4, seed=11), schema)
         for trial in range(20):
             e_val = float(rng.integers(0, 7))
-            # route 1: prune the exogenous feature, encode the rest
-            frag1 = encode(f, {0: e_val}, {1: (0, 6), 2: (0, 6)},
-                           integer_features={1, 2})
+            # route 1: prune the exogenous feature, embed the rest
             mip1 = MipProblem()
             exprs = {}
             for f_idx, name in ((1, "a"), (2, "b")):
                 idx = mip1.add_variable(name, "integer", 0, 6)
                 exprs[f_idx] = AffineExpr.of_var(idx)
-            attach_fragment(frag1, mip1, exprs)
+            mip1.set_objective("max", *embed_forest(
+                mip1, f, {0: e_val}, exprs, {1: (0, 6), 2: (0, 6)}, {1, 2}
+            ))
             sol1 = branch_and_bound(mip1)
             # route 2: keep the feature as a column fixed through bounds
-            frag2 = encode(f, {}, {0: (e_val, e_val), 1: (0, 6), 2: (0, 6)},
-                           integer_features={1, 2})
             mip2 = MipProblem()
             exprs = {}
             idx = mip2.add_variable("e", "integer", e_val, e_val)
@@ -248,7 +271,8 @@ class TestFidelity:
             for f_idx, name in ((1, "a"), (2, "b")):
                 idx = mip2.add_variable(name, "integer", 0, 6)
                 exprs[f_idx] = AffineExpr.of_var(idx)
-            attach_fragment(frag2, mip2, exprs)
+            bounds = {0: (e_val, e_val), 1: (0, 6), 2: (0, 6)}
+            mip2.set_objective("max", *embed_forest(mip2, f, {}, exprs, bounds, {1, 2}))
             sol2 = branch_and_bound(mip2)
             assert sol1.objective_value == pytest.approx(
                 sol2.objective_value, abs=1e-6
@@ -261,15 +285,14 @@ class TestFidelity:
         # the left edge at 1 - 5e-7: integral within INT_TOL, but with
         # the fare on the right side of the split.
         forest = forest_of([stump(threshold=5.0, left=100.0, right=0.0)])
-        frag = encode(forest, {}, {0: (0.0, 6.0)})
         mip = MipProblem()
         fare = mip.add_variable("fare", "continuous", 0.0, 6.0)
-        info = attach_fragment(frag, mip, {0: AffineExpr.of_var(fare)},
-                               set_objective=False)
+        coeffs, constant = embed_forest(
+            mip, forest, {}, {0: AffineExpr.of_var(fare)}, {0: (0.0, 6.0)}
+        )
         mip.add_constraint({fare: 1.0}, "<=", 5.0 + 5e-7)
-        coeffs = dict(info["coeffs"])
         coeffs[fare] = 200.0
-        mip.set_objective("max", coeffs, info["constant"])
+        mip.set_objective("max", coeffs, constant)
         # the unpolished LP point lands just past the threshold
         root = lp_solve(mip)
         assert abs(root.values["q[0,1]"] - 1.0) <= INT_TOL

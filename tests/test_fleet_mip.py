@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fleetopt.dsl import DslError, lower_to_mip, parse
+from fleetopt.dsl import DslError, canonicalize, lower_to_mip, parse
 from fleetopt.fleet import (
     Decision,
     FleetInstance,
@@ -140,34 +140,35 @@ class TestDeterministicModel:
         assert bad == []
 
 
-class TestFeatureModel:
-    def make_forest(self, inst):
-        names = ("temperature",) + tuple(
-            f"x[{i},{j},{k}]"
-            for i in inst.supply_areas
-            for j in inst.demand_areas
-            for k in range(inst.soc_levels)
-        ) + tuple(
-            f"u_hat[{j},{k}]"
-            for j in inst.demand_areas
-            for k in range(inst.soc_levels)
-        )
-        schema = FeatureSchema(names=names, n_exogenous=1)
-        # stump on temperature (pruned away) over two constant subtrees
-        tree = TreeNode(
-            feature=0, threshold=15.0,
-            left=TreeNode(value=10.0), right=TreeNode(value=30.0),
-        )
-        # second tree splits on the first allocation variable
-        tree2 = TreeNode(
-            feature=1, threshold=0.5,
-            left=TreeNode(value=0.0), right=TreeNode(value=8.0),
-        )
-        return Forest(trees=[tree, tree2], schema=schema, config=TrainConfig(), seed=0)
+def stump_forest(inst):
+    names = ("temperature",) + tuple(
+        f"x[{i},{j},{k}]"
+        for i in inst.supply_areas
+        for j in inst.demand_areas
+        for k in range(inst.soc_levels)
+    ) + tuple(
+        f"u_hat[{j},{k}]"
+        for j in inst.demand_areas
+        for k in range(inst.soc_levels)
+    )
+    schema = FeatureSchema(names=names, n_exogenous=1)
+    # stump on temperature (pruned away) over two constant subtrees
+    tree = TreeNode(
+        feature=0, threshold=15.0,
+        left=TreeNode(value=10.0), right=TreeNode(value=30.0),
+    )
+    # second tree splits on the first allocation variable
+    tree2 = TreeNode(
+        feature=1, threshold=0.5,
+        left=TreeNode(value=0.0), right=TreeNode(value=8.0),
+    )
+    return Forest(trees=[tree, tree2], schema=schema, config=TrainConfig(), seed=0)
 
+
+class TestFeatureModel:
     def test_exogenous_pruning_and_objective(self):
         inst = tiny_instance()
-        forest = self.make_forest(inst)
+        forest = stump_forest(inst)
         mip = build_feature_mip(inst, forest, {"temperature": 20.0})
         sol = branch_and_bound(mip)
         assert sol.status == "Optimal"
@@ -184,13 +185,13 @@ class TestFeatureModel:
             supply_areas=(5,), demand_areas=(6,), soc_levels=1,
             supply=[[2]], demand=[[1]], distance_km=[[4.0]],
         )
-        forest = self.make_forest(other)
+        forest = stump_forest(other)
         with pytest.raises(FleetError):
             build_feature_mip(inst, forest, {"temperature": 20.0})
 
     def test_prediction_matches_at_fixed_decisions(self):
         inst = tiny_instance()
-        forest = self.make_forest(inst)
+        forest = stump_forest(inst)
         mip = build_feature_mip(inst, forest, {"temperature": 10.0})
         from fleetopt.mip.solver import fix_variables
 
@@ -210,11 +211,13 @@ class TestLowering:
         )
         self.grid = PriceGrid.uniform(self.inst, 3)
 
+    def lower(self, ast, mip):
+        return lower_to_mip(canonicalize(ast, self.inst), mip)
+
     def test_linear_objective_adds_no_variables(self):
         mip = build_deterministic_mip(self.inst, self.grid)
         before = mip.n_vars
-        lower_to_mip(parse("maximize sum(i in I, j in J, k in K) x[i,j,k]"),
-                     self.inst, mip)
+        self.lower(parse("maximize sum(i in I, j in J, k in K) x[i,j,k]"), mip)
         assert mip.n_vars == before
         assert mip.secondary is not None
 
@@ -223,7 +226,7 @@ class TestLowering:
         before_v, before_c = mip.n_vars, len(mip.constraints)
         src = ("minimize sum(j in J) abs(demand_avg[j] - inventory_avg - "
                "sum(i in I, k in K) x[i,j,k])")
-        lower_to_mip(parse(src), self.inst, mip)
+        self.lower(parse(src), mip)
         assert mip.n_vars == before_v + 2  # one aux per demand area
         assert len(mip.constraints) == before_c + 4
 
@@ -231,7 +234,7 @@ class TestLowering:
         mip = build_deterministic_mip(self.inst, self.grid)
         before = mip.n_vars
         src = "maximize sum(i in I, j in J, k in K) (u[j,k] * x[i,j,k])"
-        lower_to_mip(parse(src), self.inst, mip)
+        self.lower(parse(src), mip)
         # one product variable per (rho point, allocation) pair
         pairs = self.inst.n_supply * self.inst.n_demand * self.inst.soc_levels
         assert mip.n_vars == before + 3 * pairs
@@ -250,16 +253,15 @@ class TestLowering:
                         config=TrainConfig(), seed=0)
         mip = build_feature_mip(self.inst, forest, {})
         with pytest.raises(DslError, match="price grid"):
-            lower_to_mip(
-                parse("maximize sum(i in I, j in J, k in K) (u[j,k] * x[i,j,k])"),
-                self.inst, mip,
+            self.lower(
+                parse("maximize sum(i in I, j in J, k in K) (u[j,k] * x[i,j,k])"), mip
             )
 
     def test_rewarded_abs_rejected(self):
         mip = build_deterministic_mip(self.inst, self.grid)
         src = "maximize sum(j in J) abs(demand_avg[j] - sum(i in I, k in K) x[i,j,k])"
         with pytest.raises(DslError, match="abs"):
-            lower_to_mip(parse(src), self.inst, mip)
+            self.lower(parse(src), mip)
 
     def test_lowered_secondary_matches_evaluate(self):
         # solve lexicographically, then check f at the solution decision
@@ -268,7 +270,35 @@ class TestLowering:
         rng = np.random.default_rng(2)
         mip = build_deterministic_mip(self.inst, self.grid)
         ast = parse("minimize sum(j in J, k in K) u[j,k]")
-        lower_to_mip(ast, self.inst, mip)
+        self.lower(ast, mip)
+        sol = lexicographic_solve(mip, SolveConfig())
+        assert sol.status == "Optimal"
+        dec = decision_from_solution(self.inst, mip, sol)
+        assert evaluate(ast, self.inst, dec) == pytest.approx(
+            sol.secondary_value, abs=1e-6
+        )
+
+    def test_product_query_through_agent_model(self):
+        from fleetopt.agent import AgentConfig, build_agent_model, indicator_generate
+        from fleetopt.dsl import evaluate
+
+        ast = indicator_generate(
+            "Market share of taxis", self.inst, guide="deterministic"
+        ).ast
+        mip, _, grid = build_agent_model(
+            self.inst, stump_forest(self.inst), {"temperature": 20.0}, ast,
+            AgentConfig(grid_points=3),
+        )
+        assert grid is not None
+        # one product column per (grid point, allocation) pair
+        products = {v.name for v in mip.variables if v.name.startswith("prod[")}
+        assert products == {
+            f"prod[rho[{j},{k},{p}]*x[{i},{j},{k}]]"
+            for i in self.inst.supply_areas
+            for j in self.inst.demand_areas
+            for k in range(self.inst.soc_levels)
+            for p in range(3)
+        }
         sol = lexicographic_solve(mip, SolveConfig())
         assert sol.status == "Optimal"
         dec = decision_from_solution(self.inst, mip, sol)
