@@ -3,9 +3,12 @@
 Trees split on maximum variance reduction with thresholds at midpoints
 between consecutive distinct observed values; descent sends
 ``feature <= threshold`` left. Training is deterministic given the
-seed (per-tree generators are spawned from one seed sequence), ties in
-variance reduction break toward the lowest feature index and then the
-lowest threshold.
+seed (per-tree generators are spawned from one seed sequence). Splits
+are scanned feature by feature in index order, then by threshold
+ascending, and a split replaces the best so far only when its variance
+reduction exceeds the best by more than 1e-12 (the first must exceed
+2e-12). So ties, and near-ties within 1e-12, break toward the lowest
+feature index and then the lowest threshold.
 """
 
 from __future__ import annotations
@@ -213,34 +216,48 @@ class Forest:
 
 
 def _best_split(X, y, feature_order, min_leaf):
-    """Best (feature, threshold, score) by variance reduction; None when
-    no admissible split improves on the parent."""
+    """Best (feature, threshold) by variance reduction; None when no
+    admissible split beats the parent by the improvement rule.
+
+    Scores every (feature, split position) pair of the node in one array
+    pass. The scan order of the rule is feature-major: features in
+    ``feature_order``, then positions ascending. A candidate it accepts
+    beats every score before it, so only the strict prefix maxima of the
+    flattened scores are replayed through the scalar comparison.
+    """
     n = len(y)
     parent_sse = float(np.sum(y * y) - (np.sum(y) ** 2) / n)
+    feats = np.asarray(feature_order, dtype=np.intp)
+    # split after s rows, min_leaf <= s <= n - min_leaf; row i of the
+    # score table is s = i + min_leaf
+    lo, hi = min_leaf, n - min_leaf
+    if hi < lo:
+        return None
+    values = X[:, feats]
+    order = np.argsort(values, axis=0, kind="stable")
+    xv = np.take_along_axis(values, order, axis=0)
+    yv = y[order]
+    csum = np.cumsum(yv, axis=0)
+    csq = np.cumsum(yv * yv, axis=0)
+    sl, ql = csum[lo - 1 : hi], csq[lo - 1 : hi]
+    sr, qr = csum[-1] - sl, csq[-1] - ql
+    nl = np.arange(lo, hi + 1, dtype=float)[:, None]
+    nr = n - nl
+    sse = (ql - sl * sl / nl) + (qr - sr * sr / nr)
+    score = parent_sse - sse
+    score[xv[lo - 1 : hi] == xv[lo : hi + 1]] = -np.inf  # not between distinct values
+    flat = score.ravel(order="F")
+    # fmax skips NaN scores, which the scalar comparison never accepts
+    before = np.fmax.accumulate(np.concatenate(([-np.inf], flat[:-1])))
     best = None
     best_score = 1e-12
-    for f in feature_order:
-        values = X[:, f]
-        order = np.argsort(values, kind="stable")
-        xv = values[order]
-        yv = y[order]
-        csum = np.cumsum(yv)
-        csq = np.cumsum(yv * yv)
-        total_sum = csum[-1]
-        total_sq = csq[-1]
-        # split after position s (1-based count on the left)
-        for s in range(min_leaf, n - min_leaf + 1):
-            if xv[s - 1] == xv[s]:
-                continue  # not between distinct values
-            nl, nr = s, n - s
-            sl, sr = csum[s - 1], total_sum - csum[s - 1]
-            ql, qr = csq[s - 1], total_sq - csq[s - 1]
-            sse = (ql - sl * sl / nl) + (qr - sr * sr / nr)
-            score = parent_sse - sse
-            if score > best_score + 1e-12:
-                threshold = (xv[s - 1] + xv[s]) / 2.0
-                best = (f, float(threshold))
-                best_score = score
+    n_pos = hi - lo + 1
+    for c in np.flatnonzero(flat > before):
+        if flat[c] > best_score + 1e-12:
+            j, i = divmod(int(c), n_pos)
+            p = i + lo
+            best = (int(feats[j]), float((xv[p - 1, j] + xv[p, j]) / 2.0))
+            best_score = flat[c]
     return best
 
 

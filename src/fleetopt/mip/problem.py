@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,7 +120,7 @@ class MipProblem:
             if idx < 0 or idx >= len(self.variables):
                 raise MipError(f"coefficient references unknown variable {key!r}")
             val = float(val)
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise MipError("constraint coefficients must be finite")
             if val != 0.0:
                 out[idx] = out.get(idx, 0.0) + val

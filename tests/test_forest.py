@@ -1,6 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from fleetopt import forest as forest_mod
+from fleetopt.bench.synth import SynthConfig, generate_world
 from fleetopt.forest import (
     FeatureSchema,
     Forest,
@@ -158,3 +162,150 @@ class TestSerialization:
         with pytest.raises(ForestError):
             Forest.from_dict({"version": 99, "schema": {}, "config": {}, "trees": [],
                               "seed": 0})
+
+
+def scalar_best_split(X, y, feature_order, min_leaf):
+    """Reference split search: one feature, then one split position, at a
+    time. ``_best_split`` must pick exactly the same split."""
+    n = len(y)
+    parent_sse = float(np.sum(y * y) - (np.sum(y) ** 2) / n)
+    best = None
+    best_score = 1e-12
+    for f in feature_order:
+        values = X[:, f]
+        order = np.argsort(values, kind="stable")
+        xv = values[order]
+        yv = y[order]
+        csum = np.cumsum(yv)
+        csq = np.cumsum(yv * yv)
+        total_sum = csum[-1]
+        total_sq = csq[-1]
+        # split after position s (1-based count on the left)
+        for s in range(min_leaf, n - min_leaf + 1):
+            if xv[s - 1] == xv[s]:
+                continue  # not between distinct values
+            nl, nr = s, n - s
+            sl, sr = csum[s - 1], total_sum - csum[s - 1]
+            ql, qr = csq[s - 1], total_sq - csq[s - 1]
+            sse = (ql - sl * sl / nl) + (qr - sr * sr / nr)
+            score = parent_sse - sse
+            if score > best_score + 1e-12:
+                threshold = (xv[s - 1] + xv[s]) / 2.0
+                best = (f, float(threshold))
+                best_score = score
+    return best
+
+
+def random_training_case(rng):
+    """Rows and a config drawn to cover ties, constant columns, every leaf
+    size 1-4, shallow and unbounded depth, feature sampling and bootstrap."""
+    n = int(rng.integers(1, 50))
+    k = int(rng.integers(1, 7))
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        X = rng.integers(0, 4, (n, k)).astype(float)
+    elif kind == 1:
+        X = rng.normal(size=(n, k))
+    elif kind == 2:
+        X = np.round(rng.normal(size=(n, k)), 1)
+    else:
+        X = rng.integers(0, 3, (n, k)).astype(float)
+        X[:, int(rng.integers(0, k))] = 2.0
+    if rng.random() < 0.5:
+        y = rng.integers(0, 4, n).astype(float)
+    else:
+        y = X @ rng.normal(size=k) + rng.normal(size=n) * rng.random()
+    cfg = TrainConfig(
+        n_trees=int(rng.integers(1, 4)),
+        max_depth=[None, 1, 2, 3][int(rng.integers(0, 4))],
+        min_samples_leaf=int(rng.integers(1, 5)),
+        features_per_split=[1.0, 0.5][int(rng.integers(0, 2))],
+        bootstrap=bool(rng.integers(0, 2)),
+        seed=int(rng.integers(0, 1000)),
+    )
+    return list(zip(X.tolist(), y.tolist())), cfg, k
+
+
+class TestSplitOracle:
+    def test_forests_match_the_scalar_search(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        for trial in range(200):
+            rows, cfg, k = random_training_case(rng)
+            fast = train(rows, cfg, schema(k)).to_json()
+            with monkeypatch.context() as m:
+                m.setattr(forest_mod, "_best_split", scalar_best_split)
+                slow = train(rows, cfg, schema(k)).to_json()
+            assert fast == slow, (trial, cfg)
+
+    def test_every_node_matches_the_scalar_search(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        searched = []
+        fast_split = forest_mod._best_split
+
+        def checked(X, y, feature_order, min_leaf):
+            got = fast_split(X, y, feature_order, min_leaf)
+            want = scalar_best_split(X, y, feature_order, min_leaf)
+            assert got == want
+            if got is not None:
+                assert type(got[0]) is int and type(got[1]) is float
+            searched.append(got)
+            return got
+
+        monkeypatch.setattr(forest_mod, "_best_split", checked)
+        for _ in range(200):
+            rows, cfg, k = random_training_case(rng)
+            train(rows, cfg, schema(k))
+        assert sum(s is not None for s in searched) > 500
+        assert sum(s is None for s in searched) > 50
+
+    def test_constant_columns_give_no_split(self):
+        X = np.array([[1.0, 3.0]] * 6)
+        y = np.arange(6.0)
+        assert forest_mod._best_split(X, y, [0, 1], 1) is None
+        assert scalar_best_split(X, y, [0, 1], 1) is None
+
+    def test_threshold_at_the_leaf_size_boundary(self):
+        # the only distinct-value gap lies at the smallest left count allowed
+        X = np.array([[0.0], [0.0], [5.0], [5.0], [5.0], [5.0]])
+        y = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 1.0])
+        for min_leaf in (1, 2):
+            assert forest_mod._best_split(X, y, [0], min_leaf) == (0, 2.5)
+        assert forest_mod._best_split(X, y, [0], 3) is None
+
+    def test_too_few_rows_or_features_give_no_split(self):
+        X = np.array([[0.0], [1.0], [2.0]])
+        y = np.array([0.0, 1.0, 2.0])
+        assert forest_mod._best_split(X, y, [0], 2) is None
+        assert forest_mod._best_split(X, y, [], 1) is None
+
+    def test_equal_gains_keep_the_earlier_feature(self):
+        # both features give the same gain: the one scanned first wins
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        assert forest_mod._best_split(X, y, [0, 1], 1) == (0, 0.5)
+        assert forest_mod._best_split(X, y, [1, 0], 1) == (1, 0.5)
+
+
+# SHA-256 of Forest.to_json() for the two worlds the benchmark trains:
+# the desk world (acceptance criterion 4) and the small world (criterion 6)
+PINNED_FORESTS = {
+    "desk": (
+        SynthConfig(seed=42),
+        TrainConfig(n_trees=20, max_depth=6, min_samples_leaf=3, seed=7),
+        "98f9b5b2a2d74390ae1c0d3475a3d785fa8c9826abdcee1c5509612f10834f44",
+    ),
+    "small": (
+        SynthConfig(seed=13, n_supply=3, n_demand=2, soc_levels=3, n_days=40),
+        TrainConfig(n_trees=6, max_depth=3, min_samples_leaf=4, seed=2),
+        "f043b52b9b553e310c0aed252eba1d06eb3289fb20f80d8a563fcfbd1f32be63",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FORESTS))
+def test_pinned_forest_digest(name):
+    synth_cfg, cfg, digest = PINNED_FORESTS[name]
+    world = generate_world(synth_cfg)
+    train_rows, _ = train_test_split(world.training_rows(), cfg.test_fraction, cfg.seed)
+    forest = train(train_rows, cfg, world.schema())
+    assert hashlib.sha256(forest.to_json().encode()).hexdigest() == digest
