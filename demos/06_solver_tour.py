@@ -10,7 +10,6 @@ import tempfile
 import numpy as np
 
 from fleetopt.mip import (
-    CompiledRows,
     MipProblem,
     SolveConfig,
     branch_and_bound,
@@ -47,9 +46,10 @@ for j in range(3):
     k.add_variable(f"x{j + 1}", "binary")
 k.add_constraint({"x1": 3, "x2": 3, "x3": 3}, "<=", 5)
 k.set_objective("max", {"x1": 1, "x2": 1, "x3": 1})
-# separators read rows compiled to CSR arrays, and return their cuts so
+# a problem keeps its rows as CSR arrays; separators read them as they
+# are and return their cuts in the same form
 binary = np.array([v.kind == "binary" for v in k.variables])
-rows = CompiledRows.of_constraints(k.constraints, k.n_vars)
+rows = k.rows
 cuts = cover_cuts(rows, binary, np.array([5 / 9, 5 / 9, 5 / 9]))
 print("\ncover cut from 3x1+3x2+3x3 <= 5 at the fractional point:")
 for i in range(len(cuts)):

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,6 +135,22 @@ class TreeNode:
         )
 
 
+class FlatForest(NamedTuple):
+    """Every tree's nodes in preorder, one array entry per node.
+
+    The trees follow one another, tree ``t`` taking the positions
+    ``start[t]`` to ``start[t + 1]``. A split's left child follows it,
+    and its subtree ends just before ``end``.
+    """
+
+    start: np.ndarray  # first position of each tree, then the node count
+    feature: np.ndarray  # split feature, -1 at a leaf
+    threshold: np.ndarray
+    value: np.ndarray  # a leaf's prediction
+    right: np.ndarray  # position of a split's right child, -1 at a leaf
+    end: np.ndarray  # one past the last position of the node's subtree
+
+
 @dataclass
 class Forest:
     trees: list[TreeNode]
@@ -143,6 +161,38 @@ class Forest:
     @property
     def n_trees(self) -> int:
         return len(self.trees)
+
+    @cached_property
+    def flat(self) -> FlatForest:
+        """The trees as arrays, built on first access and kept; the
+        trees must not change afterwards."""
+        start, feature, threshold, value, right, end = [], [], [], [], [], []
+
+        def visit(node: TreeNode):
+            pos = len(feature)
+            feature.append(-1 if node.is_leaf else node.feature)
+            threshold.append(node.threshold)
+            value.append(node.value)
+            right.append(-1)
+            end.append(0)
+            if not node.is_leaf:
+                visit(node.left)
+                right[pos] = len(feature)
+                visit(node.right)
+            end[pos] = len(feature)
+
+        for tree in self.trees:
+            start.append(len(feature))
+            visit(tree)
+        start.append(len(feature))
+        return FlatForest(
+            start=np.array(start, dtype=np.intp),
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array(threshold, dtype=float),
+            value=np.array(value, dtype=float),
+            right=np.array(right, dtype=np.intp),
+            end=np.array(end, dtype=np.intp),
+        )
 
     def predict(self, features: np.ndarray) -> float:
         features = np.asarray(features, dtype=float)

@@ -1,7 +1,7 @@
 """Cutting planes: mixed-integer Gomory cuts and knapsack cover cuts.
 
-Both separators read compiled rows (:class:`.rows.CompiledRows`) and
-return their cuts as one :class:`~.rows.CompiledRows` over the same
+Both separators read rows as CSR arrays (:class:`.rows.CompiledRows`)
+and return their cuts as one :class:`~.rows.CompiledRows` over the same
 columns: rows that every integer-feasible point of the problem
 satisfies and that the current LP point violates by at least
 ``min_violation``. An empty row set means nothing was separated. Gomory

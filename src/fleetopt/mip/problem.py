@@ -1,12 +1,24 @@
-"""In-memory mixed-integer linear programs and their solutions."""
+"""In-memory mixed-integer linear programs and their solutions.
+
+A problem keeps its rows as CSR arrays (:class:`.rows.CompiledRows`)
+with a name per row. :meth:`MipProblem.add_constraint` takes one row as
+a dict; :meth:`MipProblem.add_rows` takes a block of rows as arrays,
+which is how a forest's rows go in. Either way the rows end up in one
+row set, :attr:`MipProblem.rows`, which a search reads as it is.
+:attr:`MipProblem.constraints` reads the same rows as dicts.
+"""
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+
+from .rows import CompiledRows
 
 CONTINUOUS = "continuous"
 INTEGER = "integer"
@@ -36,7 +48,7 @@ class Variable:
 
 @dataclass(frozen=True)
 class Constraint:
-    """One row; rows are never changed in place, so copies share them."""
+    """One row read off a problem's arrays (:attr:`MipProblem.constraints`)."""
 
     coeffs: dict[int, float]
     relation: str
@@ -77,61 +89,177 @@ class MipProblem:
     associates external decision names with affine expressions over the
     problem's variables so objective lowering and variable fixing work
     the same whether a decision is a plain column or a derived form.
+
+    Rows are only ever appended. New rows wait, as blocks and as dicts
+    added one at a time, until :attr:`rows` is next read, which appends
+    them all to the row set at once. A copy shares the row set as it
+    stands (arrays are never changed in place) and appends its own rows
+    to a row set of its own.
     """
 
     def __init__(self, name: str = "problem"):
         self.name = name
         self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
         self.objective: Objective | None = None
         self.secondary: Objective | None = None
         self.expr_map: dict[str, AffineExpr] = {}
         self._index: dict[str, int] = {}
+        self._rows = CompiledRows.empty(0)
+        self._row_names: list[str] = []
+        self._blocks: list[CompiledRows] = []  # rows added since the last read
+        self._pending: list[tuple[dict[int, float], str, float]] = []  # dict rows after them
+        self._views: tuple[Constraint, ...] = ()
 
     # --- construction ---
+
+    @staticmethod
+    def _domain(name: str, kind: str, lb: float, ub: float) -> tuple[float, float]:
+        """The bounds of a new column of this kind, checked."""
+        if kind not in (CONTINUOUS, INTEGER, BINARY):
+            raise MipError(f"unknown variable kind {kind!r}")
+        if kind == BINARY:
+            lb, ub = max(0.0, lb), min(1.0, ub)
+        if kind in (INTEGER, BINARY) and (
+            not math.isfinite(lb) or not math.isfinite(ub)
+        ):
+            raise MipError(f"integer variable {name!r} needs finite bounds")
+        if lb > ub + 1e-12:
+            raise MipError(f"variable {name!r} has empty domain [{lb}, {ub}]")
+        return float(lb), float(ub)
 
     def add_variable(
         self, name: str, kind: str = CONTINUOUS, lb: float = 0.0, ub: float = float("inf")
     ) -> int:
         if name in self._index:
             raise MipError(f"duplicate variable name {name!r}")
-        if kind not in (CONTINUOUS, INTEGER, BINARY):
-            raise MipError(f"unknown variable kind {kind!r}")
-        if kind == BINARY:
-            lb, ub = max(0.0, lb), min(1.0, ub)
-        if kind in (INTEGER, BINARY) and (
-            not np.isfinite(lb) or not np.isfinite(ub)
-        ):
-            raise MipError(f"integer variable {name!r} needs finite bounds")
-        if lb > ub + 1e-12:
-            raise MipError(f"variable {name!r} has empty domain [{lb}, {ub}]")
+        lb, ub = self._domain(name, kind, lb, ub)
         idx = len(self.variables)
-        self.variables.append(Variable(name, kind, float(lb), float(ub)))
+        self.variables.append(Variable(name, kind, lb, ub))
         self._index[name] = idx
         return idx
+
+    def add_variables(
+        self, names, kind: str = CONTINUOUS, lb: float = 0.0, ub: float = float("inf")
+    ) -> range:
+        """One column per name, all of one kind and domain; their indices."""
+        names = list(names)
+        start = len(self.variables)
+        if not names:
+            return range(start, start)
+        index = dict(zip(names, range(start, start + len(names))))
+        if len(index) < len(names) or not self._index.keys().isdisjoint(index):
+            seen = set(self._index)
+            dup = next(n for n in names if n in seen or seen.add(n))
+            raise MipError(f"duplicate variable name {dup!r}")
+        lb, ub = self._domain(names[0], kind, lb, ub)
+        self.variables.extend([Variable(name, kind, lb, ub) for name in names])
+        self._index.update(index)
+        return range(start, start + len(names))
 
     def var_index(self, name: str) -> int:
         return self._index[name]
 
     def _coerce_coeffs(self, coeffs) -> dict[int, float]:
+        """Coefficients by column index; zeros dropped, repeats summed."""
         out: dict[int, float] = {}
+        index, n = self._index, len(self.variables)
+        summed = False
         for key, val in coeffs.items():
-            idx = self._index[key] if isinstance(key, str) else int(key)
-            if idx < 0 or idx >= len(self.variables):
+            idx = index[key] if isinstance(key, str) else int(key)
+            if idx < 0 or idx >= n:
                 raise MipError(f"coefficient references unknown variable {key!r}")
             val = float(val)
             if not math.isfinite(val):
                 raise MipError("constraint coefficients must be finite")
             if val != 0.0:
-                out[idx] = out.get(idx, 0.0) + val
-        return {i: c for i, c in out.items() if c != 0.0}
+                if idx in out:
+                    out[idx] += val
+                    summed = True
+                else:
+                    out[idx] = val
+        # only a sum can come to zero
+        return {i: c for i, c in out.items() if c != 0.0} if summed else out
 
     def add_constraint(self, coeffs, relation: str, rhs: float, name: str = "") -> int:
+        """Append one row; keys are column indices or names, and zero
+        coefficients are dropped. Returns the row's index."""
         if relation not in (LE, EQ, GE):
             raise MipError(f"unknown relation {relation!r}")
-        row = Constraint(self._coerce_coeffs(coeffs), relation, float(rhs), name)
-        self.constraints.append(row)
-        return len(self.constraints) - 1
+        self._pending.append((self._coerce_coeffs(coeffs), relation, float(rhs)))
+        self._row_names.append(name)
+        return len(self._row_names) - 1
+
+    def add_rows(self, indptr, indices, data, relation, rhs, names) -> range:
+        """Append a block of rows given as CSR arrays; their indices.
+
+        Row ``r`` has the coefficients ``data[indptr[r]:indptr[r + 1]]``
+        on the columns ``indices[indptr[r]:indptr[r + 1]]``, in that
+        order, each column at most once. Zero coefficients are dropped,
+        as :meth:`add_constraint` drops them, so both give the same
+        row. ``relation`` is one relation for every row or one per row.
+        """
+        indptr = np.asarray(indptr, dtype=np.intp)
+        indices = np.asarray(indices, dtype=np.intp)
+        data = np.asarray(data, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        names = list(names)
+        m = len(names)
+        lengths = indptr[1:] - indptr[:-1]
+        if (
+            len(indptr) != m + 1 or len(rhs) != m or indptr[0] != 0
+            or indptr[-1] != len(indices) or (lengths < 0).any()
+        ):
+            raise MipError("a block needs row pointers, one rhs and one name per row")
+        rel = np.asarray(relation)
+        if rel.shape not in ((), (m,)):
+            raise MipError("a block needs one relation, or one per row")
+        if not ((rel == LE) | (rel == EQ) | (rel == GE)).all():
+            raise MipError(f"unknown relation in {sorted(set(rel.ravel().tolist()))!r}")
+        le, ge = np.empty(m, dtype=bool), np.empty(m, dtype=bool)
+        le[:], ge[:] = rel != GE, rel != LE
+        n = self.n_vars
+        if len(indices) and (indices.min() < 0 or indices.max() >= n):
+            raise MipError("coefficient references unknown variable")
+        if not np.isfinite(data).all():
+            raise MipError("constraint coefficients must be finite")
+        row_of = np.repeat(np.arange(m), lengths)
+        entries = np.sort(row_of * n + indices)
+        if (entries[1:] == entries[:-1]).any():
+            raise MipError("a row holds a column twice")
+        nonzero = data != 0.0
+        if not nonzero.all():
+            indices, data = indices[nonzero], data[nonzero]
+            indptr = np.zeros(m + 1, dtype=np.intp)
+            np.cumsum(np.bincount(row_of[nonzero], minlength=m), out=indptr[1:])
+        self._close_pending()
+        self._blocks.append(CompiledRows.of_csr(
+            n, indptr=indptr, indices=indices, data=data, rhs=rhs, le=le, ge=ge
+        ))
+        start = len(self._row_names)
+        self._row_names.extend(names)
+        return range(start, start + m)
+
+    def _close_pending(self) -> None:
+        """Turn the dict rows added one at a time into one block."""
+        if not self._pending:
+            return
+        coeffs, rels, rhs = zip(*self._pending)
+        self._pending = []
+        m = len(rhs)
+        indptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum(np.fromiter(map(len, coeffs), dtype=np.intp, count=m), out=indptr[1:])
+        nnz = int(indptr[-1])
+        self._blocks.append(CompiledRows.of_csr(
+            self.n_vars,
+            indptr=indptr,
+            indices=np.fromiter(chain.from_iterable(coeffs), dtype=np.intp, count=nnz),
+            data=np.fromiter(
+                chain.from_iterable(map(dict.values, coeffs)), dtype=float, count=nnz
+            ),
+            rhs=np.array(rhs, dtype=float),
+            le=np.array([r != GE for r in rels], dtype=bool),
+            ge=np.array([r != LE for r in rels], dtype=bool),
+        ))
 
     def set_objective(self, sense: str, coeffs, constant: float = 0.0) -> None:
         if sense not in (MIN, MAX):
@@ -149,15 +277,76 @@ class MipProblem:
     def n_vars(self) -> int:
         return len(self.variables)
 
+    @property
+    def rows(self) -> CompiledRows:
+        """The stated rows over the problem's columns, in the order added.
+
+        The row set is kept until a row or a column is added, so every
+        search of an unchanged problem, or of a copy that added no row,
+        reads the same one (and the level schedule it builds).
+        """
+        self._close_pending()
+        self._rows = self._rows.widen(self.n_vars)
+        if self._blocks:
+            self._rows = self._rows.append(*self._blocks)
+            self._blocks = []
+        return self._rows
+
+    @property
+    def row_names(self) -> tuple[str, ...]:
+        return tuple(self._row_names)
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The rows as :class:`Constraint` views, in row and entry order.
+
+        The views are read off :attr:`rows` when first asked for and
+        kept; they are for reading, and changing one changes no row.
+        """
+        rows = self.rows
+        done = len(self._views)
+        if done < rows.m:
+            ptr = rows.indptr.tolist()
+            cols, vals = rows.indices.tolist(), rows.data.tolist()
+            self._views += tuple(
+                Constraint(
+                    dict(zip(cols[ptr[r] : ptr[r + 1]], vals[ptr[r] : ptr[r + 1]])),
+                    EQ if le and ge else LE if le else GE,
+                    rhs,
+                    name,
+                )
+                for r, le, ge, rhs, name in zip(
+                    range(done, rows.m),
+                    rows.le[done:].tolist(),
+                    rows.ge[done:].tolist(),
+                    rows.rhs[done:].tolist(),
+                    self._row_names[done:],
+                )
+            )
+        return self._views
+
     def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         lb = np.array([v.lb for v in self.variables], dtype=float)
         ub = np.array([v.ub for v in self.variables], dtype=float)
         return lb, ub
 
+    def fork(self) -> "MipProblem":
+        """A problem over the same columns, objectives and rows, shared.
+
+        Rows added to the fork are its own, and rows added here later
+        do not reach it. Columns and objectives are not copied, so a
+        fork is for a search that only reads them, such as stage 2 of a
+        lexicographic solve; :meth:`copy` copies them too.
+        """
+        other = copy.copy(self)
+        other._rows = self.rows
+        other._row_names = list(self._row_names)
+        other._blocks, other._pending = [], []
+        return other
+
     def copy(self) -> "MipProblem":
-        other = MipProblem(self.name)
+        other = self.fork()
         other.variables = [Variable(v.name, v.kind, v.lb, v.ub) for v in self.variables]
-        other.constraints = list(self.constraints)
         if self.objective:
             other.objective = Objective(
                 self.objective.sense, dict(self.objective.coeffs), self.objective.constant

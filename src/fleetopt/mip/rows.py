@@ -1,15 +1,16 @@
-"""Linear rows compiled once into CSR arrays and a level schedule.
+"""Linear rows as CSR arrays with a level schedule.
 
-A problem states its rows as ``(coeffs dict, relation, rhs)`` triples;
-a search compiles them once into a :class:`CompiledRows`, at the start
-of its reduction, and from then on holds its rows in no other form. The
-reduction, bound propagation, the HiGHS model (:mod:`.highs`) and both
-cut separators (:mod:`.cuts`) work on compiled rows, and the separators
-return their cuts compiled (:meth:`CompiledRows.of_csr`):
+A problem (:class:`.problem.MipProblem`) keeps its stated rows as one
+:class:`CompiledRows` that grows as rows are added, and a search takes
+that row set as it stands, at the start of its reduction; from then on
+the search holds its rows in no other form. The reduction, bound
+propagation, the HiGHS model (:mod:`.highs`) and both cut separators
+(:mod:`.cuts`) work on these rows, and the separators return their cuts
+as a row set too (:meth:`CompiledRows.of_csr`):
 
 - ``indptr``/``indices``/``data`` hold the rows in CSR form, each row's
-  entries in the order given (a stated row's in the order of its dict);
-  HiGHS takes these arrays as they are, row-wise;
+  entries in the order given; HiGHS takes these arrays as they are,
+  row-wise;
 - ``rhs`` and the ``le``/``ge`` masks give each row's sense (an equality
   row is set in both), and ``row_bounds`` turns them into the
   ``lower <= a @ x <= upper`` form HiGHS reads;
@@ -17,13 +18,15 @@ return their cuts compiled (:meth:`CompiledRows.of_csr`):
   on first access, since only propagation reads it: a search's cut
   rounds append rows without building one.
 
-New row sets come from old ones without going back to dicts.
+New row sets come from old ones.
 :meth:`~CompiledRows.substitute` moves fixed columns into the rhs and
 :meth:`~CompiledRows.take` keeps some rows, as the reduction does;
 :meth:`~CompiledRows.relabel` renumbers the columns to the reduced ones
-and :meth:`~CompiledRows.append` adds rows, such as cuts. The last two
-keep the levels already assigned: renumbering columns one to one, or
-adding rows after the last, changes no earlier row's level.
+and :meth:`~CompiledRows.append` adds rows, such as cuts or a
+problem's new rows; :meth:`~CompiledRows.widen` takes the rows over
+more columns, as a problem that gains columns does. The last three keep
+the levels already assigned: renumbering columns one to one, adding
+columns, or adding rows after the last, changes no earlier row's level.
 
 A row's level is 1 + the highest level of any earlier row that shares a
 column with it. Rows on one level touch disjoint columns, and every
@@ -50,13 +53,11 @@ the same order, and to the same bits, as ``np.sum`` over the row.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-
-from .problem import GE, LE
 
 EMPTY_ROW_TOL = 1e-9  # an empty row is 0 against its rhs
 INFEASIBLE_TOL = 1e-7  # least activity above rhs by more than this is infeasible
@@ -80,27 +81,11 @@ class CompiledRows:
     """A row set over ``n`` columns in CSR form with its level schedule.
 
     ``levels`` is built on first access. The other operations return new
-    row sets and leave this one as it is: :meth:`append` and
-    :meth:`relabel` carry over the row levels already assigned, while
+    row sets and leave this one as it is: :meth:`append`, :meth:`widen`
+    and :meth:`relabel` carry over the row levels already assigned, while
     :meth:`substitute` and :meth:`take` drop them, since a row that
     loses an entry or a row in between can change the levels after it.
     """
-
-    def __init__(self, rows, n: int):
-        coeffs, rels, rhs = zip(*rows) if rows else ((), (), ())
-        self._compile(coeffs, rels, rhs, n)
-
-    @classmethod
-    def of_constraints(cls, constraints, n: int) -> CompiledRows:
-        """The rows of a list of :class:`~.problem.Constraint`, compiled."""
-        out = cls.__new__(cls)
-        out._compile(
-            [c.coeffs for c in constraints],
-            [c.relation for c in constraints],
-            [c.rhs for c in constraints],
-            n,
-        )
-        return out
 
     @classmethod
     def of_csr(cls, n: int, indptr, indices, data, rhs, le, ge) -> CompiledRows:
@@ -109,21 +94,13 @@ class CompiledRows:
         out._set(n, indptr=indptr, indices=indices, data=data, rhs=rhs, le=le, ge=ge)
         return out
 
-    def _compile(self, coeffs, rels, rhs, n):
-        m = len(rhs)
-        indptr = np.zeros(m + 1, dtype=np.intp)
-        np.cumsum(np.fromiter(map(len, coeffs), dtype=np.intp, count=m), out=indptr[1:])
-        nnz = int(indptr[-1])
-        self._set(
-            n,
-            indptr=indptr,
-            indices=np.fromiter(chain.from_iterable(coeffs), dtype=np.intp, count=nnz),
-            data=np.fromiter(
-                chain.from_iterable(map(dict.values, coeffs)), dtype=float, count=nnz
-            ),
-            rhs=np.array(rhs, dtype=float),
-            le=np.array([rel != GE for rel in rels], dtype=bool),
-            ge=np.array([rel != LE for rel in rels], dtype=bool),
+    @classmethod
+    def empty(cls, n: int) -> CompiledRows:
+        """No rows, over ``n`` columns."""
+        return cls.of_csr(
+            n, indptr=np.zeros(1, dtype=np.intp), indices=np.zeros(0, dtype=np.intp),
+            data=np.zeros(0), rhs=np.zeros(0), le=np.zeros(0, dtype=bool),
+            ge=np.zeros(0, dtype=bool),
         )
 
     def _set(self, n, indptr, indices, data, rhs, le, ge, row_level=None, levels=None):
@@ -131,14 +108,19 @@ class CompiledRows:
         self.m = len(rhs)
         self.indptr, self.indices, self.data = indptr, indices, data
         self.rhs, self.le, self.ge = rhs, le, ge
-        empty = np.diff(indptr) == 0
-        bad = empty & ((le & (rhs < -EMPTY_ROW_TOL)) | (ge & (rhs > EMPTY_ROW_TOL)))
-        # a sweep stops at the first infeasible empty row
-        self.first_empty_failure = int(np.argmax(bad)) if bad.any() else None
         # the levels of the first len(row_level) rows
         self._row_level = np.zeros(0, dtype=np.intp) if row_level is None else row_level
         self._levels = levels
         self._matrix_t = None
+
+    @cached_property
+    def first_empty_failure(self) -> int | None:
+        """The first empty row its rhs makes infeasible, where a sweep stops."""
+        empty = np.diff(self.indptr) == 0
+        bad = empty & (
+            (self.le & (self.rhs < -EMPTY_ROW_TOL)) | (self.ge & (self.rhs > EMPTY_ROW_TOL))
+        )
+        return int(np.argmax(bad)) if bad.any() else None
 
     def _with(self, n=None, **fields) -> CompiledRows:
         """A new row set: these fields replaced, the rest shared."""
@@ -150,20 +132,37 @@ class CompiledRows:
         out._set(self.n if n is None else n, **{**kept, **fields})
         return out
 
-    def append(self, other: CompiledRows) -> CompiledRows:
-        """These rows followed by ``other``'s, over the same columns.
+    def append(self, *others: CompiledRows) -> CompiledRows:
+        """These rows followed by each of ``others``' in turn, over the
+        same columns.
 
-        The rows here keep their assigned levels; ``other``'s get theirs
-        when ``levels`` is next read.
+        The rows here keep their assigned levels; the new rows get
+        theirs when ``levels`` is next read.
         """
+        parts = (self, *others)
+        starts = np.cumsum([len(p.indices) for p in parts])
         return self._with(
-            indptr=np.concatenate([self.indptr, other.indptr[1:] + self.indptr[-1]]),
-            indices=np.concatenate([self.indices, other.indices]),
-            data=np.concatenate([self.data, other.data]),
-            rhs=np.concatenate([self.rhs, other.rhs]),
-            le=np.concatenate([self.le, other.le]),
-            ge=np.concatenate([self.ge, other.ge]),
+            indptr=np.concatenate(
+                [self.indptr] + [o.indptr[1:] + at for o, at in zip(others, starts)]
+            ),
+            indices=np.concatenate([p.indices for p in parts]),
+            data=np.concatenate([p.data for p in parts]),
+            rhs=np.concatenate([p.rhs for p in parts]),
+            le=np.concatenate([p.le for p in parts]),
+            ge=np.concatenate([p.ge for p in parts]),
         )
+
+    def widen(self, n: int) -> CompiledRows:
+        """The same rows over ``n`` columns, ``n`` at least ``self.n``.
+
+        The row levels carry over; a built schedule does not, since its
+        bound indices depend on the column count.
+        """
+        if n == self.n:
+            return self
+        if n < self.n:
+            raise ValueError("widen cannot drop columns")
+        return self._with(n)
 
     def relabel(self, keep: np.ndarray) -> CompiledRows:
         """The same rows over the columns ``keep``, renumbered 0, 1, ...

@@ -5,12 +5,13 @@ depth tie-break that plunges after branching. Before the search starts,
 a reduction pass substitutes pinned columns out of every row, turns
 singleton rows into bounds and propagates activity bounds to a fixed
 point, so a heavily fixed model really shrinks. Every node propagates
-again before its LP. Propagation runs over rows compiled into CSR
-arrays with a level schedule (:mod:`.rows`): rows on one level share no
+again before its LP. Propagation runs over rows held as CSR arrays
+with a level schedule (:mod:`.rows`): rows on one level share no
 column, so a numpy sweep per level tightens exactly the bounds, bit for
 bit, that a row-by-row Gauss-Seidel sweep in row order does. A search
-compiles the stated rows once, at the start of its reduction, and holds
-its rows in that one form to the end: the reduction derives each later
+takes the problem's stated rows (:attr:`.problem.MipProblem.rows`, the
+arrays the problem keeps) at the start of its reduction and holds its
+rows in that one form to the end: the reduction derives each later
 row set from the last one and builds the search's LP relaxation, one
 persistent HiGHS model (:class:`.highs.HighsLp`), from its final rows
 renumbered to the kept columns. That model owns the search's rows from
@@ -18,24 +19,24 @@ then on (``HighsLp.rows``). Every LP (root, cut rounds, nodes,
 incumbent polish and ``lp_solve``) is solved on it: a node only sets
 column bounds, a cut round appends its cut rows, and HiGHS warm-starts
 each solve from the last basis. The stage 2 of a lexicographic solve
-and a fixed model share the stated rows, which are never changed in
-place, instead of copying them. An integral LP point becomes an
-incumbent only after a polish: its integers are fixed at their rounded
-values and the LP is solved again, and the incumbent takes that solve's
-continuous values and objective. Root cut rounds separate the point
-the search branches on, and both separators (:mod:`.cuts`) take and
-return compiled rows: Gomory reads its source rows off the HiGHS basis
-of the root solve just made (:meth:`.highs.HighsLp.tableau`), and cover
-separation reads the model's rows, that round's Gomory cuts included,
-and the root point. Gomory separation is on by default; on the desk
-models it closes most of the root gap. HiGHS and the search are
-deterministic, so a given problem and configuration always reproduce
-the same solution and node count.
+and a fixed model share the stated row arrays, which are never changed
+in place, and append only their own rows (``lex:retain``, ``fix:*``).
+An integral LP point becomes an incumbent only after a polish: its
+integers are fixed at their rounded values and the LP is solved again,
+and the incumbent takes that solve's continuous values and objective.
+Root cut rounds separate the point the search branches on, and both
+separators (:mod:`.cuts`) take and return CSR row sets: Gomory reads
+its source rows off the HiGHS basis of the root solve just made
+(:meth:`.highs.HighsLp.tableau`), and cover separation reads the
+model's rows, that round's Gomory cuts included, and the root point.
+Gomory separation is on by default; on the desk models it closes most
+of the root gap. HiGHS and the search are deterministic, so a given
+problem and configuration always reproduce the same solution and node
+count.
 """
 
 from __future__ import annotations
 
-import copy
 import heapq
 import time
 from dataclasses import dataclass
@@ -194,7 +195,7 @@ def _unreduced(problem: MipProblem, objective: Objective) -> _Reduced:
         ub=ub,
         binary=np.array([k == BINARY for k in kinds], dtype=bool),
         int_mask=np.array([k in (INTEGER, BINARY) for k in kinds], dtype=bool),
-        rows=CompiledRows.of_constraints(problem.constraints, problem.n_vars),
+        rows=problem.rows,
         obj_coeffs=dict(objective.coeffs),
         obj_constant=objective.constant,
         full_values=np.zeros(problem.n_vars),
@@ -210,8 +211,8 @@ def _reduce(problem: MipProblem, objective: Objective) -> _Reduced:
     into bounds. Each pass that changes something drops a row entry or
     a row, so the loop ends. The rows the last propagation swept are
     then the reduced rows, and they are handed on relabelled to the
-    reduced columns (:meth:`.rows.CompiledRows.relabel`) instead of
-    being compiled again.
+    reduced columns (:meth:`.rows.CompiledRows.relabel`), which keeps
+    the level schedule the last propagation built.
     """
     n = problem.n_vars
     stated = _unreduced(problem, objective)
@@ -612,9 +613,8 @@ def lexicographic_solve(
     g_star = stage1.objective_value
     eps = cfg.lex_slack_rel * abs(g_star) + 1e-9
     # stage 2 only reads its model, so it shares the stated variables and
-    # rows instead of copying them, and adds its row to a list of its own
-    stage2_problem = copy.copy(problem)
-    stage2_problem.constraints = list(problem.constraints)
+    # rows instead of copying them, and adds its row to rows of its own
+    stage2_problem = problem.fork()
     g = problem.objective
     if g.sense == MAX:
         stage2_problem.add_constraint(

@@ -52,7 +52,6 @@ from fleetopt.mip import MipProblem, SolveConfig, branch_and_bound, lexicographi
 from fleetopt.mip.cuts import cover_cuts, gomory_cuts
 from fleetopt.mip.highs import HighsLp
 from fleetopt.mip.problem import Objective
-from fleetopt.mip.rows import CompiledRows
 from fleetopt.mip.solver import _reduce, fix_variables
 
 
@@ -343,7 +342,7 @@ def test_criterion_5_lexicographic_contract():
         sol = lexicographic_solve(p, SolveConfig())
         lb, ub = p.bounds_arrays()
         points = enumerate_lattice(lb, ub)
-        rows = CompiledRows.of_constraints(p.constraints, p.n_vars)
+        rows = p.rows
         feas = points[feasible_mask(rows, points)]
         if len(feas) == 0:
             assert sol.status == "Infeasible", trial

@@ -6,7 +6,8 @@ import pytest
 from fleetopt.mip import MipError
 from fleetopt.mip import highs
 from fleetopt.mip.highs import HighsLp
-from fleetopt.mip.rows import CompiledRows
+
+from rowsets import row_set
 
 INF = np.inf
 # max x  s.t.  x - y <= 1,  x + y >= 1,  x + 2y == z
@@ -40,10 +41,10 @@ CASES = [
 
 
 def test_one_model_answers_each_bound_set_like_a_fresh_one():
-    lp = HighsLp(C, CompiledRows(ROWS, 3), "max")
+    lp = HighsLp(C, row_set(ROWS, 3), "max")
     for status, (lb, ub), objective in CASES + CASES[::-1]:
         res = lp.solve(lb, ub)
-        fresh = HighsLp(C, CompiledRows(ROWS, 3), "max").solve(lb, ub)
+        fresh = HighsLp(C, row_set(ROWS, 3), "max").solve(lb, ub)
         assert res.status == fresh.status == status
         x = res.x
         if objective is None:
@@ -56,19 +57,19 @@ def test_one_model_answers_each_bound_set_like_a_fresh_one():
 
 
 def test_added_rows_bind_later_solves():
-    lp = HighsLp(C, CompiledRows(ROWS, 3), "max")
+    lp = HighsLp(C, row_set(ROWS, 3), "max")
     lb, ub = bounds([0, 0, 0], [2, 2, 10])
     assert lp.solve(lb, ub).objective == pytest.approx(2.0)
-    lp.add_rows(CompiledRows([({0: 1.0}, "<=", 1.5), ({}, "<=", 0.0)], 3))
+    lp.add_rows(row_set([({0: 1.0}, "<=", 1.5), ({}, "<=", 0.0)], 3))
     res = lp.solve(lb, ub)
     assert res.status == "Optimal" and res.objective == pytest.approx(1.5)
     assert res.x[0] <= 1.5 + 1e-9
-    lp.add_rows(CompiledRows([({1: 1.0}, ">=", 3.0)], 3))
+    lp.add_rows(row_set([({1: 1.0}, ">=", 3.0)], 3))
     assert lp.solve(lb, ub).status == "Infeasible"
 
 
 def test_other_highs_statuses_raise_with_their_name(monkeypatch):
-    lp = HighsLp(C, CompiledRows(ROWS, 3), "max")
+    lp = HighsLp(C, row_set(ROWS, 3), "max")
     monkeypatch.setattr(
         highs._core._Highs, "getModelStatus",
         lambda self: highs._core.HighsModelStatus.kUnboundedOrInfeasible,
@@ -86,7 +87,7 @@ def test_tableau_rows_read_as_documented():
     # row 0 at its upper bound 4, and y = 1 and row 1's activity 2 are basic
     rows = [({0: 1.0, 1: 1.0}, "<=", 4.0), ({0: 1.0, 1: -1.0}, ">=", -1.0)]
     A = np.array([[1.0, 1.0], [1.0, -1.0]])
-    lp = HighsLp(np.array([3.0, 2.0]), CompiledRows(rows, 2), "max")
+    lp = HighsLp(np.array([3.0, 2.0]), row_set(rows, 2), "max")
     res = lp.solve(*bounds([0, 0], [3, 10]))
     assert res.objective == pytest.approx(11.0)
     assert res.x == pytest.approx([3.0, 1.0])

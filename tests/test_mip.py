@@ -30,6 +30,8 @@ from fleetopt.mip.problem import Objective
 from fleetopt.mip.rows import CompiledRows, RowLevel
 from fleetopt.mip.solver import _fractional_index, _unreduced
 
+from rowsets import row_set
+
 
 def two_var_lp():
     p = MipProblem()
@@ -148,6 +150,52 @@ class TestProblem:
         p.add_variable("x")
         with pytest.raises(MipError):
             p.add_variable("x")
+        for names in (["y", "x"], ["y", "y"]):
+            with pytest.raises(MipError, match="duplicate"):
+                p.add_variables(names)
+        assert p.n_vars == 1
+        assert p.add_variables(["y", "z"], "binary") == range(1, 3)
+        assert [(v.kind, v.lb, v.ub) for v in p.variables[1:]] == [("binary", 0.0, 1.0)] * 2
+
+    def test_row_blocks_match_rows_added_one_at_a_time(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(0, 6))
+            one, block = MipProblem(), MipProblem()
+            for p in (one, block):
+                p.add_variables([f"v{j}" for j in range(n)])
+            rows = []
+            for r in range(m):
+                cols = rng.permutation(n)[: int(rng.integers(0, n + 1))].tolist()
+                coeffs = {j: float(rng.choice([0.0, -1.5, 2.0, 3.25])) for j in cols}
+                rows.append((coeffs, str(rng.choice(["<=", "=", ">="])), float(r)))
+                one.add_constraint(*rows[-1], name=f"r{r}")
+            indptr = np.cumsum([0] + [len(c) for c, _, _ in rows])
+            block.add_rows(
+                indptr, [j for c, _, _ in rows for j in c],
+                [a for c, _, _ in rows for a in c.values()],
+                [rel for _, rel, _ in rows], [rhs for _, _, rhs in rows],
+                [f"r{r}" for r in range(m)],
+            )
+            # zero coefficients are dropped either way, entry order kept
+            assert one.constraints == block.constraints
+            for name in ("indptr", "indices", "data", "rhs", "le", "ge"):
+                assert np.array_equal(getattr(one.rows, name), getattr(block.rows, name))
+
+    def test_malformed_row_blocks_rejected(self):
+        p = MipProblem()
+        p.add_variables(["x", "y"])
+        good = dict(indptr=[0, 2], indices=[0, 1], data=[1.0, 2.0], relation="<=",
+                    rhs=[1.0], names=["r"])
+        for bad in (
+            dict(relation="<"), dict(relation=["<=", "<="]), dict(indices=[0, 2]),
+            dict(indices=[1, 1]), dict(data=[1.0, float("nan")]), dict(rhs=[1.0, 2.0]),
+            dict(indptr=[0, 1]),
+        ):
+            with pytest.raises(MipError):
+                p.add_rows(**{**good, **bad})
+        assert p.rows.m == 0 and p.row_names == ()
+        assert p.add_rows(**good) == range(0, 1)
 
     def test_integer_needs_finite_bounds(self):
         p = MipProblem()
@@ -180,12 +228,26 @@ class TestProblem:
 
     def test_copies_share_rows_and_add_their_own(self):
         p = two_var_lp()
+        stated = p.rows
+        for q in (p.copy(), p.fork()):
+            # the copy shares the stated arrays, not copies of them
+            assert q.rows is stated
+            q.add_constraint({"x": 1}, "<=", 3, name="own")
+            assert q.rows.indices.tolist() == [0, 1, 0, 1, 0]
+            assert q.row_names == ("", "", "own")
+            # its own row reaches neither the original nor its arrays
+            assert p.rows is stated and p.rows.m == 2 and len(p.constraints) == 2
+            assert stated.indices.tolist() == [0, 1, 0, 1]
+        # rows the original adds later do not reach a copy made before
         q = p.copy()
-        assert all(a is b for a, b in zip(q.constraints, p.constraints))
-        q.add_constraint({"x": 1}, "<=", 3)
-        assert len(p.constraints) == 2 and len(q.constraints) == 3
+        p.add_constraint({"y": 1}, ">=", 0)
+        assert q.rows.m == 2 and p.rows.m == 3
+        # views are frozen and read the arrays in row and entry order
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.constraints[0].rhs = 1.0
+        assert [(c.coeffs, c.relation, c.rhs) for c in p.constraints] == [
+            ({0: 6.0, 1: 4.0}, "<=", 24.0), ({0: 1.0, 1: 2.0}, "<=", 6.0), ({1: 1.0}, ">=", 0.0),
+        ]
 
     def test_lp_file_round_trip(self, tmp_path):
         p = MipProblem()
@@ -538,12 +600,12 @@ class TestCuts:
         assert len(cuts) == 0 and cuts.n == 1
 
     def test_cover_cut_on_knapsack(self):
-        rows = CompiledRows([({0: 3.0, 1: 3.0, 2: 3.0}, "<=", 5.0)], 3)
+        rows = row_set([({0: 3.0, 1: 3.0, 2: 3.0}, "<=", 5.0)], 3)
         cuts = cover_cuts(rows, np.ones(3, dtype=bool), np.array([5 / 9, 5 / 9, 5 / 9]))
         assert_cut_rows(cuts, [0, 3], [0, 1, 2], [1.0, 1.0, 1.0], [1.0])
         # the cover {x1, x2} is listed first, then x0, which weighs at least
         # as much as any cover item: x1 + x2 + x0 <= 1, violated by 0.2
-        rows = CompiledRows([({0: 4.0, 1: 3.0, 2: 3.0}, "<=", 5.0)], 3)
+        rows = row_set([({0: 4.0, 1: 3.0, 2: 3.0}, "<=", 5.0)], 3)
         cuts = cover_cuts(rows, np.ones(3, dtype=bool), np.array([0.0, 0.6, 0.6]))
         assert_cut_rows(cuts, [0, 3], [1, 2, 0], [1.0, 1.0, 1.0], [1.0])
 
@@ -556,7 +618,7 @@ class TestCuts:
         # leaves at most 7, so the cover is minimal, and no item lies
         # outside it. Its cut (1 - x1) + x2 + x0 <= 2 is -x1 + x2 + x0 <= 1,
         # listed in cover order and violated at x by 0.9
-        rows = CompiledRows([({0: -2.0, 1: 3.0, 2: -4.0}, ">=", -4.0)], 3)
+        rows = row_set([({0: -2.0, 1: 3.0, 2: -4.0}, ">=", -4.0)], 3)
         x = np.array([0.9, 0.0, 1.0])
         cuts = cover_cuts(rows, np.ones(3, dtype=bool), x)
         assert_cut_rows(cuts, [0, 3], [1, 2, 0], [-1.0, 1.0, 1.0], [1.0])
@@ -574,9 +636,9 @@ class TestCuts:
             ({0: 3.0, 1: 3.0, 2: 3.0}, "=", 5.0),  # an equality row
             ({}, "<=", 5.0),  # an empty row
         ]
-        assert len(cover_cuts(CompiledRows(skipped, 4), binary, x)) == 0
+        assert len(cover_cuts(row_set(skipped, 4), binary, x)) == 0
         # the rows in between do not disturb the knapsack's cut
-        cuts = cover_cuts(CompiledRows(skipped + [knapsack], 4), binary, x)
+        cuts = cover_cuts(row_set(skipped + [knapsack], 4), binary, x)
         assert_cut_rows(cuts, [0, 3], [0, 1, 2], [1.0, 1.0, 1.0], [1.0])
         assert cuts.n == 4
 
@@ -585,7 +647,7 @@ class TestCuts:
         binary = np.ones(5, dtype=bool)
         first = ({0: 3.0, 1: 3.0, 2: 3.0}, "<=", 5.0)
         second = ({3: 2.0, 4: 2.0}, "<=", 3.0)  # x3 + x4 <= 1, violated by 0.2
-        rows = CompiledRows([first, first, second], 5)
+        rows = row_set([first, first, second], 5)
         cuts = cover_cuts(rows, binary, x)
         assert_cut_rows(cuts, [0, 3, 5], [0, 1, 2, 3, 4], [1.0] * 5, [1.0, 1.0])
         # the repeated row counts toward no cut, so one cut is the first
@@ -800,7 +862,7 @@ class TestReduction:
             int_mask = np.array([v.kind != "continuous" for v in problem.variables])
             rows = [(dict(c.coeffs), c.relation, c.rhs) for c in problem.constraints]
             n = problem.n_vars
-            if not real_propagate(CompiledRows(rows, n), lb, ub, int_mask, max_passes=6):
+            if not real_propagate(row_set(rows, n), lb, ub, int_mask, max_passes=6):
                 return None
             while True:
                 fixed = (ub - lb) <= solver.FIX_EPS
@@ -829,7 +891,7 @@ class TestReduction:
                     return None
                 if not changed:
                     break
-                if not real_propagate(CompiledRows(rows, n), lb, ub, int_mask, max_passes=2):
+                if not real_propagate(row_set(rows, n), lb, ub, int_mask, max_passes=2):
                     return None
             keep = np.flatnonzero((ub - lb) > solver.FIX_EPS)
             pos = {int(j): p for p, j in enumerate(keep)}
@@ -837,7 +899,7 @@ class TestReduction:
 
         def assert_same(got, n):
             was, phase[0] = phase[0], "check"
-            want = CompiledRows(ref["rows"] + cuts, n)
+            want = row_set(ref["rows"] + cuts, n)
             for name in ("indptr", "indices", "data", "rhs", "le", "ge"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
             for a, b in zip(got.row_bounds, want.row_bounds):
@@ -882,7 +944,7 @@ class TestReduction:
                 cuts.append((coeffs, "=" if le and ge else "<=" if le else ">=", rhs))
             # a view over the same arrays: building its schedule leaves
             # the relaxation's rows as they were
-            assert_same(self.rows.append(CompiledRows([], self.n)), self.n)
+            assert_same(self.rows.append(row_set([], self.n)), self.n)
             checks["rounds"] += 1
 
         def spy_propagate(rows, *args, **kwargs):

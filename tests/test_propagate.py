@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetopt.mip.problem import EQ, GE, INT_TOL, LE
-from fleetopt.mip.rows import CompiledRows
-from fleetopt.mip.solver import _propagate
+from fleetopt.mip.problem import EQ, GE, INT_TOL, LE, MipProblem
+from fleetopt.mip.solver import _propagate, _reduce
+
+from rowsets import row_set
 
 INF = float("inf")
 
@@ -77,7 +78,7 @@ def assert_same_as_sequential(rows, lb, ub, int_mask, max_passes):
     lb_ref, ub_ref = lb.copy(), ub.copy()
     expected = sequential_propagate(rows, lb_ref, ub_ref, int_mask, max_passes)
     lb_new, ub_new = lb.copy(), ub.copy()
-    got = _propagate(CompiledRows(rows, len(lb)), lb_new, ub_new, int_mask, max_passes)
+    got = _propagate(row_set(rows, len(lb)), lb_new, ub_new, int_mask, max_passes)
     assert got == expected
     assert np.array_equal(lb_new, lb_ref)
     assert np.array_equal(ub_new, ub_ref)
@@ -146,14 +147,14 @@ def chain(length, forward=True):
 
 def test_chain_in_row_order_propagates_through_in_one_pass():
     rows, lb, ub, mask = chain(8)
-    assert len(CompiledRows(rows, len(lb)).levels) == 8
+    assert len(row_set(rows, len(lb)).levels) == 8
     _, _, ub_new = assert_same_as_sequential(rows, lb, ub, mask, 1)
     assert np.all(ub_new == 1.0)
 
 
 def test_chain_against_row_order_moves_one_step_per_pass():
     rows, lb, ub, mask = chain(8, forward=False)
-    assert len(CompiledRows(rows, len(lb)).levels) == 8
+    assert len(row_set(rows, len(lb)).levels) == 8
     _, _, ub_new = assert_same_as_sequential(rows, lb, ub, mask, 3)
     assert list(ub_new) == [1.0] * 4 + [10.0] * 5
 
@@ -164,7 +165,7 @@ def test_rows_on_one_level_share_no_column():
     for _ in range(60):
         cols = rng.choice(30, size=int(rng.integers(1, 6)), replace=False)
         rows.append(({int(j): float(rng.integers(1, 5)) for j in cols}, EQ, 3.0))
-    compiled = CompiledRows(rows, 30)
+    compiled = row_set(rows, 30)
     seen_rows = []
     for level in compiled.levels:
         level_rows = sorted(set(level.row_of.tolist()))
@@ -247,11 +248,69 @@ def test_propagation_never_removes_an_integer_feasible_point(model, max_passes):
     ]
     feasible = [p for p in points if satisfies(rows, p)]
     lb_new, ub_new = lb.copy(), ub.copy()
-    ok = _propagate(CompiledRows(rows, n), lb_new, ub_new, np.ones(n, bool), max_passes)
+    ok = _propagate(row_set(rows, n), lb_new, ub_new, np.ones(n, bool), max_passes)
     if not ok:
         assert not feasible
     for p in feasible:
         assert np.all(p >= lb_new) and np.all(p <= ub_new)
+
+
+@st.composite
+def reducible_models(draw):
+    """Tiny integer models: pinned columns, singleton and empty rows allowed."""
+    n = draw(st.integers(1, 4))
+    lb = np.array([float(draw(st.integers(-2, 1))) for _ in range(n)])
+    ub = lb + np.array([float(draw(st.integers(0, 3))) for _ in range(n)])
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=n, unique=True))
+        coeffs = {j: draw(SMALL_INT) for j in cols}
+        rows.append((coeffs, draw(RELATIONS), float(draw(st.integers(-6, 6)))))
+    objective = {j: draw(SMALL_INT) for j in range(n) if draw(st.booleans())}
+    return rows, lb, ub, objective
+
+
+@settings(max_examples=400, deadline=None)
+@given(reducible_models())
+def test_reduction_never_removes_an_integer_feasible_point(model):
+    rows, lb, ub, objective = model
+    n = len(lb)
+    problem = MipProblem()
+    for j in range(n):
+        problem.add_variable(f"v{j}", "integer", lb[j], ub[j])
+    for coeffs, rel, rhs in rows:
+        problem.add_constraint(coeffs, rel, rhs)
+    problem.set_objective("max", objective, 0.5)
+    points = [
+        np.array(p, dtype=float)
+        for p in itertools.product(
+            *[range(int(lb[j]), int(ub[j]) + 1) for j in range(n)]
+        )
+    ]
+    feasible = [p for p in points if satisfies(rows, p)]
+    red = _reduce(problem, problem.objective)
+    if not red.feasible:
+        assert not feasible
+        return
+    reduced = red.rows
+    assert reduced.n == len(red.keep)
+    for p in feasible:
+        # the point agrees with every column the reduction pinned
+        full = red.full_values.copy()
+        full[red.keep] = p[red.keep]
+        assert np.array_equal(full, p)
+        # and its kept part lies in the reduced bounds and rows
+        x = p[red.keep]
+        assert np.all(x >= red.lb) and np.all(x <= red.ub)
+        act = np.array([
+            float(reduced.data[a:b] @ x[reduced.indices[a:b]])
+            for a, b in zip(reduced.indptr[:-1], reduced.indptr[1:])
+        ])
+        assert np.all(act[reduced.le] <= reduced.rhs[reduced.le] + 1e-9)
+        assert np.all(act[reduced.ge] >= reduced.rhs[reduced.ge] - 1e-9)
+        # with the same objective value
+        value = red.obj_constant + sum(c * x[j] for j, c in red.obj_coeffs.items())
+        assert value == pytest.approx(problem.objective.value(p), abs=1e-9)
 
 
 # --- the row-bound form HiGHS reads ---
@@ -264,7 +323,7 @@ def test_row_bounds_give_each_sense_without_negation():
         ({0: 3.0, 1: 1.0}, GE, -2.0),
         ({}, LE, 0.0),
     ]
-    compiled = CompiledRows(rows, 3)
+    compiled = row_set(rows, 3)
     lower, upper = compiled.row_bounds
     assert lower.tolist() == [-np.inf, 1.0, -2.0, -np.inf]
     assert upper.tolist() == [4.0, 1.0, np.inf, 0.0]
@@ -272,7 +331,7 @@ def test_row_bounds_give_each_sense_without_negation():
     assert compiled.indptr.tolist() == [0, 2, 3, 5, 5]
     assert compiled.indices.tolist() == [2, 0, 1, 0, 1]
     assert compiled.data.tolist() == [1.0, 2.0, -1.0, 3.0, 1.0]
-    lower, upper = CompiledRows([], 3).row_bounds
+    lower, upper = row_set([], 3).row_bounds
     assert len(lower) == len(upper) == 0
 
 
@@ -317,11 +376,11 @@ def test_levels_follow_the_row_by_row_definition_also_after_append():
         n, m = int(rng.integers(1, 25)), int(rng.integers(0, 40))
         rows = random_rows(rng, m, n)
         k = int(rng.integers(0, m + 1))
-        head = CompiledRows(rows[:k], n)
+        head = row_set(rows[:k], n)
         head.levels  # assigns the first k rows their levels
-        joined = head.append(CompiledRows(rows[k:], n))
+        joined = head.append(row_set(rows[k:], n))
         assert joined._assign_levels().tolist() == row_by_row_levels(rows, n)
-        assert_same_rows(joined, CompiledRows(rows, n))
+        assert_same_rows(joined, row_set(rows, n))
 
 
 def test_relabel_substitute_and_take_match_a_fresh_compile():
@@ -331,7 +390,7 @@ def test_relabel_substitute_and_take_match_a_fresh_compile():
         rows = random_rows(rng, m, n)
         values = rng.uniform(-2, 2, n)
         fixed = rng.random(n) < 0.4
-        compiled = CompiledRows(rows, n)
+        compiled = row_set(rows, n)
         compiled.levels  # a built schedule is relabelled, not rebuilt
 
         # the fixed terms leave in each row's own order
@@ -341,11 +400,11 @@ def test_relabel_substitute_and_take_match_a_fresh_compile():
                 if fixed[j]:
                     rhs -= a * values[j]
             substituted.append(({j: a for j, a in coeffs.items() if not fixed[j]}, rel, rhs))
-        assert_same_rows(compiled.substitute(fixed, values), CompiledRows(substituted, n))
+        assert_same_rows(compiled.substitute(fixed, values), row_set(substituted, n))
 
         mask = rng.random(m) < 0.6
         taken = [row for row, keep in zip(rows, mask) if keep]
-        assert_same_rows(compiled.take(mask), CompiledRows(taken, n))
+        assert_same_rows(compiled.take(mask), row_set(taken, n))
 
         keep = np.flatnonzero(~fixed)
         if any(fixed[j] for coeffs, _, _ in rows for j in coeffs):
@@ -353,10 +412,10 @@ def test_relabel_substitute_and_take_match_a_fresh_compile():
                 compiled.relabel(keep)
         pos = {int(j): p for p, j in enumerate(keep)}
         inside = [r for r in substituted if r[0]]
-        want = CompiledRows(
+        want = row_set(
             [({pos[j]: a for j, a in c.items()}, rel, r) for c, rel, r in inside], len(keep)
         )
-        assert_same_rows(CompiledRows(inside, n).relabel(keep), want)
-        scheduled = CompiledRows(inside, n)
+        assert_same_rows(row_set(inside, n).relabel(keep), want)
+        scheduled = row_set(inside, n)
         scheduled.levels
         assert_same_rows(scheduled.relabel(keep), want)
