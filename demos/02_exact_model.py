@@ -32,7 +32,7 @@ inst = FleetInstance(
 )
 grid = PriceGrid.uniform(inst, 3)
 mip = build_deterministic_mip(inst, grid)
-print(f"model: {mip.n_vars} variables, {len(mip.constraints)} rows")
+print(f"model: {mip.n_vars} variables, {len(mip.rows)} rows")
 
 solution = branch_and_bound(mip)
 print(f"solver: {solution.status}, objective {solution.objective_value:.2f}, "

@@ -38,7 +38,7 @@ print(f"descent reaches leaf {leaf_id}; active in-edges: "
       f"{sorted(n for n, on in q.items() if on)}")
 
 mip = build_feature_mip(inst, forest, exogenous)
-print(f"\nembedded model: {mip.n_vars} variables, {len(mip.constraints)} rows")
+print(f"\nembedded model: {mip.n_vars} variables, {len(mip.rows)} rows")
 
 solution = branch_and_bound(mip, SolveConfig())
 print(f"best predicted profit: {solution.objective_value:.2f} "

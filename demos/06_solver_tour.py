@@ -4,9 +4,6 @@ Everything here is deterministic: the same problem and configuration
 always reproduce the same values and node counts.
 """
 
-import os
-import tempfile
-
 import numpy as np
 
 from fleetopt.mip import (
@@ -16,8 +13,6 @@ from fleetopt.mip import (
     cover_cuts,
     lexicographic_solve,
     lp_solve,
-    read_lp,
-    write_lp,
 )
 
 # --- the LP relaxation engine -------------------------------------------
@@ -75,14 +70,6 @@ lex = lexicographic_solve(b)
 print(f"\nlexicographic: primary {lex.objective_value}, "
       f"secondary {lex.secondary_value}")
 print("values:", {n: v for n, v in lex.values.items()})
-
-# --- LP text interchange ---------------------------------------------------
-with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "bi.lp")
-    write_lp(b, path)
-    again = read_lp(path)
-assert branch_and_bound(again).objective_value == branch_and_bound(b).objective_value
-print("\nwrote and re-read the LP file; optima agree")
 
 # --- variable fixing --------------------------------------------------------
 from fleetopt.mip import fix_variables

@@ -68,6 +68,15 @@ def sensitivity_scores(context: GuideContext) -> dict[str, float]:
     return scores
 
 
+def most_sensitive(context: GuideContext, keep: int) -> tuple[str, ...]:
+    """The ``keep`` highest-scoring variables, ties to the earlier name,
+    in name order."""
+    names = context.history.variable_names
+    scores = sensitivity_scores(context)
+    order = sorted(range(len(names)), key=lambda p: (-scores[names[p]], p))
+    return tuple(names[p] for p in sorted(order[:keep]))
+
+
 class DeterministicGuide:
     """Offline guide: highest-score variables stay active."""
 
@@ -75,14 +84,10 @@ class DeterministicGuide:
         self.schedule = tuple(schedule)
 
     def propose(self, context: GuideContext) -> GuideProposal:
-        names = list(context.history.variable_names)
         rho = fixed_fraction(self.schedule, context.iteration)
-        keep = max(1, math.ceil((1.0 - rho) * len(names)))
-        scores = sensitivity_scores(context)
-        order = sorted(range(len(names)), key=lambda p: (-scores[names[p]], p))
-        chosen = sorted(order[:keep])
+        n = len(context.history.variable_names)
         return GuideProposal(
-            keep_active=tuple(names[p] for p in chosen),
+            keep_active=most_sensitive(context, max(1, math.ceil((1.0 - rho) * n))),
             rationale=(
                 f"iteration {context.iteration}: fixing {rho:.0%} lowest-"
                 "sensitivity variables by historical spread"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..agent.guides import GuideContext, sensitivity_scores
+from ..agent.guides import GuideContext, most_sensitive
 from ..agent.indicator import indicator_generate
 from ..agent.loop import build_agent_model, fixing_values
 from ..agent.types import AgentConfig, HistoryStore
@@ -174,18 +174,6 @@ def pick_eval_days(world: World, history: HistoryStore, n: int, seed: int) -> li
     return sorted(candidates[int(i)] for i in picked)
 
 
-def _keep_for_count(
-    history: HistoryStore, context: GuideContext, fixed_count: int
-) -> tuple[str, ...]:
-    """Active set when exactly ``fixed_count`` variables get fixed."""
-    names = list(history.variable_names)
-    fixed_count = max(0, min(fixed_count, len(names) - 1))
-    scores = sensitivity_scores(context)
-    order = sorted(range(len(names)), key=lambda p: (-scores[names[p]], p))
-    keep = len(names) - fixed_count
-    return tuple(names[p] for p in sorted(order[:keep]))
-
-
 def run_efficiency_experiment(
     world: World,
     forest: Forest,
@@ -258,10 +246,9 @@ def run_efficiency_experiment(
                     previous_active=(),
                     previous_score=0.0,
                 )
-                keep = _keep_for_count(history, context, count)
-                fixed_names = [
-                    n for n in history.variable_names if n not in set(keep)
-                ]
+                # exactly ``count`` fixed, at least one left active
+                keep = set(most_sensitive(context, n_vars - max(0, min(count, n_vars - 1))))
+                fixed_names = [n for n in history.variable_names if n not in keep]
                 values = fixing_values(fixed_names, baseline, instance, grid)
                 t0 = time.perf_counter()
                 reduced = fix_variables(mip, values)

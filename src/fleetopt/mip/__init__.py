@@ -1,4 +1,9 @@
-"""Native MIP machinery: problem container, HiGHS LP model, cuts, search."""
+"""Native MIP machinery: problem container, HiGHS LP model, cuts, search.
+
+A problem keeps its rows as CSR arrays (:attr:`MipProblem.rows`), and
+every layer here reads them in that form. ``Constraint`` is exported
+for the row views that only the benchmark still reads.
+"""
 
 from .problem import (
     BINARY,
@@ -21,8 +26,6 @@ from .problem import (
     Objective,
     Solution,
     Variable,
-    read_lp,
-    write_lp,
 )
 from .cuts import cover_cuts, gomory_cuts
 from .rows import CompiledRows
@@ -63,6 +66,4 @@ __all__ = [
     "gomory_cuts",
     "lexicographic_solve",
     "lp_solve",
-    "read_lp",
-    "write_lp",
 ]

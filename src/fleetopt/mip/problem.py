@@ -4,8 +4,9 @@ A problem keeps its rows as CSR arrays (:class:`.rows.CompiledRows`)
 with a name per row. :meth:`MipProblem.add_constraint` takes one row as
 a dict; :meth:`MipProblem.add_rows` takes a block of rows as arrays,
 which is how a forest's rows go in. Either way the rows end up in one
-row set, :attr:`MipProblem.rows`, which a search reads as it is.
-:attr:`MipProblem.constraints` reads the same rows as dicts.
+row set, :attr:`MipProblem.rows`, which a search reads as it is; it is
+the only form in which the package reads rows. A problem is built in
+memory and handed to the solver; nothing writes it to a file.
 """
 
 from __future__ import annotations
@@ -300,8 +301,10 @@ class MipProblem:
     def constraints(self) -> tuple[Constraint, ...]:
         """The rows as :class:`Constraint` views, in row and entry order.
 
-        The views are read off :attr:`rows` when first asked for and
-        kept; they are for reading, and changing one changes no row.
+        No code in the package reads rows this way; the view is kept for
+        the benchmark's ``milp`` oracle and tracer, which still do. The
+        views are read off :attr:`rows` when first asked for and kept;
+        they are for reading, and changing one changes no row.
         """
         rows = self.rows
         done = len(self._views)
@@ -362,23 +365,26 @@ class MipProblem:
         return other
 
     def check_point(self, values: np.ndarray, tol: float = 1e-6) -> list[str]:
-        """Names of constraints/bounds violated at a point (for tests)."""
+        """What a point violates: ``bound:``/``integrality:`` per column,
+        in column order, then ``row:`` with each broken row's name, or
+        its index when it has none, in row order."""
+        values = np.asarray(values, dtype=float)
+        lb, ub = self.bounds_arrays()
+        out_of_bounds = (values < lb - tol) | (values > ub + tol)
+        integral = np.array(
+            [v.kind in (INTEGER, BINARY) for v in self.variables], dtype=bool
+        )
+        fractional = integral & (np.abs(values - np.round(values)) > INT_TOL)
         bad = []
-        for i, v in enumerate(self.variables):
-            if values[i] < v.lb - tol or values[i] > v.ub + tol:
-                bad.append(f"bound:{v.name}")
-            if v.kind in (INTEGER, BINARY) and abs(
-                values[i] - round(values[i])
-            ) > INT_TOL:
-                bad.append(f"integrality:{v.name}")
-        for r, con in enumerate(self.constraints):
-            act = sum(c * values[i] for i, c in con.coeffs.items())
-            if con.relation == LE and act > con.rhs + tol:
-                bad.append(f"row:{con.name or r}")
-            elif con.relation == GE and act < con.rhs - tol:
-                bad.append(f"row:{con.name or r}")
-            elif con.relation == EQ and abs(act - con.rhs) > tol:
-                bad.append(f"row:{con.name or r}")
+        for i in np.flatnonzero(out_of_bounds | fractional).tolist():
+            if out_of_bounds[i]:
+                bad.append(f"bound:{self.variables[i].name}")
+            if fractional[i]:
+                bad.append(f"integrality:{self.variables[i].name}")
+        rows = self.rows
+        act = rows.matrix_t.T @ values
+        broken = (rows.le & (act > rows.rhs + tol)) | (rows.ge & (act < rows.rhs - tol))
+        bad += [f"row:{self._row_names[r] or r}" for r in np.flatnonzero(broken).tolist()]
         return bad
 
 
@@ -444,152 +450,3 @@ class Solution:
             stage2_fallback=bool(doc.get("stage2_fallback", False)),
         )
 
-
-# --- LP text format (debug interchange) ---
-
-
-def _lp_term(coeff: float, name: str) -> str:
-    sign = "-" if coeff < 0 else "+"
-    mag = abs(coeff)
-    return f"{sign} {mag:.12g} {name}"
-
-
-def write_lp(problem: MipProblem, path: str) -> None:
-    """Write the problem in the conventional LP text format."""
-    lines = []
-    obj = problem.objective or Objective(MIN, {})
-    lines.append("Maximize" if obj.sense == MAX else "Minimize")
-    terms = " ".join(
-        _lp_term(c, problem.variables[i].name) for i, c in sorted(obj.coeffs.items())
-    )
-    lines.append(" obj: " + (terms.lstrip("+ ") if terms else "0"))
-    lines.append("Subject To")
-    for r, con in enumerate(problem.constraints):
-        terms = " ".join(
-            _lp_term(c, problem.variables[i].name) for i, c in sorted(con.coeffs.items())
-        )
-        rel = {LE: "<=", GE: ">=", EQ: "="}[con.relation]
-        row_name = con.name or f"c{r}"
-        lines.append(f" {row_name}: {terms.lstrip('+ ') or '0'} {rel} {con.rhs:.12g}")
-    lines.append("Bounds")
-    for v in problem.variables:
-        lo = f"{v.lb:.12g}" if np.isfinite(v.lb) else "-inf"
-        hi = f"{v.ub:.12g}" if np.isfinite(v.ub) else "+inf"
-        lines.append(f" {lo} <= {v.name} <= {hi}")
-    generals = [v.name for v in problem.variables if v.kind == INTEGER]
-    binaries = [v.name for v in problem.variables if v.kind == BINARY]
-    if generals:
-        lines.append("Generals")
-        lines.append(" " + " ".join(generals))
-    if binaries:
-        lines.append("Binaries")
-        lines.append(" " + " ".join(binaries))
-    lines.append("End")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _parse_lp_expr(tokens: list[str]) -> dict[str, float]:
-    coeffs: dict[str, float] = {}
-    sign = 1.0
-    pending: float | None = None
-    for tok in tokens:
-        if tok == "+":
-            continue
-        if tok == "-":
-            sign = -sign
-            continue
-        try:
-            num = float(tok)
-        except ValueError:
-            coeff = sign * (1.0 if pending is None else pending)
-            coeffs[tok] = coeffs.get(tok, 0.0) + coeff
-            sign, pending = 1.0, None
-        else:
-            pending = num if pending is None else pending * num
-    return coeffs
-
-
-def read_lp(path: str) -> MipProblem:
-    """Read a problem written by :func:`write_lp` (restricted LP dialect)."""
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    problem = MipProblem(name=path)
-    section = None
-    sense = MIN
-    obj_tokens: list[str] = []
-    rows: list[tuple[str, list[str], str, float]] = []
-    bounds: list[tuple[float, str, float]] = []
-    generals: set[str] = set()
-    binaries: set[str] = set()
-    for ln in raw:
-        low = ln.lower()
-        if low in ("maximize", "minimize"):
-            section = "obj"
-            sense = MAX if low == "maximize" else MIN
-            continue
-        if low == "subject to":
-            section = "rows"
-            continue
-        if low == "bounds":
-            section = "bounds"
-            continue
-        if low == "generals":
-            section = "generals"
-            continue
-        if low == "binaries":
-            section = "binaries"
-            continue
-        if low == "end":
-            break
-        if section == "obj":
-            body = ln.split(":", 1)[1] if ":" in ln else ln
-            obj_tokens.extend(body.split())
-        elif section == "rows":
-            name, body = ln.split(":", 1) if ":" in ln else ("", ln)
-            for rel in (LE, GE, EQ):
-                if rel in body:
-                    lhs, rhs = body.rsplit(rel, 1)
-                    rows.append((name.strip(), lhs.split(), rel, float(rhs)))
-                    break
-            else:
-                raise MipError(f"cannot parse LP row: {ln!r}")
-        elif section == "bounds":
-            parts = ln.split("<=")
-            if len(parts) != 3:
-                raise MipError(f"cannot parse LP bound: {ln!r}")
-            lo = float("-inf") if parts[0].strip() == "-inf" else float(parts[0])
-            hi = float("inf") if parts[2].strip() == "+inf" else float(parts[2])
-            bounds.append((lo, parts[1].strip(), hi))
-        elif section == "generals":
-            generals.update(ln.split())
-        elif section == "binaries":
-            binaries.update(ln.split())
-    bound_map = {name: (lo, hi) for lo, name, hi in bounds}
-    names: list[str] = []
-    seen = set()
-
-    def note(tokens):
-        for tok in tokens:
-            if tok in ("+", "-"):
-                continue
-            try:
-                float(tok)
-            except ValueError:
-                if tok not in seen:
-                    seen.add(tok)
-                    names.append(tok)
-
-    note(obj_tokens)
-    for _, tokens, _, _ in rows:
-        note(tokens)
-    names.extend(n for n in bound_map if n not in seen)
-    for name in names:
-        lo, hi = bound_map.get(name, (0.0, float("inf")))
-        kind = BINARY if name in binaries else INTEGER if name in generals else CONTINUOUS
-        problem.add_variable(name, kind, lo, hi)
-    obj = _parse_lp_expr(obj_tokens)
-    problem.set_objective(sense, obj)
-    for name, tokens, rel, rhs in rows:
-        problem.add_constraint(_parse_lp_expr(tokens), rel, rhs, name=name)
-    return problem

@@ -86,79 +86,63 @@ class SolveConfig:
 
 
 def _propagate(rows: CompiledRows, lb, ub, int_mask, max_passes=4):
-    """Activity-based bound tightening in place; returns False on infeasibility.
+    """Activity-based bound tightening; returns False on infeasibility.
 
     Each pass is a Gauss-Seidel sweep over the rows in order: a row's
     least (greatest) activity under the current bounds first proves the
     row infeasible or tightens each column's bound on the "<=" (">=")
     side, and later rows see the tightened bounds. Integer bounds are
     rounded after every pass; passes stop when one tightens nothing.
+    The tightened bounds are written to ``lb`` and ``ub`` only when the
+    verdict is feasible; on False they are left as they are, and no
+    caller reads them.
 
     The sweep runs one level of the schedule at a time (see
     :mod:`.rows`), all rows of a level in a few numpy operations. Rows
     on a level share no column, and each row reads only bounds written
     by lower levels, so the bounds, the stop after an unchanged pass
-    and the verdict are bit for bit those of the row-by-row sweep. That
-    includes the bounds left behind on infeasibility: the row-by-row
-    sweep stops at the first infeasible row, so a pass that finds one
-    is re-run from its start with only the rows before it. (When only
-    the ">=" side of an equality row fails, its "<=" side has run first
-    but tightens nothing: its least slack exceeds the 1e-7 margin.)
+    and the verdict are bit for bit those of the row-by-row sweep. A
+    level that shows an infeasible row ends the sweep: the row-by-row
+    sweep reaches that row with the same bounds, or stops earlier at
+    another infeasible row, so the verdict is the same.
     """
+    if rows.first_empty_failure is not None:
+        return False
     n = rows.n
     w = np.concatenate([ub, -lb, [0.0, -np.inf]])
     rounded = np.concatenate([int_mask, int_mask, [False, False]])
     any_int = bool(np.any(int_mask))
-    feasible = True
     # a half with unbounded least activity computes inf - inf in entries
     # that then tighten nothing
     with np.errstate(invalid="ignore"):
         for _ in range(max_passes):
             start = w.copy()
-            limit = rows.first_empty_failure
-            while (failed := _sweep(rows.levels, w, limit)) is not None:
-                w[:] = start
-                limit = failed
-            if limit is not None:
-                feasible = False
-                break
+            if not _sweep(rows.levels, w):
+                return False
             changed = not np.array_equal(w, start)
             if any_int:
                 w[rounded] = np.floor(w[rounded] + INT_TOL)
             if np.any(-w[n : 2 * n] > w[:n] + 1e-7):
-                feasible = False
-                break
+                return False
             if not changed:
                 break
     ub[:] = w[:n]
     lb[:] = -w[n : 2 * n]
-    return feasible
+    return True
 
 
-def _sweep(levels, w, limit):
-    """One pass over the levels, tightening ``w`` in place.
-
-    With ``limit`` None every row takes part, and the pass returns the
-    index of an infeasible row as soon as a level shows one. With
-    ``limit`` set, only rows before it take part, and the pass returns
-    the index of an infeasible row among them, if any. None means the
-    pass ran to the end.
-    """
-    for row_of, seg, half_of, k_p, k_t, coef, abs_coef, rhs, threshold in levels:
+def _sweep(levels, w) -> bool:
+    """One pass over the levels, tightening ``w`` in place; False as
+    soon as a level shows an infeasible row."""
+    for _, seg, half_of, k_p, k_t, coef, abs_coef, rhs, threshold in levels:
         terms = coef * w[k_p]
         least = np.add.reduceat(terms, seg)
-        bad = least > threshold
-        if limit is not None:
-            before = row_of < limit
-            bad &= before
-        if bad.any():
-            return int(row_of[bad][0])
+        if (least > threshold).any():
+            return False
         bound = ((rhs - least)[half_of] + terms) / abs_coef
         tighter = bound < w[k_t] - 1e-9
-        if limit is not None:
-            tighter &= before[half_of]
         w[k_t[tighter]] = bound[tighter]
-    return None
+    return True
 
 
 @dataclass

@@ -187,15 +187,10 @@ class TestEncode:
         )
         assert stump_split(mip)[2] == 3.5 + EPSILON_STRICT
 
-    def test_lp_debug_dump(self, tmp_path):
-        from fleetopt.mip import read_lp, write_lp
-
+    def test_embedded_stump_solves_to_its_right_leaf(self):
         mip = embed_on_columns(forest_of([stump()]), {0: (0, 10)})
-        path = tmp_path / "forest.lp"
-        write_lp(mip, str(path))
-        again = read_lp(str(path))
-        sol = branch_and_bound(again)
-        # the dumped model maximizes the stump: right leaf pays 20
+        sol = branch_and_bound(mip)
+        # the model maximizes the stump: right leaf pays 20
         assert sol.objective_value == pytest.approx(20.0)
 
 

@@ -18,8 +18,6 @@ from fleetopt.mip import (
     gomory_cuts,
     lexicographic_solve,
     lp_solve,
-    read_lp,
-    write_lp,
 )
 from fleetopt.bench.experiments import CUT_FAMILIES
 from fleetopt.mip import cuts as cutmod
@@ -249,26 +247,33 @@ class TestProblem:
             ({0: 6.0, 1: 4.0}, "<=", 24.0), ({0: 1.0, 1: 2.0}, "<=", 6.0), ({1: 1.0}, ">=", 0.0),
         ]
 
-    def test_lp_file_round_trip(self, tmp_path):
+    def test_check_point_names_bounds_integrality_then_rows(self):
         p = MipProblem()
-        p.add_variable("x", "integer", 0, 10)
-        p.add_variable("y", "continuous", -2, 7.5)
+        p.add_variable("x", "integer", 0, 5)
+        p.add_variable("y", "continuous", -1, 4)
         p.add_variable("b", "binary")
-        p.add_constraint({"x": 2, "y": -1.5}, "<=", 4)
-        p.add_constraint({"x": 1, "b": 3}, ">=", 1)
-        p.add_constraint({"y": 1, "b": -1}, "=", 0.5)
-        p.set_objective("max", {"x": 1, "y": 2, "b": -3})
-        path = tmp_path / "round.lp"
-        write_lp(p, str(path))
-        q = read_lp(str(path))
-        assert [v.name for v in q.variables] == [v.name for v in p.variables]
-        assert [(v.kind, v.lb, v.ub) for v in q.variables] == [
-            (v.kind, v.lb, v.ub) for v in p.variables
+        p.add_constraint({"x": 1, "y": 2}, "<=", 6, name="cap")
+        p.add_constraint({"x": 1, "y": -1}, ">=", 1)
+        p.add_constraint({"x": 1, "b": 1}, "=", 3, name="bal")
+        p.add_constraint({}, ">=", 2)  # empty, so broken at every point
+        off_domain = np.array([6.5, -2.0, 0.5])
+        every_row = np.array([1.0, 3.0, 1.0])
+        # columns in order, a column's bound before its integrality
+        assert p.check_point(off_domain) == [
+            "bound:x", "integrality:x", "bound:y", "integrality:b", "row:bal", "row:3",
         ]
-        assert q.objective.sense == "max"
-        sol_p = branch_and_bound(p)
-        sol_q = branch_and_bound(q)
-        assert sol_p.objective_value == pytest.approx(sol_q.objective_value)
+        assert p.check_point(np.array([2.0, 0.0, 1.0])) == ["row:3"]
+        # a row by its name, or by its index when it has none
+        assert p.check_point(every_row) == ["row:cap", "row:1", "row:bal", "row:3"]
+        f = p.fork()
+        f.add_constraint({"y": 1}, "<=", 2.5, name="own")
+        f.add_constraint({"x": 1}, ">=", 3)
+        assert f.check_point(every_row) == [
+            "row:cap", "row:1", "row:bal", "row:3", "row:own", "row:5",
+        ]
+        assert f.check_point(np.array([3.0, 1.0, 0.0])) == ["row:3"]
+        # the fork's rows do not reach the problem it came from
+        assert p.check_point(every_row) == ["row:cap", "row:1", "row:bal", "row:3"]
 
 
 class TestLpSolve:
