@@ -7,8 +7,8 @@ itself. This module is the only place that imports it. A
 from the row-wise CSR arrays of a :class:`~.rows.CompiledRows`, and
 then only changes column bounds (:meth:`HighsLp.solve`) or appends rows
 (:meth:`HighsLp.add_rows`). It keeps the rows HiGHS holds as
-``HighsLp.rows``, cuts included, which is what node propagation and cut
-separation read, and sums the simplex iterations of its solves.
+``HighsLp.rows``, cuts included, which is what cut separation reads,
+and sums the simplex iterations of its solves.
 HiGHS keeps its basis between runs and presolves only while the model
 holds no valid basis, in practice on the first solve; every later solve
 is a dual simplex warm-started from the last basis, which is what a
@@ -67,6 +67,11 @@ class LpResult:
     iterations: int = 0
 
 
+def _statuses(statuses: list) -> np.ndarray:
+    """HiGHS basis statuses as ints."""
+    return np.fromiter(statuses, dtype=np.int8, count=len(statuses))
+
+
 class Tableau:
     """The basis of a solve, read one simplex tableau row at a time.
 
@@ -75,7 +80,8 @@ class Tableau:
     ``col_status`` and ``row_status`` give each column's and each row
     activity's status: ``BASIC``, ``AT_LOWER``, ``AT_UPPER`` or another
     HiGHS status (a free nonbasic). A row at ``AT_UPPER`` has its
-    activity at its upper bound. The statuses are read on first use.
+    activity at its upper bound. The statuses are read on first use,
+    both from one ``getBasis`` call.
 
     Valid until the model is solved again or changed.
     """
@@ -86,12 +92,16 @@ class Tableau:
         HighsLp._check(status, "getBasicVariables")
 
     @cached_property
+    def _basis(self):
+        return self._highs.getBasis()
+
+    @cached_property
     def col_status(self) -> np.ndarray:
-        return np.array([int(s) for s in self._highs.getBasis().col_status], dtype=np.int8)
+        return _statuses(self._basis.col_status)
 
     @cached_property
     def row_status(self) -> np.ndarray:
-        return np.array([int(s) for s in self._highs.getBasis().row_status], dtype=np.int8)
+        return _statuses(self._basis.row_status)
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Tableau row i as ``(reduced, binv)``, with A the row matrix.

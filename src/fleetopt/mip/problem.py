@@ -333,22 +333,17 @@ class MipProblem:
         ub = np.array([v.ub for v in self.variables], dtype=float)
         return lb, ub
 
-    def fork(self) -> "MipProblem":
-        """A problem over the same columns, objectives and rows, shared.
+    def copy(self) -> "MipProblem":
+        """A problem over copies of the columns, objectives and decision
+        expressions that shares the rows as they stand.
 
-        Rows added to the fork are its own, and rows added here later
-        do not reach it. Columns and objectives are not copied, so a
-        fork is for a search that only reads them, such as stage 2 of a
-        lexicographic solve; :meth:`copy` copies them too.
+        Rows added to the copy are its own, and rows added here later
+        do not reach it.
         """
         other = copy.copy(self)
         other._rows = self.rows
         other._row_names = list(self._row_names)
         other._blocks, other._pending = [], []
-        return other
-
-    def copy(self) -> "MipProblem":
-        other = self.fork()
         other.variables = [Variable(v.name, v.kind, v.lb, v.ub) for v in self.variables]
         if self.objective:
             other.objective = Objective(

@@ -15,8 +15,9 @@ as a row set too (:meth:`CompiledRows.of_csr`):
   row is set in both), and ``row_bounds`` turns them into the
   ``lower <= a @ x <= upper`` form HiGHS reads;
 - ``levels`` is the level schedule that propagation sweeps. It is built
-  on first access, since only propagation reads it: a search's cut
-  rounds append rows without building one.
+  on first access, since only propagation reads it. A search's nodes
+  sweep the reduced rows, whose schedule the reduction built; its cut
+  rows go to the LP and are never swept, so cut rounds build none.
 
 New row sets come from old ones.
 :meth:`~CompiledRows.substitute` moves fixed columns into the rhs and
@@ -66,7 +67,6 @@ INFEASIBLE_TOL = 1e-7  # least activity above rhs by more than this is infeasibl
 class RowLevel(NamedTuple):
     """The halves of one level, with their entries laid out for a sweep."""
 
-    row_of: np.ndarray  # original row index per half, ascending
     seg: np.ndarray  # start of each half's entries (its 0.0 slot)
     half_of: np.ndarray  # half index per entry
     k_p: np.ndarray  # w index of the bound giving the least activity
@@ -326,7 +326,6 @@ class CompiledRows:
         entry_bounds = seg[bounds].tolist()
         return [
             RowLevel(
-                row_of=row_of[h0:h1],
                 seg=local_seg[h0:h1],
                 half_of=local_half[e0:e1],
                 k_p=k_p[e0:e1],

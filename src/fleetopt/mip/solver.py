@@ -5,22 +5,26 @@ depth tie-break that plunges after branching. Before the search starts,
 a reduction pass substitutes pinned columns out of every row, turns
 singleton rows into bounds and propagates activity bounds to a fixed
 point, so a heavily fixed model really shrinks. Every node propagates
-again before its LP. Propagation runs over rows held as CSR arrays
-with a level schedule (:mod:`.rows`): rows on one level share no
-column, so a numpy sweep per level tightens exactly the bounds, bit for
-bit, that a row-by-row Gauss-Seidel sweep in row order does. A search
-takes the problem's stated rows (:attr:`.problem.MipProblem.rows`, the
-arrays the problem keeps) at the start of its reduction and holds its
-rows in that one form to the end: the reduction derives each later
-row set from the last one and builds the search's LP relaxation, one
-persistent HiGHS model (:class:`.highs.HighsLp`), from its final rows
-renumbered to the kept columns. That model owns the search's rows from
-then on (``HighsLp.rows``). Every LP (root, cut rounds, nodes,
-incumbent polish and ``lp_solve``) is solved on it: a node only sets
-column bounds, a cut round appends its cut rows, and HiGHS warm-starts
-each solve from the last basis. The stage 2 of a lexicographic solve
-and a fixed model share the stated row arrays, which are never changed
-in place, and append only their own rows (``lex:retain``, ``fix:*``).
+again before its LP, over the reduced rows only: cut rows tighten the
+LP, and a node sweeps no level for them. Propagation runs over rows
+held as CSR arrays with a level schedule (:mod:`.rows`): rows on one
+level share no column, so a numpy sweep per level tightens exactly the
+bounds, bit for bit, that a row-by-row Gauss-Seidel sweep in row order
+does. A search takes the problem's stated rows
+(:attr:`.problem.MipProblem.rows`, the arrays the problem keeps) at the
+start of its reduction and holds its rows in that one form to the end:
+the reduction derives each later row set from the last one, and its
+final rows, renumbered to the kept columns and with the schedule its
+last propagation built, are what nodes propagate over. The search's LP
+relaxation, one persistent HiGHS model (:class:`.highs.HighsLp`), is
+built from those rows and holds the cuts too (``HighsLp.rows``). Every
+LP (root, cut rounds, nodes, incumbent polish and ``lp_solve``) is
+solved on it: a node only sets column bounds, a cut round appends its
+cut rows, and HiGHS warm-starts each solve from the last basis. A
+fixed model shares the stated row arrays, which are never changed in
+place, and appends only its own rows (``fix:*``). A lexicographic
+solve reduces the problem once: stage 2 starts its reduction from
+stage 1's, with the retention row appended in the reduced columns.
 An integral LP point becomes an incumbent only after a polish: its
 integers are fixed at their rounded values and the LP is solved again,
 and the incumbent takes that solve's continuous values and objective.
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,11 +51,9 @@ from . import cuts as cutmod
 from .problem import (
     BINARY,
     EQ,
-    GE,
     INFEASIBLE,
     INT_TOL,
     INTEGER,
-    LE,
     MAX,
     NODE_LIMIT,
     OPTIMAL,
@@ -134,7 +136,7 @@ def _propagate(rows: CompiledRows, lb, ub, int_mask, max_passes=4):
 def _sweep(levels, w) -> bool:
     """One pass over the levels, tightening ``w`` in place; False as
     soon as a level shows an infeasible row."""
-    for _, seg, half_of, k_p, k_t, coef, abs_coef, rhs, threshold in levels:
+    for seg, half_of, k_p, k_t, coef, abs_coef, rhs, threshold in levels:
         terms = coef * w[k_p]
         least = np.add.reduceat(terms, seg)
         if (least > threshold).any():
@@ -186,7 +188,9 @@ def _unreduced(problem: MipProblem, objective: Objective) -> _Reduced:
     )
 
 
-def _reduce(problem: MipProblem, objective: Objective) -> _Reduced:
+def _reduce(
+    problem: MipProblem, objective: Objective, start: _Reduced | None = None
+) -> _Reduced:
     """The problem with its pinned columns substituted out.
 
     Propagation and substitution passes alternate until a substitution
@@ -197,11 +201,19 @@ def _reduce(problem: MipProblem, objective: Objective) -> _Reduced:
     then the reduced rows, and they are handed on relabelled to the
     reduced columns (:meth:`.rows.CompiledRows.relabel`), which keeps
     the level schedule the last propagation built.
+
+    The passes start from ``start``, by default the problem as stated.
+    :func:`lexicographic_solve` starts stage 2 from stage 1's reduction
+    with the retention row appended: stage 1's bounds and rows hold for
+    stage 2, whose region is stage 1's cut by one row. ``keep`` and
+    ``full_values`` refer to the stated columns either way, and
+    ``objective`` is mapped through them.
     """
     n = problem.n_vars
-    stated = _unreduced(problem, objective)
-    lb, ub, compiled = stated.lb, stated.ub, stated.rows
-    binary_full, int_mask_full = stated.binary, stated.int_mask
+    if start is None:
+        start = _unreduced(problem, objective)
+    lb, ub, compiled = start.lb.copy(), start.ub.copy(), start.rows
+    int_mask = start.int_mask
 
     def fail():
         return _Reduced(
@@ -210,7 +222,7 @@ def _reduce(problem: MipProblem, objective: Objective) -> _Reduced:
             obj_constant=0.0, full_values=np.zeros(n), feasible=False,
         )
 
-    if not _propagate(compiled, lb, ub, int_mask_full, max_passes=6):
+    if not _propagate(compiled, lb, ub, int_mask, max_passes=6):
         return fail()
 
     # substitute pinned columns and absorb singleton rows into bounds
@@ -238,41 +250,46 @@ def _reduce(problem: MipProblem, objective: Objective) -> _Reduced:
                 else:
                     ub[j] = min(ub[j], r / a)
         rows = sub.take(count >= 2)
-        if np.any(int_mask_full):
-            lb[int_mask_full] = np.ceil(lb[int_mask_full] - INT_TOL)
-            ub[int_mask_full] = np.floor(ub[int_mask_full] + INT_TOL)
+        if np.any(int_mask):
+            lb[int_mask] = np.ceil(lb[int_mask] - INT_TOL)
+            ub[int_mask] = np.floor(ub[int_mask] + INT_TOL)
         if np.any(lb > ub + 1e-7):
             return fail()
         if not changed:
             break
         compiled = rows
-        if not _propagate(compiled, lb, ub, int_mask_full, max_passes=2):
+        if not _propagate(compiled, lb, ub, int_mask, max_passes=2):
             return fail()
-    if rows.m < compiled.m:  # the last pass only dropped stated empty rows
+    if rows.m < compiled.m:  # the last pass only dropped empty rows
         compiled = rows
 
     fixed = (ub - lb) <= FIX_EPS
-    keep = np.where(~fixed)[0]
-    pos_of = {int(j): p for p, j in enumerate(keep)}
-    full_values = np.where(fixed, lb, 0.0)
-    pinned_int = fixed & int_mask_full
+    local = np.flatnonzero(~fixed)
+    keep = start.keep[local]
+    full_values = start.full_values.copy()
+    pinned = lb[fixed]
+    pinned_int = int_mask[fixed]
     # + 0.0: a bound ceil'ed up from just below zero is -0.0
-    full_values[pinned_int] = np.round(full_values[pinned_int]) + 0.0
+    pinned[pinned_int] = np.round(pinned[pinned_int]) + 0.0
+    full_values[start.keep[fixed]] = pinned
 
+    kept = np.zeros(n, dtype=bool)
+    kept[keep] = True
+    pos_of = {int(j): p for p, j in enumerate(keep)}
     obj_coeffs = {}
     obj_constant = objective.constant
     for j, c in objective.coeffs.items():
-        if fixed[j]:
-            obj_constant += c * full_values[j]
-        else:
+        if kept[j]:
             obj_coeffs[pos_of[j]] = obj_coeffs.get(pos_of[j], 0.0) + c
+        else:
+            obj_constant += c * full_values[j]
     return _Reduced(
         keep=keep,
-        lb=lb[keep],
-        ub=ub[keep],
-        binary=binary_full[keep],
-        int_mask=int_mask_full[keep],
-        rows=compiled.relabel(keep),
+        lb=lb[local],
+        ub=ub[local],
+        binary=start.binary[local],
+        int_mask=int_mask[local],
+        rows=compiled.relabel(local),
         obj_coeffs=obj_coeffs,
         obj_constant=obj_constant,
         full_values=full_values,
@@ -302,6 +319,7 @@ def branch_and_bound(
     cfg: SolveConfig | None = None,
     objective: Objective | None = None,
     warm_values: dict[str, float] | None = None,
+    reduced: _Reduced | None = None,
 ) -> Solution:
     """Solve a MIP to proven optimality within the configured gap.
 
@@ -309,7 +327,9 @@ def branch_and_bound(
     families, then best-first branch and bound. ``objective`` overrides
     the problem's primary objective (the lexicographic driver uses it).
     ``warm_values`` seeds the incumbent with a known integer-feasible
-    point, which only prunes; it never changes the optimum.
+    point, which only prunes; it never changes the optimum. ``reduced``
+    is the reduction to search, made by :func:`_reduce` for this
+    objective; without it the search reduces ``problem`` first.
     """
     cfg = cfg or SolveConfig()
     obj = objective or problem.objective
@@ -318,7 +338,7 @@ def branch_and_bound(
     t0 = time.perf_counter()
     maximize = obj.sense == MAX
     cut_counts = {"gomory": 0, "cover": 0}
-    red = _reduce(problem, obj)
+    red = _reduce(problem, obj) if reduced is None else reduced
 
     def out_of_time():
         return cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit
@@ -474,7 +494,8 @@ def branch_and_bound(
             ):
                 continue
         node_lb, node_ub = lb_n.copy(), ub_n.copy()
-        if not _propagate(relaxation.rows, node_lb, node_ub, red.int_mask, max_passes=1):
+        # over the reduced rows only: cut rows tighten the LP, not bounds
+        if not _propagate(red.rows, node_lb, node_ub, red.int_mask, max_passes=1):
             node_count += 1
             continue
         res = lp(node_lb, node_ub)
@@ -587,29 +608,30 @@ def lexicographic_solve(
     Stage 2 adds ``g >= g* - eps`` (or ``<= g* + eps`` when minimizing)
     with ``eps = lex_slack_rel * |g*|``; exact retention is numerically
     brittle, so a relative slack is used instead.
+
+    The problem is reduced once, for stage 1. Stage 2 appends the
+    retention row to stage 1's reduced rows, in the reduced columns, and
+    goes on reducing from stage 1's bounds; the stated problem is not
+    copied or changed.
     """
     cfg = cfg or SolveConfig()
     if problem.objective is None or problem.secondary is None:
         raise MipError("lexicographic solve needs a primary and a secondary objective")
-    stage1 = branch_and_bound(problem, cfg)
+    started = time.perf_counter()
+    g = problem.objective
+    red1 = _reduce(problem, g)
+    stage1 = branch_and_bound(problem, cfg, reduced=red1)
     if stage1.status not in STOPPED_WITH_POINT or stage1.objective_value is None:
+        stage1.wall_time = time.perf_counter() - started
         return stage1
     g_star = stage1.objective_value
     eps = cfg.lex_slack_rel * abs(g_star) + 1e-9
-    # stage 2 only reads its model, so it shares the stated variables and
-    # rows instead of copying them, and adds its row to rows of its own
-    stage2_problem = problem.fork()
-    g = problem.objective
-    if g.sense == MAX:
-        stage2_problem.add_constraint(
-            dict(g.coeffs), GE, g_star - eps - g.constant, name="lex:retain"
-        )
-    else:
-        stage2_problem.add_constraint(
-            dict(g.coeffs), LE, g_star + eps - g.constant, name="lex:retain"
-        )
+    retain = _retention_row(problem, red1, g_star, eps)
+    red2 = _reduce(
+        problem, problem.secondary, replace(red1, rows=red1.rows.append(retain))
+    )
     stage2 = branch_and_bound(
-        stage2_problem, cfg, objective=problem.secondary, warm_values=stage1.values
+        problem, cfg, objective=problem.secondary, warm_values=stage1.values, reduced=red2
     )
     if stage2.status not in STOPPED_WITH_POINT or not stage2.values:
         # retention row plus solver tolerance squeezed stage 2 dry, or
@@ -617,6 +639,7 @@ def lexicographic_solve(
         x1 = stage1.value_array(problem)
         stage1.secondary_value = problem.secondary.value(x1)
         stage1.stage2_fallback = True
+        stage1.wall_time = time.perf_counter() - started
         return stage1
     x2 = stage2.value_array(problem)
     return Solution(
@@ -631,5 +654,34 @@ def lexicographic_solve(
             k: stage1.cut_counts.get(k, 0) + stage2.cut_counts.get(k, 0)
             for k in set(stage1.cut_counts) | set(stage2.cut_counts)
         },
-        wall_time=stage1.wall_time + stage2.wall_time,
+        wall_time=time.perf_counter() - started,
     )
+
+
+def _retention_row(
+    problem: MipProblem, red: _Reduced, g_star: float, eps: float
+) -> CompiledRows:
+    """The stage-2 row ``g >= g* - eps`` (``<=`` and ``+ eps`` when
+    minimizing) over ``red``'s kept columns.
+
+    The row is the primary's coefficients in their order, zeros dropped
+    as a stated row drops them; the terms of columns ``red`` pinned
+    leave it with their values moved into the rhs, in entry order
+    (:meth:`.rows.CompiledRows.substitute`).
+    """
+    g = problem.objective
+    coeffs = {j: a for j, a in g.coeffs.items() if a != 0.0}
+    maximize = g.sense == MAX
+    rhs = g_star - eps - g.constant if maximize else g_star + eps - g.constant
+    row = CompiledRows.of_csr(
+        problem.n_vars,
+        indptr=np.array([0, len(coeffs)], dtype=np.intp),
+        indices=np.fromiter(coeffs, dtype=np.intp, count=len(coeffs)),
+        data=np.fromiter(coeffs.values(), dtype=float, count=len(coeffs)),
+        rhs=np.array([rhs]),
+        le=np.array([not maximize]),
+        ge=np.array([maximize]),
+    )
+    pinned = np.ones(problem.n_vars, dtype=bool)
+    pinned[red.keep] = False
+    return row.substitute(pinned, red.full_values).relabel(red.keep)

@@ -106,3 +106,40 @@ def test_tableau_rows_read_as_documented():
             assert binv == pytest.approx([1.0, 1.0])
         for x in [res.x] + list(rng.uniform(-5, 5, (3, 2))):
             assert reduced @ x - binv @ (A @ x) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_basis_statuses_are_read_once_as_highs_gives_them(monkeypatch):
+    # max sum of w_j x_j over 0 <= x <= 1 under one knapsack row: the
+    # densest columns sit at their upper bound, one is basic, the
+    # knapsack row at its upper bound, and the slack row's activity basic
+    rng = np.random.default_rng(4)
+    n = 12
+    weight = rng.uniform(1, 3, n)
+    rows = [
+        ({j: float(weight[j]) for j in range(n)}, "<=", 7.5),
+        ({0: 1.0, 1: 1.0}, "<=", 5.0),
+        ({2: 1.0, 3: -1.0}, ">=", -4.0),
+    ]
+    lp = HighsLp(rng.uniform(1, 2, n) * weight, row_set(rows, n), "max")
+    res = lp.solve(np.zeros(n), np.ones(n))
+    assert res.status == "Optimal"
+    basis = lp._highs.getBasis()
+    want_cols = [int(s) for s in basis.col_status]
+    want_rows = [int(s) for s in basis.row_status]
+    assert highs.AT_UPPER in want_cols and highs.BASIC in want_cols
+    assert want_rows[0] == highs.AT_UPPER and highs.BASIC in want_rows[1:]
+
+    calls = []
+    real = highs._core._Highs.getBasis
+
+    def counted(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(highs._core._Highs, "getBasis", counted)
+    tab = lp.tableau()
+    for _ in range(2):
+        assert tab.col_status.dtype == tab.row_status.dtype == np.int8
+        assert tab.col_status.tolist() == want_cols
+        assert tab.row_status.tolist() == want_rows
+    assert len(calls) == 1

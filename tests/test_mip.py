@@ -227,7 +227,7 @@ class TestProblem:
     def test_copies_share_rows_and_add_their_own(self):
         p = two_var_lp()
         stated = p.rows
-        for q in (p.copy(), p.fork()):
+        for q in (p.copy(), p.copy()):
             # the copy shares the stated arrays, not copies of them
             assert q.rows is stated
             q.add_constraint({"x": 1}, "<=", 3, name="own")
@@ -265,14 +265,14 @@ class TestProblem:
         assert p.check_point(np.array([2.0, 0.0, 1.0])) == ["row:3"]
         # a row by its name, or by its index when it has none
         assert p.check_point(every_row) == ["row:cap", "row:1", "row:bal", "row:3"]
-        f = p.fork()
+        f = p.copy()
         f.add_constraint({"y": 1}, "<=", 2.5, name="own")
         f.add_constraint({"x": 1}, ">=", 3)
         assert f.check_point(every_row) == [
             "row:cap", "row:1", "row:bal", "row:3", "row:own", "row:5",
         ]
         assert f.check_point(np.array([3.0, 1.0, 0.0])) == ["row:3"]
-        # the fork's rows do not reach the problem it came from
+        # the copy's rows do not reach the problem it came from
         assert p.check_point(every_row) == ["row:cap", "row:1", "row:bal", "row:3"]
 
 
@@ -854,7 +854,8 @@ class TestReduction:
     def test_reused_rows_match_a_fresh_compile(self, monkeypatch):
         """The rows handed from reduction to the relaxation, and the rows
         after each cut round, are those compiled afresh from dict rows
-        reduced row by row; no level schedule is built in cut rounds."""
+        reduced row by row; no level schedule is built in cut rounds or at
+        nodes, which propagate over the reduced rows."""
         phase = ["reduce"]
         schedules = []
         cuts = []  # dict rows added so far in the current search
@@ -992,7 +993,7 @@ class TestReduction:
             for cfg in (SolveConfig(gomory=False), SolveConfig(gomory=True, cover=True)):
                 branch_and_bound(p, cfg)
         assert checks["reduced"] > 30 and checks["rounds"] > 10
-        assert "cuts" not in schedules and "nodes" in schedules
+        assert "cuts" not in schedules and "nodes" not in schedules
 
 class TestFixVariables:
     def test_fix_binary(self):
@@ -1123,10 +1124,12 @@ class TestLexicographic:
         p.set_secondary_objective("min", {"x": 1})
         real = solver.branch_and_bound
 
-        def stage_two_infeasible(problem, cfg=None, objective=None, warm_values=None):
+        def stage_two_infeasible(
+            problem, cfg=None, objective=None, warm_values=None, reduced=None
+        ):
             if objective is not None:
                 return Solution(status="Infeasible")
-            return real(problem, cfg)
+            return real(problem, cfg, reduced=reduced)
 
         monkeypatch.setattr(solver, "branch_and_bound", stage_two_infeasible)
         sol = lexicographic_solve(p)

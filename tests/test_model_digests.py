@@ -7,8 +7,10 @@ entry order within a row, rhs bits, names or columns shows here. Each
 model is hashed twice: from the stated arrays and from the read-only
 ``constraints`` view, and both must give the pinned digest.
 
-The stage-2 digest includes the ``lex:retain`` row, whose rhs comes from
-stage 1's optimum, so it also pins that optimum to the bit.
+Lexicographic stage 2 builds no stated model: it appends the retention
+row to stage 1's reduced rows. That row is pinned in reduced columns,
+with stage 1's kept columns; its rhs comes from stage 1's optimum, so
+the digest also pins that optimum to the bit.
 """
 
 import hashlib
@@ -25,6 +27,9 @@ from fleetopt.fleet_mip import build_deterministic_mip, build_feature_mip
 from fleetopt.forest import TrainConfig, train, train_test_split
 from fleetopt.mip import solver
 from fleetopt.mip.problem import EQ, GE, LE
+
+from milp_replay import milp_optimum
+from milp_replay import retention_row as milp_retention_row
 
 WORLDS = {
     "desk": (
@@ -166,21 +171,22 @@ def fixed_model():
     return solver.fix_variables(mip, values)
 
 
-def stage2_model(monkeypatch):
-    """The problem lexicographic stage 2 searches, with its ``lex:retain`` row."""
+def retention_row(monkeypatch):
+    """The row lexicographic stage 2 appends to stage 1's reduced rows,
+    with stage 1's kept columns, optimum and slack it was built from."""
     mip, _ = agent_model("small", 5, QUERIES[0])
     seen = []
-    real = solver.branch_and_bound
+    real = solver._retention_row
 
-    def spy(problem, cfg=None, objective=None, warm_values=None):
-        if objective is not None:
-            seen.append(problem)
-        return real(problem, cfg, objective=objective, warm_values=warm_values)
+    def spy(problem, red, g_star, eps):
+        row = real(problem, red, g_star, eps)
+        seen.append((red.keep, g_star, eps, row))
+        return row
 
-    monkeypatch.setattr(solver, "branch_and_bound", spy)
-    solver.lexicographic_solve(mip)
+    monkeypatch.setattr(solver, "_retention_row", spy)
+    sol = solver.lexicographic_solve(mip)
     assert len(seen) == 1
-    return seen[0]
+    return mip, sol, seen[0]
 
 
 # recorded before the model rows moved from dicts to CSR arrays
@@ -213,9 +219,11 @@ PINNED = {
         "21e308e0e69f95e8c4c0d6e49d38917f"
         "fd4460cb618e627a8857fcec67d6c7a0"
     ),
-    "stage2": (
-        "baa654b17c0968217a49a79bde053a70"
-        "847b8856816a2ca1735a56c7976167eb"
+    # the parent's pinned "stage2" lex:retain row, reduced through stage
+    # 1's pins and kept columns, gives this row bit for bit
+    "retention": (
+        "4727af59d89a63547bf818c50ad50c0d"
+        "94643cb8db54c24bf3a92cd4bb4ecda0"
     ),
 }
 
@@ -267,7 +275,20 @@ def test_fixed_model_with_expression_rows():
     assert digests_of(mip) == {PINNED["fixed"]}
 
 
-def test_stage2_model_with_retention_row(monkeypatch):
-    mip = stage2_model(monkeypatch)
-    assert mip.row_names[-1] == "lex:retain"
-    assert digests_of(mip) == {PINNED["stage2"]}
+def test_stage2_retention_row_in_reduced_columns(monkeypatch):
+    mip, sol, (keep, g_star, eps, row) = retention_row(monkeypatch)
+    assert (row.m, row.n) == (1, len(keep))
+    h = hashlib.sha256()
+    for part in (
+        _ints(keep), _ints(row.indptr), _ints(row.indices), _floats(row.data),
+        _ints(row.le), _ints(row.ge), _floats(row.rhs),
+    ):
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    assert h.hexdigest() == PINNED["retention"]
+    # stage 2's optimum is milp's on the stated rows plus "lex:retain"
+    f_star = milp_optimum(
+        mip, mip.secondary, milp_retention_row(mip, g_star, solver.SolveConfig().lex_slack_rel)
+    )
+    gap_tol = solver.SolveConfig().gap_tol
+    assert abs(sol.secondary_value - f_star) <= gap_tol * max(1.0, abs(f_star))

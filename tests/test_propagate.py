@@ -171,9 +171,12 @@ def test_rows_on_one_level_share_no_column():
         cols = rng.choice(30, size=int(rng.integers(1, 6)), replace=False)
         rows.append(({int(j): float(rng.integers(1, 5)) for j in cols}, EQ, 3.0))
     compiled = row_set(rows, 30)
+    level_of = compiled._assign_levels()
+    levels = sorted(set(level_of.tolist()))
+    assert len(compiled.levels) == len(levels)
     seen_rows = []
-    for level in compiled.levels:
-        level_rows = sorted(set(level.row_of.tolist()))
+    for level in levels:
+        level_rows = np.flatnonzero(level_of == level).tolist()
         cols = [j for r in level_rows for j in rows[r][0]]
         assert len(cols) == len(set(cols))
         seen_rows += level_rows
