@@ -3,14 +3,16 @@
 ``problem_match`` picks a domain handler by keyword overlap.
 ``indicator_generate`` turns the query into a validated objective:
 the deterministic path returns the catalog entry closest to the query
-by Jaro-Winkler; the chat path asks for DSL source and retries with
-the validator's diagnostics appended, up to three attempts.
+by Jaro-Winkler (the first entry equal to it, found before any scoring);
+the chat path asks for DSL source and retries with the validator's
+diagnostics appended, up to three attempts.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..dsl.analysis import ObjectiveInfo, check
 from ..dsl.catalog import CatalogEntry, ground_truth_catalog
@@ -84,6 +86,16 @@ def extract_objective_source(reply: str) -> str | None:
     return line
 
 
+def _match_key(query: str) -> str:
+    return normalize_source(query).lower()
+
+
+@lru_cache(maxsize=8)
+def _catalog_keys(catalog: tuple[CatalogEntry, ...]) -> tuple[str, ...]:
+    """Each entry's query as the deterministic match compares it."""
+    return tuple(_match_key(e.query) for e in catalog)
+
+
 def indicator_generate(
     query: str,
     instance: FleetInstance,
@@ -103,10 +115,12 @@ def indicator_generate(
     """
     catalog = catalog or ground_truth_catalog()
     if guide == "deterministic":
-        norm = normalize_source(query).lower()
-        best = max(
-            catalog, key=lambda e: jaro_winkler(norm, normalize_source(e.query).lower())
-        )
+        norm = _match_key(query)
+        keys = _catalog_keys(catalog)
+        if norm in keys:  # Jaro-Winkler is 1.0 only on an equal key
+            best = catalog[keys.index(norm)]
+        else:
+            best = catalog[max(range(len(keys)), key=lambda i: jaro_winkler(norm, keys[i]))]
         ast = parse(best.source)
         info, diagnostics = check(ast, instance)
         if info is None:  # catalog rows are pre-validated; defensive only

@@ -47,17 +47,15 @@ class HistoryStore:
         )
 
     def stats(self, instance: FleetInstance) -> dict[str, dict[str, float]]:
-        mat = self._matrix(instance)
-        out = {}
-        for pos, name in enumerate(self.variable_names):
-            col = mat[:, pos]
-            out[name] = {
-                "mean": float(col.mean()),
-                "std": float(col.std()),
-                "min": float(col.min()),
-                "max": float(col.max()),
-            }
-        return out
+        # one variable per contiguous row: each reduction then sums in the
+        # order a single column's does, which mat.std(axis=0) does not
+        cols = np.ascontiguousarray(self._matrix(instance).T)
+        mean, std = cols.mean(axis=1).tolist(), cols.std(axis=1).tolist()
+        low, high = cols.min(axis=1).tolist(), cols.max(axis=1).tolist()
+        return {
+            name: {"mean": mean[pos], "std": std[pos], "min": low[pos], "max": high[pos]}
+            for pos, name in enumerate(self.variable_names)
+        }
 
     def means(self, instance: FleetInstance) -> dict[str, float]:
         mat = self._matrix(instance)

@@ -12,9 +12,11 @@ cuts need only rows and an LP point.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .highs import AT_LOWER, AT_UPPER, BASIC, HighsLp
+from .highs import HighsLp
 from .rows import CompiledRows
 
 MIN_VIOLATION = 1e-7
@@ -34,9 +36,9 @@ def gomory_cuts(
 ) -> CompiledRows:
     """Mixed-integer Gomory cuts off the basis of ``lp``'s last solve.
 
-    ``lp`` must just have been solved to optimality at x under the
-    column bounds ``lb``/``ub``; its tableau rows are read over the rows
-    it holds, ``lp.rows``. Each tableau row
+    ``lp`` must just have been solved to optimality at x, HiGHS's own
+    solution, under the column bounds ``lb``/``ub``; its tableau rows are
+    read over the rows it holds, ``lp.rows``. Each tableau row
     whose basic column is integer with a fractional value, most
     fractional first, reads ``x_B + sum_j a_j z_j = 0`` over the
     nonbasic columns and row activities ``z_j``. A nonbasic at its upper
@@ -48,12 +50,21 @@ def gomory_cuts(
     continuous columns and row activities the continuous one. Fixed
     columns and equality rows stay at their bound and drop out.
 
-    A row is skipped when a nonbasic in it sits at an infinite bound,
+    No basis status is read: which bound each term sits at follows from
+    the basic variables and x (:func:`nonbasic_sides`).
+    A row is skipped when a nonbasic in it sits at no finite bound,
     when its basic value is within ``MIN_FRACTION`` of an integer, or
     when the cut's coefficients span more than ``MAX_RANGE``. A
     coefficient below ``TINY`` times the largest is dropped after the
     rhs is relaxed by its column's bounds. Each cut is a ">=" row over
     the columns of ``lp.rows``, its entries in ascending column order.
+
+    The source rows are read in batches, each as large as the cut budget
+    still left, so no row is read that a row-by-row loop would not read;
+    usually one batch serves the whole call. A batch's rule is applied
+    to all its terms at once, and its coefficients are summed from the
+    rows' CSR entries in row order, as ``rows.matrix_t @ weight`` sums
+    them, so every cut is bit for bit that of a row-by-row loop.
     """
     rows = lp.rows
     tab = lp.tableau()
@@ -63,56 +74,117 @@ def gomory_cuts(
     source = (tab.basic >= 0) & int_mask[col] & (dist >= MIN_FRACTION)
     order = np.flatnonzero(source)[np.argsort(-dist[source], kind="stable")]
     out = []  # (columns, coefficients, rhs) per cut
-    if len(order) == 0:  # no source row: the statuses are never read
-        return _cut_rows(rows.n, out, ge=True)
-
-    row_lower, row_upper = rows.row_bounds
-    # nonbasic and not fixed: a term of every source row it appears in
-    col_term = (tab.col_status != BASIC) & (ub - lb > 0)
-    row_term = (tab.row_status != BASIC) & (row_lower < row_upper)
-    col_up = tab.col_status == AT_UPPER
-    row_up = tab.row_status == AT_UPPER
-    col_at = np.where(col_up, ub, lb)
-    row_at = np.where(row_up, row_upper, row_lower)
-    # at a finite bound, which a term must be for its row to be used
-    col_ok = ((tab.col_status == AT_LOWER) | col_up) & np.isfinite(col_at)
-    row_ok = ((tab.row_status == AT_LOWER) | row_up) & np.isfinite(row_at)
+    side = nonbasic_sides(tab.basic, rows, lb, ub, x)
+    col_at = np.where(side.col_up, ub, lb)
+    row_at = rows.rhs  # an inequality row's only finite side
     # complementing keeps an integer column integer only at an integral bound
     col_int = int_mask & (col_at == np.floor(col_at))
 
-    for i in order:
-        if len(out) >= max_cuts:
-            break
-        f0 = f[i]
-        reduced, binv = tab.row(i)
-        cols = np.flatnonzero(col_term & (reduced != 0))
-        rws = np.flatnonzero(row_term & (binv != 0))
-        if not (col_ok[cols].all() and row_ok[rws].all()):
-            continue
+    def batch_cuts(batch):
+        k = len(batch)
+        reduced = np.empty((k, rows.n))
+        binv = np.empty((k, rows.m))
+        for r, i in enumerate(batch):
+            reduced[r], binv[r] = tab.row(i)
+        # the terms of each row, row by row and in column order; a row
+        # with a term at no finite bound gives no cut
+        c_row, cols = np.nonzero((reduced != 0) & side.col_term)
+        r_row, rws = np.nonzero((binv != 0) & side.row_term)
+        bad = np.bincount(c_row[~side.col_ok[cols]], minlength=k)
+        bad += np.bincount(r_row[~np.isfinite(row_at[rws])], minlength=k)
+        good = bad == 0
+        keep = good[c_row]
+        c_row, cols = c_row[keep], cols[keep]
+        keep = good[r_row]
+        r_row, rws = r_row[keep], rws[keep]
+
         # a'_j: the coefficient on y_j (-binv for a row activity), negated at upper
-        a_col = np.where(col_up[cols], -1.0, 1.0) * reduced[cols]
-        a_row = np.where(row_up[rws], 1.0, -1.0) * binv[rws]
+        col_up = side.col_up[cols]
+        row_up = side.row_up[rws]
+        a_col = np.where(col_up, -1.0, 1.0) * reduced[c_row, cols]
+        a_row = np.where(row_up, 1.0, -1.0) * binv[r_row, rws]
+        f0 = f[batch]
+        fc, fr = f0[c_row], f0[r_row]
         frac = a_col - np.floor(a_col)
         g_col = np.where(
             col_int[cols],
-            np.where(frac <= f0, frac / f0, (1 - frac) / (1 - f0)),
-            np.where(a_col >= 0, a_col / f0, -a_col / (1 - f0)),
+            np.where(frac <= fc, frac / fc, (1 - frac) / (1 - fc)),
+            np.where(a_col >= 0, a_col / fc, -a_col / (1 - fc)),
         )
-        g_row = np.where(a_row >= 0, a_row / f0, -a_row / (1 - f0))
+        g_row = np.where(a_row >= 0, a_row / fr, -a_row / (1 - fr))
         # back from y_j to z_j: y_j = z_j - lower, or upper - z_j
-        s_col = np.where(col_up[cols], -g_col, g_col)
-        s_row = np.where(row_up[rws], -g_row, g_row)
-        rhs = 1.0 + s_col @ col_at[cols] + s_row @ row_at[rws]
-        weight = np.zeros(rows.m)
-        weight[rws] = s_row
-        coef = rows.matrix_t @ weight  # a row activity is a_k @ x
-        coef[cols] += s_col
-        cut = _tidy(coef, rhs, lb, ub)
-        if cut is not None and cut[0] @ x <= cut[1] - min_violation:
-            coef, rhs = cut
-            nz = np.flatnonzero(coef)
-            out.append((nz, coef[nz], rhs))
+        s_col = np.where(col_up, -g_col, g_col)
+        s_row = np.where(row_up, -g_row, g_row)
+
+        # a row activity is a_k @ x: each cut adds its rows' entries in row order
+        lengths = np.diff(rows.indptr)[rws]
+        entry = np.repeat(rows.indptr[rws] - np.cumsum(lengths) + lengths, lengths)
+        entry += np.arange(len(entry))
+        term = np.repeat(np.arange(len(rws)), lengths)
+        coefs = np.bincount(
+            r_row[term] * rows.n + rows.indices[entry],
+            weights=rows.data[entry] * s_row[term],
+            minlength=k * rows.n,
+        ).astype(float, copy=False).reshape(k, rows.n)  # an int array when empty
+        coefs[c_row, cols] += s_col
+
+        c_ptr = np.searchsorted(c_row, np.arange(k + 1))
+        r_ptr = np.searchsorted(r_row, np.arange(k + 1))
+        for r in np.flatnonzero(good).tolist():
+            c = slice(c_ptr[r], c_ptr[r + 1])
+            w = slice(r_ptr[r], r_ptr[r + 1])
+            rhs = 1.0 + s_col[c] @ col_at[cols[c]] + s_row[w] @ row_at[rws[w]]
+            cut = _tidy(coefs[r], rhs, lb, ub)
+            if cut is not None and cut[0] @ x <= cut[1] - min_violation:
+                coef, rhs = cut
+                nz = np.flatnonzero(coef)
+                out.append((nz, coef[nz], rhs))
+
+    done = 0
+    while len(out) < max_cuts and done < len(order):
+        batch = order[done : done + max_cuts - len(out)]
+        done += len(batch)
+        batch_cuts(batch)
     return _cut_rows(rows.n, out, ge=True)
+
+
+class Sides(NamedTuple):
+    """Where the nonbasic columns and row activities of a basis sit.
+
+    A term is a nonbasic column that is not fixed, or a nonbasic row
+    activity of an inequality row. ``*_up`` marks a term at its upper
+    bound, ``col_ok`` a column term at either of its bounds; a row term
+    always sits at its only finite side (``rhs``).
+    """
+
+    col_term: np.ndarray
+    col_up: np.ndarray
+    col_ok: np.ndarray
+    row_term: np.ndarray
+    row_up: np.ndarray
+
+
+def nonbasic_sides(basic, rows: CompiledRows, lb, ub, x) -> Sides:
+    """The sides of an optimal basis, from its basic variables and x.
+
+    ``basic`` lists the basic variable of each tableau row as
+    :class:`.highs.Tableau` gives it. A nonbasic "<=" row sits at its
+    upper bound and a ">=" row at its lower one. A nonbasic column sits
+    at the bound its value in x equals; at neither bound it is treated
+    as free, as HiGHS's own status would call it.
+    """
+    col_term = ub - lb > 0
+    col_term[basic[basic >= 0]] = False
+    row_term = rows.le != rows.ge
+    row_term[-1 - basic[basic < 0]] = False
+    col_up = x == ub
+    return Sides(
+        col_term=col_term,
+        col_up=col_up,
+        col_ok=col_up | (x == lb),
+        row_term=row_term,
+        row_up=rows.le,
+    )
 
 
 def _cut_rows(n: int, cuts, ge: bool) -> CompiledRows:

@@ -5,7 +5,8 @@ scipy bundles HiGHS, and its private binding
 itself. This module is the only place that imports it. A
 :class:`HighsLp` is a search's LP relaxation: it passes the model once,
 from the row-wise CSR arrays of a :class:`~.rows.CompiledRows`, and
-then only changes column bounds (:meth:`HighsLp.solve`) or appends rows
+then only changes column bounds (:meth:`HighsLp.solve`, which passes
+them only when they differ from the last ones) or appends rows
 (:meth:`HighsLp.add_rows`). It keeps the rows HiGHS holds as
 ``HighsLp.rows``, cuts included, which is what cut separation reads,
 and sums the simplex iterations of its solves.
@@ -13,8 +14,10 @@ HiGHS keeps its basis between runs and presolves only while the model
 holds no valid basis, in practice on the first solve; every later solve
 is a dual simplex warm-started from the last basis, which is what a
 branch-and-bound node needs after a bound change. After an optimal
-solve, :meth:`HighsLp.tableau` reads that basis row by row, which is
-where Gomory cuts come from.
+solve, :meth:`HighsLp.tableau` reads the basic variables and then
+tableau rows one at a time, which is where Gomory cuts come from. No
+basis status is read: the separator derives the side each nonbasic
+sits at from the basic variables and the solution.
 
 ``METHODS`` names every ``_Highs`` method used here, so a test can check
 that the installed scipy still has each of them.
@@ -23,7 +26,6 @@ that the installed scipy still has each of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.optimize._highspy import _core
@@ -35,7 +37,6 @@ METHODS = (
     "addRows",
     "changeColsBounds",
     "getBasicVariables",
-    "getBasis",
     "getBasisInverseRow",
     "getInfo",
     "getModelStatus",
@@ -46,11 +47,6 @@ METHODS = (
     "run",
     "setOptionValue",
 )
-
-# basis status of a column or a row activity, as ``Tableau`` holds them
-BASIC = int(_core.HighsBasisStatus.kBasic)
-AT_LOWER = int(_core.HighsBasisStatus.kLower)
-AT_UPPER = int(_core.HighsBasisStatus.kUpper)
 
 _STATUS = {
     _core.HighsModelStatus.kOptimal: OPTIMAL,
@@ -67,21 +63,12 @@ class LpResult:
     iterations: int = 0
 
 
-def _statuses(statuses: list) -> np.ndarray:
-    """HiGHS basis statuses as ints."""
-    return np.fromiter(statuses, dtype=np.int8, count=len(statuses))
-
-
 class Tableau:
     """The basis of a solve, read one simplex tableau row at a time.
 
     ``basic[i]`` names the variable basic in tableau row i: column j for
-    ``j >= 0``, the activity ``a_k @ x`` of row k for ``-1 - k``.
-    ``col_status`` and ``row_status`` give each column's and each row
-    activity's status: ``BASIC``, ``AT_LOWER``, ``AT_UPPER`` or another
-    HiGHS status (a free nonbasic). A row at ``AT_UPPER`` has its
-    activity at its upper bound. The statuses are read on first use,
-    both from one ``getBasis`` call.
+    ``j >= 0``, the activity ``a_k @ x`` of row k for ``-1 - k``. Every
+    other column and row activity is nonbasic.
 
     Valid until the model is solved again or changed.
     """
@@ -90,18 +77,6 @@ class Tableau:
         self._highs = highs
         status, self.basic = highs.getBasicVariables()
         HighsLp._check(status, "getBasicVariables")
-
-    @cached_property
-    def _basis(self):
-        return self._highs.getBasis()
-
-    @cached_property
-    def col_status(self) -> np.ndarray:
-        return _statuses(self._basis.col_status)
-
-    @cached_property
-    def row_status(self) -> np.ndarray:
-        return _statuses(self._basis.row_status)
 
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Tableau row i as ``(reduced, binv)``, with A the row matrix.
@@ -136,6 +111,7 @@ class HighsLp:
         # on the four desk cells the search then took 458 nodes, not 355.
         self.sign = -1.0 if sense == MAX else 1.0
         self.cols = np.arange(self.n, dtype=np.int32)
+        self._bounds = None  # the column bounds HiGHS holds, once set
         self._highs = _core._Highs()
         self._highs.setOptionValue("output_flag", False)
         lp = _core.HighsLp()
@@ -176,10 +152,15 @@ class HighsLp:
 
         ``x`` and ``objective`` are None unless the status is optimal.
         A HiGHS outcome other than optimal, infeasible or unbounded
-        raises :class:`MipError` with the HiGHS status name.
+        raises :class:`MipError` with the HiGHS status name. The bounds
+        are passed to HiGHS only when they differ from the last ones, as
+        they do not after a cut round's ``add_rows``.
         """
         h = self._highs
-        self._check(h.changeColsBounds(self.n, self.cols, lb, ub), "changeColsBounds")
+        last = self._bounds
+        if last is None or not (np.array_equal(lb, last[0]) and np.array_equal(ub, last[1])):
+            self._check(h.changeColsBounds(self.n, self.cols, lb, ub), "changeColsBounds")
+            self._bounds = (np.array(lb, dtype=float), np.array(ub, dtype=float))
         run_status = h.run()
         model_status = h.getModelStatus()
         status = _STATUS.get(model_status)

@@ -28,6 +28,8 @@ problem's new rows; :meth:`~CompiledRows.widen` takes the rows over
 more columns, as a problem that gains columns does. The last three keep
 the levels already assigned: renumbering columns one to one, adding
 columns, or adding rows after the last, changes no earlier row's level.
+``relabel`` and ``append`` also keep a built schedule; rows appended
+above its top level, as stage 2's retention row is, only add levels.
 
 A row's level is 1 + the highest level of any earlier row that shares a
 column with it. Rows on one level touch disjoint columns, and every
@@ -103,14 +105,17 @@ class CompiledRows:
             ge=np.zeros(0, dtype=bool),
         )
 
-    def _set(self, n, indptr, indices, data, rhs, le, ge, row_level=None, levels=None):
+    def _set(self, n, indptr, indices, data, rhs, le, ge, row_level=None, levels=None,
+             scheduled=0):
         self.n = n
         self.m = len(rhs)
         self.indptr, self.indices, self.data = indptr, indices, data
         self.rhs, self.le, self.ge = rhs, le, ge
         # the levels of the first len(row_level) rows
         self._row_level = np.zeros(0, dtype=np.intp) if row_level is None else row_level
+        # the schedule of the first ``scheduled`` rows, once built
         self._levels = levels
+        self._scheduled = scheduled
         self._matrix_t = None
 
     @cached_property
@@ -136,8 +141,8 @@ class CompiledRows:
         """These rows followed by each of ``others``' in turn, over the
         same columns.
 
-        The rows here keep their assigned levels; the new rows get
-        theirs when ``levels`` is next read.
+        The rows here keep their assigned levels and a built schedule;
+        the new rows get theirs when ``levels`` is next read.
         """
         parts = (self, *others)
         starts = np.cumsum([len(p.indices) for p in parts])
@@ -150,6 +155,8 @@ class CompiledRows:
             rhs=np.concatenate([p.rhs for p in parts]),
             le=np.concatenate([p.le for p in parts]),
             ge=np.concatenate([p.ge for p in parts]),
+            levels=self._levels,
+            scheduled=self._scheduled,
         )
 
     def widen(self, n: int) -> CompiledRows:
@@ -184,7 +191,7 @@ class CompiledRows:
         levels = self._levels
         if levels is not None:
             levels = [lv._replace(k_p=pos[lv.k_p], k_t=pos[lv.k_t]) for lv in levels]
-        return self._with(n, indices=indices, levels=levels)
+        return self._with(n, indices=indices, levels=levels, scheduled=self._scheduled)
 
     def substitute(self, fixed: np.ndarray, values: np.ndarray) -> CompiledRows:
         """These rows with each column in the mask ``fixed`` set to its value.
@@ -242,9 +249,22 @@ class CompiledRows:
 
     @property
     def levels(self) -> list[RowLevel]:
-        """The level schedule, built on first access."""
-        if self._levels is None:
-            self._levels = self._schedule(self._assign_levels())
+        """The level schedule, built on first access.
+
+        Rows appended to a built schedule extend it when each lands above
+        its top level, as a row sharing a column with a top-level row
+        does: the levels already laid out stay, and only the new ones are
+        laid out. Otherwise the schedule is built again.
+        """
+        if self._levels is None or self._scheduled < self.m:
+            level = self._assign_levels()
+            done, top = self._scheduled, len(self._levels or ())
+            new = level[done:]
+            if self._levels is not None and np.all((new == 0) | (new > top)):
+                self._levels = self._levels + self._schedule(level, first=done)
+            else:
+                self._levels = self._schedule(level)
+            self._scheduled = self.m
         return self._levels
 
     @property
@@ -282,12 +302,15 @@ class CompiledRows:
         self._row_level = np.concatenate([self._row_level, np.array(level, dtype=np.intp)])
         return self._row_level
 
-    def _schedule(self, level) -> list[RowLevel]:
+    def _schedule(self, level, first=0) -> list[RowLevel]:
+        """The levels of the rows from ``first`` on, which share no level
+        with an earlier row."""
         n = self.n
         lengths = np.diff(self.indptr)
-        empty = lengths == 0
-        le_rows = np.flatnonzero(self.le & ~empty)
-        ge_rows = np.flatnonzero(self.ge & ~empty)
+        live = lengths > 0  # an empty row has no half
+        live[:first] = False
+        le_rows = np.flatnonzero(self.le & live)
+        ge_rows = np.flatnonzero(self.ge & live)
         row_of = np.concatenate([le_rows, ge_rows])
         is_ge = np.repeat([False, True], [len(le_rows), len(ge_rows)])
         order = np.lexsort((row_of, level[row_of]))  # by level, then row

@@ -52,6 +52,22 @@ def make_history(inst, decisions, objective=100.0):
     return HistoryStore(variable_names=names, records=records)
 
 
+def per_column_stats(history, inst):
+    """``HistoryStore.stats`` as a loop over the columns, bit for bit."""
+    from fleetopt.fleet import decision_to_vector
+
+    mat = np.vstack([decision_to_vector(inst, r.decision) for r in history.records])
+    return {
+        name: {
+            "mean": float(mat[:, pos].mean()),
+            "std": float(mat[:, pos].std()),
+            "min": float(mat[:, pos].min()),
+            "max": float(mat[:, pos].max()),
+        }
+        for pos, name in enumerate(history.variable_names)
+    }
+
+
 def varied_history(inst, seed=0, n=6):
     rng = np.random.default_rng(seed)
     decisions = []
@@ -112,6 +128,31 @@ class TestIndicatorGenerate:
             guide="deterministic",
         )
         assert result.matched_query == "Number of pre-allocated taxis"
+
+    def test_catalog_match_equals_the_first_best_score(self, inst, monkeypatch):
+        from fleetopt.agent import indicator
+        from fleetopt.dsl.catalog import CatalogEntry, ground_truth_catalog
+        from fleetopt.dsl.similarity import jaro_winkler, normalize_source
+
+        catalog = ground_truth_catalog()
+        first = catalog[0]
+        # a repeated query: the first of the equal entries is picked
+        doubled = (CatalogEntry(first.query, first.source, first.linear),) + catalog
+        queries = [e.query for e in catalog] + [
+            "  number OF pre-allocated   taxis ", "average fare", "taxis", "x",
+        ]
+        for cat in (catalog, doubled):
+            for query in queries:
+                norm = normalize_source(query).lower()
+                want = max(
+                    cat, key=lambda e: jaro_winkler(norm, normalize_source(e.query).lower())
+                )
+                got = indicator_generate(query, inst, guide="deterministic", catalog=cat)
+                assert got.matched_query == want.query and got.source == want.source
+        # an equal key is found before any string is scored
+        monkeypatch.setattr(indicator, "jaro_winkler", lambda a, b: 1 / 0)
+        got = indicator_generate(" Number of pre-allocated  TAXIS", inst, guide="deterministic")
+        assert got.matched_query == "Number of pre-allocated taxis"
 
     def test_llm_guide_retries_with_diagnostic(self, inst):
         client = ReplayClient([
@@ -440,6 +481,19 @@ class TestHistoryStore:
         for pos, name in enumerate(history.variable_names):
             assert stats[name]["mean"] == pytest.approx(mat[:, pos].mean())
             assert stats[name]["std"] == pytest.approx(mat[:, pos].std())
+        assert stats == per_column_stats(history, inst)
+
+    @pytest.mark.parametrize("world, history_m, seed", [("small", 6, 1), ("desk", 14, 3)])
+    def test_stats_of_the_perfbench_histories_equal_a_per_column_loop(
+        self, world, history_m, seed
+    ):
+        from fleetopt.bench import make_history
+        from test_model_digests import world_and_forest
+
+        w, forest = world_and_forest(world)
+        history = make_history(w, forest, m=history_m, seed=seed)
+        inst = w.instance(0)
+        assert history.stats(inst) == per_column_stats(history, inst)
 
     def test_baseline_is_supply_feasible(self, inst):
         rng = np.random.default_rng(5)

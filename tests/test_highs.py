@@ -3,11 +3,14 @@ import re
 import numpy as np
 import pytest
 
-from fleetopt.mip import MipError
+from fleetopt.mip import MipError, SolveConfig, branch_and_bound
 from fleetopt.mip import highs
+from fleetopt.mip.cuts import nonbasic_sides
 from fleetopt.mip.highs import HighsLp
 
 from rowsets import row_set
+from test_gomory_reference import assert_sides_match_highs
+from test_mip import blocks_problem
 
 INF = np.inf
 # max x  s.t.  x - y <= 1,  x + y >= 1,  x + 2y == z
@@ -22,10 +25,12 @@ C = np.array([1.0, 0.0, 0.0])
 def test_scipy_still_has_every_highs_method():
     missing = [m for m in highs.METHODS if not callable(getattr(highs._core._Highs, m, None))]
     assert not missing, f"the installed scipy's HiGHS binding lacks {missing}"
-    # METHODS lists every method the module calls on its HiGHS object
+    # METHODS lists exactly the methods the module calls on its HiGHS object:
+    # no basis status is read
     source = open(highs.__file__).read()
-    called = set(re.findall(r"\b(?:h|self\._highs)\.(\w+)\(", source))
-    assert called and called <= set(highs.METHODS), called - set(highs.METHODS)
+    called = set(re.findall(r"\b(?:h|highs|self\._highs)\.(\w+)\(", source))
+    assert called == set(highs.METHODS), called ^ set(highs.METHODS)
+    assert "getBasis" not in called
 
 
 def bounds(lb, ub):
@@ -88,13 +93,16 @@ def test_tableau_rows_read_as_documented():
     rows = [({0: 1.0, 1: 1.0}, "<=", 4.0), ({0: 1.0, 1: -1.0}, ">=", -1.0)]
     A = np.array([[1.0, 1.0], [1.0, -1.0]])
     lp = HighsLp(np.array([3.0, 2.0]), row_set(rows, 2), "max")
-    res = lp.solve(*bounds([0, 0], [3, 10]))
+    lb, ub = bounds([0, 0], [3, 10])
+    res = lp.solve(lb, ub)
     assert res.objective == pytest.approx(11.0)
     assert res.x == pytest.approx([3.0, 1.0])
     tab = lp.tableau()
     assert sorted(tab.basic) == [-2, 1]  # row 1's activity is -1 - 1
-    assert list(tab.col_status) == [highs.AT_UPPER, highs.BASIC]
-    assert list(tab.row_status) == [highs.AT_UPPER, highs.BASIC]
+    side = nonbasic_sides(tab.basic, lp.rows, lb, ub, res.x)
+    assert side.col_term.tolist() == [True, False] and side.col_up[0] and side.col_ok[0]
+    assert side.row_term.tolist() == [True, False] and side.row_up[0]
+    assert_sides_match_highs(lp, lb, ub, res.x)
     rng = np.random.default_rng(0)
     for i, basic in enumerate(tab.basic):
         reduced, binv = tab.row(i)
@@ -108,38 +116,58 @@ def test_tableau_rows_read_as_documented():
             assert reduced @ x - binv @ (A @ x) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_basis_statuses_are_read_once_as_highs_gives_them(monkeypatch):
+def test_sides_follow_from_the_basic_variables_and_the_point():
     # max sum of w_j x_j over 0 <= x <= 1 under one knapsack row: the
-    # densest columns sit at their upper bound, one is basic, the
-    # knapsack row at its upper bound, and the slack row's activity basic
+    # densest columns sit at their upper bound, one is basic, the knapsack
+    # row at its upper bound and the other inequality rows' activities are
+    # basic; an equality row is never a term
     rng = np.random.default_rng(4)
-    n = 12
-    weight = rng.uniform(1, 3, n)
+    n = 13
+    weight = rng.uniform(1, 3, n - 1)
     rows = [
-        ({j: float(weight[j]) for j in range(n)}, "<=", 7.5),
+        ({j: float(weight[j]) for j in range(n - 1)}, "<=", 7.5),
         ({0: 1.0, 1: 1.0}, "<=", 5.0),
         ({2: 1.0, 3: -1.0}, ">=", -4.0),
+        ({4: 1.0, 12: 1.0}, "=", 0.5),
     ]
-    lp = HighsLp(rng.uniform(1, 2, n) * weight, row_set(rows, n), "max")
-    res = lp.solve(np.zeros(n), np.ones(n))
+    cost = np.append(rng.uniform(1, 2, n - 1) * weight, 0.0)
+    lp = HighsLp(cost, row_set(rows, n), "max")
+    lb, ub = bounds([0] * n, [1] * (n - 1) + [2])
+    res = lp.solve(lb, ub)
     assert res.status == "Optimal"
-    basis = lp._highs.getBasis()
-    want_cols = [int(s) for s in basis.col_status]
-    want_rows = [int(s) for s in basis.row_status]
-    assert highs.AT_UPPER in want_cols and highs.BASIC in want_cols
-    assert want_rows[0] == highs.AT_UPPER and highs.BASIC in want_rows[1:]
+    side = nonbasic_sides(lp.tableau().basic, lp.rows, lb, ub, res.x)
+    assert side.col_up[side.col_term].any() and not side.col_term.all()
+    assert side.row_up[0] and side.row_term[0] and not side.row_term[3]
+    assert_sides_match_highs(lp, lb, ub, res.x)
 
-    calls = []
-    real = highs._core._Highs.getBasis
 
-    def counted(self):
-        calls.append(1)
-        return real(self)
+def test_separation_reads_no_basis_status(monkeypatch):
+    def refused(self):
+        raise AssertionError("getBasis called")
 
-    monkeypatch.setattr(highs._core._Highs, "getBasis", counted)
-    tab = lp.tableau()
-    for _ in range(2):
-        assert tab.col_status.dtype == tab.row_status.dtype == np.int8
-        assert tab.col_status.tolist() == want_cols
-        assert tab.row_status.tolist() == want_rows
-    assert len(calls) == 1
+    monkeypatch.setattr(highs._core._Highs, "getBasis", refused)
+    sol = branch_and_bound(blocks_problem(), SolveConfig(gomory=True))
+    assert sol.status == "Optimal" and sol.cut_counts["gomory"] > 0
+
+
+def test_unchanged_bounds_are_not_passed_again(monkeypatch):
+    passed = []
+    real = highs._core._Highs.changeColsBounds
+
+    def counted(self, *args):
+        passed.append(1)
+        return real(self, *args)
+
+    monkeypatch.setattr(highs._core._Highs, "changeColsBounds", counted)
+    lp = HighsLp(C, row_set(ROWS, 3), "max")
+    lb, ub = bounds([0, 0, 0], [2, 2, 10])
+    assert lp.solve(lb, ub).objective == pytest.approx(2.0)
+    lp.add_rows(row_set([({0: 1.0}, "<=", 1.5)], 3))
+    assert lp.solve(lb.copy(), ub.copy()).objective == pytest.approx(1.5)
+    assert len(passed) == 1
+    ub[0] = 1.0  # changed in place: the model still holds the old bounds
+    assert lp.solve(lb, ub).objective == pytest.approx(1.0)
+    lp.solve(lb, ub)
+    assert len(passed) == 2
+    assert lp.solve(*bounds([0, 0, 0], [2, 2, 10])).objective == pytest.approx(1.5)
+    assert len(passed) == 3

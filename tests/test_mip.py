@@ -958,9 +958,9 @@ class TestReduction:
                 phase[0] = "nodes"
             return real_propagate(rows, *args, **kwargs)
 
-        def spy_schedule(self, level):
+        def spy_schedule(self, level, first=0):
             schedules.append(phase[0])
-            return real_schedule(self, level)
+            return real_schedule(self, level, first)
 
         monkeypatch.setattr(solver, "_reduce", spy_reduce)
         monkeypatch.setattr(solver, "_propagate", spy_propagate)

@@ -389,6 +389,36 @@ def test_levels_follow_the_row_by_row_definition_also_after_append():
         assert_same_rows(joined, row_set(rows, n))
 
 
+def test_append_above_the_top_level_only_adds_levels():
+    # a row over every column lands above the top level, as stage 2's
+    # retention row does; rows elsewhere make the schedule be built again
+    rng = np.random.default_rng(10)
+    kept = rebuilt = 0
+    for _ in range(200):
+        n, m = int(rng.integers(1, 25)), int(rng.integers(0, 40))
+        rows = random_rows(rng, m, n)
+        head = row_set(rows, n)
+        built = head.levels
+        extra = random_rows(rng, int(rng.integers(0, 3)), n)
+        if rng.random() < 0.5:
+            extra.append(({j: 1.0 for j in range(n)}, [LE, GE][int(rng.integers(0, 2))], 5.0))
+        extra += random_rows(rng, int(rng.integers(0, 2)), n) if rng.random() < 0.3 else []
+        joined = head.append(row_set(extra, n))
+        levels = joined.levels
+        assert_same_rows(joined, row_set(rows + extra, n))
+        new = row_by_row_levels(rows + extra, n)[m:]
+        if all(lv == 0 or lv > len(built) for lv in new):
+            assert all(a is b for a, b in zip(levels, built))
+            kept += 1
+        else:
+            assert not any(a is b for a, b in zip(levels, built))
+            rebuilt += 1
+        # and through a relabel, as a reduction hands its rows on
+        keep = np.arange(n)
+        assert_same_rows(head.relabel(keep).append(row_set(extra, n)), row_set(rows + extra, n))
+    assert kept > 50 and rebuilt > 20
+
+
 def test_relabel_substitute_and_take_match_a_fresh_compile():
     rng = np.random.default_rng(9)
     for _ in range(100):
