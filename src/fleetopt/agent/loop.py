@@ -160,7 +160,8 @@ def run_agent(
     all_names = tuple(history.variable_names)
 
     def solve_with(proposal: GuideProposal):
-        fixed_names = [n for n in all_names if n not in set(proposal.keep_active)]
+        active = set(proposal.keep_active)
+        fixed_names = [n for n in all_names if n not in active]
         values = fixing_values(fixed_names, baseline, instance, grid)
         reduced = fix_variables(mip, values)
         solution = lexicographic_solve(reduced, cfg.solve)
@@ -214,6 +215,7 @@ def run_agent(
                     fixed_values=values,
                     status=solution.status,
                     wall_time=time.perf_counter() - started,
+                    stage1_reused=solution.stage1_reused,
                     notes=tuple(notes),
                 )
             )
@@ -229,6 +231,7 @@ def run_agent(
             f_value=solution.secondary_value,
             score=score,
             wall_time=time.perf_counter() - started,
+            stage1_reused=solution.stage1_reused,
             notes=tuple(notes),
         )
         trace.iterations.append(record)

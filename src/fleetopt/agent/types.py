@@ -165,6 +165,9 @@ class IterationRecord:
     score: float | None = None
     wall_time: float = 0.0
     notes: tuple[str, ...] = ()
+    # the solve took its stage 1 from the memo; like wall_time, kept out
+    # of to_dict, since it depends on what the process solved before
+    stage1_reused: bool = False
 
 
 @dataclass
@@ -184,6 +187,11 @@ class AgentTrace:
     @property
     def scores(self) -> list[float]:
         return [r.score for r in self.iterations if r.score is not None]
+
+    @property
+    def stage1_reuses(self) -> int:
+        """Iterations whose solve took its stage 1 from the memo."""
+        return sum(r.stage1_reused for r in self.iterations)
 
     def to_dict(self) -> dict:
         return {

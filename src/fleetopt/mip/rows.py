@@ -207,14 +207,21 @@ class CompiledRows:
             return self
         lengths = np.diff(self.indptr)
         row_of = np.repeat(np.arange(self.m), lengths)
+        entries = np.flatnonzero(gone)  # by row, each row's in entry order
+        hit_of = row_of[entries]
+        new = np.diff(hit_of, prepend=-1) != 0  # the first of its row
+        first = np.flatnonzero(new)
+        hit = hit_of[first]
+        # each hit row's [rhs, term_1, term_2, ...]; subtract.reduceat
+        # subtracts a segment's terms from its rhs one at a time, in order
+        starts = first + np.arange(len(first))
+        seq = np.empty(len(entries) + len(first))
+        seq[starts] = self.rhs[hit]
+        seq[np.arange(len(entries)) + np.cumsum(new)] = (
+            self.data[entries] * values[self.indices[entries]]
+        )
         rhs = self.rhs.copy()
-        entries = np.flatnonzero(gone)
-        place = entries - self.indptr[row_of[entries]]  # place in its row
-        order = np.argsort(place, kind="stable")
-        entries, place = entries[order], place[order]
-        # one step per place: each row has at most one entry there
-        for step in np.split(entries, np.flatnonzero(np.diff(place)) + 1):
-            rhs[row_of[step]] -= self.data[step] * values[self.indices[step]]
+        rhs[hit] = np.subtract.reduceat(seq, starts)
         kept = ~gone
         indptr = np.zeros(self.m + 1, dtype=np.intp)
         np.cumsum(np.bincount(row_of[kept], minlength=self.m), out=indptr[1:])

@@ -25,6 +25,18 @@ fixed model shares the stated row arrays, which are never changed in
 place, and appends only its own rows (``fix:*``). A lexicographic
 solve reduces the problem once: stage 2 starts its reduction from
 stage 1's, with the retention row appended in the reduced columns.
+Stage 1 (the reduction and the profit search) does not depend on the
+secondary objective, so the queries on one model share it: a module
+LRU memo of :data:`STAGE1_MEMO_SIZE` entries keeps each stage 1's
+reduction and outcome under the exact bytes of everything it reads
+(column count, kinds and bounds; the stated rows' CSR arrays, rhs and
+sense masks; the primary's sense, coefficients in insertion order and
+constant; ``gap_tol``, ``gomory``, ``cover`` and ``node_limit``). A
+solve with a ``time_limit`` bypasses it. A reused stage 1 reports the
+node, LP-iteration and cut counts of the search that produced it, so
+every output stays as a cold solve gives it; ``Solution.stage1_reused``
+says which happened. :func:`branch_and_bound` alone never reads the
+memo.
 An integral LP point becomes an incumbent only after a polish: its
 integers are fixed at their rounded values and the LP is solved again,
 and the incumbent takes that solve's continuous values and objective.
@@ -43,6 +55,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -613,17 +626,25 @@ def lexicographic_solve(
     retention row to stage 1's reduced rows, in the reduced columns, and
     goes on reducing from stage 1's bounds; the stated problem is not
     copied or changed.
+
+    Stage 1 reads neither the secondary nor ``lex_slack_rel``, so
+    queries on one model share it: it comes from a memo of the last
+    :data:`STAGE1_MEMO_SIZE` stage-1 problems solved, when one of them
+    is this one (:func:`_stage1`). A reused stage 1 reports the node,
+    LP-iteration and cut counts of the search that produced it, so the
+    returned solution is the same either way, bit for bit, apart from
+    ``wall_time`` and ``stage1_reused``. A solve with a ``time_limit``
+    neither reads nor fills the memo, since its outcome depends on the
+    clock.
     """
     cfg = cfg or SolveConfig()
     if problem.objective is None or problem.secondary is None:
         raise MipError("lexicographic solve needs a primary and a secondary objective")
     started = time.perf_counter()
     g = problem.objective
-    red1 = _reduce(problem, g)
-    stage1 = branch_and_bound(problem, cfg, reduced=red1)
+    stage1, red1 = _stage1(problem, cfg)
     if stage1.status not in STOPPED_WITH_POINT or stage1.objective_value is None:
-        stage1.wall_time = time.perf_counter() - started
-        return stage1
+        return replace(stage1, wall_time=time.perf_counter() - started)
     g_star = stage1.objective_value
     eps = cfg.lex_slack_rel * abs(g_star) + 1e-9
     retain = _retention_row(problem, red1, g_star, eps)
@@ -636,11 +657,12 @@ def lexicographic_solve(
     if stage2.status not in STOPPED_WITH_POINT or not stage2.values:
         # retention row plus solver tolerance squeezed stage 2 dry, or
         # stage 2 stopped before finding a point: return stage 1, marked
-        x1 = stage1.value_array(problem)
-        stage1.secondary_value = problem.secondary.value(x1)
-        stage1.stage2_fallback = True
-        stage1.wall_time = time.perf_counter() - started
-        return stage1
+        return replace(
+            stage1,
+            secondary_value=problem.secondary.value(stage1.value_array(problem)),
+            stage2_fallback=True,
+            wall_time=time.perf_counter() - started,
+        )
     x2 = stage2.value_array(problem)
     return Solution(
         status=stage2.status if stage1.status == OPTIMAL else stage1.status,
@@ -655,7 +677,83 @@ def lexicographic_solve(
             for k in set(stage1.cut_counts) | set(stage2.cut_counts)
         },
         wall_time=time.perf_counter() - started,
+        stage1_reused=stage1.stage1_reused,
     )
+
+
+# Stage-1 outcomes, least recently used first: the reduction, the
+# solution without its values, and its point as an array in the stated
+# column order, which a hit keys by the caller's names. The benchmark's
+# cuts-small round keeps 40 stage-1 problems in play (10 days under 4
+# cut settings, each shared by 4 queries in a shuffled order), the most
+# of any workload; the capacity leaves room above that.
+STAGE1_MEMO_SIZE = 64
+_stage1_memo: OrderedDict[bytes, tuple[_Reduced, Solution, np.ndarray | None]] = (
+    OrderedDict()
+)
+
+
+def _stage1_key(start: _Reduced, objective: Objective, cfg: SolveConfig) -> bytes:
+    """The bytes of everything stage 1 reads.
+
+    The column count, kinds and bounds; the stated rows' CSR arrays,
+    rhs and sense masks; the primary's sense, coefficients in their
+    order and constant; and the configuration the search reads. The
+    counts up front fix where each array's bytes end.
+    """
+    rows = start.rows
+    coeffs = objective.coeffs
+    return b"".join(
+        a.tobytes()
+        for a in (
+            np.array(
+                [len(start.lb), rows.m, len(rows.data), len(coeffs),
+                 objective.sense == MAX, cfg.gomory, cfg.cover,
+                 cfg.node_limit is None, cfg.node_limit or 0],
+                dtype=np.int64,
+            ),
+            np.array([objective.constant, cfg.gap_tol], dtype=float),
+            start.int_mask, start.binary, start.lb, start.ub,
+            rows.indptr.astype(np.int64, copy=False),
+            rows.indices.astype(np.int64, copy=False),
+            rows.data, rows.rhs, rows.le, rows.ge,
+            np.fromiter(coeffs, dtype=np.int64, count=len(coeffs)),
+            np.fromiter(coeffs.values(), dtype=float, count=len(coeffs)),
+        )
+    )
+
+
+def _stage1(problem: MipProblem, cfg: SolveConfig) -> tuple[Solution, _Reduced]:
+    """Stage 1 of :func:`lexicographic_solve`: its solution and the
+    reduction stage 2 starts from.
+
+    Both come from the memo when it holds this stage-1 problem, and the
+    solution then says ``stage1_reused``; otherwise the problem is
+    reduced and searched, and the outcome is kept. The kept reduction
+    is frozen, since every later hit hands it on again.
+    """
+    g = problem.objective
+    start = _unreduced(problem, g)
+    key = None if cfg.time_limit is not None else _stage1_key(start, g, cfg)
+    found = _stage1_memo.get(key) if key is not None else None
+    if found is not None:
+        _stage1_memo.move_to_end(key)
+        red, sol, x = found
+        names = (v.name for v in problem.variables)
+        values = {} if x is None else dict(zip(names, x.tolist()))
+        return replace(
+            sol, values=values, cut_counts=dict(sol.cut_counts), stage1_reused=True
+        ), red
+    red = _reduce(problem, g, start)
+    sol = branch_and_bound(problem, cfg, reduced=red)
+    if key is not None:
+        for a in (red.keep, red.lb, red.ub, red.binary, red.int_mask, red.full_values):
+            a.flags.writeable = False
+        x = sol.value_array(problem) if sol.values else None
+        _stage1_memo[key] = (red, replace(sol, values={}, cut_counts=dict(sol.cut_counts)), x)
+        if len(_stage1_memo) > STAGE1_MEMO_SIZE:
+            _stage1_memo.popitem(last=False)
+    return sol, red
 
 
 def _retention_row(

@@ -382,6 +382,10 @@ class TestRunAgent:
         a = run_agent("Service level of taxis", inst, EXOG, forest, history, cfg)
         b = run_agent("Service level of taxis", inst, EXOG, forest, history, cfg)
         assert a.to_dict() == b.to_dict()
+        # the repeat takes every stage 1 from the memo, and says so only
+        # outside the trace's document
+        assert a.stage1_reuses < b.stage1_reuses == len(b.iterations)
+        assert "stage1_reused" not in json.dumps(b.to_dict())
 
     def test_loop_contract(self, inst):
         history = varied_history(inst)

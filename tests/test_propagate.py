@@ -419,6 +419,18 @@ def test_append_above_the_top_level_only_adds_levels():
     assert kept > 50 and rebuilt > 20
 
 
+def substituted_by_loop(rows, fixed, values):
+    """The rows with the fixed terms moved into the rhs, one term at a
+    time in each row's own order."""
+    out = []
+    for coeffs, rel, rhs in rows:
+        for j, a in coeffs.items():
+            if fixed[j]:
+                rhs -= a * values[j]
+        out.append(({j: a for j, a in coeffs.items() if not fixed[j]}, rel, rhs))
+    return out
+
+
 def test_relabel_substitute_and_take_match_a_fresh_compile():
     rng = np.random.default_rng(9)
     for _ in range(100):
@@ -429,13 +441,7 @@ def test_relabel_substitute_and_take_match_a_fresh_compile():
         compiled = row_set(rows, n)
         compiled.levels  # a built schedule is relabelled, not rebuilt
 
-        # the fixed terms leave in each row's own order
-        substituted = []
-        for coeffs, rel, rhs in rows:
-            for j, a in coeffs.items():
-                if fixed[j]:
-                    rhs -= a * values[j]
-            substituted.append(({j: a for j, a in coeffs.items() if not fixed[j]}, rel, rhs))
+        substituted = substituted_by_loop(rows, fixed, values)
         assert_same_rows(compiled.substitute(fixed, values), row_set(substituted, n))
 
         mask = rng.random(m) < 0.6
@@ -455,3 +461,19 @@ def test_relabel_substitute_and_take_match_a_fresh_compile():
         scheduled = row_set(inside, n)
         scheduled.levels
         assert_same_rows(scheduled.relabel(keep), want)
+
+    # rows of hundreds of entries, as stage 2's retention row has, with
+    # masks that pin none, some, most or all of a row's columns
+    n = 700
+    for pinned_share in (0.0, 0.1, 0.5, 0.9, 0.99, 1.0):
+        rows = []
+        for length in (1, 2, 150, 400, 700):
+            coeffs = {int(j): float(rng.uniform(-3, 3) * 10.0 ** rng.integers(-6, 6))
+                      for j in rng.permutation(n)[:length]}
+            rows.append((coeffs, str(rng.choice([LE, GE, EQ])), float(rng.normal(0, 1e3))))
+        values = rng.uniform(-5, 5, n) * 10.0 ** rng.integers(-4, 4, n)
+        fixed = rng.random(n) < pinned_share
+        substituted = substituted_by_loop(rows, fixed, values)
+        got = row_set(rows, n).substitute(fixed, values)
+        assert_same_rows(got, row_set(substituted, n))
+        assert got.rhs.tobytes() == np.array([r for _, _, r in substituted]).tobytes()
