@@ -188,11 +188,6 @@ class AgentTrace:
     def scores(self) -> list[float]:
         return [r.score for r in self.iterations if r.score is not None]
 
-    @property
-    def stage1_reuses(self) -> int:
-        """Iterations whose solve took its stage 1 from the memo."""
-        return sum(r.stage1_reused for r in self.iterations)
-
     def to_dict(self) -> dict:
         return {
             "query": self.query,

@@ -32,6 +32,7 @@ from .rows import CompiledRows
 from .solver import (
     SolveConfig,
     branch_and_bound,
+    clear_stage1_memo,
     fix_variables,
     lexicographic_solve,
     lp_solve,
@@ -61,6 +62,7 @@ __all__ = [
     "UNBOUNDED",
     "Variable",
     "branch_and_bound",
+    "clear_stage1_memo",
     "cover_cuts",
     "fix_variables",
     "gomory_cuts",

@@ -404,7 +404,9 @@ class Solution:
     cut_counts: dict[str, int] = field(default_factory=dict)
     wall_time: float = 0.0
     stage2_fallback: bool = False  # lexicographic stage 2 gave no point
-    stage1_reused: bool = False  # lexicographic stage 1 came from the memo
+    # lexicographic stage 1 came from the memo: a fact of the process,
+    # not of the problem, so kept out of to_dict
+    stage1_reused: bool = False
 
     @property
     def is_optimal(self) -> bool:
@@ -425,7 +427,6 @@ class Solution:
             "cut_counts": self.cut_counts,
             "wall_time": self.wall_time,
             "stage2_fallback": self.stage2_fallback,
-            "stage1_reused": self.stage1_reused,
         }
 
     def to_json(self) -> str:
@@ -445,6 +446,5 @@ class Solution:
             cut_counts=dict(doc.get("cut_counts", {})),
             wall_time=float(doc.get("wall_time", 0.0)),
             stage2_fallback=bool(doc.get("stage2_fallback", False)),
-            stage1_reused=bool(doc.get("stage1_reused", False)),
         )
 

@@ -35,8 +35,8 @@ constant; ``gap_tol``, ``gomory``, ``cover`` and ``node_limit``). A
 solve with a ``time_limit`` bypasses it. A reused stage 1 reports the
 node, LP-iteration and cut counts of the search that produced it, so
 every output stays as a cold solve gives it; ``Solution.stage1_reused``
-says which happened. :func:`branch_and_bound` alone never reads the
-memo.
+says which happened, and :func:`clear_stage1_memo` empties the memo.
+:func:`branch_and_bound` alone never reads it.
 An integral LP point becomes an incumbent only after a polish: its
 integers are fixed at their rounded values and the LP is solved again,
 and the incumbent takes that solve's continuous values and objective.
@@ -691,6 +691,16 @@ STAGE1_MEMO_SIZE = 64
 _stage1_memo: OrderedDict[bytes, tuple[_Reduced, Solution, np.ndarray | None]] = (
     OrderedDict()
 )
+
+
+def clear_stage1_memo() -> None:
+    """Forget every stage-1 outcome the memo keeps.
+
+    The next lexicographic solve of each model then runs its stage-1
+    search again: for callers that time solves, or replay them as
+    checks made apart from the first solve.
+    """
+    _stage1_memo.clear()
 
 
 def _stage1_key(start: _Reduced, objective: Objective, cfg: SolveConfig) -> bytes:

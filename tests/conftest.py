@@ -13,5 +13,5 @@ def empty_stage1_memo():
     them, would otherwise see a stage 1 taken from the memo and no
     stage-1 search at all.
     """
-    solver._stage1_memo.clear()
+    solver.clear_stage1_memo()
     yield

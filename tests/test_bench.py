@@ -341,6 +341,40 @@ class TestExperiments:
         ]
         assert all(c.node_limit == 5000 and c.lex_slack_rel == 1e-4 for c in seen)
 
+    def test_timed_solves_start_from_a_cold_memo(self, monkeypatch):
+        # the efficiency sweep's fixed_count=0 row solves the full model's
+        # bytes again, and the cuts experiment's GomoryCuts row the model
+        # the efficiency sweep just solved: both would reuse a stage 1
+        seen = []
+        solve = experiments.lexicographic_solve
+
+        def spy(mip, cfg):
+            sol = solve(mip, cfg)
+            seen.append(sol.stage1_reused)
+            return sol
+
+        monkeypatch.setattr(experiments, "lexicographic_solve", spy)
+        n = len(self.history.variable_names)
+        cfg = BenchConfig(seed=0, eval_days=2,
+                          queries=("Number of pre-allocated taxis",),
+                          fixed_counts=(0, n // 2))
+        report = run_efficiency_experiment(self.world, self.forest, self.history, cfg)
+        assert [r["fixed_count"] for r in report.rows] == [0, n // 2] * 2
+        assert len(seen) == 6  # one full and two fixed solves per day
+        run_cuts_experiment(self.world, self.forest, self.history, cfg)
+        assert len(seen) == 6 + 2 * len(experiments.CUT_FAMILIES)
+        assert not any(seen)
+        # in one warm process, fixing none would reuse the full solve's
+        # stage 1
+        day = experiments.pick_eval_days(self.world, self.history, 1, 0)[0]
+        inst = self.world.instance(day)
+        indicator = experiments.indicator_generate(cfg.queries[0], inst, guide="deterministic")
+        mip = experiments.build_agent_model(
+            inst, self.forest, self.world.days[day].exogenous(), indicator.ast, cfg.agent
+        )[0]
+        assert not solve(mip, cfg.solve).stage1_reused
+        assert solve(experiments.fix_variables(mip, {}), cfg.solve).stage1_reused
+
     def test_accuracy_deterministic_guide_scores_one(self):
         # the catalog's high-power entry indexes charge level 2, so the
         # reference instance must carry three levels

@@ -63,6 +63,18 @@ def test_a_repeat_reuses_stage_one_and_returns_the_same_solution():
     assert warm.stage1_reused
     assert outcome(warm) == outcome(cold)
     assert len(solver._stage1_memo) == 1
+    # what the process solved before stays out of the solution's document
+    assert warm.to_dict() == dict(cold.to_dict(), wall_time=warm.wall_time)
+    assert "stage1_reused" not in warm.to_dict()
+
+
+def test_clearing_the_memo_makes_the_next_solve_cold():
+    cold = lexicographic_solve(build())
+    solver.clear_stage1_memo()
+    again = lexicographic_solve(build())
+    assert not again.stage1_reused
+    assert outcome(again) == outcome(cold)
+    assert lexicographic_solve(build()).stage1_reused
 
 
 @pytest.mark.parametrize(
@@ -174,9 +186,9 @@ def test_warm_and_cold_solves_agree_on_the_query_models(world, day):
     models = [agent_model(world, day, query)[0] for query in QUERIES]
     cold = []
     for mip in models:
-        solver._stage1_memo.clear()
+        solver.clear_stage1_memo()
         cold.append(lexicographic_solve(mip))
-    solver._stage1_memo.clear()
+    solver.clear_stage1_memo()
     warm = [lexicographic_solve(mip) for mip in models]
     # the four queries on one day share stage 1
     assert [sol.stage1_reused for sol in warm] == [False, True, True, True]
