@@ -47,9 +47,16 @@ def satisfaction_score(
     better; with a near-zero baseline value the absolute improvement is
     returned instead of a ratio.
     """
-    f_new = evaluate(f_ast, instance, decision)
-    f_hist = evaluate(f_ast, instance, baseline)
-    improvement = f_new - f_hist if f_ast.sense == "max" else f_hist - f_new
+    return relative_improvement(
+        f_ast.sense,
+        evaluate(f_ast, instance, decision),
+        evaluate(f_ast, instance, baseline),
+    )
+
+
+def relative_improvement(sense: str, f_new: float, f_hist: float) -> float:
+    """The score of :func:`satisfaction_score` from the two query values."""
+    improvement = f_new - f_hist if sense == "max" else f_hist - f_new
     if abs(f_hist) < SCORE_ZERO_GUARD:
         return improvement
     return improvement / abs(f_hist)
@@ -221,7 +228,10 @@ def run_agent(
             )
             break
         decision = decision_from_solution(instance, mip, solution)
-        score = satisfaction_score(f_ast, instance, decision, baseline)
+        # the baseline's value is computed once, above
+        score = relative_improvement(
+            f_ast.sense, evaluate(f_ast, instance, decision), baseline_f
+        )
         record = IterationRecord(
             iteration=t,
             active=proposal.keep_active,

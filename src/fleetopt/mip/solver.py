@@ -26,16 +26,20 @@ place, and appends only its own rows (``fix:*``). A lexicographic
 solve reduces the problem once: stage 2 starts its reduction from
 stage 1's, with the retention row appended in the reduced columns.
 Stage 1 (the reduction and the profit search) does not depend on the
-secondary objective, so the queries on one model share it: a module
-LRU memo of :data:`STAGE1_MEMO_SIZE` entries keeps each stage 1's
-reduction and outcome under the exact bytes of everything it reads
-(column count, kinds and bounds; the stated rows' CSR arrays, rhs and
-sense masks; the primary's sense, coefficients in insertion order and
-constant; ``gap_tol``, ``gomory``, ``cover`` and ``node_limit``). A
-solve with a ``time_limit`` bypasses it. A reused stage 1 reports the
-node, LP-iteration and cut counts of the search that produced it, so
-every output stays as a cold solve gives it; ``Solution.stage1_reused``
-says which happened, and :func:`clear_stage1_memo` empties the memo.
+secondary objective, and stage 2's start (that second reduction) only
+on stage 1 and ``lex_slack_rel``, so the queries on one model share
+both: a module LRU memo of :data:`STAGE1_MEMO_SIZE` entries keeps each
+stage 1's outcome and stage 2's start under the exact bytes of
+everything stage 1 reads (column count, kinds and bounds; the stated
+rows' CSR arrays, rhs and sense masks; the primary's sense,
+coefficients in insertion order and constant; ``gap_tol``, ``gomory``,
+``cover`` and ``node_limit``). The start is tagged with the slack it
+was made for; a hit under another slack makes it again, with no
+search. A solve with a ``time_limit`` bypasses the memo. A reused stage
+1 reports the node, LP-iteration and cut counts of the search that
+produced it, so every output stays as a cold solve gives it;
+``Solution.stage1_reused`` says which happened, and
+:func:`clear_stage1_memo` empties the memo.
 :func:`branch_and_bound` alone never reads it.
 An integral LP point becomes an incumbent only after a polish: its
 integers are fixed at their rounded values and the LP is solved again,
@@ -215,12 +219,11 @@ def _reduce(
     reduced columns (:meth:`.rows.CompiledRows.relabel`), which keeps
     the level schedule the last propagation built.
 
-    The passes start from ``start``, by default the problem as stated.
-    :func:`lexicographic_solve` starts stage 2 from stage 1's reduction
-    with the retention row appended: stage 1's bounds and rows hold for
-    stage 2, whose region is stage 1's cut by one row. ``keep`` and
-    ``full_values`` refer to the stated columns either way, and
-    ``objective`` is mapped through them.
+    The passes start from ``start``, by default the problem as stated;
+    stage 2 starts from stage 1's reduction with the retention row
+    appended (:func:`_stage2_start`). ``keep`` and ``full_values`` refer
+    to the stated columns either way, and ``objective`` is mapped through
+    them (:func:`_with_objective`).
     """
     n = problem.n_vars
     if start is None:
@@ -285,28 +288,41 @@ def _reduce(
     # + 0.0: a bound ceil'ed up from just below zero is -0.0
     pinned[pinned_int] = np.round(pinned[pinned_int]) + 0.0
     full_values[start.keep[fixed]] = pinned
+    return _with_objective(
+        _Reduced(
+            keep=keep,
+            lb=lb[local],
+            ub=ub[local],
+            binary=start.binary[local],
+            int_mask=int_mask[local],
+            rows=compiled.relabel(local),
+            obj_coeffs={},
+            obj_constant=0.0,
+            full_values=full_values,
+        ),
+        objective,
+    )
 
-    kept = np.zeros(n, dtype=bool)
-    kept[keep] = True
-    pos_of = {int(j): p for p, j in enumerate(keep)}
+
+def _with_objective(red: _Reduced, objective: Objective) -> _Reduced:
+    """``red`` with ``objective`` mapped onto its kept columns.
+
+    A kept column's coefficients add up on its reduced index, in the
+    objective's order; a pinned column's term moves into the constant
+    at its value in ``full_values``. The other fields are shared.
+    """
+    pos = np.full(len(red.full_values), -1)  # reduced index, -1 when pinned
+    pos[red.keep] = np.arange(len(red.keep))
+    pos = pos.tolist()
     obj_coeffs = {}
     obj_constant = objective.constant
     for j, c in objective.coeffs.items():
-        if kept[j]:
-            obj_coeffs[pos_of[j]] = obj_coeffs.get(pos_of[j], 0.0) + c
+        p = pos[j]
+        if p >= 0:
+            obj_coeffs[p] = obj_coeffs.get(p, 0.0) + c
         else:
-            obj_constant += c * full_values[j]
-    return _Reduced(
-        keep=keep,
-        lb=lb[local],
-        ub=ub[local],
-        binary=start.binary[local],
-        int_mask=int_mask[local],
-        rows=compiled.relabel(local),
-        obj_coeffs=obj_coeffs,
-        obj_constant=obj_constant,
-        full_values=full_values,
-    )
+            obj_constant += c * red.full_values[j]
+    return replace(red, obj_coeffs=obj_coeffs, obj_constant=obj_constant)
 
 
 def _fractional_index(x, int_idx) -> int | None:
@@ -625,32 +641,30 @@ def lexicographic_solve(
     The problem is reduced once, for stage 1. Stage 2 appends the
     retention row to stage 1's reduced rows, in the reduced columns, and
     goes on reducing from stage 1's bounds; the stated problem is not
-    copied or changed.
+    copied or changed. That reduction is stage 2's start
+    (:func:`_stage2_start`), and the secondary is mapped onto its kept
+    columns for the search.
 
-    Stage 1 reads neither the secondary nor ``lex_slack_rel``, so
-    queries on one model share it: it comes from a memo of the last
-    :data:`STAGE1_MEMO_SIZE` stage-1 problems solved, when one of them
-    is this one (:func:`_stage1`). A reused stage 1 reports the node,
-    LP-iteration and cut counts of the search that produced it, so the
-    returned solution is the same either way, bit for bit, apart from
-    ``wall_time`` and ``stage1_reused``. A solve with a ``time_limit``
-    neither reads nor fills the memo, since its outcome depends on the
-    clock.
+    Stage 1 reads neither the secondary nor ``lex_slack_rel``, and stage
+    2's start reads no secondary, so queries on one model share both:
+    they come from a memo of the last :data:`STAGE1_MEMO_SIZE` stage-1
+    problems solved, when one of them is this one (:func:`_stage1`). A
+    hit under the slack its start was made for runs no reduction at all.
+    A reused stage 1 reports the node, LP-iteration and cut counts of the
+    search that produced it, so the returned solution is the same either
+    way, bit for bit, apart from ``wall_time`` and ``stage1_reused``. A
+    solve with a ``time_limit`` neither reads nor fills the memo, since
+    its outcome depends on the clock.
     """
     cfg = cfg or SolveConfig()
     if problem.objective is None or problem.secondary is None:
         raise MipError("lexicographic solve needs a primary and a secondary objective")
     started = time.perf_counter()
     g = problem.objective
-    stage1, red1 = _stage1(problem, cfg)
-    if stage1.status not in STOPPED_WITH_POINT or stage1.objective_value is None:
+    stage1, start2 = _stage1(problem, cfg)
+    if start2 is None:
         return replace(stage1, wall_time=time.perf_counter() - started)
-    g_star = stage1.objective_value
-    eps = cfg.lex_slack_rel * abs(g_star) + 1e-9
-    retain = _retention_row(problem, red1, g_star, eps)
-    red2 = _reduce(
-        problem, problem.secondary, replace(red1, rows=red1.rows.append(retain))
-    )
+    red2 = _with_objective(start2, problem.secondary)
     stage2 = branch_and_bound(
         problem, cfg, objective=problem.secondary, warm_values=stage1.values, reduced=red2
     )
@@ -681,16 +695,19 @@ def lexicographic_solve(
     )
 
 
-# Stage-1 outcomes, least recently used first: the reduction, the
-# solution without its values, and its point as an array in the stated
-# column order, which a hit keys by the caller's names. The benchmark's
-# cuts-small round keeps 40 stage-1 problems in play (10 days under 4
-# cut settings, each shared by 4 queries in a shuffled order), the most
-# of any workload; the capacity leaves room above that.
+# Stage-1 outcomes, least recently used first. An entry holds stage 2's
+# start (:func:`_stage2_start`; None when stage 1 has no point) with the
+# ``lex_slack_rel`` it was made for, stage 1's solution without its
+# values, and its point as an array in the stated column order, which a
+# hit keys by the caller's names. Stage 1's own reduction is not kept:
+# only a hit under another slack reads it again, and re-derives it. The
+# benchmark's cuts-small round keeps 40 stage-1 problems in play (10
+# days under 4 cut settings, each shared by 4 queries in a shuffled
+# order), the most of any workload; the capacity leaves room above that.
 STAGE1_MEMO_SIZE = 64
-_stage1_memo: OrderedDict[bytes, tuple[_Reduced, Solution, np.ndarray | None]] = (
-    OrderedDict()
-)
+_stage1_memo: OrderedDict[
+    bytes, tuple[_Reduced | None, float, Solution, np.ndarray | None]
+] = OrderedDict()
 
 
 def clear_stage1_memo() -> None:
@@ -733,37 +750,73 @@ def _stage1_key(start: _Reduced, objective: Objective, cfg: SolveConfig) -> byte
     )
 
 
-def _stage1(problem: MipProblem, cfg: SolveConfig) -> tuple[Solution, _Reduced]:
-    """Stage 1 of :func:`lexicographic_solve`: its solution and the
-    reduction stage 2 starts from.
+def _stage1(problem: MipProblem, cfg: SolveConfig) -> tuple[Solution, _Reduced | None]:
+    """Stage 1 of :func:`lexicographic_solve`: its solution and stage 2's
+    start, None when stage 1 has no point.
 
     Both come from the memo when it holds this stage-1 problem, and the
-    solution then says ``stage1_reused``; otherwise the problem is
-    reduced and searched, and the outcome is kept. The kept reduction
-    is frozen, since every later hit hands it on again.
+    solution then says ``stage1_reused``; a hit goes straight on to stage
+    2's search. A hit whose start was made under another
+    ``lex_slack_rel`` re-derives stage 1's reduction and the start for
+    this slack, with no search, and keeps the new start in place of the
+    old one. Otherwise the problem is reduced and searched, and the
+    outcome is kept. The kept start is frozen, since every later hit
+    hands it on again.
     """
     g = problem.objective
     start = _unreduced(problem, g)
     key = None if cfg.time_limit is not None else _stage1_key(start, g, cfg)
     found = _stage1_memo.get(key) if key is not None else None
-    if found is not None:
-        _stage1_memo.move_to_end(key)
-        red, sol, x = found
-        names = (v.name for v in problem.variables)
-        values = {} if x is None else dict(zip(names, x.tolist()))
-        return replace(
-            sol, values=values, cut_counts=dict(sol.cut_counts), stage1_reused=True
-        ), red
-    red = _reduce(problem, g, start)
-    sol = branch_and_bound(problem, cfg, reduced=red)
-    if key is not None:
-        for a in (red.keep, red.lb, red.ub, red.binary, red.int_mask, red.full_values):
-            a.flags.writeable = False
+    if found is None:
+        red1 = _reduce(problem, g, start)
+        sol = branch_and_bound(problem, cfg, reduced=red1)
+        kept = replace(sol, values={}, cut_counts=dict(sol.cut_counts))
         x = sol.value_array(problem) if sol.values else None
-        _stage1_memo[key] = (red, replace(sol, values={}, cut_counts=dict(sol.cut_counts)), x)
+    else:
+        _stage1_memo.move_to_end(key)
+        start2, slack, kept, x = found
+        names = (v.name for v in problem.variables)
+        sol = replace(
+            kept,
+            values={} if x is None else dict(zip(names, x.tolist())),
+            cut_counts=dict(kept.cut_counts),
+            stage1_reused=True,
+        )
+        if start2 is None or slack == cfg.lex_slack_rel:
+            return sol, start2
+        red1 = _reduce(problem, g, start)
+    start2 = _stage2_start(problem, red1, sol, cfg)
+    if key is not None:
+        if start2 is not None:
+            for a in (start2.keep, start2.lb, start2.ub, start2.binary, start2.int_mask,
+                      start2.full_values):
+                a.flags.writeable = False
+        _stage1_memo[key] = (start2, cfg.lex_slack_rel, kept, x)
         if len(_stage1_memo) > STAGE1_MEMO_SIZE:
             _stage1_memo.popitem(last=False)
-    return sol, red
+    return sol, start2
+
+
+def _stage2_start(
+    problem: MipProblem, red1: _Reduced, stage1: Solution, cfg: SolveConfig
+) -> _Reduced | None:
+    """Stage 1's reduction ``red1`` with the retention row appended, in
+    the reduced columns, and reduced again from stage 1's bounds; None
+    when stage 1 has no point.
+
+    Stage 1's bounds and rows hold for stage 2, whose region is stage
+    1's cut by one row. The start depends on the stage-1 problem and on
+    ``lex_slack_rel`` only. It is reduced under an empty objective, and
+    each solve maps its own secondary onto it (:func:`_with_objective`).
+    """
+    if stage1.status not in STOPPED_WITH_POINT or stage1.objective_value is None:
+        return None
+    g_star = stage1.objective_value
+    eps = cfg.lex_slack_rel * abs(g_star) + 1e-9
+    retain = _retention_row(problem, red1, g_star, eps)
+    return _reduce(
+        problem, Objective(MAX, {}), replace(red1, rows=red1.rows.append(retain))
+    )
 
 
 def _retention_row(

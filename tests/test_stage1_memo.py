@@ -5,7 +5,8 @@ part of the configuration, and nothing else, so queries on one model
 share it. A solve takes stage 1 from the memo only when every one of
 those inputs is the same to the bit, and the solution it returns is the
 one a cold solve returns, field by field, apart from ``wall_time`` and
-``stage1_reused``.
+``stage1_reused``. An entry also holds stage 2's start, made for one
+``lex_slack_rel``: a hit under that slack runs no reduction at all.
 """
 
 import copy
@@ -194,3 +195,84 @@ def test_warm_and_cold_solves_agree_on_the_query_models(world, day):
     assert [sol.stage1_reused for sol in warm] == [False, True, True, True]
     for c, w in zip(cold, warm):
         assert outcome(w) == outcome(c)
+
+
+def count_reductions(monkeypatch) -> list:
+    """Record each reduction's objective as :func:`solver._reduce` runs."""
+    seen = []
+    real = solver._reduce
+
+    def spy(problem, objective, start=None):
+        seen.append(objective)
+        return real(problem, objective, start)
+
+    monkeypatch.setattr(solver, "_reduce", spy)
+    return seen
+
+
+def stored_start():
+    """Stage 2's start kept in the one memo entry, and its slack."""
+    (entry,) = solver._stage1_memo.values()
+    return entry[0], entry[1]
+
+
+def test_a_hit_under_the_same_slack_runs_no_reduction(monkeypatch):
+    cold = lexicographic_solve(build())
+    seen = count_reductions(monkeypatch)
+    for secondary in (None, {"z": 1.0}):
+        warm = lexicographic_solve(build(secondary=secondary))
+        assert warm.stage1_reused
+    assert seen == []
+    assert outcome(lexicographic_solve(build())) == outcome(cold)
+
+
+def test_clearing_the_memo_reduces_both_stages_again(monkeypatch):
+    lexicographic_solve(build())
+    solver.clear_stage1_memo()
+    seen = count_reductions(monkeypatch)
+    assert not lexicographic_solve(build()).stage1_reused
+    assert len(seen) == 2  # stage 1's reduction, then stage 2's start
+
+
+def test_a_hit_under_another_slack_makes_the_start_again(monkeypatch):
+    slack = SolveConfig(lex_slack_rel=1e-2)
+    solver.clear_stage1_memo()
+    want = lexicographic_solve(build(), slack)
+    solver.clear_stage1_memo()
+    lexicographic_solve(build())
+    first, _ = stored_start()
+    seen = count_reductions(monkeypatch)
+    got = lexicographic_solve(build(), slack)
+    assert got.stage1_reused
+    assert outcome(got) == outcome(want)
+    # stage 1's reduction and the new start, with no stage-1 search
+    assert len(seen) == 2
+    start, tag = stored_start()
+    assert start is not first and tag == slack.lex_slack_rel
+    # the new start replaced the old one: its slack now hits outright
+    assert lexicographic_solve(build(), slack).stage1_reused and len(seen) == 2
+    assert lexicographic_solve(build()).stage1_reused and len(seen) == 4
+
+
+def start_bytes(start) -> list[bytes]:
+    rows = start.rows
+    arrays = [start.keep, start.lb, start.ub, start.binary, start.int_mask,
+              start.full_values, rows.indptr, rows.indices, rows.data, rows.rhs,
+              rows.le, rows.ge]
+    arrays += [a for level in rows.levels for a in level]
+    return [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("secondary", [None, {"z": 1.0}])
+def test_a_hits_search_leaves_the_stored_start_as_it_was(secondary):
+    cold = lexicographic_solve(build())
+    start, _ = stored_start()
+    before = start_bytes(start)
+    warm = lexicographic_solve(build(secondary=secondary))
+    # stage 2 searched on the stored start: nodes beyond stage 1's
+    (entry,) = solver._stage1_memo.values()
+    assert warm.stage1_reused and warm.node_count > entry[2].node_count
+    assert stored_start()[0] is start
+    assert start_bytes(start) == before
+    if secondary is None:
+        assert outcome(warm) == outcome(cold)
