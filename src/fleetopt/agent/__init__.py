@@ -20,6 +20,7 @@ from .indicator import (
 from .llm import ChatClient, LlmConfig, LlmError, ReplayClient, save_transcript
 from .loop import (
     build_agent_model,
+    clear_day_model_memo,
     needs_price_grid,
     response_format,
     run_agent,
@@ -57,6 +58,7 @@ __all__ = [
     "PromptTemplates",
     "ReplayClient",
     "build_agent_model",
+    "clear_day_model_memo",
     "extract_objective_source",
     "fixed_fraction",
     "indicator_generate",

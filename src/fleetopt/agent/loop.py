@@ -6,11 +6,27 @@ model lexicographically (predicted profit first, the query objective
 second) and scores the result against the all-historical-average
 baseline. The loop runs while the score strictly improves, up to the
 iteration cap, and keeps the best-scoring decision seen.
+
+A manager puts several queries to one day, and the day's profit model
+(the forest embedded over the fleet constraints, :func:`.build_feature_mip`)
+does not depend on the query. :func:`build_agent_model` therefore takes
+it from a module LRU memo of :data:`DAY_MODEL_MEMO_SIZE` day models,
+keyed by the exact inputs of the build: the forest by identity, every
+:class:`.FleetInstance` field and the exogenous values as bytes, and the
+price grid. Each call installs its query on a copy of the kept model;
+the kept model itself is never handed out. A copy shares the stated
+rows, which are never changed in place, so the level schedule one
+query's solve builds serves the next, and every model is the one a
+fresh build gives, bit for bit. :func:`clear_day_model_memo` empties
+the memo.
 """
 
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
+from dataclasses import fields
+
 import numpy as np
 
 from ..dsl.analysis import canonicalize, evaluate
@@ -19,7 +35,7 @@ from ..dsl.parser import ObjectiveAst
 from ..fleet import Decision, FleetInstance, PriceGrid
 from ..fleet_mip import build_feature_mip, decision_from_solution
 from ..forest import Forest
-from ..mip.problem import INFEASIBLE
+from ..mip.problem import INFEASIBLE, MipProblem
 from ..mip.solver import STOPPED_WITH_POINT, fix_variables, lexicographic_solve
 from .guides import DeterministicGuide, GuideContext, LlmGuide
 from .indicator import IndicatorResult, indicator_generate
@@ -67,6 +83,64 @@ def needs_price_grid(canonical) -> bool:
     return any(len(tokens) == 2 for _, tokens in canonical.monomials)
 
 
+# Day models, least recently used first, each with the forest it was
+# built from. The benchmark's cuts-small round keeps 10 day models in
+# play and the efficiency experiment visits at most 5 days per query,
+# the most of any caller; the capacity leaves room above both.
+DAY_MODEL_MEMO_SIZE = 16
+_day_model_memo: OrderedDict[tuple, tuple[Forest, MipProblem]] = OrderedDict()
+
+
+def clear_day_model_memo() -> None:
+    """Forget every day model the memo keeps, so that the next
+    :func:`build_agent_model` of each day builds it again."""
+    _day_model_memo.clear()
+
+
+def _day_model_key(
+    instance: FleetInstance,
+    forest: Forest,
+    exogenous: dict[str, float],
+    grid: PriceGrid | None,
+) -> tuple:
+    """The exact inputs of a day model's build.
+
+    The forest by identity (its trees must not change after first use,
+    as :attr:`.Forest.flat` already requires), every instance field and
+    the exogenous values the schema names, in its order, as bytes with
+    their dtype and shape, and the grid, which is frozen and hashable.
+    """
+    arrays = [np.asarray(getattr(instance, f.name)) for f in fields(instance)]
+    arrays.append(np.array(
+        [exogenous[name] for name in forest.schema.exogenous_names], dtype=np.float64
+    ))
+    return (id(forest), grid, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+
+
+def _day_model(
+    instance: FleetInstance,
+    forest: Forest,
+    exogenous: dict[str, float],
+    grid: PriceGrid | None,
+) -> MipProblem:
+    """A copy of the day's profit model, built on the first request."""
+    if not all(name in exogenous for name in forest.schema.exogenous_names):
+        # the build raises, naming the missing features
+        return build_feature_mip(instance, forest, exogenous, grid=grid)
+    key = _day_model_key(instance, forest, exogenous, grid)
+    found = _day_model_memo.get(key)
+    # the entry holds its forest, so no other object can take its id
+    if found is not None and found[0] is forest:
+        _day_model_memo.move_to_end(key)
+        base = found[1]
+    else:
+        base = build_feature_mip(instance, forest, exogenous, grid=grid)
+        _day_model_memo[key] = (forest, base)
+        if len(_day_model_memo) > DAY_MODEL_MEMO_SIZE:
+            _day_model_memo.popitem(last=False)
+    return base.copy()
+
+
 def build_agent_model(
     instance: FleetInstance,
     forest: Forest,
@@ -75,14 +149,19 @@ def build_agent_model(
     cfg: AgentConfig,
 ):
     """Feature-driven model with the query objective installed as the
-    secondary; fares get a grid only when the objective needs products."""
+    secondary; fares get a grid only when the objective needs products.
+
+    The day's profit model comes from the day-model memo, and the query
+    is installed on a copy of it, so each call returns a model of its
+    own.
+    """
     canonical = canonicalize(f_ast, instance)
     grid = (
         PriceGrid.uniform(instance, cfg.grid_points)
         if needs_price_grid(canonical)
         else None
     )
-    mip = build_feature_mip(instance, forest, exogenous, grid=grid)
+    mip = _day_model(instance, forest, exogenous, grid)
     lower_to_mip(canonical, mip)
     return mip, canonical, grid
 

@@ -152,15 +152,24 @@ class HighsLp:
 
         ``x`` and ``objective`` are None unless the status is optimal.
         A HiGHS outcome other than optimal, infeasible or unbounded
-        raises :class:`MipError` with the HiGHS status name. The bounds
-        are passed to HiGHS only when they differ from the last ones, as
-        they do not after a cut round's ``add_rows``.
+        raises :class:`MipError` with the HiGHS status name. Only the
+        columns whose bounds differ from the ones HiGHS holds are passed
+        to it, and none after a cut round's ``add_rows``.
         """
         h = self._highs
         last = self._bounds
-        if last is None or not (np.array_equal(lb, last[0]) and np.array_equal(ub, last[1])):
+        if last is None:
             self._check(h.changeColsBounds(self.n, self.cols, lb, ub), "changeColsBounds")
             self._bounds = (np.array(lb, dtype=float), np.array(ub, dtype=float))
+        else:
+            changed = np.flatnonzero((lb != last[0]) | (ub != last[1]))
+            if len(changed):
+                lo, hi = lb[changed], ub[changed]
+                self._check(
+                    h.changeColsBounds(len(changed), self.cols[changed], lo, hi),
+                    "changeColsBounds",
+                )
+                last[0][changed], last[1][changed] = lo, hi
         run_status = h.run()
         model_status = h.getModelStatus()
         status = _STATUS.get(model_status)

@@ -154,20 +154,27 @@ def test_unchanged_bounds_are_not_passed_again(monkeypatch):
     passed = []
     real = highs._core._Highs.changeColsBounds
 
-    def counted(self, *args):
-        passed.append(1)
-        return real(self, *args)
+    def recorded(self, n, cols, lb, ub):
+        assert n == len(cols) == len(lb) == len(ub)
+        passed.append((list(cols), list(lb), list(ub)))
+        return real(self, n, cols, lb, ub)
 
-    monkeypatch.setattr(highs._core._Highs, "changeColsBounds", counted)
+    monkeypatch.setattr(highs._core._Highs, "changeColsBounds", recorded)
     lp = HighsLp(C, row_set(ROWS, 3), "max")
     lb, ub = bounds([0, 0, 0], [2, 2, 10])
     assert lp.solve(lb, ub).objective == pytest.approx(2.0)
+    assert passed == [([0, 1, 2], [0, 0, 0], [2, 2, 10])]
     lp.add_rows(row_set([({0: 1.0}, "<=", 1.5)], 3))
     assert lp.solve(lb.copy(), ub.copy()).objective == pytest.approx(1.5)
     assert len(passed) == 1
     ub[0] = 1.0  # changed in place: the model still holds the old bounds
     assert lp.solve(lb, ub).objective == pytest.approx(1.0)
     lp.solve(lb, ub)
-    assert len(passed) == 2
+    assert passed[1:] == [([0], [0], [1])]
     assert lp.solve(*bounds([0, 0, 0], [2, 2, 10])).objective == pytest.approx(1.5)
-    assert len(passed) == 3
+    assert passed[2:] == [([0], [0], [2])]
+    # only the columns that changed, each with both its bounds
+    assert lp.solve(*bounds([0, 1, 0], [2, 2, 5])).objective == pytest.approx(1.5)
+    assert passed[3:] == [([1, 2], [1, 0], [2, 5])]
+    assert lp.solve(*bounds([0, 1, 0], [2, 2, 5])).objective == pytest.approx(1.5)
+    assert len(passed) == 4

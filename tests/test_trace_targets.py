@@ -10,7 +10,7 @@ attribute, would leave a layer's metrics empty and fail nothing else.
 import importlib
 
 from fleetopt.agent import AgentConfig
-from fleetopt.agent import loop
+from fleetopt.agent import guides, loop
 from fleetopt.bench import make_history
 from fleetopt.mip import cuts, solver
 
@@ -19,6 +19,11 @@ from test_model_digests import QUERIES, world_and_forest
 
 TARGETS = (
     ("fleetopt.agent.loop", "run_agent"),
+    ("fleetopt.agent.loop", "indicator_generate"),
+    ("fleetopt.agent.indicator", "indicator_generate"),
+    ("fleetopt.agent.guides", "DeterministicGuide.propose"),
+    ("fleetopt.agent.loop", "build_agent_model"),
+    ("fleetopt.agent.loop", "fix_variables"),
     ("fleetopt.agent.loop", "lexicographic_solve"),
     ("fleetopt.mip.solver", "lexicographic_solve"),
     ("fleetopt.mip.solver", "branch_and_bound"),
@@ -30,7 +35,10 @@ TARGETS = (
 
 def test_every_target_exists():
     for module, name in TARGETS:
-        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+        owner = importlib.import_module(module)
+        for part in name.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), (module, name)
 
 
 def record(monkeypatch, owner, name, calls):
@@ -71,9 +79,18 @@ def test_the_agent_loop_solves_through_its_module(monkeypatch):
     world, forest = world_and_forest("small")
     history = make_history(world, forest, m=6, seed=1)
     calls = []
-    record(monkeypatch, loop, "lexicographic_solve", calls)
+    for owner, name in (
+        (loop, "indicator_generate"), (loop, "build_agent_model"), (loop, "fix_variables"),
+        (loop, "lexicographic_solve"), (guides.DeterministicGuide, "propose"),
+    ):
+        record(monkeypatch, owner, name, calls)
     trace = loop.run_agent(
         QUERIES[0], world.instance(5), world.days[5].exogenous(), forest, history, AgentConfig()
     )
-    # one solve per iteration, and one more per re-prompt
-    assert len(calls) >= len(trace.iterations) > 0
+    names = [name for name, _, _ in calls]
+    assert names[:2] == ["indicator_generate", "build_agent_model"]
+    assert names.count("build_agent_model") == 1
+    # one guide proposal, fixing and solve per iteration, and one more per re-prompt
+    n = names.count("lexicographic_solve")
+    assert n >= len(trace.iterations) > 0
+    assert names.count("fix_variables") == names.count("propose") == n
