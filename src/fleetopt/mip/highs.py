@@ -111,7 +111,6 @@ class HighsLp:
         # on the four desk cells the search then took 458 nodes, not 355.
         self.sign = -1.0 if sense == MAX else 1.0
         self.cols = np.arange(self.n, dtype=np.int32)
-        self._bounds = None  # the column bounds HiGHS holds, once set
         self._highs = _core._Highs()
         self._highs.setOptionValue("output_flag", False)
         lp = _core.HighsLp()
@@ -119,8 +118,9 @@ class HighsLp:
         lp.num_row_ = rows.m
         lp.sense_ = _core.ObjSense.kMinimize
         lp.col_cost_ = self.sign * c
-        lp.col_lower_ = np.zeros(self.n)  # every solve sets its own bounds
-        lp.col_upper_ = np.zeros(self.n)
+        # the column bounds HiGHS holds; each solve passes the ones it changes
+        self._bounds = (np.zeros(self.n), np.zeros(self.n))
+        lp.col_lower_, lp.col_upper_ = self._bounds
         lp.row_lower_, lp.row_upper_ = rows.row_bounds
         matrix = lp.a_matrix_
         matrix.format_ = _core.MatrixFormat.kRowwise
@@ -157,19 +157,14 @@ class HighsLp:
         to it, and none after a cut round's ``add_rows``.
         """
         h = self._highs
-        last = self._bounds
-        if last is None:
-            self._check(h.changeColsBounds(self.n, self.cols, lb, ub), "changeColsBounds")
-            self._bounds = (np.array(lb, dtype=float), np.array(ub, dtype=float))
-        else:
-            changed = np.flatnonzero((lb != last[0]) | (ub != last[1]))
-            if len(changed):
-                lo, hi = lb[changed], ub[changed]
-                self._check(
-                    h.changeColsBounds(len(changed), self.cols[changed], lo, hi),
-                    "changeColsBounds",
-                )
-                last[0][changed], last[1][changed] = lo, hi
+        held_lb, held_ub = self._bounds
+        changed = np.flatnonzero((lb != held_lb) | (ub != held_ub))
+        if len(changed):
+            lo, hi = lb[changed], ub[changed]
+            self._check(
+                h.changeColsBounds(len(changed), self.cols[changed], lo, hi), "changeColsBounds"
+            )
+            held_lb[changed], held_ub[changed] = lo, hi
         run_status = h.run()
         model_status = h.getModelStatus()
         status = _STATUS.get(model_status)
