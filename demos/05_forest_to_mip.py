@@ -8,7 +8,7 @@ model only branches over what the operator actually controls.
 
 import numpy as np
 
-from fleetopt import build_feature_mip, decision_from_solution, prune, trace_leaf
+from fleetopt import build_feature_mip, decision_from_solution
 from fleetopt.bench import SynthConfig, generate_world
 from fleetopt.forest import TrainConfig, train, train_test_split
 from fleetopt.mip import SolveConfig, branch_and_bound
@@ -24,20 +24,17 @@ day = 0
 inst = world.instance(day)
 exogenous = world.days[day].exogenous()
 
-# pruning: today's weather is a constant, not a variable
-tree = forest.trees[0]
-pruned = prune(tree, {forest.schema.index("temperature"): exogenous["temperature"]})
-print("tree 0 interior nodes before/after weather pruning:",
-      tree.count_nodes()[0], "->", pruned.count_nodes()[0])
-
-# a full feature vector walks to exactly one leaf
+# a full feature vector walks each tree down to exactly one leaf
 vec = np.array([exogenous["temperature"], exogenous["dew_point"],
                 exogenous["day_of_week"]] + [0.0] * (forest.schema.n_features - 3))
-leaf_id, q = trace_leaf(tree, vec)
-print(f"descent reaches leaf {leaf_id}; active in-edges: "
-      f"{sorted(n for n, on in q.items() if on)}")
+print(f"tree 0 sends this feature vector to a leaf worth {forest.trees[0].predict(vec):.2f}")
 
+# pruning: today's weather is a constant, not a variable, so each split
+# on it collapses into the branch it takes before the trees are embedded
 mip = build_feature_mip(inst, forest, exogenous)
+edges = sum(sum(tree.count_nodes()) - 1 for tree in forest.trees)
+kept = sum(name.startswith("q[") for name in mip.names)
+print(f"tree edges: {edges} in the forest, {kept} edge binaries after weather pruning")
 print(f"\nembedded model: {mip.n_vars} variables, {len(mip.rows)} rows")
 
 solution = branch_and_bound(mip, SolveConfig())

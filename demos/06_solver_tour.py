@@ -16,21 +16,21 @@ from fleetopt.mip import (
 )
 
 # --- the LP relaxation engine -------------------------------------------
-p = MipProblem("classic")
-p.add_variable("x", "continuous", 0, float("inf"))
-p.add_variable("y", "continuous", 0, float("inf"))
-p.add_constraint({"x": 6, "y": 4}, "<=", 24)
-p.add_constraint({"x": 1, "y": 2}, "<=", 6)
-p.set_objective("max", {"x": 5, "y": 4})
-relax = lp_solve(p)
+def classic(kind="continuous", ub=float("inf")):
+    p = MipProblem("classic")
+    p.add_variables(["x", "y"], kind, 0, ub)
+    p.add_constraint({"x": 6, "y": 4}, "<=", 24)
+    p.add_constraint({"x": 1, "y": 2}, "<=", 6)
+    p.set_objective("max", {"x": 5, "y": 4})
+    return p
+
+
+relax = lp_solve(classic())
 print(f"LP optimum {relax.objective_value} at "
       f"({relax.values['x']}, {relax.values['y']})")
 
 # --- branch and bound on the integer version ------------------------------
-for v in p.variables:
-    v.kind = "integer"
-    v.ub = 10
-sol = branch_and_bound(p)
+sol = branch_and_bound(classic("integer", 10))
 print(f"MIP optimum {sol.objective_value} at "
       f"({sol.values['x']:.0f}, {sol.values['y']:.0f}), "
       f"{sol.node_count} nodes")
@@ -41,16 +41,16 @@ for j in range(3):
     k.add_variable(f"x{j + 1}", "binary")
 k.add_constraint({"x1": 3, "x2": 3, "x3": 3}, "<=", 5)
 k.set_objective("max", {"x1": 1, "x2": 1, "x3": 1})
-# a problem keeps its rows as CSR arrays; separators read them as they
-# are and return their cuts in the same form
-binary = np.array([v.kind == "binary" for v in k.variables])
+# a problem keeps its columns as arrays and its rows as CSR arrays;
+# separators read them as they are and return their cuts in the same form
+binary = k.kinds == "binary"
 rows = k.rows
 cuts = cover_cuts(rows, binary, np.array([5 / 9, 5 / 9, 5 / 9]))
 print("\ncover cut from 3x1+3x2+3x3 <= 5 at the fractional point:")
 for i in range(len(cuts)):
     entries = slice(cuts.indptr[i], cuts.indptr[i + 1])
     terms = " + ".join(
-        f"{c:g}*{k.variables[j].name}"
+        f"{c:g}*{k.names[j]}"
         for j, c in zip(cuts.indices[entries], cuts.data[entries])
     )
     print(f"  {terms} <= {cuts.rhs[i]:g}")

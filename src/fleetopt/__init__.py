@@ -44,12 +44,7 @@ from .forest import (
     train,
     train_test_split,
 )
-from .encoder import (
-    EncoderError,
-    embed_forest,
-    prune,
-    trace_leaf,
-)
+from .encoder import EncoderError, embed_forest
 
 __version__ = "0.1.0"
 
@@ -78,8 +73,6 @@ __all__ = [
     "evaluate_r2",
     "fulfillment_from_solution",
     "profit",
-    "prune",
-    "trace_leaf",
     "train",
     "train_test_split",
     "vector_to_decision",

@@ -18,14 +18,15 @@ from .parser import DslError
 
 def _expr_bounds(mip: MipProblem, terms, const: float) -> tuple[float, float]:
     lo = hi = const
+    lb, ub = mip.lb, mip.ub
     for idx, c in terms.items():
-        var = mip.variables[idx]
+        a, b = lb[idx].item(), ub[idx].item()
         if c >= 0:
-            lo += c * var.lb
-            hi += c * var.ub
+            lo += c * a
+            hi += c * b
         else:
-            lo += c * var.ub
-            hi += c * var.lb
+            lo += c * b
+            hi += c * a
     return lo, hi
 
 
@@ -63,7 +64,7 @@ def _lower_product(mip: MipProblem, tok_u: str, tok_x: str) -> list[tuple[int, f
     """Product u_hat * x as one auxiliary per fare selection binary;
     returns (variable index, price weight) pairs."""
     fares = _token_expr(mip, tok_u)
-    if any(mip.variables[idx].kind != BINARY for idx in fares.terms):
+    if any(mip.kinds[idx] != BINARY for idx in fares.terms):
         raise DslError(
             f"product {tok_u}*{tok_x} needs fare selection binaries; "
             "build the model with a price grid"
@@ -72,11 +73,11 @@ def _lower_product(mip: MipProblem, tok_u: str, tok_x: str) -> list[tuple[int, f
     if len(x_expr.terms) != 1 or x_expr.constant != 0.0:
         raise DslError(f"{tok_x} does not map to a single column")
     x_idx = next(iter(x_expr.terms))
-    x = mip.variables[x_idx]
+    x_ub = mip.ub[x_idx].item()
     out = []
     for rho, price in fares.terms.items():
-        name = f"prod[{mip.variables[rho].name}*{x.name}]"
-        out.append((add_binary_product(mip, name, rho, x_idx, x.ub), price))
+        name = f"prod[{mip.names[rho]}*{mip.names[x_idx]}]"
+        out.append((add_binary_product(mip, name, rho, x_idx, x_ub), price))
     return out
 
 

@@ -17,8 +17,8 @@ which shrinks the model without changing its predictions.
 The encoder walks the forest's preorder arrays (:attr:`.forest.Forest.flat`)
 and hands the model its rows as CSR blocks
 (:meth:`.mip.problem.MipProblem.add_rows`), so no row passes through a
-dict. :func:`prune` and :func:`trace_leaf` do the same pruning and give
-the same node ids on :class:`.forest.TreeNode` objects.
+dict. A node's id is its preorder position in its pruned tree: the root
+is 0, and a left subtree comes before the right one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import chain
 
 import numpy as np
 
-from .forest import Forest, TreeNode
+from .forest import Forest
 from .mip.problem import BINARY, EQ, GE, LE, AffineExpr, MipProblem
 
 EPSILON_STRICT = 1e-6  # strict-side margin for continuous splits
@@ -37,54 +37,6 @@ EPSILON_STRICT = 1e-6  # strict-side margin for continuous splits
 
 class EncoderError(ValueError):
     """Raised for unusable bounds or malformed embedding inputs."""
-
-
-def prune(tree: TreeNode, fixed_features: dict[int, float]) -> TreeNode:
-    """Collapse splits on fixed features into the branch they take.
-
-    Predictions are unchanged for every input that agrees with the
-    fixed assignment.
-    """
-    if tree.is_leaf:
-        return TreeNode(value=tree.value)
-    if tree.feature in fixed_features:
-        taken = (
-            tree.left if fixed_features[tree.feature] <= tree.threshold else tree.right
-        )
-        return prune(taken, fixed_features)
-    return TreeNode(
-        feature=tree.feature,
-        threshold=tree.threshold,
-        left=prune(tree.left, fixed_features),
-        right=prune(tree.right, fixed_features),
-    )
-
-
-def trace_leaf(tree: TreeNode, features: np.ndarray) -> tuple[int, dict[int, int]]:
-    """Deterministic descent (<= goes left); returns the reached leaf's
-    preorder id and the implied 0/1 assignment of in-edge binaries."""
-    ids = {id(node): nid for nid, node in enumerate(_preorder(tree))}
-    q: dict[int, int] = {nid: 0 for nid in ids.values() if nid != 0}
-    node = tree
-    while not node.is_leaf:
-        child = node.left if features[node.feature] <= node.threshold else node.right
-        nid = ids[id(child)]
-        q[nid] = 1
-        node = child
-    return ids[id(node)], q
-
-
-def _preorder(tree: TreeNode) -> list[TreeNode]:
-    """The nodes in preorder; a node's position is its id (the root's is 0)."""
-    nodes = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if not node.is_leaf:
-            stack.append(node.right)
-            stack.append(node.left)
-    return nodes
 
 
 def embed_forest(
@@ -110,7 +62,7 @@ def embed_forest(
     and adds the edge binaries as one block of columns, then the rows
     as three blocks: every tree's branch rows, then the flow rows, then
     the one-leaf rows. Node ids are preorder positions in the pruned
-    tree, as :func:`prune` and :func:`_preorder` give them.
+    tree.
     """
     flat = forest.flat
     feature = flat.feature

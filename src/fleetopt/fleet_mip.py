@@ -205,13 +205,14 @@ def build_feature_mip(
     integer_features: set[int] = set()
     feature_exprs: dict[int, AffineExpr] = {}
     lo, hi = instance.fare_bounds
+    lb, ub = mip.lb, mip.ub
     for name in schema.decision_names:
         f_idx = schema.index(name)
         expr = mip.expr_map[name]
         feature_exprs[f_idx] = expr
         if name.startswith("x["):
             col = next(iter(expr.terms))
-            var_bounds[f_idx] = (mip.variables[col].lb, mip.variables[col].ub)
+            var_bounds[f_idx] = (lb[col].item(), ub[col].item())
             integer_features.add(f_idx)
         else:
             var_bounds[f_idx] = (lo, hi)

@@ -1,8 +1,10 @@
 """Native MIP machinery: problem container, HiGHS LP model, cuts, search.
 
-A problem keeps its rows as CSR arrays (:attr:`MipProblem.rows`), and
-every layer here reads them in that form. ``Constraint`` is exported
-for the row views that only the benchmark still reads.
+A problem keeps its columns as arrays (:attr:`MipProblem.names`,
+``kinds``, ``lb``, ``ub``) and its rows as CSR arrays
+(:attr:`MipProblem.rows`), and every layer here reads them in those
+forms. ``Variable`` and ``Constraint`` are exported for the column and
+row views that only the benchmark still reads.
 """
 
 from .problem import (

@@ -1,12 +1,17 @@
 """In-memory mixed-integer linear programs and their solutions.
 
-A problem keeps its rows as CSR arrays (:class:`.rows.CompiledRows`)
-with a name per row. :meth:`MipProblem.add_constraint` takes one row as
+A problem keeps its columns as arrays (:attr:`MipProblem.names`,
+:attr:`MipProblem.kinds`, :attr:`MipProblem.lb`, :attr:`MipProblem.ub`)
+and its rows as CSR arrays (:class:`.rows.CompiledRows`) with a name
+per row. :meth:`MipProblem.add_variables` adds one column or a block
+of one kind. :meth:`MipProblem.add_constraint` takes one row as
 a dict; :meth:`MipProblem.add_rows` takes a block of rows as arrays,
 which is how a forest's rows go in. Either way the rows end up in one
-row set, :attr:`MipProblem.rows`, which a search reads as it is; it is
-the only form in which the package reads rows. A problem is built in
-memory and handed to the solver; nothing writes it to a file.
+row set, :attr:`MipProblem.rows`, which a search reads as it is. The
+package reads columns and rows only in these forms; the
+:class:`Variable` and :class:`Constraint` views are kept for the
+benchmark. A problem is built in memory and handed to the solver;
+nothing writes it to a file.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +45,9 @@ class MipError(ValueError):
     """Raised for malformed problems or invalid solver inputs."""
 
 
-@dataclass
-class Variable:
+class Variable(NamedTuple):
+    """One column read off a problem's arrays (:attr:`MipProblem.variables`)."""
+
     name: str
     kind: str = CONTINUOUS
     lb: float = 0.0
@@ -84,27 +91,33 @@ class AffineExpr:
 
 
 class MipProblem:
-    """Variables, linear rows and up to two objectives.
+    """Columns, linear rows and up to two objectives.
 
-    Integer and binary variables must carry finite bounds. ``expr_map``
+    Integer and binary columns must carry finite bounds. ``expr_map``
     associates external decision names with affine expressions over the
-    problem's variables so objective lowering and variable fixing work
+    problem's columns so objective lowering and variable fixing work
     the same whether a decision is a plain column or a derived form.
 
-    Rows are only ever appended. New rows wait, as blocks and as dicts
-    added one at a time, until :attr:`rows` is next read, which appends
-    them all to the row set at once. A copy shares the row set as it
-    stands (arrays are never changed in place) and appends its own rows
-    to a row set of its own.
+    Columns and rows are only ever appended, and only column bounds are
+    written in place (:attr:`lb`, :attr:`ub`). New columns wait until
+    the column arrays are next read, and new rows, as blocks and as
+    dicts added one at a time, until :attr:`rows` is; the read appends
+    them all at once. A copy gets its own bounds and names, and shares
+    the read-only kinds and the row set as it stands (arrays are never
+    changed in place): what it appends goes into arrays of its own.
     """
 
     def __init__(self, name: str = "problem"):
         self.name = name
-        self.variables: list[Variable] = []
+        self.names: list[str] = []  # per column, for reading
         self.objective: Objective | None = None
         self.secondary: Objective | None = None
         self.expr_map: dict[str, AffineExpr] = {}
         self._index: dict[str, int] = {}
+        self._kinds = np.empty(0, dtype="<U10")  # room for the longest kind
+        self._lb = np.empty(0)
+        self._ub = np.empty(0)
+        self._new: list[tuple[str, float, float, int]] = []  # (kind, lb, ub, count)
         self._rows = CompiledRows.empty(0)
         self._row_names: list[str] = []
         self._blocks: list[CompiledRows] = []  # rows added since the last read
@@ -113,57 +126,56 @@ class MipProblem:
 
     # --- construction ---
 
-    @staticmethod
-    def _domain(name: str, kind: str, lb: float, ub: float) -> tuple[float, float]:
-        """The bounds of a new column of this kind, checked."""
-        if kind not in (CONTINUOUS, INTEGER, BINARY):
-            raise MipError(f"unknown variable kind {kind!r}")
-        if kind == BINARY:
-            lb, ub = max(0.0, lb), min(1.0, ub)
-        if kind in (INTEGER, BINARY) and (
-            not math.isfinite(lb) or not math.isfinite(ub)
-        ):
-            raise MipError(f"integer variable {name!r} needs finite bounds")
-        if lb > ub + 1e-12:
-            raise MipError(f"variable {name!r} has empty domain [{lb}, {ub}]")
-        return float(lb), float(ub)
-
     def add_variable(
         self, name: str, kind: str = CONTINUOUS, lb: float = 0.0, ub: float = float("inf")
     ) -> int:
-        if name in self._index:
-            raise MipError(f"duplicate variable name {name!r}")
-        lb, ub = self._domain(name, kind, lb, ub)
-        idx = len(self.variables)
-        self.variables.append(Variable(name, kind, lb, ub))
-        self._index[name] = idx
-        return idx
+        """One column; its index (:meth:`add_variables` with one name)."""
+        return self.add_variables((name,), kind, lb, ub).start
 
     def add_variables(
         self, names, kind: str = CONTINUOUS, lb: float = 0.0, ub: float = float("inf")
     ) -> range:
         """One column per name, all of one kind and domain; their indices."""
         names = list(names)
-        start = len(self.variables)
+        start = len(self.names)
+        stop = start + len(names)
         if not names:
             return range(start, start)
-        index = dict(zip(names, range(start, start + len(names))))
-        if len(index) < len(names) or not self._index.keys().isdisjoint(index):
+        if kind not in (CONTINUOUS, INTEGER, BINARY):
+            raise MipError(f"unknown variable kind {kind!r}")
+        if kind == BINARY:
+            lb, ub = max(0.0, lb), min(1.0, ub)
+        if kind != CONTINUOUS and not (math.isfinite(lb) and math.isfinite(ub)):
+            raise MipError(f"integer variable {names[0]!r} needs finite bounds")
+        if lb > ub + 1e-12:
+            raise MipError(f"variable {names[0]!r} has empty domain [{lb}, {ub}]")
+        self._index.update(zip(names, range(start, stop)))
+        if len(self._index) < stop:  # a name repeats, or was taken
+            self._index = dict(zip(self.names, range(start)))
             seen = set(self._index)
             dup = next(n for n in names if n in seen or seen.add(n))
             raise MipError(f"duplicate variable name {dup!r}")
-        lb, ub = self._domain(names[0], kind, lb, ub)
-        self.variables.extend([Variable(name, kind, lb, ub) for name in names])
-        self._index.update(index)
-        return range(start, start + len(names))
+        self._new.append((kind, float(lb), float(ub), stop - start))
+        self.names += names
+        return range(start, stop)
 
     def var_index(self, name: str) -> int:
         return self._index[name]
 
+    def _close_columns(self) -> None:
+        """Append the columns added since the last read to the arrays."""
+        if self._new:
+            kinds, lb, ub, counts = zip(*self._new)
+            self._new = []
+            self._kinds = np.concatenate((self._kinds, np.repeat(kinds, counts)))
+            self._kinds.flags.writeable = False
+            self._lb = np.concatenate((self._lb, np.repeat(lb, counts)))
+            self._ub = np.concatenate((self._ub, np.repeat(ub, counts)))
+
     def _coerce_coeffs(self, coeffs) -> dict[int, float]:
         """Coefficients by column index; zeros dropped, repeats summed."""
         out: dict[int, float] = {}
-        index, n = self._index, len(self.variables)
+        index, n = self._index, len(self.names)
         summed = False
         for key, val in coeffs.items():
             idx = index[key] if isinstance(key, str) else int(key)
@@ -276,7 +288,27 @@ class MipProblem:
 
     @property
     def n_vars(self) -> int:
-        return len(self.variables)
+        return len(self.names)
+
+    @property
+    def kinds(self) -> np.ndarray:
+        """Each column's kind (:data:`CONTINUOUS`, :data:`INTEGER` or
+        :data:`BINARY`), read-only."""
+        self._close_columns()
+        return self._kinds
+
+    @property
+    def lb(self) -> np.ndarray:
+        """Each column's lower bound. Writing an entry sets that bound;
+        after adding columns, read the array again."""
+        self._close_columns()
+        return self._lb
+
+    @property
+    def ub(self) -> np.ndarray:
+        """Each column's upper bound, as :attr:`lb`."""
+        self._close_columns()
+        return self._ub
 
     @property
     def rows(self) -> CompiledRows:
@@ -328,23 +360,34 @@ class MipProblem:
             )
         return self._views
 
-    def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        lb = np.array([v.lb for v in self.variables], dtype=float)
-        ub = np.array([v.ub for v in self.variables], dtype=float)
-        return lb, ub
+    @property
+    def variables(self) -> tuple[Variable, ...]:
+        """The columns as :class:`Variable` views, in column order.
+
+        No code in the package reads columns this way; the view is kept
+        for the benchmark's ``milp`` oracle, self-test and tracer, which
+        still do. The views are read off the arrays on every call, since
+        fixing writes bounds in place, and they cannot be changed.
+        """
+        return tuple(map(
+            Variable, self.names, self.kinds.tolist(), self.lb.tolist(), self.ub.tolist()
+        ))
 
     def copy(self) -> "MipProblem":
-        """A problem over copies of the columns, objectives and decision
-        expressions that shares the rows as they stand.
+        """A problem over copies of the bounds, names, objectives and
+        decision expressions that shares the kinds and the rows as they
+        stand.
 
-        Rows added to the copy are its own, and rows added here later
-        do not reach it.
+        Columns and rows added to the copy are its own, and columns and
+        rows added here later do not reach it.
         """
+        self._close_columns()
         other = copy.copy(self)
         other._rows = self.rows
         other._row_names = list(self._row_names)
         other._blocks, other._pending = [], []
-        other.variables = [Variable(v.name, v.kind, v.lb, v.ub) for v in self.variables]
+        other.names, other._new = list(self.names), []
+        other._lb, other._ub = self._lb.copy(), self._ub.copy()
         if self.objective:
             other.objective = Objective(
                 self.objective.sense, dict(self.objective.coeffs), self.objective.constant
@@ -364,18 +407,16 @@ class MipProblem:
         in column order, then ``row:`` with each broken row's name, or
         its index when it has none, in row order."""
         values = np.asarray(values, dtype=float)
-        lb, ub = self.bounds_arrays()
-        out_of_bounds = (values < lb - tol) | (values > ub + tol)
-        integral = np.array(
-            [v.kind in (INTEGER, BINARY) for v in self.variables], dtype=bool
+        out_of_bounds = (values < self.lb - tol) | (values > self.ub + tol)
+        fractional = (self.kinds != CONTINUOUS) & (
+            np.abs(values - np.round(values)) > INT_TOL
         )
-        fractional = integral & (np.abs(values - np.round(values)) > INT_TOL)
         bad = []
         for i in np.flatnonzero(out_of_bounds | fractional).tolist():
             if out_of_bounds[i]:
-                bad.append(f"bound:{self.variables[i].name}")
+                bad.append(f"bound:{self.names[i]}")
             if fractional[i]:
-                bad.append(f"integrality:{self.variables[i].name}")
+                bad.append(f"integrality:{self.names[i]}")
         rows = self.rows
         act = rows.matrix_t.T @ values
         broken = (rows.le & (act > rows.rhs + tol)) | (rows.ge & (act < rows.rhs - tol))
@@ -413,7 +454,7 @@ class Solution:
         return self.status == OPTIMAL
 
     def value_array(self, problem: MipProblem) -> np.ndarray:
-        return np.array([self.values[v.name] for v in problem.variables])
+        return np.array([self.values[name] for name in problem.names])
 
     def to_dict(self) -> dict:
         return {

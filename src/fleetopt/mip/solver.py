@@ -67,10 +67,10 @@ import numpy as np
 from . import cuts as cutmod
 from .problem import (
     BINARY,
+    CONTINUOUS,
     EQ,
     INFEASIBLE,
     INT_TOL,
-    INTEGER,
     MAX,
     NODE_LIMIT,
     OPTIMAL,
@@ -190,14 +190,13 @@ class _Reduced:
 
 def _unreduced(problem: MipProblem, objective: Objective) -> _Reduced:
     """The problem as stated, in the reduced form: no column dropped."""
-    lb, ub = problem.bounds_arrays()
-    kinds = [v.kind for v in problem.variables]
+    kinds = problem.kinds
     return _Reduced(
         keep=np.arange(problem.n_vars),
-        lb=lb,
-        ub=ub,
-        binary=np.array([k == BINARY for k in kinds], dtype=bool),
-        int_mask=np.array([k in (INTEGER, BINARY) for k in kinds], dtype=bool),
+        lb=problem.lb.copy(),
+        ub=problem.ub.copy(),
+        binary=kinds == BINARY,
+        int_mask=kinds != CONTINUOUS,
         rows=problem.rows,
         obj_coeffs=dict(objective.coeffs),
         obj_constant=objective.constant,
@@ -385,9 +384,7 @@ def branch_and_bound(
         if red_values is not None:
             full = red.full_values.copy()
             full[red.keep] = red_values
-            sol.values = {
-                v.name: float(full[i]) for i, v in enumerate(problem.variables)
-            }
+            sol.values = dict(zip(problem.names, full.tolist()))
             sol.objective_value = obj_value
         sol.best_bound = bound
         return sol
@@ -456,7 +453,7 @@ def branch_and_bound(
         return a > b + 1e-12 if maximize else a < b - 1e-12
 
     if warm_values is not None:
-        full = np.array([warm_values[v.name] for v in problem.variables])
+        full = np.array([warm_values[name] for name in problem.names])
         warm_red = full[red.keep]
         warm_red[int_idx] = np.round(warm_red[int_idx]) + 0.0  # no -0.0
         if np.all(warm_red >= red.lb - 1e-6) and np.all(warm_red <= red.ub + 1e-6):
@@ -590,7 +587,7 @@ def lp_solve(problem: MipProblem) -> Solution:
         sol.status = res.status
         return sol
     sol.status = OPTIMAL
-    sol.values = {v.name: float(res.x[i]) for i, v in enumerate(problem.variables)}
+    sol.values = dict(zip(problem.names, res.x.tolist()))
     sol.objective_value = res.objective + obj.constant
     sol.best_bound = sol.objective_value
     return sol
@@ -604,27 +601,27 @@ def fix_variables(problem: MipProblem, assignments: dict[str, float]) -> MipProb
     values or fractional values for integer variables raise.
     """
     fixed = problem.copy()
+    kinds, lb, ub = fixed.kinds, fixed.lb, fixed.ub
     for name, value in assignments.items():
         value = float(value)
-        if name in fixed._index:
-            idx = fixed._index[name]
-            var = fixed.variables[idx]
-            if value < var.lb - 1e-9 or value > var.ub + 1e-9:
-                raise MipError(
-                    f"fix of {name!r} to {value} violates bounds [{var.lb}, {var.ub}]"
-                )
-            if var.kind in (INTEGER, BINARY) and abs(value - round(value)) > INT_TOL:
-                raise MipError(f"fix of integer variable {name!r} to fractional {value}")
-            if var.kind in (INTEGER, BINARY):
-                value = float(round(value))
-            var.lb = var.ub = value
-        elif name in fixed.expr_map:
+        try:
+            idx = fixed.var_index(name)
+        except KeyError:
+            if name not in fixed.expr_map:
+                raise MipError(f"unknown variable {name!r}") from None
             expr = fixed.expr_map[name]
             fixed.add_constraint(
                 dict(expr.terms), EQ, value - expr.constant, name=f"fix:{name}"
             )
-        else:
-            raise MipError(f"unknown variable {name!r}")
+            continue
+        lo, hi = lb[idx].item(), ub[idx].item()
+        if value < lo - 1e-9 or value > hi + 1e-9:
+            raise MipError(f"fix of {name!r} to {value} violates bounds [{lo}, {hi}]")
+        if kinds[idx] != CONTINUOUS:
+            if abs(value - round(value)) > INT_TOL:
+                raise MipError(f"fix of integer variable {name!r} to fractional {value}")
+            value = float(round(value))
+        lb[idx] = ub[idx] = value
     return fixed
 
 
@@ -775,10 +772,9 @@ def _stage1(problem: MipProblem, cfg: SolveConfig) -> tuple[Solution, _Reduced |
     else:
         _stage1_memo.move_to_end(key)
         start2, slack, kept, x = found
-        names = (v.name for v in problem.variables)
         sol = replace(
             kept,
-            values={} if x is None else dict(zip(names, x.tolist())),
+            values={} if x is None else dict(zip(problem.names, x.tolist())),
             cut_counts=dict(kept.cut_counts),
             stage1_reused=True,
         )

@@ -11,7 +11,7 @@ from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from fleetopt.mip import INFEASIBLE, OPTIMAL
-from fleetopt.mip.problem import BINARY, INTEGER, MAX
+from fleetopt.mip.problem import CONTINUOUS, MAX
 
 
 def milp_optimum(problem, objective, extra_row=None):
@@ -32,12 +32,11 @@ def milp_optimum(problem, objective, extra_row=None):
     for j, a in objective.coeffs.items():
         c[j] = a
     sign = -1.0 if objective.sense == MAX else 1.0
-    lb, ub = problem.bounds_arrays()
     res = milp(
         sign * c,
         constraints=LinearConstraint(A, lower, upper) if A.shape[0] else (),
-        integrality=np.array([v.kind in (INTEGER, BINARY) for v in problem.variables]),
-        bounds=Bounds(lb, ub),
+        integrality=problem.kinds != CONTINUOUS,
+        bounds=Bounds(problem.lb, problem.ub),
         options={"mip_rel_gap": 1e-9, "time_limit": 60.0},
     )
     if res.status == 2:

@@ -340,8 +340,7 @@ def test_criterion_5_lexicographic_contract():
         p.set_objective("max", g)
         p.set_secondary_objective("max", f)
         sol = lexicographic_solve(p, SolveConfig())
-        lb, ub = p.bounds_arrays()
-        points = enumerate_lattice(lb, ub)
+        points = enumerate_lattice(p.lb, p.ub)
         rows = p.rows
         feas = points[feasible_mask(rows, points)]
         if len(feas) == 0:

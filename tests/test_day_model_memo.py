@@ -114,12 +114,12 @@ def test_what_is_done_to_a_returned_model_stays_there():
     inputs = day_inputs()
     want = digest(fresh(QUERIES[0], *inputs))
     mip, _ = shared(QUERIES[0], *inputs)
-    x = mip.variables[0].name
+    x = mip.names[0]
     mip.add_variable("extra", "binary", 0, 1)
     mip.add_constraint({x: 1.0, "extra": 2.0}, "<=", 3.0, name="extra row")
     mip.set_secondary_objective("max", {x: 1.0})
     mip.set_objective("min", {"extra": 1.0})
-    mip.variables[1].ub = mip.variables[1].lb
+    mip.ub[1] = mip.lb[1]
     mip.expr_map[x].terms.clear()
     fixed = solver.fix_variables(
         shared(QUERIES[0], *inputs)[0], {x: 0.0, "u_hat[3,0]": 2.0}

@@ -1,17 +1,68 @@
+"""Forest embedding, against a reference that walks ``TreeNode`` objects.
+
+``prune``, ``trace_leaf`` and ``_preorder`` are the recursive tree walk
+the encoder used before it read the forest's preorder arrays. They
+prune fixed features and number nodes in preorder on the trees
+themselves; the encoder must give the same edge columns, and the point
+the walk traces must satisfy its rows.
+"""
+
 import numpy as np
 import pytest
 
-from fleetopt.encoder import (
-    EPSILON_STRICT,
-    EncoderError,
-    embed_forest,
-    prune,
-    trace_leaf,
-)
+from fleetopt.encoder import EPSILON_STRICT, EncoderError, embed_forest
 from fleetopt.forest import FeatureSchema, Forest, TrainConfig, TreeNode, train
 from fleetopt.mip import AffineExpr, MipProblem, SolveConfig, branch_and_bound, lp_solve
 from fleetopt.mip.problem import INT_TOL
 from fleetopt.mip.solver import fix_variables
+
+
+def prune(tree: TreeNode, fixed_features: dict[int, float]) -> TreeNode:
+    """Collapse splits on fixed features into the branch they take.
+
+    Predictions are unchanged for every input that agrees with the
+    fixed assignment.
+    """
+    if tree.is_leaf:
+        return TreeNode(value=tree.value)
+    if tree.feature in fixed_features:
+        taken = (
+            tree.left if fixed_features[tree.feature] <= tree.threshold else tree.right
+        )
+        return prune(taken, fixed_features)
+    return TreeNode(
+        feature=tree.feature,
+        threshold=tree.threshold,
+        left=prune(tree.left, fixed_features),
+        right=prune(tree.right, fixed_features),
+    )
+
+
+def trace_leaf(tree: TreeNode, features: np.ndarray) -> tuple[int, dict[int, int]]:
+    """Deterministic descent (<= goes left); returns the reached leaf's
+    preorder id and the implied 0/1 assignment of in-edge binaries."""
+    ids = {id(node): nid for nid, node in enumerate(_preorder(tree))}
+    q: dict[int, int] = {nid: 0 for nid in ids.values() if nid != 0}
+    node = tree
+    while not node.is_leaf:
+        child = node.left if features[node.feature] <= node.threshold else node.right
+        nid = ids[id(child)]
+        q[nid] = 1
+        node = child
+    return ids[id(node)], q
+
+
+def _preorder(tree: TreeNode) -> list[TreeNode]:
+    """The nodes in preorder; a node's position is its id (the root's is 0)."""
+    nodes = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not node.is_leaf:
+            stack.append(node.right)
+            stack.append(node.left)
+    return nodes
 
 
 def stump(threshold=3.5, left=10.0, right=20.0, feature=0):
@@ -94,6 +145,45 @@ class TestTraceLeaf:
                     return found[nid]
 
                 assert find(tree, leaf_id).value == tree.predict(x)
+
+
+class TestAgainstTheTreeWalk:
+    def test_edge_columns_and_traced_points(self):
+        """The encoder's edge columns are the walk's pruned nodes, and a
+        feature vector with the edges the walk traces for it satisfies
+        every row, at the forest's prediction."""
+        rng = np.random.default_rng(23)
+        schema = FeatureSchema(names=("e", "a", "b"), n_exogenous=1)
+        rows = [(row.tolist(), float(row[0] * 2 + row[1] * row[2]))
+                for row in rng.integers(0, 7, (80, 3)).astype(float)]
+        f = train(rows, TrainConfig(n_trees=4, max_depth=4, seed=5), schema)
+        for trial in range(10):
+            e_val = float(rng.integers(0, 7))
+            mip = MipProblem()
+            exprs = {
+                f_idx: AffineExpr.of_var(mip.add_variable(name, "integer", 0, 6))
+                for f_idx, name in ((1, "a"), (2, "b"))
+            }
+            coeffs, constant = embed_forest(
+                mip, f, {0: e_val}, exprs, {1: (0, 6), 2: (0, 6)}, {1, 2}
+            )
+            pruned = [prune(tree, {0: e_val}) for tree in f.trees]
+            assert mip.names == ["a", "b"] + [
+                f"q[{t},{nid}]"
+                for t, tree in enumerate(pruned)
+                for nid in range(1, len(_preorder(tree)))
+            ], trial
+            for _ in range(5):
+                x = np.array([e_val, *rng.integers(0, 7, 2)], dtype=float)
+                point = {"a": x[1], "b": x[2]}
+                for t, tree in enumerate(pruned):
+                    point.update(
+                        (f"q[{t},{nid}]", on) for nid, on in trace_leaf(tree, x)[1].items()
+                    )
+                values = np.array([point[name] for name in mip.names], dtype=float)
+                assert mip.check_point(values) == [], (trial, x)
+                value = constant + sum(c * values[j] for j, c in coeffs.items())
+                assert value == pytest.approx(f.predict(x), abs=1e-9)
 
 
 def feature_columns(mip, bounds, integer=True):

@@ -31,10 +31,10 @@ from fleetopt.mip.solver import _fractional_index, _unreduced
 from rowsets import row_set
 
 
-def two_var_lp():
+def two_var_lp(kind="continuous", ub=float("inf")):
     p = MipProblem()
-    p.add_variable("x", "continuous", 0, float("inf"))
-    p.add_variable("y", "continuous", 0, float("inf"))
+    p.add_variable("x", kind, 0, ub)
+    p.add_variable("y", kind, 0, ub)
     p.add_constraint({"x": 6, "y": 4}, "<=", 24)
     p.add_constraint({"x": 1, "y": 2}, "<=", 6)
     p.set_objective("max", {"x": 5, "y": 4})
@@ -43,7 +43,7 @@ def two_var_lp():
 
 def enumerate_best(problem, maximize=True):
     """Brute-force optimum over the integer lattice of a pure-integer problem."""
-    lb, ub = problem.bounds_arrays()
+    lb, ub = problem.lb, problem.ub
     ranges = [range(int(lb[i]), int(ub[i]) + 1) for i in range(problem.n_vars)]
     obj = problem.objective
     best = None
@@ -151,7 +151,8 @@ class TestProblem:
         for names in (["y", "x"], ["y", "y"]):
             with pytest.raises(MipError, match="duplicate"):
                 p.add_variables(names)
-        assert p.n_vars == 1
+        # a rejected block leaves the names as they were
+        assert p.n_vars == 1 and p.var_index("x") == 0
         assert p.add_variables(["y", "z"], "binary") == range(1, 3)
         assert [(v.kind, v.lb, v.ub) for v in p.variables[1:]] == [("binary", 0.0, 1.0)] * 2
 
@@ -247,6 +248,35 @@ class TestProblem:
             ({0: 6.0, 1: 4.0}, "<=", 24.0), ({0: 1.0, 1: 2.0}, "<=", 6.0), ({1: 1.0}, ">=", 0.0),
         ]
 
+    def test_copies_keep_their_own_columns(self):
+        p = MipProblem()
+        for name in ("a", "b", "c"):
+            p.add_variable(name, "integer", 0, 5)
+        q = p.copy()  # made while the columns wait to be read
+        # bound writes on either side stay there
+        q.lb[0] = q.ub[0] = 3.0
+        p.ub[1] = 4.0
+        assert p.lb.tolist() == [0.0] * 3 and p.ub.tolist() == [5.0, 4.0, 5.0]
+        assert q.lb.tolist() == [3.0, 0.0, 0.0] and q.ub.tolist() == [3.0, 5.0, 5.0]
+        # columns appended on either side after the copy stay there
+        p.add_variable("p0", "binary")
+        for j in range(20):
+            q.add_variable(f"q{j}", "continuous", -1.0, float(j))
+        assert p.names == ["a", "b", "c", "p0"] and "q0" not in p._index
+        assert p.kinds.tolist() == ["integer"] * 3 + ["binary"]
+        assert p.ub.tolist() == [5.0, 4.0, 5.0, 1.0]
+        assert q.names == ["a", "b", "c"] + [f"q{j}" for j in range(20)]
+        assert "p0" not in q._index and q.var_index("q19") == 22
+        assert q.kinds.tolist() == ["integer"] * 3 + ["continuous"] * 20
+        assert q.lb.tolist() == [3.0, 0.0, 0.0] + [-1.0] * 20
+        assert q.ub.tolist() == [3.0, 5.0, 5.0] + [float(j) for j in range(20)]
+        # kinds are only read, and the views cannot be changed
+        with pytest.raises(ValueError):
+            p.kinds[0] = "binary"
+        with pytest.raises(AttributeError):
+            p.variables[0].ub = 1.0
+        assert p.variables[3] == ("p0", "binary", 0.0, 1.0)
+
     def test_check_point_names_bounds_integrality_then_rows(self):
         p = MipProblem()
         p.add_variable("x", "integer", 0, 5)
@@ -326,10 +356,7 @@ class TestLpSolve:
 
 class TestBranchAndBound:
     def test_known_integer_optimum(self):
-        p = two_var_lp()
-        for v in p.variables:
-            v.kind = "integer"
-            v.ub = 10.0
+        p = two_var_lp("integer", 10.0)
         sol = branch_and_bound(p)
         assert sol.status == "Optimal"
         assert sol.objective_value == pytest.approx(20.0)
@@ -460,7 +487,7 @@ class TestBranchAndBound:
             c[j] = a
         ref = milp(
             -c, constraints=LinearConstraint(A, -np.inf, [r.rhs for r in p.constraints]),
-            integrality=np.ones(p.n_vars), bounds=Bounds(*p.bounds_arrays()),
+            integrality=np.ones(p.n_vars), bounds=Bounds(p.lb, p.ub),
             options={"mip_rel_gap": 0.0},
         )
         assert ref.status == 0
@@ -499,11 +526,7 @@ class TestBranchAndBound:
     def test_integer_values_have_no_negative_zero(self):
         rng = np.random.default_rng(19)
         problems = [knapsack_problem()] + [random_integer_problem(rng) for _ in range(30)]
-        k = two_var_lp()
-        for v in k.variables:
-            v.kind = "integer"
-            v.ub = 10
-        problems.append(k)
+        problems.append(two_var_lp("integer", 10))
         zeros = 0
         for p in problems:
             for cfg in (SolveConfig(gomory=False), SolveConfig(gomory=True, cover=True)):
@@ -864,8 +887,8 @@ class TestReduction:
 
         def reference(problem, objective):
             # pinned columns substituted out of dict rows, row by row
-            lb, ub = problem.bounds_arrays()
-            int_mask = np.array([v.kind != "continuous" for v in problem.variables])
+            lb, ub = problem.lb.copy(), problem.ub.copy()
+            int_mask = problem.kinds != "continuous"
             rows = [(dict(c.coeffs), c.relation, c.rhs) for c in problem.constraints]
             n = problem.n_vars
             if not real_propagate(row_set(rows, n), lb, ub, int_mask, max_passes=6):
@@ -1001,14 +1024,10 @@ class TestFixVariables:
         p.add_variable("b", "binary")
         p.set_objective("max", {"b": 1})
         fixed = fix_variables(p, {"b": 1})
-        var = fixed.variables[0]
-        assert var.lb == var.ub == 1.0
+        assert fixed.lb[0] == fixed.ub[0] == 1.0
 
     def test_fix_everything_reduces_to_evaluation(self):
-        p = two_var_lp()
-        for v in p.variables:
-            v.kind = "integer"
-            v.ub = 10
+        p = two_var_lp("integer", 10)
         fixed = fix_variables(p, {"x": 2, "y": 1})
         sol = branch_and_bound(fixed)
         assert sol.status == "Optimal"
@@ -1076,7 +1095,7 @@ class TestLexicographic:
             g_best, _ = enumerate_best(p)
             assert sol.objective_value == pytest.approx(g_best)
             # brute-force max of f among integer points with g at optimum
-            lb, ub = p.bounds_arrays()
+            lb, ub = p.lb, p.ub
             obj = p.objective
             fobj = Objective("max", p._coerce_coeffs(f))
             best_f = None
@@ -1096,14 +1115,16 @@ class TestLexicographic:
     def test_stage_two_leaves_the_problem_as_stated(self):
         p = knapsack_problem()
         p.set_secondary_objective("min", {f"b{j}": 1 for j in range(p.n_vars)})
-        rows, variables = list(p.constraints), list(p.variables)
-        bounds = [(v.lb, v.ub) for v in p.variables]
+        rows = list(p.constraints)
+        names, kinds = list(p.names), p.kinds.copy()
+        lb, ub = p.lb.copy(), p.ub.copy()
         sol = lexicographic_solve(p)
         assert sol.status == "Optimal" and not sol.stage2_fallback
         assert len(p.constraints) == len(rows)
         assert all(a is b for a, b in zip(p.constraints, rows))
-        assert all(a is b for a, b in zip(p.variables, variables))
-        assert [(v.lb, v.ub) for v in p.variables] == bounds
+        assert p.names == names
+        assert np.array_equal(p.kinds, kinds)
+        assert np.array_equal(p.lb, lb) and np.array_equal(p.ub, ub)
 
     def test_node_limit_stop_still_runs_stage_two(self):
         p = knapsack_problem()
