@@ -38,15 +38,23 @@ from .mip.problem import (
 )
 
 
+def _add_columns(mip: MipProblem, names: list[str], kind: str, lb, ub) -> None:
+    """One block of columns, each its own decision expression."""
+    for name, idx in zip(names, mip.add_variables(names, kind, lb, ub)):
+        mip.expr_map[name] = AffineExpr.of_var(idx)
+
+
 def _add_allocation_columns(mip: MipProblem, instance: FleetInstance) -> None:
-    for i_pos, i in enumerate(instance.supply_areas):
-        for j in instance.demand_areas:
-            for k in range(instance.soc_levels):
-                name = f"x[{i},{j},{k}]"
-                idx = mip.add_variable(
-                    name, INTEGER, 0, float(instance.supply[i_pos, k])
-                )
-                mip.expr_map[name] = AffineExpr.of_var(idx)
+    names = [
+        f"x[{i},{j},{k}]"
+        for i in instance.supply_areas
+        for j in instance.demand_areas
+        for k in range(instance.soc_levels)
+    ]
+    # x[i,j,k] is at most the supply at (i, k), for every j
+    n_demand = len(instance.demand_areas)
+    ub = np.repeat(instance.supply[:, None, :], n_demand, axis=1).ravel()
+    _add_columns(mip, names, INTEGER, 0.0, ub)
 
 
 def _add_supply_rows(mip: MipProblem, instance: FleetInstance) -> None:
@@ -64,10 +72,9 @@ def _add_gridded_fares(mip: MipProblem, instance: FleetInstance, grid: PriceGrid
     """Fare selection binaries; u_hat becomes a grid-weighted expression."""
     for j_pos, j in enumerate(instance.demand_areas):
         for k in range(instance.soc_levels):
-            terms = {
-                mip.add_variable(f"rho[{j},{k},{p}]", BINARY): float(price)
-                for p, price in enumerate(grid.cell(j_pos, k))
-            }
+            prices = grid.cell(j_pos, k)
+            rho = mip.add_variables([f"rho[{j},{k},{p}]" for p in range(len(prices))], BINARY)
+            terms = {idx: float(price) for idx, price in zip(rho, prices)}
             mip.add_constraint(
                 dict.fromkeys(terms, 1.0), EQ, 1.0, name=f"one_price[{j},{k}]"
             )
@@ -189,11 +196,10 @@ def build_feature_mip(
         _add_gridded_fares(mip, instance, grid)
     else:
         lo, hi = instance.fare_bounds
-        for j in instance.demand_areas:
-            for k in range(instance.soc_levels):
-                name = f"u_hat[{j},{k}]"
-                idx = mip.add_variable(name, CONTINUOUS, lo, hi)
-                mip.expr_map[name] = AffineExpr.of_var(idx)
+        names = [
+            f"u_hat[{j},{k}]" for j in instance.demand_areas for k in range(instance.soc_levels)
+        ]
+        _add_columns(mip, names, CONTINUOUS, lo, hi)
     _add_supply_rows(mip, instance)
 
     schema = forest.schema

@@ -5,9 +5,12 @@ and return their cuts as one :class:`~.rows.CompiledRows` over the same
 columns: rows that every integer-feasible point of the problem
 satisfies and that the current LP point violates by at least
 ``min_violation``. An empty row set means nothing was separated. Gomory
-cuts are read off the optimal basis of the persistent HiGHS model
-(:meth:`.highs.HighsLp.tableau`) over the rows that model holds; cover
-cuts need only rows and an LP point.
+cuts come from the optimal basis of the persistent HiGHS model
+(:meth:`.highs.HighsLp.tableau`): HiGHS gives its basic variables and
+one row of B⁻¹ per source row, and the rest (the tableau rows over the
+rows that model holds, the cut rule, the tidying, the rhs and the
+violation test) is computed here in numpy. Cover cuts need only rows
+and an LP point.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ def gomory_cuts(
 
     ``lp`` must just have been solved to optimality at x, HiGHS's own
     solution, under the column bounds ``lb``/``ub``; its tableau rows are
-    read over the rows it holds, ``lp.rows``. Each tableau row
+    taken over the rows it holds, ``lp.rows``. Each tableau row
     whose basic column is integer with a fractional value, most
     fractional first, reads ``x_B + sum_j a_j z_j = 0`` over the
     nonbasic columns and row activities ``z_j``. A nonbasic at its upper
@@ -56,53 +59,58 @@ def gomory_cuts(
     when its basic value is within ``MIN_FRACTION`` of an integer, or
     when the cut's coefficients span more than ``MAX_RANGE``. A
     coefficient below ``TINY`` times the largest is dropped after the
-    rhs is relaxed by its column's bounds. Each cut is a ">=" row over
-    the columns of ``lp.rows``, its entries in ascending column order.
+    rhs is relaxed by its column's bounds (:func:`_tidy`). Each cut is a
+    ">=" row over the columns of ``lp.rows``, its entries in ascending
+    column order.
 
-    The source rows are read in batches, each as large as the cut budget
-    still left, so no row is read that a row-by-row loop would not read;
-    usually one batch serves the whole call. A batch's rule is applied
-    to all its terms at once, and its coefficients are summed from the
-    rows' CSR entries in row order, as ``rows.matrix_t @ weight`` sums
-    them, so every cut is bit for bit that of a row-by-row loop.
+    The source rows are taken in batches, each as large as the cut
+    budget still left, so no row is read that a row-by-row loop would not
+    read; usually one batch serves the whole call. Of each source row
+    only its row of B⁻¹ comes from HiGHS; the rest of the tableau row is
+    priced in numpy (:meth:`.highs.Tableau.reduced`). A batch is
+    separated in one array pass over the nonzero terms of its rows: the
+    rule, the coefficient sums (in row order, as ``rows.matrix_t @
+    weight`` sums them), the tidying and the range test
+    (:func:`_tidy_rows`). Only the rhs and the violation test go cut by
+    cut, each dot product one ``@`` as a row-by-row loop has it, since a
+    batched product may round differently; so every cut is bit for bit
+    that of a row-by-row loop.
     """
     rows = lp.rows
+    n, m = rows.n, rows.m
     tab = lp.tableau()
     col = np.maximum(tab.basic, 0)  # basic column per tableau row, if any
     f = x[col] - np.floor(x[col])
     dist = np.minimum(f, 1 - f)
     source = (tab.basic >= 0) & int_mask[col] & (dist >= MIN_FRACTION)
     order = np.flatnonzero(source)[np.argsort(-dist[source], kind="stable")]
-    out = []  # (columns, coefficients, rhs) per cut
     side = nonbasic_sides(tab.basic, rows, lb, ub, x)
     col_at = np.where(side.col_up, ub, lb)
     row_at = rows.rhs  # an inequality row's only finite side
     # complementing keeps an integer column integer only at an integral bound
     col_int = int_mask & (col_at == np.floor(col_at))
+    # a term at no finite bound: a source row holding one gives no cut
+    col_bad = ~side.col_ok
+    row_bad = ~np.isfinite(row_at)
+
+    out = []  # (columns, coefficients, rhs) per cut
 
     def batch_cuts(batch):
         k = len(batch)
-        reduced = np.empty((k, rows.n))
-        binv = np.empty((k, rows.m))
-        for r, i in enumerate(batch):
-            reduced[r], binv[r] = tab.row(i)
-        # the terms of each row, row by row and in column order; a row
-        # with a term at no finite bound gives no cut
-        c_row, cols = np.nonzero((reduced != 0) & side.col_term)
-        r_row, rws = np.nonzero((binv != 0) & side.row_term)
-        bad = np.bincount(c_row[~side.col_ok[cols]], minlength=k)
-        bad += np.bincount(r_row[~np.isfinite(row_at[rws])], minlength=k)
-        good = bad == 0
-        keep = good[c_row]
-        c_row, cols = c_row[keep], cols[keep]
-        keep = good[r_row]
-        r_row, rws = r_row[keep], rws[keep]
+        binv = tab.binv(batch)
+        reduced = tab.reduced(binv)
+        # the terms of each row, row by row and in column order, as flat
+        # indices into reduced (k x n) and binv (k x m)
+        cq = np.flatnonzero((reduced != 0) & side.col_term)
+        rq = np.flatnonzero((binv != 0) & side.row_term)
+        c_row, r_row = cq // n, rq // m
+        cols, rws = cq - c_row * n, rq - r_row * m
 
         # a'_j: the coefficient on y_j (-binv for a row activity), negated at upper
         col_up = side.col_up[cols]
         row_up = side.row_up[rws]
-        a_col = np.where(col_up, -1.0, 1.0) * reduced[c_row, cols]
-        a_row = np.where(row_up, 1.0, -1.0) * binv[r_row, rws]
+        a_col = np.where(col_up, -1.0, 1.0) * reduced.take(cq)
+        a_row = np.where(row_up, 1.0, -1.0) * binv.take(rq)
         f0 = f[batch]
         fc, fr = f0[c_row], f0[r_row]
         frac = a_col - np.floor(a_col)
@@ -117,35 +125,35 @@ def gomory_cuts(
         s_row = np.where(row_up, -g_row, g_row)
 
         # a row activity is a_k @ x: each cut adds its rows' entries in row order
-        lengths = np.diff(rows.indptr)[rws]
-        entry = np.repeat(rows.indptr[rws] - np.cumsum(lengths) + lengths, lengths)
-        entry += np.arange(len(entry))
-        term = np.repeat(np.arange(len(rws)), lengths)
-        coefs = np.bincount(
-            r_row[term] * rows.n + rows.indices[entry],
-            weights=rows.data[entry] * s_row[term],
-            minlength=k * rows.n,
-        ).astype(float, copy=False).reshape(k, rows.n)  # an int array when empty
-        coefs[c_row, cols] += s_col
+        coefs = rows.combine(k, r_row, rws, s_row)
+        np.put(coefs, cq, coefs.take(cq) + s_col)
+        keep, t_row, most = _tidy_rows(coefs, lb, ub)
+        keep[c_row[col_bad[cols]]] = False
+        keep[r_row[row_bad[rws]]] = False
 
-        c_ptr = np.searchsorted(c_row, np.arange(k + 1))
-        r_ptr = np.searchsorted(r_row, np.arange(k + 1))
-        for r in np.flatnonzero(good).tolist():
+        # per cut: the rhs, relaxed by its dropped terms in column order,
+        # and the violation test, each dot product one ``@`` as a loop has it
+        at_col, at_row = col_at[cols], row_at[rws]
+        c_ptr = np.searchsorted(cq, np.arange(0, (k + 1) * n, n)).tolist()
+        r_ptr = np.searchsorted(rq, np.arange(0, (k + 1) * m, m)).tolist()
+        t_ptr = np.searchsorted(t_row, np.arange(k + 1)).tolist()
+        most = most.tolist()
+        for r in np.flatnonzero(keep).tolist():
             c = slice(c_ptr[r], c_ptr[r + 1])
             w = slice(r_ptr[r], r_ptr[r + 1])
-            rhs = 1.0 + s_col[c] @ col_at[cols[c]] + s_row[w] @ row_at[rws[w]]
-            cut = _tidy(coefs[r], rhs, lb, ub)
-            if cut is not None and cut[0] @ x <= cut[1] - min_violation:
-                coef, rhs = cut
-                nz = np.flatnonzero(coef)
-                out.append((nz, coef[nz], rhs))
+            rhs = 1.0 + s_col[c] @ at_col[c] + s_row[w] @ at_row[w]
+            for term in most[t_ptr[r] : t_ptr[r + 1]]:
+                rhs -= term
+            if coefs[r] @ x <= rhs - min_violation:
+                nz = np.flatnonzero(coefs[r])
+                out.append((nz, coefs[r, nz], rhs))
 
     done = 0
     while len(out) < max_cuts and done < len(order):
         batch = order[done : done + max_cuts - len(out)]
         done += len(batch)
         batch_cuts(batch)
-    return _cut_rows(rows.n, out, ge=True)
+    return _cut_rows(n, out, ge=True)
 
 
 class Sides(NamedTuple):
@@ -212,7 +220,9 @@ def _tidy(coef, rhs, lb, ub):
 
     A tiny coefficient goes only where its column is bounded on the side
     that relaxes the rhs; None when the cut is empty or its coefficients
-    span more than ``MAX_RANGE``.
+    span more than ``MAX_RANGE``. The separator applies this rule to a
+    batch of cuts at once (:func:`_tidy_rows`); this one-cut form states
+    it plainly and is the reference that batch form is tested against.
     """
     size = np.abs(coef)
     if not size.any():
@@ -227,6 +237,30 @@ def _tidy(coef, rhs, lb, ub):
     if size.max() > MAX_RANGE * size.min():
         return None
     return coef, rhs
+
+
+def _tidy_rows(coefs, lb, ub):
+    """:func:`_tidy` on each dense row of ``coefs``, all at once, but for
+    the rhs.
+
+    The tiny coefficients that :func:`_tidy` drops become 0 in place.
+    Returns the mask of the rows it keeps and, as ``(row, value)``
+    arrays, the terms each row subtracts from its rhs, in ascending
+    column order, as :func:`_tidy`'s loop subtracts them.
+    """
+    n = coefs.shape[1]
+    size = np.abs(coefs)
+    top = size.max(axis=1, initial=0.0)
+    q = np.flatnonzero((size > 0) & (size < TINY * top[:, None]))
+    at = q // n
+    j = q - at * n
+    term = coefs.take(q)
+    low, high = term * lb[j], term * ub[j]
+    most = np.where(high > low, high, low)  # as max(low, high) picks
+    fin = np.isfinite(most)
+    np.put(coefs, q[fin], 0.0)
+    least = np.where(coefs != 0, size, np.inf).min(axis=1, initial=np.inf)
+    return (top > 0) & ~(top > MAX_RANGE * least), at[fin], most[fin]
 
 
 def cover_cuts(

@@ -14,10 +14,13 @@ HiGHS keeps its basis between runs and presolves only while the model
 holds no valid basis, in practice on the first solve; every later solve
 is a dual simplex warm-started from the last basis, which is what a
 branch-and-bound node needs after a bound change. After an optimal
-solve, :meth:`HighsLp.tableau` reads the basic variables and then
-tableau rows one at a time, which is where Gomory cuts come from. No
-basis status is read: the separator derives the side each nonbasic
-sits at from the basic variables and the solution.
+solve, :meth:`HighsLp.tableau` gives the simplex tableau that Gomory
+cuts come from. Only the basic variables and rows of the basis inverse
+B⁻¹ are read from HiGHS; a tableau row's column part, ``B⁻¹ row @ A``,
+is priced here in numpy from ``HighsLp.rows``, to the same bits as
+HiGHS's own reduced row. No basis status is read: the separator derives
+the side each nonbasic sits at from the basic variables and the
+solution.
 
 ``METHODS`` names every ``_Highs`` method used here, so a test can check
 that the installed scipy still has each of them.
@@ -40,7 +43,6 @@ METHODS = (
     "getBasisInverseRow",
     "getInfo",
     "getModelStatus",
-    "getReducedRow",
     "getSolution",
     "modelStatusToString",
     "passModel",
@@ -63,34 +65,62 @@ class LpResult:
     iterations: int = 0
 
 
+# HiGHS's kHighsTiny: its reduced rows hold 0 where |value| is no larger
+PRICE_TINY = 1e-14
+
+
 class Tableau:
-    """The basis of a solve, read one simplex tableau row at a time.
+    """The basis of a solve and its simplex tableau rows.
 
     ``basic[i]`` names the variable basic in tableau row i: column j for
     ``j >= 0``, the activity ``a_k @ x`` of row k for ``-1 - k``. Every
     other column and row activity is nonbasic.
 
+    From HiGHS come ``basic`` and, for each tableau row asked for, its
+    row of B⁻¹ (:meth:`binv`), one call per row. The row's column part,
+    ``reduced = binv @ A`` with A the model's rows, is priced here
+    (:meth:`reduced`): each column adds its terms over the rows in
+    ascending row order, from 0.0, and an entry of size at most
+    ``PRICE_TINY`` becomes 0. That is how HiGHS's ``getReducedRow``
+    forms it, and the two agree bit for bit.
+
     Valid until the model is solved again or changed.
     """
 
-    def __init__(self, highs):
+    def __init__(self, highs, rows: CompiledRows):
         self._highs = highs
+        self._rows = rows
         status, self.basic = highs.getBasicVariables()
         HighsLp._check(status, "getBasicVariables")
 
+    def binv(self, batch) -> np.ndarray:
+        """The rows of B⁻¹ of the tableau rows ``batch``, one row each."""
+        binv = np.empty((len(batch), self._rows.m))
+        for r, i in enumerate(batch):
+            status, binv[r] = self._highs.getBasisInverseRow(int(i))
+            HighsLp._check(status, "getBasisInverseRow")
+        return binv
+
+    def reduced(self, binv: np.ndarray) -> np.ndarray:
+        """The column part ``binv @ A`` of the tableau rows whose B⁻¹
+        rows are ``binv``, one row each, as HiGHS forms it."""
+        k, m = binv.shape
+        q = np.flatnonzero(binv != 0)  # by tableau row, then ascending row
+        at = q // m
+        reduced = self._rows.combine(k, at, q - at * m, binv.take(q))
+        reduced[np.abs(reduced) <= PRICE_TINY] = 0.0
+        return reduced
+
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Tableau row i as ``(reduced, binv)``, with A the row matrix.
+        """Tableau row i as ``(reduced, binv)``.
 
         Every x satisfies ``reduced @ x - binv @ (A @ x) == 0``.
         ``reduced`` is 0 at every basic column and ``binv`` at every
         basic row activity, except at row i's own basic variable: there
         a basic column has ``reduced`` 1, a basic row activity ``binv`` 1.
         """
-        status, reduced = self._highs.getReducedRow(i)
-        HighsLp._check(status, "getReducedRow")
-        status, binv = self._highs.getBasisInverseRow(i)
-        HighsLp._check(status, "getBasisInverseRow")
-        return reduced, binv
+        binv = self.binv([i])
+        return self.reduced(binv)[0], binv[0]
 
 
 class HighsLp:
@@ -182,7 +212,7 @@ class HighsLp:
 
     def tableau(self) -> Tableau:
         """The basis of the last solve, which must have been optimal."""
-        return Tableau(self._highs)
+        return Tableau(self._highs, self.rows)
 
     @staticmethod
     def _check(status, call: str) -> None:

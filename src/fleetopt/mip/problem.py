@@ -90,6 +90,30 @@ class AffineExpr:
         return cls(terms={index: 1.0})
 
 
+def _columns_of_bounds(names, kind, lb, ub) -> list[tuple[str, float, float, int]]:
+    """A block of columns of one kind as ``(kind, lb, ub, 1)`` per column.
+
+    ``lb`` and ``ub`` each hold one bound per name, or one for all;
+    raises as :meth:`MipProblem.add_variables` does, naming the first
+    column in error.
+    """
+    lb = np.broadcast_to(np.asarray(lb, dtype=float), len(names))
+    ub = np.broadcast_to(np.asarray(ub, dtype=float), len(names))
+    if kind == BINARY:
+        lb, ub = np.maximum(0.0, lb), np.minimum(1.0, ub)
+    if kind != CONTINUOUS:
+        infinite = ~(np.isfinite(lb) & np.isfinite(ub))
+        if infinite.any():
+            raise MipError(
+                f"integer variable {names[int(np.argmax(infinite))]!r} needs finite bounds"
+            )
+    empty = lb > ub + 1e-12
+    if empty.any():
+        at = int(np.argmax(empty))
+        raise MipError(f"variable {names[at]!r} has empty domain [{lb[at]}, {ub[at]}]")
+    return [(kind, lo, hi, 1) for lo, hi in zip(lb.tolist(), ub.tolist())]
+
+
 class MipProblem:
     """Columns, linear rows and up to two objectives.
 
@@ -117,7 +141,9 @@ class MipProblem:
         self._kinds = np.empty(0, dtype="<U10")  # room for the longest kind
         self._lb = np.empty(0)
         self._ub = np.empty(0)
-        self._new: list[tuple[str, float, float, int]] = []  # (kind, lb, ub, count)
+        # columns added since the last read: (kind, lb, ub, count) per run of
+        # columns with one domain
+        self._new: list[tuple[str, float, float, int]] = []
         self._rows = CompiledRows.empty(0)
         self._row_names: list[str] = []
         self._blocks: list[CompiledRows] = []  # rows added since the last read
@@ -133,9 +159,13 @@ class MipProblem:
         return self.add_variables((name,), kind, lb, ub).start
 
     def add_variables(
-        self, names, kind: str = CONTINUOUS, lb: float = 0.0, ub: float = float("inf")
+        self, names, kind: str = CONTINUOUS, lb=0.0, ub=float("inf")
     ) -> range:
-        """One column per name, all of one kind and domain; their indices."""
+        """One column per name, all of one kind; their indices.
+
+        ``lb`` and ``ub`` each give one bound for every column, or an
+        array of one bound per column.
+        """
         names = list(names)
         start = len(self.names)
         stop = start + len(names)
@@ -143,19 +173,26 @@ class MipProblem:
             return range(start, start)
         if kind not in (CONTINUOUS, INTEGER, BINARY):
             raise MipError(f"unknown variable kind {kind!r}")
-        if kind == BINARY:
-            lb, ub = max(0.0, lb), min(1.0, ub)
-        if kind != CONTINUOUS and not (math.isfinite(lb) and math.isfinite(ub)):
-            raise MipError(f"integer variable {names[0]!r} needs finite bounds")
-        if lb > ub + 1e-12:
-            raise MipError(f"variable {names[0]!r} has empty domain [{lb}, {ub}]")
+        if isinstance(lb, (int, float)) and isinstance(ub, (int, float)):
+            if kind == BINARY:
+                lb, ub = max(0.0, lb), min(1.0, ub)
+            if kind != CONTINUOUS and not (math.isfinite(lb) and math.isfinite(ub)):
+                raise MipError(f"integer variable {names[0]!r} needs finite bounds")
+            if lb > ub + 1e-12:
+                raise MipError(f"variable {names[0]!r} has empty domain [{lb}, {ub}]")
+            block = None
+        else:
+            block = _columns_of_bounds(names, kind, lb, ub)
         self._index.update(zip(names, range(start, stop)))
         if len(self._index) < stop:  # a name repeats, or was taken
             self._index = dict(zip(self.names, range(start)))
             seen = set(self._index)
             dup = next(n for n in names if n in seen or seen.add(n))
             raise MipError(f"duplicate variable name {dup!r}")
-        self._new.append((kind, float(lb), float(ub), stop - start))
+        if block is None:
+            self._new.append((kind, float(lb), float(ub), stop - start))
+        else:
+            self._new += block
         self.names += names
         return range(start, stop)
 

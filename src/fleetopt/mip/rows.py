@@ -283,6 +283,24 @@ class CompiledRows:
             )
         return self._matrix_t
 
+    def combine(self, k: int, at, row, weight) -> np.ndarray:
+        """``k`` dense rows over the columns: ``weight[t]`` times row
+        ``row[t]`` summed into row ``at[t]``, for every t.
+
+        Each entry of the result adds its terms in the order of t, and each
+        row's entries in their CSR order, from 0.0, as a loop over t and
+        then over the row's entries would.
+        """
+        lengths = np.diff(self.indptr)[row]
+        term = np.repeat(np.arange(len(row)), lengths)
+        entry = np.repeat(self.indptr[row] - np.cumsum(lengths) + lengths, lengths)
+        entry += np.arange(len(entry))
+        return np.bincount(
+            at[term] * self.n + self.indices[entry],
+            weights=self.data[entry] * weight[term],
+            minlength=k * self.n,
+        ).astype(float, copy=False).reshape(k, self.n)  # an int array when empty
+
     def _assign_levels(self) -> np.ndarray:
         """Each row's level, assigning it to the rows that have none yet."""
         done = len(self._row_level)

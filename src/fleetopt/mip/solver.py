@@ -45,9 +45,9 @@ An integral LP point becomes an incumbent only after a polish: its
 integers are fixed at their rounded values and the LP is solved again,
 and the incumbent takes that solve's continuous values and objective.
 Root cut rounds separate the point the search branches on, and both
-separators (:mod:`.cuts`) take and return CSR row sets: Gomory reads
-its source rows off the HiGHS basis of the root solve just made
-(:meth:`.highs.HighsLp.tableau`), and cover separation reads the
+separators (:mod:`.cuts`) take and return CSR row sets: Gomory takes
+the B⁻¹ rows of its source rows from the HiGHS basis of the root solve
+just made (:meth:`.highs.HighsLp.tableau`), and cover separation reads the
 model's rows, that round's Gomory cuts included, and the root point.
 Gomory separation is on by default; on the desk models it closes most
 of the root gap. HiGHS and the search are deterministic, so a given

@@ -201,6 +201,26 @@ class TestProblem:
         with pytest.raises(MipError):
             p.add_variable("n", "integer", 0, float("inf"))
 
+    def test_bounds_per_column_match_columns_added_one_at_a_time(self):
+        lb = np.array([0.0, -2.0, 1.5, -np.inf])
+        ub = np.array([3.0, 2.0, 1.5, 4.0])
+        cases = (("continuous", lb, ub), ("integer", 0, ub), ("binary", [0, -2, 1, 0.5], 1))
+        for kind, lo, hi in cases:
+            one, block = MipProblem(), MipProblem()
+            names = [f"v{j}" for j in range(4)]
+            for j, name in enumerate(names):
+                one.add_variable(name, kind, np.broadcast_to(lo, 4)[j].item(),
+                                 np.broadcast_to(hi, 4)[j].item())
+            assert block.add_variables(names, kind, lo, hi) == range(4)
+            assert block.kinds.tolist() == one.kinds.tolist()
+            assert block.lb.tolist() == one.lb.tolist() and block.ub.tolist() == one.ub.tolist()
+        p = MipProblem()
+        with pytest.raises(MipError, match="'b' needs finite bounds"):
+            p.add_variables(["a", "b"], "integer", [0, -np.inf], 1)
+        with pytest.raises(MipError, match=r"'b' has empty domain \[2.0, 1.0\]"):
+            p.add_variables(["a", "b"], "continuous", [0, 2], 1)
+        assert p.n_vars == 0
+
     def test_unknown_relation(self):
         p = MipProblem()
         p.add_variable("x")
