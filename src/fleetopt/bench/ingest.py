@@ -187,7 +187,9 @@ def build_instances(
 ) -> list[tuple[str, FleetInstance, dict[str, float]]]:
     """Per-day instances from trips within the peak window.
 
-    Returns (date, instance, exogenous features) triples. Days whose
+    Returns (date, instance, exogenous features) triples. A pickup
+    counts on its own date and a dropoff on its own, so a trip that
+    crosses midnight frees its taxi on the day it ends. Days whose
     window shows both at least one surplus zone and one deficit zone
     make an instance; others are skipped. Raises when no day has any
     window trips at all.
@@ -205,32 +207,26 @@ def build_instances(
         d = np.linalg.norm(centroids - np.array([lat, lon]), axis=1)
         return int(np.argmin(d))
 
-    by_date: dict[_dt.date, list[TripRecord]] = {}
+    # (is a pickup, zone) per window event, by the event's own date
+    events: dict[_dt.date, list[tuple[bool, int]]] = {}
     for trip in trips:
-        by_date.setdefault(trip.pickup_time.date(), []).append(trip)
+        for when, lat, lon, pickup in (
+            (trip.pickup_time, trip.pickup_lat, trip.pickup_lon, True),
+            (trip.dropoff_time, trip.dropoff_lat, trip.dropoff_lon, False),
+        ):
+            if start <= when.time() < end:
+                events.setdefault(when.date(), []).append((pickup, zone_of(lat, lon)))
+    if not events:
+        raise IngestError(f"no trips fall inside the window {window}")
 
     out = []
-    any_window_trip = False
-    for date in sorted(by_date):
-        day_trips = by_date[date]
+    for date in sorted(events):
         supply_counts = np.zeros((n_zones, soc_levels), dtype=np.int64)
         demand_counts = np.zeros((n_zones, soc_levels), dtype=np.int64)
-        touched = set()
-        for trip in day_trips:
-            if start <= trip.pickup_time.time() < end:
-                z = zone_of(trip.pickup_lat, trip.pickup_lon)
-                level = int(rng.choice(soc_levels, p=SOC_PROBABILITIES))
-                demand_counts[z, level] += 1
-                touched.add(z)
-                any_window_trip = True
-            if start <= trip.dropoff_time.time() < end:
-                z = zone_of(trip.dropoff_lat, trip.dropoff_lon)
-                level = int(rng.choice(soc_levels, p=SOC_PROBABILITIES))
-                supply_counts[z, level] += 1
-                touched.add(z)
-                any_window_trip = True
-        if not touched:
-            continue
+        for pickup, z in events[date]:
+            level = int(rng.choice(soc_levels, p=SOC_PROBABILITIES))
+            (demand_counts if pickup else supply_counts)[z, level] += 1
+        touched = {z for _, z in events[date]}
         deficit = [
             z
             for z in sorted(touched)
@@ -258,6 +254,4 @@ def build_instances(
             "day_of_week": float(date.weekday()),
         }
         out.append((date.isoformat(), instance, exogenous))
-    if not any_window_trip:
-        raise IngestError(f"no trips fall inside the window {window}")
     return out

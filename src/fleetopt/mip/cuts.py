@@ -59,9 +59,10 @@ def gomory_cuts(
     when its basic value is within ``MIN_FRACTION`` of an integer, or
     when the cut's coefficients span more than ``MAX_RANGE``. A
     coefficient below ``TINY`` times the largest is dropped after the
-    rhs is relaxed by its column's bounds (:func:`_tidy`). Each cut is a
-    ">=" row over the columns of ``lp.rows``, its entries in ascending
-    column order.
+    rhs is relaxed by its column's bounds (:func:`_tidy_rows`; the
+    one-cut reference is ``tidy`` in ``tests/test_gomory_reference.py``).
+    Each cut is a ">=" row over the columns of ``lp.rows``, its entries
+    in ascending column order.
 
     The source rows are taken in batches, each as large as the cut
     budget still left, so no row is read that a row-by-row loop would not
@@ -215,38 +216,19 @@ def _cut_rows(n: int, cuts, ge: bool) -> CompiledRows:
     )
 
 
-def _tidy(coef, rhs, lb, ub):
-    """``coef @ x >= rhs`` without its tiny coefficients, or None.
-
-    A tiny coefficient goes only where its column is bounded on the side
-    that relaxes the rhs; None when the cut is empty or its coefficients
-    span more than ``MAX_RANGE``. The separator applies this rule to a
-    batch of cuts at once (:func:`_tidy_rows`); this one-cut form states
-    it plainly and is the reference that batch form is tested against.
-    """
-    size = np.abs(coef)
-    if not size.any():
-        return None
-    tiny = np.flatnonzero((size > 0) & (size < TINY * size.max()))
-    for j in tiny:
-        most = max(coef[j] * lb[j], coef[j] * ub[j])  # largest value of the term
-        if np.isfinite(most):
-            rhs -= most
-            coef[j] = 0.0
-    size = np.abs(coef[coef != 0])
-    if size.max() > MAX_RANGE * size.min():
-        return None
-    return coef, rhs
-
-
 def _tidy_rows(coefs, lb, ub):
-    """:func:`_tidy` on each dense row of ``coefs``, all at once, but for
-    the rhs.
+    """Each dense row of ``coefs``, a cut ``coef @ x >= rhs``, without its
+    tiny coefficients, all rows at once, but for the rhs.
 
-    The tiny coefficients that :func:`_tidy` drops become 0 in place.
-    Returns the mask of the rows it keeps and, as ``(row, value)``
-    arrays, the terms each row subtracts from its rhs, in ascending
-    column order, as :func:`_tidy`'s loop subtracts them.
+    A coefficient below ``TINY`` times its row's largest becomes 0 in
+    place where its column is bounded on the side that relaxes the rhs;
+    its largest value is then subtracted from the rhs. A row is kept
+    unless it is empty or its coefficients span more than ``MAX_RANGE``.
+    Returns the mask of the rows kept and, as ``(row, value)`` arrays,
+    the terms each row subtracts from its rhs, in ascending column
+    order, as a loop over one cut's tiny coefficients subtracts them
+    (``tidy`` in ``tests/test_gomory_reference.py``, the reference this
+    is tested against).
     """
     n = coefs.shape[1]
     size = np.abs(coefs)

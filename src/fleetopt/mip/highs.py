@@ -111,17 +111,6 @@ class Tableau:
         reduced[np.abs(reduced) <= PRICE_TINY] = 0.0
         return reduced
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Tableau row i as ``(reduced, binv)``.
-
-        Every x satisfies ``reduced @ x - binv @ (A @ x) == 0``.
-        ``reduced`` is 0 at every basic column and ``binv`` at every
-        basic row activity, except at row i's own basic variable: there
-        a basic column has ``reduced`` 1, a basic row activity ``binv`` 1.
-        """
-        binv = self.binv([i])
-        return self.reduced(binv)[0], binv[0]
-
 
 class HighsLp:
     """``c @ x`` maximized or minimized over rows and per-solve bounds.

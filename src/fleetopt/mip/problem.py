@@ -486,10 +486,6 @@ class Solution:
     # not of the problem, so kept out of to_dict
     stage1_reused: bool = False
 
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == OPTIMAL
-
     def value_array(self, problem: MipProblem) -> np.ndarray:
         return np.array([self.values[name] for name in problem.names])
 

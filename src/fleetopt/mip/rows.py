@@ -15,9 +15,10 @@ as a row set too (:meth:`CompiledRows.of_csr`):
   row is set in both), and ``row_bounds`` turns them into the
   ``lower <= a @ x <= upper`` form HiGHS reads;
 - ``levels`` is the level schedule that propagation sweeps. It is built
-  on first access, since only propagation reads it. A search's nodes
-  sweep the reduced rows, whose schedule the reduction built; its cut
-  rows go to the LP and are never swept, so cut rounds build none.
+  whole, for every row at once, on first access, since only propagation
+  reads it. A search's nodes sweep the reduced rows, whose schedule the
+  reduction built; its cut rows go to the LP and are never swept, so
+  cut rounds build none.
 
 New row sets come from old ones.
 :meth:`~CompiledRows.substitute` moves fixed columns into the rhs and
@@ -25,11 +26,11 @@ New row sets come from old ones.
 :meth:`~CompiledRows.relabel` renumbers the columns to the reduced ones
 and :meth:`~CompiledRows.append` adds rows, such as cuts or a
 problem's new rows; :meth:`~CompiledRows.widen` takes the rows over
-more columns, as a problem that gains columns does. The last three keep
-the levels already assigned: renumbering columns one to one, adding
-columns, or adding rows after the last, changes no earlier row's level.
-``relabel`` and ``append`` also keep a built schedule; rows appended
-above its top level, as stage 2's retention row is, only add levels.
+more columns, as a problem that gains columns does. Only ``relabel``
+hands on a built schedule, its bound indices mapped to the new columns:
+renumbering columns one to one keeps which rows share a column, and
+that is how a search's nodes sweep the schedule its reduction built.
+Every other new row set builds its own schedule when it is first swept.
 
 A row's level is 1 + the highest level of any earlier row that shares a
 column with it. Rows on one level touch disjoint columns, and every
@@ -82,11 +83,9 @@ class RowLevel(NamedTuple):
 class CompiledRows:
     """A row set over ``n`` columns in CSR form with its level schedule.
 
-    ``levels`` is built on first access. The other operations return new
-    row sets and leave this one as it is: :meth:`append`, :meth:`widen`
-    and :meth:`relabel` carry over the row levels already assigned, while
-    :meth:`substitute` and :meth:`take` drop them, since a row that
-    loses an entry or a row in between can change the levels after it.
+    ``levels`` is built whole on first access. The other operations
+    return new row sets and leave this one as it is; of them only
+    :meth:`relabel` hands on a built schedule.
     """
 
     @classmethod
@@ -105,17 +104,12 @@ class CompiledRows:
             ge=np.zeros(0, dtype=bool),
         )
 
-    def _set(self, n, indptr, indices, data, rhs, le, ge, row_level=None, levels=None,
-             scheduled=0):
+    def _set(self, n, indptr, indices, data, rhs, le, ge, levels=None):
         self.n = n
         self.m = len(rhs)
         self.indptr, self.indices, self.data = indptr, indices, data
         self.rhs, self.le, self.ge = rhs, le, ge
-        # the levels of the first len(row_level) rows
-        self._row_level = np.zeros(0, dtype=np.intp) if row_level is None else row_level
-        # the schedule of the first ``scheduled`` rows, once built
-        self._levels = levels
-        self._scheduled = scheduled
+        self._levels = levels  # the schedule, once built
         self._matrix_t = None
 
     @cached_property
@@ -132,17 +126,14 @@ class CompiledRows:
         out = CompiledRows.__new__(CompiledRows)
         kept = dict(
             indptr=self.indptr, indices=self.indices, data=self.data,
-            rhs=self.rhs, le=self.le, ge=self.ge, row_level=self._row_level,
+            rhs=self.rhs, le=self.le, ge=self.ge,
         )
         out._set(self.n if n is None else n, **{**kept, **fields})
         return out
 
     def append(self, *others: CompiledRows) -> CompiledRows:
         """These rows followed by each of ``others``' in turn, over the
-        same columns.
-
-        The rows here keep their assigned levels and a built schedule;
-        the new rows get theirs when ``levels`` is next read.
+        same columns, with no schedule built yet.
         """
         parts = (self, *others)
         starts = np.cumsum([len(p.indices) for p in parts])
@@ -155,16 +146,11 @@ class CompiledRows:
             rhs=np.concatenate([p.rhs for p in parts]),
             le=np.concatenate([p.le for p in parts]),
             ge=np.concatenate([p.ge for p in parts]),
-            levels=self._levels,
-            scheduled=self._scheduled,
         )
 
     def widen(self, n: int) -> CompiledRows:
-        """The same rows over ``n`` columns, ``n`` at least ``self.n``.
-
-        The row levels carry over; a built schedule does not, since its
-        bound indices depend on the column count.
-        """
+        """The same rows over ``n`` columns, ``n`` at least ``self.n``,
+        with no schedule built yet."""
         if n == self.n:
             return self
         if n < self.n:
@@ -176,9 +162,8 @@ class CompiledRows:
 
         ``keep`` lists the old column of each new one, ascending, and
         must hold every column the rows touch. Renumbering keeps which
-        rows share a column, so the row levels and a built schedule
-        carry over, the schedule's bound indices mapped into the new
-        ``w``.
+        rows share a column, so a built schedule carries over, its bound
+        indices mapped into the new ``w``.
         """
         n = len(keep)
         pos = np.full(2 * self.n + 2, -1, dtype=np.intp)  # old w index -> new
@@ -191,7 +176,7 @@ class CompiledRows:
         levels = self._levels
         if levels is not None:
             levels = [lv._replace(k_p=pos[lv.k_p], k_t=pos[lv.k_t]) for lv in levels]
-        return self._with(n, indices=indices, levels=levels, scheduled=self._scheduled)
+        return self._with(n, indices=indices, levels=levels)
 
     def substitute(self, fixed: np.ndarray, values: np.ndarray) -> CompiledRows:
         """These rows with each column in the mask ``fixed`` set to its value.
@@ -230,7 +215,6 @@ class CompiledRows:
             indices=self.indices[kept],
             data=self.data[kept],
             rhs=rhs,
-            row_level=np.zeros(0, dtype=np.intp),
         )
 
     def take(self, mask: np.ndarray) -> CompiledRows:
@@ -248,7 +232,6 @@ class CompiledRows:
             rhs=self.rhs[mask],
             le=self.le[mask],
             ge=self.ge[mask],
-            row_level=np.zeros(0, dtype=np.intp),
         )
 
     def __len__(self) -> int:
@@ -256,22 +239,9 @@ class CompiledRows:
 
     @property
     def levels(self) -> list[RowLevel]:
-        """The level schedule, built on first access.
-
-        Rows appended to a built schedule extend it when each lands above
-        its top level, as a row sharing a column with a top-level row
-        does: the levels already laid out stay, and only the new ones are
-        laid out. Otherwise the schedule is built again.
-        """
-        if self._levels is None or self._scheduled < self.m:
-            level = self._assign_levels()
-            done, top = self._scheduled, len(self._levels or ())
-            new = level[done:]
-            if self._levels is not None and np.all((new == 0) | (new > top)):
-                self._levels = self._levels + self._schedule(level, first=done)
-            else:
-                self._levels = self._schedule(level)
-            self._scheduled = self.m
+        """The level schedule of every row, built whole on first access."""
+        if self._levels is None:
+            self._levels = self._schedule(self._assign_levels())
         return self._levels
 
     @property
@@ -302,38 +272,25 @@ class CompiledRows:
         ).astype(float, copy=False).reshape(k, self.n)  # an int array when empty
 
     def _assign_levels(self) -> np.ndarray:
-        """Each row's level, assigning it to the rows that have none yet."""
-        done = len(self._row_level)
-        if done == self.m:
-            return self._row_level
+        """Each row's level; 0 for an empty row."""
         ptr = self.indptr.tolist()
-        # a column's level is that of the last row before ``done`` holding it
-        col_level = np.zeros(self.n, dtype=np.intp)
-        np.maximum.at(
-            col_level,
-            self.indices[: ptr[done]],
-            np.repeat(self._row_level, np.diff(self.indptr[: done + 1])),
-        )
-        col_level = col_level.tolist()
         cols_of = self.indices.tolist()
-        level = [0] * (self.m - done)
-        for i in range(done, self.m):
+        col_level = [0] * self.n  # the level of the last row holding the column
+        level = [0] * self.m
+        for i in range(self.m):
             cols = cols_of[ptr[i] : ptr[i + 1]]
             if cols:
                 lv = 1 + max([col_level[j] for j in cols])
                 for j in cols:
                     col_level[j] = lv
-                level[i - done] = lv
-        self._row_level = np.concatenate([self._row_level, np.array(level, dtype=np.intp)])
-        return self._row_level
+                level[i] = lv
+        return np.array(level, dtype=np.intp)
 
-    def _schedule(self, level, first=0) -> list[RowLevel]:
-        """The levels of the rows from ``first`` on, which share no level
-        with an earlier row."""
+    def _schedule(self, level) -> list[RowLevel]:
+        """The schedule of every row, given each row's ``level``."""
         n = self.n
         lengths = np.diff(self.indptr)
         live = lengths > 0  # an empty row has no half
-        live[:first] = False
         le_rows = np.flatnonzero(self.le & live)
         ge_rows = np.flatnonzero(self.ge & live)
         row_of = np.concatenate([le_rows, ge_rows])

@@ -30,14 +30,13 @@ secondary objective, and stage 2's start (that second reduction) only
 on stage 1 and ``lex_slack_rel``, so the queries on one model share
 both: a module LRU memo of :data:`STAGE1_MEMO_SIZE` entries keeps each
 stage 1's outcome and stage 2's start under the exact bytes of
-everything stage 1 reads (column count, kinds and bounds; the stated
+everything the two read (column count, kinds and bounds; the stated
 rows' CSR arrays, rhs and sense masks; the primary's sense,
 coefficients in insertion order and constant; ``gap_tol``, ``gomory``,
-``cover`` and ``node_limit``). The start is tagged with the slack it
-was made for; a hit under another slack makes it again, with no
-search. A solve with a ``time_limit`` bypasses the memo. A reused stage
-1 reports the node, LP-iteration and cut counts of the search that
-produced it, so every output stays as a cold solve gives it;
+``cover``, ``node_limit`` and ``lex_slack_rel``). A solve with a
+``time_limit`` bypasses the memo. A reused stage 1 reports the node,
+LP-iteration and cut counts of the search that produced it, so every
+output stays as a cold solve gives it;
 ``Solution.stage1_reused`` says which happened, and
 :func:`clear_stage1_memo` empties the memo.
 :func:`branch_and_bound` alone never reads it.
@@ -642,11 +641,11 @@ def lexicographic_solve(
     (:func:`_stage2_start`), and the secondary is mapped onto its kept
     columns for the search.
 
-    Stage 1 reads neither the secondary nor ``lex_slack_rel``, and stage
-    2's start reads no secondary, so queries on one model share both:
-    they come from a memo of the last :data:`STAGE1_MEMO_SIZE` stage-1
-    problems solved, when one of them is this one (:func:`_stage1`). A
-    hit under the slack its start was made for runs no reduction at all.
+    Neither stage 1 nor stage 2's start reads the secondary, so queries
+    on one model share both: they come from a memo of the last
+    :data:`STAGE1_MEMO_SIZE` stage-1 problems solved, when one of them is
+    this one under the same ``lex_slack_rel`` (:func:`_stage1`). A hit
+    runs no reduction at all.
     A reused stage 1 reports the node, LP-iteration and cut counts of the
     search that produced it, so the returned solution is the same either
     way, bit for bit, apart from ``wall_time`` and ``stage1_reused``. A
@@ -693,17 +692,16 @@ def lexicographic_solve(
 
 
 # Stage-1 outcomes, least recently used first. An entry holds stage 2's
-# start (:func:`_stage2_start`; None when stage 1 has no point) with the
-# ``lex_slack_rel`` it was made for, stage 1's solution without its
-# values, and its point as an array in the stated column order, which a
-# hit keys by the caller's names. Stage 1's own reduction is not kept:
-# only a hit under another slack reads it again, and re-derives it. The
-# benchmark's cuts-small round keeps 40 stage-1 problems in play (10
-# days under 4 cut settings, each shared by 4 queries in a shuffled
-# order), the most of any workload; the capacity leaves room above that.
+# start (:func:`_stage2_start`; None when stage 1 has no point), stage
+# 1's solution without its values, and its point as an array in the
+# stated column order, which a hit keys by the caller's names. Stage 1's
+# own reduction is not kept: no hit reads it. The benchmark's cuts-small
+# round keeps 40 stage-1 problems in play (10 days under 4 cut settings,
+# each shared by 4 queries in a shuffled order), the most of any
+# workload; the capacity leaves room above that.
 STAGE1_MEMO_SIZE = 64
 _stage1_memo: OrderedDict[
-    bytes, tuple[_Reduced | None, float, Solution, np.ndarray | None]
+    bytes, tuple[_Reduced | None, Solution, np.ndarray | None]
 ] = OrderedDict()
 
 
@@ -718,12 +716,13 @@ def clear_stage1_memo() -> None:
 
 
 def _stage1_key(start: _Reduced, objective: Objective, cfg: SolveConfig) -> bytes:
-    """The bytes of everything stage 1 reads.
+    """The bytes of everything stage 1 and stage 2's start read.
 
     The column count, kinds and bounds; the stated rows' CSR arrays,
     rhs and sense masks; the primary's sense, coefficients in their
-    order and constant; and the configuration the search reads. The
-    counts up front fix where each array's bytes end.
+    order and constant; the configuration the search reads; and
+    ``lex_slack_rel``. The counts up front fix where each array's bytes
+    end.
     """
     rows = start.rows
     coeffs = objective.coeffs
@@ -736,7 +735,7 @@ def _stage1_key(start: _Reduced, objective: Objective, cfg: SolveConfig) -> byte
                  cfg.node_limit is None, cfg.node_limit or 0],
                 dtype=np.int64,
             ),
-            np.array([objective.constant, cfg.gap_tol], dtype=float),
+            np.array([objective.constant, cfg.gap_tol, cfg.lex_slack_rel], dtype=float),
             start.int_mask, start.binary, start.lb, start.ub,
             rows.indptr.astype(np.int64, copy=False),
             rows.indices.astype(np.int64, copy=False),
@@ -751,43 +750,38 @@ def _stage1(problem: MipProblem, cfg: SolveConfig) -> tuple[Solution, _Reduced |
     """Stage 1 of :func:`lexicographic_solve`: its solution and stage 2's
     start, None when stage 1 has no point.
 
-    Both come from the memo when it holds this stage-1 problem, and the
-    solution then says ``stage1_reused``; a hit goes straight on to stage
-    2's search. A hit whose start was made under another
-    ``lex_slack_rel`` re-derives stage 1's reduction and the start for
-    this slack, with no search, and keeps the new start in place of the
-    old one. Otherwise the problem is reduced and searched, and the
-    outcome is kept. The kept start is frozen, since every later hit
-    hands it on again.
+    Both come from the memo when it holds this stage-1 problem under
+    this ``lex_slack_rel``, and the solution then says
+    ``stage1_reused``; a hit goes straight on to stage 2's search.
+    Otherwise the problem is reduced and searched, stage 2's start is
+    made, and both are kept. The kept start is frozen, since every later
+    hit hands it on again.
     """
     g = problem.objective
     start = _unreduced(problem, g)
     key = None if cfg.time_limit is not None else _stage1_key(start, g, cfg)
     found = _stage1_memo.get(key) if key is not None else None
-    if found is None:
-        red1 = _reduce(problem, g, start)
-        sol = branch_and_bound(problem, cfg, reduced=red1)
-        kept = replace(sol, values={}, cut_counts=dict(sol.cut_counts))
-        x = sol.value_array(problem) if sol.values else None
-    else:
+    if found is not None:
         _stage1_memo.move_to_end(key)
-        start2, slack, kept, x = found
+        start2, kept, x = found
         sol = replace(
             kept,
             values={} if x is None else dict(zip(problem.names, x.tolist())),
             cut_counts=dict(kept.cut_counts),
             stage1_reused=True,
         )
-        if start2 is None or slack == cfg.lex_slack_rel:
-            return sol, start2
-        red1 = _reduce(problem, g, start)
+        return sol, start2
+    red1 = _reduce(problem, g, start)
+    sol = branch_and_bound(problem, cfg, reduced=red1)
     start2 = _stage2_start(problem, red1, sol, cfg)
     if key is not None:
         if start2 is not None:
             for a in (start2.keep, start2.lb, start2.ub, start2.binary, start2.int_mask,
                       start2.full_values):
                 a.flags.writeable = False
-        _stage1_memo[key] = (start2, cfg.lex_slack_rel, kept, x)
+        kept = replace(sol, values={}, cut_counts=dict(sol.cut_counts))
+        x = sol.value_array(problem) if sol.values else None
+        _stage1_memo[key] = (start2, kept, x)
         if len(_stage1_memo) > STAGE1_MEMO_SIZE:
             _stage1_memo.popitem(last=False)
     return sol, start2

@@ -20,7 +20,7 @@ from fleetopt.bench import make_history
 from fleetopt.mip import SolveConfig, lexicographic_solve
 from fleetopt.mip import cuts as cutmod
 from fleetopt.mip import highs
-from fleetopt.mip.cuts import _cut_rows, _tidy, gomory_cuts, nonbasic_sides
+from fleetopt.mip.cuts import MAX_RANGE, TINY, _cut_rows, gomory_cuts, nonbasic_sides
 from fleetopt.mip.highs import HighsLp
 from fleetopt.mip.solver import _unreduced
 
@@ -41,6 +41,42 @@ def basis_statuses(lp):
         np.array([int(s) for s in basis.col_status]),
         np.array([int(s) for s in basis.row_status]),
     )
+
+
+def tableau_row(tab, i):
+    """Tableau row i of ``tab`` as ``(reduced, binv)``.
+
+    Every x satisfies ``reduced @ x - binv @ (A @ x) == 0``.
+    ``reduced`` is 0 at every basic column and ``binv`` at every
+    basic row activity, except at row i's own basic variable: there
+    a basic column has ``reduced`` 1, a basic row activity ``binv`` 1.
+    """
+    binv = tab.binv([i])
+    return tab.reduced(binv)[0], binv[0]
+
+
+def tidy(coef, rhs, lb, ub):
+    """``coef @ x >= rhs`` without its tiny coefficients, or None.
+
+    A tiny coefficient goes only where its column is bounded on the side
+    that relaxes the rhs; None when the cut is empty or its coefficients
+    span more than ``MAX_RANGE``. The separator applies this rule to a
+    batch of cuts at once (``cuts._tidy_rows``); this one-cut form states
+    it plainly.
+    """
+    size = np.abs(coef)
+    if not size.any():
+        return None
+    tiny = np.flatnonzero((size > 0) & (size < TINY * size.max()))
+    for j in tiny:
+        most = max(coef[j] * lb[j], coef[j] * ub[j])  # largest value of the term
+        if np.isfinite(most):
+            rhs -= most
+            coef[j] = 0.0
+    size = np.abs(coef[coef != 0])
+    if size.max() > MAX_RANGE * size.min():
+        return None
+    return coef, rhs
 
 
 def per_row_gomory_cuts(lp, lb, ub, int_mask, x, max_cuts=8,
@@ -73,7 +109,7 @@ def per_row_gomory_cuts(lp, lb, ub, int_mask, x, max_cuts=8,
         if len(out) >= max_cuts:
             break
         f0 = f[i]
-        reduced, binv = tab.row(i)
+        reduced, binv = tableau_row(tab, i)
         cols = np.flatnonzero(col_term & (reduced != 0))
         rws = np.flatnonzero(row_term & (binv != 0))
         if not (col_ok[cols].all() and row_ok[rws].all()):
@@ -94,7 +130,7 @@ def per_row_gomory_cuts(lp, lb, ub, int_mask, x, max_cuts=8,
         weight[rws] = s_row
         coef = rows.matrix_t @ weight
         coef[cols] += s_col
-        cut = _tidy(coef, rhs, lb, ub)
+        cut = tidy(coef, rhs, lb, ub)
         if cut is not None and cut[0] @ x <= cut[1] - min_violation:
             coef, rhs = cut
             nz = np.flatnonzero(coef)

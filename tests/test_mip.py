@@ -1001,9 +1001,9 @@ class TestReduction:
                 phase[0] = "nodes"
             return real_propagate(rows, *args, **kwargs)
 
-        def spy_schedule(self, level, first=0):
+        def spy_schedule(self, level):
             schedules.append(phase[0])
-            return real_schedule(self, level, first)
+            return real_schedule(self, level)
 
         monkeypatch.setattr(solver, "_reduce", spy_reduce)
         monkeypatch.setattr(solver, "_propagate", spy_propagate)

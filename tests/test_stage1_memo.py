@@ -5,8 +5,9 @@ part of the configuration, and nothing else, so queries on one model
 share it. A solve takes stage 1 from the memo only when every one of
 those inputs is the same to the bit, and the solution it returns is the
 one a cold solve returns, field by field, apart from ``wall_time`` and
-``stage1_reused``. An entry also holds stage 2's start, made for one
-``lex_slack_rel``: a hit under that slack runs no reduction at all.
+``stage1_reused``. An entry also holds stage 2's start, which reads
+``lex_slack_rel`` too, so the slack is keyed as well, and a hit runs no
+reduction at all.
 """
 
 import copy
@@ -15,11 +16,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from fleetopt.agent import AgentConfig, run_agent
+from fleetopt.bench import make_history
 from fleetopt.mip import solver
 from fleetopt.mip.problem import MipProblem, Solution
+from fleetopt.mip.rows import CompiledRows
 from fleetopt.mip.solver import SolveConfig, lexicographic_solve
 
-from test_model_digests import QUERIES, agent_model
+from test_model_digests import QUERIES, agent_model, world_and_forest
 
 # what a reused stage 1 may change in a solution
 TIMING = {"wall_time", "stage1_reused"}
@@ -118,7 +122,7 @@ def test_each_setting_stage_one_reads_misses(cfg):
 
 def test_what_stage_one_does_not_read_still_hits():
     cold = lexicographic_solve(build())
-    other = lexicographic_solve(build(secondary={"z": 1.0}), SolveConfig(lex_slack_rel=1e-3))
+    other = lexicographic_solve(build(secondary={"z": 1.0}))
     assert other.stage1_reused
     # other names, same bytes: the point comes back under the new names
     renamed = lexicographic_solve(build(names=("p", "q", "r", "s")))
@@ -211,9 +215,9 @@ def count_reductions(monkeypatch) -> list:
 
 
 def stored_start():
-    """Stage 2's start kept in the one memo entry, and its slack."""
+    """Stage 2's start kept in the one memo entry."""
     (entry,) = solver._stage1_memo.values()
-    return entry[0], entry[1]
+    return entry[0]
 
 
 def test_a_hit_under_the_same_slack_runs_no_reduction(monkeypatch):
@@ -234,24 +238,21 @@ def test_clearing_the_memo_reduces_both_stages_again(monkeypatch):
     assert len(seen) == 2  # stage 1's reduction, then stage 2's start
 
 
-def test_a_hit_under_another_slack_makes_the_start_again(monkeypatch):
+def test_another_slack_misses_and_equals_a_cold_solve_under_it(monkeypatch):
     slack = SolveConfig(lex_slack_rel=1e-2)
     solver.clear_stage1_memo()
     want = lexicographic_solve(build(), slack)
     solver.clear_stage1_memo()
     lexicographic_solve(build())
-    first, _ = stored_start()
     seen = count_reductions(monkeypatch)
     got = lexicographic_solve(build(), slack)
-    assert got.stage1_reused
+    assert not got.stage1_reused
     assert outcome(got) == outcome(want)
-    # stage 1's reduction and the new start, with no stage-1 search
-    assert len(seen) == 2
-    start, tag = stored_start()
-    assert start is not first and tag == slack.lex_slack_rel
-    # the new start replaced the old one: its slack now hits outright
-    assert lexicographic_solve(build(), slack).stage1_reused and len(seen) == 2
-    assert lexicographic_solve(build()).stage1_reused and len(seen) == 4
+    assert len(seen) == 2  # stage 1's reduction, then stage 2's start
+    # each slack keeps its own entry, and both now hit outright
+    assert len(solver._stage1_memo) == 2
+    assert lexicographic_solve(build(), slack).stage1_reused
+    assert lexicographic_solve(build()).stage1_reused and len(seen) == 2
 
 
 def start_bytes(start) -> list[bytes]:
@@ -266,13 +267,53 @@ def start_bytes(start) -> list[bytes]:
 @pytest.mark.parametrize("secondary", [None, {"z": 1.0}])
 def test_a_hits_search_leaves_the_stored_start_as_it_was(secondary):
     cold = lexicographic_solve(build())
-    start, _ = stored_start()
+    start = stored_start()
     before = start_bytes(start)
     warm = lexicographic_solve(build(secondary=secondary))
     # stage 2 searched on the stored start: nodes beyond stage 1's
     (entry,) = solver._stage1_memo.values()
-    assert warm.stage1_reused and warm.node_count > entry[2].node_count
-    assert stored_start()[0] is start
+    assert warm.stage1_reused and warm.node_count > entry[1].node_count
+    assert stored_start() is start
     assert start_bytes(start) == before
     if secondary is None:
         assert outcome(warm) == outcome(cold)
+
+
+@pytest.fixture
+def schedule_builds(monkeypatch):
+    """One entry per level schedule built from here on."""
+    built = []
+    real = CompiledRows._schedule
+
+    def spy(self, level):
+        built.append(self.m)
+        return real(self, level)
+
+    monkeypatch.setattr(CompiledRows, "_schedule", spy)
+    return built
+
+
+@pytest.mark.parametrize("world, day, history_m, seed", [("small", 5, 6, 1), ("desk", 3, 14, 3)])
+def test_a_repeat_builds_no_schedule(schedule_builds, world, day, history_m, seed):
+    # a hit hands stage 2 the start whose schedule its reduction built,
+    # so only a cold solve builds schedules
+    mip, _ = agent_model(world, day, QUERIES[0])
+    lexicographic_solve(mip, SolveConfig())
+    assert schedule_builds
+    schedule_builds.clear()
+    assert lexicographic_solve(mip, SolveConfig()).stage1_reused
+    assert schedule_builds == []
+
+    w, forest = world_and_forest(world)
+    history = make_history(w, forest, m=history_m, seed=seed)
+    inst, exo = w.instance(day), w.days[day].exogenous()
+    first = run_agent(QUERIES[1], inst, exo, forest, history, AgentConfig())
+    schedule_builds.clear()
+    again = run_agent(QUERIES[1], inst, exo, forest, history, AgentConfig())
+    assert schedule_builds == []
+    assert all(r.stage1_reused for r in again.iterations)
+    assert again.to_dict() == first.to_dict()
+
+    solver.clear_stage1_memo()
+    assert not lexicographic_solve(mip, SolveConfig()).stage1_reused
+    assert schedule_builds
