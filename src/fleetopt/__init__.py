@@ -23,6 +23,7 @@ from .fleet import (
     cascade_fulfill,
     check_feasible,
     decision_to_vector,
+    decision_values,
     decision_variable_names,
     evaluate_decision,
     profit,
@@ -67,6 +68,7 @@ __all__ = [
     "check_feasible",
     "decision_from_solution",
     "decision_to_vector",
+    "decision_values",
     "decision_variable_names",
     "embed_forest",
     "evaluate_decision",

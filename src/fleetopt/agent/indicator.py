@@ -43,9 +43,8 @@ DEFAULT_REGISTRY: dict[str, tuple[str, ...]] = {
 def problem_match(
     query: str,
     registry: dict[str, tuple[str, ...]] | None = None,
-    default_id: str | None = None,
 ) -> MatchResult:
-    """Keyword-scored routing; the default handler wins on no hits."""
+    """Keyword-scored routing; the registry's first handler wins on no hits."""
     registry = DEFAULT_REGISTRY if registry is None else registry
     if not registry:
         raise AgentError("empty domain registry")
@@ -56,8 +55,7 @@ def problem_match(
         if score > best_score:
             best_id, best_score = agent_id, score
     if best_score <= 0:
-        fallback = default_id or next(iter(registry))
-        return MatchResult(agent_id=fallback, score=0, low_confidence=True)
+        return MatchResult(agent_id=next(iter(registry)), score=0, low_confidence=True)
     return MatchResult(agent_id=best_id, score=best_score, low_confidence=False)
 
 

@@ -4,8 +4,11 @@ Each pass asks the guide which decision variables to keep active,
 pins the rest to historical averages, solves the reduced bi-objective
 model lexicographically (predicted profit first, the query objective
 second) and scores the result against the all-historical-average
-baseline. The loop runs while the score strictly improves, up to the
-iteration cap, and keeps the best-scoring decision seen.
+baseline, evaluating the query on the canonical form the model's
+secondary is lowered from. The loop runs while the score improves by
+more than round-off (:data:`SCORE_TOL`, relative to the score it must
+beat), up to the iteration cap, and keeps the best-scoring decision
+seen.
 
 A manager puts several queries to one day, and the day's profit model
 (the forest embedded over the fleet constraints, :func:`.build_feature_mip`)
@@ -32,7 +35,7 @@ import numpy as np
 from ..dsl.analysis import canonicalize, evaluate
 from ..dsl.lower import lower_to_mip
 from ..dsl.parser import ObjectiveAst
-from ..fleet import Decision, FleetInstance, PriceGrid
+from ..fleet import Decision, FleetInstance, PriceGrid, decision_values
 from ..fleet_mip import build_feature_mip, decision_from_solution
 from ..forest import Forest
 from ..mip.problem import INFEASIBLE, MipProblem
@@ -49,6 +52,10 @@ from .types import (
 )
 
 SCORE_ZERO_GUARD = 1e-9
+# A score beats another only by more than this share of the larger of 1
+# and the other's magnitude: query values summed in different orders
+# differ in their last bits, and a change that small is no improvement.
+SCORE_TOL = 1e-9
 
 
 def satisfaction_score(
@@ -76,6 +83,11 @@ def relative_improvement(sense: str, f_new: float, f_hist: float) -> float:
     if abs(f_hist) < SCORE_ZERO_GUARD:
         return improvement
     return improvement / abs(f_hist)
+
+
+def _beats(score: float, reference: float) -> bool:
+    """True when ``score`` improves on ``reference`` by more than round-off."""
+    return score > reference + SCORE_TOL * max(1.0, abs(reference))
 
 
 def needs_price_grid(canonical) -> bool:
@@ -169,18 +181,14 @@ def build_agent_model(
 def fixing_values(
     names, baseline: Decision, instance: FleetInstance, grid: PriceGrid | None
 ) -> dict[str, float]:
-    """Values for a set of variables read off the baseline decision."""
-    by_name = {}
-    for i_pos, i in enumerate(instance.supply_areas):
+    """Values for a set of variables read off the baseline decision,
+    fares snapped to the grid when there is one."""
+    by_name = decision_values(instance, baseline)
+    if grid is not None:
         for j_pos, j in enumerate(instance.demand_areas):
             for k in range(instance.soc_levels):
-                by_name[f"x[{i},{j},{k}]"] = float(baseline.x[i_pos, j_pos, k])
-    for j_pos, j in enumerate(instance.demand_areas):
-        for k in range(instance.soc_levels):
-            value = float(baseline.u_hat[j_pos, k])
-            if grid is not None:
-                value = grid.snap(j_pos, k, value)
-            by_name[f"u_hat[{j},{k}]"] = value
+                name = f"u_hat[{j},{k}]"
+                by_name[name] = grid.snap(j_pos, k, by_name[name])
     return {name: by_name[name] for name in names}
 
 
@@ -230,7 +238,7 @@ def run_agent(
             ]
         )
         baseline = Decision(x=baseline.x, u_hat=snapped)
-    baseline_f = evaluate(f_ast, instance, baseline)
+    baseline_f = canonical.evaluate(decision_values(instance, baseline))
 
     trace = AgentTrace(
         query=query,
@@ -254,10 +262,9 @@ def run_agent(
         return values, solution
 
     t = 0
-    score_prev = float("-inf")
     score_cur = 0.0
     prev_active: tuple[str, ...] = ()
-    while t < cfg.t_max and score_cur > score_prev:
+    while t < cfg.t_max:
         t += 1
         started = time.perf_counter()
         context = GuideContext(
@@ -308,9 +315,8 @@ def run_agent(
             break
         decision = decision_from_solution(instance, mip, solution)
         # the baseline's value is computed once, above
-        score = relative_improvement(
-            f_ast.sense, evaluate(f_ast, instance, decision), baseline_f
-        )
+        query_value = canonical.evaluate(decision_values(instance, decision))
+        score = relative_improvement(f_ast.sense, query_value, baseline_f)
         record = IterationRecord(
             iteration=t,
             active=proposal.keep_active,
@@ -324,12 +330,14 @@ def run_agent(
             notes=tuple(notes),
         )
         trace.iterations.append(record)
-        if score > trace.best_score:
+        if _beats(score, trace.best_score):
             trace.best_score = score
             trace.best_decision = decision
             trace.best_iteration = t
+        if not _beats(score, score_cur):
+            break
         prev_active = proposal.keep_active
-        score_prev, score_cur = score_cur, score
+        score_cur = score
     trace.response = response_format(trace, f_ast, query)
     return trace
 

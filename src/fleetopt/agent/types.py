@@ -57,13 +57,6 @@ class HistoryStore:
             for pos, name in enumerate(self.variable_names)
         }
 
-    def means(self, instance: FleetInstance) -> dict[str, float]:
-        mat = self._matrix(instance)
-        return {
-            name: float(mat[:, pos].mean())
-            for pos, name in enumerate(self.variable_names)
-        }
-
     def baseline_decision(self, instance: FleetInstance) -> Decision:
         """Historical-average decision, rounded feasible for an instance.
 

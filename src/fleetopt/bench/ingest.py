@@ -2,8 +2,10 @@
 
 Trips are delimited text with header
 ``pickup_time,dropoff_time,pickup_lat,pickup_lon,dropoff_lat,dropoff_lon,fare``
-(ISO timestamps); weather is ``date,temperature,dew_point``. Zone
-assignment comes from k-means over trip endpoints. Within the peak
+(ISO timestamps); weather is ``date,temperature,dew_point``. Other
+columns are ignored, and a cell that does not parse raises
+:class:`IngestError` naming its line and column. Zone assignment comes
+from k-means over trip endpoints, seeded by k-means++. Within the peak
 window, a dropoff makes a taxi available in its zone (supply) and a
 pickup files a request in its zone (demand); zones whose requests
 exceed their available taxis become demand areas, the rest supply
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,82 +56,81 @@ class WeatherDay:
     date: _dt.date
     temperature: float
     dew_point: float
-    extras: tuple[tuple[str, float], ...] = ()
+
+
+_TRIP_COLUMNS = {
+    "pickup_time": _dt.datetime.fromisoformat,
+    "dropoff_time": _dt.datetime.fromisoformat,
+    "pickup_lat": float,
+    "pickup_lon": float,
+    "dropoff_lat": float,
+    "dropoff_lon": float,
+    "fare": float,
+}
+_WEATHER_COLUMNS = {
+    "date": _dt.date.fromisoformat,
+    "temperature": float,
+    "dew_point": float,
+}
+
+
+def _read_table(path: str, table: str, columns: dict) -> Iterator[dict]:
+    """Each data row's cells in ``columns``, parsed by their functions."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = set(columns) - set(reader.fieldnames or [])
+        if missing:
+            raise IngestError(f"{table} table missing columns: {sorted(missing)}")
+        for row in reader:
+            cells = {}
+            for name, parse in columns.items():
+                try:
+                    cells[name] = parse(row[name])
+                except (TypeError, ValueError) as err:  # None for a short row
+                    raise IngestError(
+                        f"{table} table, line {reader.line_num}, column {name!r}: "
+                        f"cannot read {row[name]!r}"
+                    ) from err
+            yield cells
 
 
 def read_trips(path: str) -> list[TripRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {
-            "pickup_time", "dropoff_time", "pickup_lat", "pickup_lon",
-            "dropoff_lat", "dropoff_lon", "fare",
-        }
-        missing = required - set(reader.fieldnames or [])
-        if missing:
-            raise IngestError(f"trip table missing columns: {sorted(missing)}")
-        for row in reader:
-            out.append(
-                TripRecord(
-                    pickup_time=_dt.datetime.fromisoformat(row["pickup_time"]),
-                    dropoff_time=_dt.datetime.fromisoformat(row["dropoff_time"]),
-                    pickup_lat=float(row["pickup_lat"]),
-                    pickup_lon=float(row["pickup_lon"]),
-                    dropoff_lat=float(row["dropoff_lat"]),
-                    dropoff_lon=float(row["dropoff_lon"]),
-                    fare=float(row["fare"]),
-                )
-            )
-    return out
+    return [TripRecord(**cells) for cells in _read_table(path, "trip", _TRIP_COLUMNS)]
 
 
 def read_weather(path: str) -> list[WeatherDay]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"date", "temperature", "dew_point"}
-        missing = required - set(reader.fieldnames or [])
-        if missing:
-            raise IngestError(f"weather table missing columns: {sorted(missing)}")
-        for row in reader:
-            extras = tuple(
-                (k, float(v))
-                for k, v in row.items()
-                if k not in required and v not in (None, "")
-            )
-            out.append(
-                WeatherDay(
-                    date=_dt.date.fromisoformat(row["date"]),
-                    temperature=float(row["temperature"]),
-                    dew_point=float(row["dew_point"]),
-                    extras=extras,
-                )
-            )
-    return out
+    return [WeatherDay(**cells) for cells in _read_table(path, "weather", _WEATHER_COLUMNS)]
 
 
 def cluster_zones(
     points: np.ndarray, k: int, seed: int, max_iter: int = 100, tol: float = 1e-9
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd's k-means with seeded initialization.
+    """Lloyd's k-means from a seeded k-means++ start.
 
-    Returns (labels, centroids). Initial centroids are a seeded sample
-    of distinct points; iteration stops after ``max_iter`` rounds or
-    once every centroid moves less than ``tol``.
+    Returns (labels, centroids). The first centroid is a seeded draw
+    from the points, each further one a draw weighted by the squared
+    distance to the nearest centroid so far (uniform once every point
+    is a centroid, when there are fewer distinct points than ``k``);
+    iteration stops after ``max_iter`` rounds or once every centroid
+    moves less than ``tol``.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
         raise IngestError("points must be an (n, d) array")
-    distinct = np.unique(points, axis=0)
     if k > len(points):
         raise IngestError(f"k={k} exceeds the number of points ({len(points)})")
     rng = np.random.default_rng(seed)
-    if k <= len(distinct):
-        pick = rng.choice(len(distinct), size=k, replace=False)
-        centroids = distinct[pick].copy()
-    else:
-        pick = rng.choice(len(points), size=k, replace=False)
-        centroids = points[pick].copy()
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(len(points))]
+    nearest = ((points - centroids[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = nearest.sum()
+        if total > 0:
+            pick = rng.choice(len(points), p=nearest / total)
+        else:
+            pick = rng.integers(len(points))
+        centroids[c] = points[pick]
+        nearest = np.minimum(nearest, ((points - centroids[c]) ** 2).sum(axis=1))
     labels = np.zeros(len(points), dtype=int)
     for _ in range(max_iter):
         dists = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)

@@ -7,7 +7,10 @@ variables is capped at two, and abs() may wrap affine forms only. The
 canonicalizer then expands all comprehensions over the concrete index
 sets and folds every parameter to a number, leaving a sorted monomial
 list over decision tokens, which is the objective's content stripped
-of all spelling choices.
+of all spelling choices. That form is also the only evaluator: an
+objective's value at a decision is its monomials summed over the
+decision's values by variable name (:meth:`CanonicalForm.evaluate`),
+the same form the MIP's secondary objective is lowered from.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from ..fleet import FleetInstance
+from ..fleet import FleetInstance, decision_values
 from .parser import (
     ATOMS,
     Abs,
@@ -185,6 +188,8 @@ class CanonicalForm:
         raise KeyError(token)
 
     def evaluate(self, token_values: dict[str, float]) -> float:
+        """The objective's value, given each decision variable's value by
+        name (:func:`.fleet.decision_values`)."""
         total = 0.0
         for coeff, tokens in self.monomials:
             term = coeff
@@ -252,9 +257,9 @@ class _Poly:
 
 
 class _IndexWalker:
-    """What the expander and the evaluator share: the instance's index
-    sets and averages, index arithmetic, sum bindings and filters, and
-    the resolution of an atom's indices to array positions.
+    """The index side of walking an objective's AST: the instance's
+    index sets and averages, index arithmetic, sum bindings and
+    filters, and the resolution of an atom's indices to array positions.
 
     :class:`FleetInstance` rejects an empty index set, so every set here
     has a member and the supply matrix an entry.
@@ -425,59 +430,4 @@ def canonicalize(ast: ObjectiveAst, instance: FleetInstance) -> CanonicalForm:
 
 def evaluate(ast, instance: FleetInstance, decision) -> float:
     """Numeric value of the objective at a decision."""
-    return float(_Evaluator(instance, decision).eval(ast.body, {}))
-
-
-class _Evaluator(_IndexWalker):
-    def __init__(self, instance: FleetInstance, decision):
-        super().__init__(instance)
-        self.decision = decision
-
-    def eval(self, node, env) -> float:
-        inst = self.instance
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, IndexVar):
-            return float(env[node.name])
-        if isinstance(node, Neg):
-            return -self.eval(node.operand, env)
-        if isinstance(node, Abs):
-            return abs(self.eval(node.operand, env))
-        if isinstance(node, BinOp):
-            left = self.eval(node.left, env)
-            right = self.eval(node.right, env)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
-            return left * right
-        if isinstance(node, Sum):
-            total = 0.0
-            for inner in self._bindings(node, env):
-                total += self.eval(node.body, inner)
-            return total
-        if isinstance(node, Atom):
-            name = node.name
-            pos = self._positions(node, env)
-            if name == "x":
-                return float(self.decision.x[pos])
-            if name == "u_hat":
-                return float(self.decision.u_hat[pos])
-            if name == "u":
-                return float(
-                    inst.theta * self.decision.u_hat[pos] + inst.booking_fee[pos[0]]
-                )
-            if name == "S":
-                return float(inst.supply[pos])
-            if name == "z":
-                return float(inst.demand[pos])
-            if name == "dist":
-                return float(inst.distance_km[pos])
-            if name == "w":
-                return float(inst.reposition_cost[pos])
-            if name == "demand_avg":
-                return float(self.demand_avg[pos[0]])
-            if name == "inventory_avg":
-                return self.inventory_avg
-            raise DslError(f"unknown identifier {name!r}")
-        raise TypeError(f"unexpected AST node {type(node).__name__}")
+    return canonicalize(ast, instance).evaluate(decision_values(instance, decision))

@@ -397,6 +397,16 @@ def decision_to_vector(instance: FleetInstance, decision: Decision) -> np.ndarra
     return np.concatenate([decision.x.ravel().astype(float), decision.u_hat.ravel()])
 
 
+def decision_values(instance: FleetInstance, decision: Decision) -> dict[str, float]:
+    """Each decision variable's value, by its name in the shared order."""
+    return dict(
+        zip(
+            decision_variable_names(instance),
+            decision_to_vector(instance, decision).tolist(),
+        )
+    )
+
+
 def vector_to_decision(instance: FleetInstance, vec: np.ndarray) -> Decision:
     """Inverse of :func:`decision_to_vector`."""
     n_x = instance.n_supply * instance.n_demand * instance.soc_levels

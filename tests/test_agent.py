@@ -410,6 +410,24 @@ class TestRunAgent:
                     j_pos = inst.demand_areas.index(j)
                     assert value == float(baseline.x[i_pos, j_pos, k])
 
+    def test_a_round_off_gain_is_no_improvement(self):
+        from fleetopt.agent.loop import SCORE_TOL
+        from fleetopt.bench import make_history
+        from test_model_digests import world_and_forest
+
+        # small world, day 10: iteration 2 scores above iteration 1 only
+        # in the last bits, so the loop stops there and keeps iteration 1
+        world, forest = world_and_forest("small")
+        history = make_history(world, forest, m=6, seed=1)
+        trace = run_agent(
+            "Supply-demand matching degree of taxis", world.instance(10),
+            world.days[10].exogenous(), forest, history, AgentConfig(),
+        )
+        first, second = trace.scores
+        assert 0 < second - first <= SCORE_TOL * max(1.0, abs(first))
+        assert len(trace.iterations) == 2
+        assert trace.best_iteration == 1 and trace.best_score == first
+
     def test_fixing_never_beats_full_on_primary(self, inst):
         history = varied_history(inst)
         forest = make_forest(inst)

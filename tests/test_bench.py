@@ -228,10 +228,10 @@ class TestBuildInstances:
         assert again[0] == trips[0]
         wpath = tmp_path / "weather.csv"
         with open(wpath, "w") as fh:
-            fh.write("date,temperature,dew_point,wind\n2016-03-01,14.0,8.0,3.5\n")
+            fh.write("date,temperature,dew_point,wind,sky\n2016-03-01,14.0,8.0,3.5,clear\n")
         weather = read_weather(str(wpath))
-        assert weather[0].temperature == 14.0
-        assert weather[0].extras == (("wind", 3.5),)
+        # extra columns, a text one among them, are ignored
+        assert weather == [WeatherDay(dt.date(2016, 3, 1), 14.0, 8.0)]
 
 
 class TestMakeHistory:
@@ -261,9 +261,9 @@ class TestMakeHistory:
         store = make_history(world, forest, m=4, seed=2)
         inst = world.instance(0)
         mat = np.vstack([decision_to_vector(inst, r.decision) for r in store.records])
-        means = store.means(inst)
+        stats = store.stats(inst)
         for pos, name in enumerate(store.variable_names):
-            assert means[name] == pytest.approx(mat[:, pos].mean())
+            assert stats[name]["mean"] == pytest.approx(mat[:, pos].mean())
 
 
 class TestExperiments:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,13 @@ from fleetopt.dsl import (
     safeguard,
     validate_catalog,
 )
+from fleetopt.bench.synth import SynthConfig, generate_world
 from fleetopt.fleet import Decision, FleetInstance
 
+from dsl_oracle import oracle_evaluate
 
-@pytest.fixture
-def inst():
+
+def tiny_instance():
     return FleetInstance(
         supply_areas=(0, 1),
         demand_areas=(8, 9),
@@ -28,6 +32,18 @@ def inst():
         demand=[[1, 2, 0], [2, 0, 1]],
         distance_km=[[4.0, 2.0], [3.0, 1.0]],
     )
+
+
+@functools.cache
+def desk_instance():
+    """Day 3 of the benchmark's desk world: 8 supply areas, 3 demand
+    areas and 3 charge levels."""
+    return generate_world(SynthConfig(seed=42)).instance(3)
+
+
+@pytest.fixture
+def inst():
+    return tiny_instance()
 
 
 def random_decision(rng, inst):
@@ -164,29 +180,15 @@ class TestEvaluate:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1))
     def test_matches_canonical_dot_product(self, seed):
-        inst = FleetInstance(
-            supply_areas=(0, 1),
-            demand_areas=(8, 9),
-            soc_levels=3,
-            supply=[[2, 1, 3], [0, 2, 2]],
-            demand=[[1, 2, 0], [2, 0, 1]],
-            distance_km=[[4.0, 2.0], [3.0, 1.0]],
-        )
+        # evaluate sums the canonical monomials; the oracle walks the AST
         rng = np.random.default_rng(seed)
-        dec = random_decision(rng, inst)
-        tokens = {}
-        for i_pos, i in enumerate(inst.supply_areas):
-            for j_pos, j in enumerate(inst.demand_areas):
-                for k in range(3):
-                    tokens[f"x[{i},{j},{k}]"] = float(dec.x[i_pos, j_pos, k])
-        for j_pos, j in enumerate(inst.demand_areas):
-            for k in range(3):
-                tokens[f"u_hat[{j},{k}]"] = float(dec.u_hat[j_pos, k])
-        for entry in ground_truth_catalog():
-            ast = entry.ast()
-            direct = evaluate(ast, inst, dec)
-            via_form = canonicalize(ast, inst).evaluate(tokens)
-            assert direct == pytest.approx(via_form, abs=1e-9)
+        for inst in (tiny_instance(), desk_instance()):
+            dec = random_decision(rng, inst)
+            for entry in ground_truth_catalog():
+                ast = entry.ast()
+                assert evaluate(ast, inst, dec) == pytest.approx(
+                    oracle_evaluate(ast, inst, dec), rel=1e-12, abs=1e-9
+                )
 
 
 class TestCatalog:

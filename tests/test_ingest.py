@@ -5,7 +5,14 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from fleetopt.bench import IngestError, build_instances, cluster_zones, read_trips, read_weather
+from fleetopt.bench import (
+    IngestError,
+    WeatherDay,
+    build_instances,
+    cluster_zones,
+    read_trips,
+    read_weather,
+)
 
 TRIP_HEADER = "pickup_time,dropoff_time,pickup_lat,pickup_lon,dropoff_lat,dropoff_lon,fare"
 
@@ -46,14 +53,26 @@ def test_tables_read_with_their_extra_columns(tmp_path):
     assert trips[0].pickup_time == dt.datetime(2024, 3, 4, 8, 5)
     assert (trips[4].pickup_lat, trips[4].dropoff_lon, trips[4].fare) == (1.0, 0.0, 12.5)
     weather = read_weather(write(tmp_path, "weather.csv", [
-        "date,temperature,dew_point,rain,wind",
+        "date,temperature,dew_point,rain,sky",
         "2024-03-04,11.5,4.0,0.3,",
-        "2024-03-05,9.0,2.5,0.0,12.0",
+        "2024-03-05,9.0,2.5,0.0,clear",
     ]))
-    assert weather[0].date == dt.date(2024, 3, 4)
-    assert (weather[0].temperature, weather[0].dew_point) == (11.5, 4.0)
-    assert weather[0].extras == (("rain", 0.3),)  # an empty cell is no value
-    assert weather[1].extras == (("rain", 0.0), ("wind", 12.0))
+    assert weather == [
+        WeatherDay(dt.date(2024, 3, 4), 11.5, 4.0),
+        WeatherDay(dt.date(2024, 3, 5), 9.0, 2.5),
+    ]
+
+
+def test_a_malformed_cell_raises_naming_its_line_and_column(tmp_path):
+    rows = [*TRIPS[:2], trip("2024-03-04T08:05:00", "2024-03-04T08:20:00", A, B, fare="")]
+    with pytest.raises(IngestError, match="trip table, line 4, column 'fare': cannot read ''"):
+        read_trips(trips_file(tmp_path, rows))
+    with pytest.raises(IngestError, match="line 3, column 'temperature'"):
+        read_weather(write(tmp_path, "weather.csv", [
+            "date,temperature,dew_point", "2024-03-04,11.5,4.0", "2024-03-05,mild,2.5",
+        ]))
+    with pytest.raises(IngestError, match="line 2, column 'dew_point': cannot read None"):
+        read_weather(write(tmp_path, "weather.csv", ["date,temperature,dew_point", "2024-03-04,11.5"]))
 
 
 def test_missing_columns_and_a_dropoff_before_its_pickup_raise(tmp_path):
@@ -81,6 +100,16 @@ def test_zones_are_the_same_for_a_given_seed():
         assert np.allclose(centroids[c], points[labels == c].mean(axis=0))
     with pytest.raises(IngestError):
         cluster_zones(points[:2], 3, seed=4)
+
+
+def test_each_seed_puts_one_zone_on_each_blob():
+    rng = np.random.default_rng(0)
+    centres = np.array([[0, 0], [1, 0], [0, 1]])
+    points = np.concatenate([rng.normal(c, 0.05, (30, 2)) for c in centres])
+    for seed in range(10):
+        _, centroids = cluster_zones(points, 3, seed=seed)
+        blob = np.argmin(np.linalg.norm(centroids[:, None] - centres[None], axis=2), axis=1)
+        assert sorted(blob.tolist()) == [0, 1, 2], seed
 
 
 def window_counts(trips, date, start, end, zone_of):
