@@ -12,15 +12,17 @@ them only when they differ from the last ones) or appends rows
 and sums the simplex iterations of its solves.
 HiGHS keeps its basis between runs and presolves only while the model
 holds no valid basis, in practice on the first solve; every later solve
-is a dual simplex warm-started from the last basis, which is what a
-branch-and-bound node needs after a bound change. After an optimal
-solve, :meth:`HighsLp.tableau` gives the simplex tableau that Gomory
-cuts come from. Only the basic variables and rows of the basis inverse
-B⁻¹ are read from HiGHS; a tableau row's column part, ``B⁻¹ row @ A``,
-is priced here in numpy from ``HighsLp.rows``, to the same bits as
-HiGHS's own reduced row. No basis status is read: the separator derives
-the side each nonbasic sits at from the basic variables and the
-solution.
+is a dual simplex warm-started from the basis it holds, by default the
+last solve's. :meth:`HighsLp.snapshot` keeps a basis as an opaque
+value and :meth:`HighsLp.restore` hands it back, so that each
+branch-and-bound node's LP starts from its parent's basis. After an
+optimal solve, :meth:`HighsLp.tableau` gives the simplex tableau that
+Gomory cuts come from. Only the basic variables and rows of the basis
+inverse B⁻¹ are read from HiGHS; a tableau row's column part,
+``B⁻¹ row @ A``, is priced here in numpy from ``HighsLp.rows``, to the
+same bits as HiGHS's own reduced row. No basis status is read: a
+snapshot goes back to HiGHS whole, and the separator derives the side
+each nonbasic sits at from the basic variables and the solution.
 
 ``METHODS`` names every ``_Highs`` method used here, so a test can check
 that the installed scipy still has each of them.
@@ -40,6 +42,7 @@ METHODS = (
     "addRows",
     "changeColsBounds",
     "getBasicVariables",
+    "getBasis",
     "getBasisInverseRow",
     "getInfo",
     "getModelStatus",
@@ -47,6 +50,7 @@ METHODS = (
     "modelStatusToString",
     "passModel",
     "run",
+    "setBasis",
     "setOptionValue",
 )
 
@@ -126,8 +130,10 @@ class HighsLp:
         self.iterations = 0
         # HiGHS always minimizes here, with the costs negated for a
         # maximum, as scipy's linprog hands it every LP. Under HiGHS's own
-        # maximize sense the dual simplex picks other optimal vertices:
-        # on the four desk cells the search then took 458 nodes, not 355.
+        # maximize sense the dual simplex may pick other optimal vertices:
+        # without cuts, the four desk day-3 cells took 458 nodes, not 355,
+        # while each node LP started from the last basis; since nodes
+        # start from their parent's basis, both senses take 351.
         self.sign = -1.0 if sense == MAX else 1.0
         self.cols = np.arange(self.n, dtype=np.int32)
         self._highs = _core._Highs()
@@ -173,7 +179,9 @@ class HighsLp:
         A HiGHS outcome other than optimal, infeasible or unbounded
         raises :class:`MipError` with the HiGHS status name. Only the
         columns whose bounds differ from the ones HiGHS holds are passed
-        to it, and none after a cut round's ``add_rows``.
+        to it, and none after a cut round's ``add_rows``. The solve
+        starts from the basis HiGHS holds: the last solve's, or the one
+        :meth:`restore` handed back since, as a node's parent basis.
         """
         h = self._highs
         held_lb, held_ub = self._bounds
@@ -198,6 +206,17 @@ class HighsLp:
             res.x = np.array(h.getSolution().col_value)
             res.objective = self.sign * info.objective_function_value
         return res
+
+    def snapshot(self):
+        """The basis of the last solve, an opaque value that
+        :meth:`restore` hands back to HiGHS; later solves leave it as it
+        is."""
+        return self._highs.getBasis()
+
+    def restore(self, basis) -> None:
+        """Make ``basis``, a :meth:`snapshot` of this model with the rows
+        it holds now, the one the next solve starts from."""
+        self._check(self._highs.setBasis(basis), "setBasis")
 
     def tableau(self) -> Tableau:
         """The basis of the last solve, which must have been optimal."""

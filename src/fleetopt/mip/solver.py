@@ -20,7 +20,13 @@ relaxation, one persistent HiGHS model (:class:`.highs.HighsLp`), is
 built from those rows and holds the cuts too (``HighsLp.rows``). Every
 LP (root, cut rounds, nodes, incumbent polish and ``lp_solve``) is
 solved on it: a node only sets column bounds, a cut round appends its
-cut rows, and HiGHS warm-starts each solve from the last basis. A
+cut rows, and HiGHS warm-starts each solve from the basis it holds.
+Each node LP starts from its parent's basis: a node that branches
+keeps a snapshot of the basis its LP ended at
+(:meth:`.highs.HighsLp.snapshot`) with its children, and a child
+hands it back (:meth:`.highs.HighsLp.restore`) unless its parent's LP
+was the last one HiGHS solved. A best-first jump to another subtree
+thus starts from the parent's vertex, not from the last node's. A
 fixed model shares the stated row arrays, which are never changed in
 place, and appends only its own rows (``fix:*``). A lexicographic
 solve reduces the problem once: stage 2 starts its reduction from
@@ -461,6 +467,10 @@ def branch_and_bound(
                 c * warm_red[j] for j, c in red.obj_coeffs.items()
             )
 
+    # the node whose LP HiGHS solved last, by its heap sequence number;
+    # None before the first node and after a polish
+    held = None
+
     def exact_value(x):
         """``(objective, point)`` at x's rounded integers, or None.
 
@@ -470,8 +480,10 @@ def branch_and_bound(
         it, a binary within ``INT_TOL`` of 0 or 1 lets a big-M branch row
         pass a split threshold, and the objective credits a leaf that the
         point does not reach. None when that LP is not optimal: the point
-        is no incumbent.
+        is no incumbent. HiGHS then holds no node's basis.
         """
+        nonlocal held
+        held = None
         ints = np.round(x[int_idx]) + 0.0  # HiGHS may return -0.0
         fixed_lb, fixed_ub = red.lb.copy(), red.ub.copy()
         fixed_lb[int_idx] = fixed_ub[int_idx] = ints
@@ -492,10 +504,11 @@ def branch_and_bound(
     seq = 0
     node_count = 0
 
-    def push(bound, depth, lb, ub):
+    def push(bound, depth, lb, ub, basis=None, parent=None):
+        """Queue a node; a child carries its parent's basis and number."""
         nonlocal seq
         prio = -bound if maximize else bound
-        heapq.heappush(heap, (prio, -depth, seq, bound, lb, ub))
+        heapq.heappush(heap, (prio, -depth, seq, bound, lb, ub, basis, parent))
         seq += 1
 
     if integral(root.x) and (exact := exact_value(root.x)) is not None:
@@ -511,7 +524,7 @@ def branch_and_bound(
         if cfg.node_limit is not None and node_count >= cfg.node_limit:
             status = NODE_LIMIT
             break
-        prio, negdepth, _, bound, lb_n, ub_n = heapq.heappop(heap)
+        prio, negdepth, node, bound, lb_n, ub_n, basis, parent = heapq.heappop(heap)
         if incumbent is not None:
             gap = abs(bound - incumbent_value)
             if not better(bound, incumbent_value) or gap <= cfg.gap_tol * max(
@@ -523,7 +536,11 @@ def branch_and_bound(
         if not _propagate(red.rows, node_lb, node_ub, red.int_mask, max_passes=1):
             node_count += 1
             continue
+        # start from the parent's basis, unless HiGHS holds it already
+        if basis is not None and parent != held:
+            relaxation.restore(basis)
         res = lp(node_lb, node_ub)
+        held = node
         node_count += 1
         if res.status != OPTIMAL:
             continue
@@ -535,14 +552,15 @@ def branch_and_bound(
             continue
         v = res.x[j]
         depth = -negdepth + 1
+        basis = relaxation.snapshot()
         left_ub = node_ub.copy()
         left_ub[j] = np.floor(v)
         if node_lb[j] <= left_ub[j] + BOUND_EPS:
-            push(res.objective, depth, node_lb, left_ub)
+            push(res.objective, depth, node_lb, left_ub, basis, node)
         right_lb = node_lb.copy()
         right_lb[j] = np.ceil(v)
         if right_lb[j] <= node_ub[j] + BOUND_EPS:
-            push(res.objective, depth, right_lb, node_ub)
+            push(res.objective, depth, right_lb, node_ub, basis, node)
 
     remaining = [item[3] for item in heap]
     if incumbent is not None:

@@ -1,16 +1,18 @@
+import pathlib
 import re
 
 import numpy as np
 import pytest
 
 from fleetopt.mip import MipError, SolveConfig, branch_and_bound
+from fleetopt.mip import cuts as cutmod
 from fleetopt.mip import highs
 from fleetopt.mip.cuts import nonbasic_sides
 from fleetopt.mip.highs import HighsLp
 
 from rowsets import row_set
 from test_gomory_reference import assert_sides_match_highs, tableau_row
-from test_mip import blocks_problem
+from test_mip import knapsack_problem
 
 INF = np.inf
 # max x  s.t.  x - y <= 1,  x + y >= 1,  x + 2y == z
@@ -25,12 +27,21 @@ C = np.array([1.0, 0.0, 0.0])
 def test_scipy_still_has_every_highs_method():
     missing = [m for m in highs.METHODS if not callable(getattr(highs._core._Highs, m, None))]
     assert not missing, f"the installed scipy's HiGHS binding lacks {missing}"
-    # METHODS lists exactly the methods the module calls on its HiGHS object:
-    # no basis status is read
+    # METHODS lists exactly the methods the module calls on its HiGHS object
     source = open(highs.__file__).read()
     called = set(re.findall(r"\b(?:h|highs|self\._highs)\.(\w+)\(", source))
     assert called == set(highs.METHODS), called ^ set(highs.METHODS)
-    assert "getBasis" not in called
+
+
+def test_src_reads_no_basis_status():
+    # a node's basis goes back to HiGHS whole (HighsLp.snapshot and
+    # restore); no code reads the status of a column or row from it
+    package = pathlib.Path(highs.__file__).parents[1]
+    readers = [
+        str(path.relative_to(package)) for path in sorted(package.rglob("*.py"))
+        if re.search(r"\b(?:col|row)_status\b", path.read_text())
+    ]
+    assert not readers
 
 
 def bounds(lb, ub):
@@ -142,12 +153,31 @@ def test_sides_follow_from_the_basic_variables_and_the_point():
 
 
 def test_separation_reads_no_basis_status(monkeypatch):
-    def refused(self):
-        raise AssertionError("getBasis called")
+    # the search snapshots and restores node bases; Gomory separation,
+    # which derives each nonbasic's side from the basic variables and the
+    # point, calls neither while it runs
+    separating = [False]
+    calls = {"getBasis": 0, "setBasis": 0}
+    for name in calls:
+        def guarded(self, *args, _name=name, _real=getattr(highs._core._Highs, name)):
+            assert not separating[0], f"{_name} called during Gomory separation"
+            calls[_name] += 1
+            return _real(self, *args)
 
-    monkeypatch.setattr(highs._core._Highs, "getBasis", refused)
-    sol = branch_and_bound(blocks_problem(), SolveConfig(gomory=True))
-    assert sol.status == "Optimal" and sol.cut_counts["gomory"] > 0
+        monkeypatch.setattr(highs._core._Highs, name, guarded)
+    gomory_cuts = cutmod.gomory_cuts
+
+    def separate(*args, **kwargs):
+        separating[0] = True
+        try:
+            return gomory_cuts(*args, **kwargs)
+        finally:
+            separating[0] = False
+
+    monkeypatch.setattr(cutmod, "gomory_cuts", separate)
+    sol = branch_and_bound(knapsack_problem(), SolveConfig(gomory=True))
+    assert sol.status == "Optimal" and sol.cut_counts["gomory"] > 0 and sol.node_count > 0
+    assert calls["getBasis"] > 0 and calls["setBasis"] > 0
 
 
 def test_unchanged_bounds_are_not_passed_again(monkeypatch):

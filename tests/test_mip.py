@@ -491,6 +491,104 @@ class TestBranchAndBound:
         # reading the basis costs no iterations: lp_iterations are HiGHS's
         assert sol.lp_iterations == sum(iterations) > 0
 
+    def test_each_node_lp_starts_from_its_parents_basis(self, monkeypatch):
+        events = []  # ("prop", lb, ub, ok) | ("restore", basis) | ("solve", lb, ub) | ("snap", basis)
+        propagate, solve = solver._propagate, highs.HighsLp.solve
+        snapshot, restore = highs.HighsLp.snapshot, highs.HighsLp.restore
+
+        def spy_propagate(rows, lb, ub, int_mask, max_passes=4):
+            lb_in, ub_in = lb.copy(), ub.copy()
+            ok = propagate(rows, lb, ub, int_mask, max_passes)
+            if max_passes == 1:  # a node's, not the reduction's
+                events.append(("prop", lb_in, ub_in, ok))
+            return ok
+
+        def spy_solve(self, lb, ub):
+            events.append(("solve", lb.copy(), ub.copy()))
+            return solve(self, lb, ub)
+
+        def spy_snapshot(self):
+            basis = snapshot(self)
+            events.append(("snap", basis))
+            return basis
+
+        def spy_restore(self, basis):
+            events.append(("restore", basis))
+            return restore(self, basis)
+
+        monkeypatch.setattr(solver, "_propagate", spy_propagate)
+        monkeypatch.setattr(highs.HighsLp, "solve", spy_solve)
+        monkeypatch.setattr(highs.HighsLp, "snapshot", spy_snapshot)
+        monkeypatch.setattr(highs.HighsLp, "restore", spy_restore)
+
+        def nodes_of(events):
+            """Per node in pop order: its bounds before propagation, whether
+            propagation pruned it, the basis restored, the bounds of its LP,
+            the snapshot taken after it and what HiGHS solved last before
+            it (a node's index, "polish", or None before the first node)."""
+            nodes, last = [], None
+            for kind, *args in events:
+                node = nodes[-1] if nodes else None
+                if kind == "prop":
+                    nodes.append(dict(
+                        box=args[:2], pruned=not args[2], restored=None, lp=None,
+                        snap=None, last=last,
+                    ))
+                elif kind == "restore":
+                    assert node["lp"] is None and not node["pruned"]
+                    node["restored"] = args[0]
+                elif kind == "solve" and node and node["lp"] is None and not node["pruned"]:
+                    node["lp"] = args
+                    last = len(nodes) - 1
+                elif kind == "solve":  # root and cut rounds, or a polish
+                    last = "polish" if nodes else None
+                else:  # a snapshot right after the node's own LP
+                    assert last == len(nodes) - 1 and node["snap"] is None
+                    node["snap"] = args[0]
+            return nodes
+
+        def parent_of(nodes, k):
+            """The last node before k whose LP box holds k's box and
+            differs from it in one column: k's parent."""
+            lb, ub = nodes[k]["box"]
+            for m in range(k - 1, -1, -1):
+                if nodes[m]["lp"] is None:
+                    continue
+                plb, pub = nodes[m]["lp"]
+                if np.all(lb >= plb) and np.all(ub <= pub):
+                    if np.count_nonzero((lb != plb) | (ub != pub)) == 1:
+                        return m
+            raise AssertionError(f"node {k} has no parent")
+
+        tally = dict(restored=0, kept=0, pruned=0, after_polish=0)
+        rng = np.random.default_rng(19)
+        runs = [(knapsack_problem(), cfg) for _, cfg in CUT_FAMILIES]
+        runs += [(random_integer_problem(rng), SolveConfig(gomory=False)) for _ in range(60)]
+        for p, cfg in runs:
+            events.clear()
+            sol = branch_and_bound(p, cfg)
+            nodes = nodes_of(events)
+            assert len(nodes) == sol.node_count
+            for k, node in enumerate(nodes):
+                if node["pruned"]:  # pruned by propagation: no LP, no snapshot
+                    assert node["snap"] is None and node["lp"] is None
+                    tally["pruned"] += 1
+                    continue
+                if k == 0:  # the root has no parent basis
+                    assert node["restored"] is None
+                    continue
+                parent = nodes[parent_of(nodes, k)]
+                assert parent["snap"] is not None
+                if node["last"] == parent_of(nodes, k):
+                    assert node["restored"] is None  # HiGHS holds the parent's basis
+                    tally["kept"] += 1
+                else:
+                    # the snapshot taken right after the parent's LP
+                    assert node["restored"] is parent["snap"]
+                    tally["restored"] += 1
+                    tally["after_polish"] += node["last"] == "polish"
+        assert all(tally.values()), tally
+
     def test_gomory_cuts_above_the_old_tableau_size(self):
         # 162 columns x 146 rows after reduction, past the 20,000 cells at
         # which the root once got no tableau
@@ -766,23 +864,23 @@ class TestCuts:
         """Nodes, LP iterations, cut counts and optima of searches in which
         both separators fire, one tuple per ``CUT_FAMILIES`` setting.
 
-        The figures are bit for bit those of the searches before cut rows
-        were kept only in CSR form: a cut row that changes an entry, its
-        entry order or its place among the rows changes the basis HiGHS
-        warm-starts from, and with it these counts. Problem 54 gets a
+        A cut row that changes an entry, its entry order or its place
+        among the rows changes the bases HiGHS warm-starts from, and with
+        them these counts; so does a node LP that starts from another
+        basis than its parent's. Problem 54 gets a
         cover cut only with Gomory on: cover separates over rows that hold
         the same round's Gomory cuts.
         """
         pinned = {
             "knapsack": [
-                (101, 253, 0, 0, 15.99999999999995),
-                (89, 379, 55, 0, 16.0),
-                (101, 283, 0, 3, 16.0),
-                (41, 364, 71, 29, 16.000000000001844),
+                (103, 219, 0, 0, 16.000000000000007),
+                (89, 308, 55, 0, 15.999999999999972),
+                (101, 243, 0, 3, 16.0),
+                (41, 265, 71, 29, 16.000000000000014),
             ],
             12: [
-                (5, 5, 0, 0, 6.0),
-                (3, 23, 12, 0, 5.9999999999999964),
+                (5, 8, 0, 0, 6.0),
+                (3, 24, 12, 0, 5.9999999999999964),
                 (0, 5, 0, 2, 6.0),
                 (0, 6, 2, 2, 6.0),
             ],
@@ -793,7 +891,7 @@ class TestCuts:
                 (0, 4, 2, 3, 3.9999999999999996),
             ],
             27: [
-                (7, 8, 0, 0, 4.0),
+                (7, 11, 0, 0, 4.0),
                 (0, 8, 5, 0, 4.000000000000003),
                 (0, 5, 0, 4, 4.0),
                 (0, 7, 3, 4, 4.0),
@@ -811,25 +909,25 @@ class TestCuts:
                 (0, 5, 3, 3, 8.0),
             ],
             39: [
-                (5, 5, 0, 0, 6.0),
+                (5, 6, 0, 0, 6.0),
                 (0, 6, 3, 0, 5.999999999999998),
                 (3, 8, 0, 4, 6.0),
                 (0, 5, 3, 4, 6.000000000000003),
             ],
             54: [
-                (5, 3, 0, 0, 7.0),
+                (5, 5, 0, 0, 7.0),
                 (0, 2, 1, 0, 7.0),
-                (5, 3, 0, 0, 7.0),
+                (5, 5, 0, 0, 7.0),
                 (0, 2, 1, 1, 7.0),
             ],
             59: [
                 (3, 6, 0, 0, 6.0),
                 (0, 7, 5, 0, 6.0),
-                (3, 11, 0, 3, 6.0),
+                (3, 10, 0, 3, 6.0),
                 (0, 10, 9, 3, 5.999999999999982),
             ],
             90: [
-                (7, 5, 0, 0, 6.0),
+                (7, 7, 0, 0, 6.0),
                 (0, 4, 2, 0, 6.0),
                 (0, 4, 0, 3, 6.0),
                 (0, 4, 2, 2, 6.0),
