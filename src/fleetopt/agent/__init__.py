@@ -24,7 +24,6 @@ from .loop import (
     needs_price_grid,
     response_format,
     run_agent,
-    satisfaction_score,
 )
 from .prompts import GRAMMAR_SUMMARY, PromptTemplates, render_indicator, render_tailor
 from .types import (
@@ -69,7 +68,6 @@ __all__ = [
     "render_tailor",
     "response_format",
     "run_agent",
-    "satisfaction_score",
     "save_transcript",
     "sensitivity_scores",
 ]

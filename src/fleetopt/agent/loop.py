@@ -32,7 +32,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from ..dsl.analysis import canonicalize, evaluate
+from ..dsl.analysis import canonicalize
 from ..dsl.lower import lower_to_mip
 from ..dsl.parser import ObjectiveAst
 from ..fleet import Decision, FleetInstance, PriceGrid, decision_values
@@ -58,27 +58,13 @@ SCORE_ZERO_GUARD = 1e-9
 SCORE_TOL = 1e-9
 
 
-def satisfaction_score(
-    f_ast: ObjectiveAst,
-    instance: FleetInstance,
-    decision: Decision,
-    baseline: Decision,
-) -> float:
-    """Signed relative improvement of the query objective.
+def relative_improvement(sense: str, f_new: float, f_hist: float) -> float:
+    """Signed relative improvement of a query value on its historical one.
 
     Oriented by the objective's sense so that positive always means
-    better; with a near-zero baseline value the absolute improvement is
-    returned instead of a ratio.
+    better; with a near-zero historical value the absolute improvement
+    is returned instead of a ratio.
     """
-    return relative_improvement(
-        f_ast.sense,
-        evaluate(f_ast, instance, decision),
-        evaluate(f_ast, instance, baseline),
-    )
-
-
-def relative_improvement(sense: str, f_new: float, f_hist: float) -> float:
-    """The score of :func:`satisfaction_score` from the two query values."""
     improvement = f_new - f_hist if sense == "max" else f_hist - f_new
     if abs(f_hist) < SCORE_ZERO_GUARD:
         return improvement
@@ -226,7 +212,6 @@ def run_agent(
         guide = LlmGuide(client, templates, schedule=cfg.fixed_fractions)
     else:
         guide = DeterministicGuide(schedule=cfg.fixed_fractions)
-    fallback = DeterministicGuide(schedule=cfg.fixed_fractions)
 
     baseline = history.baseline_decision(instance)
     if grid is not None:
@@ -279,7 +264,7 @@ def run_agent(
         proposal = guide.propose(context)
         values, solution = solve_with(proposal)
         notes = list(proposal.notes)
-        if solution.status == INFEASIBLE:
+        if solution.status == INFEASIBLE and isinstance(guide, LlmGuide):
             # one re-prompt carrying the failure, then the deterministic guide
             notes.append("fix led to an infeasible model; re-prompting once")
             retry_context = GuideContext(
@@ -294,12 +279,15 @@ def run_agent(
             )
             proposal = guide.propose(retry_context)
             values, solution = solve_with(proposal)
-            if solution.status == INFEASIBLE and not isinstance(
-                guide, DeterministicGuide
-            ):
+            if solution.status == INFEASIBLE:
                 notes.append("falling back to the deterministic guide")
-                proposal = fallback.propose(retry_context)
+                proposal = guide.fallback.propose(retry_context)
                 values, solution = solve_with(proposal)
+        elif solution.status == INFEASIBLE:
+            # the deterministic guide reads neither the failed proposal nor
+            # the notes, so a retry would solve the same model again
+            notes.append("fix led to an infeasible model; the deterministic guide "
+                         "has no other proposal")
         if solution.status not in STOPPED_WITH_POINT or not solution.values:
             trace.iterations.append(
                 IterationRecord(
@@ -338,11 +326,11 @@ def run_agent(
             break
         prev_active = proposal.keep_active
         score_cur = score
-    trace.response = response_format(trace, f_ast, query)
+    trace.response = response_format(trace, query)
     return trace
 
 
-def response_format(trace: AgentTrace, f_ast: ObjectiveAst, query: str) -> str:
+def response_format(trace: AgentTrace, query: str) -> str:
     """Readable summary of a finished run; purely templated."""
     lines = [f"Request: {query}"]
     lines.append(f"Objective used: {trace.objective_source}")

@@ -55,7 +55,6 @@ class BenchConfig:
     prompt_counts_nonlinear: tuple[int, ...] = (0, 1, 2, 3)
     solve: SolveConfig = field(default_factory=SolveConfig)
     agent: AgentConfig = field(default_factory=AgentConfig)
-    record_wall_time: bool = True
 
 
 @dataclass
@@ -129,7 +128,7 @@ class BenchReport:
             parts.extend(f"- {note}" for note in self.notes)
         return "\n".join(parts) + "\n"
 
-    def write(self, out_dir: str, record_wall_time: bool = True) -> dict[str, str]:
+    def write(self, out_dir: str) -> dict[str, str]:
         os.makedirs(out_dir, exist_ok=True)
         paths = {}
         base = os.path.join(out_dir, f"{self.kind}_report")
@@ -143,7 +142,7 @@ class BenchReport:
         with open(base + ".md", "w") as fh:
             fh.write(self._md_text())
         paths["md"] = base + ".md"
-        if record_wall_time and self.timings:
+        if self.timings:
             tpath = os.path.join(out_dir, f"{self.kind}_timings.csv")
             with open(tpath, "w", newline="") as fh:
                 writer = csv.DictWriter(
@@ -349,7 +348,7 @@ def run_efficiency_experiment(
             }
         )
     if out_dir:
-        report.write(out_dir, record_wall_time=cfg.record_wall_time)
+        report.write(out_dir)
     return report
 
 
@@ -463,7 +462,7 @@ def run_cuts_experiment(
             }
         )
     if out_dir:
-        report.write(out_dir, record_wall_time=cfg.record_wall_time)
+        report.write(out_dir)
     return report
 
 
@@ -539,5 +538,5 @@ def run_accuracy_experiment(
         )
         report.rows.append(row)
     if out_dir:
-        report.write(out_dir, record_wall_time=cfg.record_wall_time)
+        report.write(out_dir)
     return report

@@ -7,7 +7,6 @@ from .analysis import (
     SafeguardError,
     canonicalize,
     check,
-    evaluate,
     safeguard,
 )
 from .catalog import (
@@ -16,12 +15,10 @@ from .catalog import (
     ground_truth_catalog,
     linear_entries,
     nonlinear_entries,
-    validate_catalog,
 )
 from .lower import lower_to_mip
 from .parser import ATOMS, DslError, ObjectiveAst, parse
 from .similarity import (
-    exact_equivalent,
     jaro,
     jaro_winkler,
     normalize_source,
@@ -39,8 +36,6 @@ __all__ = [
     "SafeguardError",
     "canonicalize",
     "check",
-    "evaluate",
-    "exact_equivalent",
     "find_entry",
     "ground_truth_catalog",
     "jaro",
@@ -53,5 +48,4 @@ __all__ = [
     "result_similarity",
     "safeguard",
     "text_similarity",
-    "validate_catalog",
 ]

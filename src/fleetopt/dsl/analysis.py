@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from ..fleet import FleetInstance, decision_values
+from ..fleet import FleetInstance
 from .parser import (
     ATOMS,
     Abs,
@@ -50,8 +50,6 @@ class ObjectiveInfo:
 
     degree: int
     linear: bool
-    uses_abs: bool
-    decision_atoms: tuple[str, ...]
 
 
 def _walk_degree(node, diagnostics: list[str]) -> tuple[int, bool]:
@@ -115,18 +113,6 @@ def _check_indices(node, instance: FleetInstance, diagnostics: list[str]) -> Non
         _check_indices(node.right, instance, diagnostics)
 
 
-def _collect_decisions(node, found: set[str]) -> None:
-    if isinstance(node, Atom) and node.name in ATOMS and ATOMS[node.name][0] == "decision":
-        found.add(node.name)
-    elif isinstance(node, (Neg, Abs)):
-        _collect_decisions(node.operand, found)
-    elif isinstance(node, Sum):
-        _collect_decisions(node.body, found)
-    elif isinstance(node, BinOp):
-        _collect_decisions(node.left, found)
-        _collect_decisions(node.right, found)
-
-
 def safeguard(ast: ObjectiveAst, instance: FleetInstance) -> ObjectiveInfo:
     """Validate an objective; raises :class:`SafeguardError` on failure."""
     diagnostics: list[str] = []
@@ -136,15 +122,7 @@ def safeguard(ast: ObjectiveAst, instance: FleetInstance) -> ObjectiveInfo:
     _check_indices(ast.body, instance, diagnostics)
     if diagnostics:
         raise SafeguardError(diagnostics)
-    decisions: set[str] = set()
-    _collect_decisions(ast.body, decisions)
-    linear = degree <= 1 and not uses_abs
-    return ObjectiveInfo(
-        degree=degree,
-        linear=linear,
-        uses_abs=uses_abs,
-        decision_atoms=tuple(sorted(decisions)),
-    )
+    return ObjectiveInfo(degree=degree, linear=degree <= 1 and not uses_abs)
 
 
 def check(ast: ObjectiveAst, instance: FleetInstance):
@@ -426,8 +404,3 @@ def canonicalize(ast: ObjectiveAst, instance: FleetInstance) -> CanonicalForm:
         monomials=tuple((float(v), k) for v, k in monomials),
         abs_forms=abs_forms,
     )
-
-
-def evaluate(ast, instance: FleetInstance, decision) -> float:
-    """Numeric value of the objective at a decision."""
-    return canonicalize(ast, instance).evaluate(decision_values(instance, decision))

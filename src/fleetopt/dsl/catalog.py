@@ -16,8 +16,6 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from ..fleet import FleetInstance
-from .analysis import safeguard
 from .parser import ObjectiveAst, parse
 
 CATALOG_VERSION = 1
@@ -65,15 +63,3 @@ def find_entry(query: str) -> CatalogEntry | None:
         if entry.query == query:
             return entry
     return None
-
-
-def validate_catalog(instance: FleetInstance) -> None:
-    """Parse and safeguard every entry against an instance; raises on
-    the first failure and checks the recorded linearity flags."""
-    for entry in CATALOG:
-        info = safeguard(entry.ast(), instance)
-        if info.linear != entry.linear:
-            raise ValueError(
-                f"catalog entry {entry.query!r} flagged linear={entry.linear} "
-                f"but analysis says linear={info.linear}"
-            )

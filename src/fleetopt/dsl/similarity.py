@@ -86,12 +86,3 @@ def result_similarity(
     gen = canonicalize(generated, instance).as_string()
     ref = canonicalize(truth, instance).as_string()
     return jaro_winkler(gen, ref)
-
-
-def exact_equivalent(
-    generated: ObjectiveAst, truth: ObjectiveAst, instance: FleetInstance
-) -> bool:
-    """True when the canonical expansions match exactly."""
-    gen = canonicalize(generated, instance)
-    ref = canonicalize(truth, instance)
-    return gen.sense == ref.sense and gen.as_string() == ref.as_string()

@@ -4,7 +4,7 @@ Both separators read rows as CSR arrays (:class:`.rows.CompiledRows`)
 and return their cuts as one :class:`~.rows.CompiledRows` over the same
 columns: rows that every integer-feasible point of the problem
 satisfies and that the current LP point violates by at least
-``min_violation``. An empty row set means nothing was separated. Gomory
+:data:`MIN_VIOLATION`. An empty row set means nothing was separated. Gomory
 cuts come from the optimal basis of the persistent HiGHS model
 (:meth:`.highs.HighsLp.tableau`): HiGHS gives its basic variables and
 one row of B⁻¹ per source row, and the rest (the tableau rows over the
@@ -35,7 +35,6 @@ def gomory_cuts(
     int_mask: np.ndarray,
     x: np.ndarray,
     max_cuts: int = 8,
-    min_violation: float = MIN_VIOLATION,
 ) -> CompiledRows:
     """Mixed-integer Gomory cuts off the basis of ``lp``'s last solve.
 
@@ -145,7 +144,7 @@ def gomory_cuts(
             rhs = 1.0 + s_col[c] @ at_col[c] + s_row[w] @ at_row[w]
             for term in most[t_ptr[r] : t_ptr[r + 1]]:
                 rhs -= term
-            if coefs[r] @ x <= rhs - min_violation:
+            if coefs[r] @ x <= rhs - MIN_VIOLATION:
                 nz = np.flatnonzero(coefs[r])
                 out.append((nz, coefs[r, nz], rhs))
 
@@ -250,7 +249,6 @@ def cover_cuts(
     binary: np.ndarray,
     x: np.ndarray,
     max_cuts: int = 8,
-    min_violation: float = MIN_VIOLATION,
 ) -> CompiledRows:
     """Greedy minimal-cover cuts from inequality rows over binary columns.
 
@@ -330,7 +328,7 @@ def cover_cuts(
         cut_coeffs = [-1.0 if comp else 1.0 for _, _, comp in extended]
         rhs_cut = float(cap - sum(comp for _, _, comp in extended))
         activity = sum(a * x[j] for j, a in zip(cut_cols, cut_coeffs))
-        if activity <= rhs_cut + min_violation:
+        if activity <= rhs_cut + MIN_VIOLATION:
             continue
         key = (tuple(sorted(zip(cut_cols, cut_coeffs))), round(rhs_cut, 9))
         if key in seen:

@@ -28,14 +28,18 @@ hands it back (:meth:`.highs.HighsLp.restore`) unless its parent's LP
 was the last one HiGHS solved. A best-first jump to another subtree
 thus starts from the parent's vertex, not from the last node's. A
 fixed model shares the stated row arrays, which are never changed in
-place, and appends only its own rows (``fix:*``). A lexicographic
-solve reduces the problem once: stage 2 starts its reduction from
-stage 1's, with the retention row appended in the reduced columns.
-Stage 1 (the reduction and the profit search) does not depend on the
-secondary objective, and stage 2's start (that second reduction) only
-on stage 1 and ``lex_slack_rel``, so the queries on one model share
-both: a module LRU memo of :data:`STAGE1_MEMO_SIZE` entries keeps each
-stage 1's outcome and stage 2's start under the exact bytes of
+place, and appends only its own rows (``fix:*``). A reduction holds
+rows, bounds and pinned values, and no objective: a search maps its
+objective onto the reduction it searches, once (:func:`_objective_on`).
+A lexicographic solve reduces the problem once: stage 2 starts its
+reduction from stage 1's, with the retention row appended in the
+reduced columns, and searches it with stage 1's point, an array in
+stated column order, as its warm start. Stage 1 (the reduction and the
+profit search) does not depend on the secondary objective, and stage
+2's start (that second reduction) only on stage 1 and
+``lex_slack_rel``, so the queries on one model share both: a module
+LRU memo of :data:`STAGE1_MEMO_SIZE` entries keeps each
+stage 1's outcome, point and stage 2's start under the exact bytes of
 everything the two read (column count, kinds and bounds; the stated
 rows' CSR arrays, rhs and sense masks; the primary's sense,
 coefficients in insertion order and constant; ``gap_tol``, ``gomory``,
@@ -171,7 +175,11 @@ def _sweep(levels, w) -> bool:
 
 @dataclass
 class _Reduced:
-    """Problem after substitution of pinned columns; reduced index space."""
+    """Problem after substitution of pinned columns; reduced index space.
+
+    It holds rows, bounds and pinned values only, so one reduction
+    serves any objective (:func:`_objective_on`).
+    """
 
     keep: np.ndarray  # original column index per reduced column
     lb: np.ndarray
@@ -179,21 +187,11 @@ class _Reduced:
     binary: np.ndarray  # binary columns, which cover separation reads
     int_mask: np.ndarray
     rows: CompiledRows | None  # None when infeasible
-    obj_coeffs: dict[int, float]
-    obj_constant: float
     full_values: np.ndarray  # original-length template with fixed values
     feasible: bool = True
 
-    @property
-    def cost(self) -> np.ndarray:
-        """The objective's coefficients on the kept columns, as a vector."""
-        c = np.zeros(len(self.keep))
-        for j, a in self.obj_coeffs.items():
-            c[j] = a
-        return c
 
-
-def _unreduced(problem: MipProblem, objective: Objective) -> _Reduced:
+def _unreduced(problem: MipProblem) -> _Reduced:
     """The problem as stated, in the reduced form: no column dropped."""
     kinds = problem.kinds
     return _Reduced(
@@ -203,15 +201,11 @@ def _unreduced(problem: MipProblem, objective: Objective) -> _Reduced:
         binary=kinds == BINARY,
         int_mask=kinds != CONTINUOUS,
         rows=problem.rows,
-        obj_coeffs=dict(objective.coeffs),
-        obj_constant=objective.constant,
         full_values=np.zeros(problem.n_vars),
     )
 
 
-def _reduce(
-    problem: MipProblem, objective: Objective, start: _Reduced | None = None
-) -> _Reduced:
+def _reduce(problem: MipProblem, start: _Reduced | None = None) -> _Reduced:
     """The problem with its pinned columns substituted out.
 
     Propagation and substitution passes alternate until a substitution
@@ -226,20 +220,20 @@ def _reduce(
     The passes start from ``start``, by default the problem as stated;
     stage 2 starts from stage 1's reduction with the retention row
     appended (:func:`_stage2_start`). ``keep`` and ``full_values`` refer
-    to the stated columns either way, and ``objective`` is mapped through
-    them (:func:`_with_objective`).
+    to the stated columns either way. No objective is read: a search
+    maps its own onto the result (:func:`_objective_on`).
     """
     n = problem.n_vars
     if start is None:
-        start = _unreduced(problem, objective)
+        start = _unreduced(problem)
     lb, ub, compiled = start.lb.copy(), start.ub.copy(), start.rows
     int_mask = start.int_mask
 
     def fail():
         return _Reduced(
             keep=np.zeros(0, dtype=int), lb=lb, ub=ub, binary=np.zeros(0, dtype=bool),
-            int_mask=np.zeros(0, dtype=bool), rows=None, obj_coeffs={},
-            obj_constant=0.0, full_values=np.zeros(n), feasible=False,
+            int_mask=np.zeros(0, dtype=bool), rows=None, full_values=np.zeros(n),
+            feasible=False,
         )
 
     if not _propagate(compiled, lb, ub, int_mask, max_passes=6):
@@ -292,41 +286,42 @@ def _reduce(
     # + 0.0: a bound ceil'ed up from just below zero is -0.0
     pinned[pinned_int] = np.round(pinned[pinned_int]) + 0.0
     full_values[start.keep[fixed]] = pinned
-    return _with_objective(
-        _Reduced(
-            keep=keep,
-            lb=lb[local],
-            ub=ub[local],
-            binary=start.binary[local],
-            int_mask=int_mask[local],
-            rows=compiled.relabel(local),
-            obj_coeffs={},
-            obj_constant=0.0,
-            full_values=full_values,
-        ),
-        objective,
+    return _Reduced(
+        keep=keep,
+        lb=lb[local],
+        ub=ub[local],
+        binary=start.binary[local],
+        int_mask=int_mask[local],
+        rows=compiled.relabel(local),
+        full_values=full_values,
     )
 
 
-def _with_objective(red: _Reduced, objective: Objective) -> _Reduced:
-    """``red`` with ``objective`` mapped onto its kept columns.
+def _objective_on(red: _Reduced, objective: Objective | None):
+    """``objective`` on ``red``'s kept columns: ``(cost, kept, constant)``.
 
-    A kept column's coefficients add up on its reduced index, in the
-    objective's order; a pinned column's term moves into the constant
-    at its value in ``full_values``. The other fields are shared.
+    ``cost`` holds the coefficients on the reduced columns, ``kept``
+    their reduced indices in the objective's order, and ``constant``
+    the objective's constant with each pinned column's term added at
+    its value in ``full_values``, left to right in the objective's
+    order. No objective maps to zero.
     """
+    cost = np.zeros(len(red.keep))
+    kept = []
+    if objective is None:
+        return cost, kept, 0.0
     pos = np.full(len(red.full_values), -1)  # reduced index, -1 when pinned
     pos[red.keep] = np.arange(len(red.keep))
     pos = pos.tolist()
-    obj_coeffs = {}
-    obj_constant = objective.constant
+    constant = objective.constant
     for j, c in objective.coeffs.items():
         p = pos[j]
         if p >= 0:
-            obj_coeffs[p] = obj_coeffs.get(p, 0.0) + c
+            cost[p] += c
+            kept.append(p)
         else:
-            obj_constant += c * red.full_values[j]
-    return replace(red, obj_coeffs=obj_coeffs, obj_constant=obj_constant)
+            constant += c * red.full_values[j]
+    return cost, kept, constant
 
 
 def _fractional_index(x, int_idx) -> int | None:
@@ -351,27 +346,28 @@ def branch_and_bound(
     problem: MipProblem,
     cfg: SolveConfig | None = None,
     objective: Objective | None = None,
-    warm_values: dict[str, float] | None = None,
+    warm: np.ndarray | None = None,
     reduced: _Reduced | None = None,
 ) -> Solution:
     """Solve a MIP to proven optimality within the configured gap.
 
     Reduction first, then root-only cut rounds for the enabled
     families, then best-first branch and bound. ``objective`` overrides
-    the problem's primary objective (the lexicographic driver uses it).
-    ``warm_values`` seeds the incumbent with a known integer-feasible
-    point, which only prunes; it never changes the optimum. ``reduced``
-    is the reduction to search, made by :func:`_reduce` for this
-    objective; without it the search reduces ``problem`` first.
+    the problem's primary objective (:func:`lexicographic_solve`'s stage 2);
+    with neither, the search maximizes zero. ``warm`` seeds the
+    incumbent with a known integer-feasible point, one value per stated
+    column in column order; it only prunes and never changes the
+    optimum. ``reduced`` is the reduction to search (:func:`_reduce`);
+    without it the search reduces ``problem`` first. The objective is
+    mapped onto the reduction once (:func:`_objective_on`).
     """
     cfg = cfg or SolveConfig()
     obj = objective or problem.objective
-    if obj is None:
-        obj = Objective(MAX, {})
+    sense = obj.sense if obj is not None else MAX
     t0 = time.perf_counter()
-    maximize = obj.sense == MAX
+    maximize = sense == MAX
     cut_counts = {"gomory": 0, "cover": 0}
-    red = _reduce(problem, obj) if reduced is None else reduced
+    red = _reduce(problem) if reduced is None else reduced
 
     def out_of_time():
         return cfg.time_limit is not None and time.perf_counter() - t0 > cfg.time_limit
@@ -396,11 +392,11 @@ def branch_and_bound(
 
     if not red.feasible:
         return make_solution(INFEASIBLE)
+    cost, kept, constant = _objective_on(red, obj)
     if len(red.keep) == 0:
-        return make_solution(OPTIMAL, np.zeros(0), red.obj_constant,
-                             bound=red.obj_constant)
+        return make_solution(OPTIMAL, np.zeros(0), constant, bound=constant)
 
-    relaxation = HighsLp(red.cost, red.rows, obj.sense)
+    relaxation = HighsLp(cost, red.rows, sense)
     int_idx = np.flatnonzero(red.int_mask)
     lb, ub = red.lb.copy(), red.ub.copy()
 
@@ -410,7 +406,7 @@ def branch_and_bound(
     def lp(lo, hi):
         res = relaxation.solve(lo, hi)
         if res.objective is not None:
-            res.objective += red.obj_constant
+            res.objective += constant
         return res
 
     root = lp(lb, ub)
@@ -457,15 +453,12 @@ def branch_and_bound(
     def better(a, b):
         return a > b + 1e-12 if maximize else a < b - 1e-12
 
-    if warm_values is not None:
-        full = np.array([warm_values[name] for name in problem.names])
-        warm_red = full[red.keep]
+    if warm is not None:
+        warm_red = warm[red.keep]
         warm_red[int_idx] = np.round(warm_red[int_idx]) + 0.0  # no -0.0
         if np.all(warm_red >= red.lb - 1e-6) and np.all(warm_red <= red.ub + 1e-6):
             incumbent = warm_red
-            incumbent_value = red.obj_constant + sum(
-                c * warm_red[j] for j, c in red.obj_coeffs.items()
-            )
+            incumbent_value = constant + sum(cost[p] * warm_red[p] for p in kept)
 
     # the node whose LP HiGHS solved last, by its heap sequence number;
     # None before the first node and after a polish
@@ -591,21 +584,22 @@ def lp_solve(problem: MipProblem) -> Solution:
     The reduction pass is skipped so the relaxation is solved exactly
     as stated.
     """
-    obj = problem.objective or Objective(MAX, {})
+    obj = problem.objective
     sol = Solution(status=INFEASIBLE)
+    red = _unreduced(problem)
+    cost, _, constant = _objective_on(red, obj)
     if problem.n_vars == 0:
         sol.status = OPTIMAL
-        sol.objective_value = obj.constant
+        sol.objective_value = constant
         return sol
-    red = _unreduced(problem, obj)
-    res = HighsLp(red.cost, red.rows, obj.sense).solve(red.lb, red.ub)
+    res = HighsLp(cost, red.rows, obj.sense if obj is not None else MAX).solve(red.lb, red.ub)
     sol.lp_iterations = res.iterations
     if res.status != OPTIMAL:
         sol.status = res.status
         return sol
     sol.status = OPTIMAL
     sol.values = dict(zip(problem.names, res.x.tolist()))
-    sol.objective_value = res.objective + obj.constant
+    sol.objective_value = res.objective + constant
     sol.best_bound = sol.objective_value
     return sol
 
@@ -656,8 +650,9 @@ def lexicographic_solve(
     retention row to stage 1's reduced rows, in the reduced columns, and
     goes on reducing from stage 1's bounds; the stated problem is not
     copied or changed. That reduction is stage 2's start
-    (:func:`_stage2_start`), and the secondary is mapped onto its kept
-    columns for the search.
+    (:func:`_stage2_start`). Stage 2 searches it as it is, with the
+    secondary as its objective and stage 1's point, an array in stated
+    column order, as its warm start.
 
     Neither stage 1 nor stage 2's start reads the secondary, so queries
     on one model share both: they come from a memo of the last
@@ -675,19 +670,19 @@ def lexicographic_solve(
         raise MipError("lexicographic solve needs a primary and a secondary objective")
     started = time.perf_counter()
     g = problem.objective
-    stage1, start2 = _stage1(problem, cfg)
-    if start2 is None:
+    stage1, x1, start2 = _stage1(problem, cfg)
+    if start2 is None:  # stage 1 has no point
         return replace(stage1, wall_time=time.perf_counter() - started)
-    red2 = _with_objective(start2, problem.secondary)
     stage2 = branch_and_bound(
-        problem, cfg, objective=problem.secondary, warm_values=stage1.values, reduced=red2
+        problem, cfg, objective=problem.secondary, warm=x1, reduced=start2
     )
     if stage2.status not in STOPPED_WITH_POINT or not stage2.values:
         # retention row plus solver tolerance squeezed stage 2 dry, or
         # stage 2 stopped before finding a point: return stage 1, marked
         return replace(
             stage1,
-            secondary_value=problem.secondary.value(stage1.value_array(problem)),
+            values=dict(zip(problem.names, x1.tolist())),
+            secondary_value=problem.secondary.value(x1),
             stage2_fallback=True,
             wall_time=time.perf_counter() - started,
         )
@@ -712,7 +707,7 @@ def lexicographic_solve(
 # Stage-1 outcomes, least recently used first. An entry holds stage 2's
 # start (:func:`_stage2_start`; None when stage 1 has no point), stage
 # 1's solution without its values, and its point as an array in the
-# stated column order, which a hit keys by the caller's names. Stage 1's
+# stated column order, which stage 2 takes as its warm start. Stage 1's
 # own reduction is not kept: no hit reads it. The benchmark's cuts-small
 # round keeps 40 stage-1 problems in play (10 days under 4 cut settings,
 # each shared by 4 queries in a shuffled order), the most of any
@@ -764,45 +759,42 @@ def _stage1_key(start: _Reduced, objective: Objective, cfg: SolveConfig) -> byte
     )
 
 
-def _stage1(problem: MipProblem, cfg: SolveConfig) -> tuple[Solution, _Reduced | None]:
-    """Stage 1 of :func:`lexicographic_solve`: its solution and stage 2's
-    start, None when stage 1 has no point.
+def _stage1(
+    problem: MipProblem, cfg: SolveConfig
+) -> tuple[Solution, np.ndarray | None, _Reduced | None]:
+    """Stage 1 of :func:`lexicographic_solve`: its solution without
+    values, its point as an array in stated column order, and stage 2's
+    start; both of the last are None when stage 1 has no point.
 
-    Both come from the memo when it holds this stage-1 problem under
-    this ``lex_slack_rel``, and the solution then says
+    All three come from the memo when it holds this stage-1 problem
+    under this ``lex_slack_rel``, and the solution then says
     ``stage1_reused``; a hit goes straight on to stage 2's search.
     Otherwise the problem is reduced and searched, stage 2's start is
-    made, and both are kept. The kept start is frozen, since every later
-    hit hands it on again.
+    made, and all three are kept. The kept point and start are frozen,
+    since every later hit hands them on again.
     """
-    g = problem.objective
-    start = _unreduced(problem, g)
-    key = None if cfg.time_limit is not None else _stage1_key(start, g, cfg)
+    start = _unreduced(problem)
+    key = None if cfg.time_limit is not None else _stage1_key(start, problem.objective, cfg)
     found = _stage1_memo.get(key) if key is not None else None
     if found is not None:
         _stage1_memo.move_to_end(key)
         start2, kept, x = found
-        sol = replace(
-            kept,
-            values={} if x is None else dict(zip(problem.names, x.tolist())),
-            cut_counts=dict(kept.cut_counts),
-            stage1_reused=True,
-        )
-        return sol, start2
-    red1 = _reduce(problem, g, start)
+        return replace(kept, cut_counts=dict(kept.cut_counts), stage1_reused=True), x, start2
+    red1 = _reduce(problem, start)
     sol = branch_and_bound(problem, cfg, reduced=red1)
     start2 = _stage2_start(problem, red1, sol, cfg)
+    # a point exists exactly when stage 2 has a start
+    x = None if start2 is None else sol.value_array(problem)
+    sol = replace(sol, values={})
     if key is not None:
         if start2 is not None:
-            for a in (start2.keep, start2.lb, start2.ub, start2.binary, start2.int_mask,
+            for a in (x, start2.keep, start2.lb, start2.ub, start2.binary, start2.int_mask,
                       start2.full_values):
                 a.flags.writeable = False
-        kept = replace(sol, values={}, cut_counts=dict(sol.cut_counts))
-        x = sol.value_array(problem) if sol.values else None
-        _stage1_memo[key] = (start2, kept, x)
+        _stage1_memo[key] = (start2, replace(sol, cut_counts=dict(sol.cut_counts)), x)
         if len(_stage1_memo) > STAGE1_MEMO_SIZE:
             _stage1_memo.popitem(last=False)
-    return sol, start2
+    return sol, x, start2
 
 
 def _stage2_start(
@@ -814,17 +806,15 @@ def _stage2_start(
 
     Stage 1's bounds and rows hold for stage 2, whose region is stage
     1's cut by one row. The start depends on the stage-1 problem and on
-    ``lex_slack_rel`` only. It is reduced under an empty objective, and
-    each solve maps its own secondary onto it (:func:`_with_objective`).
+    ``lex_slack_rel`` only, and carries no objective, so every query's
+    stage 2 searches it as it is.
     """
     if stage1.status not in STOPPED_WITH_POINT or stage1.objective_value is None:
         return None
     g_star = stage1.objective_value
     eps = cfg.lex_slack_rel * abs(g_star) + 1e-9
     retain = _retention_row(problem, red1, g_star, eps)
-    return _reduce(
-        problem, Objective(MAX, {}), replace(red1, rows=red1.rows.append(retain))
-    )
+    return _reduce(problem, replace(red1, rows=red1.rows.append(retain)))
 
 
 def _retention_row(

@@ -4,8 +4,8 @@ The walk reads every atom straight off the decision and the instance
 arrays, summing as the source's comprehensions are written. It shares
 only index resolution (:class:`fleetopt.dsl.analysis._IndexWalker`)
 with the canonicalizer and none of its monomial expansion, so it checks
-:func:`fleetopt.dsl.evaluate` and the lowered MIP secondary, both of
-which are read from the canonical form.
+:meth:`fleetopt.dsl.CanonicalForm.evaluate` and the lowered MIP
+secondary, both of which are read from the canonical form.
 """
 
 from fleetopt.dsl.analysis import _IndexWalker

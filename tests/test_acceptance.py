@@ -12,9 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from fleetopt.agent import AgentConfig, run_agent, satisfaction_score
+from fleetopt.agent import AgentConfig, run_agent
 from fleetopt.agent.indicator import indicator_generate
-from fleetopt.agent.loop import build_agent_model
+from fleetopt.agent.loop import build_agent_model, relative_improvement
 from fleetopt.bench import (
     BenchConfig,
     SynthConfig,
@@ -25,7 +25,6 @@ from fleetopt.bench import (
 )
 from fleetopt.dsl import (
     canonicalize,
-    evaluate,
     ground_truth_catalog,
     jaro_winkler,
     lower_to_mip,
@@ -39,6 +38,7 @@ from fleetopt.fleet import (
     FleetInstance,
     PriceGrid,
     cascade_fulfill,
+    decision_values,
     evaluate_decision,
 )
 from fleetopt.fleet_mip import (
@@ -52,7 +52,9 @@ from fleetopt.mip import MipProblem, SolveConfig, branch_and_bound, lexicographi
 from fleetopt.mip.cuts import cover_cuts, gomory_cuts
 from fleetopt.mip.highs import HighsLp
 from fleetopt.mip.problem import Objective
-from fleetopt.mip.solver import _reduce, fix_variables
+from fleetopt.mip.solver import _objective_on, _reduce, fix_variables
+
+from dsl_oracle import oracle_evaluate
 
 
 def report(criterion: int, detail: str):
@@ -202,7 +204,7 @@ def test_criterion_2_solver_oracle_equivalence():
     cut_problems = gomory_problems = 0
     for trial in range(100):
         p = random_small_mip(rng)
-        red = _reduce(p, p.objective)
+        red = _reduce(p)
         if not red.feasible:
             for cfg in configs:
                 assert branch_and_bound(p, cfg).status == "Infeasible", trial
@@ -212,9 +214,10 @@ def test_criterion_2_solver_oracle_equivalence():
         points = enumerate_lattice(red.lb, red.ub)
         feas = points[feasible_mask(red.rows, points)]
         assert len(feas) > 0, trial
-        vals = np.full(len(feas), red.obj_constant)
-        for j, c in red.obj_coeffs.items():
-            vals += c * feas[:, j]
+        cost, kept, constant = _objective_on(red, p.objective)
+        vals = np.full(len(feas), constant)
+        for j in kept:
+            vals += cost[j] * feas[:, j]
         best = float(vals.max())
         for cfg in configs:
             sol = branch_and_bound(p, cfg)
@@ -222,7 +225,7 @@ def test_criterion_2_solver_oracle_equivalence():
             assert sol.objective_value == pytest.approx(best, abs=1e-9), (trial, cfg)
         # separate root cuts exactly the way the solver does, then check
         # them against every enumerated integer-feasible point
-        lp = HighsLp(red.cost, red.rows, "max")
+        lp = HighsLp(cost, red.rows, "max")
         res = lp.solve(red.lb, red.ub)
         if res.status != "Optimal":
             continue
@@ -411,7 +414,7 @@ def test_criterion_7_dsl_and_similarity():
         ast = parse(entry.source)
         info = safeguard(ast, inst)
         assert info.linear == entry.linear, entry.query
-        value = evaluate(ast, inst, dec)
+        value = canonicalize(ast, inst).evaluate(decision_values(inst, dec))
         assert np.isfinite(value), entry.query
         mip = build_deterministic_mip(inst, grid)
         lower_to_mip(canonicalize(ast, inst), mip)
@@ -505,8 +508,10 @@ def test_criterion_9_agent_loop_contract(small_world):
             if trace.best_iteration > 0:
                 ast = parse(trace.objective_source)
                 baseline = history.baseline_decision(inst)
-                recomputed = satisfaction_score(
-                    ast, inst, trace.best_decision, baseline
+                recomputed = relative_improvement(
+                    ast.sense,
+                    oracle_evaluate(ast, inst, trace.best_decision),
+                    oracle_evaluate(ast, inst, baseline),
                 )
                 assert recomputed == pytest.approx(trace.best_score, abs=1e-9)
             for record in trace.iterations:

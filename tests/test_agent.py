@@ -20,13 +20,15 @@ from fleetopt.agent import (
     render_tailor,
     response_format,
     run_agent,
-    satisfaction_score,
     sensitivity_scores,
 )
 from fleetopt.agent.llm import extract_json_array, save_transcript
+from fleetopt.agent.loop import relative_improvement
 from fleetopt.dsl import canonicalize, parse
 from fleetopt.fleet import Decision, FleetInstance, decision_variable_names
 from fleetopt.forest import FeatureSchema, Forest, TrainConfig, TreeNode
+
+from dsl_oracle import oracle_evaluate
 
 
 @pytest.fixture
@@ -288,6 +290,14 @@ class TestLlmGuide:
         assert a.keep_active == b.keep_active
 
 
+def satisfaction_score(ast, inst, decision, baseline):
+    """The loop's score of ``decision``, with both query values read off
+    the objective's AST rather than its canonical form."""
+    return relative_improvement(
+        ast.sense, oracle_evaluate(ast, inst, decision), oracle_evaluate(ast, inst, baseline)
+    )
+
+
 class TestSatisfactionScore:
     def test_max_sense(self, inst):
         ast = parse("maximize sum(i in I, j in J, k in K) x[i,j,k]")
@@ -427,6 +437,46 @@ class TestRunAgent:
         assert 0 < second - first <= SCORE_TOL * max(1.0, abs(first))
         assert len(trace.iterations) == 2
         assert trace.best_iteration == 1 and trace.best_score == first
+
+    def infeasible_runs(self, inst, monkeypatch, cfg, client=None):
+        """``run_agent`` with every solve infeasible: the trace and the
+        number of solves."""
+        from fleetopt.agent import loop
+        from fleetopt.mip import Solution
+
+        solves = []
+
+        def infeasible(problem, cfg=None):
+            solves.append(problem)
+            return Solution(status="Infeasible")
+
+        monkeypatch.setattr(loop, "lexicographic_solve", infeasible)
+        query = "Number of pre-allocated taxis"
+        trace = run_agent(
+            query, inst, EXOG, make_forest(inst), varied_history(inst), cfg, client=client,
+            indicator=indicator_generate(query, inst, guide="deterministic"),
+        )
+        return trace, len(solves)
+
+    def test_an_infeasible_deterministic_fix_is_solved_once(self, inst, monkeypatch):
+        trace, solves = self.infeasible_runs(inst, monkeypatch, AgentConfig(t_max=3))
+        (it,) = trace.iterations
+        assert solves == 1
+        assert it.status == "Infeasible" and it.score is None
+        assert not any("re-prompting" in note for note in it.notes)
+        assert any("no other proposal" in note for note in it.notes)
+
+    def test_an_infeasible_llm_fix_re_prompts_then_falls_back(self, inst, monkeypatch):
+        reply = json.dumps(["x[0,8,0]", "u_hat[9,1]"])
+        client = ReplayClient([reply, reply])
+        trace, solves = self.infeasible_runs(
+            inst, monkeypatch, AgentConfig(t_max=3, guide="llm"), client
+        )
+        (it,) = trace.iterations
+        assert solves == 3 and client.cursor == 2
+        assert it.status == "Infeasible"
+        assert any("re-prompting once" in note for note in it.notes)
+        assert any("falling back to the deterministic guide" in note for note in it.notes)
 
     def test_fixing_never_beats_full_on_primary(self, inst):
         history = varied_history(inst)

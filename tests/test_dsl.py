@@ -9,18 +9,34 @@ from fleetopt.dsl import (
     DslError,
     SafeguardError,
     canonicalize,
-    evaluate,
     ground_truth_catalog,
     linear_entries,
     nonlinear_entries,
     parse,
     safeguard,
-    validate_catalog,
 )
 from fleetopt.bench.synth import SynthConfig, generate_world
-from fleetopt.fleet import Decision, FleetInstance
+from fleetopt.fleet import Decision, FleetInstance, decision_values
 
 from dsl_oracle import oracle_evaluate
+
+
+def evaluate(ast, instance, decision) -> float:
+    """The objective's value at a decision, read off its canonical form
+    as the agent loop reads it."""
+    return canonicalize(ast, instance).evaluate(decision_values(instance, decision))
+
+
+def validate_catalog(instance) -> None:
+    """Parse and safeguard every entry against an instance; raises on
+    the first failure and checks the recorded linearity flags."""
+    for entry in ground_truth_catalog():
+        info = safeguard(entry.ast(), instance)
+        if info.linear != entry.linear:
+            raise ValueError(
+                f"catalog entry {entry.query!r} flagged linear={entry.linear} "
+                f"but analysis says linear={info.linear}"
+            )
 
 
 def tiny_instance():

@@ -22,7 +22,7 @@ from fleetopt.mip import cuts as cutmod
 from fleetopt.mip import highs
 from fleetopt.mip.cuts import MAX_RANGE, TINY, _cut_rows, gomory_cuts, nonbasic_sides
 from fleetopt.mip.highs import HighsLp
-from fleetopt.mip.solver import _unreduced
+from fleetopt.mip.solver import _objective_on, _unreduced
 
 from rowsets import row_set
 from test_lexicographic_oracle import random_problem
@@ -197,8 +197,9 @@ def checked(monkeypatch):
 
 
 def root_of(problem):
-    red = _unreduced(problem, problem.objective)
-    lp = HighsLp(red.cost, red.rows, problem.objective.sense)
+    red = _unreduced(problem)
+    cost, _, _ = _objective_on(red, problem.objective)
+    lp = HighsLp(cost, red.rows, problem.objective.sense)
     return red, lp, lp.solve(red.lb, red.ub)
 
 

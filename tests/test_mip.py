@@ -26,9 +26,15 @@ from fleetopt.mip import solver
 from fleetopt.mip.highs import HighsLp
 from fleetopt.mip.problem import Objective
 from fleetopt.mip.rows import CompiledRows, RowLevel
-from fleetopt.mip.solver import _fractional_index, _unreduced
+from fleetopt.mip.solver import _fractional_index, _objective_on, _unreduced
 
 from rowsets import row_set
+
+
+def stated(p):
+    """``p`` as stated in the reduced form, and its objective's costs."""
+    red = _unreduced(p)
+    return red, _objective_on(red, p.objective)[0]
 
 
 def two_var_lp(kind="continuous", ub=float("inf")):
@@ -356,19 +362,19 @@ class TestLpSolve:
         statuses = {0: "Optimal", 2: "Infeasible", 3: "Unbounded"}
         for _ in range(30):
             p = random_integer_problem(rng)
-            red = _unreduced(p, p.objective)
+            red, cost = stated(p)
             rows = red.rows
             A = rows.matrix_t.T.toarray()
             eq = rows.le & rows.ge
             ineq = ~eq
             sign = np.where(rows.le, 1.0, -1.0)[ineq]
             ref = linprog(
-                -red.cost,
+                -cost,
                 A_ub=sign[:, None] * A[ineq], b_ub=sign * rows.rhs[ineq],
                 A_eq=A[eq], b_eq=rows.rhs[eq],
                 bounds=list(zip(red.lb, red.ub)), method="highs-ipm",
             )
-            res = HighsLp(red.cost, rows, "max").solve(red.lb, red.ub)
+            res = HighsLp(cost, rows, "max").solve(red.lb, red.ub)
             assert res.status == statuses[ref.status]
             if res.status == "Optimal":
                 assert res.objective == pytest.approx(-ref.fun, abs=1e-7)
@@ -593,7 +599,7 @@ class TestBranchAndBound:
         # 162 columns x 146 rows after reduction, past the 20,000 cells at
         # which the root once got no tableau
         p = blocks_problem()
-        red = solver._reduce(p, p.objective)
+        red = solver._reduce(p)
         assert len(red.keep) * red.rows.m > 20_000
 
         A = np.zeros((len(p.constraints), p.n_vars))
@@ -719,7 +725,7 @@ class TestBranchAndBound:
             cold = branch_and_bound(p)
             if cold.status != "Optimal":
                 continue
-            warm = branch_and_bound(p, warm_values=cold.values)
+            warm = branch_and_bound(p, warm=cold.value_array(p))
             assert warm.objective_value == pytest.approx(cold.objective_value)
 
 
@@ -738,8 +744,8 @@ class TestCuts:
         p.add_variable("x", "integer", 0, 5)
         p.add_constraint({"x": 1}, "<=", 3)
         p.set_objective("max", {"x": 1})
-        red = _unreduced(p, p.objective)
-        lp = HighsLp(red.cost, red.rows, "max")
+        red, cost = stated(p)
+        lp = HighsLp(cost, red.rows, "max")
         res = lp.solve(red.lb, red.ub)
         assert res.x[0] == 3.0
         cuts = gomory_cuts(lp, red.lb, red.ub, red.int_mask, res.x)
@@ -806,8 +812,8 @@ class TestCuts:
         checked = 0
         for _ in range(100):
             p = small_knapsack(rng)
-            red = _unreduced(p, p.objective)
-            lp = HighsLp(red.cost, red.rows, "max")
+            red, cost = stated(p)
+            lp = HighsLp(cost, red.rows, "max")
             res = lp.solve(red.lb, red.ub)
             if res.status != "Optimal":
                 continue
@@ -840,8 +846,8 @@ class TestCuts:
                 coeffs = {v.name: int(rng.integers(-2, 6)) for v in p.variables}
                 p.add_constraint(coeffs, "<=", int(rng.integers(3, 12)))
             p.set_objective("max", {v.name: int(rng.integers(1, 7)) for v in p.variables})
-            red = _unreduced(p, p.objective)
-            lp = HighsLp(red.cost, red.rows, "max")
+            red, cost = stated(p)
+            lp = HighsLp(cost, red.rows, "max")
             res = lp.solve(red.lb, red.ub)
             if res.status != "Optimal":
                 continue
@@ -992,6 +998,30 @@ class TestReduction:
         assert sol.objective_value == 240.0
         assert set(sol.values.values()) == {3.0}
 
+    def test_objective_maps_pinned_terms_left_to_right(self):
+        # terms listed out of column order, pinned ones whose sum depends
+        # on the order it is taken in: 0.1 + 1 + 1e16 - 1e16 is 2 left to
+        # right in the objective's order, 0 in column order and 1.1 exactly
+        p = MipProblem()
+        for name in ("k0", "p0", "k1", "p1", "p2"):
+            pinned = name.startswith("p")
+            p.add_variable(name, "integer", 1 if pinned else 0, 1 if pinned else 4)
+        p.add_constraint({"k0": 1, "k1": 1}, "<=", 5)
+        p.set_objective(
+            "max", {"k1": 3.0, "p1": 1.0, "k0": 2.0, "p0": 1e16, "p2": -1e16}, 0.1
+        )
+        red = solver._reduce(p)
+        assert red.keep.tolist() == [0, 2]
+        cost, kept, constant = _objective_on(red, p.objective)
+        assert cost.tolist() == [2.0, 3.0]
+        assert kept == [1, 0]  # k1 first, as the objective lists it
+        want = p.objective.constant
+        for j, c in p.objective.coeffs.items():
+            if j not in red.keep:
+                want += c * red.full_values[j]
+        assert want == 2.0
+        assert constant == want
+
     def test_reused_rows_match_a_fresh_compile(self, monkeypatch):
         """The rows handed from reduction to the relaxation, and the rows
         after each cut round, are those compiled afresh from dict rows
@@ -1003,7 +1033,7 @@ class TestReduction:
         ref = {}
         checks = {"reduced": 0, "rounds": 0}
 
-        def reference(problem, objective):
+        def reference(problem):
             # pinned columns substituted out of dict rows, row by row
             lb, ub = problem.lb.copy(), problem.ub.copy()
             int_mask = problem.kinds != "continuous"
@@ -1065,11 +1095,11 @@ class TestReduction:
         real_add = HighsLp.add_rows
         real_schedule = CompiledRows._schedule
 
-        def spy_reduce(problem, objective):
+        def spy_reduce(problem):
             phase[0] = "reduce"
             cuts.clear()
-            out = reference(problem, objective)
-            red = real_reduce(problem, objective)
+            out = reference(problem)
+            red = real_reduce(problem)
             assert red.feasible == (out is not None)
             if out is not None:
                 assert np.array_equal(red.keep, out[0])
@@ -1264,7 +1294,7 @@ class TestLexicographic:
         real = solver.branch_and_bound
 
         def stage_two_infeasible(
-            problem, cfg=None, objective=None, warm_values=None, reduced=None
+            problem, cfg=None, objective=None, warm=None, reduced=None
         ):
             if objective is not None:
                 return Solution(status="Infeasible")

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetopt.mip.problem import EQ, GE, INT_TOL, LE, MipProblem
-from fleetopt.mip.solver import _propagate, _reduce
+from fleetopt.mip.solver import _objective_on, _propagate, _reduce
 
 from rowsets import row_set
 
@@ -294,12 +294,13 @@ def test_reduction_never_removes_an_integer_feasible_point(model):
         )
     ]
     feasible = [p for p in points if satisfies(rows, p)]
-    red = _reduce(problem, problem.objective)
+    red = _reduce(problem)
     if not red.feasible:
         assert not feasible
         return
     reduced = red.rows
     assert reduced.n == len(red.keep)
+    cost, kept, constant = _objective_on(red, problem.objective)
     for p in feasible:
         # the point agrees with every column the reduction pinned
         full = red.full_values.copy()
@@ -315,7 +316,7 @@ def test_reduction_never_removes_an_integer_feasible_point(model):
         assert np.all(act[reduced.le] <= reduced.rhs[reduced.le] + 1e-9)
         assert np.all(act[reduced.ge] >= reduced.rhs[reduced.ge] - 1e-9)
         # with the same objective value
-        value = red.obj_constant + sum(c * x[j] for j, c in red.obj_coeffs.items())
+        value = constant + sum(cost[j] * x[j] for j in kept)
         assert value == pytest.approx(problem.objective.value(p), abs=1e-9)
 
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetopt.dsl import (
-    exact_equivalent,
+    canonicalize,
     jaro,
     jaro_winkler,
     normalize_source,
@@ -12,6 +12,13 @@ from fleetopt.dsl import (
     text_similarity,
 )
 from fleetopt.fleet import FleetInstance
+
+
+def exact_equivalent(generated, truth, instance) -> bool:
+    """True when the canonical expansions match exactly."""
+    gen = canonicalize(generated, instance)
+    ref = canonicalize(truth, instance)
+    return gen.sense == ref.sense and gen.as_string() == ref.as_string()
 
 
 @pytest.fixture

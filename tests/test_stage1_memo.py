@@ -11,6 +11,7 @@ reduction at all.
 """
 
 import copy
+import hashlib
 from dataclasses import fields
 
 import numpy as np
@@ -168,7 +169,7 @@ def test_a_stage_two_fallback_leaves_a_later_hit_unchanged(monkeypatch):
     want = copy.deepcopy(outcome(cold))
     real = solver.branch_and_bound
 
-    def stage_two_infeasible(problem, cfg=None, objective=None, warm_values=None,
+    def stage_two_infeasible(problem, cfg=None, objective=None, warm=None,
                              reduced=None):
         if objective is not None:
             return Solution(status="Infeasible")
@@ -202,13 +203,13 @@ def test_warm_and_cold_solves_agree_on_the_query_models(world, day):
 
 
 def count_reductions(monkeypatch) -> list:
-    """Record each reduction's objective as :func:`solver._reduce` runs."""
+    """Record each reduction's start as :func:`solver._reduce` runs."""
     seen = []
     real = solver._reduce
 
-    def spy(problem, objective, start=None):
-        seen.append(objective)
-        return real(problem, objective, start)
+    def spy(problem, start=None):
+        seen.append(start)
+        return real(problem, start)
 
     monkeypatch.setattr(solver, "_reduce", spy)
     return seen
@@ -317,3 +318,26 @@ def test_a_repeat_builds_no_schedule(schedule_builds, world, day, history_m, see
     solver.clear_stage1_memo()
     assert not lexicographic_solve(mip, SolveConfig()).stage1_reused
     assert schedule_builds
+
+
+# desk day 3's four query models, each solved cold: status, primary and
+# secondary optimum, nodes, LP iterations and the first 16 hex digits of
+# the SHA-256 of the point's bytes in stated column order
+DESK_DAY_3 = {
+    QUERIES[0]: ("Optimal", 33.66859201923078, 49.0, 3, 278, "77ce47c21f577535"),
+    QUERIES[1]: ("Optimal", 33.66859201923078, 61.1040012, 0, 268, "5d04bd0870d051aa"),
+    QUERIES[2]: ("Optimal", 33.66859201923078, 94.0, 6, 310, "d74c887a26a854e4"),
+    QUERIES[3]: ("Optimal", 33.66859201923078, 14.668000000000001, 0, 195,
+                 "5d04bd0870d051aa"),
+}
+
+
+@pytest.mark.parametrize("query", QUERIES)
+def test_cold_outputs_on_desk_day_3_are_pinned(query):
+    mip, _ = agent_model("desk", 3, query)
+    solver.clear_stage1_memo()
+    sol = lexicographic_solve(mip)
+    point = hashlib.sha256(sol.value_array(mip).tobytes()).hexdigest()[:16]
+    got = (sol.status, sol.objective_value, sol.secondary_value, sol.node_count,
+           sol.lp_iterations, point)
+    assert got == DESK_DAY_3[query]
