@@ -164,17 +164,11 @@ def build_agent_model(
     return mip, canonical, grid
 
 
-def fixing_values(
-    names, baseline: Decision, instance: FleetInstance, grid: PriceGrid | None
-) -> dict[str, float]:
-    """Values for a set of variables read off the baseline decision,
-    fares snapped to the grid when there is one."""
+def fixing_values(names, baseline: Decision, instance: FleetInstance) -> dict[str, float]:
+    """Values for a set of variables read off the baseline decision, in
+    the order of ``names``. On a gridded model the baseline's fares must
+    be on the grid already (:meth:`.PriceGrid.snap_decision`)."""
     by_name = decision_values(instance, baseline)
-    if grid is not None:
-        for j_pos, j in enumerate(instance.demand_areas):
-            for k in range(instance.soc_levels):
-                name = f"u_hat[{j},{k}]"
-                by_name[name] = grid.snap(j_pos, k, by_name[name])
     return {name: by_name[name] for name in names}
 
 
@@ -215,14 +209,7 @@ def run_agent(
 
     baseline = history.baseline_decision(instance)
     if grid is not None:
-        snapped = np.array(
-            [
-                [grid.snap(j_pos, k, float(baseline.u_hat[j_pos, k]))
-                 for k in range(instance.soc_levels)]
-                for j_pos in range(instance.n_demand)
-            ]
-        )
-        baseline = Decision(x=baseline.x, u_hat=snapped)
+        baseline = grid.snap_decision(baseline)
     baseline_f = canonical.evaluate(decision_values(instance, baseline))
 
     trace = AgentTrace(
@@ -241,7 +228,7 @@ def run_agent(
     def solve_with(proposal: GuideProposal):
         active = set(proposal.keep_active)
         fixed_names = [n for n in all_names if n not in active]
-        values = fixing_values(fixed_names, baseline, instance, grid)
+        values = fixing_values(fixed_names, baseline, instance)
         reduced = fix_variables(mip, values)
         solution = lexicographic_solve(reduced, cfg.solve)
         return values, solution

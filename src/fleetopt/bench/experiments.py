@@ -243,6 +243,8 @@ def run_efficiency_experiment(
                 )
                 continue
             baseline = history.baseline_decision(instance)
+            if grid is not None:
+                baseline = grid.snap_decision(baseline)
             for count in fixed_counts:
                 context = GuideContext(
                     query=query,
@@ -256,7 +258,7 @@ def run_efficiency_experiment(
                 # exactly ``count`` fixed, at least one left active
                 keep = set(most_sensitive(context, n_vars - max(0, min(count, n_vars - 1))))
                 fixed_names = [n for n in history.variable_names if n not in keep]
-                values = fixing_values(fixed_names, baseline, instance, grid)
+                values = fixing_values(fixed_names, baseline, instance)
                 # fixing none leaves the full model's bytes, so without a
                 # cold memo this solve would reuse the full solve's stage 1
                 clear_stage1_memo()

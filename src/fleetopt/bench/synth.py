@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -60,25 +60,7 @@ class SynthConfig:
             raise ValueError("need at least one day")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_supply": self.n_supply,
-            "n_demand": self.n_demand,
-            "soc_levels": self.soc_levels,
-            "n_days": self.n_days,
-            "base_demand": self.base_demand,
-            "elasticity": self.elasticity,
-            "reference_fare": self.reference_fare,
-            "weather_coeff": self.weather_coeff,
-            "weather_pivot": self.weather_pivot,
-            "max_supply": self.max_supply,
-            "fare_bounds": list(self.fare_bounds),
-            "theta": self.theta,
-            "booking_fee": self.booking_fee,
-            "inconvenience_rate": self.inconvenience_rate,
-            "start_date": self.start_date,
-            "peak_window": self.peak_window,
-        }
+        return {**asdict(self), "fare_bounds": list(self.fare_bounds)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthConfig":
@@ -230,18 +212,7 @@ def simulate_profit(
     ref = synth.reference_fare
     response = np.maximum(0.0, 1.0 - synth.elasticity * (decision.u_hat - ref) / ref)
     realized = np.rint(base * wf * response).astype(np.int64)
-    realized_instance = FleetInstance(
-        supply_areas=instance.supply_areas,
-        demand_areas=instance.demand_areas,
-        soc_levels=instance.soc_levels,
-        supply=instance.supply,
-        demand=realized,
-        distance_km=instance.distance_km,
-        inconvenience_rate=instance.inconvenience_rate,
-        booking_fee=instance.booking_fee,
-        theta=instance.theta,
-        fare_bounds=instance.fare_bounds,
-    )
+    realized_instance = replace(instance, demand=realized)
     fulfillment = cascade_fulfill(realized_instance, decision.x)
     return profit(realized_instance, decision, fulfillment)
 

@@ -6,7 +6,8 @@ synthetic world, ``train-forest`` fits and saves the profit model,
 model on one day, ``agent`` runs the guided loop for a query,
 ``bench`` runs the experiment harnesses and ``query`` goes from a
 natural-language request to a finished plan in one call. Exit codes:
-0 success, 1 runtime failure, 2 usage errors.
+0 success, 1 runtime failure (``solve`` ending without a plan among
+them), 2 usage errors.
 """
 
 from __future__ import annotations
@@ -169,10 +170,12 @@ def cmd_solve(args) -> int:
         mip = build_feature_mip(instance, forest, exogenous)
         solution = branch_and_bound(mip, _solve_config(args))
     print(solution.to_json())
-    if solution.values:
-        decision = decision_from_solution(instance, mip, solution)
-        print(json.dumps({"decision": decision.to_dict()}, indent=2, sort_keys=True))
-    return 0 if solution.status in STOPPED_WITH_POINT else 1
+    # a stop at a limit may hold no point, and then there is no plan
+    if solution.status not in STOPPED_WITH_POINT or not solution.values:
+        return 1
+    decision = decision_from_solution(instance, mip, solution)
+    print(json.dumps({"decision": decision.to_dict()}, indent=2, sort_keys=True))
+    return 0
 
 
 def cmd_agent(args) -> int:
@@ -323,6 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "bench" and args.experiment != "accuracy" and not args.history:
+        parser.error(f"bench {args.experiment} needs --history")
     try:
         return args.func(args)
     except Exception as err:  # runtime failures exit 1; argparse handles usage (2)

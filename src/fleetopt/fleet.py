@@ -273,6 +273,14 @@ class PriceGrid:
         best = min(cell, key=lambda p: (abs(p - value), p))
         return best
 
+    def snap_decision(self, decision: Decision) -> Decision:
+        """``decision`` with every fare moved to its nearest grid fare."""
+        fares = [
+            [self.snap(j, k, u) for k, u in enumerate(row)]
+            for j, row in enumerate(decision.u_hat.tolist())
+        ]
+        return Decision(x=decision.x, u_hat=fares)
+
 
 def cascade_fulfill(instance: FleetInstance, x: np.ndarray) -> FulfillmentState:
     """Resolve demand satisfaction level by level, from high charge down.
@@ -376,10 +384,14 @@ def check_feasible(instance: FleetInstance, decision: Decision) -> list[Violatio
 
 
 def decision_variable_names(instance: FleetInstance) -> list[str]:
-    """Flat decision-variable order shared by the MIP, forest and agent.
+    """The one decision-variable order every layer reads.
 
     All x[i, j, k] entries first (i outer, then j, then k with k as the
-    0-based charge-level index), then all u_hat[j, k].
+    0-based charge-level index), then all u_hat[j, k]: the order of
+    :func:`decision_to_vector`, of the forest's decision features and
+    the history's vectors, of the allocation columns the MIP builders
+    add, and of the values :func:`.fleet_mip.decision_from_solution`
+    reads back and :func:`vector_to_decision` maps to a decision.
     """
     names = []
     for i in instance.supply_areas:

@@ -10,6 +10,12 @@ fare-times-demand revenue is linearized per grid point.
 ``build_feature_mip`` swaps the closed-form objective for a trained
 forest: exogenous features are pruned to constants, decision features
 stay symbolic, and the tree paths become binary edge selections.
+
+Both builders name the decisions in :func:`.fleet.decision_variable_names`
+order, the one order every layer reads, and add the allocation columns
+in it. They address an allocation by its position in that order,
+through an (|I|, |J|, |K|) array of column indices, not by its name;
+:func:`decision_from_solution` reads a solution back in the same order.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .fleet import (
     FleetInstance,
     PriceGrid,
     decision_variable_names,
+    vector_to_decision,
 )
 from .forest import Forest
 from .mip.problem import (
@@ -38,38 +45,42 @@ from .mip.problem import (
 )
 
 
-def _add_columns(mip: MipProblem, names: list[str], kind: str, lb, ub) -> None:
-    """One block of columns, each its own decision expression."""
-    for name, idx in zip(names, mip.add_variables(names, kind, lb, ub)):
+def _add_columns(mip: MipProblem, names: list[str], kind: str, lb, ub) -> range:
+    """One block of columns, each its own decision expression; their indices."""
+    cols = mip.add_variables(names, kind, lb, ub)
+    for name, idx in zip(names, cols):
         mip.expr_map[name] = AffineExpr.of_var(idx)
+    return cols
 
 
-def _add_allocation_columns(mip: MipProblem, instance: FleetInstance) -> None:
-    names = [
-        f"x[{i},{j},{k}]"
-        for i in instance.supply_areas
-        for j in instance.demand_areas
-        for k in range(instance.soc_levels)
-    ]
+def _add_allocation_columns(
+    mip: MipProblem, instance: FleetInstance, names: list[str]
+) -> np.ndarray:
+    """The x columns, named by the head of ``names`` (the shared decision
+    order); their indices as an (|I|, |J|, |K|) array."""
     # x[i,j,k] is at most the supply at (i, k), for every j
-    n_demand = len(instance.demand_areas)
-    ub = np.repeat(instance.supply[:, None, :], n_demand, axis=1).ravel()
-    _add_columns(mip, names, INTEGER, 0.0, ub)
+    ub = np.repeat(instance.supply[:, None, :], instance.n_demand, axis=1)
+    cols = _add_columns(mip, names[: ub.size], INTEGER, 0.0, ub.ravel())
+    return np.arange(cols.start, cols.stop).reshape(ub.shape)
 
 
-def _add_supply_rows(mip: MipProblem, instance: FleetInstance) -> None:
+def _add_supply_rows(mip: MipProblem, instance: FleetInstance, x: np.ndarray) -> None:
     for i_pos, i in enumerate(instance.supply_areas):
         for k in range(instance.soc_levels):
-            row = {
-                f"x[{i},{j},{k}]": 1.0 for j in instance.demand_areas
-            }
             mip.add_constraint(
-                row, LE, float(instance.supply[i_pos, k]), name=f"supply[{i},{k}]"
+                dict.fromkeys(x[i_pos, :, k].tolist(), 1.0),
+                LE,
+                float(instance.supply[i_pos, k]),
+                name=f"supply[{i},{k}]",
             )
 
 
-def _add_gridded_fares(mip: MipProblem, instance: FleetInstance, grid: PriceGrid):
-    """Fare selection binaries; u_hat becomes a grid-weighted expression."""
+def _add_gridded_fares(
+    mip: MipProblem, instance: FleetInstance, grid: PriceGrid, u_names: list[str]
+) -> None:
+    """Fare selection binaries; each u_hat, named in ``u_names`` in (j, k)
+    order, becomes a grid-weighted expression."""
+    names = iter(u_names)
     for j_pos, j in enumerate(instance.demand_areas):
         for k in range(instance.soc_levels):
             prices = grid.cell(j_pos, k)
@@ -78,7 +89,7 @@ def _add_gridded_fares(mip: MipProblem, instance: FleetInstance, grid: PriceGrid
             mip.add_constraint(
                 dict.fromkeys(terms, 1.0), EQ, 1.0, name=f"one_price[{j},{k}]"
             )
-            mip.expr_map[f"u_hat[{j},{k}]"] = AffineExpr(terms=terms)
+            mip.expr_map[next(names)] = AffineExpr(terms=terms)
 
 
 def add_binary_product(mip: MipProblem, name: str, rho: int, x: int, ub: float) -> int:
@@ -103,42 +114,44 @@ def build_deterministic_mip(instance: FleetInstance, grid: PriceGrid) -> MipProb
     """
     grid.validate_for(instance)
     mip = MipProblem("deterministic-fleet")
-    _add_allocation_columns(mip, instance)
+    names = decision_variable_names(instance)
+    x = _add_allocation_columns(mip, instance, names)
+    u_names = names[x.size :]
 
     z = instance.demand
     # max inflow at level k: everything at level k or above can cascade down
     tail_supply = [
         float(instance.supply[:, k:].sum()) for k in range(instance.soc_levels)
     ]
+    d, v, delta = {}, {}, {}  # column index by (j position, k)
     for j_pos, j in enumerate(instance.demand_areas):
         for k in range(instance.soc_levels):
             zjk = float(z[j_pos, k])
-            mip.add_variable(f"d[{j},{k}]", INTEGER, 0, zjk)
-            mip.add_variable(f"v[{j},{k}]", INTEGER, 0, tail_supply[k])
-            mip.add_variable(f"delta[{j},{k}]", BINARY)
-    _add_gridded_fares(mip, instance, grid)
+            d[j_pos, k] = mip.add_variable(f"d[{j},{k}]", INTEGER, 0, zjk)
+            v[j_pos, k] = mip.add_variable(f"v[{j},{k}]", INTEGER, 0, tail_supply[k])
+            delta[j_pos, k] = mip.add_variable(f"delta[{j},{k}]", BINARY)
+    _add_gridded_fares(mip, instance, grid, u_names)
 
-    _add_supply_rows(mip, instance)
+    _add_supply_rows(mip, instance, x)
     for j_pos, j in enumerate(instance.demand_areas):
         for k in range(instance.soc_levels):
             zjk = float(z[j_pos, k])
             # conservation: d + v - inflow = 0
-            row = {f"d[{j},{k}]": 1.0, f"v[{j},{k}]": 1.0}
-            for i in instance.supply_areas:
-                row[f"x[{i},{j},{k}]"] = -1.0
+            row = {d[j_pos, k]: 1.0, v[j_pos, k]: 1.0}
+            row.update(dict.fromkeys(x[:, j_pos, k].tolist(), -1.0))
             if k + 1 < instance.soc_levels:
-                row[f"v[{j},{k + 1}]"] = -1.0
+                row[v[j_pos, k + 1]] = -1.0
             mip.add_constraint(row, EQ, 0.0, name=f"conserve[{j},{k}]")
             # v <= M_v * delta : surplus only after demand saturates
             mip.add_constraint(
-                {f"v[{j},{k}]": 1.0, f"delta[{j},{k}]": -tail_supply[k]},
+                {v[j_pos, k]: 1.0, delta[j_pos, k]: -tail_supply[k]},
                 LE,
                 0.0,
                 name=f"surplus_gate[{j},{k}]",
             )
             # z - d <= M_d * (1 - delta), i.e. d >= z * delta
             mip.add_constraint(
-                {f"d[{j},{k}]": 1.0, f"delta[{j},{k}]": -zjk},
+                {d[j_pos, k]: 1.0, delta[j_pos, k]: -zjk},
                 GE,
                 0.0,
                 name=f"saturate[{j},{k}]",
@@ -146,22 +159,20 @@ def build_deterministic_mip(instance: FleetInstance, grid: PriceGrid) -> MipProb
 
     # revenue linearization: rev[j,k,p] = rho[j,k,p] * d[j,k]
     obj: dict[int, float] = {}
+    fares = iter(u_names)
     for j_pos, j in enumerate(instance.demand_areas):
         fee = float(instance.booking_fee[j_pos])
         for k in range(instance.soc_levels):
             zjk = float(z[j_pos, k])
-            d_idx = mip.var_index(f"d[{j},{k}]")
+            d_idx = d[j_pos, k]
             obj[d_idx] = obj.get(d_idx, 0.0) + fee
-            fares = mip.expr_map[f"u_hat[{j},{k}]"].terms
-            for p, (rho_idx, price) in enumerate(fares.items()):
+            rho = mip.expr_map[next(fares)].terms
+            for p, (rho_idx, price) in enumerate(rho.items()):
                 rev = add_binary_product(mip, f"rev[{j},{k},{p}]", rho_idx, d_idx, zjk)
                 obj[rev] = obj.get(rev, 0.0) + instance.theta * price
-    cost = instance.reposition_cost
-    for i_pos, i in enumerate(instance.supply_areas):
-        for j_pos, j in enumerate(instance.demand_areas):
-            for k in range(instance.soc_levels):
-                idx = mip.var_index(f"x[{i},{j},{k}]")
-                obj[idx] = obj.get(idx, 0.0) - float(cost[i_pos, j_pos])
+    # each x column enters the objective here only, at minus its cost
+    cost = np.broadcast_to(instance.reposition_cost[:, :, None], x.shape)
+    obj.update(zip(x.ravel().tolist(), (-cost).ravel().tolist()))
     mip.set_objective("max", obj)
     return mip
 
@@ -190,17 +201,14 @@ def build_feature_mip(
         raise FleetError(f"missing exogenous features: {missing}")
 
     mip = MipProblem("feature-fleet")
-    _add_allocation_columns(mip, instance)
+    x = _add_allocation_columns(mip, instance, names)
+    lo, hi = instance.fare_bounds
     if grid is not None:
         grid.validate_for(instance)
-        _add_gridded_fares(mip, instance, grid)
+        _add_gridded_fares(mip, instance, grid, names[x.size :])
     else:
-        lo, hi = instance.fare_bounds
-        names = [
-            f"u_hat[{j},{k}]" for j in instance.demand_areas for k in range(instance.soc_levels)
-        ]
-        _add_columns(mip, names, CONTINUOUS, lo, hi)
-    _add_supply_rows(mip, instance)
+        _add_columns(mip, names[x.size :], CONTINUOUS, lo, hi)
+    _add_supply_rows(mip, instance, x)
 
     schema = forest.schema
     fixed = {
@@ -210,14 +218,12 @@ def build_feature_mip(
     var_bounds: dict[int, tuple[float, float]] = {}
     integer_features: set[int] = set()
     feature_exprs: dict[int, AffineExpr] = {}
-    lo, hi = instance.fare_bounds
     lb, ub = mip.lb, mip.ub
-    for name in schema.decision_names:
+    for pos, name in enumerate(names):
         f_idx = schema.index(name)
-        expr = mip.expr_map[name]
-        feature_exprs[f_idx] = expr
-        if name.startswith("x["):
-            col = next(iter(expr.terms))
+        feature_exprs[f_idx] = mip.expr_map[name]
+        if pos < x.size:  # an allocation, integer within its column's bounds
+            col = x.flat[pos]
             var_bounds[f_idx] = (lb[col].item(), ub[col].item())
             integer_features.add(f_idx)
         else:
@@ -232,22 +238,13 @@ def build_feature_mip(
 def decision_from_solution(
     instance: FleetInstance, mip: MipProblem, solution: Solution
 ) -> Decision:
-    """Read the allocation tensor and fare matrix out of a solution."""
+    """The decision a solution holds: each decision expression's value,
+    in the shared decision order, allocations rounded."""
     values = solution.value_array(mip)
-    x = np.zeros(
-        (instance.n_supply, instance.n_demand, instance.soc_levels), dtype=np.int64
+    return vector_to_decision(
+        instance,
+        [mip.expr_map[name].value(values) for name in decision_variable_names(instance)],
     )
-    u = np.zeros((instance.n_demand, instance.soc_levels))
-    for i_pos, i in enumerate(instance.supply_areas):
-        for j_pos, j in enumerate(instance.demand_areas):
-            for k in range(instance.soc_levels):
-                x[i_pos, j_pos, k] = int(
-                    round(mip.expr_map[f"x[{i},{j},{k}]"].value(values))
-                )
-    for j_pos, j in enumerate(instance.demand_areas):
-        for k in range(instance.soc_levels):
-            u[j_pos, k] = mip.expr_map[f"u_hat[{j},{k}]"].value(values)
-    return Decision(x=x, u_hat=u)
 
 
 def fulfillment_from_solution(

@@ -14,7 +14,7 @@ feature index and then the lowest threshold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -228,15 +228,7 @@ class Forest:
                 "names": list(self.schema.names),
                 "n_exogenous": self.schema.n_exogenous,
             },
-            "config": {
-                "n_trees": self.config.n_trees,
-                "max_depth": self.config.max_depth,
-                "min_samples_leaf": self.config.min_samples_leaf,
-                "features_per_split": self.config.features_per_split,
-                "bootstrap": self.config.bootstrap,
-                "seed": self.config.seed,
-                "test_fraction": self.config.test_fraction,
-            },
+            "config": asdict(self.config),
             "seed": self.seed,
             "trees": [t.to_dict() for t in self.trees],
         }

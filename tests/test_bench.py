@@ -1,4 +1,5 @@
 import datetime as dt
+import hashlib
 import json
 import os
 
@@ -25,7 +26,7 @@ from fleetopt.bench import (
     weather_factor,
 )
 from fleetopt.bench import experiments
-from fleetopt.fleet import Decision, decision_to_vector
+from fleetopt.fleet import Decision, PriceGrid, decision_to_vector, decision_values
 from fleetopt.forest import TrainConfig, train, train_test_split
 from fleetopt.mip import SolveConfig
 
@@ -82,6 +83,28 @@ class TestSynth:
         inst = world.instance(3)
         vec = decision_to_vector(inst, day.decision)
         assert rows[3][0][3:] == pytest.approx(vec)
+
+    def test_world_and_forest_json_are_pinned(self):
+        # the small benchmark world and its forest, pinned before their
+        # config blocks were written field by field from the dataclasses
+        world = generate_world(
+            SynthConfig(seed=13, n_supply=3, n_demand=2, soc_levels=3, n_days=40)
+        )
+        cfg = TrainConfig(n_trees=6, max_depth=3, min_samples_leaf=4, seed=2)
+        tr, _ = train_test_split(world.training_rows(), cfg.test_fraction, cfg.seed)
+        forest = train(tr, cfg, world.schema())
+
+        def sha(text):
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        assert sha(world.to_json()) == (
+            "b468fb2b97cdf626b8d3abc31da299e3"
+            "58c5fadc8898b421874f4e59ea6ae706"
+        )
+        assert sha(forest.to_json()) == (
+            "f043b52b9b553e310c0aed252eba1d06"
+            "eb3289fb20f80d8a563fcfbd1f32be63"
+        )
 
     def test_day_of_week_matches_date(self):
         world = small_world()
@@ -374,6 +397,37 @@ class TestExperiments:
         )[0]
         assert not solve(mip, cfg.solve).stage1_reused
         assert solve(experiments.fix_variables(mip, {}), cfg.solve).stage1_reused
+
+    def test_gridded_fixing_pins_the_snapped_baseline(self, monkeypatch):
+        # a product query solves on a fare grid: every fixed fare is the
+        # baseline's, snapped to the grid cell by cell
+        seen = []
+        fix = experiments.fix_variables
+
+        def spy(mip, values):
+            seen.append(values)
+            return fix(mip, values)
+
+        monkeypatch.setattr(experiments, "fix_variables", spy)
+        n = len(self.history.variable_names)
+        cfg = BenchConfig(seed=0, eval_days=1,
+                          queries=("Dispatching efficiency of taxis",),
+                          fixed_counts=(n - 1,))
+        report = run_efficiency_experiment(self.world, self.forest, self.history, cfg)
+        assert [r["status"] for r in report.rows] == ["Optimal"]
+        (values,) = seen
+        day = experiments.pick_eval_days(self.world, self.history, 1, 0)[0]
+        inst = self.world.instance(day)
+        grid = PriceGrid.uniform(inst, cfg.agent.grid_points)
+        raw = decision_values(inst, self.history.baseline_decision(inst))
+        expected = dict(raw)
+        for j_pos, j in enumerate(inst.demand_areas):
+            for k in range(inst.soc_levels):
+                name = f"u_hat[{j},{k}]"
+                expected[name] = grid.snap(j_pos, k, raw[name])
+        assert list(values) == [m for m in self.history.variable_names if m in values]
+        assert values == {name: expected[name] for name in values}
+        assert any(values[m] != raw[m] for m in values if m.startswith("u_hat"))
 
     def test_accuracy_deterministic_guide_scores_one(self):
         # the catalog's high-power entry indexes charge level 2, so the

@@ -5,8 +5,10 @@ import pytest
 
 from fleetopt.agent import AgentConfig
 from fleetopt.bench import BenchConfig
+from fleetopt import cli
 from fleetopt.cli import _from_section, main
 from fleetopt.mip import SolveConfig
+from fleetopt.mip.problem import TIME_LIMIT, Solution
 
 
 @pytest.fixture(scope="module")
@@ -169,3 +171,30 @@ class TestCli:
             main(["bench", "nonsense", "--world", "w", "--forest", "f",
                   "--out", "o"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("experiment", ["efficiency", "cuts"])
+    def test_bench_without_history_is_a_usage_error(self, experiment, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", experiment, "--world", "w", "--forest", "f",
+                  "--out", "o"])
+        assert exc.value.code == 2
+        assert "--history" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("query", [None, "Service level of taxis"])
+    def test_solve_without_a_plan_exits_one(self, pipeline, monkeypatch, capsys,
+                                            query):
+        # a stop at the time limit may come without a point
+        def stopped(*args, **kwargs):
+            return Solution(status=TIME_LIMIT)
+
+        monkeypatch.setattr(cli, "branch_and_bound", stopped)
+        monkeypatch.setattr(cli, "lexicographic_solve", stopped)
+        _, out = pipeline
+        argv = ["solve", "--world", str(out / "world.json"),
+                "--forest", str(out / "forest.json"), "--day", "0"]
+        if query:
+            argv += ["--query", query]
+        assert main(argv) == 1
+        printed = capsys.readouterr().out
+        assert '"status": "TimeLimit"' in printed
+        assert '"decision"' not in printed

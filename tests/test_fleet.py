@@ -302,3 +302,22 @@ class TestPriceGrid:
         cell = grid.cell(0, 0)
         assert grid.snap(0, 0, cell[3] + 0.01) == cell[3]
         assert grid.snap(0, 0, -5.0) == cell[0]
+
+    def test_snap_decision_is_snap_per_cell(self):
+        inst = small_instance()
+        grid = PriceGrid(points=(
+            ((1.0, 5.0), (2.0, 4.0, 9.0), (7.0,)),
+            ((1.0, 50.0), (3.0, 6.0), (10.0, 20.0)),
+        ))
+        # a tie (3.0 between 1 and 5), points below, above and on the grid
+        fares = [[3.0, 8.0, 0.5], [50.0, 4.6, 60.0]]
+        x = np.arange(inst.n_supply * inst.n_demand * inst.soc_levels).reshape(
+            inst.n_supply, inst.n_demand, inst.soc_levels
+        )
+        dec = Decision(x=x, u_hat=fares)
+        snapped = grid.snap_decision(dec)
+        assert np.array_equal(snapped.x, dec.x)
+        assert snapped.u_hat.tolist() == [
+            [grid.snap(j, k, u) for k, u in enumerate(row)]
+            for j, row in enumerate(fares)
+        ] == [[1.0, 9.0, 7.0], [50.0, 6.0, 20.0]]

@@ -9,6 +9,8 @@ from fleetopt.fleet import (
     FleetInstance,
     PriceGrid,
     cascade_fulfill,
+    decision_to_vector,
+    decision_variable_names,
     evaluate_decision,
 )
 from fleetopt.fleet_mip import (
@@ -19,6 +21,7 @@ from fleetopt.fleet_mip import (
 )
 from fleetopt.forest import FeatureSchema, Forest, TrainConfig, TreeNode
 from fleetopt.mip import SolveConfig, branch_and_bound, lexicographic_solve
+from fleetopt.mip.problem import OPTIMAL, Solution
 
 from dsl_oracle import oracle_evaluate
 
@@ -202,6 +205,43 @@ class TestFeatureModel:
             sol = branch_and_bound(fixed)
             expected = forest.predict([10.0, float(x_val), 10.0])
             assert sol.objective_value == pytest.approx(expected, abs=1e-6)
+
+
+class TestReadback:
+    @pytest.mark.parametrize("model", ["plain", "gridded", "deterministic"])
+    def test_decision_from_solution_reads_the_written_decision(self, model):
+        rng = np.random.default_rng(4)
+        inst = random_instance(rng, n_i=2, n_j=3, n_k=2)
+        grid = PriceGrid.uniform(inst, 4)
+        if model == "deterministic":
+            mip = build_deterministic_mip(inst, grid)
+        else:
+            mip = build_feature_mip(
+                inst, stump_forest(inst), {"temperature": 20.0},
+                grid if model == "gridded" else None,
+            )
+        x = rng.integers(0, 3, (inst.n_supply, inst.n_demand, inst.soc_levels))
+        if model == "plain":
+            u = rng.uniform(*inst.fare_bounds, (inst.n_demand, inst.soc_levels))
+        else:
+            u = [[cell[(j + 2 * k) % 4] for k, cell in enumerate(row)]
+                 for j, row in enumerate(grid.points)]
+        dec = Decision(x=x, u_hat=u)
+        # write each decision value into the columns its expression reads:
+        # a plain column takes the value, a fare grid selects its point
+        values = dict.fromkeys(mip.names, 0.0)
+        vec = decision_to_vector(inst, dec).tolist()
+        for name, value in zip(decision_variable_names(inst), vec):
+            terms = mip.expr_map[name].terms
+            if list(terms.values()) == [1.0]:
+                (col,) = terms
+                values[mip.names[col]] = value
+            else:
+                (col,) = [c for c, price in terms.items() if price == value]
+                values[mip.names[col]] = 1.0
+        back = decision_from_solution(inst, mip, Solution(OPTIMAL, values))
+        assert np.array_equal(back.x, dec.x)
+        assert back.u_hat.tolist() == dec.u_hat.tolist()
 
 
 class TestLowering:
