@@ -186,8 +186,9 @@ def run_agent(
     """Run the guided loop end to end and return its trace.
 
     ``indicator`` short-circuits objective generation when the caller
-    already holds a validated objective (the benchmark harness reuses
-    one across days).
+    already holds a validated objective, so the run starts at the
+    fixing loop and a chat guide's client is asked only for fixing
+    proposals.
     """
     cfg = cfg or AgentConfig()
     if indicator is None:

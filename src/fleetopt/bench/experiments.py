@@ -6,6 +6,11 @@ gaps and deterministic work counts (nodes, LP iterations) and are
 byte-reproducible for a given seed and config; measured seconds go to
 the ``timings.csv`` sidecar, which is the one file expected to differ
 between runs.
+
+One cold-timing rule holds for every timed solve (``_cold_solve``): the
+stage-1 memo is emptied just before the timer starts, so each time
+includes the stage-1 search of its own model, even where an earlier
+solve in the process met the same bytes.
 """
 
 from __future__ import annotations
@@ -24,10 +29,12 @@ from ..agent.guides import GuideContext, most_sensitive
 from ..agent.indicator import indicator_generate
 from ..agent.loop import build_agent_model, fixing_values
 from ..agent.types import AgentConfig, HistoryStore
+from ..dsl.analysis import canonicalize
 from ..dsl.catalog import find_entry, linear_entries, nonlinear_entries
+from ..dsl.parser import DslError
 from ..dsl.similarity import result_similarity, text_similarity
 from ..forest import Forest
-from ..mip.problem import OPTIMAL
+from ..mip.problem import OPTIMAL, Solution
 from ..mip.solver import (
     SolveConfig,
     clear_stage1_memo,
@@ -155,15 +162,57 @@ class BenchReport:
         return paths
 
 
-def _oriented_gap_pct(full: float, agent: float, sense: str) -> float:
-    """Percent shortfall of the reduced solve relative to the full one,
-    positive when the full model did better. Near-zero references fall
-    back to the absolute difference."""
-    diff = full - agent if sense == "max" else agent - full
-    denom = abs(full)
+def _oriented_gap_pct(reference: float, value: float, sense: str) -> float:
+    """Percent shortfall of ``value`` relative to ``reference``, positive
+    when the reference did better. Near-zero references fall back to
+    the absolute difference."""
+    diff = reference - value if sense == "max" else value - reference
+    denom = abs(reference)
     if denom < GAP_GUARD:
         denom = 1.0
     return 100.0 * diff / denom
+
+
+def _objective_gaps(reference: Solution, sol: Solution, sense: str) -> tuple[float, float]:
+    """Primary (always maximized) and secondary percent gaps of ``sol``
+    against ``reference``."""
+    return (
+        _oriented_gap_pct(reference.objective_value, sol.objective_value, "max"),
+        _oriented_gap_pct(reference.secondary_value, sol.secondary_value, sense),
+    )
+
+
+def _time_gap(reference_s: float, elapsed_s: float) -> dict:
+    """Seconds saved against the reference solve, absolute and percent."""
+    gap_s = reference_s - elapsed_s
+    return {
+        "time_gap_s": round(gap_s, 6),
+        "time_gap_pct": round(100.0 * gap_s / max(reference_s, 1e-9), 3),
+    }
+
+
+def _means(rows: list[dict], columns: tuple[str, ...]) -> dict:
+    """``mean_<column>`` over ``rows`` for each column."""
+    return {f"mean_{col}": float(np.mean([r[col] for r in rows])) for col in columns}
+
+
+def _cold_solve(solve) -> tuple[Solution, float]:
+    """Run ``solve()`` from an empty stage-1 memo: its solution and seconds."""
+    clear_stage1_memo()
+    t0 = time.perf_counter()
+    sol = solve()
+    return sol, time.perf_counter() - t0
+
+
+def _cell_model(world: World, forest: Forest, query: str, day: int, cfg: BenchConfig):
+    """The (query, day) cell: its instance, agent model, canonical
+    objective, fare grid and secondary sense."""
+    instance = world.instance(day)
+    ast = indicator_generate(query, instance, guide="deterministic").ast
+    mip, canonical, grid = build_agent_model(
+        instance, forest, world.days[day].exogenous(), ast, cfg.agent
+    )
+    return instance, mip, canonical, grid, ast.sense
 
 
 def pick_eval_days(world: World, history: HistoryStore, n: int, seed: int) -> list[int]:
@@ -189,9 +238,9 @@ def run_efficiency_experiment(
 
     The FULL bi-objective solve is done once per (day, query) and every
     fixed count is compared against it: primary/secondary objective
-    gaps, node and LP-iteration counts, and wall times (sidecar). Each
-    timed solve starts from an empty stage-1 memo, so every time
-    includes the stage-1 search of its own model.
+    gaps, node and LP-iteration counts, and wall times (sidecar). A
+    fixed solve that is not Optimal keeps its status and counts, has no
+    objectives or gaps and stays out of the aggregates.
     """
     days = pick_eval_days(world, history, cfg.eval_days, cfg.seed)
     n_vars = len(history.variable_names)
@@ -217,105 +266,74 @@ def run_efficiency_experiment(
         ],
     )
     for query in cfg.queries:
-        entry = find_entry(query)
-        if entry is None:
+        if find_entry(query) is None:
             report.notes.append(f"query not in catalog, skipped: {query}")
             continue
         for day in days:
-            instance = world.instance(day)
-            exogenous = world.days[day].exogenous()
-            indicator = indicator_generate(query, instance, guide="deterministic")
+            date = world.days[day].date
             try:
-                mip, canonical, grid = build_agent_model(
-                    instance, forest, exogenous, indicator.ast, cfg.agent
+                instance, mip, canonical, grid, sense = _cell_model(
+                    world, forest, query, day, cfg
                 )
             except Exception as err:  # record and continue with other cells
-                report.notes.append(f"{query} @ {world.days[day].date}: {err}")
+                report.notes.append(f"{query} @ {date}: {err}")
                 continue
-            f_sense = indicator.ast.sense
-            clear_stage1_memo()
-            t0 = time.perf_counter()
-            full = lexicographic_solve(mip, cfg.solve)
-            full_time = time.perf_counter() - t0
+            full, full_time = _cold_solve(lambda: lexicographic_solve(mip, cfg.solve))
             if full.status != OPTIMAL:
-                report.notes.append(
-                    f"{query} @ {world.days[day].date}: FULL status {full.status}"
-                )
+                report.notes.append(f"{query} @ {date}: FULL status {full.status}")
                 continue
             baseline = history.baseline_decision(instance)
             if grid is not None:
                 baseline = grid.snap_decision(baseline)
+            context = GuideContext(
+                query=query,
+                instance=instance,
+                history=history,
+                canonical=canonical,
+                iteration=1,
+                previous_active=(),
+                previous_score=0.0,
+            )
             for count in fixed_counts:
-                context = GuideContext(
-                    query=query,
-                    instance=instance,
-                    history=history,
-                    canonical=canonical,
-                    iteration=1,
-                    previous_active=(),
-                    previous_score=0.0,
-                )
                 # exactly ``count`` fixed, at least one left active
                 keep = set(most_sensitive(context, n_vars - max(0, min(count, n_vars - 1))))
                 fixed_names = [n for n in history.variable_names if n not in keep]
                 values = fixing_values(fixed_names, baseline, instance)
                 # fixing none leaves the full model's bytes, so without a
                 # cold memo this solve would reuse the full solve's stage 1
-                clear_stage1_memo()
-                t0 = time.perf_counter()
-                reduced = fix_variables(mip, values)
-                agent_sol = lexicographic_solve(reduced, cfg.solve)
-                agent_time = time.perf_counter() - t0
-                row = {
-                    "scenario": query,
-                    "date": world.days[day].date,
-                    "fixed_count": count,
-                    "rf_obj_full": full.objective_value,
-                    "qr_obj_full": full.secondary_value,
-                    "nodes_full": full.node_count,
-                    "lp_iters_full": full.lp_iterations,
-                    "status": agent_sol.status,
-                }
-                if agent_sol.status == OPTIMAL:
-                    row.update(
-                        {
-                            "rf_obj_agent": agent_sol.objective_value,
-                            "rf_gap_pct": _oriented_gap_pct(
-                                full.objective_value, agent_sol.objective_value, "max"
-                            ),
-                            "qr_obj_agent": agent_sol.secondary_value,
-                            "qr_gap_pct": _oriented_gap_pct(
-                                full.secondary_value,
-                                agent_sol.secondary_value,
-                                f_sense,
-                            ),
-                            "nodes_agent": agent_sol.node_count,
-                            "lp_iters_agent": agent_sol.lp_iterations,
-                        }
-                    )
-                else:
-                    row.update(
-                        {
-                            "rf_obj_agent": None,
-                            "rf_gap_pct": None,
-                            "qr_obj_agent": None,
-                            "qr_gap_pct": None,
-                            "nodes_agent": agent_sol.node_count,
-                            "lp_iters_agent": agent_sol.lp_iterations,
-                        }
-                    )
-                report.rows.append(row)
+                agent_sol, agent_time = _cold_solve(
+                    lambda: lexicographic_solve(fix_variables(mip, values), cfg.solve)
+                )
+                optimal = agent_sol.status == OPTIMAL
+                rf_gap, qr_gap = (
+                    _objective_gaps(full, agent_sol, sense) if optimal else (None, None)
+                )
+                report.rows.append(
+                    {
+                        "scenario": query,
+                        "date": date,
+                        "fixed_count": count,
+                        "rf_obj_full": full.objective_value,
+                        "rf_obj_agent": agent_sol.objective_value if optimal else None,
+                        "rf_gap_pct": rf_gap,
+                        "qr_obj_full": full.secondary_value,
+                        "qr_obj_agent": agent_sol.secondary_value if optimal else None,
+                        "qr_gap_pct": qr_gap,
+                        "nodes_full": full.node_count,
+                        "nodes_agent": agent_sol.node_count,
+                        "lp_iters_full": full.lp_iterations,
+                        "lp_iters_agent": agent_sol.lp_iterations,
+                        "status": agent_sol.status,
+                    }
+                )
                 report.timings.append(
                     {
                         "scenario": query,
-                        "date": world.days[day].date,
+                        "date": date,
                         "fixed_count": count,
                         "time_full_s": round(full_time, 6),
                         "time_agent_s": round(agent_time, 6),
-                        "time_gap_s": round(full_time - agent_time, 6),
-                        "time_gap_pct": round(
-                            100.0 * (full_time - agent_time) / max(full_time, 1e-9), 3
-                        ),
+                        **_time_gap(full_time, agent_time),
                     }
                 )
     # bucket aggregates per fixed count
@@ -331,22 +349,10 @@ def run_efficiency_experiment(
             {
                 "fixed_count": count,
                 "cells": len(bucket),
-                "mean_rf_gap_pct": float(
-                    np.mean([r["rf_gap_pct"] for r in bucket])
-                ),
-                "mean_qr_gap_pct": float(
-                    np.mean([r["qr_gap_pct"] for r in bucket])
-                ),
-                "mean_nodes_agent": float(
-                    np.mean([r["nodes_agent"] for r in bucket])
-                ),
-                "mean_nodes_full": float(np.mean([r["nodes_full"] for r in bucket])),
-                "mean_lp_iters_agent": float(
-                    np.mean([r["lp_iters_agent"] for r in bucket])
-                ),
-                "mean_lp_iters_full": float(
-                    np.mean([r["lp_iters_full"] for r in bucket])
-                ),
+                **_means(bucket, (
+                    "rf_gap_pct", "qr_gap_pct", "nodes_agent", "nodes_full",
+                    "lp_iters_agent", "lp_iters_full",
+                )),
             }
         )
     if out_dir:
@@ -370,12 +376,13 @@ def run_cuts_experiment(
     query: str = "Number of pre-allocated taxis",
     out_dir: str | None = None,
 ) -> BenchReport:
-    """Cut-family toggles on the bi-objective model, NoCuts as baseline.
+    """Cut-family toggles on the bi-objective model, the first family
+    (NoCuts) as the reference.
 
     Proven optima must agree across rows; the report carries per-family
     objective gaps (expected zero), node/iteration deltas and cut
-    counts, with wall-clock deltas in the sidecar. Each timed solve
-    starts from an empty stage-1 memo, as in the efficiency experiment.
+    counts, with wall-clock deltas in the sidecar. The reference row is
+    compared with itself, so its gaps and deltas are zero.
     """
     days = pick_eval_days(world, history, cfg.eval_days, cfg.seed)
     columns = [
@@ -388,63 +395,43 @@ def run_cuts_experiment(
         columns=columns,
         timing_columns=["cuts", "date", "time_s", "time_gap_s", "time_gap_pct"],
     )
-    entry = find_entry(query)
-    if entry is None:
+    if find_entry(query) is None:
         raise ValueError(f"query not in catalog: {query}")
     per_family_rows: dict[str, list[dict]] = {name: [] for name, _ in CUT_FAMILIES}
     for day in days:
-        instance = world.instance(day)
-        exogenous = world.days[day].exogenous()
-        indicator = indicator_generate(query, instance, guide="deterministic")
-        mip, canonical, grid = build_agent_model(
-            instance, forest, exogenous, indicator.ast, cfg.agent
-        )
-        f_sense = indicator.ast.sense
-        baseline_row = None
+        date = world.days[day].date
+        _, mip, _, _, sense = _cell_model(world, forest, query, day, cfg)
+        reference = None
         for name, base_cfg in CUT_FAMILIES:
             solve_cfg = replace(cfg.solve, gomory=base_cfg.gomory, cover=base_cfg.cover)
-            clear_stage1_memo()
-            t0 = time.perf_counter()
-            sol = lexicographic_solve(mip, solve_cfg)
-            elapsed = time.perf_counter() - t0
+            sol, elapsed = _cold_solve(lambda: lexicographic_solve(mip, solve_cfg))
+            if reference is None:
+                reference, reference_time = sol, elapsed
+            rf_gap, qr_gap = _objective_gaps(reference, sol, sense)
             row = {
                 "cuts": name,
-                "date": world.days[day].date,
+                "date": date,
                 "rf_obj": sol.objective_value,
                 "qr_obj": sol.secondary_value,
+                "rf_gap_pct": rf_gap,
+                "qr_gap_pct": qr_gap,
                 "nodes": sol.node_count,
+                "node_delta": sol.node_count - reference.node_count,
                 "lp_iters": sol.lp_iterations,
+                "lp_iter_delta": sol.lp_iterations - reference.lp_iterations,
                 "gomory_added": sol.cut_counts.get("gomory", 0),
                 "cover_added": sol.cut_counts.get("cover", 0),
                 "status": sol.status,
             }
-            timing = {"cuts": name, "date": world.days[day].date,
-                      "time_s": round(elapsed, 6)}
-            if baseline_row is None:
-                baseline_row = dict(row)
-                baseline_row["time_s"] = elapsed
-                row["rf_gap_pct"] = 0.0
-                row["qr_gap_pct"] = 0.0
-                row["node_delta"] = 0
-                row["lp_iter_delta"] = 0
-                timing["time_gap_s"] = 0.0
-                timing["time_gap_pct"] = 0.0
-            else:
-                row["rf_gap_pct"] = _oriented_gap_pct(
-                    baseline_row["rf_obj"], sol.objective_value, "max"
-                )
-                row["qr_gap_pct"] = _oriented_gap_pct(
-                    baseline_row["qr_obj"], sol.secondary_value, f_sense
-                )
-                row["node_delta"] = sol.node_count - baseline_row["nodes"]
-                row["lp_iter_delta"] = sol.lp_iterations - baseline_row["lp_iters"]
-                gap_s = baseline_row["time_s"] - elapsed
-                timing["time_gap_s"] = round(gap_s, 6)
-                timing["time_gap_pct"] = round(
-                    100.0 * gap_s / max(baseline_row["time_s"], 1e-9), 3
-                )
             report.rows.append(row)
-            report.timings.append(timing)
+            report.timings.append(
+                {
+                    "cuts": name,
+                    "date": date,
+                    "time_s": round(elapsed, 6),
+                    **_time_gap(reference_time, elapsed),
+                }
+            )
             per_family_rows[name].append(row)
     for name, rows in per_family_rows.items():
         if not rows:
@@ -453,12 +440,7 @@ def run_cuts_experiment(
             {
                 "cuts": name,
                 "cells": len(rows),
-                "mean_rf_gap_pct": float(np.mean([r["rf_gap_pct"] for r in rows])),
-                "mean_qr_gap_pct": float(np.mean([r["qr_gap_pct"] for r in rows])),
-                "mean_node_delta": float(np.mean([r["node_delta"] for r in rows])),
-                "mean_lp_iter_delta": float(
-                    np.mean([r["lp_iter_delta"] for r in rows])
-                ),
+                **_means(rows, ("rf_gap_pct", "qr_gap_pct", "node_delta", "lp_iter_delta")),
                 "total_gomory": int(sum(r["gomory_added"] for r in rows)),
                 "total_cover": int(sum(r["cover_added"] for r in rows)),
             }
@@ -483,20 +465,27 @@ def run_accuracy_experiment(
     ``repetitions`` times and similarity to the ground truth is
     averaged. The deterministic guide is noise-free, so repetition is
     only informative with a chat guide; the table keeps the same shape
-    either way.
+    either way. A catalog entry whose objective does not fit the
+    instance (say, a charge level it lacks) is noted and left out.
     """
-    entries = linear_entries() if linear else nonlinear_entries()
-    prompt_counts = cfg.prompt_counts_linear if linear else cfg.prompt_counts_nonlinear
-    columns = [
+    kind = "accuracy_linear" if linear else "accuracy_nonlinear"
+    report = BenchReport(kind=kind, columns=[
         "prompts", "in_sample_result", "in_sample_text",
         "out_sample_result", "out_sample_text",
-    ]
-    kind = "accuracy_linear" if linear else "accuracy_nonlinear"
-    report = BenchReport(kind=kind, columns=columns)
+    ])
+    entries = []
+    for entry in linear_entries() if linear else nonlinear_entries():
+        try:
+            canonicalize(entry.ast(), instance)
+        except DslError as err:
+            report.notes.append(f"{entry.query}: does not fit the instance, skipped: {err}")
+            continue
+        entries.append(entry)
+    entries = tuple(entries)
+    prompt_counts = cfg.prompt_counts_linear if linear else cfg.prompt_counts_nonlinear
     for count in prompt_counts:
         count = min(count, len(entries))
-        few_shot_entries = entries[:count]
-        in_sample = list(few_shot_entries)
+        in_sample = entries[:count]
         out_sample = [e for e in entries if e not in in_sample]
         scores = {"in": {"text": [], "result": []}, "out": {"text": [], "result": []}}
         for bucket, rows in (("in", in_sample), ("out", out_sample)):
@@ -512,8 +501,11 @@ def run_accuracy_experiment(
                             guide=guide,
                             client=client,
                             few_shot_n=count,
-                            catalog=tuple(entries),
+                            catalog=entries,
                         )
+                        # a generated objective that does not fit the
+                        # instance fails here, and counts as a failed one
+                        result_score = result_similarity(result.ast, truth_ast, instance)
                     except Exception as err:
                         report.notes.append(f"{entry.query}: {err}")
                         scores[bucket]["text"].append(0.0)
@@ -522,22 +514,12 @@ def run_accuracy_experiment(
                     scores[bucket]["text"].append(
                         text_similarity(result.source, entry.source)
                     )
-                    scores[bucket]["result"].append(
-                        result_similarity(result.ast, truth_ast, instance)
-                    )
+                    scores[bucket]["result"].append(result_score)
         row = {"prompts": count}
-        row["in_sample_result"] = (
-            float(np.mean(scores["in"]["result"])) if scores["in"]["result"] else None
-        )
-        row["in_sample_text"] = (
-            float(np.mean(scores["in"]["text"])) if scores["in"]["text"] else None
-        )
-        row["out_sample_result"] = (
-            float(np.mean(scores["out"]["result"])) if scores["out"]["result"] else None
-        )
-        row["out_sample_text"] = (
-            float(np.mean(scores["out"]["text"])) if scores["out"]["text"] else None
-        )
+        for bucket in ("in", "out"):
+            for metric in ("result", "text"):
+                values = scores[bucket][metric]
+                row[f"{bucket}_sample_{metric}"] = float(np.mean(values)) if values else None
         report.rows.append(row)
     if out_dir:
         report.write(out_dir)

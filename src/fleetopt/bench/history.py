@@ -19,22 +19,19 @@ def make_history(
     m: int,
     solve_cfg: SolveConfig | None = None,
     seed: int = 0,
-    day_indices: list[int] | None = None,
 ) -> HistoryStore:
     """Solve the forest-profit model on m sampled days.
 
-    Days are a seeded sample without replacement unless given
-    explicitly. Solver failures are recorded as skipped days; at least
-    one day must solve.
+    Days are a seeded sample without replacement. Solver failures are
+    recorded as skipped days; at least one day must solve.
     """
     solve_cfg = solve_cfg or SolveConfig()
-    if day_indices is None:
-        if m > len(world.days):
-            raise ValueError(f"m={m} exceeds the number of days ({len(world.days)})")
-        rng = np.random.default_rng(seed)
-        day_indices = sorted(
-            int(i) for i in rng.choice(len(world.days), size=m, replace=False)
-        )
+    if m > len(world.days):
+        raise ValueError(f"m={m} exceeds the number of days ({len(world.days)})")
+    rng = np.random.default_rng(seed)
+    day_indices = sorted(
+        int(i) for i in rng.choice(len(world.days), size=m, replace=False)
+    )
     records = []
     failures = []
     names = None

@@ -89,11 +89,8 @@ class WorldDay:
     profit: float
 
     def exogenous(self) -> dict[str, float]:
-        return {
-            "temperature": self.temperature,
-            "dew_point": self.dew_point,
-            "day_of_week": float(self.day_of_week),
-        }
+        """The day's exogenous features, in ``EXOGENOUS_NAMES`` order."""
+        return {name: float(getattr(self, name)) for name in EXOGENOUS_NAMES}
 
 
 @dataclass
@@ -128,8 +125,7 @@ class World:
         for day_idx, d in enumerate(self.days):
             inst = self.instance(day_idx)
             vec = decision_to_vector(inst, d.decision)
-            features = [d.temperature, d.dew_point, float(d.day_of_week)] + vec.tolist()
-            rows.append((features, d.profit))
+            rows.append((list(d.exogenous().values()) + vec.tolist(), d.profit))
         return rows
 
     def to_dict(self) -> dict:
@@ -307,35 +303,19 @@ def generate_world(cfg: SynthConfig) -> World:
         supply = rng.integers(0, cfg.max_supply + 1, (cfg.n_supply, cfg.soc_levels))
         if supply.sum() == 0:
             supply[0, -1] = 1
-        instance = FleetInstance(
-            supply_areas=supply_areas,
-            demand_areas=demand_areas,
-            soc_levels=cfg.soc_levels,
-            supply=supply,
-            demand=demand,
-            distance_km=dist,
-            inconvenience_rate=cfg.inconvenience_rate,
-            booking_fee=np.full(cfg.n_demand, cfg.booking_fee),
-            theta=cfg.theta,
-            fare_bounds=cfg.fare_bounds,
-        )
         decision = _random_feasible_decision(rng, supply, demand, dist, cfg)
-        features = {
-            "temperature": temperature,
-            "dew_point": dew_point,
-            "day_of_week": float(date.weekday()),
-        }
-        label = simulate_profit(instance, decision, features, cfg, base_demand=base)
-        world.days.append(
-            WorldDay(
-                date=date.isoformat(),
-                day_of_week=date.weekday(),
-                temperature=temperature,
-                dew_point=dew_point,
-                supply=supply.astype(np.int64),
-                demand=demand,
-                decision=decision,
-                profit=label,
-            )
+        record = WorldDay(
+            date=date.isoformat(),
+            day_of_week=date.weekday(),
+            temperature=temperature,
+            dew_point=dew_point,
+            supply=supply.astype(np.int64),
+            demand=demand,
+            decision=decision,
+            profit=0.0,  # the label, set below from the day's own instance
+        )
+        world.days.append(record)
+        record.profit = simulate_profit(
+            world.instance(day), decision, record.exogenous(), cfg, base_demand=base
         )
     return world

@@ -78,9 +78,25 @@ def _from_section(cls, section: dict, name: str):
     return cls(**kwargs)
 
 
-def _solve_config(args) -> SolveConfig:
-    cfg = _from_section(SolveConfig, _config_section(args, "solve"), "solve")
-    if getattr(args, "time_limit", None):
+def _positive_seconds(text: str) -> float:
+    """``--time-limit`` value: a positive number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0  # reported below, as any other value that is not positive
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text!r}"
+        )
+    return value
+
+
+def _solve_config(args, cfg: SolveConfig | None = None) -> SolveConfig:
+    """``cfg`` (by default the config file's ``solve`` section) with
+    ``--time-limit`` applied: the one place the flag takes effect."""
+    if cfg is None:
+        cfg = _from_section(SolveConfig, _config_section(args, "solve"), "solve")
+    if args.time_limit is not None:
         cfg.time_limit = args.time_limit
     return cfg
 
@@ -186,8 +202,7 @@ def cmd_agent(args) -> int:
     exogenous = world.days[args.day].exogenous()
     cfg = _from_section(AgentConfig, _config_section(args, "agent"), "agent")
     cfg.guide = args.guide
-    if args.time_limit:
-        cfg.solve.time_limit = args.time_limit
+    cfg.solve = _solve_config(args, cfg.solve)
     trace = run_agent(
         args.query, instance, exogenous, forest, history, cfg, client=_client(args)
     )
@@ -205,8 +220,7 @@ def cmd_bench(args) -> int:
     cfg = _from_section(BenchConfig, _config_section(args, "bench"), "bench")
     if args.seed is not None:
         cfg.seed = args.seed
-    if args.time_limit:
-        cfg.solve.time_limit = args.time_limit
+    cfg.solve = _solve_config(args, cfg.solve)
     os.makedirs(args.out, exist_ok=True)
     if args.experiment == "accuracy":
         instance = world.instance(0)
@@ -275,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forest", required=True)
     p.add_argument("--m", type=int, default=14)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_positive_seconds, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_make_history)
 
@@ -284,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forest", required=True)
     p.add_argument("--day", type=int, default=0)
     p.add_argument("--query", default=None, help="optional secondary objective query")
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_positive_seconds, default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("agent", help="run the guided fixing loop for a query")
@@ -294,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--day", type=int, default=0)
     p.add_argument("--query", required=True)
     p.add_argument("--guide", choices=("deterministic", "llm"), default="deterministic")
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_positive_seconds, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_agent)
 
@@ -305,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", default=None)
     p.add_argument("--guide", choices=("deterministic", "llm"), default="deterministic")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_positive_seconds, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bench)
 
@@ -316,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--history", required=True)
     p.add_argument("--day", type=int, default=0)
     p.add_argument("--guide", choices=("deterministic", "llm"), default="deterministic")
-    p.add_argument("--time-limit", type=float, default=None)
+    p.add_argument("--time-limit", type=_positive_seconds, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_query)
 

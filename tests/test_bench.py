@@ -25,10 +25,12 @@ from fleetopt.bench import (
     simulate_profit,
     weather_factor,
 )
+from fleetopt.agent import ReplayClient
 from fleetopt.bench import experiments
 from fleetopt.fleet import Decision, PriceGrid, decision_to_vector, decision_values
 from fleetopt.forest import TrainConfig, train, train_test_split
 from fleetopt.mip import SolveConfig
+from fleetopt.mip.problem import TIME_LIMIT, Solution
 
 
 def small_world(seed=5):
@@ -428,6 +430,122 @@ class TestExperiments:
         assert list(values) == [m for m in self.history.variable_names if m in values]
         assert values == {name: expected[name] for name in values}
         assert any(values[m] != raw[m] for m in values if m.startswith("u_hat"))
+
+    def test_a_fixed_solve_that_is_not_optimal_keeps_its_counts(self, monkeypatch):
+        # fixed solves of a nonzero count stop at the time limit without a
+        # point: the row keeps the status and counts, and has no objective
+        reduced = []
+        fix = experiments.fix_variables
+        solve = experiments.lexicographic_solve
+
+        def fix_spy(mip, values):
+            problem = fix(mip, values)
+            if values:
+                reduced.append(problem)
+            return problem
+
+        def solve_spy(mip, cfg):
+            if any(mip is problem for problem in reduced):
+                return Solution(status=TIME_LIMIT, node_count=7, lp_iterations=11)
+            return solve(mip, cfg)
+
+        monkeypatch.setattr(experiments, "fix_variables", fix_spy)
+        monkeypatch.setattr(experiments, "lexicographic_solve", solve_spy)
+        n = len(self.history.variable_names)
+        cfg = BenchConfig(seed=0, eval_days=2,
+                          queries=("Number of pre-allocated taxis",),
+                          fixed_counts=(0, n // 2))
+        report = run_efficiency_experiment(self.world, self.forest, self.history, cfg)
+        stopped = [r for r in report.rows if r["fixed_count"] == n // 2]
+        assert len(stopped) == 2 and len(reduced) == 2
+        for row in stopped:
+            assert row["status"] == TIME_LIMIT
+            assert row["nodes_agent"] == 7 and row["lp_iters_agent"] == 11
+            for col in ("rf_obj_agent", "rf_gap_pct", "qr_obj_agent", "qr_gap_pct"):
+                assert row[col] is None, col
+            assert row["rf_obj_full"] is not None
+        assert [a["fixed_count"] for a in report.aggregates] == [0]
+        assert report.aggregates[0]["cells"] == 2
+        assert len(report.timings) == 4
+
+    def test_report_files_are_pinned(self, tmp_path):
+        # efficiency over five queries (a gridded one among them) and four
+        # fixed counts, cuts over three days and accuracy on a three-level
+        # world; the digests were read before the experiments shared one
+        # cell path
+        queries = BenchConfig().queries + ("Dispatching efficiency of taxis",)
+        run_efficiency_experiment(
+            self.world, self.forest, self.history,
+            BenchConfig(seed=0, eval_days=2, queries=queries, fixed_counts=(0, 4, 8, 15)),
+            out_dir=str(tmp_path),
+        )
+        run_cuts_experiment(self.world, self.forest, self.history,
+                            BenchConfig(seed=0, eval_days=3), out_dir=str(tmp_path))
+        world3 = generate_world(
+            SynthConfig(seed=5, n_supply=3, n_demand=2, soc_levels=3, n_days=3)
+        )
+        for linear in (True, False):
+            run_accuracy_experiment(world3.instance(0), BenchConfig(repetitions=2),
+                                    linear=linear, out_dir=str(tmp_path))
+        pinned = {
+            "efficiency_report.json":
+                "b07ee8fcd4caeed7ddb7f03ee11e652c5ff27cff3b6f365168c5f5aba1d61f6f",
+            "efficiency_report.csv":
+                "a2fc49f9b2343aff3177270b7117f6d583ec26cf338bb8b6ffd530b0332cb5fd",
+            "efficiency_report.md":
+                "594e42fa2d30385793b46141099f8c56161e01cfd5e351cb95951341a539445f",
+            "cuts_report.json":
+                "c267b25c9ff227d901cd026f2b6fd1fcca6b10c96d47af021667398362541015",
+            "cuts_report.csv":
+                "d9b5b0f543c959833b2df30708e58fabb05108d6626a2f9c0a83358c483bce19",
+            "cuts_report.md":
+                "b83f50ae077d540b281ad1e24fb00c0f4b5291c555c12194a6dfeba4df6c5c8c",
+            "accuracy_linear_report.json":
+                "2b2fde8ef2c20f097627b94f0d100152da8586b7c43545f82b363770beaa7cc5",
+            "accuracy_linear_report.csv":
+                "49405790810c21481aec62d5161cf1f3cad908e539330cbfa7366cfab6c84adc",
+            "accuracy_linear_report.md":
+                "444c6a18195bad87173ce65161808f56fa009a4cbc823f3b203180a30b5efe0e",
+            "accuracy_nonlinear_report.json":
+                "de1080a9f31183d9434b606de06ee3b1caccbbf93aff7da2bed570fcc24b71e1",
+            "accuracy_nonlinear_report.csv":
+                "0f24d31f6d841f411ad2d071f03d6698da694be26266e57e1014884c4465f747",
+            "accuracy_nonlinear_report.md":
+                "740e971076da00d2e5601747ec37f35c27cb429a35a71aca634cd3585739107c",
+        }
+        for name, digest in pinned.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+        with open(tmp_path / "efficiency_timings.csv") as fh:
+            assert fh.readline() == ("scenario,date,fixed_count,time_full_s,"
+                                     "time_agent_s,time_gap_s,time_gap_pct\n")
+        with open(tmp_path / "cuts_timings.csv") as fh:
+            assert fh.readline() == "cuts,date,time_s,time_gap_s,time_gap_pct\n"
+
+    def test_accuracy_skips_entries_that_do_not_fit_a_two_level_world(self):
+        # the high-power entry indexes charge level 2, which this world lacks
+        inst = self.world.instance(0)
+        assert inst.soc_levels == 2
+        report = run_accuracy_experiment(inst, BenchConfig(repetitions=1), linear=True)
+        (note,) = report.notes
+        assert note.startswith("Number of high-powered taxis in demand areas: ")
+        assert "is not a member of K" in note
+        assert report.rows
+        for row in report.rows:
+            for col in ("in_sample_result", "in_sample_text",
+                        "out_sample_result", "out_sample_text"):
+                if row[col] is not None:
+                    assert row[col] == pytest.approx(1.0)
+        # a chat reply naming the missing level scores as a failed generation
+        client = ReplayClient(["maximize sum(i in I, j in J) x[i,j,2]"] * 20)
+        cfg = BenchConfig(repetitions=1, prompt_counts_linear=(0,))
+        report = run_accuracy_experiment(inst, cfg, guide="llm", client=client,
+                                         linear=True)
+        skipped, *failed = report.notes
+        assert len(failed) == len(experiments.linear_entries()) - 1
+        assert all(n.endswith(": x index 3 = 2 is not a member of K") for n in failed)
+        assert report.rows == [{"prompts": 0, "in_sample_result": None,
+                                "in_sample_text": None, "out_sample_result": 0.0,
+                                "out_sample_text": 0.0}]
 
     def test_accuracy_deterministic_guide_scores_one(self):
         # the catalog's high-power entry indexes charge level 2, so the

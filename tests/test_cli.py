@@ -1,5 +1,6 @@
 import json
 import os
+import types
 
 import pytest
 
@@ -198,3 +199,45 @@ class TestCli:
         printed = capsys.readouterr().out
         assert '"status": "TimeLimit"' in printed
         assert '"decision"' not in printed
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["agent", "--history", "h", "--query", "Number of pre-allocated taxis"],
+        ["bench", "efficiency", "--history", "h", "--out", "o"],
+        ["make-history", "--out", "o"],
+        ["query", "Number of pre-allocated taxis", "--history", "h"],
+    ])
+    def test_time_limit_must_be_positive(self, command, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--world", "w", "--forest", "f", "--time-limit", value])
+        assert exc.value.code == 2
+        assert "--time-limit: must be a positive number of seconds" in (
+            capsys.readouterr().err
+        )
+
+    def test_time_limit_joins_the_agent_and_bench_solve_sections(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        seen = []
+        def agent_spy(*args, **kwargs):
+            seen.append(args[5])
+            return types.SimpleNamespace(response="")
+
+        monkeypatch.setattr(cli, "run_agent", agent_spy)
+        monkeypatch.setattr(cli, "run_efficiency_experiment",
+                            lambda *a, **kw: seen.append(a[3]))
+        _, out = pipeline
+        config = tmp_path / "nested.json"
+        config.write_text(json.dumps({"agent": {"solve": {"gap_tol": 1e-6}},
+                                      "bench": {"solve": {"node_limit": 9}}}))
+        common = ["--world", str(out / "world.json"),
+                  "--forest", str(out / "forest.json"),
+                  "--history", str(out / "history.json"), "--time-limit", "2.5"]
+        assert main(["--config", str(config), "agent",
+                     "--query", "Number of pre-allocated taxis"] + common) == 0
+        assert main(["--config", str(config), "bench", "efficiency",
+                     "--out", str(tmp_path)] + common) == 0
+        agent_cfg, bench_cfg = seen
+        assert agent_cfg.solve.time_limit == 2.5 and agent_cfg.solve.gap_tol == 1e-6
+        assert bench_cfg.solve.time_limit == 2.5 and bench_cfg.solve.node_limit == 9
