@@ -25,7 +25,7 @@ from .loop import (
     response_format,
     run_agent,
 )
-from .prompts import GRAMMAR_SUMMARY, PromptTemplates, render_indicator, render_tailor
+from .prompts import GRAMMAR_SUMMARY, render_indicator, render_tailor
 from .types import (
     AgentConfig,
     AgentError,
@@ -54,7 +54,6 @@ __all__ = [
     "LlmError",
     "LlmGuide",
     "MatchResult",
-    "PromptTemplates",
     "ReplayClient",
     "build_agent_model",
     "clear_day_model_memo",

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from ..dsl.analysis import CanonicalForm
 from ..fleet import FleetInstance
 from .llm import LlmError, extract_json_array
-from .prompts import PromptTemplates, render_tailor
+from .prompts import CHAT_ATTEMPTS, render_tailor
 from .types import GuideProposal, HistoryStore
 
 OBJECTIVE_BONUS = 0.5
+# The note a chat guide's proposal carries when it is the deterministic one.
+FELL_BACK = "fell back to the deterministic guide"
 
 
 @dataclass
@@ -56,6 +58,13 @@ def fixed_fraction(schedule: tuple[float, ...], iteration: int) -> float:
     return float(schedule[idx])
 
 
+def keep_count(schedule: tuple[float, ...], context: GuideContext) -> int:
+    """How many variables stay active at the context's iteration: at
+    least one, and the share the schedule does not fix, rounded up."""
+    rho = fixed_fraction(schedule, context.iteration)
+    return max(1, math.ceil((1.0 - rho) * len(context.history.variable_names)))
+
+
 def sensitivity_scores(context: GuideContext) -> dict[str, float]:
     stats = context.history.stats(context.instance)
     stds = {name: s["std"] for name, s in stats.items()}
@@ -85,9 +94,8 @@ class DeterministicGuide:
 
     def propose(self, context: GuideContext) -> GuideProposal:
         rho = fixed_fraction(self.schedule, context.iteration)
-        n = len(context.history.variable_names)
         return GuideProposal(
-            keep_active=most_sensitive(context, max(1, math.ceil((1.0 - rho) * n))),
+            keep_active=most_sensitive(context, keep_count(self.schedule, context)),
             rationale=(
                 f"iteration {context.iteration}: fixing {rho:.0%} lowest-"
                 "sensitivity variables by historical spread"
@@ -98,35 +106,23 @@ class DeterministicGuide:
 class LlmGuide:
     """Chat-backed guide with validation and deterministic fallback."""
 
-    def __init__(
-        self,
-        client,
-        templates: PromptTemplates | None = None,
-        schedule: tuple[float, ...] = (0.25, 0.50, 0.75),
-        max_attempts: int = 3,
-    ):
+    def __init__(self, client, schedule: tuple[float, ...] = (0.25, 0.50, 0.75)):
         self.client = client
-        self.templates = templates or PromptTemplates()
         self.fallback = DeterministicGuide(schedule)
-        self.schedule = tuple(schedule)
-        self.max_attempts = max_attempts
 
     def propose(self, context: GuideContext) -> GuideProposal:
         names = set(context.history.variable_names)
-        rho = fixed_fraction(self.schedule, context.iteration)
-        keep_count = max(1, math.ceil((1.0 - rho) * len(names)))
         stats = context.history.stats(context.instance)
         messages = render_tailor(
-            self.templates,
             context.query,
             context.iteration,
-            keep_count,
+            keep_count(self.fallback.schedule, context),
             stats,
             context.previous_active,
             context.previous_score,
         )
         notes: list[str] = list(context.notes)
-        for attempt in range(self.max_attempts):
+        for attempt in range(CHAT_ATTEMPTS):
             try:
                 reply = self.client.complete(messages)
             except LlmError as err:
@@ -162,7 +158,7 @@ class LlmGuide:
                 },
             ]
         fallback = self.fallback.propose(context)
-        notes.append("fell back to the deterministic guide")
+        notes.append(FELL_BACK)
         return GuideProposal(
             keep_active=fallback.keep_active,
             rationale=fallback.rationale,

@@ -20,7 +20,7 @@ from ..dsl.parser import DslError, ObjectiveAst, parse
 from ..dsl.similarity import jaro_winkler, normalize_source
 from ..fleet import FleetInstance
 from .llm import LlmError
-from .prompts import PromptTemplates, render_indicator
+from .prompts import CHAT_ATTEMPTS, INDICATOR_RETRY, render_indicator
 from .types import AgentError
 
 
@@ -40,22 +40,17 @@ DEFAULT_REGISTRY: dict[str, tuple[str, ...]] = {
 }
 
 
-def problem_match(
-    query: str,
-    registry: dict[str, tuple[str, ...]] | None = None,
-) -> MatchResult:
-    """Keyword-scored routing; the registry's first handler wins on no hits."""
-    registry = DEFAULT_REGISTRY if registry is None else registry
-    if not registry:
-        raise AgentError("empty domain registry")
+def problem_match(query: str) -> MatchResult:
+    """Keyword-scored routing over :data:`DEFAULT_REGISTRY`; its first
+    handler wins on no hits."""
     words = set(re.findall(r"[a-z]+", query.lower()))
     best_id, best_score = None, -1
-    for agent_id, keywords in registry.items():
+    for agent_id, keywords in DEFAULT_REGISTRY.items():
         score = sum(1 for kw in keywords if kw in words)
         if score > best_score:
             best_id, best_score = agent_id, score
     if best_score <= 0:
-        return MatchResult(agent_id=next(iter(registry)), score=0, low_confidence=True)
+        return MatchResult(agent_id=next(iter(DEFAULT_REGISTRY)), score=0, low_confidence=True)
     return MatchResult(agent_id=best_id, score=best_score, low_confidence=False)
 
 
@@ -94,15 +89,22 @@ def _catalog_keys(catalog: tuple[CatalogEntry, ...]) -> tuple[str, ...]:
     return tuple(_match_key(e.query) for e in catalog)
 
 
+def check_guide(guide: str, client) -> None:
+    """Raise :class:`AgentError` unless ``guide`` names a guide that can
+    run: ``"deterministic"``, or ``"llm"`` with a client."""
+    if guide not in ("deterministic", "llm"):
+        raise AgentError(f"unknown guide kind {guide!r}")
+    if guide == "llm" and client is None:
+        raise AgentError("the chat guide needs a configured client")
+
+
 def indicator_generate(
     query: str,
     instance: FleetInstance,
     guide: str = "deterministic",
     client=None,
-    templates: PromptTemplates | None = None,
     few_shot_n: int = 8,
     catalog: tuple[CatalogEntry, ...] | None = None,
-    max_attempts: int = 3,
 ) -> IndicatorResult:
     """Produce a validated objective for a query.
 
@@ -111,6 +113,7 @@ def indicator_generate(
     feeds back validator diagnostics on failure and raises
     :class:`AgentError` with the transcript once attempts run out.
     """
+    check_guide(guide, client)
     catalog = catalog or ground_truth_catalog()
     if guide == "deterministic":
         norm = _match_key(query)
@@ -127,15 +130,10 @@ def indicator_generate(
             ast=ast, info=info, source=best.source, attempts=1, matched_query=best.query
         )
 
-    if guide != "llm":
-        raise AgentError(f"unknown guide kind {guide!r}")
-    if client is None:
-        raise AgentError("the chat guide needs a configured client")
-    templates = templates or PromptTemplates()
     few_shot = [(e.query, e.source) for e in catalog[:few_shot_n]]
-    messages = render_indicator(templates, query, few_shot)
+    messages = render_indicator(query, few_shot)
     transcript: list[dict] = []
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, CHAT_ATTEMPTS + 1):
         try:
             reply = client.complete(messages)
         except LlmError as err:
@@ -164,11 +162,11 @@ def indicator_generate(
             {"role": "assistant", "content": reply},
             {
                 "role": "user",
-                "content": templates.indicator_retry.format(diagnostic=diagnostic),
+                "content": INDICATOR_RETRY.format(diagnostic=diagnostic),
             },
         ]
     error = AgentError(
-        f"objective generation failed after {max_attempts} attempts; "
+        f"objective generation failed after {CHAT_ATTEMPTS} attempts; "
         f"last diagnostic: {diagnostic}"
     )
     error.transcript = transcript

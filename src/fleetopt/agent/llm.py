@@ -85,6 +85,8 @@ class ChatClient:
                 self._record(payload, content)
                 return content
             except (urllib.error.URLError, json.JSONDecodeError, LlmError) as err:
+                if isinstance(err, urllib.error.HTTPError):
+                    err.close()  # the error holds the reply's connection
                 last_error = err
         raise LlmError(f"chat endpoint failed after retries: {last_error}")
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -40,9 +40,8 @@ from ..fleet_mip import build_feature_mip, decision_from_solution
 from ..forest import Forest
 from ..mip.problem import INFEASIBLE, MipProblem
 from ..mip.solver import STOPPED_WITH_POINT, fix_variables, lexicographic_solve
-from .guides import DeterministicGuide, GuideContext, LlmGuide
-from .indicator import IndicatorResult, indicator_generate
-from .prompts import PromptTemplates
+from .guides import FELL_BACK, DeterministicGuide, GuideContext, LlmGuide
+from .indicator import IndicatorResult, check_guide, indicator_generate
 from .types import (
     AgentConfig,
     AgentTrace,
@@ -180,7 +179,6 @@ def run_agent(
     history: HistoryStore,
     cfg: AgentConfig | None = None,
     client=None,
-    templates: PromptTemplates | None = None,
     indicator: IndicatorResult | None = None,
 ) -> AgentTrace:
     """Run the guided loop end to end and return its trace.
@@ -188,23 +186,24 @@ def run_agent(
     ``indicator`` short-circuits objective generation when the caller
     already holds a validated objective, so the run starts at the
     fixing loop and a chat guide's client is asked only for fixing
-    proposals.
+    proposals. An unknown guide kind, or the chat guide without a
+    client, raises :class:`.AgentError` either way.
     """
     cfg = cfg or AgentConfig()
+    check_guide(cfg.guide, client)
     if indicator is None:
         indicator = indicator_generate(
             query,
             instance,
             guide=cfg.guide,
             client=client,
-            templates=templates,
             few_shot_n=cfg.few_shot,
         )
     f_ast = indicator.ast
     mip, canonical, grid = build_agent_model(instance, forest, exogenous, f_ast, cfg)
 
-    if cfg.guide == "llm" and client is not None:
-        guide = LlmGuide(client, templates, schedule=cfg.fixed_fractions)
+    if cfg.guide == "llm":
+        guide = LlmGuide(client, schedule=cfg.fixed_fractions)
     else:
         guide = DeterministicGuide(schedule=cfg.fixed_fractions)
 
@@ -252,60 +251,54 @@ def run_agent(
         proposal = guide.propose(context)
         values, solution = solve_with(proposal)
         notes = list(proposal.notes)
-        if solution.status == INFEASIBLE and isinstance(guide, LlmGuide):
+        # the deterministic guide reads neither the failed proposal nor the
+        # notes, so a retry would solve the same model again: its proposal
+        # is solved at most once per iteration, and only a chat guide's own
+        # reply is re-prompted
+        chat_reply = isinstance(guide, LlmGuide) and FELL_BACK not in proposal.notes
+        if solution.status == INFEASIBLE and chat_reply:
             # one re-prompt carrying the failure, then the deterministic guide
             notes.append("fix led to an infeasible model; re-prompting once")
-            retry_context = GuideContext(
-                query=query,
-                instance=instance,
-                history=history,
-                canonical=canonical,
-                iteration=t,
+            context = replace(
+                context,
                 previous_active=proposal.keep_active,
                 previous_score=None,
                 notes=("previous proposal made the model infeasible",),
             )
-            proposal = guide.propose(retry_context)
+            proposal = guide.propose(context)
+            notes.extend(proposal.notes)
             values, solution = solve_with(proposal)
-            if solution.status == INFEASIBLE:
+            if solution.status == INFEASIBLE and FELL_BACK not in proposal.notes:
                 notes.append("falling back to the deterministic guide")
-                proposal = guide.fallback.propose(retry_context)
+                proposal = guide.fallback.propose(context)
+                notes.extend(proposal.notes)
                 values, solution = solve_with(proposal)
         elif solution.status == INFEASIBLE:
-            # the deterministic guide reads neither the failed proposal nor
-            # the notes, so a retry would solve the same model again
             notes.append("fix led to an infeasible model; the deterministic guide "
                          "has no other proposal")
-        if solution.status not in STOPPED_WITH_POINT or not solution.values:
-            trace.iterations.append(
-                IterationRecord(
-                    iteration=t,
-                    active=proposal.keep_active,
-                    fixed_values=values,
-                    status=solution.status,
-                    wall_time=time.perf_counter() - started,
-                    stage1_reused=solution.stage1_reused,
-                    notes=tuple(notes),
-                )
+        g_value = f_value = score = None
+        if solution.status in STOPPED_WITH_POINT and solution.values:
+            decision = decision_from_solution(instance, mip, solution)
+            # the baseline's value is computed once, above
+            query_value = canonical.evaluate(decision_values(instance, decision))
+            score = relative_improvement(f_ast.sense, query_value, baseline_f)
+            g_value, f_value = solution.objective_value, solution.secondary_value
+        trace.iterations.append(
+            IterationRecord(
+                iteration=t,
+                active=proposal.keep_active,
+                fixed_values=values,
+                status=solution.status,
+                g_value=g_value,
+                f_value=f_value,
+                score=score,
+                wall_time=time.perf_counter() - started,
+                stage1_reused=solution.stage1_reused,
+                notes=tuple(notes),
             )
-            break
-        decision = decision_from_solution(instance, mip, solution)
-        # the baseline's value is computed once, above
-        query_value = canonical.evaluate(decision_values(instance, decision))
-        score = relative_improvement(f_ast.sense, query_value, baseline_f)
-        record = IterationRecord(
-            iteration=t,
-            active=proposal.keep_active,
-            fixed_values=values,
-            status=solution.status,
-            g_value=solution.objective_value,
-            f_value=solution.secondary_value,
-            score=score,
-            wall_time=time.perf_counter() - started,
-            stage1_reused=solution.stage1_reused,
-            notes=tuple(notes),
         )
-        trace.iterations.append(record)
+        if score is None:
+            break
         if _beats(score, trace.best_score):
             trace.best_score = score
             trace.best_decision = decision

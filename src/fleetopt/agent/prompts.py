@@ -3,13 +3,13 @@
 One template turns an operator query into a DSL objective (with
 few-shot query/objective pairs), the other asks for the subset of
 decision variables worth keeping active given per-variable history
-statistics and the previous iteration's outcome. Rendering fills every
-placeholder; tests assert none survive.
+statistics and the previous iteration's outcome. The templates are
+module constants, as is :data:`CHAT_ATTEMPTS`, the reply budget both
+chat steps share. Rendering fills every placeholder; tests assert none
+survive.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 GRAMMAR_SUMMARY = """\
 Objectives are one line: 'maximize <expr>' or 'minimize <expr>'.
@@ -24,59 +24,58 @@ Expressions combine +, -, * and abs(...) over:
 Index sets: I supply areas, J demand areas, K charge levels."""
 
 
-@dataclass(frozen=True)
-class PromptTemplates:
-    indicator_system: str = (
-        "You translate fleet-operator requests into objective functions "
-        "written in a small optimization language. Reply with exactly one "
-        "objective line and nothing else."
-    )
-    indicator_user: str = (
-        "Objective language:\n{grammar}\n\n"
-        "{examples}"
-        "Request: {query}\n"
-        "Objective:"
-    )
-    indicator_example: str = "Request: {query}\nObjective: {source}\n\n"
-    indicator_retry: str = (
-        "That objective was rejected: {diagnostic}\n"
-        "Reply with one corrected objective line."
-    )
-    tailor_system: str = (
-        "You prune decision variables for a fleet optimization model. "
-        "Given per-variable history statistics, reply with a JSON array of "
-        "the variable names to KEEP ACTIVE; all others will be fixed to "
-        "their historical averages."
-    )
-    tailor_user: str = (
-        "Request: {query}\n"
-        "Iteration {iteration}: keep about {keep_count} of {total} variables.\n"
-        "Previously active ({prev_count}): {prev_active}\n"
-        "Previous satisfaction score: {prev_score}\n\n"
-        "Variable statistics (name mean std min max):\n{stats}\n\n"
-        "JSON array of names to keep active:"
-    )
+# Replies each chat step asks for before it gives up.
+CHAT_ATTEMPTS = 3
+
+INDICATOR_SYSTEM = (
+    "You translate fleet-operator requests into objective functions "
+    "written in a small optimization language. Reply with exactly one "
+    "objective line and nothing else."
+)
+INDICATOR_USER = (
+    "Objective language:\n{grammar}\n\n"
+    "{examples}"
+    "Request: {query}\n"
+    "Objective:"
+)
+INDICATOR_EXAMPLE = "Request: {query}\nObjective: {source}\n\n"
+INDICATOR_RETRY = (
+    "That objective was rejected: {diagnostic}\n"
+    "Reply with one corrected objective line."
+)
+TAILOR_SYSTEM = (
+    "You prune decision variables for a fleet optimization model. "
+    "Given per-variable history statistics, reply with a JSON array of "
+    "the variable names to KEEP ACTIVE; all others will be fixed to "
+    "their historical averages."
+)
+TAILOR_USER = (
+    "Request: {query}\n"
+    "Iteration {iteration}: keep about {keep_count} of {total} variables.\n"
+    "Previously active ({prev_count}): {prev_active}\n"
+    "Previous satisfaction score: {prev_score}\n\n"
+    "Variable statistics (name mean std min max):\n{stats}\n\n"
+    "JSON array of names to keep active:"
+)
 
 
 def render_indicator(
-    templates: PromptTemplates,
     query: str,
     few_shot: list[tuple[str, str]],
 ) -> list[dict[str, str]]:
     examples = "".join(
-        templates.indicator_example.format(query=q, source=s) for q, s in few_shot
+        INDICATOR_EXAMPLE.format(query=q, source=s) for q, s in few_shot
     )
-    user = templates.indicator_user.format(
+    user = INDICATOR_USER.format(
         grammar=GRAMMAR_SUMMARY, examples=examples, query=query
     )
     return [
-        {"role": "system", "content": templates.indicator_system},
+        {"role": "system", "content": INDICATOR_SYSTEM},
         {"role": "user", "content": user},
     ]
 
 
 def render_tailor(
-    templates: PromptTemplates,
     query: str,
     iteration: int,
     keep_count: int,
@@ -89,7 +88,7 @@ def render_tailor(
         for name, s in stats.items()
     )
     prev = ", ".join(prev_active) if prev_active else "(all)"
-    user = templates.tailor_user.format(
+    user = TAILOR_USER.format(
         query=query,
         iteration=iteration,
         keep_count=keep_count,
@@ -100,6 +99,6 @@ def render_tailor(
         stats=rows,
     )
     return [
-        {"role": "system", "content": templates.tailor_system},
+        {"role": "system", "content": TAILOR_SYSTEM},
         {"role": "user", "content": user},
     ]

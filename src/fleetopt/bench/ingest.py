@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..fleet import FleetInstance
+from .synth import EXOGENOUS_NAMES
 
 SOC_PROBABILITIES = (0.3, 0.4, 0.3)  # low, medium, high
 KM_PER_DEGREE_LAT = 110.57
@@ -250,10 +251,11 @@ def build_instances(
             fare_bounds=fare_bounds,
         )
         wx = weather_by_date.get(date)
-        exogenous = {
-            "temperature": wx.temperature if wx else 15.0,
-            "dew_point": wx.dew_point if wx else 10.0,
-            "day_of_week": float(date.weekday()),
-        }
+        values = (
+            wx.temperature if wx else 15.0,
+            wx.dew_point if wx else 10.0,
+            float(date.weekday()),
+        )
+        exogenous = dict(zip(EXOGENOUS_NAMES, values, strict=True))
         out.append((date.isoformat(), instance, exogenous))
     return out

@@ -102,15 +102,15 @@ def _solve_config(args, cfg: SolveConfig | None = None) -> SolveConfig:
 
 
 def _world(args) -> World:
-    return World.from_json(open(args.world).read())
+    return World.from_dict(_load_json(args.world))
 
 
 def _forest(args) -> Forest:
-    return Forest.from_json(open(args.forest).read())
+    return Forest.from_dict(_load_json(args.forest))
 
 
 def _history(args) -> HistoryStore:
-    return HistoryStore.from_json(open(args.history).read())
+    return HistoryStore.from_dict(_load_json(args.history))
 
 
 def _client(args):

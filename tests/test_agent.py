@@ -11,7 +11,6 @@ from fleetopt.agent import (
     HistoryRecord,
     HistoryStore,
     LlmGuide,
-    PromptTemplates,
     ReplayClient,
     fixed_fraction,
     indicator_generate,
@@ -108,10 +107,6 @@ class TestProblemMatch:
     def test_unrelated_query_gets_default_with_flag(self):
         match = problem_match("optimize the warehouse shelving layout")
         assert match.low_confidence
-
-    def test_empty_registry_rejected(self):
-        with pytest.raises(AgentError):
-            problem_match("anything", registry={})
 
 
 class TestIndicatorGenerate:
@@ -325,7 +320,7 @@ class TestSatisfactionScore:
 class TestPrompts:
     def test_indicator_prompt_has_no_placeholders(self):
         messages = render_indicator(
-            PromptTemplates(), "my query", [("q1", "maximize x[0,8,0]")]
+            "my query", [("q1", "maximize x[0,8,0]")]
         )
         text = json.dumps(messages)
         assert "{query}" not in text and "{grammar}" not in text
@@ -334,7 +329,7 @@ class TestPrompts:
     def test_tailor_prompt_has_no_placeholders(self):
         stats = {"x[0,8,0]": {"mean": 1.0, "std": 0.5, "min": 0.0, "max": 2.0}}
         messages = render_tailor(
-            PromptTemplates(), "q", 2, 3, stats, ("x[0,8,0]",), 0.25
+            "q", 2, 3, stats, ("x[0,8,0]",), 0.25
         )
         text = json.dumps(messages)
         for placeholder in ("{query}", "{stats}", "{prev_active}", "{keep_count}"):
@@ -477,6 +472,52 @@ class TestRunAgent:
         assert it.status == "Infeasible"
         assert any("re-prompting once" in note for note in it.notes)
         assert any("falling back to the deterministic guide" in note for note in it.notes)
+
+    def test_a_chat_guide_that_fell_back_is_not_re_prompted(self, inst, monkeypatch):
+        # no usable reply: the guide's own fallback is the deterministic
+        # proposal, solved once
+        trace, solves = self.infeasible_runs(
+            inst, monkeypatch, AgentConfig(t_max=3, guide="llm"), ReplayClient([])
+        )
+        (it,) = trace.iterations
+        assert solves == 1
+        assert it.status == "Infeasible" and it.score is None
+        assert it.g_value is None and it.f_value is None
+        assert it.notes == (
+            "transport failure: replay transcript exhausted",
+            "fell back to the deterministic guide",
+            "fix led to an infeasible model; the deterministic guide has no other proposal",
+        )
+
+    def test_the_re_prompts_fallback_is_solved_once_and_keeps_its_notes(
+        self, inst, monkeypatch
+    ):
+        reply = json.dumps(["x[0,8,0]", "u_hat[9,1]"])
+        client = ReplayClient([reply])
+        trace, solves = self.infeasible_runs(
+            inst, monkeypatch, AgentConfig(t_max=3, guide="llm"), client
+        )
+        (it,) = trace.iterations
+        assert solves == 2 and client.cursor == 1
+        assert it.status == "Infeasible" and it.score is None
+        assert it.active != ("u_hat[9,1]", "x[0,8,0]")
+        assert it.notes == (
+            "fix led to an infeasible model; re-prompting once",
+            "previous proposal made the model infeasible",
+            "transport failure: replay transcript exhausted",
+            "fell back to the deterministic guide",
+        )
+
+    @pytest.mark.parametrize("guide, message", [
+        ("llm", "the chat guide needs a configured client"),
+        ("bogus", "unknown guide kind 'bogus'"),
+    ])
+    def test_a_guide_that_cannot_run_is_an_error(self, inst, guide, message):
+        query = "Number of pre-allocated taxis"
+        indicator = indicator_generate(query, inst, guide="deterministic")
+        with pytest.raises(AgentError, match=message):
+            run_agent(query, inst, EXOG, make_forest(inst), varied_history(inst),
+                      AgentConfig(guide=guide), indicator=indicator)
 
     def test_fixing_never_beats_full_on_primary(self, inst):
         history = varied_history(inst)

@@ -28,7 +28,7 @@ def test_scipy_still_has_every_highs_method():
     missing = [m for m in highs.METHODS if not callable(getattr(highs._core._Highs, m, None))]
     assert not missing, f"the installed scipy's HiGHS binding lacks {missing}"
     # METHODS lists exactly the methods the module calls on its HiGHS object
-    source = open(highs.__file__).read()
+    source = pathlib.Path(highs.__file__).read_text()
     called = set(re.findall(r"\b(?:h|highs|self\._highs)\.(\w+)\(", source))
     assert called == set(highs.METHODS), called ^ set(highs.METHODS)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fleetopt.bench import (
+    EXOGENOUS_NAMES,
     IngestError,
     WeatherDay,
     build_instances,
@@ -166,3 +167,9 @@ def test_a_window_with_no_trips_raises(tmp_path):
         build_instances(trips, [], "03:00-04:00", CENTROIDS)
     with pytest.raises(IngestError, match="window"):
         build_instances(trips, [], "09:00-08:00", CENTROIDS)
+
+
+def test_an_ingested_days_features_follow_the_world_order(tmp_path):
+    trips = read_trips(trips_file(tmp_path))
+    ((_, _, exogenous),) = build_instances(trips, [], "08:00-09:00", CENTROIDS)
+    assert tuple(exogenous) == EXOGENOUS_NAMES

@@ -45,6 +45,7 @@ def server():
     _Handler.fail_first = 0
     yield f"http://127.0.0.1:{httpd.server_port}/v1/chat/completions"
     httpd.shutdown()
+    httpd.server_close()
 
 
 class TestChatClient:
