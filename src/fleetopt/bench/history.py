@@ -26,6 +26,8 @@ def make_history(
     recorded as skipped days; at least one day must solve.
     """
     solve_cfg = solve_cfg or SolveConfig()
+    if m < 1:
+        raise ValueError(f"m={m} must be at least 1")
     if m > len(world.days):
         raise ValueError(f"m={m} exceeds the number of days ({len(world.days)})")
     rng = np.random.default_rng(seed)

@@ -91,6 +91,17 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """``--m`` value: a positive number of days."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0  # reported below, as any other value that is not positive
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _solve_config(args, cfg: SolveConfig | None = None) -> SolveConfig:
     """``cfg`` (by default the config file's ``solve`` section) with
     ``--time-limit`` applied: the one place the flag takes effect."""
@@ -107,6 +118,15 @@ def _world(args) -> World:
 
 def _forest(args) -> Forest:
     return Forest.from_dict(_load_json(args.forest))
+
+
+def _day(args, world: World):
+    """The instance and exogenous features of ``--day``."""
+    if not 0 <= args.day < len(world.days):
+        raise ValueError(
+            f"--day {args.day} is outside the world's days 0..{len(world.days) - 1}"
+        )
+    return world.instance(args.day), world.days[args.day].exogenous()
 
 
 def _history(args) -> HistoryStore:
@@ -174,8 +194,7 @@ def cmd_make_history(args) -> int:
 def cmd_solve(args) -> int:
     world = _world(args)
     forest = _forest(args)
-    instance = world.instance(args.day)
-    exogenous = world.days[args.day].exogenous()
+    instance, exogenous = _day(args, world)
     if args.query:
         result = indicator_generate(args.query, instance, guide="deterministic")
         mip, _, _ = build_agent_model(
@@ -198,8 +217,7 @@ def cmd_agent(args) -> int:
     world = _world(args)
     forest = _forest(args)
     history = _history(args)
-    instance = world.instance(args.day)
-    exogenous = world.days[args.day].exogenous()
+    instance, exogenous = _day(args, world)
     cfg = _from_section(AgentConfig, _config_section(args, "agent"), "agent")
     cfg.guide = args.guide
     cfg.solve = _solve_config(args, cfg.solve)
@@ -287,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("make-history", help="solve sampled days into a history store")
     p.add_argument("--world", required=True)
     p.add_argument("--forest", required=True)
-    p.add_argument("--m", type=int, default=14)
+    p.add_argument("--m", type=_positive_int, default=14)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--time-limit", type=_positive_seconds, default=None)
     p.add_argument("--out", required=True)

@@ -1,16 +1,19 @@
 """Static checks, canonical expansion and numeric evaluation of objectives.
 
 The safeguard validates a parsed objective against an instance the way
-a solver-facing code review would: identifiers must exist, index usage
-must line up with the declared sets, the polynomial degree in decision
-variables is capped at two, and abs() may wrap affine forms only. The
-canonicalizer then expands all comprehensions over the concrete index
-sets and folds every parameter to a number, leaving a sorted monomial
-list over decision tokens, which is the objective's content stripped
-of all spelling choices. That form is also the only evaluator: an
-objective's value at a decision is its monomials summed over the
-decision's values by variable name (:meth:`CanonicalForm.evaluate`),
-the same form the MIP's secondary objective is lowered from.
+a solver-facing code review would, in one walk over the AST:
+identifiers must exist, index usage must line up with the declared
+sets, the polynomial degree in decision variables is capped at two,
+and abs() may wrap affine forms only. The canonicalizer then expands
+all comprehensions over the concrete index sets and folds every
+parameter to a number, leaving a sorted monomial list over decision
+tokens, which is the objective's content stripped of all spelling
+choices. The tokens are the decision variables' names, read off
+:func:`.fleet.decision_variable_names` at each atom's resolved
+position. That form is also the only evaluator: an objective's value
+at a decision is its monomials summed over the decision's values by
+variable name (:meth:`CanonicalForm.evaluate`), the same form the
+MIP's secondary objective is lowered from.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from ..fleet import FleetInstance
+import numpy as np
+
+from ..fleet import FleetInstance, decision_variable_names
 from .parser import (
     ATOMS,
     Abs,
@@ -52,31 +57,44 @@ class ObjectiveInfo:
     linear: bool
 
 
-def _walk_degree(node, diagnostics: list[str]) -> tuple[int, bool]:
-    """Returns (decision degree, contains abs over decisions)."""
-    if isinstance(node, Num):
-        return 0, False
-    if isinstance(node, IndexVar):
+def _walk(node, diagnostics: list[str], index_problems: list[str]) -> tuple[int, bool]:
+    """Returns (decision degree, contains abs over decisions); index
+    misuse goes to ``index_problems``, everything else to ``diagnostics``."""
+    if isinstance(node, (Num, IndexVar)):
         return 0, False
     if isinstance(node, Atom):
         if node.name not in ATOMS:
             diagnostics.append(f"unknown identifier {node.name!r}")
             return 0, False
-        return (1, False) if ATOMS[node.name][0] == "decision" else (0, False)
+        category, expected = ATOMS[node.name]
+        # an integer literal's membership is checked at expansion
+        for pos, (idx, set_name) in enumerate(zip(node.indices, expected)):
+            if isinstance(idx, IndexVar):
+                if idx.set_name != set_name:
+                    index_problems.append(
+                        f"{node.name} index {pos + 1} ranges over {set_name}, "
+                        f"got a variable bound to {idx.set_name}"
+                    )
+            elif not isinstance(idx, int):
+                index_problems.append(
+                    f"{node.name} index {pos + 1} must be a bound variable "
+                    "or an integer literal"
+                )
+        return (1, False) if category == "decision" else (0, False)
     if isinstance(node, Neg):
-        return _walk_degree(node.operand, diagnostics)
+        return _walk(node.operand, diagnostics, index_problems)
     if isinstance(node, Abs):
-        deg, inner_abs = _walk_degree(node.operand, diagnostics)
+        deg, inner_abs = _walk(node.operand, diagnostics, index_problems)
         if inner_abs:
             diagnostics.append("abs() may not be nested")
         if deg > 1:
             diagnostics.append("abs() applies to affine subexpressions only")
         return deg, deg > 0
     if isinstance(node, Sum):
-        return _walk_degree(node.body, diagnostics)
+        return _walk(node.body, diagnostics, index_problems)
     if isinstance(node, BinOp):
-        dl, al = _walk_degree(node.left, diagnostics)
-        dr, ar = _walk_degree(node.right, diagnostics)
+        dl, al = _walk(node.left, diagnostics, index_problems)
+        dr, ar = _walk(node.right, diagnostics, index_problems)
         if node.op == "*":
             if al or ar:
                 diagnostics.append("abs() terms may not appear inside products")
@@ -85,41 +103,17 @@ def _walk_degree(node, diagnostics: list[str]) -> tuple[int, bool]:
     raise TypeError(f"unexpected AST node {type(node).__name__}")
 
 
-def _check_indices(node, instance: FleetInstance, diagnostics: list[str]) -> None:
-    if isinstance(node, Atom):
-        if node.name in ATOMS:
-            expected = ATOMS[node.name][1]
-            for pos, (idx, set_name) in enumerate(zip(node.indices, expected)):
-                if isinstance(idx, IndexVar):
-                    if idx.set_name != set_name:
-                        diagnostics.append(
-                            f"{node.name} index {pos + 1} ranges over {set_name}, "
-                            f"got a variable bound to {idx.set_name}"
-                        )
-                elif isinstance(idx, int):
-                    continue  # membership checked at expansion time
-                else:
-                    diagnostics.append(
-                        f"{node.name} index {pos + 1} must be a bound variable "
-                        "or an integer literal"
-                    )
-        return
-    if isinstance(node, (Neg, Abs)):
-        _check_indices(node.operand, instance, diagnostics)
-    elif isinstance(node, Sum):
-        _check_indices(node.body, instance, diagnostics)
-    elif isinstance(node, BinOp):
-        _check_indices(node.left, instance, diagnostics)
-        _check_indices(node.right, instance, diagnostics)
-
-
 def safeguard(ast: ObjectiveAst, instance: FleetInstance) -> ObjectiveInfo:
-    """Validate an objective; raises :class:`SafeguardError` on failure."""
+    """Validate an objective; raises :class:`SafeguardError` on failure.
+
+    The diagnostics come in a fixed order: structural problems, then
+    the degree, then index misuse."""
     diagnostics: list[str] = []
-    degree, uses_abs = _walk_degree(ast.body, diagnostics)
+    index_problems: list[str] = []
+    degree, uses_abs = _walk(ast.body, diagnostics, index_problems)
     if degree > 2:
         diagnostics.append(f"decision degree {degree} exceeds the maximum of 2")
-    _check_indices(ast.body, instance, diagnostics)
+    diagnostics += index_problems
     if diagnostics:
         raise SafeguardError(diagnostics)
     return ObjectiveInfo(degree=degree, linear=degree <= 1 and not uses_abs)
@@ -316,12 +310,14 @@ class _Expander(_IndexWalker):
     def __init__(self, instance: FleetInstance):
         super().__init__(instance)
         self.abs_forms: dict[str, tuple[tuple[tuple[str, float], ...], float]] = {}
-
-    def _atom_ids(self, atom: Atom, env) -> tuple[int, ...]:
-        out = []
-        for idx in atom.indices:
-            out.append(self._index_value(idx, env))
-        return tuple(out)
+        # the decision tokens are the decision variables' names, split and
+        # shaped as vector_to_decision splits the shared order
+        names = np.array(decision_variable_names(instance), dtype=object)
+        n_x = instance.n_supply * instance.n_demand * instance.soc_levels
+        self.x_names = names[:n_x].reshape(
+            instance.n_supply, instance.n_demand, instance.soc_levels
+        )
+        self.u_names = names[n_x:].reshape(instance.n_demand, instance.soc_levels)
 
     def expand(self, node, env) -> _Poly:
         inst = self.instance
@@ -355,21 +351,16 @@ class _Expander(_IndexWalker):
             return total
         if isinstance(node, Atom):
             name = node.name
-            if name == "x":
-                ids = self._atom_ids(node, env)
-                self._positions(node, env)  # membership check
-                return _Poly.token(f"x[{ids[0]},{ids[1]},{ids[2]}]")
-            if name == "u_hat":
-                ids = self._atom_ids(node, env)
-                self._positions(node, env)
-                return _Poly.token(f"u_hat[{ids[0]},{ids[1]}]")
-            if name == "u":
-                ids = self._atom_ids(node, env)
-                pos = self._positions(node, env)
-                fee = float(inst.booking_fee[pos[0]])
-                token = f"u_hat[{ids[0]},{ids[1]}]"
-                return _Poly.token(token, inst.theta).add(_Poly.const(fee))
+            if name not in ATOMS:
+                raise DslError(f"unknown identifier {name!r}")
             pos = self._positions(node, env)
+            if name == "x":
+                return _Poly.token(self.x_names[pos])
+            if name == "u_hat":
+                return _Poly.token(self.u_names[pos])
+            if name == "u":
+                fee = float(inst.booking_fee[pos[0]])
+                return _Poly.token(self.u_names[pos], inst.theta).add(_Poly.const(fee))
             if name == "S":
                 return _Poly.const(float(inst.supply[pos[0], pos[1]]))
             if name == "z":
@@ -380,9 +371,7 @@ class _Expander(_IndexWalker):
                 return _Poly.const(float(inst.reposition_cost[pos[0], pos[1]]))
             if name == "demand_avg":
                 return _Poly.const(float(self.demand_avg[pos[0]]))
-            if name == "inventory_avg":
-                return _Poly.const(self.inventory_avg)
-            raise DslError(f"unknown identifier {name!r}")
+            return _Poly.const(self.inventory_avg)  # the one atom left: inventory_avg
         raise TypeError(f"unexpected AST node {type(node).__name__}")
 
 

@@ -49,14 +49,10 @@ def _lower_abs(mip: MipProblem, form: CanonicalForm, token: str, tag: int) -> in
     lo, hi = _expr_bounds(mip, terms, total_const)
     aux = mip.add_variable(f"absval[{tag}]", CONTINUOUS, 0.0, max(abs(lo), abs(hi), 0.0))
     # aux >= L  and  aux >= -L
-    row1 = {aux: 1.0}
-    for idx, c in terms.items():
-        row1[idx] = row1.get(idx, 0.0) - c
-    mip.add_constraint(row1, GE, total_const, name=f"abs+[{tag}]")
-    row2 = {aux: 1.0}
-    for idx, c in terms.items():
-        row2[idx] = row2.get(idx, 0.0) + c
-    mip.add_constraint(row2, GE, -total_const, name=f"abs-[{tag}]")
+    for sign, label in ((-1.0, "abs+"), (1.0, "abs-")):
+        row = {aux: 1.0}
+        row.update((idx, sign * c) for idx, c in terms.items())
+        mip.add_constraint(row, GE, -sign * total_const, name=f"{label}[{tag}]")
     return aux
 
 

@@ -313,36 +313,26 @@ class _Parser:
     def atom_or_index(self):
         tok = self.next()
         name = tok.text
+        indices = []
         if self.peek().text == "[":
             self.next()
-            indices = [self.index_expr()]
+            indices.append(self.index_expr())
             while self.peek().text == ",":
                 self.next()
                 indices.append(self.index_expr())
             self.expect("]")
-            if name in ATOMS:
-                expected = ATOMS[name][1]
-                if len(indices) != len(expected):
-                    raise DslError(
-                        f"{name} requires {len(expected)} "
-                        f"{'index' if len(expected) == 1 else 'indices'}, got {len(indices)}",
-                        tok.line, tok.col,
-                    )
-            return Atom(name, tuple(indices))
-        set_name = self.lookup(name)
-        if set_name is not None:
+        elif (set_name := self.lookup(name)) is not None:
             return IndexVar(name, set_name)
         if name in ATOMS:
             expected = ATOMS[name][1]
-            if expected:
+            if len(indices) != len(expected):
                 raise DslError(
                     f"{name} requires {len(expected)} "
-                    f"{'index' if len(expected) == 1 else 'indices'}, got 0",
+                    f"{'index' if len(expected) == 1 else 'indices'}, got {len(indices)}",
                     tok.line, tok.col,
                 )
-            return Atom(name, ())
-        # unknown bare identifier: kept for the safeguard to report
-        return Atom(name, ())
+        # an unknown identifier is kept for the safeguard to report
+        return Atom(name, tuple(indices))
 
 
 def parse(source: str) -> ObjectiveAst:

@@ -215,7 +215,14 @@ class MipProblem:
         index, n = self._index, len(self.names)
         summed = False
         for key, val in coeffs.items():
-            idx = index[key] if isinstance(key, str) else int(key)
+            if type(key) is int:  # also keeps bool out
+                idx = key
+            elif isinstance(key, str):
+                idx = index.get(key, -1)
+            elif isinstance(key, np.integer):
+                idx = int(key)
+            else:
+                raise MipError(f"coefficient key {key!r} is neither a column index nor a name")
             if idx < 0 or idx >= n:
                 raise MipError(f"coefficient references unknown variable {key!r}")
             val = float(val)

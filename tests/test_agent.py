@@ -433,6 +433,33 @@ class TestRunAgent:
         assert len(trace.iterations) == 2
         assert trace.best_iteration == 1 and trace.best_score == first
 
+    @pytest.mark.parametrize("day", [5, 7])
+    def test_a_gridded_query_fixes_fares_at_the_snapped_baseline(self, day):
+        from fleetopt.bench import make_history
+        from fleetopt.fleet import PriceGrid
+        from test_model_digests import world_and_forest
+
+        world, forest = world_and_forest("small")
+        history = make_history(world, forest, m=6, seed=1)
+        inst = world.instance(day)
+        cfg = AgentConfig(t_max=1)
+        trace = run_agent("Dispatching efficiency of taxis", inst,
+                          world.days[day].exogenous(), forest, history, cfg)
+        grid = PriceGrid.uniform(inst, cfg.grid_points)
+        raw = history.baseline_decision(inst)
+        snapped = grid.snap_decision(raw)
+        fares = {}  # (j position, k) -> fixed fare
+        for name, value in trace.iterations[0].fixed_values.items():
+            if name.startswith("u_hat["):
+                j, k = map(int, name[6:-1].split(","))
+                fares[inst.demand_areas.index(j), k] = value
+        assert fares
+        for (j_pos, k), value in fares.items():
+            assert value == snapped.u_hat[j_pos, k]
+            assert value in grid.cell(j_pos, k)
+        # the raw baseline is off the grid in at least one fixed fare
+        assert any(value != raw.u_hat[pos] for pos, value in fares.items())
+
     def infeasible_runs(self, inst, monkeypatch, cfg, client=None):
         """``run_agent`` with every solve infeasible: the trace and the
         number of solves."""

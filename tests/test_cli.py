@@ -241,3 +241,38 @@ class TestCli:
         agent_cfg, bench_cfg = seen
         assert agent_cfg.solve.time_limit == 2.5 and agent_cfg.solve.gap_tol == 1e-6
         assert bench_cfg.solve.time_limit == 2.5 and bench_cfg.solve.node_limit == 9
+
+    @pytest.mark.parametrize("day", ["-1", "30"])
+    @pytest.mark.parametrize("command", [
+        ["solve"],
+        ["agent", "--query", "Number of pre-allocated taxis"],
+        ["query", "Number of pre-allocated taxis"],
+    ])
+    def test_a_day_outside_the_world_is_an_error(self, pipeline, command, day, capsys):
+        _, out = pipeline
+        argv = command + ["--world", str(out / "world.json"),
+                          "--forest", str(out / "forest.json"), "--day", day]
+        if command[0] != "solve":
+            argv += ["--history", str(out / "history.json")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"error: --day {day} is outside the world's days 0..29" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["0", "-2", "1.5", "x"])
+    def test_history_size_must_be_a_positive_integer(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["make-history", "--world", "w", "--forest", "f", "--out", "o",
+                  "--m", value])
+        assert exc.value.code == 2
+        assert "--m: must be a positive integer" in capsys.readouterr().err
+
+    def test_make_history_needs_at_least_one_day(self, pipeline):
+        from fleetopt.bench import World, make_history
+        from fleetopt.forest import Forest
+
+        _, out = pipeline
+        world = World.from_json((out / "world.json").read_text())
+        forest = Forest.from_json((out / "forest.json").read_text())
+        with pytest.raises(ValueError, match="m=0 must be at least 1"):
+            make_history(world, forest, m=0)

@@ -16,7 +16,7 @@ from fleetopt.dsl import (
     safeguard,
 )
 from fleetopt.bench.synth import SynthConfig, generate_world
-from fleetopt.fleet import Decision, FleetInstance, decision_values
+from fleetopt.fleet import Decision, FleetInstance, decision_values, decision_variable_names
 
 from dsl_oracle import oracle_evaluate
 
@@ -131,6 +131,21 @@ class TestSafeguard:
         with pytest.raises(SafeguardError):
             safeguard(parse("maximize sum(i in I, j in J, k in K) x[j,i,k]"), inst)
 
+    def test_diagnostics_come_structural_then_degree_then_indices(self, inst):
+        src = "maximize sum(i in I, j in J) (x[j,i,0] * abs(x[i,j,0]) * qux * u_hat[i,0])"
+        with pytest.raises(SafeguardError) as exc:
+            safeguard(parse(src), inst)
+        assert exc.value.diagnostics == [
+            "abs() terms may not appear inside products",
+            "unknown identifier 'qux'",
+            "abs() terms may not appear inside products",
+            "abs() terms may not appear inside products",
+            "decision degree 3 exceeds the maximum of 2",
+            "x index 1 ranges over I, got a variable bound to J",
+            "x index 2 ranges over J, got a variable bound to I",
+            "u_hat index 1 ranges over J, got a variable bound to I",
+        ]
+
     def test_reserialized_acceptance_is_stable(self, inst):
         for entry in ground_truth_catalog():
             again = parse(entry.source)
@@ -171,6 +186,20 @@ class TestCanonicalize:
             parse("maximize sum(p in I, q in J, r in K) (r * x[p,q,r])"), inst
         )
         assert a.as_string() == b.as_string()
+
+    def test_an_unknown_identifier_is_a_dsl_error(self, inst):
+        # canonicalize may be handed an objective the safeguard never saw
+        for src in ("maximize x[0,8,0] + foo", "maximize foo[0, 8]"):
+            with pytest.raises(DslError, match="unknown identifier 'foo'"):
+                canonicalize(parse(src), inst)
+
+    def test_tokens_are_the_decision_variable_names(self, inst):
+        cf = canonicalize(parse(
+            "maximize sum(i in I, j in J, k in K) x[i,j,k] + sum(j in J, k in K) u[j,k]"
+        ), inst)
+        assert [tokens for _, tokens in cf.monomials] == [()] + [
+            (name,) for name in sorted(decision_variable_names(inst))
+        ]
 
     def test_parameters_fold_to_constants(self, inst):
         cf = canonicalize(

@@ -164,6 +164,23 @@ class TestSerialization:
                               "seed": 0})
 
 
+class TestCounters:
+    def test_node_and_split_counts_match_the_flat_arrays(self):
+        rng = np.random.default_rng(4)
+        rows = [(row.tolist(), float(row[0] - 2 * row[2] + row[3] * row[4]))
+                for row in rng.normal(size=(80, 5))]
+        forest = train(rows, TrainConfig(n_trees=4, max_depth=4, seed=1), schema(5))
+        flat = forest.flat
+        for t, tree in enumerate(forest.trees):
+            features = flat.feature[flat.start[t]:flat.start[t + 1]]
+            interior = int((features >= 0).sum())
+            assert tree.count_nodes() == (interior, len(features) - interior)
+        features, counts = np.unique(flat.feature[flat.feature >= 0], return_counts=True)
+        assert forest.split_counts() == dict(zip(features.tolist(), counts.tolist()))
+        assert sum(counts) > 2 * forest.n_trees  # deeper than stumps
+        assert TreeNode(value=1.0).count_nodes() == (0, 1)
+
+
 def scalar_best_split(X, y, feature_order, min_leaf):
     """Reference split search: one feature, then one split position, at a
     time. ``_best_split`` must pick exactly the same split."""

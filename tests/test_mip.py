@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,26 @@ class TestProblem:
         p.add_variable("x")
         with pytest.raises(MipError):
             p.add_constraint({"x": 1}, "<", 1)
+
+    def test_coefficient_keys_are_column_indices_or_names(self):
+        p = MipProblem()
+        p.add_variables(["x", "y"])
+        setters = (
+            lambda c: p.add_constraint(c, "<=", 1),
+            lambda c: p.set_objective("max", c),
+            lambda c: p.set_secondary_objective("max", c),
+        )
+        for setter in setters:
+            with pytest.raises(MipError, match="unknown variable 'z'"):
+                setter({"z": 1.0})
+            for key in (0.7, True, np.float64(1.0), None):
+                with pytest.raises(MipError, match=re.escape(f"key {key!r} is neither")):
+                    setter({key: 1.0})
+        assert p.row_names == ()
+        p.add_constraint({"x": 1.0, 1: 2.0, np.int64(0): 3.0}, "<=", 1)
+        p.set_objective("max", {np.int32(1): 1.0})
+        assert p.constraints[0].coeffs == {0: 4.0, 1: 2.0}
+        assert p.objective.coeffs == {1: 1.0}
 
     def test_solution_json_round_trip(self):
         sol = Solution(
