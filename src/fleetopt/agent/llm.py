@@ -130,19 +130,15 @@ def save_transcript(entries: list[dict], path: str) -> None:
 
 
 def extract_json_array(text: str):
-    """First parseable JSON array found in a reply, or None."""
+    """First JSON array in a reply that parses from its ``[``, or None.
+
+    Each ``[`` is tried in turn with the JSON decoder, so brackets
+    inside strings are read as text."""
+    decoder = json.JSONDecoder()
     for start, ch in enumerate(text):
-        if ch != "[":
-            continue
-        depth = 0
-        for pos in range(start, len(text)):
-            if text[pos] == "[":
-                depth += 1
-            elif text[pos] == "]":
-                depth -= 1
-                if depth == 0:
-                    try:
-                        return json.loads(text[start : pos + 1])
-                    except json.JSONDecodeError:
-                        break
+        if ch == "[":
+            try:
+                return decoder.raw_decode(text, start)[0]
+            except json.JSONDecodeError:
+                continue
     return None

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fleet import Decision, FleetInstance, decision_to_vector
+from ..fleet import Decision, FleetInstance, decision_to_vector, json_data
 from ..mip.solver import SolveConfig
 
 HISTORY_SCHEMA_VERSION = 1
@@ -85,19 +85,7 @@ class HistoryStore:
         return Decision(x=x.astype(np.int64), u_hat=u)
 
     def to_dict(self) -> dict:
-        return {
-            "version": HISTORY_SCHEMA_VERSION,
-            "variable_names": list(self.variable_names),
-            "records": [
-                {
-                    "date": r.date,
-                    "features": r.features,
-                    "decision": r.decision.to_dict(),
-                    "objective": r.objective,
-                }
-                for r in self.records
-            ],
-        }
+        return {"version": HISTORY_SCHEMA_VERSION, **json_data(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -182,28 +170,11 @@ class AgentTrace:
         return [r.score for r in self.iterations if r.score is not None]
 
     def to_dict(self) -> dict:
-        return {
-            "query": self.query,
-            "objective_source": self.objective_source,
-            "objective_sense": self.objective_sense,
-            "baseline_f": self.baseline_f,
-            "best_score": self.best_score,
-            "best_iteration": self.best_iteration,
-            "best_decision": (
-                self.best_decision.to_dict() if self.best_decision else None
-            ),
-            "response": self.response,
-            "iterations": [
-                {
-                    "iteration": r.iteration,
-                    "active": list(r.active),
-                    "fixed_values": r.fixed_values,
-                    "status": r.status,
-                    "g_value": r.g_value,
-                    "f_value": r.f_value,
-                    "score": r.score,
-                    "notes": list(r.notes),
-                }
-                for r in self.iterations
-            ],
-        }
+        """The trace's data without the area labels, and without each
+        iteration's wall time and memo reuse, which are facts about the
+        process."""
+        doc = json_data(self)
+        del doc["supply_areas"], doc["demand_areas"]
+        for record in doc["iterations"]:
+            del record["wall_time"], record["stage1_reused"]
+        return doc

@@ -26,6 +26,8 @@ from ..fleet import FleetInstance
 from .synth import EXOGENOUS_NAMES
 
 SOC_PROBABILITIES = (0.3, 0.4, 0.3)  # low, medium, high
+KMEANS_MAX_ITER = 100
+KMEANS_TOL = 1e-9  # largest centroid move that ends the iteration
 KM_PER_DEGREE_LAT = 110.57
 KM_PER_DEGREE_LON = 111.32
 
@@ -103,17 +105,15 @@ def read_weather(path: str) -> list[WeatherDay]:
     return [WeatherDay(**cells) for cells in _read_table(path, "weather", _WEATHER_COLUMNS)]
 
 
-def cluster_zones(
-    points: np.ndarray, k: int, seed: int, max_iter: int = 100, tol: float = 1e-9
-) -> tuple[np.ndarray, np.ndarray]:
+def cluster_zones(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's k-means from a seeded k-means++ start.
 
     Returns (labels, centroids). The first centroid is a seeded draw
     from the points, each further one a draw weighted by the squared
     distance to the nearest centroid so far (uniform once every point
     is a centroid, when there are fewer distinct points than ``k``);
-    iteration stops after ``max_iter`` rounds or once every centroid
-    moves less than ``tol``.
+    iteration stops after ``KMEANS_MAX_ITER`` rounds or once every
+    centroid moves less than ``KMEANS_TOL``.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -133,7 +133,7 @@ def cluster_zones(
         centroids[c] = points[pick]
         nearest = np.minimum(nearest, ((points - centroids[c]) ** 2).sum(axis=1))
     labels = np.zeros(len(points), dtype=int)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         dists = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)
         labels = np.argmin(dists, axis=1)
         moved = 0.0
@@ -147,7 +147,7 @@ def cluster_zones(
                 new = members.mean(axis=0)
             moved = max(moved, float(np.linalg.norm(new - centroids[c])))
             centroids[c] = new
-        if moved < tol:
+        if moved < KMEANS_TOL:
             break
     dists = np.linalg.norm(points[:, None, :] - centroids[None, :, :], axis=2)
     labels = np.argmin(dists, axis=1)
@@ -182,11 +182,6 @@ def build_instances(
     window: str,
     centroids: np.ndarray,
     seed: int = 0,
-    soc_levels: int = 3,
-    fare_bounds: tuple[float, float] = (1.0, 50.0),
-    theta: float = 0.2,
-    booking_fee: float = 5.0,
-    inconvenience_rate: float = 0.5,
 ) -> list[tuple[str, FleetInstance, dict[str, float]]]:
     """Per-day instances from trips within the peak window.
 
@@ -195,10 +190,11 @@ def build_instances(
     crosses midnight frees its taxi on the day it ends. Days whose
     window shows both at least one surplus zone and one deficit zone
     make an instance; others are skipped. Raises when no day has any
-    window trips at all.
+    window trips at all. Each instance has one charge level per entry
+    of ``SOC_PROBABILITIES`` and :class:`.FleetInstance`'s default
+    costs, fees and fare bounds.
     """
-    if soc_levels != len(SOC_PROBABILITIES):
-        raise IngestError("the seeded charge-level split is defined for 3 levels")
+    soc_levels = len(SOC_PROBABILITIES)
     start, end = _parse_window(window)
     weather_by_date = {w.date: w for w in weather}
     centroids = np.asarray(centroids, dtype=float)
@@ -245,10 +241,6 @@ def build_instances(
             supply=supply_counts[surplus],
             demand=demand_counts[deficit],
             distance_km=distances[np.ix_(surplus, deficit)],
-            inconvenience_rate=inconvenience_rate,
-            booking_fee=np.full(len(deficit), booking_fee),
-            theta=theta,
-            fare_bounds=fare_bounds,
         )
         wx = weather_by_date.get(date)
         values = (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from ..fleet import (
     cascade_fulfill,
     decision_to_vector,
     decision_variable_names,
+    json_data,
     profit,
 )
 from ..forest import FeatureSchema
@@ -58,9 +59,6 @@ class SynthConfig:
             raise ValueError("elasticity must be nonnegative")
         if self.n_days < 1:
             raise ValueError("need at least one day")
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "fare_bounds": list(self.fare_bounds)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SynthConfig":
@@ -129,26 +127,7 @@ class World:
         return rows
 
     def to_dict(self) -> dict:
-        return {
-            "version": WORLD_SCHEMA_VERSION,
-            "config": self.config.to_dict(),
-            "supply_areas": list(self.supply_areas),
-            "demand_areas": list(self.demand_areas),
-            "distance_km": self.distance_km.tolist(),
-            "days": [
-                {
-                    "date": d.date,
-                    "day_of_week": d.day_of_week,
-                    "temperature": d.temperature,
-                    "dew_point": d.dew_point,
-                    "supply": d.supply.tolist(),
-                    "demand": d.demand.tolist(),
-                    "decision": d.decision.to_dict(),
-                    "profit": d.profit,
-                }
-                for d in self.days
-            ],
-        }
+        return {"version": WORLD_SCHEMA_VERSION, **json_data(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

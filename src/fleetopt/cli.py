@@ -39,6 +39,7 @@ from .bench import (
 )
 from .agent.indicator import indicator_generate
 from .forest import Forest, TrainConfig, evaluate_r2, train, train_test_split
+from .fleet import json_data
 from .fleet_mip import build_feature_mip, decision_from_solution
 from .mip.solver import (
     STOPPED_WITH_POINT,
@@ -209,7 +210,7 @@ def cmd_solve(args) -> int:
     if solution.status not in STOPPED_WITH_POINT or not solution.values:
         return 1
     decision = decision_from_solution(instance, mip, solution)
-    print(json.dumps({"decision": decision.to_dict()}, indent=2, sort_keys=True))
+    print(json.dumps({"decision": json_data(decision)}, indent=2, sort_keys=True))
     return 0
 
 

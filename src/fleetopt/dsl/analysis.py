@@ -67,18 +67,13 @@ def _walk(node, diagnostics: list[str], index_problems: list[str]) -> tuple[int,
             diagnostics.append(f"unknown identifier {node.name!r}")
             return 0, False
         category, expected = ATOMS[node.name]
-        # an integer literal's membership is checked at expansion
+        # the membership of an integer literal or of index arithmetic
+        # (k - 1) is checked at expansion
         for pos, (idx, set_name) in enumerate(zip(node.indices, expected)):
-            if isinstance(idx, IndexVar):
-                if idx.set_name != set_name:
-                    index_problems.append(
-                        f"{node.name} index {pos + 1} ranges over {set_name}, "
-                        f"got a variable bound to {idx.set_name}"
-                    )
-            elif not isinstance(idx, int):
+            if isinstance(idx, IndexVar) and idx.set_name != set_name:
                 index_problems.append(
-                    f"{node.name} index {pos + 1} must be a bound variable "
-                    "or an integer literal"
+                    f"{node.name} index {pos + 1} ranges over {set_name}, "
+                    f"got a variable bound to {idx.set_name}"
                 )
         return (1, False) if category == "decision" else (0, False)
     if isinstance(node, Neg):

@@ -6,12 +6,17 @@ request counts per level, and the cost/fare parameters. A decision
 repositions taxis (integer counts) and sets the variable fare per
 demand area and charge level. Requests at charge level k may be served
 by taxis at level k or higher; surplus taxis cascade downward.
+
+The instance, world, history and agent-trace documents are written by
+:func:`json_data`: a document is its dataclass's fields plus
+``version``, with facts about the process that produced it, such as
+memo reuse, left out.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -33,6 +38,25 @@ def _as_int_matrix(values, name: str) -> np.ndarray:
     if np.any(arr != np.floor(arr)):
         raise FleetError(f"{name} must be integer-valued")
     return arr.astype(np.int64)
+
+
+def json_data(value):
+    """``value`` as JSON data, the one way every document is written.
+
+    A dataclass becomes a dict of its fields in declaration order, an
+    ndarray or numpy scalar its ``tolist()``, a tuple or list a list
+    and a dict a dict, each entry converted the same way; any other
+    value is returned as it is.
+    """
+    if is_dataclass(value):
+        return {f.name: json_data(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if isinstance(value, (tuple, list)):
+        return [json_data(v) for v in value]
+    if isinstance(value, dict):
+        return {k: json_data(v) for k, v in value.items()}
+    return value
 
 
 @dataclass(frozen=True)
@@ -72,6 +96,7 @@ class FleetInstance:
             raise FleetError("duplicate demand area ids")
         if set(supply_areas) & set(demand_areas):
             raise FleetError("supply and demand areas must be disjoint")
+        object.__setattr__(self, "soc_levels", int(self.soc_levels))
         if self.soc_levels < 1:
             raise FleetError("soc_levels must be >= 1")
 
@@ -99,6 +124,8 @@ class FleetInstance:
             raise FleetError("booking_fee must have one entry per demand area")
         object.__setattr__(self, "booking_fee", fee)
 
+        object.__setattr__(self, "inconvenience_rate", float(self.inconvenience_rate))
+        object.__setattr__(self, "theta", float(self.theta))
         if not 0.0 < self.theta <= 1.0:
             raise FleetError("theta must lie in (0, 1]")
         lo, hi = float(self.fare_bounds[0]), float(self.fare_bounds[1])
@@ -132,36 +159,16 @@ class FleetInstance:
     # --- JSON round trip (shared schema with the data/bench layer) ---
 
     def to_dict(self) -> dict:
-        return {
-            "version": INSTANCE_SCHEMA_VERSION,
-            "supply_areas": list(self.supply_areas),
-            "demand_areas": list(self.demand_areas),
-            "soc_levels": self.soc_levels,
-            "supply": self.supply.tolist(),
-            "demand": self.demand.tolist(),
-            "distance_km": self.distance_km.tolist(),
-            "inconvenience_rate": self.inconvenience_rate,
-            "booking_fee": self.booking_fee.tolist(),
-            "theta": self.theta,
-            "fare_bounds": list(self.fare_bounds),
-        }
+        return {"version": INSTANCE_SCHEMA_VERSION, **json_data(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FleetInstance":
+        """An instance from the keys of ``doc`` that name a field; a
+        missing optional field takes its default."""
         if doc.get("version", 1) != INSTANCE_SCHEMA_VERSION:
             raise FleetError(f"unsupported instance schema version {doc.get('version')}")
-        return cls(
-            supply_areas=tuple(doc["supply_areas"]),
-            demand_areas=tuple(doc["demand_areas"]),
-            soc_levels=int(doc["soc_levels"]),
-            supply=doc["supply"],
-            demand=doc["demand"],
-            distance_km=doc["distance_km"],
-            inconvenience_rate=float(doc.get("inconvenience_rate", 0.5)),
-            booking_fee=doc.get("booking_fee"),
-            theta=float(doc.get("theta", 0.2)),
-            fare_bounds=tuple(doc.get("fare_bounds", (1.0, 50.0))),
-        )
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in doc.items() if k in names})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -191,9 +198,6 @@ class Decision:
         object.__setattr__(self, "u_hat", u)
         self.x.setflags(write=False)
         self.u_hat.setflags(write=False)
-
-    def to_dict(self) -> dict:
-        return {"x": self.x.tolist(), "u_hat": self.u_hat.tolist()}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Decision":

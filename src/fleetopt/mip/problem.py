@@ -19,7 +19,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import NamedTuple
 
@@ -498,16 +498,9 @@ class Solution:
 
     def to_dict(self) -> dict:
         return {
-            "status": self.status,
-            "values": self.values,
-            "objective_value": self.objective_value,
-            "secondary_value": self.secondary_value,
-            "best_bound": self.best_bound,
-            "node_count": self.node_count,
-            "lp_iterations": self.lp_iterations,
-            "cut_counts": self.cut_counts,
-            "wall_time": self.wall_time,
-            "stage2_fallback": self.stage2_fallback,
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "stage1_reused"
         }
 
     def to_json(self) -> str:
@@ -515,17 +508,7 @@ class Solution:
 
     @classmethod
     def from_json(cls, text: str) -> "Solution":
-        doc = json.loads(text)
-        return cls(
-            status=doc["status"],
-            values=dict(doc.get("values", {})),
-            objective_value=doc.get("objective_value"),
-            secondary_value=doc.get("secondary_value"),
-            best_bound=doc.get("best_bound"),
-            node_count=int(doc.get("node_count", 0)),
-            lp_iterations=int(doc.get("lp_iterations", 0)),
-            cut_counts=dict(doc.get("cut_counts", {})),
-            wall_time=float(doc.get("wall_time", 0.0)),
-            stage2_fallback=bool(doc.get("stage2_fallback", False)),
-        )
-
+        """A solution from the keys that name a field; other keys are
+        ignored and a missing field takes its default."""
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in json.loads(text).items() if k in names})

@@ -84,7 +84,6 @@ from .problem import (
     NODE_LIMIT,
     OPTIMAL,
     TIME_LIMIT,
-    UNBOUNDED,
     MipError,
     MipProblem,
     Objective,
@@ -410,13 +409,9 @@ def branch_and_bound(
         return res
 
     root = lp(lb, ub)
-    if root.status == INFEASIBLE:
-        return make_solution(INFEASIBLE)
-    if root.status == UNBOUNDED:
-        return make_solution(UNBOUNDED)
-
-    # an integral root is already optimal: nothing to separate
-    if (cfg.gomory or cfg.cover) and not integral(root.x):
+    # cuts only at an optimal root: an integral one is already optimal,
+    # and an infeasible or unbounded one is the answer
+    if root.status == OPTIMAL and (cfg.gomory or cfg.cover) and not integral(root.x):
         for _ in range(MAX_CUT_ROUNDS):
             added = 0
             # the model's last solve is this root: its basis gives the rows
@@ -442,10 +437,8 @@ def branch_and_bound(
             root = lp(lb, ub)
             if root.status != OPTIMAL or integral(root.x):
                 break
-        if root.status == INFEASIBLE:
-            return make_solution(INFEASIBLE)
-        if root.status == UNBOUNDED:
-            return make_solution(UNBOUNDED)
+    if root.status != OPTIMAL:
+        return make_solution(root.status)
 
     incumbent = None
     incumbent_value = -np.inf if maximize else np.inf

@@ -23,7 +23,7 @@ from fleetopt.agent import (
 )
 from fleetopt.agent.llm import extract_json_array, save_transcript
 from fleetopt.agent.loop import relative_improvement
-from fleetopt.dsl import canonicalize, parse
+from fleetopt.dsl import DslError, canonicalize, parse
 from fleetopt.fleet import Decision, FleetInstance, decision_variable_names
 from fleetopt.forest import FeatureSchema, Forest, TrainConfig, TreeNode
 
@@ -164,6 +164,16 @@ class TestIndicatorGenerate:
         retry_messages = client.transcript[1]["request"]["messages"]
         assert any("unknown identifier" in m["content"] for m in retry_messages)
 
+    def test_llm_guide_retries_after_a_parse_error(self, inst):
+        broken = "maximize sum(i in I x[i,0,0]"
+        client = ReplayClient([broken, "maximize sum(i in I, j in J, k in K) x[i,j,k]"])
+        result = indicator_generate("count", inst, guide="llm", client=client)
+        assert result.attempts == 2
+        with pytest.raises(DslError) as exc:
+            parse(broken)
+        retry = client.transcript[1]["request"]["messages"][-1]["content"]
+        assert str(exc.value) in retry
+
     def test_llm_guide_exhausts_attempts(self, inst):
         client = ReplayClient(["nonsense"] * 3)
         with pytest.raises(AgentError) as exc:
@@ -271,6 +281,18 @@ class TestLlmGuide:
         proposal = guide.propose(self.context(inst))
         assert proposal.keep_active == ("x[0,8,0]",)
         assert sum("no JSON array" in n for n in proposal.notes) == 2
+
+    def test_a_reply_of_unknown_names_is_retried(self, inst):
+        client = ReplayClient([json.dumps(["bogus"]), json.dumps(["x[0,8,0]"])])
+        proposal = LlmGuide(client).propose(self.context(inst))
+        assert proposal.keep_active == ("x[0,8,0]",)
+        assert proposal.rationale == "chat guide reply, attempt 2"
+        assert proposal.notes == (
+            "dropped 1 unknown names: ['bogus']",
+            "attempt 1: no valid names in reply",
+        )
+        retry = client.transcript[1]["request"]["messages"][-1]["content"]
+        assert "Every name was unknown" in retry
 
     def test_exhausted_tape_falls_back_deterministic(self, inst):
         guide = LlmGuide(ReplayClient([]))
@@ -675,3 +697,7 @@ class TestTranscripts:
         assert extract_json_array('noise ["a", "b"] more') == ["a", "b"]
         assert extract_json_array("no array") is None
         assert extract_json_array('bad [1, } then ["ok"]') == ["ok"]
+
+    def test_extract_json_array_reads_brackets_in_strings_as_text(self):
+        assert extract_json_array('["a]b", "c"]') == ["a]b", "c"]
+        assert extract_json_array('say ["[x]", "y"] then ["z"]') == ["[x]", "y"]

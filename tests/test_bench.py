@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 import hashlib
 import json
@@ -131,7 +132,7 @@ class TestSimulateProfit:
         assert value == 0.0  # nothing allocated, nothing earned or spent
 
     def test_zero_elasticity_ignores_price(self):
-        synth = SynthConfig(**{**self.synth.to_dict(), "elasticity": 0.0})
+        synth = dataclasses.replace(self.synth, elasticity=0.0)
         x = np.zeros((3, 2, 2), dtype=int)
         x[0, 0, 1] = 2
         lo = Decision(x=x, u_hat=np.full((2, 2), 5.0))

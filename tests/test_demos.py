@@ -1,7 +1,9 @@
 """The narrative demos run to completion against the current API.
 
 Demo 08 runs the three experiment harnesses and takes about a minute,
-so it stays out of this suite.
+so it stays out of this suite. Each demo runs in its own interpreter,
+where the suite's warning filters do not reach, so it runs in
+development mode with resource and runtime warnings raised as errors.
 """
 
 import os
@@ -32,7 +34,10 @@ def test_demo_runs(name):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / name)],
+        [
+            sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+            "-W", "error::RuntimeWarning", str(ROOT / "demos" / name),
+        ],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]

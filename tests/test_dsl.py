@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleetopt.agent import ReplayClient, indicator_generate
 from fleetopt.dsl import (
     DslError,
     SafeguardError,
     canonicalize,
+    check,
     ground_truth_catalog,
     linear_entries,
     nonlinear_entries,
@@ -145,6 +147,17 @@ class TestSafeguard:
             "x index 2 ranges over J, got a variable bound to I",
             "u_hat index 1 ranges over J, got a variable bound to I",
         ]
+
+    def test_index_arithmetic_is_checked_at_expansion(self):
+        inst = desk_instance()
+        src = "maximize sum(i in I, j in J, k in K if k > 0) x[i,j,k-1]"
+        info, diagnostics = check(parse(src), inst)
+        assert diagnostics == [] and info.linear
+        shifted = canonicalize(parse(src), inst)
+        low = canonicalize(parse("maximize sum(i in I, j in J, k in K if k < 2) x[i,j,k]"), inst)
+        assert shifted.monomials == low.monomials
+        result = indicator_generate("q", inst, guide="llm", client=ReplayClient([src]))
+        assert result.attempts == 1 and result.source == src
 
     def test_reserialized_acceptance_is_stable(self, inst):
         for entry in ground_truth_catalog():
