@@ -1,19 +1,21 @@
 """The objective language: parsing, validation, canonical content.
 
 Operator goals are one-line objectives over sum-comprehensions. The
-safeguard rejects anything a solver could not take; the canonicalizer
-expands an objective over a concrete instance so that two spellings of
-the same goal become literally the same monomial list.
+parser rejects what the text alone decides (unknown names, a variable
+in a position of another set) with a position; ``check`` expands an
+objective over a concrete instance and rejects what the model could
+not take. The expansion makes two spellings of the same goal literally
+the same monomial list.
 """
 
 from fleetopt.dsl import (
-    SafeguardError,
+    DslError,
     canonicalize,
+    check,
     ground_truth_catalog,
     jaro_winkler,
     parse,
     result_similarity,
-    safeguard,
     text_similarity,
 )
 from fleetopt.fleet import FleetInstance
@@ -28,22 +30,26 @@ inst = FleetInstance(
 )
 
 src = "maximize sum(i in I, j in J, k in K) ((k + 1) * x[i,j,k])"
-ast = parse(src)
-info = safeguard(ast, inst)
-print(f"{src}\n  -> degree {info.degree}, linear={info.linear}")
+form, _ = check(parse(src), inst)
+degree = max(len(tokens) for _, tokens in form.monomials)
+print(f"{src}\n  -> {len(form.monomials)} monomials, degree {degree}")
 
 print("\ncanonical expansion (level weights become plain coefficients):")
 print(" ", canonicalize(parse("maximize sum(k in K) ((k + 1) * x[0,8,k])"), inst).as_string())
 
-# the safeguard catches what a solver would choke on
+# a rejected objective gets one diagnostic: the parser's, with a position,
+# or the first rule its expansion breaks
 for bad in (
     "maximize sum(i in I) y[i]",                                    # unknown name
-    "maximize sum(i in I, j in J, k in K) (x[i,j,k] * x[i,j,k] * x[i,j,k])",
+    "maximize sum(i in I, j in J, k in K) x[j,i,k]",                # I and J swapped
+    "maximize sum(i in I, j in J, k in K) (x[i,j,k] * x[i,j,k])",   # not u_hat * x
+    "maximize sum(i in I, j in J) x[i,j,3]",                        # no level 3
 ):
     try:
-        safeguard(parse(bad), inst)
-    except SafeguardError as err:
-        print(f"\nrejected: {bad}\n  -> {err.diagnostics}")
+        _, diagnostics = check(parse(bad), inst)
+    except DslError as err:
+        diagnostics = [str(err)]
+    print(f"\nrejected: {bad}\n  -> {diagnostics}")
 
 # two spellings, one content: binding order cannot matter
 a = parse("maximize sum(j in J, k in K) u_hat[j,k]")

@@ -1,11 +1,13 @@
 """Query routing and objective generation with a validation gate.
 
 ``problem_match`` picks a domain handler by keyword overlap.
-``indicator_generate`` turns the query into a validated objective:
-the deterministic path returns the catalog entry closest to the query
-by Jaro-Winkler (the first entry equal to it, found before any scoring);
-the chat path asks for DSL source and retries with the validator's
-diagnostics appended, up to three attempts.
+``indicator_generate`` turns the query into an objective: the
+deterministic path returns the catalog entry closest to the query by
+Jaro-Winkler (the first entry equal to it, found before any scoring);
+the chat path asks for DSL source, accepts a reply that parses and
+passes :func:`.dsl.lower.check` (it expands on the day and its form
+lowers), and otherwise retries with that one diagnostic appended, up
+to three attempts.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ..dsl.analysis import ObjectiveInfo, check
 from ..dsl.catalog import CatalogEntry, ground_truth_catalog
+from ..dsl.lower import check
 from ..dsl.parser import DslError, ObjectiveAst, parse
 from ..dsl.similarity import jaro_winkler, normalize_source
 from ..fleet import FleetInstance
@@ -57,7 +59,6 @@ def problem_match(query: str) -> MatchResult:
 @dataclass
 class IndicatorResult:
     ast: ObjectiveAst
-    info: ObjectiveInfo
     source: str
     attempts: int
     matched_query: str | None = None  # deterministic path: the catalog row used
@@ -68,15 +69,16 @@ _OBJECTIVE_LINE = re.compile(r"(maximize|minimize)\b.*", re.IGNORECASE | re.DOTA
 
 
 def extract_objective_source(reply: str) -> str | None:
-    """Pull the first objective line out of a free-form reply."""
+    """Pull the first objective line out of a free-form reply, with its
+    sense keyword in lower case as the parser reads it."""
     cleaned = reply.replace("`", " ")
     match = _OBJECTIVE_LINE.search(cleaned)
     if not match:
         return None
-    text = match.group(0)
+    sense = match.group(1)
     # keep it to one logical line; replies sometimes append commentary
-    line = text.splitlines()[0].strip()
-    return line
+    line = match.group(0).splitlines()[0].strip()
+    return sense.lower() + line[len(sense):]
 
 
 def _match_key(query: str) -> str:
@@ -106,12 +108,15 @@ def indicator_generate(
     few_shot_n: int = 8,
     catalog: tuple[CatalogEntry, ...] | None = None,
 ) -> IndicatorResult:
-    """Produce a validated objective for a query.
+    """Produce an objective for a query.
 
     The deterministic path needs no network: it returns the catalog
-    entry whose query text sits closest to the input. The chat path
-    feeds back validator diagnostics on failure and raises
-    :class:`AgentError` with the transcript once attempts run out.
+    entry whose query text sits closest to the input. The catalog is
+    vetted data, so the entry is not checked here; one that does not
+    fit the instance (a charge level it lacks) raises when the model is
+    built. The chat path feeds back the validator's diagnostic on
+    failure and raises :class:`AgentError` with the transcript once
+    attempts run out.
     """
     check_guide(guide, client)
     catalog = catalog or ground_truth_catalog()
@@ -122,12 +127,8 @@ def indicator_generate(
             best = catalog[keys.index(norm)]
         else:
             best = catalog[max(range(len(keys)), key=lambda i: jaro_winkler(norm, keys[i]))]
-        ast = parse(best.source)
-        info, diagnostics = check(ast, instance)
-        if info is None:  # catalog rows are pre-validated; defensive only
-            raise AgentError(f"catalog entry failed validation: {diagnostics}")
         return IndicatorResult(
-            ast=ast, info=info, source=best.source, attempts=1, matched_query=best.query
+            ast=parse(best.source), source=best.source, attempts=1, matched_query=best.query
         )
 
     few_shot = [(e.query, e.source) for e in catalog[:few_shot_n]]
@@ -148,16 +149,15 @@ def indicator_generate(
             except DslError as err:
                 diagnostic = str(err)
             else:
-                info, diagnostics = check(ast, instance)
-                if info is not None:
+                form, diagnostics = check(ast, instance)
+                if form is not None:
                     return IndicatorResult(
                         ast=ast,
-                        info=info,
                         source=source,
                         attempts=attempt,
                         transcript=transcript,
                     )
-                diagnostic = "; ".join(diagnostics)
+                (diagnostic,) = diagnostics
         messages = messages + [
             {"role": "assistant", "content": reply},
             {

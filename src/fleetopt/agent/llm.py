@@ -9,6 +9,7 @@ makes guide behavior reproducible in tests without any network.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import time
@@ -75,16 +76,13 @@ class ChatClient:
                     request, timeout=self.config.timeout
                 ) as resp:
                     raw = resp.read().decode("utf-8")
-                parsed = json.loads(raw)
-                choices = parsed.get("choices") or []
-                if not choices:
-                    raise LlmError("reply carried no choices")
-                content = choices[0].get("message", {}).get("content")
-                if content is None:
-                    raise LlmError("reply choice carried no message content")
+                content = _reply_content(json.loads(raw))
                 self._record(payload, content)
                 return content
-            except (urllib.error.URLError, json.JSONDecodeError, LlmError) as err:
+            # URLError and a read timeout are OSErrors, a malformed status
+            # line an HTTPException; a body that is not JSON text (or not
+            # UTF-8) is a ValueError
+            except (OSError, http.client.HTTPException, ValueError, LlmError) as err:
                 if isinstance(err, urllib.error.HTTPError):
                     err.close()  # the error holds the reply's connection
                 last_error = err
@@ -94,6 +92,18 @@ class ChatClient:
         self.transcript.append({"request": request, "response_content": content})
         if self.config.transcript_path:
             save_transcript(self.transcript, self.config.transcript_path)
+
+
+def _reply_content(body) -> str:
+    """The text of a reply body's first choice; raises :class:`LlmError`
+    when the body does not have that shape."""
+    try:
+        content = body["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):
+        raise LlmError("reply carried no first choice with message content") from None
+    if not isinstance(content, str):
+        raise LlmError(f"reply content is {type(content).__name__}, not text")
+    return content
 
 
 class ReplayClient:

@@ -259,6 +259,7 @@ def run_agent(
         if solution.status == INFEASIBLE and chat_reply:
             # one re-prompt carrying the failure, then the deterministic guide
             notes.append("fix led to an infeasible model; re-prompting once")
+            failed = set(proposal.keep_active)
             context = replace(
                 context,
                 previous_active=proposal.keep_active,
@@ -267,7 +268,11 @@ def run_agent(
             )
             proposal = guide.propose(context)
             notes.extend(proposal.notes)
-            values, solution = solve_with(proposal)
+            if set(proposal.keep_active) == failed:
+                # the same fixing gives the same infeasible model
+                notes.append("the new proposal repeats the infeasible one; not solved again")
+            else:
+                values, solution = solve_with(proposal)
             if solution.status == INFEASIBLE and FELL_BACK not in proposal.notes:
                 notes.append("falling back to the deterministic guide")
                 proposal = guide.fallback.propose(context)

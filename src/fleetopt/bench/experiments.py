@@ -503,8 +503,9 @@ def run_accuracy_experiment(
                             few_shot_n=count,
                             catalog=entries,
                         )
-                        # a generated objective that does not fit the
-                        # instance fails here, and counts as a failed one
+                        # a chat reply that does not fit the instance is
+                        # rejected in indicator_generate, and once its
+                        # attempts run out counts as a failed generation
                         result_score = result_similarity(result.ast, truth_ast, instance)
                     except Exception as err:
                         report.notes.append(f"{entry.query}: {err}")

@@ -1,14 +1,7 @@
 """Objective language: parsing, validation, canonical forms, lowering,
 similarity metrics and the reference query catalog."""
 
-from .analysis import (
-    CanonicalForm,
-    ObjectiveInfo,
-    SafeguardError,
-    canonicalize,
-    check,
-    safeguard,
-)
+from .analysis import CanonicalForm, canonicalize
 from .catalog import (
     CatalogEntry,
     find_entry,
@@ -16,7 +9,7 @@ from .catalog import (
     linear_entries,
     nonlinear_entries,
 )
-from .lower import lower_to_mip
+from .lower import check, lower_to_mip
 from .parser import ATOMS, DslError, ObjectiveAst, parse
 from .similarity import (
     jaro,
@@ -32,8 +25,6 @@ __all__ = [
     "CatalogEntry",
     "DslError",
     "ObjectiveAst",
-    "ObjectiveInfo",
-    "SafeguardError",
     "canonicalize",
     "check",
     "find_entry",
@@ -46,6 +37,5 @@ __all__ = [
     "normalize_source",
     "parse",
     "result_similarity",
-    "safeguard",
     "text_similarity",
 ]

@@ -1,14 +1,16 @@
-"""Static checks, canonical expansion and numeric evaluation of objectives.
+"""Canonical expansion and numeric evaluation of objectives.
 
-The safeguard validates a parsed objective against an instance the way
-a solver-facing code review would, in one walk over the AST:
-identifiers must exist, index usage must line up with the declared
-sets, the polynomial degree in decision variables is capped at two,
-and abs() may wrap affine forms only. The canonicalizer then expands
-all comprehensions over the concrete index sets and folds every
-parameter to a number, leaving a sorted monomial list over decision
-tokens, which is the objective's content stripped of all spelling
-choices. The tokens are the decision variables' names, read off
+The parser has already checked everything an objective's text decides:
+every identifier is a bound index variable or an atom of its arity, and
+every bound variable sits in a position of its own set. The
+canonicalizer checks what the instance decides while it expands all
+comprehensions over the concrete index sets and folds every parameter
+to a number: an integer literal or index arithmetic must name a member
+of its set, the degree in decision variables is at most two, and abs()
+wraps affine forms only and is never multiplied by a decision. It
+leaves a sorted monomial list over decision tokens, which is the
+objective's content stripped of all spelling choices. The tokens are
+the decision variables' names, read off
 :func:`.fleet.decision_variable_names` at each atom's resolved
 position. That form is also the only evaluator: an objective's value
 at a decision is its monomials summed over the decision's values by
@@ -39,87 +41,6 @@ from .parser import (
 )
 
 COEFF_TOL = 1e-12
-
-
-class SafeguardError(DslError):
-    """Validation failure; carries all diagnostics found."""
-
-    def __init__(self, diagnostics: list[str]):
-        super().__init__("; ".join(diagnostics))
-        self.diagnostics = list(diagnostics)
-
-
-@dataclass(frozen=True)
-class ObjectiveInfo:
-    """Outcome of a successful safeguard pass."""
-
-    degree: int
-    linear: bool
-
-
-def _walk(node, diagnostics: list[str], index_problems: list[str]) -> tuple[int, bool]:
-    """Returns (decision degree, contains abs over decisions); index
-    misuse goes to ``index_problems``, everything else to ``diagnostics``."""
-    if isinstance(node, (Num, IndexVar)):
-        return 0, False
-    if isinstance(node, Atom):
-        if node.name not in ATOMS:
-            diagnostics.append(f"unknown identifier {node.name!r}")
-            return 0, False
-        category, expected = ATOMS[node.name]
-        # the membership of an integer literal or of index arithmetic
-        # (k - 1) is checked at expansion
-        for pos, (idx, set_name) in enumerate(zip(node.indices, expected)):
-            if isinstance(idx, IndexVar) and idx.set_name != set_name:
-                index_problems.append(
-                    f"{node.name} index {pos + 1} ranges over {set_name}, "
-                    f"got a variable bound to {idx.set_name}"
-                )
-        return (1, False) if category == "decision" else (0, False)
-    if isinstance(node, Neg):
-        return _walk(node.operand, diagnostics, index_problems)
-    if isinstance(node, Abs):
-        deg, inner_abs = _walk(node.operand, diagnostics, index_problems)
-        if inner_abs:
-            diagnostics.append("abs() may not be nested")
-        if deg > 1:
-            diagnostics.append("abs() applies to affine subexpressions only")
-        return deg, deg > 0
-    if isinstance(node, Sum):
-        return _walk(node.body, diagnostics, index_problems)
-    if isinstance(node, BinOp):
-        dl, al = _walk(node.left, diagnostics, index_problems)
-        dr, ar = _walk(node.right, diagnostics, index_problems)
-        if node.op == "*":
-            if al or ar:
-                diagnostics.append("abs() terms may not appear inside products")
-            return dl + dr, al or ar
-        return max(dl, dr), al or ar
-    raise TypeError(f"unexpected AST node {type(node).__name__}")
-
-
-def safeguard(ast: ObjectiveAst, instance: FleetInstance) -> ObjectiveInfo:
-    """Validate an objective; raises :class:`SafeguardError` on failure.
-
-    The diagnostics come in a fixed order: structural problems, then
-    the degree, then index misuse."""
-    diagnostics: list[str] = []
-    index_problems: list[str] = []
-    degree, uses_abs = _walk(ast.body, diagnostics, index_problems)
-    if degree > 2:
-        diagnostics.append(f"decision degree {degree} exceeds the maximum of 2")
-    diagnostics += index_problems
-    if diagnostics:
-        raise SafeguardError(diagnostics)
-    return ObjectiveInfo(degree=degree, linear=degree <= 1 and not uses_abs)
-
-
-def check(ast: ObjectiveAst, instance: FleetInstance):
-    """Non-raising safeguard: returns (info or None, diagnostics)."""
-    try:
-        return safeguard(ast, instance), []
-    except SafeguardError as err:
-        return None, err.diagnostics
 
 
 # --- canonical form ---
@@ -224,9 +145,11 @@ class _Poly:
 
 
 class _IndexWalker:
-    """The index side of walking an objective's AST: the instance's
-    index sets and averages, index arithmetic, sum bindings and
-    filters, and the resolution of an atom's indices to array positions.
+    """The index side of expanding an objective's AST over an instance:
+    the instance's index sets and averages, index arithmetic, sum
+    bindings and filters, and the resolution of an atom's indices to
+    array positions, where an index that is not a member of its set
+    raises.
 
     :class:`FleetInstance` rejects an empty index set, so every set here
     has a member and the supply matrix an entry.
@@ -346,8 +269,6 @@ class _Expander(_IndexWalker):
             return total
         if isinstance(node, Atom):
             name = node.name
-            if name not in ATOMS:
-                raise DslError(f"unknown identifier {name!r}")
             pos = self._positions(node, env)
             if name == "x":
                 return _Poly.token(self.x_names[pos])

@@ -1,19 +1,58 @@
-"""Lowering validated objectives onto a fleet MIP.
+"""Lowering canonical objectives onto a fleet MIP, and the gate an
+objective passes before it is lowered.
 
 Linear monomials map straight onto the model's decision expressions.
 Bilinear fare-times-allocation terms are expanded against the fare
 selection binaries of a gridded model, one product auxiliary per
-(binary, allocation) pair. Absolute-value terms introduce one bounded
-auxiliary and two tightening rows; they are accepted only in the
-orientation the LP can honor (penalized, not rewarded).
+(binary, allocation) pair; no other product is accepted.
+Absolute-value terms introduce one bounded auxiliary and two
+tightening rows; they are accepted only in the orientation the LP can
+honor (penalized, not rewarded). :func:`check` accepts an objective
+exactly when it expands on the instance and its form keeps these two
+rules, so a model built over that instance can take it.
 """
 
 from __future__ import annotations
 
+from ..fleet import FleetInstance
 from ..fleet_mip import add_binary_product
 from ..mip.problem import BINARY, CONTINUOUS, GE, MAX, MIN, MipProblem, Objective
-from .analysis import CanonicalForm
-from .parser import DslError
+from .analysis import CanonicalForm, canonicalize
+from .parser import DslError, ObjectiveAst
+
+
+def _require_lowerable(form: CanonicalForm) -> None:
+    """Raise :class:`DslError` at the first monomial the linear model
+    cannot take: a product other than fare times allocation, or an
+    abs() term the sense rewards."""
+    for coeff, tokens in form.monomials:
+        if len(tokens) == 2 and not (
+            tokens[0].startswith("u_hat") and tokens[1].startswith("x")
+        ):
+            raise DslError(
+                f"product {tokens[0]}*{tokens[1]} is not representable in the linear model"
+            )
+        if len(tokens) == 1 and tokens[0].startswith("|") and (
+            (coeff > 0) != (form.sense == "min")
+        ):
+            raise DslError(
+                "abs() term is rewarded by the objective sense and "
+                "cannot be lowered linearly"
+            )
+
+
+def check(ast: ObjectiveAst, instance: FleetInstance):
+    """Validate an objective against an instance without raising.
+
+    Returns its canonical form and no diagnostics, or None and the one
+    diagnostic of the first rule it breaks, from expansion
+    (:func:`.canonicalize`) or from the lowering rules."""
+    try:
+        form = canonicalize(ast, instance)
+        _require_lowerable(form)
+    except DslError as err:
+        return None, [str(err)]
+    return form, []
 
 
 def _expr_bounds(mip: MipProblem, terms, const: float) -> tuple[float, float]:
@@ -81,6 +120,7 @@ def lower_to_mip(form: CanonicalForm, mip: MipProblem) -> Objective:
     """Install a canonical objective as the model's secondary objective
     (predicted profit stays primary). The model must be built over the
     instance the form was expanded on."""
+    _require_lowerable(form)
     sense = MAX if form.sense == "max" else MIN
     coeffs: dict[int, float] = {}
     constant = 0.0
@@ -92,33 +132,17 @@ def lower_to_mip(form: CanonicalForm, mip: MipProblem) -> Objective:
     for coeff, tokens in form.monomials:
         if not tokens:
             constant += coeff
-            continue
-        if len(tokens) == 1:
-            tok = tokens[0]
-            if tok.startswith("|"):
-                penalized = (sense == MIN and coeff > 0) or (sense == MAX and coeff < 0)
-                if not penalized:
-                    raise DslError(
-                        "abs() term is rewarded by the objective sense and "
-                        "cannot be lowered linearly"
-                    )
-                aux = _lower_abs(mip, form, tok, abs_tags)
-                abs_tags += 1
-                accumulate(aux, coeff)
-            else:
-                expr = _token_expr(mip, tok)
-                for idx, c in expr.terms.items():
-                    accumulate(idx, coeff * c)
-                constant += coeff * expr.constant
-            continue
-        tok_a, tok_b = tokens
-        if tok_a.startswith("u_hat") and tok_b.startswith("x"):
-            for prod_idx, price in _lower_product(mip, tok_a, tok_b):
+        elif len(tokens) == 2:
+            for prod_idx, price in _lower_product(mip, *tokens):
                 accumulate(prod_idx, coeff * price)
+        elif tokens[0].startswith("|"):
+            accumulate(_lower_abs(mip, form, tokens[0], abs_tags), coeff)
+            abs_tags += 1
         else:
-            raise DslError(
-                f"product {tok_a}*{tok_b} is not representable in the linear model"
-            )
+            expr = _token_expr(mip, tokens[0])
+            for idx, c in expr.terms.items():
+                accumulate(idx, coeff * c)
+            constant += coeff * expr.constant
 
     mip.set_secondary_objective(sense, coeffs, constant)
     return mip.secondary

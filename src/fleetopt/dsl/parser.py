@@ -11,6 +11,12 @@ Index variables bind to the supply areas (I), demand areas (J) or the
 (x, u_hat and the derived per-order revenue u), instance parameters
 (S, z, dist, w, demand_avg, inventory_avg), bound index variables used
 as values, and numeric literals. Operators are +, -, * and abs().
+
+The parser also rejects what the text alone decides, with a line and
+column: an identifier that is neither a bound index variable nor an
+atom, an atom with the wrong number of indices, and a bound variable
+in a position of another set. What the instance decides is checked
+when the objective is expanded on it (:mod:`.analysis`).
 """
 
 from __future__ import annotations
@@ -313,26 +319,35 @@ class _Parser:
     def atom_or_index(self):
         tok = self.next()
         name = tok.text
-        indices = []
+        indices = []  # (index expression, its first token)
         if self.peek().text == "[":
             self.next()
-            indices.append(self.index_expr())
+            indices.append((self.peek(), self.index_expr()))
             while self.peek().text == ",":
                 self.next()
-                indices.append(self.index_expr())
+                indices.append((self.peek(), self.index_expr()))
             self.expect("]")
         elif (set_name := self.lookup(name)) is not None:
             return IndexVar(name, set_name)
-        if name in ATOMS:
-            expected = ATOMS[name][1]
-            if len(indices) != len(expected):
+        if name not in ATOMS:
+            raise DslError(f"unknown identifier {name!r}", tok.line, tok.col)
+        expected = ATOMS[name][1]
+        if len(indices) != len(expected):
+            raise DslError(
+                f"{name} requires {len(expected)} "
+                f"{'index' if len(expected) == 1 else 'indices'}, got {len(indices)}",
+                tok.line, tok.col,
+            )
+        # the membership of an integer literal or of index arithmetic
+        # (k - 1) is checked at expansion
+        for pos, ((idx_tok, idx), set_name) in enumerate(zip(indices, expected)):
+            if isinstance(idx, IndexVar) and idx.set_name != set_name:
                 raise DslError(
-                    f"{name} requires {len(expected)} "
-                    f"{'index' if len(expected) == 1 else 'indices'}, got {len(indices)}",
-                    tok.line, tok.col,
+                    f"{name} index {pos + 1} ranges over {set_name}, "
+                    f"got a variable bound to {idx.set_name}",
+                    idx_tok.line, idx_tok.col,
                 )
-        # an unknown identifier is kept for the safeguard to report
-        return Atom(name, tuple(indices))
+        return Atom(name, tuple(idx for _, idx in indices))
 
 
 def parse(source: str) -> ObjectiveAst:

@@ -24,13 +24,12 @@ from fleetopt.bench import (
     run_efficiency_experiment,
 )
 from fleetopt.dsl import (
-    canonicalize,
+    check,
     ground_truth_catalog,
     jaro_winkler,
     lower_to_mip,
     parse,
     result_similarity,
-    safeguard,
     text_similarity,
 )
 from fleetopt.fleet import (
@@ -412,12 +411,15 @@ def test_criterion_7_dsl_and_similarity():
     grid = PriceGrid.uniform(inst, 4)
     for entry in ground_truth_catalog():
         ast = parse(entry.source)
-        info = safeguard(ast, inst)
-        assert info.linear == entry.linear, entry.query
-        value = canonicalize(ast, inst).evaluate(decision_values(inst, dec))
+        form, diagnostics = check(ast, inst)
+        assert form is not None, (entry.query, diagnostics)
+        # linear: no product and no abs() term in the canonical form
+        linear = not form.abs_forms and all(len(t) <= 1 for _, t in form.monomials)
+        assert linear == entry.linear, entry.query
+        value = form.evaluate(decision_values(inst, dec))
         assert np.isfinite(value), entry.query
         mip = build_deterministic_mip(inst, grid)
-        lower_to_mip(canonicalize(ast, inst), mip)
+        lower_to_mip(form, mip)
         assert mip.secondary is not None, entry.query
 
     full = parse("maximize sum(j in J, k in K) u_hat[j,k]")

@@ -160,7 +160,7 @@ class TestIndicatorGenerate:
             "count the repositioned taxis", inst, guide="llm", client=client
         )
         assert result.attempts == 2
-        # the retry message carries the safeguard's diagnostic
+        # the retry message carries the parser's diagnostic
         retry_messages = client.transcript[1]["request"]["messages"]
         assert any("unknown identifier" in m["content"] for m in retry_messages)
 
@@ -179,6 +179,13 @@ class TestIndicatorGenerate:
         with pytest.raises(AgentError) as exc:
             indicator_generate("anything", inst, guide="llm", client=client)
         assert exc.value.transcript  # structured failure carries the exchanges
+
+    def test_a_capitalized_sense_keyword_is_read(self, inst):
+        client = ReplayClient(["Objective: Maximize sum(i in I, j in J, k in K) x[i,j,k]\n"
+                               "It counts every move."])
+        result = indicator_generate("count", inst, guide="llm", client=client)
+        assert result.attempts == 1
+        assert result.source == "maximize sum(i in I, j in J, k in K) x[i,j,k]"
 
     def test_fenced_reply_is_extracted(self, inst):
         client = ReplayClient([
@@ -517,9 +524,12 @@ class TestRunAgent:
             inst, monkeypatch, AgentConfig(t_max=3, guide="llm"), client
         )
         (it,) = trace.iterations
-        assert solves == 3 and client.cursor == 2
+        # the repeated reply is the model already found infeasible, so
+        # only the first reply and the fallback are solved
+        assert solves == 2 and client.cursor == 2
         assert it.status == "Infeasible"
         assert any("re-prompting once" in note for note in it.notes)
+        assert "the new proposal repeats the infeasible one; not solved again" in it.notes
         assert any("falling back to the deterministic guide" in note for note in it.notes)
 
     def test_a_chat_guide_that_fell_back_is_not_re_prompted(self, inst, monkeypatch):

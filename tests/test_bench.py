@@ -27,6 +27,7 @@ from fleetopt.bench import (
     weather_factor,
 )
 from fleetopt.agent import ReplayClient
+from fleetopt.agent.prompts import CHAT_ATTEMPTS
 from fleetopt.bench import experiments
 from fleetopt.fleet import Decision, PriceGrid, decision_to_vector, decision_values
 from fleetopt.forest import TrainConfig, train, train_test_split
@@ -536,13 +537,16 @@ class TestExperiments:
                         "out_sample_result", "out_sample_text"):
                 if row[col] is not None:
                     assert row[col] == pytest.approx(1.0)
-        # a chat reply naming the missing level scores as a failed generation
-        client = ReplayClient(["maximize sum(i in I, j in J) x[i,j,2]"] * 20)
+        # a chat reply naming the missing level is rejected on every attempt,
+        # and the query scores as a failed generation
+        n_queries = len(experiments.linear_entries()) - 1
+        reply = "maximize sum(i in I, j in J) x[i,j,2]"
+        client = ReplayClient([reply] * (CHAT_ATTEMPTS * n_queries))
         cfg = BenchConfig(repetitions=1, prompt_counts_linear=(0,))
         report = run_accuracy_experiment(inst, cfg, guide="llm", client=client,
                                          linear=True)
         skipped, *failed = report.notes
-        assert len(failed) == len(experiments.linear_entries()) - 1
+        assert len(failed) == n_queries and client.cursor == len(client.responses)
         assert all(n.endswith(": x index 3 = 2 is not a member of K") for n in failed)
         assert report.rows == [{"prompts": 0, "in_sample_result": None,
                                 "in_sample_text": None, "out_sample_result": 0.0,

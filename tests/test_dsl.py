@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleetopt.agent import ReplayClient, indicator_generate
+from fleetopt.agent import AgentConfig, ReplayClient, build_agent_model, indicator_generate
 from fleetopt.dsl import (
     DslError,
-    SafeguardError,
     canonicalize,
     check,
     ground_truth_catalog,
     linear_entries,
     nonlinear_entries,
     parse,
-    safeguard,
 )
 from fleetopt.bench.synth import SynthConfig, generate_world
 from fleetopt.fleet import Decision, FleetInstance, decision_values, decision_variable_names
+from fleetopt.forest import TrainConfig, train
 
 from dsl_oracle import oracle_evaluate
 
@@ -29,15 +28,23 @@ def evaluate(ast, instance, decision) -> float:
     return canonicalize(ast, instance).evaluate(decision_values(instance, decision))
 
 
+def is_linear(form) -> bool:
+    """No product and no abs() term in a canonical form."""
+    return not form.abs_forms and all(len(tokens) <= 1 for _, tokens in form.monomials)
+
+
 def validate_catalog(instance) -> None:
-    """Parse and safeguard every entry against an instance; raises on
-    the first failure and checks the recorded linearity flags."""
+    """Parse and check every entry against an instance; raises on the
+    first failure and checks the recorded linearity flags against the
+    canonical form's."""
     for entry in ground_truth_catalog():
-        info = safeguard(entry.ast(), instance)
-        if info.linear != entry.linear:
+        form, diagnostics = check(entry.ast(), instance)
+        if form is None:
+            raise ValueError(f"catalog entry {entry.query!r} rejected: {diagnostics}")
+        if is_linear(form) != entry.linear:
             raise ValueError(
                 f"catalog entry {entry.query!r} flagged linear={entry.linear} "
-                f"but analysis says linear={info.linear}"
+                f"but its canonical form has linear={is_linear(form)}"
             )
 
 
@@ -75,13 +82,14 @@ class TestParse:
     def test_allocation_sum(self, inst):
         ast = parse("maximize sum(i in I, j in J, k in K) x[i,j,k]")
         assert ast.sense == "max"
-        info = safeguard(ast, inst)
-        assert info.linear and info.degree == 1
+        form, diagnostics = check(ast, inst)
+        assert diagnostics == [] and is_linear(form)
+        assert {len(tokens) for _, tokens in form.monomials} == {1}
 
     def test_fare_sum(self, inst):
         ast = parse("minimize sum(j in J, k in K) u[j,k]")
         assert ast.sense == "min"
-        assert safeguard(ast, inst).linear
+        assert is_linear(check(ast, inst)[0])
 
     def test_arity_violation_is_a_parse_error(self):
         with pytest.raises(DslError, match="3 indices"):
@@ -102,57 +110,62 @@ class TestParse:
 
     def test_filter_and_literal_indices(self, inst):
         ast = parse("maximize sum(i in I, j in J, k in K if k > 0) x[i,j,k]")
-        safeguard(ast, inst)
+        assert check(ast, inst)[1] == []
         ast = parse("maximize sum(i in I, j in J) x[i,j,2]")
-        safeguard(ast, inst)
+        assert check(ast, inst)[1] == []
 
 
 class TestSafeguard:
+    """The gate a generated objective passes: what its text decides is a
+    parse error with a position, and what the instance decides comes
+    from :func:`check`, one diagnostic at a time."""
+
     def test_unknown_identifier(self, inst):
-        with pytest.raises(SafeguardError) as exc:
-            safeguard(parse("maximize sum(i in I) y[i]"), inst)
-        assert any("unknown identifier" in d for d in exc.value.diagnostics)
+        with pytest.raises(DslError, match="unknown identifier 'y'") as exc:
+            parse("maximize sum(i in I) y[i]")
+        assert (exc.value.line, exc.value.col) == (1, 22)
 
     def test_degree_three_rejected(self, inst):
         src = "maximize sum(i in I, j in J, k in K) (x[i,j,k]*x[i,j,k]*x[i,j,k])"
-        with pytest.raises(SafeguardError) as exc:
-            safeguard(parse(src), inst)
-        assert any("degree" in d for d in exc.value.diagnostics)
+        form, diagnostics = check(parse(src), inst)
+        assert form is None
+        assert diagnostics == ["decision degree exceeds 2 after expansion"]
 
     def test_abs_of_quadratic_rejected(self, inst):
         src = "minimize sum(j in J, k in K) abs(u_hat[j,k] * sum(i in I) x[i,j,k])"
-        with pytest.raises(SafeguardError):
-            safeguard(parse(src), inst)
+        form, diagnostics = check(parse(src), inst)
+        assert form is None and diagnostics == ["expected an affine form"]
 
     def test_dispatching_efficiency_is_nonlinear(self, inst):
         src = "maximize sum(i in I, j in J, k in K) ((u[j,k] - w[i,j]) * x[i,j,k])"
-        info = safeguard(parse(src), inst)
-        assert not info.linear and info.degree == 2
+        form, diagnostics = check(parse(src), inst)
+        assert diagnostics == [] and not is_linear(form)
+        assert max(len(tokens) for _, tokens in form.monomials) == 2
 
     def test_index_set_mismatch(self, inst):
-        with pytest.raises(SafeguardError):
-            safeguard(parse("maximize sum(i in I, j in J, k in K) x[j,i,k]"), inst)
+        with pytest.raises(DslError, match="x index 1 ranges over I, got a variable "
+                                           "bound to J") as exc:
+            parse("maximize sum(i in I, j in J, k in K) x[j,i,k]")
+        assert (exc.value.line, exc.value.col) == (1, 40)
 
-    def test_diagnostics_come_structural_then_degree_then_indices(self, inst):
+    def test_a_rejected_objective_gets_one_diagnostic(self, inst):
+        # the first rule broken in reading order, with its position
         src = "maximize sum(i in I, j in J) (x[j,i,0] * abs(x[i,j,0]) * qux * u_hat[i,0])"
-        with pytest.raises(SafeguardError) as exc:
-            safeguard(parse(src), inst)
-        assert exc.value.diagnostics == [
-            "abs() terms may not appear inside products",
-            "unknown identifier 'qux'",
-            "abs() terms may not appear inside products",
-            "abs() terms may not appear inside products",
-            "decision degree 3 exceeds the maximum of 2",
-            "x index 1 ranges over I, got a variable bound to J",
-            "x index 2 ranges over J, got a variable bound to I",
-            "u_hat index 1 ranges over J, got a variable bound to I",
-        ]
+        with pytest.raises(DslError) as exc:
+            parse(src)
+        assert str(exc.value) == (
+            "x index 1 ranges over I, got a variable bound to J (line 1, column 33)"
+        )
+        src = "maximize sum(i in I, j in J) (x[i,j,0] * abs(x[i,j,0]) * u_hat[j,0])"
+        assert check(parse(src), inst) == (
+            None, ["abs() terms may not appear inside products"]
+        )
 
     def test_index_arithmetic_is_checked_at_expansion(self):
         inst = desk_instance()
         src = "maximize sum(i in I, j in J, k in K if k > 0) x[i,j,k-1]"
-        info, diagnostics = check(parse(src), inst)
-        assert diagnostics == [] and info.linear
+        form, diagnostics = check(parse(src), inst)
+        assert diagnostics == [] and is_linear(form)
         shifted = canonicalize(parse(src), inst)
         low = canonicalize(parse("maximize sum(i in I, j in J, k in K if k < 2) x[i,j,k]"), inst)
         assert shifted.monomials == low.monomials
@@ -162,7 +175,60 @@ class TestSafeguard:
     def test_reserialized_acceptance_is_stable(self, inst):
         for entry in ground_truth_catalog():
             again = parse(entry.source)
-            safeguard(again, inst)  # must not raise
+            assert check(again, inst)[1] == []
+
+
+@functools.cache
+def gate_world(name):
+    """A day instance, a small forest and the day's exogenous values: desk
+    day 3, or day 3 of a world with two charge levels."""
+    if name == "desk":
+        world = generate_world(SynthConfig(seed=42))
+    else:
+        world = generate_world(SynthConfig(seed=5, n_supply=3, n_demand=2, soc_levels=2))
+    forest = train(world.training_rows(), TrainConfig(n_trees=3, max_depth=3, seed=1),
+                   world.schema())
+    return world.instance(3), forest, world.days[3].exogenous()
+
+
+# reply -> accepted on (desk day 3, the two-level world); desk's demand
+# areas are 8-10 and the two-level world's 3-4
+GATE_REPLIES = {
+    "maximize sum(j in J, k in K) (u_hat[j,k]*u_hat[j,k])": (False, False),
+    "maximize sum(i in I, j in J, k in K) (x[i,j,k]*x[i,j,k])": (False, False),
+    "maximize abs(x[0,8,0] - 1)": (False, False),
+    "maximize x[0,99,0]": (False, False),
+    "maximize sum(i in I, j in J) x[i,j,2]": (True, False),
+    "minimize 2 * abs(x[0,3,0] - 1)": (False, True),
+    "minimize 2 * abs(x[0,8,0] - 1)": (True, False),
+    "maximize sum(i in I, j in J, k in K) (x[i,j,k]*u_hat[j,k])": (True, True),
+    "maximize sum(i in I, j in J, k in K if k > 0) x[i,j,k-1]": (True, True),
+}
+
+
+class TestGate:
+    @pytest.mark.parametrize("world", ["desk", "two-level"])
+    @pytest.mark.parametrize("source", list(GATE_REPLIES))
+    def test_check_accepts_exactly_what_the_agent_model_builds(self, world, source):
+        inst, forest, exogenous = gate_world(world)
+        form, diagnostics = check(parse(source), inst)
+        assert (form is not None) == GATE_REPLIES[source][world != "desk"]
+        try:
+            build_agent_model(inst, forest, exogenous, parse(source), AgentConfig())
+        except DslError as err:
+            assert form is None and diagnostics == [str(err)]
+        else:
+            assert form is not None and diagnostics == []
+        # a chat reply the gate rejects is re-prompted with its diagnostic
+        fallback = "maximize sum(i in I, j in J, k in K) x[i,j,k]"
+        client = ReplayClient([source, fallback])
+        result = indicator_generate("q", inst, guide="llm", client=client)
+        if form is not None:
+            assert result.attempts == 1 and result.source == source
+        else:
+            assert result.attempts == 2 and result.source == fallback
+            retry = client.transcript[1]["request"]["messages"][-1]["content"]
+            assert diagnostics[0] in retry
 
 
 class TestCanonicalize:
@@ -201,7 +267,7 @@ class TestCanonicalize:
         assert a.as_string() == b.as_string()
 
     def test_an_unknown_identifier_is_a_dsl_error(self, inst):
-        # canonicalize may be handed an objective the safeguard never saw
+        # the parser rejects it, so no such atom reaches canonicalize
         for src in ("maximize x[0,8,0] + foo", "maximize foo[0, 8]"):
             with pytest.raises(DslError, match="unknown identifier 'foo'"):
                 canonicalize(parse(src), inst)
