@@ -138,24 +138,18 @@ class HighsLp:
         self.cols = np.arange(self.n, dtype=np.int32)
         self._highs = _core._Highs()
         self._highs.setOptionValue("output_flag", False)
-        lp = _core.HighsLp()
-        lp.num_col_ = self.n
-        lp.num_row_ = rows.m
-        lp.sense_ = _core.ObjSense.kMinimize
-        lp.col_cost_ = self.sign * c
         # the column bounds HiGHS holds; each solve passes the ones it changes
         self._bounds = (np.zeros(self.n), np.zeros(self.n))
-        lp.col_lower_, lp.col_upper_ = self._bounds
-        lp.row_lower_, lp.row_upper_ = rows.row_bounds
-        matrix = lp.a_matrix_
-        matrix.format_ = _core.MatrixFormat.kRowwise
-        matrix.num_col_ = self.n
-        matrix.num_row_ = rows.m
-        matrix.start_ = rows.indptr
-        matrix.index_ = rows.indices
-        matrix.value_ = rows.data
-        lp.a_matrix_ = matrix
-        self._check(self._highs.passModel(lp), "passModel")
+        lower, upper = rows.row_bounds
+        self._check(
+            self._highs.passModel(
+                self.n, rows.m, len(rows.data), int(_core.MatrixFormat.kRowwise),
+                int(_core.ObjSense.kMinimize), 0.0, self.sign * c, *self._bounds,
+                lower, upper, rows.indptr[:-1], rows.indices, rows.data,
+                np.zeros(self.n, dtype=np.int32),  # integrality: every column continuous
+            ),
+            "passModel",
+        )
 
     def add_rows(self, rows: CompiledRows) -> None:
         """Append rows to the model and to ``self.rows``.

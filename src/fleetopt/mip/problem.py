@@ -360,7 +360,7 @@ class MipProblem:
 
         The row set is kept until a row or a column is added, so every
         search of an unchanged problem, or of a copy that added no row,
-        reads the same one (and the level schedule it builds).
+        reads the same one (and the half-row layout it builds).
         """
         self._close_pending()
         self._rows = self._rows.widen(self.n_vars)

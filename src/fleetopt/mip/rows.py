@@ -1,4 +1,4 @@
-"""Linear rows as CSR arrays with a level schedule.
+"""Linear rows as CSR arrays with a half-row layout.
 
 A problem (:class:`.problem.MipProblem`) keeps its stated rows as one
 :class:`CompiledRows` that grows as rows are added, and a search takes
@@ -14,11 +14,11 @@ as a row set too (:meth:`CompiledRows.of_csr`):
 - ``rhs`` and the ``le``/``ge`` masks give each row's sense (an equality
   row is set in both), and ``row_bounds`` turns them into the
   ``lower <= a @ x <= upper`` form HiGHS reads;
-- ``levels`` is the level schedule that propagation sweeps. It is built
-  whole, for every row at once, on first access, since only propagation
-  reads it. A search's nodes sweep the reduced rows, whose schedule the
-  reduction built; its cut rows go to the LP and are never swept, so
-  cut rounds build none.
+- ``halves`` is the half-row layout that propagation passes over. It is
+  built whole, for every row at once, on first access, since only
+  propagation reads it. A search's nodes pass over the reduced rows,
+  whose layout the reduction built; its cut rows go to the LP and are
+  never propagated, so cut rounds build none.
 
 New row sets come from old ones.
 :meth:`~CompiledRows.substitute` moves fixed columns into the rhs and
@@ -27,32 +27,26 @@ New row sets come from old ones.
 and :meth:`~CompiledRows.append` adds rows, such as cuts or a
 problem's new rows; :meth:`~CompiledRows.widen` takes the rows over
 more columns, as a problem that gains columns does. Only ``relabel``
-hands on a built schedule, its bound indices mapped to the new columns:
-renumbering columns one to one keeps which rows share a column, and
-that is how a search's nodes sweep the schedule its reduction built.
-Every other new row set builds its own schedule when it is first swept.
+hands on a built layout, its bound indices mapped to the new columns,
+and that is how a search's nodes pass over the layout its reduction
+built. Every other new row set builds its own layout when it is first
+propagated.
 
-A row's level is 1 + the highest level of any earlier row that shares a
-column with it. Rows on one level touch disjoint columns, and every
-earlier row that touches one of a row's columns sits on a lower level,
-while every later one sits on a higher level. Sweeping the levels in
-order, all rows of a level at once, therefore reads and writes bounds
-exactly as a row-by-row sweep in row order does.
-
-Within a level, each row is split into halves, each in "<=" form: a
-"<=" row gives one half, a ">=" row one half with coefficients and rhs
-negated, and an equality row both. Bounds live in one vector
+The layout splits each row into halves, each in "<=" form: a "<=" row
+gives one half, a ">=" row one half with coefficients and rhs negated,
+and an equality row both; the "<=" halves of all rows come first, in
+row order, then the ">=" halves. Bounds live in one vector
 ``w = [ub, -lb, 0, -inf]``, so every tightening lowers an entry of
 ``w``. For coefficient ``b`` on column ``j`` a half tightens
 ``w[k_t]`` (``ub[j]`` when ``b > 0``, ``-lb[j]`` when ``b < 0``) and its
 least activity uses ``w[k_p]``, the other bound of ``j``; the term is
 ``-|b| * w[k_p]``, which equals ``b`` times that bound exactly, and the
-new value of ``w[k_t]`` is ``slack / |b|``, the row-by-row sweep's
-``slack / b`` or its exact negation. Each
-half's entries are preceded by a slot that contributes an exact 0.0
-(it reads the ``0`` sentinel and tightens the ``-inf`` one, which never
-happens), so ``np.add.reduceat`` over a segment adds the row's terms in
-the same order, and to the same bits, as ``np.sum`` over the row.
+new value of ``w[k_t]`` is ``slack / |b|``, the row's ``slack / b`` or
+its exact negation. Each half's entries are preceded by a slot that
+contributes an exact 0.0 (it reads the ``0`` sentinel and tightens the
+``-inf`` one, which never happens), so ``np.add.reduceat`` over a
+segment adds the row's terms to the same bits as ``np.sum`` over the
+row.
 """
 
 from __future__ import annotations
@@ -67,8 +61,8 @@ EMPTY_ROW_TOL = 1e-9  # an empty row is 0 against its rhs
 INFEASIBLE_TOL = 1e-7  # least activity above rhs by more than this is infeasible
 
 
-class RowLevel(NamedTuple):
-    """The halves of one level, with their entries laid out for a sweep."""
+class HalfRows(NamedTuple):
+    """Every half of a row set, with their entries laid out for a pass."""
 
     seg: np.ndarray  # start of each half's entries (its 0.0 slot)
     half_of: np.ndarray  # half index per entry
@@ -81,11 +75,11 @@ class RowLevel(NamedTuple):
 
 
 class CompiledRows:
-    """A row set over ``n`` columns in CSR form with its level schedule.
+    """A row set over ``n`` columns in CSR form with its half-row layout.
 
-    ``levels`` is built whole on first access. The other operations
+    ``halves`` is built whole on first access. The other operations
     return new row sets and leave this one as it is; of them only
-    :meth:`relabel` hands on a built schedule.
+    :meth:`relabel` hands on a built layout.
     """
 
     @classmethod
@@ -104,17 +98,17 @@ class CompiledRows:
             ge=np.zeros(0, dtype=bool),
         )
 
-    def _set(self, n, indptr, indices, data, rhs, le, ge, levels=None):
+    def _set(self, n, indptr, indices, data, rhs, le, ge, halves=None):
         self.n = n
         self.m = len(rhs)
         self.indptr, self.indices, self.data = indptr, indices, data
         self.rhs, self.le, self.ge = rhs, le, ge
-        self._levels = levels  # the schedule, once built
+        self._halves = halves  # the layout, once built
         self._matrix_t = None
 
     @cached_property
     def first_empty_failure(self) -> int | None:
-        """The first empty row its rhs makes infeasible, where a sweep stops."""
+        """The first empty row its rhs makes infeasible, if any."""
         empty = np.diff(self.indptr) == 0
         bad = empty & (
             (self.le & (self.rhs < -EMPTY_ROW_TOL)) | (self.ge & (self.rhs > EMPTY_ROW_TOL))
@@ -133,7 +127,7 @@ class CompiledRows:
 
     def append(self, *others: CompiledRows) -> CompiledRows:
         """These rows followed by each of ``others``' in turn, over the
-        same columns, with no schedule built yet.
+        same columns, with no layout built yet.
         """
         parts = (self, *others)
         starts = np.cumsum([len(p.indices) for p in parts])
@@ -150,7 +144,7 @@ class CompiledRows:
 
     def widen(self, n: int) -> CompiledRows:
         """The same rows over ``n`` columns, ``n`` at least ``self.n``,
-        with no schedule built yet."""
+        with no layout built yet."""
         if n == self.n:
             return self
         if n < self.n:
@@ -161,9 +155,8 @@ class CompiledRows:
         """The same rows over the columns ``keep``, renumbered 0, 1, ...
 
         ``keep`` lists the old column of each new one, ascending, and
-        must hold every column the rows touch. Renumbering keeps which
-        rows share a column, so a built schedule carries over, its bound
-        indices mapped into the new ``w``.
+        must hold every column the rows touch. A built layout carries
+        over, its bound indices mapped into the new ``w``.
         """
         n = len(keep)
         pos = np.full(2 * self.n + 2, -1, dtype=np.intp)  # old w index -> new
@@ -173,10 +166,10 @@ class CompiledRows:
         indices = pos[self.indices]
         if np.any(indices < 0):
             raise ValueError("relabel drops a column that a row holds")
-        levels = self._levels
-        if levels is not None:
-            levels = [lv._replace(k_p=pos[lv.k_p], k_t=pos[lv.k_t]) for lv in levels]
-        return self._with(n, indices=indices, levels=levels)
+        halves = self._halves
+        if halves is not None:
+            halves = halves._replace(k_p=pos[halves.k_p], k_t=pos[halves.k_t])
+        return self._with(n, indices=indices, halves=halves)
 
     def substitute(self, fixed: np.ndarray, values: np.ndarray) -> CompiledRows:
         """These rows with each column in the mask ``fixed`` set to its value.
@@ -238,11 +231,11 @@ class CompiledRows:
         return self.m
 
     @property
-    def levels(self) -> list[RowLevel]:
-        """The level schedule of every row, built whole on first access."""
-        if self._levels is None:
-            self._levels = self._schedule(self._assign_levels())
-        return self._levels
+    def halves(self) -> HalfRows:
+        """The layout of every row's halves, built whole on first access."""
+        if self._halves is None:
+            self._halves = self._layout()
+        return self._halves
 
     @property
     def matrix_t(self) -> sparse.csc_array:
@@ -271,23 +264,8 @@ class CompiledRows:
             minlength=k * self.n,
         ).astype(float, copy=False).reshape(k, self.n)  # an int array when empty
 
-    def _assign_levels(self) -> np.ndarray:
-        """Each row's level; 0 for an empty row."""
-        ptr = self.indptr.tolist()
-        cols_of = self.indices.tolist()
-        col_level = [0] * self.n  # the level of the last row holding the column
-        level = [0] * self.m
-        for i in range(self.m):
-            cols = cols_of[ptr[i] : ptr[i + 1]]
-            if cols:
-                lv = 1 + max([col_level[j] for j in cols])
-                for j in cols:
-                    col_level[j] = lv
-                level[i] = lv
-        return np.array(level, dtype=np.intp)
-
-    def _schedule(self, level) -> list[RowLevel]:
-        """The schedule of every row, given each row's ``level``."""
+    def _layout(self) -> HalfRows:
+        """The layout of every row's halves: "<=" halves, then ">=" ones."""
         n = self.n
         lengths = np.diff(self.indptr)
         live = lengths > 0  # an empty row has no half
@@ -295,9 +273,6 @@ class CompiledRows:
         ge_rows = np.flatnonzero(self.ge & live)
         row_of = np.concatenate([le_rows, ge_rows])
         is_ge = np.repeat([False, True], [len(le_rows), len(ge_rows)])
-        order = np.lexsort((row_of, level[row_of]))  # by level, then row
-        row_of, is_ge = row_of[order], is_ge[order]
-        half_level = level[row_of]
 
         # entries of each half, one 0.0 slot first, then the row's entries
         sizes = lengths[row_of] + 1
@@ -319,29 +294,10 @@ class CompiledRows:
         abs_coef = np.abs(b)
         abs_coef[slot] = 1.0
         rhs = np.where(is_ge, -self.rhs[row_of], self.rhs[row_of])
-        threshold = rhs + INFEASIBLE_TOL
-
-        if len(row_of) == 0:
-            return []
-        # halves and entries numbered from the start of their level
-        bounds = [0, *(np.flatnonzero(np.diff(half_level)) + 1).tolist(), len(row_of)]
-        first = np.repeat(bounds[:-1], np.diff(bounds))  # per half
-        local_seg = seg[:-1] - seg[first]
-        local_half = half_of - first[half_of]
-        entry_bounds = seg[bounds].tolist()
-        return [
-            RowLevel(
-                seg=local_seg[h0:h1],
-                half_of=local_half[e0:e1],
-                k_p=k_p[e0:e1],
-                k_t=k_t[e0:e1],
-                coef=coef[e0:e1],
-                abs_coef=abs_coef[e0:e1],
-                rhs=rhs[h0:h1],
-                threshold=threshold[h0:h1],
-            )
-            for h0, h1, e0, e1 in zip(bounds, bounds[1:], entry_bounds, entry_bounds[1:])
-        ]
+        return HalfRows(
+            seg=seg[:-1], half_of=half_of, k_p=k_p, k_t=k_t, coef=coef,
+            abs_coef=abs_coef, rhs=rhs, threshold=rhs + INFEASIBLE_TOL,
+        )
 
     @property
     def row_bounds(self) -> tuple[np.ndarray, np.ndarray]:

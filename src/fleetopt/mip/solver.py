@@ -6,16 +6,15 @@ a reduction pass substitutes pinned columns out of every row, turns
 singleton rows into bounds and propagates activity bounds to a fixed
 point, so a heavily fixed model really shrinks. Every node propagates
 again before its LP, over the reduced rows only: cut rows tighten the
-LP, and a node sweeps no level for them. Propagation runs over rows
-held as CSR arrays with a level schedule (:mod:`.rows`): rows on one
-level share no column, so a numpy sweep per level tightens exactly the
-bounds, bit for bit, that a row-by-row Gauss-Seidel sweep in row order
-does. A search takes the problem's stated rows
-(:attr:`.problem.MipProblem.rows`, the arrays the problem keeps) at the
-start of its reduction and holds its rows in that one form to the end:
-the reduction derives each later row set from the last one, and its
-final rows, renumbered to the kept columns and with the schedule its
-last propagation built, are what nodes propagate over. The search's LP
+LP, not the bounds. Propagation runs over rows held as CSR arrays with
+a half-row layout (:mod:`.rows`), and a pass reads every row at once,
+from the bounds as they stood at its start. A search takes the
+problem's stated rows (:attr:`.problem.MipProblem.rows`, the arrays
+the problem keeps) at the start of its reduction and holds its rows in
+that one form to the end: the reduction derives each later row set
+from the last one, and its final rows, renumbered to the kept columns
+and with the layout its last propagation built, are what nodes
+propagate over. The search's LP
 relaxation, one persistent HiGHS model (:class:`.highs.HighsLp`), is
 built from those rows and holds the cuts too (``HighsLp.rows``). Every
 LP (root, cut rounds, nodes, incumbent polish and ``lp_solve``) is
@@ -112,30 +111,27 @@ class SolveConfig:
     node_limit: int | None = None
 
 
-def _propagate(rows: CompiledRows, lb, ub, int_mask, max_passes=4):
+def _propagate(rows: CompiledRows, lb, ub, int_mask, max_passes: int) -> bool:
     """Activity-based bound tightening; returns False on infeasibility.
 
-    Each pass is a Gauss-Seidel sweep over the rows in order: a row's
-    least (greatest) activity under the current bounds first proves the
-    row infeasible or tightens each column's bound on the "<=" (">=")
-    side, and later rows see the tightened bounds. Integer bounds are
-    rounded after every pass; passes stop when one tightens nothing.
-    The tightened bounds are written to ``lb`` and ``ub`` only when the
-    verdict is feasible; on False they are left as they are, and no
-    caller reads them.
-
-    The sweep runs one level of the schedule at a time (see
-    :mod:`.rows`), all rows of a level in a few numpy operations. Rows
-    on a level share no column, and each row reads only bounds written
-    by lower levels, so the bounds, the stop after an unchanged pass
-    and the verdict are bit for bit those of the row-by-row sweep. A
-    level that shows an infeasible row ends the sweep: the row-by-row
-    sweep reaches that row with the same bounds, or stops earlier at
-    another infeasible row, so the verdict is the same.
+    Each pass reads every row under the bounds as they stood at the
+    start of the pass: a row's least (greatest) activity proves it
+    infeasible or implies a bound on each of its columns on the "<="
+    (">=") side, and each bound moves to the tightest value any row
+    implies for it, so a chain of rows moves a bound one row per pass.
+    Activity-based tightening is sound in any order the rows are read
+    (Savelsbergh, ORSA J. Computing 6(4), 1994), so a pass is a few
+    numpy operations over the row set's half-row layout (see
+    :mod:`.rows`). Passes stop at the first that tightens nothing,
+    before rounding; after a pass that does, integer bounds are rounded
+    and crossed bounds make the model infeasible. The tightened bounds
+    are written to ``lb`` and ``ub`` only when the verdict is feasible;
+    on False they are left as they are, and no caller reads them.
     """
     if rows.first_empty_failure is not None:
         return False
     n = rows.n
+    seg, half_of, k_p, k_t, coef, abs_coef, rhs, threshold = rows.halves
     w = np.concatenate([ub, -lb, [0.0, -np.inf]])
     rounded = np.concatenate([int_mask, int_mask, [False, False]])
     any_int = bool(np.any(int_mask))
@@ -143,32 +139,21 @@ def _propagate(rows: CompiledRows, lb, ub, int_mask, max_passes=4):
     # that then tighten nothing
     with np.errstate(invalid="ignore"):
         for _ in range(max_passes):
-            start = w.copy()
-            if not _sweep(rows.levels, w):
+            terms = coef * w[k_p]
+            least = np.add.reduceat(terms, seg)
+            if (least > threshold).any():
                 return False
-            changed = not np.array_equal(w, start)
+            bound = ((rhs - least)[half_of] + terms) / abs_coef
+            tighter = np.flatnonzero(bound < w[k_t] - 1e-9)
+            if not len(tighter):
+                break
+            np.minimum.at(w, k_t[tighter], bound[tighter])
             if any_int:
                 w[rounded] = np.floor(w[rounded] + INT_TOL)
             if np.any(-w[n : 2 * n] > w[:n] + 1e-7):
                 return False
-            if not changed:
-                break
     ub[:] = w[:n]
     lb[:] = -w[n : 2 * n]
-    return True
-
-
-def _sweep(levels, w) -> bool:
-    """One pass over the levels, tightening ``w`` in place; False as
-    soon as a level shows an infeasible row."""
-    for seg, half_of, k_p, k_t, coef, abs_coef, rhs, threshold in levels:
-        terms = coef * w[k_p]
-        least = np.add.reduceat(terms, seg)
-        if (least > threshold).any():
-            return False
-        bound = ((rhs - least)[half_of] + terms) / abs_coef
-        tighter = bound < w[k_t] - 1e-9
-        w[k_t[tighter]] = bound[tighter]
     return True
 
 
@@ -211,10 +196,10 @@ def _reduce(problem: MipProblem, start: _Reduced | None = None) -> _Reduced:
     pass changes nothing. A pass moves every pinned column's terms into
     the rhs, checks the rows that become empty and turns singleton rows
     into bounds. Each pass that changes something drops a row entry or
-    a row, so the loop ends. The rows the last propagation swept are
+    a row, so the loop ends. The rows the last propagation read are
     then the reduced rows, and they are handed on relabelled to the
     reduced columns (:meth:`.rows.CompiledRows.relabel`), which keeps
-    the level schedule the last propagation built.
+    the layout the last propagation built.
 
     The passes start from ``start``, by default the problem as stated;
     stage 2 starts from stage 1's reduction with the retention row
@@ -519,7 +504,7 @@ def branch_and_bound(
                 continue
         node_lb, node_ub = lb_n.copy(), ub_n.copy()
         # over the reduced rows only: cut rows tighten the LP, not bounds
-        if not _propagate(red.rows, node_lb, node_ub, red.int_mask, max_passes=1):
+        if not _propagate(red.rows, node_lb, node_ub, red.int_mask, max_passes=2):
             node_count += 1
             continue
         # start from the parent's basis, unless HiGHS holds it already

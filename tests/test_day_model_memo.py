@@ -92,7 +92,7 @@ def test_a_second_query_on_the_same_day_builds_nothing(builds):
     assert len(builds) == 1
     (kept,) = loop._day_model_memo.values()
     assert first is not second and kept[1] not in (first, second)
-    # the copies share the day's stated rows, and the level schedule with them
+    # the copies share the day's stated rows, and the half-row layout with them
     assert second.rows is first.rows is kept[1].rows
     loop.clear_day_model_memo()
     shared(QUERIES[1], *inputs)

@@ -56,7 +56,8 @@ STALL_S = 0.5
 def server():
     # one thread per request, so a stalled request does not hold up the retry
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    # a short poll, so shutdown at teardown does not wait out the default 0.5 s
+    thread = threading.Thread(target=httpd.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     _Handler.responses = []
     _Handler.requests = []

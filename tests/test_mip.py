@@ -26,7 +26,7 @@ from fleetopt.mip import highs
 from fleetopt.mip import solver
 from fleetopt.mip.highs import HighsLp
 from fleetopt.mip.problem import Objective
-from fleetopt.mip.rows import CompiledRows, RowLevel
+from fleetopt.mip.rows import CompiledRows, HalfRows
 from fleetopt.mip.solver import _fractional_index, _objective_on, _unreduced
 
 from rowsets import row_set
@@ -470,9 +470,9 @@ class TestBranchAndBound:
             calls.append(("tableau",) + calls[-1][1:])  # the basis of the last solve
             return tableau(self)
 
-        def spy_build(self, lp):
-            builds.append(lp.num_col_)
-            return pass_model(self, lp)
+        def spy_build(self, *model):
+            builds.append(model[0])  # the column count
+            return pass_model(self, *model)
 
         monkeypatch.setattr(highs.HighsLp, "solve", spy_solve)
         monkeypatch.setattr(highs.HighsLp, "tableau", spy_tableau)
@@ -522,11 +522,19 @@ class TestBranchAndBound:
         events = []  # ("prop", lb, ub, ok) | ("restore", basis) | ("solve", lb, ub) | ("snap", basis)
         propagate, solve = solver._propagate, highs.HighsLp.solve
         snapshot, restore = highs.HighsLp.snapshot, highs.HighsLp.restore
+        reduce, reducing = solver._reduce, [False]
 
-        def spy_propagate(rows, lb, ub, int_mask, max_passes=4):
+        def spy_reduce(*args):
+            reducing[0] = True
+            try:
+                return reduce(*args)
+            finally:
+                reducing[0] = False
+
+        def spy_propagate(rows, lb, ub, int_mask, max_passes):
             lb_in, ub_in = lb.copy(), ub.copy()
             ok = propagate(rows, lb, ub, int_mask, max_passes)
-            if max_passes == 1:  # a node's, not the reduction's
+            if not reducing[0]:  # a node's, not the reduction's
                 events.append(("prop", lb_in, ub_in, ok))
             return ok
 
@@ -543,6 +551,7 @@ class TestBranchAndBound:
             events.append(("restore", basis))
             return restore(self, basis)
 
+        monkeypatch.setattr(solver, "_reduce", spy_reduce)
         monkeypatch.setattr(solver, "_propagate", spy_propagate)
         monkeypatch.setattr(highs.HighsLp, "solve", spy_solve)
         monkeypatch.setattr(highs.HighsLp, "snapshot", spy_snapshot)
@@ -1046,10 +1055,10 @@ class TestReduction:
     def test_reused_rows_match_a_fresh_compile(self, monkeypatch):
         """The rows handed from reduction to the relaxation, and the rows
         after each cut round, are those compiled afresh from dict rows
-        reduced row by row; no level schedule is built in cut rounds or at
-        nodes, which propagate over the reduced rows."""
+        reduced row by row; no half-row layout is built in cut rounds or
+        at nodes, which propagate over the reduced rows."""
         phase = ["reduce"]
-        schedules = []
+        layouts = []
         cuts = []  # dict rows added so far in the current search
         ref = {}
         checks = {"reduced": 0, "rounds": 0}
@@ -1103,18 +1112,16 @@ class TestReduction:
             for a, b in zip(got.row_bounds, want.row_bounds):
                 assert np.array_equal(a, b)
             assert got.first_empty_failure == want.first_empty_failure
-            assert len(got.levels) == len(want.levels)
-            for level_got, level_want in zip(got.levels, want.levels):
-                for name in RowLevel._fields:
-                    a, b = getattr(level_got, name), getattr(level_want, name)
-                    assert a.dtype == b.dtype and np.array_equal(a, b), name
+            for name in HalfRows._fields:
+                a, b = getattr(got.halves, name), getattr(want.halves, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
             phase[0] = was
 
         real_reduce = solver._reduce
         real_propagate = solver._propagate
         real_init = HighsLp.__init__
         real_add = HighsLp.add_rows
-        real_schedule = CompiledRows._schedule
+        real_layout = CompiledRows._layout
 
         def spy_reduce(problem):
             phase[0] = "reduce"
@@ -1129,7 +1136,7 @@ class TestReduction:
 
         def spy_init(self, c, rows, sense):
             real_init(self, c, rows, sense)
-            # the schedule the reduction built, relabelled
+            # the layout the reduction built, relabelled
             assert_same(self.rows, self.n)
             checks["reduced"] += 1
             phase[0] = "cuts"
@@ -1140,7 +1147,7 @@ class TestReduction:
             for i, (le, ge, rhs) in enumerate(zip(rows.le, rows.ge, rows.rhs.tolist())):
                 coeffs = dict(zip(cols[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]]))
                 cuts.append((coeffs, "=" if le and ge else "<=" if le else ">=", rhs))
-            # a view over the same arrays: building its schedule leaves
+            # a view over the same arrays: building its layout leaves
             # the relaxation's rows as they were
             assert_same(self.rows.append(row_set([], self.n)), self.n)
             checks["rounds"] += 1
@@ -1150,15 +1157,15 @@ class TestReduction:
                 phase[0] = "nodes"
             return real_propagate(rows, *args, **kwargs)
 
-        def spy_schedule(self, level):
-            schedules.append(phase[0])
-            return real_schedule(self, level)
+        def spy_layout(self):
+            layouts.append(phase[0])
+            return real_layout(self)
 
         monkeypatch.setattr(solver, "_reduce", spy_reduce)
         monkeypatch.setattr(solver, "_propagate", spy_propagate)
         monkeypatch.setattr(HighsLp, "__init__", spy_init)
         monkeypatch.setattr(HighsLp, "add_rows", spy_add)
-        monkeypatch.setattr(CompiledRows, "_schedule", spy_schedule)
+        monkeypatch.setattr(CompiledRows, "_layout", spy_layout)
 
         rng = np.random.default_rng(23)
         problems = [knapsack_problem(), blocks_problem()]
@@ -1185,7 +1192,7 @@ class TestReduction:
             for cfg in (SolveConfig(gomory=False), SolveConfig(gomory=True, cover=True)):
                 branch_and_bound(p, cfg)
         assert checks["reduced"] > 30 and checks["rounds"] > 10
-        assert "cuts" not in schedules and "nodes" not in schedules
+        assert "cuts" not in layouts and "nodes" not in layouts
 
 class TestFixVariables:
     def test_fix_binary(self):

@@ -87,9 +87,9 @@ def model_digest(mip, rows) -> str:
     parts = [
         _ints(indptr), _ints(indices), _floats(data), _floats(rhs),
         _text(relations), _text(names),
-        _text(f"{v.name}\t{v.kind}" for v in mip.variables),
-        _floats([v.lb for v in mip.variables]),
-        _floats([v.ub for v in mip.variables]),
+        _text(f"{name}\t{kind}" for name, kind in zip(mip.names, mip.kinds.tolist())),
+        _floats(mip.lb),
+        _floats(mip.ub),
     ]
     for obj in (mip.objective, mip.secondary):
         if obj is None:

@@ -1,11 +1,11 @@
-"""Bound propagation over compiled rows against a row-by-row reference.
+"""Bound propagation over compiled rows against a dict-walking reference.
 
-``sequential_propagate`` is the dict-walking Gauss-Seidel sweep the
-solver used before rows were compiled into CSR form with a level
-schedule. The compiled sweep must reproduce its verdict on every
-model, and its bounds bit for bit whenever that verdict is feasible.
-On an infeasible model the compiled sweep may stop at a different
-infeasible row, and it leaves the bounds it was given as they are.
+``jacobi_propagate`` walks ``(coeffs dict, relation, rhs)`` rows one at
+a time. Each pass reads only the bounds as they stood at its start, and
+each bound moves to the tightest value any row implies for it. The
+compiled pass must reproduce its verdict on every model, and its bounds
+bit for bit whenever that verdict is feasible; on an infeasible model
+the compiled pass leaves the bounds it was given as they are.
 """
 
 import itertools
@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fleetopt.mip.problem import EQ, GE, INT_TOL, LE, MipProblem
+from fleetopt.mip.rows import HalfRows
 from fleetopt.mip.solver import _objective_on, _propagate, _reduce
 
 from rowsets import row_set
@@ -23,9 +24,10 @@ from rowsets import row_set
 INF = float("inf")
 
 
-def sequential_propagate(rows, lb, ub, int_mask, max_passes=4):
-    """Row-by-row reference sweep over ``(coeffs dict, relation, rhs)`` rows."""
+def jacobi_propagate(rows, lb, ub, int_mask, max_passes):
+    """Reference passes over ``(coeffs dict, relation, rhs)`` rows."""
     for _ in range(max_passes):
+        lb0, ub0 = lb.copy(), ub.copy()  # every row reads these
         changed = False
         for coeffs, rel, rhs in rows:
             idx = list(coeffs.keys())
@@ -36,8 +38,8 @@ def sequential_propagate(rows, lb, ub, int_mask, max_passes=4):
                     return False
                 continue
             a = np.array([coeffs[j] for j in idx])
-            lo = np.where(a > 0, lb[idx], ub[idx])
-            hi = np.where(a > 0, ub[idx], lb[idx])
+            lo = np.where(a > 0, lb0[idx], ub0[idx])
+            hi = np.where(a > 0, ub0[idx], lb0[idx])
             minact = float(np.sum(a * lo))
             maxact = float(np.sum(a * hi))
             if rel in (LE, EQ):
@@ -45,40 +47,38 @@ def sequential_propagate(rows, lb, ub, int_mask, max_passes=4):
                     return False
                 if np.isfinite(minact):
                     for pos, j in enumerate(idx):
-                        slack = rhs - minact + a[pos] * lo[pos]
-                        newb = slack / a[pos]
-                        if a[pos] > 0 and newb < ub[j] - 1e-9:
-                            ub[j] = newb
+                        newb = (rhs - minact + a[pos] * lo[pos]) / a[pos]
+                        if a[pos] > 0 and newb < ub0[j] - 1e-9:
+                            ub[j] = min(ub[j], newb)
                             changed = True
-                        elif a[pos] < 0 and newb > lb[j] + 1e-9:
-                            lb[j] = newb
+                        elif a[pos] < 0 and newb > lb0[j] + 1e-9:
+                            lb[j] = max(lb[j], newb)
                             changed = True
             if rel in (GE, EQ):
                 if maxact < rhs - 1e-7:
                     return False
                 if np.isfinite(maxact):
                     for pos, j in enumerate(idx):
-                        slack = rhs - maxact + a[pos] * hi[pos]
-                        newb = slack / a[pos]
-                        if a[pos] > 0 and newb > lb[j] + 1e-9:
-                            lb[j] = newb
+                        newb = (rhs - maxact + a[pos] * hi[pos]) / a[pos]
+                        if a[pos] > 0 and newb > lb0[j] + 1e-9:
+                            lb[j] = max(lb[j], newb)
                             changed = True
-                        elif a[pos] < 0 and newb < ub[j] - 1e-9:
-                            ub[j] = newb
+                        elif a[pos] < 0 and newb < ub0[j] - 1e-9:
+                            ub[j] = min(ub[j], newb)
                             changed = True
+        if not changed:
+            break
         if np.any(int_mask):
             lb[int_mask] = np.ceil(lb[int_mask] - INT_TOL)
             ub[int_mask] = np.floor(ub[int_mask] + INT_TOL)
         if np.any(lb > ub + 1e-7):
             return False
-        if not changed:
-            break
     return True
 
 
-def assert_same_as_sequential(rows, lb, ub, int_mask, max_passes):
+def assert_same_as_reference(rows, lb, ub, int_mask, max_passes):
     lb_ref, ub_ref = lb.copy(), ub.copy()
-    expected = sequential_propagate(rows, lb_ref, ub_ref, int_mask, max_passes)
+    expected = jacobi_propagate(rows, lb_ref, ub_ref, int_mask, max_passes)
     lb_new, ub_new = lb.copy(), ub.copy()
     got = _propagate(row_set(rows, len(lb)), lb_new, ub_new, int_mask, max_passes)
     assert got == expected
@@ -120,9 +120,9 @@ FLOAT = st.floats(0.05, 20.0).flatmap(lambda a: st.sampled_from([a, -a]))
 
 @settings(max_examples=400, deadline=None)
 @given(models(SMALL_INT, st.integers(-5, 5).map(float)), st.sampled_from([1, 2, 6]))
-def test_matches_sequential_on_small_integer_models(model, max_passes):
+def test_matches_reference_on_small_integer_models(model, max_passes):
     rows, lb, ub, int_mask = model
-    assert_same_as_sequential(rows, lb, ub, int_mask, max_passes)
+    assert_same_as_reference(rows, lb, ub, int_mask, max_passes)
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,13 +130,13 @@ def test_matches_sequential_on_small_integer_models(model, max_passes):
     models(FLOAT, st.floats(-5.0, 5.0), n_max=12, m_max=10),
     st.sampled_from([1, 2, 6]),
 )
-def test_matches_sequential_bit_for_bit_on_float_models(model, max_passes):
+def test_matches_reference_bit_for_bit_on_float_models(model, max_passes):
     # rows of up to 12 entries: np.sum switches to pairwise summation at 8
     rows, lb, ub, int_mask = model
-    assert_same_as_sequential(rows, lb, ub, int_mask, max_passes)
+    assert_same_as_reference(rows, lb, ub, int_mask, max_passes)
 
 
-# --- level schedule ---
+# --- passes ---
 
 
 def chain(length, forward=True):
@@ -150,52 +150,30 @@ def chain(length, forward=True):
     return rows, lb, ub, np.zeros(length + 1, dtype=bool)
 
 
-def test_chain_in_row_order_propagates_through_in_one_pass():
-    rows, lb, ub, mask = chain(8)
-    assert len(row_set(rows, len(lb)).levels) == 8
-    _, _, ub_new = assert_same_as_sequential(rows, lb, ub, mask, 1)
-    assert np.all(ub_new == 1.0)
+@pytest.mark.parametrize("forward", [True, False])
+@pytest.mark.parametrize("passes", [1, 3, 8])
+def test_chain_moves_one_step_per_pass_in_either_row_order(forward, passes):
+    rows, lb, ub, mask = chain(8, forward)
+    _, _, ub_new = assert_same_as_reference(rows, lb, ub, mask, passes)
+    assert list(ub_new) == [1.0] * (passes + 1) + [10.0] * (8 - passes)
 
 
-def test_chain_against_row_order_moves_one_step_per_pass():
-    rows, lb, ub, mask = chain(8, forward=False)
-    assert len(row_set(rows, len(lb)).levels) == 8
-    _, _, ub_new = assert_same_as_sequential(rows, lb, ub, mask, 3)
-    assert list(ub_new) == [1.0] * 4 + [10.0] * 5
+# --- infeasibility: the verdict matches the reference ---
 
 
-def test_rows_on_one_level_share_no_column():
-    rng = np.random.default_rng(3)
-    rows = []
-    for _ in range(60):
-        cols = rng.choice(30, size=int(rng.integers(1, 6)), replace=False)
-        rows.append(({int(j): float(rng.integers(1, 5)) for j in cols}, EQ, 3.0))
-    compiled = row_set(rows, 30)
-    level_of = compiled._assign_levels()
-    levels = sorted(set(level_of.tolist()))
-    assert len(compiled.levels) == len(levels)
-    seen_rows = []
-    for level in levels:
-        level_rows = np.flatnonzero(level_of == level).tolist()
-        cols = [j for r in level_rows for j in rows[r][0]]
-        assert len(cols) == len(set(cols))
-        seen_rows += level_rows
-    assert sorted(seen_rows) == list(range(60))
-
-
-# --- infeasibility: the verdict matches the row-by-row sweep ---
-
-
-def test_first_failure_in_row_order_wins_over_first_found_by_level():
-    # row 2 fails on level 1, row 1 on level 2; the row-by-row sweep
-    # stops at row 1, the level sweep at row 2, and both say infeasible
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+@pytest.mark.parametrize("max_passes", [1, 2])
+def test_an_infeasible_row_fails_the_pass_wherever_it_sits(order, max_passes):
+    # the x2 row is infeasible under the first bounds; the x0 rows
+    # cross x0's bounds, which the pass's crossing check also catches
     rows = [
         ({0: 1.0, 1: 1.0}, LE, 5.0),
         ({0: 1.0}, GE, 7.0),
         ({2: 1.0}, GE, 100.0),
     ]
+    rows = [rows[i] for i in order]
     lb, ub = np.zeros(3), np.array([10.0, 4.0, 1.0])
-    got, _, _ = assert_same_as_sequential(rows, lb, ub, np.zeros(3, bool), 2)
+    got, _, _ = assert_same_as_reference(rows, lb, ub, np.zeros(3, bool), max_passes)
     assert not got
 
 
@@ -203,7 +181,7 @@ def test_first_failure_in_row_order_wins_over_first_found_by_level():
 def test_infeasible_empty_row_stops_the_sweep_there(relation, rhs):
     rows = [({0: 1.0}, LE, 2.0), ({}, relation, rhs), ({1: 1.0}, LE, 3.0)]
     lb, ub = np.zeros(2), np.full(2, 9.0)
-    got, _, _ = assert_same_as_sequential(rows, lb, ub, np.zeros(2, bool), 1)
+    got, _, _ = assert_same_as_reference(rows, lb, ub, np.zeros(2, bool), 1)
     assert not got
 
 
@@ -212,7 +190,7 @@ def test_unbounded_activity_raises_no_warning():
     rows = [({0: 1.0, 1: -1.0}, LE, 2.0), ({0: 1.0, 1: 1.0}, GE, 1.0)]
     lb, ub = np.array([0.0, 0.0]), np.array([5.0, INF])
     with np.errstate(all="raise"):
-        assert_same_as_sequential(rows, lb, ub, np.zeros(2, bool), 4)
+        assert_same_as_reference(rows, lb, ub, np.zeros(2, bool), 4)
 
 
 # --- soundness ---
@@ -355,66 +333,17 @@ def random_rows(rng, m, n):
     return rows
 
 
-def row_by_row_levels(rows, n):
-    col_level = [0] * n
-    levels = []
-    for coeffs, _, _ in rows:
-        level = 1 + max(col_level[j] for j in coeffs) if coeffs else 0
-        for j in coeffs:
-            col_level[j] = level
-        levels.append(level)
-    return levels
-
-
 def assert_same_rows(got, want):
     assert (got.m, got.n) == (want.m, want.n)
     for name in ("indptr", "indices", "data", "rhs", "le", "ge"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.first_empty_failure == want.first_empty_failure
-    assert len(got.levels) == len(want.levels)
-    for a, b in zip(got.levels, want.levels):
-        for x, y in zip(a, b):
-            assert np.array_equal(x, y)
 
 
-def test_levels_follow_the_row_by_row_definition_also_after_append():
-    rng = np.random.default_rng(8)
-    for _ in range(100):
-        n, m = int(rng.integers(1, 25)), int(rng.integers(0, 40))
-        rows = random_rows(rng, m, n)
-        k = int(rng.integers(0, m + 1))
-        head = row_set(rows[:k], n)
-        head.levels  # built for the first k rows; the joined set builds its own
-        joined = head.append(row_set(rows[k:], n))
-        assert joined._assign_levels().tolist() == row_by_row_levels(rows, n)
-        assert_same_rows(joined, row_set(rows, n))
-
-
-def test_append_after_a_built_schedule_matches_a_fresh_compile():
-    # a row over every column lands above the top level, as stage 2's
-    # retention row does; other rows land among the levels already built
-    rng = np.random.default_rng(10)
-    above = among = 0
-    for _ in range(200):
-        n, m = int(rng.integers(1, 25)), int(rng.integers(0, 40))
-        rows = random_rows(rng, m, n)
-        head = row_set(rows, n)
-        built = head.levels
-        extra = random_rows(rng, int(rng.integers(0, 3)), n)
-        if rng.random() < 0.5:
-            extra.append(({j: 1.0 for j in range(n)}, [LE, GE][int(rng.integers(0, 2))], 5.0))
-        extra += random_rows(rng, int(rng.integers(0, 2)), n) if rng.random() < 0.3 else []
-        joined = head.append(row_set(extra, n))
-        assert_same_rows(joined, row_set(rows + extra, n))
-        new = row_by_row_levels(rows + extra, n)[m:]
-        if all(lv == 0 or lv > len(built) for lv in new):
-            above += 1
-        else:
-            among += 1
-        # and through a relabel, as a reduction hands its rows on
-        keep = np.arange(n)
-        assert_same_rows(head.relabel(keep).append(row_set(extra, n)), row_set(rows + extra, n))
-    assert above > 50 and among > 20
+def assert_same_layout(got, want):
+    for name in HalfRows._fields:
+        a, b = getattr(got.halves, name), getattr(want.halves, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def substituted_by_loop(rows, fixed, values):
@@ -437,7 +366,6 @@ def test_relabel_substitute_and_take_match_a_fresh_compile():
         values = rng.uniform(-2, 2, n)
         fixed = rng.random(n) < 0.4
         compiled = row_set(rows, n)
-        compiled.levels  # a built schedule is relabelled, not rebuilt
 
         substituted = substituted_by_loop(rows, fixed, values)
         assert_same_rows(compiled.substitute(fixed, values), row_set(substituted, n))
@@ -456,9 +384,6 @@ def test_relabel_substitute_and_take_match_a_fresh_compile():
             [({pos[j]: a for j, a in c.items()}, rel, r) for c, rel, r in inside], len(keep)
         )
         assert_same_rows(row_set(inside, n).relabel(keep), want)
-        scheduled = row_set(inside, n)
-        scheduled.levels
-        assert_same_rows(scheduled.relabel(keep), want)
 
     # rows of hundreds of entries, as stage 2's retention row has, with
     # masks that pin none, some, most or all of a row's columns
@@ -475,3 +400,39 @@ def test_relabel_substitute_and_take_match_a_fresh_compile():
         got = row_set(rows, n).substitute(fixed, values)
         assert_same_rows(got, row_set(substituted, n))
         assert got.rhs.tobytes() == np.array([r for _, _, r in substituted]).tobytes()
+
+
+def test_derived_row_sets_have_the_layout_of_a_fresh_build():
+    # every derived row set starts from one whose layout is built; only
+    # relabel hands that layout on, mapped, and the others build their own
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        n, m = int(rng.integers(2, 25)), int(rng.integers(0, 40))
+        rows = random_rows(rng, m, n)
+        values = rng.uniform(-2, 2, n)
+        fixed = rng.random(n) < 0.4
+
+        def built(rows, n):
+            compiled = row_set(rows, n)
+            compiled.halves
+            return compiled
+
+        substituted = substituted_by_loop(rows, fixed, values)
+        assert_same_layout(built(rows, n).substitute(fixed, values), row_set(substituted, n))
+        mask = rng.random(m) < 0.6
+        taken = [row for row, keep in zip(rows, mask) if keep]
+        assert_same_layout(built(rows, n).take(mask), row_set(taken, n))
+        extra = random_rows(rng, int(rng.integers(0, 4)), n)
+        assert_same_layout(built(rows, n).append(row_set(extra, n)), row_set(rows + extra, n))
+        assert_same_layout(built(rows, n).widen(n + 3), row_set(rows, n + 3))
+
+        keep = np.flatnonzero(~fixed)
+        pos = {int(j): p for p, j in enumerate(keep)}
+        inside = [r for r in substituted if r[0]]
+        want = row_set(
+            [({pos[j]: a for j, a in c.items()}, rel, r) for c, rel, r in inside], len(keep)
+        )
+        relabelled = built(inside, n).relabel(keep)
+        assert relabelled._halves is not None  # handed on, not rebuilt
+        assert_same_layout(relabelled, want)
+        assert_same_layout(row_set(inside, n).relabel(keep), want)

@@ -261,7 +261,7 @@ def start_bytes(start) -> list[bytes]:
     arrays = [start.keep, start.lb, start.ub, start.binary, start.int_mask,
               start.full_values, rows.indptr, rows.indices, rows.data, rows.rhs,
               rows.le, rows.ge]
-    arrays += [a for level in rows.levels for a in level]
+    arrays += list(rows.halves)
     return [a.tobytes() for a in arrays]
 
 
@@ -281,43 +281,43 @@ def test_a_hits_search_leaves_the_stored_start_as_it_was(secondary):
 
 
 @pytest.fixture
-def schedule_builds(monkeypatch):
-    """One entry per level schedule built from here on."""
+def layout_builds(monkeypatch):
+    """One entry per half-row layout built from here on."""
     built = []
-    real = CompiledRows._schedule
+    real = CompiledRows._layout
 
-    def spy(self, level):
+    def spy(self):
         built.append(self.m)
-        return real(self, level)
+        return real(self)
 
-    monkeypatch.setattr(CompiledRows, "_schedule", spy)
+    monkeypatch.setattr(CompiledRows, "_layout", spy)
     return built
 
 
 @pytest.mark.parametrize("world, day, history_m, seed", [("small", 5, 6, 1), ("desk", 3, 14, 3)])
-def test_a_repeat_builds_no_schedule(schedule_builds, world, day, history_m, seed):
-    # a hit hands stage 2 the start whose schedule its reduction built,
-    # so only a cold solve builds schedules
+def test_a_repeat_builds_no_layout(layout_builds, world, day, history_m, seed):
+    # a hit hands stage 2 the start whose layout its reduction built,
+    # so only a cold solve builds layouts
     mip, _ = agent_model(world, day, QUERIES[0])
     lexicographic_solve(mip, SolveConfig())
-    assert schedule_builds
-    schedule_builds.clear()
+    assert layout_builds
+    layout_builds.clear()
     assert lexicographic_solve(mip, SolveConfig()).stage1_reused
-    assert schedule_builds == []
+    assert layout_builds == []
 
     w, forest = world_and_forest(world)
     history = make_history(w, forest, m=history_m, seed=seed)
     inst, exo = w.instance(day), w.days[day].exogenous()
     first = run_agent(QUERIES[1], inst, exo, forest, history, AgentConfig())
-    schedule_builds.clear()
+    layout_builds.clear()
     again = run_agent(QUERIES[1], inst, exo, forest, history, AgentConfig())
-    assert schedule_builds == []
+    assert layout_builds == []
     assert all(r.stage1_reused for r in again.iterations)
     assert again.to_dict() == first.to_dict()
 
     solver.clear_stage1_memo()
     assert not lexicographic_solve(mip, SolveConfig()).stage1_reused
-    assert schedule_builds
+    assert layout_builds
 
 
 # desk day 3's four query models, each solved cold: status, primary and
