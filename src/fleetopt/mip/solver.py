@@ -122,9 +122,10 @@ def _propagate(rows: CompiledRows, lb, ub, int_mask, max_passes: int) -> bool:
     Activity-based tightening is sound in any order the rows are read
     (Savelsbergh, ORSA J. Computing 6(4), 1994), so a pass is a few
     numpy operations over the row set's half-row layout (see
-    :mod:`.rows`). Passes stop at the first that tightens nothing,
-    before rounding; after a pass that does, integer bounds are rounded
-    and crossed bounds make the model infeasible. The tightened bounds
+    :mod:`.rows`). After every pass, integer bounds are rounded and
+    crossed bounds make the model infeasible, so even a call whose
+    first pass tightens nothing rounds fractional integer bounds;
+    passes stop at the first that tightens nothing. The tightened bounds
     are written to ``lb`` and ``ub`` only when the verdict is feasible;
     on False they are left as they are, and no caller reads them.
     """
@@ -145,13 +146,14 @@ def _propagate(rows: CompiledRows, lb, ub, int_mask, max_passes: int) -> bool:
                 return False
             bound = ((rhs - least)[half_of] + terms) / abs_coef
             tighter = np.flatnonzero(bound < w[k_t] - 1e-9)
-            if not len(tighter):
-                break
-            np.minimum.at(w, k_t[tighter], bound[tighter])
+            if len(tighter):
+                np.minimum.at(w, k_t[tighter], bound[tighter])
             if any_int:
                 w[rounded] = np.floor(w[rounded] + INT_TOL)
             if np.any(-w[n : 2 * n] > w[:n] + 1e-7):
                 return False
+            if not len(tighter):
+                break
     ub[:] = w[:n]
     lb[:] = -w[n : 2 * n]
     return True

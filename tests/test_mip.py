@@ -1028,6 +1028,24 @@ class TestReduction:
         assert sol.objective_value == 240.0
         assert set(sol.values.values()) == {3.0}
 
+    def test_fractional_integer_bound_in_a_slack_row_is_rounded_and_pinned(self):
+        # b in [0.5, 1] rounds to 1 and n in [0, 1.5] to [0, 1] although
+        # the row tightens nothing, so the reduction substitutes b out
+        # before it drops b's column
+        p = MipProblem()
+        p.add_variable("b", "binary", 0.5, 1)
+        p.add_variable("n", "integer", 0, 1.5)
+        p.add_variable("y", "continuous", 0, 1)
+        p.add_constraint({"b": 1, "n": 1, "y": 1}, "<=", 5)
+        p.set_objective("max", {"b": 1, "n": 2, "y": 3})
+        red = solver._reduce(p)
+        assert red.feasible and red.keep.tolist() == [1, 2]
+        assert red.ub.tolist() == [1.0, 1.0] and red.full_values.tolist() == [1.0, 0.0, 0.0]
+        sol = branch_and_bound(p)
+        assert sol.status == "Optimal"
+        assert sol.values == {"b": 1.0, "n": 1.0, "y": 1.0}
+        assert sol.objective_value == 6.0
+
     def test_objective_maps_pinned_terms_left_to_right(self):
         # terms listed out of column order, pinned ones whose sum depends
         # on the order it is taken in: 0.1 + 1 + 1e16 - 1e16 is 2 left to

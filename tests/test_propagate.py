@@ -66,13 +66,13 @@ def jacobi_propagate(rows, lb, ub, int_mask, max_passes):
                         elif a[pos] < 0 and newb < ub0[j] - 1e-9:
                             ub[j] = min(ub[j], newb)
                             changed = True
-        if not changed:
-            break
         if np.any(int_mask):
             lb[int_mask] = np.ceil(lb[int_mask] - INT_TOL)
             ub[int_mask] = np.floor(ub[int_mask] + INT_TOL)
         if np.any(lb > ub + 1e-7):
             return False
+        if not changed:
+            break
     return True
 
 
@@ -422,9 +422,17 @@ def test_derived_row_sets_have_the_layout_of_a_fresh_build():
         mask = rng.random(m) < 0.6
         taken = [row for row, keep in zip(rows, mask) if keep]
         assert_same_layout(built(rows, n).take(mask), row_set(taken, n))
+        # appended rows may be empty, and stage 2's retention row holds
+        # every column
         extra = random_rows(rng, int(rng.integers(0, 4)), n)
-        assert_same_layout(built(rows, n).append(row_set(extra, n)), row_set(rows + extra, n))
-        assert_same_layout(built(rows, n).widen(n + 3), row_set(rows, n + 3))
+        if rng.random() < 0.5:
+            extra.append(({j: 1.0 for j in range(n)}, [LE, GE][int(rng.integers(0, 2))], 5.0))
+        joined = built(rows, n).append(row_set(extra, n))
+        assert_same_rows(joined, row_set(rows + extra, n))
+        assert_same_layout(joined, row_set(rows + extra, n))
+        widened = built(rows, n).widen(n + 3)
+        assert_same_rows(widened, row_set(rows, n + 3))
+        assert_same_layout(widened, row_set(rows, n + 3))
 
         keep = np.flatnonzero(~fixed)
         pos = {int(j): p for p, j in enumerate(keep)}
@@ -436,3 +444,32 @@ def test_derived_row_sets_have_the_layout_of_a_fresh_build():
         assert relabelled._halves is not None  # handed on, not rebuilt
         assert_same_layout(relabelled, want)
         assert_same_layout(row_set(inside, n).relabel(keep), want)
+        # append after relabel, as stage 2 appends its retention row to
+        # the rows the reduction handed on
+        relabelled_extra = [
+            ({pos[j]: a for j, a in c.items() if not fixed[j]}, rel, r) for c, rel, r in extra
+        ]
+        joined = relabelled.append(row_set(relabelled_extra, len(keep)))
+        want = row_set(
+            [({pos[j]: a for j, a in c.items()}, rel, r) for c, rel, r in inside]
+            + relabelled_extra,
+            len(keep),
+        )
+        assert_same_rows(joined, want)
+        assert_same_layout(joined, want)
+
+
+def test_a_pass_that_tightens_nothing_still_rounds_integer_bounds():
+    # the row is slack: only rounding moves the fractional bounds
+    rows = [({0: 1.0, 1: 1.0, 2: 1.0}, LE, 5.0)]
+    lb, ub = np.array([0.5, 0.0, 0.0]), np.array([1.0, 1.5, 1.0])
+    for passes in (1, 2):
+        mask = np.array([True, True, False])
+        got, lb_new, ub_new = assert_same_as_reference(rows, lb, ub, mask, passes)
+        assert got and lb_new.tolist() == [1.0, 0.0, 0.0]
+        assert ub_new.tolist() == [1.0, 1.0, 1.0]
+    # and crossed bounds fail the pass, as after one that tightens
+    got, _, _ = assert_same_as_reference(
+        rows, np.array([0.2, 0.0, 0.0]), np.array([0.8, 1.0, 1.0]), mask, 1
+    )
+    assert not got
