@@ -18,9 +18,10 @@ keyed by the exact inputs of the build: the forest by identity, every
 :class:`.FleetInstance` field and the exogenous values as bytes, and the
 price grid. Each call installs its query on a copy of the kept model;
 the kept model itself is never handed out. A copy shares the stated
-rows, which are never changed in place, so the half-row layout one
-query's solve builds serves the next, and every model is the one a
-fresh build gives, bit for bit. :func:`clear_day_model_memo` empties
+rows, which are never changed in place, so the half-row layout the
+stated rows build in one query's solve serves the next (a row set
+derived from them builds its own), and every model is the one a fresh
+build gives, bit for bit. :func:`clear_day_model_memo` empties
 the memo.
 """
 

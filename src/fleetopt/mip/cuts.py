@@ -204,7 +204,7 @@ def _cut_rows(n: int, cuts, ge: bool) -> CompiledRows:
     cols, coefs, rhs = zip(*cuts) if cuts else ((), (), ())
     indptr = np.zeros(len(rhs) + 1, dtype=np.intp)
     np.cumsum([len(c) for c in cols], out=indptr[1:])
-    return CompiledRows.of_csr(
+    return CompiledRows(
         n,
         indptr=indptr,
         indices=np.concatenate(cols, dtype=np.intp) if cuts else np.zeros(0, np.intp),

@@ -90,30 +90,6 @@ class AffineExpr:
         return cls(terms={index: 1.0})
 
 
-def _columns_of_bounds(names, kind, lb, ub) -> list[tuple[str, float, float, int]]:
-    """A block of columns of one kind as ``(kind, lb, ub, 1)`` per column.
-
-    ``lb`` and ``ub`` each hold one bound per name, or one for all;
-    raises as :meth:`MipProblem.add_variables` does, naming the first
-    column in error.
-    """
-    lb = np.broadcast_to(np.asarray(lb, dtype=float), len(names))
-    ub = np.broadcast_to(np.asarray(ub, dtype=float), len(names))
-    if kind == BINARY:
-        lb, ub = np.maximum(0.0, lb), np.minimum(1.0, ub)
-    if kind != CONTINUOUS:
-        infinite = ~(np.isfinite(lb) & np.isfinite(ub))
-        if infinite.any():
-            raise MipError(
-                f"integer variable {names[int(np.argmax(infinite))]!r} needs finite bounds"
-            )
-    empty = lb > ub + 1e-12
-    if empty.any():
-        at = int(np.argmax(empty))
-        raise MipError(f"variable {names[at]!r} has empty domain [{lb[at]}, {ub[at]}]")
-    return [(kind, lo, hi, 1) for lo, hi in zip(lb.tolist(), ub.tolist())]
-
-
 class MipProblem:
     """Columns, linear rows and up to two objectives.
 
@@ -141,9 +117,8 @@ class MipProblem:
         self._kinds = np.empty(0, dtype="<U10")  # room for the longest kind
         self._lb = np.empty(0)
         self._ub = np.empty(0)
-        # columns added since the last read: (kind, lb, ub, count) per run of
-        # columns with one domain
-        self._new: list[tuple[str, float, float, int]] = []
+        # columns added since the last read: (kind, lb, ub) per call
+        self._new: list[tuple[str, np.ndarray, np.ndarray]] = []
         self._rows = CompiledRows.empty(0)
         self._row_names: list[str] = []
         self._blocks: list[CompiledRows] = []  # rows added since the last read
@@ -164,35 +139,46 @@ class MipProblem:
         """One column per name, all of one kind; their indices.
 
         ``lb`` and ``ub`` each give one bound for every column, or an
-        array of one bound per column.
+        array of one bound per column, copied here; ±inf is a bound, NaN
+        is not. A binary column's bounds are clamped to [0, 1], and an
+        integer or binary one needs finite bounds. An error names the
+        first column in error.
         """
         names = list(names)
+        m = len(names)
         start = len(self.names)
-        stop = start + len(names)
+        stop = start + m
         if not names:
             return range(start, start)
         if kind not in (CONTINUOUS, INTEGER, BINARY):
             raise MipError(f"unknown variable kind {kind!r}")
-        if isinstance(lb, (int, float)) and isinstance(ub, (int, float)):
-            if kind == BINARY:
-                lb, ub = max(0.0, lb), min(1.0, ub)
-            if kind != CONTINUOUS and not (math.isfinite(lb) and math.isfinite(ub)):
-                raise MipError(f"integer variable {names[0]!r} needs finite bounds")
-            if lb > ub + 1e-12:
-                raise MipError(f"variable {names[0]!r} has empty domain [{lb}, {ub}]")
-            block = None
-        else:
-            block = _columns_of_bounds(names, kind, lb, ub)
+        lb, ub = np.array(lb, dtype=float), np.array(ub, dtype=float)  # copies
+        for bound in (lb, ub):
+            if bound.shape not in ((), (m,)):
+                raise MipError(f"bounds of shape {bound.shape} given for {m} variables")
+        lb, ub = np.broadcast_to(lb, m), np.broadcast_to(ub, m)
+        if kind == BINARY:
+            lb, ub = np.maximum(0.0, lb), np.minimum(1.0, ub)
+        nan = np.isnan(lb) | np.isnan(ub)
+        if nan.any():
+            raise MipError(f"variable {names[int(np.argmax(nan))]!r} has a NaN bound")
+        if kind != CONTINUOUS:
+            infinite = ~(np.isfinite(lb) & np.isfinite(ub))
+            if infinite.any():
+                raise MipError(
+                    f"integer variable {names[int(np.argmax(infinite))]!r} needs finite bounds"
+                )
+        empty = lb > ub + 1e-12
+        if empty.any():
+            at = int(np.argmax(empty))
+            raise MipError(f"variable {names[at]!r} has empty domain [{lb[at]}, {ub[at]}]")
         self._index.update(zip(names, range(start, stop)))
         if len(self._index) < stop:  # a name repeats, or was taken
             self._index = dict(zip(self.names, range(start)))
             seen = set(self._index)
             dup = next(n for n in names if n in seen or seen.add(n))
             raise MipError(f"duplicate variable name {dup!r}")
-        if block is None:
-            self._new.append((kind, float(lb), float(ub), stop - start))
-        else:
-            self._new += block
+        self._new.append((kind, lb, ub))
         self.names += names
         return range(start, stop)
 
@@ -202,12 +188,13 @@ class MipProblem:
     def _close_columns(self) -> None:
         """Append the columns added since the last read to the arrays."""
         if self._new:
-            kinds, lb, ub, counts = zip(*self._new)
+            kinds, lb, ub = zip(*self._new)
             self._new = []
+            counts = [len(b) for b in lb]
             self._kinds = np.concatenate((self._kinds, np.repeat(kinds, counts)))
             self._kinds.flags.writeable = False
-            self._lb = np.concatenate((self._lb, np.repeat(lb, counts)))
-            self._ub = np.concatenate((self._ub, np.repeat(ub, counts)))
+            self._lb = np.concatenate((self._lb, *lb))
+            self._ub = np.concatenate((self._ub, *ub))
 
     def _coerce_coeffs(self, coeffs) -> dict[int, float]:
         """Coefficients by column index; zeros dropped, repeats summed."""
@@ -239,12 +226,17 @@ class MipProblem:
 
     def add_constraint(self, coeffs, relation: str, rhs: float, name: str = "") -> int:
         """Append one row; keys are column indices or names, and zero
-        coefficients are dropped. Returns the row's index."""
+        coefficients are dropped. Returns the row's index. The rhs may be
+        ±inf but not NaN."""
         if relation not in (LE, EQ, GE):
             raise MipError(f"unknown relation {relation!r}")
-        self._pending.append((self._coerce_coeffs(coeffs), relation, float(rhs)))
+        at = len(self._row_names)
+        rhs = float(rhs)
+        if math.isnan(rhs):
+            raise MipError(f"row {name or at!r} has a NaN rhs")
+        self._pending.append((self._coerce_coeffs(coeffs), relation, rhs))
         self._row_names.append(name)
-        return len(self._row_names) - 1
+        return at
 
     def add_rows(self, indptr, indices, data, relation, rhs, names) -> range:
         """Append a block of rows given as CSR arrays; their indices.
@@ -253,7 +245,8 @@ class MipProblem:
         on the columns ``indices[indptr[r]:indptr[r + 1]]``, in that
         order, each column at most once. Zero coefficients are dropped,
         as :meth:`add_constraint` drops them, so both give the same
-        row. ``relation`` is one relation for every row or one per row.
+        row. ``relation`` is one relation for every row or one per row,
+        and ``rhs`` holds one per row, as :meth:`add_constraint` takes it.
         """
         indptr = np.asarray(indptr, dtype=np.intp)
         indices = np.asarray(indices, dtype=np.intp)
@@ -263,7 +256,7 @@ class MipProblem:
         m = len(names)
         lengths = indptr[1:] - indptr[:-1]
         if (
-            len(indptr) != m + 1 or len(rhs) != m or indptr[0] != 0
+            indptr.shape != (m + 1,) or rhs.shape != (m,) or indptr[0] != 0
             or indptr[-1] != len(indices) or (lengths < 0).any()
         ):
             raise MipError("a block needs row pointers, one rhs and one name per row")
@@ -279,6 +272,10 @@ class MipProblem:
             raise MipError("coefficient references unknown variable")
         if not np.isfinite(data).all():
             raise MipError("constraint coefficients must be finite")
+        nan = np.isnan(rhs)
+        if nan.any():
+            at = int(np.argmax(nan))
+            raise MipError(f"row {names[at] or len(self._row_names) + at!r} has a NaN rhs")
         row_of = np.repeat(np.arange(m), lengths)
         entries = np.sort(row_of * n + indices)
         if (entries[1:] == entries[:-1]).any():
@@ -289,7 +286,7 @@ class MipProblem:
             indptr = np.zeros(m + 1, dtype=np.intp)
             np.cumsum(np.bincount(row_of[nonzero], minlength=m), out=indptr[1:])
         self._close_pending()
-        self._blocks.append(CompiledRows.of_csr(
+        self._blocks.append(CompiledRows(
             n, indptr=indptr, indices=indices, data=data, rhs=rhs, le=le, ge=ge
         ))
         start = len(self._row_names)
@@ -306,7 +303,7 @@ class MipProblem:
         indptr = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(np.fromiter(map(len, coeffs), dtype=np.intp, count=m), out=indptr[1:])
         nnz = int(indptr[-1])
-        self._blocks.append(CompiledRows.of_csr(
+        self._blocks.append(CompiledRows(
             self.n_vars,
             indptr=indptr,
             indices=np.fromiter(chain.from_iterable(coeffs), dtype=np.intp, count=nnz),
@@ -360,7 +357,9 @@ class MipProblem:
 
         The row set is kept until a row or a column is added, so every
         search of an unchanged problem, or of a copy that added no row,
-        reads the same one (and the half-row layout it builds).
+        reads the same one, and with it the half-row layout it built the
+        first time it was propagated. A row set derived from it builds
+        its own.
         """
         self._close_pending()
         self._rows = self._rows.widen(self.n_vars)

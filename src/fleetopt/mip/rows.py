@@ -6,7 +6,7 @@ that row set as it stands, at the start of its reduction; from then on
 the search holds its rows in no other form. The reduction, bound
 propagation, the HiGHS model (:mod:`.highs`) and both cut separators
 (:mod:`.cuts`) work on these rows, and the separators return their cuts
-as a row set too (:meth:`CompiledRows.of_csr`):
+as a row set too. A row set is a frozen value of these arrays:
 
 - ``indptr``/``indices``/``data`` hold the rows in CSR form, each row's
   entries in the order given; HiGHS takes these arrays as they are,
@@ -17,8 +17,8 @@ as a row set too (:meth:`CompiledRows.of_csr`):
 - ``halves`` is the half-row layout that propagation passes over. It is
   built whole, for every row at once, on first access, since only
   propagation reads it. A search's nodes pass over the reduced rows,
-  whose layout the reduction built; its cut rows go to the LP and are
-  never propagated, so cut rounds build none.
+  which build their layout at the first node; its cut rows go to the LP
+  and are never propagated, so cut rounds build none.
 
 New row sets come from old ones.
 :meth:`~CompiledRows.substitute` moves fixed columns into the rhs and
@@ -26,11 +26,9 @@ New row sets come from old ones.
 :meth:`~CompiledRows.relabel` renumbers the columns to the reduced ones
 and :meth:`~CompiledRows.append` adds rows, such as cuts or a
 problem's new rows; :meth:`~CompiledRows.widen` takes the rows over
-more columns, as a problem that gains columns does. Only ``relabel``
-hands on a built layout, its bound indices mapped to the new columns,
-and that is how a search's nodes pass over the layout its reduction
-built. Every other new row set builds its own layout when it is first
-propagated.
+more columns, as a problem that gains columns does. A new row set
+shares the arrays it does not change and holds no layout: it builds
+its own when it is first propagated, and nothing hands one on.
 
 The layout splits each row into halves, each in "<=" form: a "<=" row
 gives one half, a ">=" row one half with coefficients and rhs negated,
@@ -51,13 +49,13 @@ row.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-EMPTY_ROW_TOL = 1e-9  # an empty row is 0 against its rhs
 INFEASIBLE_TOL = 1e-7  # least activity above rhs by more than this is infeasible
 
 
@@ -74,64 +72,58 @@ class HalfRows(NamedTuple):
     threshold: np.ndarray  # rhs + INFEASIBLE_TOL
 
 
+@dataclass(frozen=True, eq=False)
 class CompiledRows:
-    """A row set over ``n`` columns in CSR form with its half-row layout.
+    """A row set over ``n`` columns in CSR form, each row's sense by its
+    ``le``/``ge`` flags.
 
-    ``halves`` is built whole on first access. The other operations
-    return new row sets and leave this one as it is; of them only
-    :meth:`relabel` hands on a built layout.
+    A row set is a value: its operations return new row sets and leave
+    this one as it is. ``halves`` and ``matrix_t`` are built from the
+    fields on first access and kept; a new row set holds neither.
     """
 
-    @classmethod
-    def of_csr(cls, n: int, indptr, indices, data, rhs, le, ge) -> CompiledRows:
-        """Rows given as CSR arrays, each row's sense by its ``le``/``ge`` flags."""
-        out = cls.__new__(cls)
-        out._set(n, indptr=indptr, indices=indices, data=data, rhs=rhs, le=le, ge=ge)
-        return out
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    rhs: np.ndarray
+    le: np.ndarray
+    ge: np.ndarray
 
     @classmethod
     def empty(cls, n: int) -> CompiledRows:
         """No rows, over ``n`` columns."""
-        return cls.of_csr(
+        return cls(
             n, indptr=np.zeros(1, dtype=np.intp), indices=np.zeros(0, dtype=np.intp),
             data=np.zeros(0), rhs=np.zeros(0), le=np.zeros(0, dtype=bool),
             ge=np.zeros(0, dtype=bool),
         )
 
-    def _set(self, n, indptr, indices, data, rhs, le, ge, halves=None):
-        self.n = n
-        self.m = len(rhs)
-        self.indptr, self.indices, self.data = indptr, indices, data
-        self.rhs, self.le, self.ge = rhs, le, ge
-        self._halves = halves  # the layout, once built
-        self._matrix_t = None
+    @property
+    def m(self) -> int:
+        """The number of rows."""
+        return len(self.rhs)
 
     @cached_property
     def first_empty_failure(self) -> int | None:
-        """The first empty row its rhs makes infeasible, if any."""
+        """The first empty row its rhs makes infeasible, if any.
+
+        An empty row's activity is 0, so it fails by propagation's rule:
+        by more than ``INFEASIBLE_TOL`` on either side of its rhs.
+        """
         empty = np.diff(self.indptr) == 0
         bad = empty & (
-            (self.le & (self.rhs < -EMPTY_ROW_TOL)) | (self.ge & (self.rhs > EMPTY_ROW_TOL))
+            (self.le & (self.rhs < -INFEASIBLE_TOL)) | (self.ge & (self.rhs > INFEASIBLE_TOL))
         )
         return int(np.argmax(bad)) if bad.any() else None
 
-    def _with(self, n=None, **fields) -> CompiledRows:
-        """A new row set: these fields replaced, the rest shared."""
-        out = CompiledRows.__new__(CompiledRows)
-        kept = dict(
-            indptr=self.indptr, indices=self.indices, data=self.data,
-            rhs=self.rhs, le=self.le, ge=self.ge,
-        )
-        out._set(self.n if n is None else n, **{**kept, **fields})
-        return out
-
     def append(self, *others: CompiledRows) -> CompiledRows:
         """These rows followed by each of ``others``' in turn, over the
-        same columns, with no layout built yet.
-        """
+        same columns."""
         parts = (self, *others)
         starts = np.cumsum([len(p.indices) for p in parts])
-        return self._with(
+        return replace(
+            self,
             indptr=np.concatenate(
                 [self.indptr] + [o.indptr[1:] + at for o, at in zip(others, starts)]
             ),
@@ -143,33 +135,25 @@ class CompiledRows:
         )
 
     def widen(self, n: int) -> CompiledRows:
-        """The same rows over ``n`` columns, ``n`` at least ``self.n``,
-        with no layout built yet."""
+        """The same rows over ``n`` columns, ``n`` at least ``self.n``."""
         if n == self.n:
             return self
         if n < self.n:
             raise ValueError("widen cannot drop columns")
-        return self._with(n)
+        return replace(self, n=n)
 
     def relabel(self, keep: np.ndarray) -> CompiledRows:
         """The same rows over the columns ``keep``, renumbered 0, 1, ...
 
         ``keep`` lists the old column of each new one, ascending, and
-        must hold every column the rows touch. A built layout carries
-        over, its bound indices mapped into the new ``w``.
+        must hold every column the rows touch.
         """
-        n = len(keep)
-        pos = np.full(2 * self.n + 2, -1, dtype=np.intp)  # old w index -> new
-        pos[keep] = np.arange(n)
-        pos[keep + self.n] = np.arange(n, 2 * n)
-        pos[2 * self.n :] = [2 * n, 2 * n + 1]
+        pos = np.full(self.n, -1, dtype=np.intp)  # old column -> new
+        pos[keep] = np.arange(len(keep))
         indices = pos[self.indices]
         if np.any(indices < 0):
             raise ValueError("relabel drops a column that a row holds")
-        halves = self._halves
-        if halves is not None:
-            halves = halves._replace(k_p=pos[halves.k_p], k_t=pos[halves.k_t])
-        return self._with(n, indices=indices, halves=halves)
+        return replace(self, n=len(keep), indices=indices)
 
     def substitute(self, fixed: np.ndarray, values: np.ndarray) -> CompiledRows:
         """These rows with each column in the mask ``fixed`` set to its value.
@@ -203,7 +187,8 @@ class CompiledRows:
         kept = ~gone
         indptr = np.zeros(self.m + 1, dtype=np.intp)
         np.cumsum(np.bincount(row_of[kept], minlength=self.m), out=indptr[1:])
-        return self._with(
+        return replace(
+            self,
             indptr=indptr,
             indices=self.indices[kept],
             data=self.data[kept],
@@ -218,7 +203,8 @@ class CompiledRows:
         entries = np.repeat(mask, lengths)
         indptr = np.zeros(int(mask.sum()) + 1, dtype=np.intp)
         np.cumsum(lengths[mask], out=indptr[1:])
-        return self._with(
+        return replace(
+            self,
             indptr=indptr,
             indices=self.indices[entries],
             data=self.data[entries],
@@ -230,21 +216,15 @@ class CompiledRows:
     def __len__(self) -> int:
         return self.m
 
-    @property
+    @cached_property
     def halves(self) -> HalfRows:
         """The layout of every row's halves, built whole on first access."""
-        if self._halves is None:
-            self._halves = self._layout()
-        return self._halves
+        return self._layout()
 
-    @property
+    @cached_property
     def matrix_t(self) -> sparse.csc_array:
         """``A.T`` over the same CSR arrays, which is what ``y @ A`` computes with."""
-        if self._matrix_t is None:
-            self._matrix_t = sparse.csc_array(
-                (self.data, self.indices, self.indptr), shape=(self.n, self.m)
-            )
-        return self._matrix_t
+        return sparse.csc_array((self.data, self.indices, self.indptr), shape=(self.n, self.m))
 
     def combine(self, k: int, at, row, weight) -> np.ndarray:
         """``k`` dense rows over the columns: ``weight[t]`` times row

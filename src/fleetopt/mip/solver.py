@@ -12,9 +12,9 @@ from the bounds as they stood at its start. A search takes the
 problem's stated rows (:attr:`.problem.MipProblem.rows`, the arrays
 the problem keeps) at the start of its reduction and holds its rows in
 that one form to the end: the reduction derives each later row set
-from the last one, and its final rows, renumbered to the kept columns
-and with the layout its last propagation built, are what nodes
-propagate over. The search's LP
+from the last one, and its final rows, renumbered to the kept columns,
+are what nodes propagate over; they build their own layout at the
+first node. The search's LP
 relaxation, one persistent HiGHS model (:class:`.highs.HighsLp`), is
 built from those rows and holds the cuts too (``HighsLp.rows``). Every
 LP (root, cut rounds, nodes, incumbent polish and ``lp_solve``) is
@@ -66,6 +66,7 @@ count.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -199,9 +200,9 @@ def _reduce(problem: MipProblem, start: _Reduced | None = None) -> _Reduced:
     the rhs, checks the rows that become empty and turns singleton rows
     into bounds. Each pass that changes something drops a row entry or
     a row, so the loop ends. The rows the last propagation read are
-    then the reduced rows, and they are handed on relabelled to the
-    reduced columns (:meth:`.rows.CompiledRows.relabel`), which keeps
-    the layout the last propagation built.
+    then the reduced rows, relabelled to the reduced columns
+    (:meth:`.rows.CompiledRows.relabel`); they build their own layout
+    when a node first propagates over them.
 
     The passes start from ``start``, by default the problem as stated;
     stage 2 starts from stage 1's reduction with the retention row
@@ -230,8 +231,7 @@ def _reduce(problem: MipProblem, start: _Reduced | None = None) -> _Reduced:
         sub = compiled.substitute((ub - lb) <= FIX_EPS, lb)
         count = np.diff(sub.indptr)
         changed = len(sub.data) < len(compiled.data) or bool(np.any(count == 1))
-        empty = count == 0
-        if np.any(empty & ((sub.le & (sub.rhs < -1e-7)) | (sub.ge & (sub.rhs > 1e-7)))):
+        if sub.first_empty_failure is not None:
             return fail()
         single = np.flatnonzero(count == 1)
         at = sub.indptr[single]
@@ -588,13 +588,16 @@ def fix_variables(problem: MipProblem, assignments: dict[str, float]) -> MipProb
     """Pin variables to values by collapsing their bounds.
 
     Names that map to composite affine expressions (through
-    ``expr_map``) are fixed with an equality row instead. Out-of-bounds
-    values or fractional values for integer variables raise.
+    ``expr_map``) are fixed with an equality row instead. NaN values,
+    out-of-bounds values and fractional values for integer variables
+    raise.
     """
     fixed = problem.copy()
     kinds, lb, ub = fixed.kinds, fixed.lb, fixed.ub
     for name, value in assignments.items():
         value = float(value)
+        if math.isnan(value):
+            raise MipError(f"fix of {name!r} to NaN")
         try:
             idx = fixed.var_index(name)
         except KeyError:
@@ -812,7 +815,7 @@ def _retention_row(
     coeffs = {j: a for j, a in g.coeffs.items() if a != 0.0}
     maximize = g.sense == MAX
     rhs = g_star - eps - g.constant if maximize else g_star + eps - g.constant
-    row = CompiledRows.of_csr(
+    row = CompiledRows(
         problem.n_vars,
         indptr=np.array([0, len(coeffs)], dtype=np.intp),
         indices=np.fromiter(coeffs, dtype=np.intp, count=len(coeffs)),

@@ -11,7 +11,7 @@ def row_set(rows, n: int) -> CompiledRows:
     coeffs, rels, rhs = zip(*rows) if rows else ((), (), ())
     indptr = np.zeros(len(rhs) + 1, dtype=np.intp)
     np.cumsum([len(c) for c in coeffs], out=indptr[1:])
-    return CompiledRows.of_csr(
+    return CompiledRows(
         n,
         indptr=indptr,
         indices=np.array([j for c in coeffs for j in c], dtype=np.intp),

@@ -9,6 +9,7 @@ from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from fleetopt.mip import (
     NODE_LIMIT,
+    AffineExpr,
     MipError,
     MipProblem,
     Solution,
@@ -196,7 +197,7 @@ class TestProblem:
         for bad in (
             dict(relation="<"), dict(relation=["<=", "<="]), dict(indices=[0, 2]),
             dict(indices=[1, 1]), dict(data=[1.0, float("nan")]), dict(rhs=[1.0, 2.0]),
-            dict(indptr=[0, 1]),
+            dict(indptr=[0, 1]), dict(rhs=1.0), dict(indptr=[[0, 2]]),
         ):
             with pytest.raises(MipError):
                 p.add_rows(**{**good, **bad})
@@ -228,11 +229,56 @@ class TestProblem:
             p.add_variables(["a", "b"], "continuous", [0, 2], 1)
         assert p.n_vars == 0
 
+    def test_add_variables_copies_array_bounds(self):
+        p = MipProblem()
+        lb, ub = np.array([0.0, 1.0]), np.array([2.0, 3.0])
+        p.add_variables(["a", "b"], "continuous", lb, ub)
+        lb[:], ub[:] = -5.0, 9.0  # before the columns are read
+        assert p.lb.tolist() == [0.0, 1.0] and p.ub.tolist() == [2.0, 3.0]
+
+    def test_nan_and_misshapen_bounds_rejected(self):
+        p = MipProblem()
+        for kind in ("continuous", "integer", "binary"):
+            with pytest.raises(MipError, match="'b' has a NaN bound"):
+                p.add_variables(["a", "b"], kind, [0, np.nan], 1)
+            with pytest.raises(MipError, match="'a' has a NaN bound"):
+                p.add_variable("a", kind, 0, np.nan)
+        for lb, ub, shape in (([0, 1, 2], 5, "(3,)"), (0, [1.0], "(1,)"),
+                              (np.zeros((2, 1)), 1, "(2, 1)")):
+            with pytest.raises(MipError, match=re.escape(f"shape {shape} given for 2 variables")):
+                p.add_variables(["a", "b"], "continuous", lb, ub)
+        assert p.n_vars == 0
+        # infinite bounds stay legal on continuous columns
+        p.add_variables(["a", "b"], "continuous", -np.inf, [np.inf, 1.0])
+        assert p.lb.tolist() == [-np.inf] * 2 and p.ub.tolist() == [np.inf, 1.0]
+
     def test_unknown_relation(self):
         p = MipProblem()
         p.add_variable("x")
         with pytest.raises(MipError):
             p.add_constraint({"x": 1}, "<", 1)
+
+    def test_nan_rhs_rejected_by_add_constraint(self):
+        p = MipProblem()
+        p.add_variable("x")
+        p.add_constraint({"x": 1}, "<=", np.inf, name="loose")
+        with pytest.raises(MipError, match="row 'cap' has a NaN rhs"):
+            p.add_constraint({"x": 1}, "<=", np.nan, name="cap")
+        with pytest.raises(MipError, match="row 1 has a NaN rhs"):
+            p.add_constraint({"x": 1}, ">=", float("nan"))
+        assert p.row_names == ("loose",) and p.rows.rhs.tolist() == [np.inf]
+
+    def test_nan_rhs_rejected_by_add_rows(self):
+        p = MipProblem()
+        p.add_variables(["x", "y"])
+        p.add_constraint({"x": 1}, "<=", 1)
+        block = dict(indptr=[0, 1, 2], indices=[0, 1], data=[1.0, 1.0], relation="<=")
+        with pytest.raises(MipError, match="row 'b' has a NaN rhs"):
+            p.add_rows(**block, rhs=[1.0, np.nan], names=["a", "b"])
+        with pytest.raises(MipError, match="row 1 has a NaN rhs"):
+            p.add_rows(**block, rhs=[np.nan, 1.0], names=["", ""])
+        assert p.row_names == ("",)
+        assert p.add_rows(**block, rhs=[-np.inf, np.inf], names=["a", "b"]) == range(1, 3)
 
     def test_coefficient_keys_are_column_indices_or_names(self):
         p = MipProblem()
@@ -1073,10 +1119,12 @@ class TestReduction:
     def test_reused_rows_match_a_fresh_compile(self, monkeypatch):
         """The rows handed from reduction to the relaxation, and the rows
         after each cut round, are those compiled afresh from dict rows
-        reduced row by row; no half-row layout is built in cut rounds or
-        at nodes, which propagate over the reduced rows."""
+        reduced row by row; no half-row layout is built in cut rounds,
+        and a search's nodes build at most one, the reduced rows', at the
+        first node."""
         phase = ["reduce"]
-        layouts = []
+        reduced_rows = [None]  # the rows the current search's relaxation starts from
+        layouts = []  # (phase, search, built for the reduced rows) per layout built
         cuts = []  # dict rows added so far in the current search
         ref = {}
         checks = {"reduced": 0, "rounds": 0}
@@ -1130,6 +1178,9 @@ class TestReduction:
             for a, b in zip(got.row_bounds, want.row_bounds):
                 assert np.array_equal(a, b)
             assert got.first_empty_failure == want.first_empty_failure
+            # a row set over the same arrays builds the layout, so got
+            # holds none that the search did not build itself
+            got = dataclasses.replace(got)
             for name in HalfRows._fields:
                 a, b = getattr(got.halves, name), getattr(want.halves, name)
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
@@ -1154,8 +1205,8 @@ class TestReduction:
 
         def spy_init(self, c, rows, sense):
             real_init(self, c, rows, sense)
-            # the layout the reduction built, relabelled
             assert_same(self.rows, self.n)
+            reduced_rows[0] = self.rows
             checks["reduced"] += 1
             phase[0] = "cuts"
 
@@ -1165,9 +1216,7 @@ class TestReduction:
             for i, (le, ge, rhs) in enumerate(zip(rows.le, rows.ge, rows.rhs.tolist())):
                 coeffs = dict(zip(cols[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]]))
                 cuts.append((coeffs, "=" if le and ge else "<=" if le else ">=", rhs))
-            # a view over the same arrays: building its layout leaves
-            # the relaxation's rows as they were
-            assert_same(self.rows.append(row_set([], self.n)), self.n)
+            assert_same(self.rows, self.n)
             checks["rounds"] += 1
 
         def spy_propagate(rows, *args, **kwargs):
@@ -1176,7 +1225,7 @@ class TestReduction:
             return real_propagate(rows, *args, **kwargs)
 
         def spy_layout(self):
-            layouts.append(phase[0])
+            layouts.append((phase[0], checks["reduced"], self is reduced_rows[0]))
             return real_layout(self)
 
         monkeypatch.setattr(solver, "_reduce", spy_reduce)
@@ -1210,7 +1259,35 @@ class TestReduction:
             for cfg in (SolveConfig(gomory=False), SolveConfig(gomory=True, cover=True)):
                 branch_and_bound(p, cfg)
         assert checks["reduced"] > 30 and checks["rounds"] > 10
-        assert "cuts" not in layouts and "nodes" not in layouts
+        assert all(built[0] != "cuts" for built in layouts)
+        at_nodes = [built[1:] for built in layouts if built[0] == "nodes"]
+        assert at_nodes and all(reduced for _, reduced in at_nodes)
+        assert len(set(at_nodes)) == len(at_nodes)  # one per search at most
+
+    @pytest.mark.parametrize("rhs, verdict", [(-5e-8, "Optimal"), (-5e-7, "Infeasible")])
+    def test_an_empty_row_has_one_verdict_however_it_is_reached(self, rhs, verdict):
+        """A row whose terms are all gone has activity 0, and that fails
+        its rhs by the same tolerance whether it was stated empty, is
+        one column at its bound, or was emptied by substitution."""
+
+        def problem(*names):
+            p = MipProblem()
+            p.add_variable("x", "integer", 0, 5)
+            for name in names:
+                p.add_variable(name, "continuous", 0, 4)
+            p.set_objective("max", {"x": 1})
+            return p
+
+        stated = problem()
+        stated.add_constraint({"x": 0.0}, "<=", rhs)
+        bounded = problem("z")
+        bounded.add_constraint({"z": 1.0}, "<=", rhs)
+        emptied = problem("z", "w")
+        emptied.add_constraint({"z": 1.0, "w": 1.0}, "<=", rhs)
+        emptied = fix_variables(emptied, {"z": 0.0, "w": 0.0})
+        for p in (stated, bounded, emptied):
+            assert branch_and_bound(p).status == verdict
+
 
 class TestFixVariables:
     def test_fix_binary(self):
@@ -1243,6 +1320,15 @@ class TestFixVariables:
             fix_variables(p, {"x": 7})
         with pytest.raises(MipError):
             fix_variables(p, {"x": 1.5})
+
+    def test_nan_fix_rejected(self):
+        p = MipProblem()
+        p.add_variable("x", "integer", 0, 3)
+        p.add_variable("y", "continuous", 0, 3)
+        p.expr_map["s"] = AffineExpr({0: 1.0, 1: 1.0})
+        for name in ("x", "y", "s"):
+            with pytest.raises(MipError, match=f"fix of '{name}' to NaN"):
+                fix_variables(p, {name: float("nan")})
 
     def test_fixing_never_improves(self):
         rng = np.random.default_rng(53)

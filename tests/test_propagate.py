@@ -8,6 +8,7 @@ bit for bit whenever that verdict is feasible; on an infeasible model
 the compiled pass leaves the bounds it was given as they are.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -31,9 +32,9 @@ def jacobi_propagate(rows, lb, ub, int_mask, max_passes):
         changed = False
         for coeffs, rel, rhs in rows:
             idx = list(coeffs.keys())
-            if not idx:
-                if (rel == LE and rhs < -1e-9) or (rel == GE and rhs > 1e-9) or (
-                    rel == EQ and abs(rhs) > 1e-9
+            if not idx:  # activity 0, judged as any row's least activity is
+                if (rel == LE and rhs < -1e-7) or (rel == GE and rhs > 1e-7) or (
+                    rel == EQ and abs(rhs) > 1e-7
                 ):
                     return False
                 continue
@@ -402,9 +403,17 @@ def test_relabel_substitute_and_take_match_a_fresh_compile():
         assert got.rhs.tobytes() == np.array([r for _, _, r in substituted]).tobytes()
 
 
+def assert_fresh_layout(parent, got, want):
+    """``got``, made from ``parent``, holds no layout until it is read,
+    and then builds ``want``'s; an operation that changes nothing
+    returns its row set as it is."""
+    assert got is parent or "halves" not in vars(got)
+    assert_same_layout(got, want)
+
+
 def test_derived_row_sets_have_the_layout_of_a_fresh_build():
-    # every derived row set starts from one whose layout is built; only
-    # relabel hands that layout on, mapped, and the others build their own
+    # every derived row set starts from one whose layout is built, and
+    # none takes that layout on: each builds its own when read
     rng = np.random.default_rng(12)
     for _ in range(100):
         n, m = int(rng.integers(2, 25)), int(rng.integers(0, 40))
@@ -418,21 +427,25 @@ def test_derived_row_sets_have_the_layout_of_a_fresh_build():
             return compiled
 
         substituted = substituted_by_loop(rows, fixed, values)
-        assert_same_layout(built(rows, n).substitute(fixed, values), row_set(substituted, n))
+        parent = built(rows, n)
+        assert_fresh_layout(parent, parent.substitute(fixed, values), row_set(substituted, n))
         mask = rng.random(m) < 0.6
         taken = [row for row, keep in zip(rows, mask) if keep]
-        assert_same_layout(built(rows, n).take(mask), row_set(taken, n))
+        parent = built(rows, n)
+        assert_fresh_layout(parent, parent.take(mask), row_set(taken, n))
         # appended rows may be empty, and stage 2's retention row holds
         # every column
         extra = random_rows(rng, int(rng.integers(0, 4)), n)
         if rng.random() < 0.5:
             extra.append(({j: 1.0 for j in range(n)}, [LE, GE][int(rng.integers(0, 2))], 5.0))
-        joined = built(rows, n).append(row_set(extra, n))
+        parent = built(rows, n)
+        joined = parent.append(row_set(extra, n))
         assert_same_rows(joined, row_set(rows + extra, n))
-        assert_same_layout(joined, row_set(rows + extra, n))
-        widened = built(rows, n).widen(n + 3)
+        assert_fresh_layout(parent, joined, row_set(rows + extra, n))
+        parent = built(rows, n)
+        widened = parent.widen(n + 3)
         assert_same_rows(widened, row_set(rows, n + 3))
-        assert_same_layout(widened, row_set(rows, n + 3))
+        assert_fresh_layout(parent, widened, row_set(rows, n + 3))
 
         keep = np.flatnonzero(~fixed)
         pos = {int(j): p for p, j in enumerate(keep)}
@@ -440,9 +453,9 @@ def test_derived_row_sets_have_the_layout_of_a_fresh_build():
         want = row_set(
             [({pos[j]: a for j, a in c.items()}, rel, r) for c, rel, r in inside], len(keep)
         )
-        relabelled = built(inside, n).relabel(keep)
-        assert relabelled._halves is not None  # handed on, not rebuilt
-        assert_same_layout(relabelled, want)
+        parent = built(inside, n)
+        relabelled = parent.relabel(keep)
+        assert_fresh_layout(parent, relabelled, want)
         assert_same_layout(row_set(inside, n).relabel(keep), want)
         # append after relabel, as stage 2 appends its retention row to
         # the rows the reduction handed on
@@ -456,7 +469,15 @@ def test_derived_row_sets_have_the_layout_of_a_fresh_build():
             len(keep),
         )
         assert_same_rows(joined, want)
-        assert_same_layout(joined, want)
+        assert_fresh_layout(relabelled, joined, want)
+
+
+def test_a_row_set_is_frozen():
+    rows = row_set([({0: 1.0, 1: 2.0}, LE, 3.0)], 2)
+    rows.halves
+    for name in ("n", "indptr", "indices", "data", "rhs", "le", "ge"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rows, name, getattr(rows, name))
 
 
 def test_a_pass_that_tightens_nothing_still_rounds_integer_bounds():
