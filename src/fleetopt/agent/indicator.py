@@ -3,7 +3,8 @@
 ``problem_match`` picks a domain handler by keyword overlap.
 ``indicator_generate`` turns the query into an objective: the
 deterministic path returns the catalog entry closest to the query by
-Jaro-Winkler (the first entry equal to it, found before any scoring);
+Jaro-Winkler (the first entry equal to it, found before any scoring),
+with the entry's AST, parsed once and shared by every request it wins;
 the chat path asks for DSL source, accepts a reply that parses and
 passes :func:`.dsl.lower.check` (it expands on the day and its form
 lowers), and otherwise retries with that one diagnostic appended, up
@@ -111,7 +112,8 @@ def indicator_generate(
     """Produce an objective for a query.
 
     The deterministic path needs no network: it returns the catalog
-    entry whose query text sits closest to the input. The catalog is
+    entry whose query text sits closest to the input, with the AST the
+    entry parsed on its first use (:meth:`.CatalogEntry.ast`). The catalog is
     vetted data, so the entry is not checked here; one that does not
     fit the instance (a charge level it lacks) raises when the model is
     built. The chat path feeds back the validator's diagnostic on
@@ -128,7 +130,7 @@ def indicator_generate(
         else:
             best = catalog[max(range(len(keys)), key=lambda i: jaro_winkler(norm, keys[i]))]
         return IndicatorResult(
-            ast=parse(best.source), source=best.source, attempts=1, matched_query=best.query
+            ast=best.ast(), source=best.source, attempts=1, matched_query=best.query
         )
 
     few_shot = [(e.query, e.source) for e in catalog[:few_shot_n]]

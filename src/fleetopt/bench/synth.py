@@ -99,9 +99,22 @@ class World:
     distance_km: np.ndarray
     days: list[WorldDay] = field(default_factory=list)
 
+    def __post_init__(self):
+        # day index -> (the WorldDay an instance was built from, the instance)
+        self._instances: dict[int, tuple[WorldDay, FleetInstance]] = {}
+
     def instance(self, day: int) -> FleetInstance:
+        """Day ``day``'s fleet instance, built on the first call and
+        returned by every later one while ``days[day]`` is the same
+        :class:`WorldDay`; a replaced day gets a new instance. The
+        instance's arrays are read-only, and building it makes the day's
+        ``supply`` and ``demand`` read-only too, so that neither can
+        change under the instance built from it."""
         d = self.days[day]
-        return FleetInstance(
+        built = self._instances.get(day)
+        if built is not None and built[0] is d:
+            return built[1]
+        inst = FleetInstance(
             supply_areas=self.supply_areas,
             demand_areas=self.demand_areas,
             soc_levels=self.config.soc_levels,
@@ -113,6 +126,10 @@ class World:
             theta=self.config.theta,
             fare_bounds=self.config.fare_bounds,
         )
+        d.supply.setflags(write=False)
+        d.demand.setflags(write=False)
+        self._instances[day] = (d, inst)
+        return inst
 
     def schema(self) -> FeatureSchema:
         names = EXOGENOUS_NAMES + tuple(decision_variable_names(self.instance(0)))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from .parser import ObjectiveAst, parse
@@ -28,6 +29,12 @@ class CatalogEntry:
     linear: bool
 
     def ast(self) -> ObjectiveAst:
+        """The source's AST, parsed on the first call. The AST is frozen,
+        so every later call returns the same one."""
+        return self._ast
+
+    @cached_property
+    def _ast(self) -> ObjectiveAst:
         return parse(self.source)
 
 

@@ -248,18 +248,25 @@ class MipProblem:
         row. ``relation`` is one relation for every row or one per row,
         and ``rhs`` holds one per row, as :meth:`add_constraint` takes it.
         """
-        indptr = np.asarray(indptr, dtype=np.intp)
-        indices = np.asarray(indices, dtype=np.intp)
-        data = np.asarray(data, dtype=float)
-        rhs = np.asarray(rhs, dtype=float)
+        # copies, as add_variables copies its bounds: the rows stay as
+        # stated whatever the caller later writes into its arrays
+        indptr = np.array(indptr, dtype=np.intp)
+        indices = np.array(indices, dtype=np.intp)
+        data = np.array(data, dtype=float)
+        rhs = np.array(rhs, dtype=float)
         names = list(names)
         m = len(names)
-        lengths = indptr[1:] - indptr[:-1]
         if (
-            indptr.shape != (m + 1,) or rhs.shape != (m,) or indptr[0] != 0
-            or indptr[-1] != len(indices) or (lengths < 0).any()
+            indptr.shape != (m + 1,) or rhs.shape != (m,)
+            or indices.ndim != 1 or data.shape != indices.shape
         ):
-            raise MipError("a block needs row pointers, one rhs and one name per row")
+            raise MipError(
+                "a block needs row pointers, one rhs and one name per row, "
+                "and one coefficient per column index"
+            )
+        lengths = indptr[1:] - indptr[:-1]
+        if indptr[0] != 0 or indptr[-1] != len(indices) or (lengths < 0).any():
+            raise MipError("a block's row pointers must run from 0 to its entry count")
         rel = np.asarray(relation)
         if rel.shape not in ((), (m,)):
             raise MipError("a block needs one relation, or one per row")

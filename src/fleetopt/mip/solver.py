@@ -16,7 +16,11 @@ from the last one, and its final rows, renumbered to the kept columns,
 are what nodes propagate over; they build their own layout at the
 first node. The search's LP
 relaxation, one persistent HiGHS model (:class:`.highs.HighsLp`), is
-built from those rows and holds the cuts too (``HighsLp.rows``). Every
+built from those rows and holds the cuts too (``HighsLp.rows``). Each
+search passes its own model, on the HiGHS object the last search handed
+back when one waits: a search and ``lp_solve`` hand their object back
+when they end, also when they raise (:meth:`.highs.HighsLp.release`).
+Every
 LP (root, cut rounds, nodes, incumbent polish and ``lp_solve``) is
 solved on it: a node only sets column bounds, a cut round appends its
 cut rows, and HiGHS warm-starts each solve from the basis it holds.
@@ -383,178 +387,181 @@ def branch_and_bound(
         return make_solution(OPTIMAL, np.zeros(0), constant, bound=constant)
 
     relaxation = HighsLp(cost, red.rows, sense)
-    int_idx = np.flatnonzero(red.int_mask)
-    lb, ub = red.lb.copy(), red.ub.copy()
+    try:
+        int_idx = np.flatnonzero(red.int_mask)
+        lb, ub = red.lb.copy(), red.ub.copy()
 
-    def integral(x):
-        return bool(np.all(np.abs(x[int_idx] - np.round(x[int_idx])) <= INT_TOL))
+        def integral(x):
+            return bool(np.all(np.abs(x[int_idx] - np.round(x[int_idx])) <= INT_TOL))
 
-    def lp(lo, hi):
-        res = relaxation.solve(lo, hi)
-        if res.objective is not None:
-            res.objective += constant
-        return res
+        def lp(lo, hi):
+            res = relaxation.solve(lo, hi)
+            if res.objective is not None:
+                res.objective += constant
+            return res
 
-    root = lp(lb, ub)
-    # cuts only at an optimal root: an integral one is already optimal,
-    # and an infeasible or unbounded one is the answer
-    if root.status == OPTIMAL and (cfg.gomory or cfg.cover) and not integral(root.x):
-        for _ in range(MAX_CUT_ROUNDS):
-            added = 0
-            # the model's last solve is this root: its basis gives the rows
-            if cfg.gomory:
-                g = cutmod.gomory_cuts(
-                    relaxation, lb, ub, red.int_mask, root.x, max_cuts=CUTS_PER_ROUND
-                )
-                if g:
-                    relaxation.add_rows(g)
-                    cut_counts["gomory"] += len(g)
-                    added += len(g)
-            if cfg.cover:
-                # over the rows as they stand: this round's Gomory cuts included
-                cv = cutmod.cover_cuts(
-                    relaxation.rows, red.binary, root.x, max_cuts=CUTS_PER_ROUND
-                )
-                if cv:
-                    relaxation.add_rows(cv)
-                    cut_counts["cover"] += len(cv)
-                    added += len(cv)
-            if added == 0:
-                break
-            root = lp(lb, ub)
-            if root.status != OPTIMAL or integral(root.x):
-                break
-    if root.status != OPTIMAL:
-        return make_solution(root.status)
+        root = lp(lb, ub)
+        # cuts only at an optimal root: an integral one is already optimal,
+        # and an infeasible or unbounded one is the answer
+        if root.status == OPTIMAL and (cfg.gomory or cfg.cover) and not integral(root.x):
+            for _ in range(MAX_CUT_ROUNDS):
+                added = 0
+                # the model's last solve is this root: its basis gives the rows
+                if cfg.gomory:
+                    g = cutmod.gomory_cuts(
+                        relaxation, lb, ub, red.int_mask, root.x, max_cuts=CUTS_PER_ROUND
+                    )
+                    if g:
+                        relaxation.add_rows(g)
+                        cut_counts["gomory"] += len(g)
+                        added += len(g)
+                if cfg.cover:
+                    # over the rows as they stand: this round's Gomory cuts included
+                    cv = cutmod.cover_cuts(
+                        relaxation.rows, red.binary, root.x, max_cuts=CUTS_PER_ROUND
+                    )
+                    if cv:
+                        relaxation.add_rows(cv)
+                        cut_counts["cover"] += len(cv)
+                        added += len(cv)
+                if added == 0:
+                    break
+                root = lp(lb, ub)
+                if root.status != OPTIMAL or integral(root.x):
+                    break
+        if root.status != OPTIMAL:
+            return make_solution(root.status)
 
-    incumbent = None
-    incumbent_value = -np.inf if maximize else np.inf
+        incumbent = None
+        incumbent_value = -np.inf if maximize else np.inf
 
-    def better(a, b):
-        return a > b + 1e-12 if maximize else a < b - 1e-12
+        def better(a, b):
+            return a > b + 1e-12 if maximize else a < b - 1e-12
 
-    if warm is not None:
-        warm_red = warm[red.keep]
-        warm_red[int_idx] = np.round(warm_red[int_idx]) + 0.0  # no -0.0
-        if np.all(warm_red >= red.lb - 1e-6) and np.all(warm_red <= red.ub + 1e-6):
-            incumbent = warm_red
-            incumbent_value = constant + sum(cost[p] * warm_red[p] for p in kept)
+        if warm is not None:
+            warm_red = warm[red.keep]
+            warm_red[int_idx] = np.round(warm_red[int_idx]) + 0.0  # no -0.0
+            if np.all(warm_red >= red.lb - 1e-6) and np.all(warm_red <= red.ub + 1e-6):
+                incumbent = warm_red
+                incumbent_value = constant + sum(cost[p] * warm_red[p] for p in kept)
 
-    # the node whose LP HiGHS solved last, by its heap sequence number;
-    # None before the first node and after a polish
-    held = None
-
-    def exact_value(x):
-        """``(objective, point)`` at x's rounded integers, or None.
-
-        The integers are fixed at their rounded values within the root
-        bounds and the LP is solved again, so the continuous values and
-        the objective come from a point whose integers are exact. Without
-        it, a binary within ``INT_TOL`` of 0 or 1 lets a big-M branch row
-        pass a split threshold, and the objective credits a leaf that the
-        point does not reach. None when that LP is not optimal: the point
-        is no incumbent. HiGHS then holds no node's basis.
-        """
-        nonlocal held
+        # the node whose LP HiGHS solved last, by its heap sequence number;
+        # None before the first node and after a polish
         held = None
-        ints = np.round(x[int_idx]) + 0.0  # HiGHS may return -0.0
-        fixed_lb, fixed_ub = red.lb.copy(), red.ub.copy()
-        fixed_lb[int_idx] = fixed_ub[int_idx] = ints
-        res = lp(fixed_lb, fixed_ub)
-        if res.status != OPTIMAL:
-            return None
-        res.x[int_idx] = ints
-        return res.objective, res.x
 
-    def offer(x):
-        """Make x's exact point the incumbent if it is better."""
-        nonlocal incumbent, incumbent_value
-        exact = exact_value(x)
-        if exact is not None and (incumbent is None or better(exact[0], incumbent_value)):
-            incumbent_value, incumbent = exact
+        def exact_value(x):
+            """``(objective, point)`` at x's rounded integers, or None.
 
-    heap = []
-    seq = 0
-    node_count = 0
+            The integers are fixed at their rounded values within the root
+            bounds and the LP is solved again, so the continuous values and
+            the objective come from a point whose integers are exact. Without
+            it, a binary within ``INT_TOL`` of 0 or 1 lets a big-M branch row
+            pass a split threshold, and the objective credits a leaf that the
+            point does not reach. None when that LP is not optimal: the point
+            is no incumbent. HiGHS then holds no node's basis.
+            """
+            nonlocal held
+            held = None
+            ints = np.round(x[int_idx]) + 0.0  # HiGHS may return -0.0
+            fixed_lb, fixed_ub = red.lb.copy(), red.ub.copy()
+            fixed_lb[int_idx] = fixed_ub[int_idx] = ints
+            res = lp(fixed_lb, fixed_ub)
+            if res.status != OPTIMAL:
+                return None
+            res.x[int_idx] = ints
+            return res.objective, res.x
 
-    def push(bound, depth, lb, ub, basis=None, parent=None):
-        """Queue a node; a child carries its parent's basis and number."""
-        nonlocal seq
-        prio = -bound if maximize else bound
-        heapq.heappush(heap, (prio, -depth, seq, bound, lb, ub, basis, parent))
-        seq += 1
+        def offer(x):
+            """Make x's exact point the incumbent if it is better."""
+            nonlocal incumbent, incumbent_value
+            exact = exact_value(x)
+            if exact is not None and (incumbent is None or better(exact[0], incumbent_value)):
+                incumbent_value, incumbent = exact
 
-    if integral(root.x) and (exact := exact_value(root.x)) is not None:
-        val, xr = exact
-        return make_solution(OPTIMAL, xr, val, bound=root.objective)
-    push(root.objective, 0, lb, ub)
+        heap = []
+        seq = 0
+        node_count = 0
 
-    status = OPTIMAL
-    while heap:
-        if out_of_time():
-            status = TIME_LIMIT
-            break
-        if cfg.node_limit is not None and node_count >= cfg.node_limit:
-            status = NODE_LIMIT
-            break
-        prio, negdepth, node, bound, lb_n, ub_n, basis, parent = heapq.heappop(heap)
-        if incumbent is not None:
-            gap = abs(bound - incumbent_value)
-            if not better(bound, incumbent_value) or gap <= cfg.gap_tol * max(
-                1.0, abs(incumbent_value)
-            ):
+        def push(bound, depth, lb, ub, basis=None, parent=None):
+            """Queue a node; a child carries its parent's basis and number."""
+            nonlocal seq
+            prio = -bound if maximize else bound
+            heapq.heappush(heap, (prio, -depth, seq, bound, lb, ub, basis, parent))
+            seq += 1
+
+        if integral(root.x) and (exact := exact_value(root.x)) is not None:
+            val, xr = exact
+            return make_solution(OPTIMAL, xr, val, bound=root.objective)
+        push(root.objective, 0, lb, ub)
+
+        status = OPTIMAL
+        while heap:
+            if out_of_time():
+                status = TIME_LIMIT
+                break
+            if cfg.node_limit is not None and node_count >= cfg.node_limit:
+                status = NODE_LIMIT
+                break
+            prio, negdepth, node, bound, lb_n, ub_n, basis, parent = heapq.heappop(heap)
+            if incumbent is not None:
+                gap = abs(bound - incumbent_value)
+                if not better(bound, incumbent_value) or gap <= cfg.gap_tol * max(
+                    1.0, abs(incumbent_value)
+                ):
+                    continue
+            node_lb, node_ub = lb_n.copy(), ub_n.copy()
+            # over the reduced rows only: cut rows tighten the LP, not bounds
+            if not _propagate(red.rows, node_lb, node_ub, red.int_mask, max_passes=2):
+                node_count += 1
                 continue
-        node_lb, node_ub = lb_n.copy(), ub_n.copy()
-        # over the reduced rows only: cut rows tighten the LP, not bounds
-        if not _propagate(red.rows, node_lb, node_ub, red.int_mask, max_passes=2):
+            # start from the parent's basis, unless HiGHS holds it already
+            if basis is not None and parent != held:
+                relaxation.restore(basis)
+            res = lp(node_lb, node_ub)
+            held = node
             node_count += 1
-            continue
-        # start from the parent's basis, unless HiGHS holds it already
-        if basis is not None and parent != held:
-            relaxation.restore(basis)
-        res = lp(node_lb, node_ub)
-        held = node
-        node_count += 1
-        if res.status != OPTIMAL:
-            continue
-        if incumbent is not None and not better(res.objective, incumbent_value):
-            continue
-        j = None if integral(res.x) else _fractional_index(res.x, int_idx)
-        if j is None:  # integral, or numerically integral after all
-            offer(res.x)
-            continue
-        v = res.x[j]
-        depth = -negdepth + 1
-        basis = relaxation.snapshot()
-        left_ub = node_ub.copy()
-        left_ub[j] = np.floor(v)
-        if node_lb[j] <= left_ub[j] + BOUND_EPS:
-            push(res.objective, depth, node_lb, left_ub, basis, node)
-        right_lb = node_lb.copy()
-        right_lb[j] = np.ceil(v)
-        if right_lb[j] <= node_ub[j] + BOUND_EPS:
-            push(res.objective, depth, right_lb, node_ub, basis, node)
+            if res.status != OPTIMAL:
+                continue
+            if incumbent is not None and not better(res.objective, incumbent_value):
+                continue
+            j = None if integral(res.x) else _fractional_index(res.x, int_idx)
+            if j is None:  # integral, or numerically integral after all
+                offer(res.x)
+                continue
+            v = res.x[j]
+            depth = -negdepth + 1
+            basis = relaxation.snapshot()
+            left_ub = node_ub.copy()
+            left_ub[j] = np.floor(v)
+            if node_lb[j] <= left_ub[j] + BOUND_EPS:
+                push(res.objective, depth, node_lb, left_ub, basis, node)
+            right_lb = node_lb.copy()
+            right_lb[j] = np.ceil(v)
+            if right_lb[j] <= node_ub[j] + BOUND_EPS:
+                push(res.objective, depth, right_lb, node_ub, basis, node)
 
-    remaining = [item[3] for item in heap]
-    if incumbent is not None:
-        if maximize:
-            best_bound = max(remaining + [incumbent_value])
+        remaining = [item[3] for item in heap]
+        if incumbent is not None:
+            if maximize:
+                best_bound = max(remaining + [incumbent_value])
+            else:
+                best_bound = min(remaining + [incumbent_value])
         else:
-            best_bound = min(remaining + [incumbent_value])
-    else:
-        best_bound = (max if maximize else min)(remaining, default=None)
+            best_bound = (max if maximize else min)(remaining, default=None)
 
-    if incumbent is None:
-        if status != OPTIMAL:
-            return make_solution(status, bound=best_bound, nodes=node_count)
-        return make_solution(INFEASIBLE, nodes=node_count)
-    return make_solution(
-        status,
-        incumbent,
-        incumbent_value,
-        bound=float(best_bound),
-        nodes=node_count,
-    )
+        if incumbent is None:
+            if status != OPTIMAL:
+                return make_solution(status, bound=best_bound, nodes=node_count)
+            return make_solution(INFEASIBLE, nodes=node_count)
+        return make_solution(
+            status,
+            incumbent,
+            incumbent_value,
+            bound=float(best_bound),
+            nodes=node_count,
+        )
+    finally:
+        relaxation.release()
 
 
 def lp_solve(problem: MipProblem) -> Solution:
@@ -572,7 +579,11 @@ def lp_solve(problem: MipProblem) -> Solution:
         sol.status = OPTIMAL
         sol.objective_value = constant
         return sol
-    res = HighsLp(cost, red.rows, obj.sense if obj is not None else MAX).solve(red.lb, red.ub)
+    lp = HighsLp(cost, red.rows, obj.sense if obj is not None else MAX)
+    try:
+        res = lp.solve(red.lb, red.ub)
+    finally:
+        lp.release()
     sol.lp_iterations = res.iterations
     if res.status != OPTIMAL:
         sol.status = res.status

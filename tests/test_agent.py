@@ -119,6 +119,18 @@ class TestIndicatorGenerate:
 
         assert text_similarity(result.source, result.source) == 1.0
 
+    def test_catalog_ast_is_parsed_once(self, inst, monkeypatch):
+        from fleetopt.dsl import catalog as catalog_mod
+        from fleetopt.dsl.catalog import find_entry
+
+        entry = find_entry("Number of pre-allocated taxis")
+        first = indicator_generate(entry.query, inst, guide="deterministic")
+        # the entry's AST is built; a later request parses nothing
+        monkeypatch.setattr(catalog_mod, "parse", lambda source: 1 / 0)
+        again = indicator_generate(entry.query, inst, guide="deterministic")
+        assert again.ast is first.ast is entry.ast()
+        assert first.ast == parse(entry.source)
+
     def test_paraphrase_matches_nearest_entry(self, inst):
         result = indicator_generate(
             "what is the number of pre-allocated taxis today", inst,

@@ -70,6 +70,33 @@ class TestSynth:
             inst = world.instance(day)
             assert inst.n_supply == 3 and inst.n_demand == 2
 
+    def test_a_day_builds_its_instance_once(self):
+        world = small_world()
+        inst = world.instance(4)
+        assert world.instance(4) is inst
+
+        def fresh(day):
+            return World(world.config, world.supply_areas, world.demand_areas,
+                         world.distance_km, list(world.days)).instance(day)
+
+        def same(a, b):
+            for f in dataclasses.fields(a):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if isinstance(x, np.ndarray):
+                    assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+                else:
+                    assert x == y, f.name
+
+        same(inst, fresh(4))
+        assert not inst.supply.flags.writeable and not world.days[4].supply.flags.writeable
+        # a replaced day gets a new instance, built from it
+        world.days[4] = dataclasses.replace(world.days[4], supply=world.days[5].supply + 1)
+        again = world.instance(4)
+        assert again is not inst and again is world.instance(4)
+        same(again, fresh(4))
+        assert np.array_equal(again.supply, world.days[5].supply + 1)
+        assert world.instance(5) is world.instance(5) is not again
+
     def test_historical_decisions_feasible(self):
         from fleetopt.fleet import check_feasible
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from fleetopt.mip import MipError, SolveConfig, branch_and_bound
+from fleetopt.mip import MipError, SolveConfig, branch_and_bound, lexicographic_solve, lp_solve
 from fleetopt.mip import cuts as cutmod
 from fleetopt.mip import highs
 from fleetopt.mip.cuts import nonbasic_sides
@@ -12,7 +12,7 @@ from fleetopt.mip.highs import HighsLp
 
 from rowsets import row_set
 from test_gomory_reference import assert_sides_match_highs, tableau_row
-from test_mip import knapsack_problem
+from test_mip import blocks_problem, knapsack_problem
 
 INF = np.inf
 # max x  s.t.  x - y <= 1,  x + y >= 1,  x + 2y == z
@@ -208,3 +208,106 @@ def test_unchanged_bounds_are_not_passed_again(monkeypatch):
     assert passed[3:] == [([1, 2], [1, 0], [2, 5])]
     assert lp.solve(*bounds([0, 1, 0], [2, 2, 5])).objective == pytest.approx(1.5)
     assert len(passed) == 4
+
+
+# the LP relaxation of blocks_problem, which presolve solves outright,
+# under its root bounds and four sets with columns pinned; the middle
+# two push a 2-column knapsack row past its rhs, which leaves it infeasible
+BLOCKS = blocks_problem()
+BLOCKS_COST = np.random.default_rng(5).integers(3, 9, BLOCKS.n_vars).astype(float)
+BLOCKS_BOUNDS = [(BLOCKS.lb, BLOCKS.ub)]
+for pins in ({0: 0, 1: 0}, {2: 3}, {0: 9, 1: 9}, {5: 1, 12: 0}):
+    lb, ub = BLOCKS.lb.copy(), BLOCKS.ub.copy()
+    for j, v in pins.items():
+        lb[j] = ub[j] = v
+    BLOCKS_BOUNDS.append((lb, ub))
+
+
+def blocks_run():
+    """The HiGHS object a new model took, and each solve's status,
+    iteration count, point bytes and basis; the object goes back after."""
+    lp = HighsLp(BLOCKS_COST, BLOCKS.rows, "max")
+    try:
+        outcomes = []
+        for lb, ub in BLOCKS_BOUNDS:
+            res = lp.solve(lb, ub)
+            basis = lp.snapshot()
+            outcomes.append((
+                res.status, res.iterations, None if res.x is None else res.x.tobytes(),
+                [int(s) for s in basis.col_status], [int(s) for s in basis.row_status],
+            ))
+        return lp._highs, outcomes
+    finally:
+        lp.release()
+
+
+def test_a_reused_highs_object_solves_as_a_new_one(monkeypatch):
+    monkeypatch.setattr(highs, "_spares", [])
+    new, want = blocks_run()
+    assert highs._spares == [new]
+    assert {o[0] for o in want} == {"Optimal", "Infeasible"}
+    lb, ub = BLOCKS_BOUNDS[0]
+
+    # (a) a model that took cut rows and had a basis restored
+    lp = HighsLp(BLOCKS_COST, BLOCKS.rows, "max")
+    assert lp._highs is new and not highs._spares
+    lp.solve(lb, ub)
+    lp.add_rows(row_set([({0: 1.0, 1: 1.0}, "<=", 1.0), ({2: 1.0}, "<=", 0.5)], BLOCKS.n_vars))
+    lp.solve(lb, ub)
+    basis = lp.snapshot()
+    lp.solve(*BLOCKS_BOUNDS[1])
+    lp.restore(basis)
+    assert lp.solve(lb, ub).iterations == 0
+    lp.release()
+    assert blocks_run() == (new, want)
+
+    # (b) an infeasible model
+    lp = HighsLp(C, row_set(ROWS + [({0: 1.0}, ">=", 5.0)], 3), "max")
+    assert lp.solve(*bounds([0, 0, 0], [2, 2, 10])).status == "Infeasible"
+    lp.release()
+    assert blocks_run() == (new, want)
+
+    # (c) a search that raised part way: its object still goes back
+    real_solve = HighsLp.solve
+    solves = []
+
+    def failing(self, lo, hi):
+        solves.append(self._highs)
+        if len(solves) == 3:
+            raise MipError("LP backend failure: injected")
+        return real_solve(self, lo, hi)
+
+    monkeypatch.setattr(HighsLp, "solve", failing)
+    with pytest.raises(MipError, match="injected"):
+        branch_and_bound(knapsack_problem(), SolveConfig(gomory=False))
+    monkeypatch.setattr(HighsLp, "solve", real_solve)
+    assert solves == [new] * 3 and highs._spares == [new]
+    assert blocks_run() == (new, want)
+
+
+def test_every_search_hands_its_object_back(monkeypatch):
+    monkeypatch.setattr(highs, "_spares", [])
+    p = knapsack_problem()
+    p.set_secondary_objective("min", {"b0": 1, "b1": 1})
+    made = []
+    real_new = highs._core._Highs
+
+    def counted():
+        made.append(real_new())
+        return made[-1]
+
+    monkeypatch.setattr(highs._core, "_Highs", counted)
+    sol = lexicographic_solve(p, SolveConfig())
+    assert sol.status == "Optimal" and not sol.stage1_reused
+    # two searches, one after the other, on one object
+    assert len(made) == 1 and highs._spares == made
+    assert lp_solve(p).status == "Optimal"
+    assert len(made) == 1 and highs._spares == made
+    # models alive at once each take an object; at most SPARES wait after
+    lps = [HighsLp(C, row_set(ROWS, 3), "max") for _ in range(highs.SPARES + 2)]
+    assert not highs._spares and len(made) == highs.SPARES + 2
+    for lp in lps:
+        lp.release()
+    assert len(highs._spares) == highs.SPARES
+    assert lp_solve(p).status == "Optimal"
+    assert len(highs._spares) == highs.SPARES and len(made) == highs.SPARES + 2

@@ -198,11 +198,28 @@ class TestProblem:
             dict(relation="<"), dict(relation=["<=", "<="]), dict(indices=[0, 2]),
             dict(indices=[1, 1]), dict(data=[1.0, float("nan")]), dict(rhs=[1.0, 2.0]),
             dict(indptr=[0, 1]), dict(rhs=1.0), dict(indptr=[[0, 2]]),
+            dict(indptr=0), dict(data=[1.0]), dict(indices=[[0, 1]], data=[[1.0, 2.0]]),
+            dict(indptr=[0, 3, 2], rhs=[1.0, 1.0], names=["r", "s"]),
         ):
             with pytest.raises(MipError):
                 p.add_rows(**{**good, **bad})
+        # a scalar row pointer is rejected before any row length is read
+        with pytest.raises(MipError, match="row pointers"):
+            p.add_rows(0, [], [], "<=", [], [])
         assert p.rows.m == 0 and p.row_names == ()
         assert p.add_rows(**good) == range(0, 1)
+
+    def test_add_rows_copies_its_arrays(self):
+        p = MipProblem()
+        p.add_variables(["x", "y"])
+        indptr, indices = np.array([0, 2, 3], dtype=np.intp), np.array([0, 1, 1], dtype=np.intp)
+        data, rhs = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0])
+        p.add_rows(indptr, indices, data, "<=", rhs, ["r", "s"])
+        # written after the call, before the rows are first read
+        indptr[1], indices[0], data[1], rhs[0] = 1, 1, -7.0, 99.0
+        rows = p.rows
+        assert rows.indptr.tolist() == [0, 2, 3] and rows.indices.tolist() == [0, 1, 1]
+        assert rows.data.tolist() == [1.0, 2.0, 3.0] and rows.rhs.tolist() == [4.0, 5.0]
 
     def test_integer_needs_finite_bounds(self):
         p = MipProblem()
