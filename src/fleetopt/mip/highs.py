@@ -8,16 +8,23 @@ from the row-wise CSR arrays of a :class:`~.rows.CompiledRows`, and
 then only changes column bounds (:meth:`HighsLp.solve`, which passes
 them only when they differ from the last ones) or appends rows
 (:meth:`HighsLp.add_rows`). It keeps the rows HiGHS holds as
-``HighsLp.rows``, cuts included, which is what cut separation reads,
-and sums the simplex iterations of its solves.
+``HighsLp.rows``, cuts included, which is what cut separation and
+infeasibility proofs read, and sums the simplex iterations of its
+solves, read from HiGHS one value at a time.
 HiGHS keeps its basis between runs and presolves only while the model
 holds no valid basis, in practice on the first solve; every later solve
 is a dual simplex warm-started from the basis it holds, by default the
 last solve's. :meth:`HighsLp.snapshot` keeps a basis as an opaque
 value and :meth:`HighsLp.restore` hands it back, so that each
-branch-and-bound node's LP starts from its parent's basis. After an
-optimal solve, :meth:`HighsLp.tableau` gives the simplex tableau that
-Gomory cuts come from. Only the basic variables and rows of the basis
+branch-and-bound node's LP starts from its parent's basis. A restore
+first clears the solver state HiGHS kept from its last solve, so a
+solve after a restore returns the same bits whatever LPs came before
+it: a search may skip an LP that a restore would follow anyway.
+After an infeasible solve, :meth:`HighsLp.infeasibility_proof` turns
+HiGHS's dual ray into one aggregated row and the interval its
+activity must lie in, which the search keeps to prune later nodes.
+After an optimal solve, :meth:`HighsLp.tableau` gives the simplex
+tableau that Gomory cuts come from. Only the basic variables and rows of the basis
 inverse B⁻¹ are read from HiGHS; a tableau row's column part,
 ``B⁻¹ row @ A``, is priced here in numpy from ``HighsLp.rows``, to the
 same bits as HiGHS's own reduced row. No basis status is read: a
@@ -50,11 +57,14 @@ METHODS = (
     "addRows",
     "changeColsBounds",
     "clearModel",
+    "clearSolver",
     "getBasicVariables",
     "getBasis",
     "getBasisInverseRow",
-    "getInfo",
+    "getDualRay",
+    "getInfoValue",
     "getModelStatus",
+    "getObjectiveValue",
     "getSolution",
     "modelStatusToString",
     "passModel",
@@ -75,6 +85,13 @@ _STATUS = {
 # adds about 2.3 MB to peak RSS on the desk model), so only one is kept.
 SPARES = 1
 _spares: list = []
+
+
+# HiGHS's default primal_feasibility_tolerance, which nothing here
+# changes; a proof's interval is widened by PROOF_MARGIN times the most
+# that violations within it can move the proof's activity
+PRIMAL_TOL = 1e-7
+PROOF_MARGIN = 10.0
 
 
 @dataclass
@@ -222,12 +239,13 @@ class HighsLp:
             raise MipError(
                 f"LP backend failure: HiGHS status {h.modelStatusToString(model_status)}"
             )
-        info = h.getInfo()
-        res = LpResult(status=status, iterations=info.simplex_iteration_count)
-        self.iterations += res.iterations
+        info_status, iterations = h.getInfoValue("simplex_iteration_count")
+        self._check(info_status, "getInfoValue")
+        res = LpResult(status=status, iterations=iterations)
+        self.iterations += iterations
         if status == OPTIMAL:
             res.x = np.array(h.getSolution().col_value)
-            res.objective = self.sign * info.objective_function_value
+            res.objective = self.sign * h.getObjectiveValue()
         return res
 
     def snapshot(self):
@@ -238,8 +256,43 @@ class HighsLp:
 
     def restore(self, basis) -> None:
         """Make ``basis``, a :meth:`snapshot` of this model with the rows
-        it holds now, the one the next solve starts from."""
+        it holds now, the one the next solve starts from.
+
+        The solver state HiGHS keeps from its last solve (factorization,
+        edge weights and the rest) is cleared first, so the next solve
+        depends only on the model, its bounds and ``basis``, not on
+        which LP was solved before it.
+        """
+        self._check(self._highs.clearSolver(), "clearSolver")
         self._check(self._highs.setBasis(basis), "setBasis")
+
+    def infeasibility_proof(self):
+        """A Farkas proof from the last solve, which was infeasible:
+        ``(a, lo, hi)``, or None when HiGHS has no dual ray.
+
+        With ``y`` the dual ray over the rows HiGHS holds, cuts included,
+        ``a = y @ A`` and every point that meets those rows has ``a @ x``
+        in ``[lo, hi]``, the range that the rows' bounds allow ``y @ (A
+        x)``. The interval is widened by ``PROOF_MARGIN * PRIMAL_TOL *
+        (|y|_1 + |a|_1)``, more than a point within HiGHS's primal
+        tolerance of every row and column bound can move either side. So
+        a box over which ``a @ x`` cannot reach the widened interval holds
+        no point that HiGHS accepts as feasible: its LP is infeasible.
+        """
+        status, has_ray, y = self._highs.getDualRay()
+        self._check(status, "getDualRay")
+        if not has_ray:
+            return None
+        rows = self.rows
+        lower, upper = rows.row_bounds
+        up, down = y > 0, y < 0
+        # an infinite bound makes its side infinite, never NaN: y is nonzero
+        lo = y[up] @ lower[up] + y[down] @ upper[down]
+        hi = y[up] @ upper[up] + y[down] @ lower[down]
+        used = np.flatnonzero(y)
+        a = rows.combine(1, np.zeros(len(used), dtype=np.intp), used, y[used])[0]
+        margin = PROOF_MARGIN * PRIMAL_TOL * (np.abs(y).sum() + np.abs(a).sum())
+        return a, lo - margin, hi + margin
 
     def tableau(self) -> Tableau:
         """The basis of the last solve, which must have been optimal."""

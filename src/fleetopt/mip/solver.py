@@ -29,11 +29,25 @@ keeps a snapshot of the basis its LP ended at
 (:meth:`.highs.HighsLp.snapshot`) with its children, and a child
 hands it back (:meth:`.highs.HighsLp.restore`) unless its parent's LP
 was the last one HiGHS solved. A best-first jump to another subtree
-thus starts from the parent's vertex, not from the last node's. A
-fixed model shares the stated row arrays, which are never changed in
-place, and appends only its own rows (``fix:*``). A reduction holds
-rows, bounds and pinned values, and no objective: a search maps its
-objective onto the reduction it searches, once (:func:`_objective_on`).
+thus starts from the parent's vertex, not from the last node's.
+Each infeasible node LP leaves a Farkas proof
+(:meth:`.highs.HighsLp.infeasibility_proof`): one row aggregated from
+the rows HiGHS holds, and the interval its activity must lie in. Cuts
+are added only before the first node, so a proof holds at every later
+node; the search keeps the last :data:`PROOFS` of them as one matrix
+(:class:`_Proofs`). A node thus ends in one of six ways: propagation
+finds its box infeasible; a kept proof covers its box, and its LP is
+skipped; its LP is infeasible or unbounded; its LP bound is no better
+than the incumbent; its LP point is integral, and a polish offers it
+as the incumbent; or it branches. A node whose LP a proof skips counts
+as a node, and the next node restores its parent's basis, as it would
+after an infeasible LP; since a restore clears what HiGHS kept from
+earlier solves, every later LP solves to the bits it would have
+without the skip. A fixed model shares the stated row arrays, which
+are never changed in place, and appends only its own rows
+(``fix:*``). A reduction holds rows, bounds and pinned values, and no
+objective: a search maps its objective onto the reduction it
+searches, once (:func:`_objective_on`).
 A lexicographic solve reduces the problem once: stage 2 starts its
 reduction from stage 1's, with the retention row appended in the
 reduced columns, and searches it with stage 1's point, an array in
@@ -102,6 +116,7 @@ FIX_EPS = 1e-9
 STOPPED_WITH_POINT = (OPTIMAL, TIME_LIMIT, NODE_LIMIT)
 MAX_CUT_ROUNDS = 10  # per family, root node only
 CUTS_PER_ROUND = 8
+PROOFS = 64  # infeasibility proofs a search keeps, the latest ones
 
 
 @dataclass
@@ -314,6 +329,55 @@ def _objective_on(red: _Reduced, objective: Objective | None):
     return cost, kept, constant
 
 
+class _Proofs:
+    """The infeasibility proofs of a search's node LPs, as one matrix.
+
+    A proof ``(a, lo, hi)`` (:meth:`.highs.HighsLp.infeasibility_proof`)
+    says that every point of the LP relaxation has ``a @ x`` in
+    ``[lo, hi]``. It aggregates the rows HiGHS holds, cuts included, and
+    cuts are added only before the first node, so a proof from one node
+    holds at every later node of the search. A node's box over which
+    some proof's ``a @ x`` cannot reach its interval has an infeasible
+    LP (:meth:`covers`). The last :data:`PROOFS` proofs are kept, each
+    row split into its positive and its negative part.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.count = 0  # proofs added so far; the next goes to row count % PROOFS
+        self.parts = None  # (PROOFS, 2n), per row max(a, 0) then min(a, 0)
+        self.lo = np.full(PROOFS, -np.inf)
+        self.hi = np.full(PROOFS, np.inf)
+
+    def add(self, proof) -> None:
+        """Keep ``proof``, in place of the oldest when :data:`PROOFS` are
+        kept already; None keeps nothing."""
+        if proof is None:
+            return
+        if self.parts is None:
+            self.parts = np.zeros((PROOFS, 2 * self.n))
+        a, lo, hi = proof
+        k = self.count % PROOFS
+        np.maximum(a, 0.0, out=self.parts[k, : self.n])
+        np.minimum(a, 0.0, out=self.parts[k, self.n :])
+        self.lo[k], self.hi[k] = lo, hi
+        self.count += 1
+
+    def covers(self, lb, ub) -> bool:
+        """Whether a kept proof shows the box ``[lb, ub]`` infeasible.
+
+        A proof's least and greatest ``a @ x`` over the box come from one
+        product of the box's corners with the kept rows. An infinite
+        bound under a zero entry gives NaN, which proves nothing.
+        """
+        if not self.count:
+            return False
+        k = min(self.count, PROOFS)
+        corners = np.concatenate((lb, ub, ub, lb)).reshape(2, 2 * self.n)
+        least, most = corners @ self.parts[:k].T
+        return bool(((least > self.hi[:k]) | (most < self.lo[:k])).any())
+
+
 def _fractional_index(x, int_idx) -> int | None:
     """Most fractional integer column, or None if all are integral.
 
@@ -481,6 +545,7 @@ def branch_and_bound(
         heap = []
         seq = 0
         node_count = 0
+        proofs = _Proofs(len(red.keep))
 
         def push(bound, depth, lb, ub, basis=None, parent=None):
             """Queue a node; a child carries its parent's basis and number."""
@@ -510,17 +575,22 @@ def branch_and_bound(
                 ):
                     continue
             node_lb, node_ub = lb_n.copy(), ub_n.copy()
+            node_count += 1
             # over the reduced rows only: cut rows tighten the LP, not bounds
             if not _propagate(red.rows, node_lb, node_ub, red.int_mask, max_passes=2):
-                node_count += 1
+                continue
+            if proofs.covers(node_lb, node_ub):
+                # ends as its infeasible LP would: the next node restores
+                held = node
                 continue
             # start from the parent's basis, unless HiGHS holds it already
             if basis is not None and parent != held:
                 relaxation.restore(basis)
             res = lp(node_lb, node_ub)
             held = node
-            node_count += 1
             if res.status != OPTIMAL:
+                if res.status == INFEASIBLE:
+                    proofs.add(relaxation.infeasibility_proof())
                 continue
             if incumbent is not None and not better(res.objective, incumbent_value):
                 continue

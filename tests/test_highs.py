@@ -6,7 +6,7 @@ import pytest
 
 from fleetopt.mip import MipError, SolveConfig, branch_and_bound, lexicographic_solve, lp_solve
 from fleetopt.mip import cuts as cutmod
-from fleetopt.mip import highs
+from fleetopt.mip import highs, solver
 from fleetopt.mip.cuts import nonbasic_sides
 from fleetopt.mip.highs import HighsLp
 
@@ -150,6 +150,103 @@ def test_sides_follow_from_the_basic_variables_and_the_point():
     assert side.col_up[side.col_term].any() and not side.col_term.all()
     assert side.row_up[0] and side.row_term[0] and not side.row_term[3]
     assert_sides_match_highs(lp, lb, ub, res.x)
+
+
+def test_solve_reads_what_highs_info_holds():
+    # the iteration count and objective come from single-value reads,
+    # which must agree with the whole info record bit for bit
+    lp = HighsLp(C, row_set(ROWS, 3), "max")
+    for status, (lb, ub), _ in CASES + CASES[::-1]:
+        res = lp.solve(lb, ub)
+        info = lp._highs.getInfo()
+        assert res.status == status
+        assert res.iterations == info.simplex_iteration_count
+        if res.objective is not None:
+            assert res.objective == -info.objective_function_value
+
+
+def test_primal_tolerance_is_highs_own():
+    lp = HighsLp(C, row_set(ROWS, 3), "max")
+    _, tol = lp._highs.getOptionValue("primal_feasibility_tolerance")
+    assert tol == highs.PRIMAL_TOL and highs.PROOF_MARGIN > 1
+
+
+def test_an_infeasibility_proof_covers_its_box_and_no_feasible_point():
+    # blocks_problem's LP under its bound sets: each infeasible one gives
+    # a proof that shows that box infeasible, and every optimal point of
+    # the others has a @ x inside the proof's interval
+    lp = HighsLp(BLOCKS_COST, BLOCKS.rows, "max")
+    lp.add_rows(row_set([({0: 1.0, 1: 1.0}, "<=", 7.0)], BLOCKS.n_vars))
+    proofs, points = [], []
+    for lb, ub in BLOCKS_BOUNDS:
+        res = lp.solve(lb, ub)
+        if res.status == "Optimal":
+            points.append(res.x)
+            continue
+        a, lo, hi = lp.infeasibility_proof()
+        least = np.where(a > 0, a * lb, a * ub).sum()
+        most = np.where(a > 0, a * ub, a * lb).sum()
+        assert least > hi or most < lo
+        proofs.append((a, lo, hi))
+    assert len(proofs) == 2 and len(points) == 3
+    for a, lo, hi in proofs:
+        for x in points:
+            assert lo <= a @ x <= hi
+
+
+def test_a_restored_basis_solves_the_same_whatever_came_before():
+    """After ``restore(basis)``, a node LP gives the same status,
+    iterations and ``x`` bytes whether the object last solved an
+    infeasible LP, another node's LPs, or nothing since the snapshot.
+
+    The nodes are the left children of the knapsack root's four most
+    fractional columns; the other node is the right child of the same
+    column with a second column at 0. Without the solver state cleared
+    on restore, the fourth column's node gives other points.
+    """
+    p = knapsack_problem()
+    red = solver._reduce(p)
+    cost, _, _ = solver._objective_on(red, p.objective)
+    int_idx = np.flatnonzero(red.int_mask)
+
+    def box(lower=(), upper=()):
+        lb, ub = red.lb.copy(), red.ub.copy()
+        for j, v in lower:
+            lb[j] = v
+        for j, v in upper:
+            ub[j] = v
+        return lb, ub
+
+    def node_after(before, node):
+        lp = HighsLp(cost, red.rows, p.objective.sense)
+        try:
+            lp.solve(red.lb, red.ub)
+            basis = lp.snapshot()
+            statuses = [lp.solve(*b).status for b in before]
+            lp.restore(basis)
+            res = lp.solve(*node)
+            return statuses, (res.status, res.iterations, res.x.tobytes())
+        finally:
+            lp.release()
+
+    lp = HighsLp(cost, red.rows, p.objective.sense)
+    x = lp.solve(red.lb, red.ub).x
+    lp.release()
+    frac = np.abs(x[int_idx] - np.round(x[int_idx]))
+    columns = [int(j) for j in int_idx[np.argsort(-frac, kind="stable")][:4]]
+    assert np.all(np.sort(frac)[-4:] > 1e-6)
+    infeasible = box(lower=[(j, red.ub[j]) for j in int_idx])
+    for i, j in enumerate(columns):
+        node = box(upper=[(j, np.floor(x[j]))])
+        k = columns[(i + 1) % 4]
+        other = [box(lower=[(j, np.ceil(x[j]))]),
+                 box(lower=[(j, np.ceil(x[j]))], upper=[(k, 0.0)])]
+        _, alone = node_after([], node)
+        statuses, after_infeasible = node_after([infeasible], node)
+        assert statuses == ["Infeasible"]
+        _, after_other = node_after(other, node)
+        assert after_infeasible == alone, j
+        assert after_other == alone, j
 
 
 def test_separation_reads_no_basis_status(monkeypatch):

@@ -972,10 +972,10 @@ class TestCuts:
         """
         pinned = {
             "knapsack": [
-                (103, 219, 0, 0, 16.000000000000007),
-                (89, 308, 55, 0, 15.999999999999972),
-                (101, 243, 0, 3, 16.0),
-                (41, 265, 71, 29, 16.000000000000014),
+                (101, 226, 0, 0, 16.000000000000007),
+                (89, 312, 55, 0, 15.999999999999972),
+                (101, 245, 0, 3, 16.0),
+                (41, 261, 71, 29, 16.000000000000014),
             ],
             12: [
                 (5, 8, 0, 0, 6.0),
@@ -1010,7 +1010,7 @@ class TestCuts:
             39: [
                 (5, 6, 0, 0, 6.0),
                 (0, 6, 3, 0, 5.999999999999998),
-                (3, 8, 0, 4, 6.0),
+                (3, 9, 0, 4, 6.0),
                 (0, 5, 3, 4, 6.000000000000003),
             ],
             54: [
