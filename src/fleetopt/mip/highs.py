@@ -23,7 +23,9 @@ it: a search may skip an LP that a restore would follow anyway.
 After an infeasible solve, :meth:`HighsLp.infeasibility_proof` turns
 HiGHS's dual ray into one aggregated row and the interval its
 activity must lie in, which the search keeps to prune later nodes.
-After an optimal solve, :meth:`HighsLp.tableau` gives the simplex
+After an optimal solve, :meth:`HighsLp.reduced_costs` gives each
+column's reduced cost in the objective's own sense, which the search
+uses to tighten its root box, and :meth:`HighsLp.tableau` gives the simplex
 tableau that Gomory cuts come from. Only the basic variables and rows of the basis
 inverse B⁻¹ are read from HiGHS; a tableau row's column part,
 ``B⁻¹ row @ A``, is priced here in numpy from ``HighsLp.rows``, to the
@@ -92,6 +94,9 @@ _spares: list = []
 # that violations within it can move the proof's activity
 PRIMAL_TOL = 1e-7
 PROOF_MARGIN = 10.0
+# HiGHS's default dual_feasibility_tolerance, which nothing here changes:
+# an optimal solve's reduced costs have the right sign to within it
+DUAL_TOL = 1e-7
 
 
 @dataclass
@@ -247,6 +252,19 @@ class HighsLp:
             res.x = np.array(h.getSolution().col_value)
             res.objective = self.sign * h.getObjectiveValue()
         return res
+
+    def reduced_costs(self) -> np.ndarray:
+        """The reduced cost of each column at the last solve, which must
+        have been optimal, in the objective's own sense: the rate at
+        which ``c @ x`` changes as the column moves up from its value.
+
+        HiGHS minimizes ``sign * c`` and returns that problem's reduced
+        costs (``col_dual``); ``sign`` turns them back. So for a maximum
+        a column at its lower bound has a cost of at most ``DUAL_TOL``
+        and one at its upper bound at least ``-DUAL_TOL``, the other way
+        round for a minimum.
+        """
+        return self.sign * np.array(self._highs.getSolution().col_dual)
 
     def snapshot(self):
         """The basis of the last solve, an opaque value that

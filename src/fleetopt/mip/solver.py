@@ -76,7 +76,19 @@ the B⁻¹ rows of its source rows from the HiGHS basis of the root solve
 just made (:meth:`.highs.HighsLp.tableau`), and cover separation reads the
 model's rows, that round's Gomory cuts included, and the root point.
 Gomory separation is on by default; on the desk models it closes most
-of the root gap. HiGHS and the search are deterministic, so a given
+of the root gap.
+A ``warm`` point (stage 2's stage-1 point; nothing else passes one) is
+checked against the reduction's pinned values, bounds and rows before
+the root LP (:func:`_warm_on`), and is the incumbent from then on: cut
+rounds stop once the root bound meets it within ``gap_tol``, since no
+cut can change the outcome then. When the root bound still leads it
+by more, the root's reduced costs tighten the root box before it is
+pushed (:func:`_reduced_cost_box`): an integer column at a bound may
+move off it only as far as the lead, widened by a margin for HiGHS's
+dual tolerance, pays for. Cuts hold for every integer point, so that
+LP bound holds for the search, and the first node's propagation
+carries the tightened box on. Only the root is tightened, and only
+against a warm incumbent. HiGHS and the search are deterministic, so a given
 problem and configuration always reproduce the same solution and node
 count.
 """
@@ -107,11 +119,12 @@ from .problem import (
     Objective,
     Solution,
 )
-from .highs import HighsLp
+from .highs import DUAL_TOL, PROOF_MARGIN, HighsLp
 from .rows import CompiledRows
 
 BOUND_EPS = 1e-9
 FIX_EPS = 1e-9
+WARM_TOL = 1e-6  # how far a warm point may miss a bound, pin or row
 # statuses whose solution may carry a point: proven, or stopped at a limit
 STOPPED_WITH_POINT = (OPTIMAL, TIME_LIMIT, NODE_LIMIT)
 MAX_CUT_ROUNDS = 10  # per family, root node only
@@ -378,6 +391,74 @@ class _Proofs:
         return bool(((least > self.hi[:k]) | (most < self.lo[:k])).any())
 
 
+def _warm_on(problem: MipProblem, red: _Reduced, warm: np.ndarray) -> np.ndarray:
+    """``warm``, a point in stated column order, on ``red``'s columns,
+    with its integers rounded.
+
+    Raises :class:`MipError` naming what the point breaks: a column
+    ``red`` pinned at another value, or, with its integers rounded, a
+    bound of ``red`` or one of its rows, each by more than
+    :data:`WARM_TOL`. The rows are the ones the search holds; a broken
+    one is named by the stated rows the point breaks
+    (:meth:`.problem.MipProblem.check_point`), or by its index among
+    the reduced rows when it breaks none of them.
+    """
+    names = problem.names
+    off = np.abs(warm - red.full_values) > WARM_TOL
+    off[red.keep] = False
+    if off.any():
+        j = int(np.argmax(off))
+        raise MipError(
+            f"warm point has {names[j]!r} at {warm[j]}, pinned at {red.full_values[j]}"
+        )
+    x = warm[red.keep]
+    x[red.int_mask] = np.round(x[red.int_mask]) + 0.0  # no -0.0
+    out = (x < red.lb - WARM_TOL) | (x > red.ub + WARM_TOL)
+    if out.any():
+        p = int(np.argmax(out))
+        raise MipError(
+            f"warm point has {names[red.keep[p]]!r} at {x[p]}, outside "
+            f"[{red.lb[p]}, {red.ub[p]}]"
+        )
+    rows = red.rows
+    act = np.bincount(
+        np.repeat(np.arange(rows.m), np.diff(rows.indptr)), rows.data * x[rows.indices],
+        minlength=rows.m,
+    )
+    broken = (rows.le & (act > rows.rhs + WARM_TOL)) | (rows.ge & (act < rows.rhs - WARM_TOL))
+    if broken.any():
+        stated = [b for b in problem.check_point(warm, WARM_TOL) if b.startswith("row:")]
+        row = stated[0][4:] if stated else f"{int(np.argmax(broken))} of the reduced rows"
+        raise MipError(f"warm point breaks row {row!r}")
+    return x
+
+
+def _reduced_cost_box(lp: HighsLp, x, lb, ub, int_idx, gap: float, maximize: bool) -> None:
+    """Tighten the integer bounds of ``[lb, ub]``, in place, to the part
+    of the box where a point can be no worse than an incumbent ``gap``
+    short of the LP bound whose point is ``x``, the last solve of
+    ``lp``.
+
+    Moving a column off the bound it sits at by ``t`` costs the LP bound
+    at least ``|d| t``, with ``d`` its reduced cost
+    (:meth:`.highs.HighsLp.reduced_costs`), when ``d`` makes the
+    objective worse that way. So an integer column at its lower bound
+    keeps ``ub = lb + floor(gap / |d|)``, and one at its upper bound
+    ``lb = ub - floor(gap / |d|)`` (Nemhauser & Wolsey, "Integer and
+    Combinatorial Optimization", 1988). Only costs larger than
+    :data:`.highs.DUAL_TOL` count: a smaller one is HiGHS's tolerance
+    around zero. ``x`` stays in the box.
+    """
+    d = lp.reduced_costs()[int_idx]
+    worse_up = -d if maximize else d  # how fast the objective worsens as x_j rises
+    xi, lo, hi = x[int_idx], lb[int_idx], ub[int_idx]
+    at_lo = (worse_up > DUAL_TOL) & (xi <= lo + INT_TOL)
+    at_hi = (worse_up < -DUAL_TOL) & (xi >= hi - INT_TOL)
+    reach = np.floor(gap / np.where(at_lo | at_hi, np.abs(worse_up), 1.0))
+    ub[int_idx[at_lo]] = np.minimum(hi[at_lo], lo[at_lo] + reach[at_lo])
+    lb[int_idx[at_hi]] = np.maximum(lo[at_hi], hi[at_hi] - reach[at_hi])
+
+
 def _fractional_index(x, int_idx) -> int | None:
     """Most fractional integer column, or None if all are integral.
 
@@ -410,8 +491,11 @@ def branch_and_bound(
     the problem's primary objective (:func:`lexicographic_solve`'s stage 2);
     with neither, the search maximizes zero. ``warm`` seeds the
     incumbent with a known integer-feasible point, one value per stated
-    column in column order; it only prunes and never changes the
-    optimum. ``reduced`` is the reduction to search (:func:`_reduce`);
+    column in column order, and :class:`MipError` is raised when it
+    breaks a pinned value, bound or row (:func:`_warm_on`). It prunes,
+    ends the cut rounds once the root bound meets it, and tightens the
+    root box by reduced cost (:func:`_reduced_cost_box`); it never
+    changes the optimum. ``reduced`` is the reduction to search (:func:`_reduce`);
     without it the search reduces ``problem`` first. The objective is
     mapped onto the reduction once (:func:`_objective_on`).
     """
@@ -464,11 +548,31 @@ def branch_and_bound(
                 res.objective += constant
             return res
 
+        incumbent = None
+        incumbent_value = -np.inf if maximize else np.inf
+        if warm is not None:
+            incumbent = _warm_on(problem, red, warm)
+            incumbent_value = constant + sum(cost[p] * incumbent[p] for p in kept)
+
+        def better(a, b):
+            return a > b + 1e-12 if maximize else a < b - 1e-12
+
+        def closed(bound):
+            """Whether a bound leaves no room to beat the incumbent by
+            more than ``gap_tol``."""
+            return incumbent is not None and (
+                not better(bound, incumbent_value)
+                or abs(bound - incumbent_value) <= cfg.gap_tol * max(1.0, abs(incumbent_value))
+            )
+
         root = lp(lb, ub)
         # cuts only at an optimal root: an integral one is already optimal,
-        # and an infeasible or unbounded one is the answer
+        # and an infeasible or unbounded one is the answer; none once the
+        # root bound meets the incumbent, since no cut changes the outcome
         if root.status == OPTIMAL and (cfg.gomory or cfg.cover) and not integral(root.x):
             for _ in range(MAX_CUT_ROUNDS):
+                if closed(root.objective):
+                    break
                 added = 0
                 # the model's last solve is this root: its basis gives the rows
                 if cfg.gomory:
@@ -495,19 +599,6 @@ def branch_and_bound(
                     break
         if root.status != OPTIMAL:
             return make_solution(root.status)
-
-        incumbent = None
-        incumbent_value = -np.inf if maximize else np.inf
-
-        def better(a, b):
-            return a > b + 1e-12 if maximize else a < b - 1e-12
-
-        if warm is not None:
-            warm_red = warm[red.keep]
-            warm_red[int_idx] = np.round(warm_red[int_idx]) + 0.0  # no -0.0
-            if np.all(warm_red >= red.lb - 1e-6) and np.all(warm_red <= red.ub + 1e-6):
-                incumbent = warm_red
-                incumbent_value = constant + sum(cost[p] * warm_red[p] for p in kept)
 
         # the node whose LP HiGHS solved last, by its heap sequence number;
         # None before the first node and after a polish
@@ -554,9 +645,16 @@ def branch_and_bound(
             heapq.heappush(heap, (prio, -depth, seq, bound, lb, ub, basis, parent))
             seq += 1
 
-        if integral(root.x) and (exact := exact_value(root.x)) is not None:
-            val, xr = exact
-            return make_solution(OPTIMAL, xr, val, bound=root.objective)
+        if integral(root.x):
+            if (exact := exact_value(root.x)) is not None:
+                val, xr = exact
+                return make_solution(OPTIMAL, xr, val, bound=root.objective)
+        elif incumbent is not None and not closed(root.objective):
+            # the margin covers the LP bound's error from HiGHS's dual tolerance
+            gap = abs(root.objective - incumbent_value) + PROOF_MARGIN * DUAL_TOL * max(
+                1.0, abs(incumbent_value)
+            )
+            _reduced_cost_box(relaxation, root.x, lb, ub, int_idx, gap, maximize)
         push(root.objective, 0, lb, ub)
 
         status = OPTIMAL
@@ -568,12 +666,8 @@ def branch_and_bound(
                 status = NODE_LIMIT
                 break
             prio, negdepth, node, bound, lb_n, ub_n, basis, parent = heapq.heappop(heap)
-            if incumbent is not None:
-                gap = abs(bound - incumbent_value)
-                if not better(bound, incumbent_value) or gap <= cfg.gap_tol * max(
-                    1.0, abs(incumbent_value)
-                ):
-                    continue
+            if closed(bound):
+                continue
             node_lb, node_ub = lb_n.copy(), ub_n.copy()
             node_count += 1
             # over the reduced rows only: cut rows tighten the LP, not bounds

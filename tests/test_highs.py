@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from fleetopt.mip import MipError, SolveConfig, branch_and_bound, lexicographic_solve, lp_solve
 from fleetopt.mip import cuts as cutmod
@@ -169,6 +170,61 @@ def test_primal_tolerance_is_highs_own():
     lp = HighsLp(C, row_set(ROWS, 3), "max")
     _, tol = lp._highs.getOptionValue("primal_feasibility_tolerance")
     assert tol == highs.PRIMAL_TOL and highs.PROOF_MARGIN > 1
+
+
+def test_dual_tolerance_is_highs_own():
+    lp = HighsLp(C, row_set(ROWS, 3), "max")
+    _, tol = lp._highs.getOptionValue("dual_feasibility_tolerance")
+    assert tol == highs.DUAL_TOL
+
+
+def linprog_reduced_costs(c, rows, lb, ub, sense):
+    """``linprog``'s optimum and its reduced costs in ``sense``, from
+    the marginals of the column bounds (scipy minimizes, so a maximum
+    negates the costs on the way in and the marginals on the way out)."""
+    A = rows.matrix_t.T.toarray()
+    sign = -1.0 if sense == "max" else 1.0
+    res = linprog(
+        sign * c,
+        A_ub=np.vstack([A[rows.le], -A[rows.ge]]),
+        b_ub=np.concatenate([rows.rhs[rows.le], -rows.rhs[rows.ge]]),
+        bounds=list(zip(lb, ub)), method="highs",
+    )
+    assert res.status == 0
+    return res.x, sign * (res.lower.marginals + res.upper.marginals)
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_reduced_costs_are_linprogs_marginals(sense):
+    # a generic LP, so its optimal vertex and duals are unique; then the
+    # same LP with a row that cuts that vertex off
+    rng = np.random.default_rng(36)
+    n = 8
+    c = rng.uniform(-3, 3, n)
+    rows = row_set(
+        [({j: float(rng.uniform(-2, 4)) for j in range(n)}, rel, float(rng.uniform(4, 9)))
+         for rel in ("<=", "<=", ">=", "<=", "<=")],
+        n,
+    )
+    lb, ub = rng.uniform(-2, 0, n), rng.uniform(1, 3, n)
+    lp = HighsLp(c, rows, sense)
+    res = lp.solve(lb, ub)
+    x, want = linprog_reduced_costs(c, lp.rows, lb, ub, sense)
+    assert res.x == pytest.approx(x, abs=1e-9)
+    d = lp.reduced_costs()
+    assert d == pytest.approx(want, abs=1e-9)
+    # d is the objective's own rate: nonbasic columns sit at the bound that
+    # a worsening rate points away from
+    better = d if sense == "max" else -d
+    assert np.all(res.x[better < -1e-9] == lb[better < -1e-9])
+    assert np.all(res.x[better > 1e-9] == ub[better > 1e-9])
+    assert (np.abs(d) > 1e-9).sum() >= 3
+    lp.add_rows(row_set([({j: 1.0 for j in range(n)}, "<=" if sense == "max" else ">=",
+                          float(res.x.sum()) + (-0.5 if sense == "max" else 0.5))], n))
+    res2 = lp.solve(lb, ub)
+    x2, want2 = linprog_reduced_costs(c, lp.rows, lb, ub, sense)
+    assert res2.x == pytest.approx(x2, abs=1e-9) and not np.allclose(res2.x, res.x)
+    assert lp.reduced_costs() == pytest.approx(want2, abs=1e-9)
 
 
 def test_an_infeasibility_proof_covers_its_box_and_no_feasible_point():

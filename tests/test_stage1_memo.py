@@ -327,7 +327,7 @@ DESK_DAY_3 = {
     QUERIES[0]: ("Optimal", 33.66859201923078, 49.0, 3, 278, "77ce47c21f577535"),
     QUERIES[1]: ("Optimal", 33.66859201923078, 61.1040012, 0, 268, "5d04bd0870d051aa"),
     QUERIES[2]: ("Optimal", 33.66859201923078, 94.0, 6, 304, "0384d33b0c6f7261"),
-    QUERIES[3]: ("Optimal", 33.66859201923078, 14.668000000000001, 0, 195,
+    QUERIES[3]: ("Optimal", 33.66859201923078, 14.668000000000001, 0, 193,
                  "5d04bd0870d051aa"),
 }
 
